@@ -23,6 +23,7 @@ from .errors import (
     ZeroInverse,
 )
 from .fq import (
+    DENSE_BYTES_LIMIT,
     MODULUS_CEILING,
     PrimeField,
     centered,
@@ -105,8 +106,10 @@ from .solver import (
     SolveOutcome,
     SolveParameters,
     choose_parameters,
+    classify,
     controlled_sources,
     elimination_sources,
+    kernel_shot,
     solve,
     solve_coordinate,
 )

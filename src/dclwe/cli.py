@@ -19,8 +19,9 @@ import itertools
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -141,7 +142,7 @@ class ExperimentRecord:
     wall_time_ms: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        return asdict(self)
 
 
 def _parse_scalar(field: str, raw: str):
@@ -194,21 +195,7 @@ def build_config(file_values: dict[str, str] | None, cli_values: dict[str, str])
         if key not in _DEFAULTS:
             raise ConfigError(f"{key}: unknown configuration field")
 
-    parsed = {field: _parse_field(field, raw[field]) for field in _DEFAULTS}
-    config = ExperimentConfig(
-        n=parsed["n"],
-        q=parsed["q"],
-        xi=parsed["xi"],
-        kappa=parsed["kappa"],
-        sigma=parsed["sigma"],
-        gamma=parsed["gamma"],
-        delta=parsed["delta"],
-        v_size=parsed["v_size"],
-        chi_kind=str(parsed["chi_kind"]),
-        mode=str(parsed["mode"]),
-        trials=int(parsed["trials"]),
-        seed=int(parsed["seed"]),
-    )
+    config = ExperimentConfig(**{field: _parse_field(field, raw[field]) for field in _DEFAULTS})
     _validate_config(config)
     return config
 
@@ -224,32 +211,23 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"trials: must be at least 1, got {config.trials}")
     if config.seed < 0:
         raise ConfigError(f"seed: must be non-negative, got {config.seed}")
-    for n in config.n:
-        if n < 1:
-            raise ConfigError(f"n: must be at least 1, got {n}")
     for q in config.q:
         try:
             PrimeField(q)
         except InvalidModulus as exc:
             raise ConfigError(f"q: {exc}")
-    for xi in config.xi:
-        if xi < 0:
-            raise ConfigError(f"xi: must be non-negative, got {xi}")
-    for kappa in config.kappa:
-        if kappa <= 0:
-            raise ConfigError(f"kappa: must be positive, got {kappa}")
-    for sigma in config.sigma:
-        if sigma is not None and sigma <= 0:
-            raise ConfigError(f"sigma: must be positive, got {sigma}")
-    for gamma in config.gamma:
-        if not 0 < gamma < 0.25:
-            raise ConfigError(f"gamma: must lie in (0, 1/4), got {gamma}")
-    for delta in config.delta:
-        if not 0 < delta < 1:
-            raise ConfigError(f"delta: must lie in (0, 1), got {delta}")
-    for v_size in config.v_size:
-        if v_size is not None and v_size < 1:
-            raise ConfigError(f"v_size: must be at least 1, got {v_size}")
+    for field, ok, rule in (
+        ("n", lambda v: v >= 1, "must be at least 1"),
+        ("xi", lambda v: v >= 0, "must be non-negative"),
+        ("kappa", lambda v: v > 0, "must be positive"),
+        ("sigma", lambda v: v is None or v > 0, "must be positive"),
+        ("gamma", lambda v: 0 < v < 0.25, "must lie in (0, 1/4)"),
+        ("delta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+        ("v_size", lambda v: v is None or v >= 1, "must be at least 1"),
+    ):
+        for value in getattr(config, field):
+            if not ok(value):
+                raise ConfigError(f"{field}: {rule}, got {value}")
     for q in config.q:
         for xi in config.xi:
             if 2 * xi >= q:
@@ -285,16 +263,7 @@ def run_point_trial(point: PointConfig, seed: int, point_index: int, trial_index
     return ExperimentRecord(
         point_index=point_index,
         trial_index=trial_index,
-        n=point.n,
-        q=point.q,
-        xi=point.xi,
-        kappa=point.kappa,
-        sigma=point.sigma,
-        gamma=point.gamma,
-        delta=point.delta,
-        v_size=point.v_size,
-        chi_kind=point.chi_kind,
-        mode=point.mode,
+        **asdict(point),
         seed=seed,
         xi_prime=params.xi_prime,
         L=params.L,
@@ -315,6 +284,9 @@ def _task(args: tuple[PointConfig, int, int, int]) -> ExperimentRecord:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """All (point, trial) tasks in deterministic order."""
+    if config.mode == MODE_CONTROLLED and any(s is not None for s in config.sigma):
+        # Controlled batches and test pairs draw from the noise kind at xi' alone.
+        raise ConfigError("sigma: has no effect in controlled mode")
     tasks = [
         (point, config.seed, pi, ti)
         for pi, point in enumerate(config.points())
@@ -385,32 +357,13 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
         on_ridge = (outcomes[:, 0] == (-s_j * outcomes[:, 1]) % q).mean()
         sigma3 = 3 * float(np.sqrt(on_ridge * (1 - on_ridge) / shots))
 
-        row = {
-            "q": report.q,
-            "xi_prime": report.xi_prime,
-            "gamma": report.gamma,
-            "batch_size": report.batch_size,
-            "exact_p": report.exact_p,
-            "lower_bound": report.lower_bound,
-            "violated": report.violated,
-            "empirical_p": float(on_ridge),
-            "empirical_3sigma": sigma3,
-        }
+        row = {**asdict(report), "empirical_p": float(on_ridge), "empirical_3sigma": sigma3}
         try:
-            params = choose_parameters(
-                point.n, q, point.xi, point.kappa, point.delta, point.gamma
-            )
+            params = choose_parameters(point.n, q, point.xi, point.kappa, point.delta, point.gamma)
             wa = prob_iii_bound(params.L, point.kappa, point.xi / q, params.M, q)
-            row.update(
-                {
-                    "L": params.L,
-                    "M": params.M,
-                    "wrong_accept_approx": wa.approx,
-                    "wrong_accept_exact": wa.exact,
-                }
-            )
+            row.update(L=params.L, M=params.M, wrong_accept_approx=wa.approx, wrong_accept_exact=wa.exact)
         except InfeasibleParameters:
-            row.update({"L": None, "M": None, "wrong_accept_approx": None, "wrong_accept_exact": None})
+            row.update(L=None, M=None, wrong_accept_approx=None, wrong_accept_exact=None)
         rows.append(row)
     if not rows:
         raise ConfigError("xi/kappa: no sweep point yields a usable xi' in [1, q/2)")
@@ -484,7 +437,7 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     shots = 20000
     outcomes = sample_bv_outcomes(batch, rng, shots)
     counts = np.bincount(outcomes[:, 0] * q + outcomes[:, 1], minlength=q * q)
-    stat, dof = _pooled_chi_square(counts, grid, shots)
+    stat, dof = pooled_chi_square(counts, grid, shots)
     limit = dof + 4 * np.sqrt(2 * dof)
     check("measurement sampler chi-square (4 sigma)", stat <= limit, f"{stat:.1f} <= {limit:.1f}")
 
@@ -512,24 +465,29 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     return 0 if failures == 0 else 3
 
 
-def _pooled_chi_square(counts: np.ndarray, probs: np.ndarray, shots: int, min_expected: float = 5.0):
-    """Chi-square statistic with low-expectation cells pooled together."""
-    expected = probs * shots
+def pooled_chi_square(counts, probs, shots: int, min_expected: float = 5.0) -> tuple[float, int]:
+    """Chi-square statistic with low-expectation cells pooled into one.
+
+    Returns (statistic, degrees of freedom). Pooling keeps the usual
+    chi-square approximation honest when the distribution has many
+    near-zero cells.
+    """
+    counts = np.asarray(counts, dtype=float)
+    expected = np.asarray(probs, dtype=float) * shots
     big = expected >= min_expected
     stat = float(((counts[big] - expected[big]) ** 2 / expected[big]).sum())
     dof = int(big.sum()) - 1
-    rest_exp = float(expected[~big].sum())
-    if rest_exp > 0:
-        rest_obs = float(counts[~big].sum())
-        stat += (rest_obs - rest_exp) ** 2 / rest_exp
+    rest = float(expected[~big].sum())
+    if rest > 0:
+        stat += (float(counts[~big].sum()) - rest) ** 2 / rest
         dof += 1
     return stat, max(dof, 1)
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
-    for field in ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v-size"):
-        parser.add_argument(f"--{field}", help=f"override {field.replace('-', '_')} (comma list sweeps)")
+    for field in _SWEEPABLE:
+        parser.add_argument(f"--{field.replace('_', '-')}", help=f"override {field} (comma list sweeps)")
     parser.add_argument("--chi-kind", choices=[UNIFORM, GAUSSIAN], help="error law")
     parser.add_argument("--mode", choices=[MODE_CONTROLLED, MODE_ELIMINATION], help="batch construction mode")
     parser.add_argument("--trials", help="solves per sweep point")
@@ -538,40 +496,33 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_values = read_config_file(args.config) if args.config else None
-    cli_values = {
-        "n": args.n,
-        "q": args.q,
-        "xi": args.xi,
-        "kappa": args.kappa,
-        "sigma": args.sigma,
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "v_size": args.v_size,
-        "chi_kind": args.chi_kind,
-        "mode": args.mode,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return build_config(file_values, cli_values)
+    return build_config(file_values, {field: getattr(args, field) for field in _DEFAULTS})
 
 
-def _open_out(path: str | None):
-    return open(path, "w") if path else sys.stdout
+def _write(rows: Sequence[dict], args: argparse.Namespace) -> None:
+    """Emit rows to --out, or to stdout when it is unset."""
+    if not args.out:
+        emit(rows, args.format, sys.stdout)
+        return
+    with open(args.out, "w") as fh:
+        emit(rows, args.format, fh)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _run_from_args(args: argparse.Namespace) -> list[ExperimentRecord]:
     config = _config_from_args(args)
     for warning in feasibility_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
-    records = run_experiment(config, workers=args.workers)
+    return run_experiment(config, workers=args.workers)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    records = _run_from_args(args)
     by_point: dict[int, list[ExperimentRecord]] = {}
     for record in records:
         by_point.setdefault(record.point_index, []).append(record)
     for pi, recs in sorted(by_point.items()):
         total = len(recs)
-        tally = {}
-        for r in recs:
-            tally[r.outcome] = tally.get(r.outcome, 0) + 1
+        tally = Counter(r.outcome for r in recs)
         head = recs[0]
         fractions = ", ".join(f"{k}={v / total:.3f}" for k, v in sorted(tally.items()))
         print(
@@ -579,35 +530,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f" trials={total}: {fractions}"
         )
     if args.out:
-        with _open_out(args.out) as fh:
-            emit([r.to_dict() for r in records], args.format, fh)
+        _write([r.to_dict() for r in records], args)
         print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    for warning in feasibility_warnings(config):
-        print(f"warning: {warning}", file=sys.stderr)
-    records = run_experiment(config, workers=args.workers)
-    fh = _open_out(args.out)
-    try:
-        emit([r.to_dict() for r in records], args.format, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write([r.to_dict() for r in _run_from_args(args)], args)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = report_bounds(config)
-    fh = _open_out(args.out)
-    try:
-        emit(rows, args.format, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    rows = report_bounds(_config_from_args(args))
+    _write(rows, args)
     violated = [r for r in rows if r["violated"]]
     if violated:
         print(f"warning: {len(violated)} of {len(rows)} points violate the bound", file=sys.stderr)
@@ -665,17 +600,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleParameters as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except EmptyResult as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, InfeasibleParameters) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DclweError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,11 @@ from .errors import InvalidLength, InvalidModulus, SingularMatrix, ZeroInverse
 
 MODULUS_CEILING = 1 << 25
 
+# Largest complex128 table the exact dense paths may build: 4096 x 4096,
+# so every q up to 4093 fits. Those paths hold up to four such tables at
+# once, so their peak stays near 1 GiB.
+DENSE_BYTES_LIMIT = 1 << 28
+
 # Witness set making Miller-Rabin deterministic far beyond the ceiling.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -87,14 +92,22 @@ class PrimeField:
         h = self.q // 2
         return (np.asarray(xs, dtype=np.int64) + h) % self.q - h
 
-    def elements(self) -> np.ndarray:
-        return np.arange(self.q, dtype=np.int64)
-
 
 def centered(x: int, q: int) -> int:
     """Representative of x in (-q/2, q/2] without building a field object."""
     h = q // 2
     return (int(x) + h) % q - h
+
+
+def check_dense_size(rows: int, cols: int, what: str) -> None:
+    """Refuse a rows x cols complex table above DENSE_BYTES_LIMIT before
+    anything is allocated."""
+    nbytes = 16 * int(rows) * int(cols)
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise InvalidLength(
+            f"{what} needs a {rows} x {cols} complex table ({nbytes / 2**30:.1f} GiB),"
+            f" over the {DENSE_BYTES_LIMIT / 2**30:.2f} GiB dense limit"
+        )
 
 
 def mat_vec(a: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:

@@ -9,7 +9,6 @@ writing error terms at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -96,31 +95,24 @@ def make_instance(n: int, q: int, chi: ErrorDistribution, rng: np.random.Generat
     return LweInstance(n=n, q=q, s=gen_secret(n, q, rng), chi=chi)
 
 
-def sample_error(chi: ErrorDistribution, rng: np.random.Generator) -> int:
-    """One draw from chi; gaussian uses rejection on the bounded window."""
-    if chi.kind == UNIFORM:
-        return int(rng.integers(-chi.xi, chi.xi + 1))
-    two_s2 = 2.0 * chi.sigma**2
-    while True:
-        eta = int(rng.integers(-chi.xi, chi.xi + 1))
-        if rng.random() < math.exp(-(eta * eta) / two_s2):
-            return eta
+def sample_errors(chi: ErrorDistribution, rng: np.random.Generator, size: int | None = None):
+    """Draws from chi: one int64 for size=None, else an array of `size`.
 
-
-def sample_errors(chi: ErrorDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draws with the same law as sample_error (not the same stream)."""
+    Uniform noise takes one bounded-integer draw per value; gaussian
+    noise inverts the CDF of chi.weights() with one uniform double per
+    value. Either way n scalar draws consume the stream exactly as one
+    vector draw of n does, and give the same values.
+    """
     if chi.kind == UNIFORM:
         return rng.integers(-chi.xi, chi.xi + 1, size=size, dtype=np.int64)
-    two_s2 = 2.0 * chi.sigma**2
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        cand = rng.integers(-chi.xi, chi.xi + 1, size=need, dtype=np.int64)
-        keep = cand[rng.random(need) < np.exp(-(cand.astype(float) ** 2) / two_s2)]
-        out[filled : filled + keep.size] = keep
-        filled += keep.size
-    return out
+    cdf = np.cumsum(chi.weights())
+    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    return np.minimum(idx, 2 * chi.xi) - chi.xi
+
+
+def sample_error(chi: ErrorDistribution, rng: np.random.Generator) -> int:
+    """One draw from chi, the scalar form of sample_errors."""
+    return int(sample_errors(chi, rng))
 
 
 def gen_sample(instance: LweInstance, rng: np.random.Generator) -> Sample:

@@ -18,17 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidLength, InvariantViolation
-from .fq import PrimeField
+from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance, sample_error
-from .reduce import ReducedBatch, ReducedPair
-from .solver import (
-    OUTCOME_FAILURE,
-    OUTCOME_SUCCESS,
-    OUTCOME_WRONG_ACCEPT,
-    CoordinateStats,
-    SolveOutcome,
-)
-from .verify import m_trial_test
+from .reduce import ReducedBatch
+from .solver import CoordinateStats, SolveOutcome, classify, controlled_sources, solve_coordinate
+from .verify import false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
 SCHEME_BUCKET = "bucket_brigade"
@@ -64,6 +58,7 @@ def exact_success_probability(batch: ReducedBatch, s_j: int | None = None) -> fl
     ridge mass depends only on the stored errors.
     """
     q, m = batch.q, batch.size
+    check_dense_size(m, q, "exact_success_probability")
     if s_j is not None:
         implied = (batch.a_values * (int(s_j) % q) + batch.eta_values) % q
         if not np.array_equal(implied, batch.b_values % q):
@@ -122,20 +117,14 @@ def bound_report(batch: ReducedBatch, gamma: float) -> BoundReport:
 
 
 def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) -> WrongAcceptBound:
-    """Wrong-accept probability bound after L candidates of M trials each.
-
-    Returns the reporting approximation L * (2 kappa alpha)^M next to
-    the exact-count form L * ((2 xi' + 1)/q)^M.
+    """Wrong-accept probability bound after L candidates of M trials each:
+    L times the per-candidate false_accept_probability, in its reporting
+    form L * (2 kappa alpha)^M and its exact-count form L * ((2 xi' + 1)/q)^M.
     """
-    if l_budget < 1 or m < 1:
-        raise ValueError("L and M must be at least 1")
-    xi_prime = round(kappa * alpha * q)
-    if abs(kappa * alpha * q - xi_prime) > 1e-9:
-        raise ValueError(f"kappa * alpha * q = {kappa * alpha * q} is not an integer bound")
-    return WrongAcceptBound(
-        approx=l_budget * (2 * kappa * alpha) ** m,
-        exact=l_budget * ((2 * xi_prime + 1) / q) ** m,
-    )
+    if l_budget < 1:
+        raise ValueError(f"L must be at least 1, got {l_budget}")
+    per_candidate = false_accept_probability(kappa, alpha, q, m)
+    return WrongAcceptBound(approx=l_budget * per_candidate.approx, exact=l_budget * per_candidate.exact)
 
 
 def prob_i_bound(delta: float, n: int) -> float:
@@ -162,59 +151,34 @@ def classical_baseline_solve(
 ) -> SolveOutcome:
     """Classical control: read the candidate straight off one reduced pair.
 
-    Per coordinate, each of up to trial_budget attempts draws a single
-    pair (a', a' s_j + eta') with the amplified bound, takes
-    s~ = b' * a'^-1, and runs the same M-trial residual test the
-    quantum path uses. The candidate is correct only when eta'
-    vanished, so with uniform errors the per-coordinate rate is
-    1/(2 xi' + 1) and the full-solve rate decays geometrically in n.
+    Per coordinate, each of up to trial_budget shots draws a single
+    pair (a', a' s_j + eta') with the amplified bound and takes
+    s~ = b' * a'^-1; the solver's own loop then runs the same M-trial
+    residual test, on the same controlled test pairs, the quantum path
+    uses. The candidate is correct only when eta' vanished, so with
+    uniform errors the per-coordinate rate is 1/(2 xi' + 1) and the
+    full-solve rate decays geometrically in n.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
-    q, n = instance.q, instance.n
-    field = PrimeField(q)
+    q = instance.q
     xi_prime = round(kappa * instance.xi)
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
-    coeff = math.ceil(kappa) if instance.xi > 0 else 0
-    coord_rngs = rng.spawn(n)
     per_coordinate: list[CoordinateStats] = []
-    values: list[int | None] = []
-    for j in range(n):
-        crng = coord_rngs[j]
+    for j, crng in enumerate(rng.spawn(instance.n)):
         s_j = int(instance.s[j])
 
-        def test_source() -> ReducedPair:
-            t = int(crng.integers(1, q))
-            eta = sample_error(chi_prime, crng)
-            return ReducedPair(
-                a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
-            )
-
-        stats = CoordinateStats(j=j)
-        for _ in range(trial_budget):
+        def direct_shot() -> int:
             a_prime = int(crng.integers(1, q))
-            eta = sample_error(chi_prime, crng)
-            b_prime = (a_prime * s_j + eta) % q
-            cand = b_prime * field.inv(a_prime) % q
-            stats.shots += 1
-            stats.candidates_tried += 1
-            verdict = m_trial_test(cand, m, xi_prime, test_source)
-            stats.tests_used += verdict.trials_used
-            if verdict.accepted:
-                stats.accepted_value = cand
-                break
-            if cand == s_j:
-                stats.true_rejections += 1
-        per_coordinate.append(stats)
-        values.append(stats.accepted_value)
+            b_prime = (a_prime * s_j + sample_error(chi_prime, crng)) % q
+            return b_prime * pow(a_prime, -1, q) % q
 
-    quantum_samples = 0  # the baseline never touches the kernel
-    test_samples = sum(st.tests_used for st in per_coordinate)
-    if any(v is None for v in values):
-        return SolveOutcome(OUTCOME_FAILURE, None, per_coordinate, quantum_samples, test_samples)
-    returned = np.array(values, dtype=np.int64)
-    outcome = OUTCOME_SUCCESS if np.array_equal(returned, instance.s % q) else OUTCOME_WRONG_ACCEPT
-    return SolveOutcome(outcome, returned, per_coordinate, quantum_samples, test_samples)
+        _, test_source = controlled_sources(instance, j, xi_prime, crng)
+        _, stats = solve_coordinate(
+            j, direct_shot, test_source, trial_budget, m, xi_prime, s_true=s_j
+        )
+        per_coordinate.append(stats)
+    return classify(instance, per_coordinate, quantum_samples=0)  # no kernel shots
 
 
 def qram_cost(q: int, n: int, d: int, scheme: str, sample_form: str) -> float:

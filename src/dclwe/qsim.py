@@ -25,7 +25,8 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import DuplicateInput, InvalidLength, InvariantViolation
+from .errors import InvalidLength, InvariantViolation
+from .fq import check_dense_size
 from .reduce import ReducedBatch
 
 REGISTER_D = "D"
@@ -79,8 +80,8 @@ def qft_matrix(q: int, inverse: bool = False) -> np.ndarray:
 def prepare_sample_state(batch: ReducedBatch) -> TwoQuditState:
     """Uniform superposition (1/sqrt(m)) sum |a'>|b'(a')> over the batch."""
     q, m = batch.q, batch.size
-    if np.unique(batch.a_values).size != m:
-        raise DuplicateInput("two pairs share the same a'")
+    check_dense_size(q, q, "the dense statevector")
+    batch.validate()  # a colliding a' would silently overwrite an amplitude
     amps = np.zeros((q, q), dtype=np.complex128)
     amps[batch.a_values, batch.b_values] = 1.0 / np.sqrt(m)
     return TwoQuditState(q, amps)
@@ -134,6 +135,7 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     evaluated as a rank-m product of two phase tables.
     """
     q, m = batch.q, batch.size
+    check_dense_size(q, q, "kernel_distribution")
     ks = np.arange(q, dtype=np.int64)
     ea = np.exp(2j * np.pi * (np.outer(batch.a_values, ks) % q) / q)
     eb = np.exp(2j * np.pi * (np.outer(batch.b_values, ks) % q) / q)

@@ -62,6 +62,11 @@ class ReducedBatch:
     kappa: float
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """The batch's only structural check: lengths, 0 <= a' < q with
+        distinct a', and |eta'| <= xi'."""
         m = self.a_values.size
         if m == 0:
             raise InvalidLength("batch needs at least one pair")
@@ -69,7 +74,9 @@ class ReducedBatch:
             raise InvalidLength(f"batch of {m} pairs exceeds field size {self.q}")
         if not (self.b_values.size == self.eta_values.size == self.coeff_l1_values.size == m):
             raise InvalidLength("batch arrays disagree on length")
-        if np.unique(self.a_values).size != m:
+        if int(self.a_values.min()) < 0 or int(self.a_values.max()) >= self.q:
+            raise InvariantViolation(f"batch inputs a' must lie in [0, {self.q})")
+        if int(np.bincount(self.a_values, minlength=self.q).max()) > 1:
             raise DuplicateInput("batch inputs a' must be distinct")
         if int(np.abs(self.eta_values).max()) > self.xi_prime:
             raise InvariantViolation("batch error exceeds declared bound xi'")
@@ -94,19 +101,27 @@ class ReducedBatch:
 
 
 def _input_array(v: Iterable[int], q: int) -> np.ndarray:
-    """Sorted distinct inputs mod q from any iterable."""
+    """Sorted inputs mod q from any iterable; the batch checks distinctness."""
     if isinstance(v, (set, frozenset)):
         v = list(v)
     arr = np.sort(np.asarray(v, dtype=np.int64) % q)
     if arr.size == 0:
         raise InvalidLength("v must be nonempty")
-    if arr.size > 1 and (arr[1:] == arr[:-1]).any():
-        raise DuplicateInput("v contains repeated inputs")
     return arr
 
 
-def _combine(samples: Sequence[Sample], j: int, target: int, secret: np.ndarray, q: int) -> ReducedPair:
+def reduce_to_coordinate(
+    samples: Sequence[Sample], j: int, a_target: int, secret: np.ndarray, q: int
+) -> ReducedPair:
+    """Combine n samples into one pair for coordinate j with input a_target.
+
+    The combination is a_target times row j of the inverse sample
+    matrix, so b' = a_target * s_j + eta' where eta' is the same
+    combination applied to the hidden errors. The pair's eta_prime is
+    recovered from the ground-truth secret for harness use only.
+    """
     field = PrimeField(q)
+    target = int(a_target) % q
     n = len(samples)
     a, b = samples_to_arrays(samples, q)
     if a.shape != (n, n):
@@ -121,19 +136,6 @@ def _combine(samples: Sequence[Sample], j: int, target: int, secret: np.ndarray,
     return ReducedPair(a_prime=target, b_prime=b_prime, eta_prime=eta_prime, coeff_l1=coeff_l1, q=q)
 
 
-def reduce_to_coordinate(
-    samples: Sequence[Sample], j: int, a_target: int, secret: np.ndarray, q: int
-) -> ReducedPair:
-    """Combine n samples into one pair for coordinate j with input a_target.
-
-    The combination is a_target times row j of the inverse sample
-    matrix, so b' = a_target * s_j + eta' where eta' is the same
-    combination applied to the hidden errors. The pair's eta_prime is
-    recovered from the ground-truth secret for harness use only.
-    """
-    return _combine(samples, j, int(a_target) % q, secret, q)
-
-
 def make_test_sample(
     samples: Sequence[Sample], j: int, t_target: int, secret: np.ndarray, q: int
 ) -> ReducedPair:
@@ -141,10 +143,9 @@ def make_test_sample(
 
     t = 0 would reduce to a pure noise sample and is rejected.
     """
-    t = int(t_target) % q
-    if t == 0:
+    if int(t_target) % q == 0:
         raise DegenerateTest("test input t = 0 carries no information")
-    return _combine(samples, j, t, secret, q)
+    return reduce_to_coordinate(samples, j, t_target, secret, q)
 
 
 def synth_reduced_batch(

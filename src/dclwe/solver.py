@@ -15,16 +15,17 @@ drops below delta/n at L = ceil((xi'/C) * ln(n/delta)); M is the least
 trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
-Shot measurement uses the factored sampler by default; dense=True
-routes through the full statevector instead. The two paths draw from
-identical distributions (tests pin this) so the choice is purely a
-cost knob.
+solve_coordinate is the one per-coordinate loop. It takes a shot, a
+callable returning a candidate or None, so the kernel (kernel_shot, on
+the factored sampler) and the classical direct-candidate baseline run
+through the same budget, test and bookkeeping code; classify turns the
+per-coordinate records of either into a SolveOutcome.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import InfeasibleParameters, InvariantViolation, SingularMatrix
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, gen_samples, sample_error
-from .qsim import bv_kernel, extract_candidate, measure, prepare_sample_state, sample_bv_outcome
+from .qsim import extract_candidate, sample_bv_outcome
 from .reduce import (
     ReducedBatch,
     ReducedPair,
@@ -53,6 +54,7 @@ _MAX_M = 64
 
 BatchSource = Callable[[], ReducedBatch]
 TestSource = Callable[[], ReducedPair]
+Shot = Callable[[], "int | None"]
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,18 @@ def choose_parameters(
     return SolveParameters(gamma=gamma, L=l_budget, M=m, xi_prime=xi_prime, C=c)
 
 
+def _input_picker(q: int, v_size: int | None, rng: np.random.Generator) -> Callable[[], np.ndarray]:
+    """Batch inputs per call: the whole field, or a fresh v_size subset."""
+    if v_size is None or v_size >= q:
+        all_inputs = np.arange(q, dtype=np.int64)
+        return lambda: all_inputs
+    return lambda: rng.choice(q, size=v_size, replace=False)
+
+
 def controlled_sources(
     instance: LweInstance,
     j: int,
-    params: SolveParameters,
+    xi_prime: int,
     rng: np.random.Generator,
     v_size: int | None = None,
 ) -> tuple[BatchSource, TestSource]:
@@ -136,18 +146,12 @@ def controlled_sources(
     """
     q = instance.q
     s_j = int(instance.s[j])
-    chi_prime = ErrorDistribution(instance.chi.kind, params.xi_prime)
-    all_inputs = np.arange(q, dtype=np.int64)
-    coeff = math.ceil(params.xi_prime / instance.xi) if instance.xi > 0 else 0
+    chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
+    pick = _input_picker(q, v_size, rng)
+    coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
 
     def batch_source() -> ReducedBatch:
-        if v_size is None or v_size >= q:
-            v = all_inputs
-        else:
-            v = rng.choice(q, size=v_size, replace=False)
-        return synth_reduced_batch(
-            s_j, q, v, params.xi_prime, chi_prime, rng, j=j, xi=instance.xi
-        )
+        return synth_reduced_batch(s_j, q, pick(), xi_prime, chi_prime, rng, j=j, xi=instance.xi)
 
     def test_source() -> ReducedPair:
         t = int(rng.integers(1, q))
@@ -171,14 +175,10 @@ def elimination_sources(
     consume the stream strictly forward.
     """
     q, n = instance.q, instance.n
-    all_inputs = np.arange(q, dtype=np.int64)
+    pick = _input_picker(q, v_size, rng)
 
     def batch_source() -> ReducedBatch:
-        if v_size is None or v_size >= q:
-            v = all_inputs
-        else:
-            v = rng.choice(q, size=v_size, replace=False)
-        return elimination_batch(instance, j, v, rng)
+        return elimination_batch(instance, j, pick(), rng)
 
     def test_source() -> ReducedPair:
         t = int(rng.integers(1, q))
@@ -192,48 +192,61 @@ def elimination_sources(
     return batch_source, test_source
 
 
+def kernel_shot(batch_source: BatchSource, rng: np.random.Generator) -> Shot:
+    """Shot source for the kernel: fresh batch, one measurement, candidate."""
+
+    def shot() -> int | None:
+        batch = batch_source()
+        return extract_candidate(sample_bv_outcome(batch, rng), batch.q)
+
+    return shot
+
+
 def solve_coordinate(
     j: int,
-    batch_source: BatchSource,
+    shot: Shot,
     test_source: TestSource,
-    params: SolveParameters,
-    rng: np.random.Generator,
+    budget: int,
+    m: int,
+    xi_prime: int,
     *,
     s_true: int | None = None,
-    dense: bool = False,
-    dedup: bool = False,
 ) -> tuple[int | None, CoordinateStats]:
-    """Run up to L shots for coordinate j; return the accepted value or None.
+    """Run up to `budget` shots for coordinate j; return the accepted value or None.
 
-    dedup=True skips retesting a candidate already rejected at this
-    coordinate (the shot is still consumed). Off by default: retesting
-    is statistically harmless and the bookkeeping is not free.
+    A shot returning None is a null and only consumes the shot; any
+    other candidate faces an m-trial residual test at bound xi'.
     """
     stats = CoordinateStats(j=j)
-    rejected: set[int] = set()
-    for _ in range(params.L):
-        batch = batch_source()
+    for _ in range(budget):
         stats.shots += 1
-        if dense:
-            outcome = measure(bv_kernel(prepare_sample_state(batch)), rng)
-        else:
-            outcome = sample_bv_outcome(batch, rng)
-        cand = extract_candidate(outcome, batch.q)
+        cand = shot()
         if cand is None:
             stats.null_count += 1
             continue
-        if dedup and cand in rejected:
-            continue
         stats.candidates_tried += 1
-        verdict = m_trial_test(cand, params.M, params.xi_prime, test_source)
+        verdict = m_trial_test(cand, m, xi_prime, test_source)
         stats.tests_used += verdict.trials_used
         if verdict.accepted:
             stats.accepted_value = cand
             return cand, stats
-        rejected.add(cand)
-        if s_true is not None and cand == s_true:
+        if cand == s_true:
             stats.true_rejections += 1
     return None, stats
+
+
+def classify(
+    instance: LweInstance, per_coordinate: list[CoordinateStats], quantum_samples: int
+) -> SolveOutcome:
+    """Classify a run by its accepted values against the ground-truth secret."""
+    test_samples = sum(st.tests_used for st in per_coordinate)
+    values = [st.accepted_value for st in per_coordinate]
+    if any(v is None for v in values):
+        return SolveOutcome(OUTCOME_FAILURE, None, per_coordinate, quantum_samples, test_samples)
+    returned = np.array(values, dtype=np.int64)
+    correct = np.array_equal(returned, instance.s % instance.q)
+    outcome = OUTCOME_SUCCESS if correct else OUTCOME_WRONG_ACCEPT
+    return SolveOutcome(outcome, returned, per_coordinate, quantum_samples, test_samples)
 
 
 def solve(
@@ -243,8 +256,6 @@ def solve(
     rng: np.random.Generator,
     *,
     v_size: int | None = None,
-    dense: bool = False,
-    dedup: bool = False,
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
@@ -255,48 +266,26 @@ def solve(
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
     n = instance.n
-    coord_rngs = rng.spawn(n)
     per_coordinate: list[CoordinateStats] = []
-    values: list[int | None] = []
-    for j in range(n):
-        crng = coord_rngs[j]
+    for j, crng in enumerate(rng.spawn(n)):
         if mode == MODE_CONTROLLED:
-            batch_source, test_source = controlled_sources(instance, j, params, crng, v_size)
+            batch_source, test_source = controlled_sources(instance, j, params.xi_prime, crng, v_size)
         else:
             batch_source, test_source = elimination_sources(instance, j, crng, v_size)
-        value, stats = solve_coordinate(
+        _, stats = solve_coordinate(
             j,
-            batch_source,
+            kernel_shot(batch_source, crng),
             test_source,
-            params,
-            crng,
+            params.L,
+            params.M,
+            params.xi_prime,
             s_true=int(instance.s[j]),
-            dense=dense,
-            dedup=dedup,
         )
         per_coordinate.append(stats)
-        values.append(value)
 
     quantum_samples = sum(st.shots for st in per_coordinate)
-    test_samples = sum(st.tests_used for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(
             f"consumed {quantum_samples} quantum samples against a budget of {n * params.L}"
         )
-    if any(v is None for v in values):
-        return SolveOutcome(
-            outcome=OUTCOME_FAILURE,
-            returned_s=None,
-            per_coordinate=per_coordinate,
-            quantum_samples=quantum_samples,
-            test_samples=test_samples,
-        )
-    returned = np.array(values, dtype=np.int64)
-    outcome = OUTCOME_SUCCESS if np.array_equal(returned, instance.s % instance.q) else OUTCOME_WRONG_ACCEPT
-    return SolveOutcome(
-        outcome=outcome,
-        returned_s=returned,
-        per_coordinate=per_coordinate,
-        quantum_samples=quantum_samples,
-        test_samples=test_samples,
-    )
+    return classify(instance, per_coordinate, quantum_samples)

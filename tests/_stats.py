@@ -4,31 +4,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from dclwe.cli import pooled_chi_square
 
 
 def binom_3sigma(p: float, trials: int) -> float:
     """Three-sigma half-width of a Bernoulli(p) mean over `trials` draws."""
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-
-
-def pooled_chi_square(counts, probs, shots: int, min_expected: float = 5.0):
-    """Chi-square statistic with low-expectation cells pooled into one.
-
-    Returns (statistic, degrees of freedom). Pooling keeps the usual
-    chi-square approximation honest when the distribution has many
-    near-zero cells.
-    """
-    counts = np.asarray(counts, dtype=float)
-    expected = np.asarray(probs, dtype=float) * shots
-    big = expected >= min_expected
-    stat = float(((counts[big] - expected[big]) ** 2 / expected[big]).sum())
-    dof = int(big.sum()) - 1
-    rest = float(expected[~big].sum())
-    if rest > 0:
-        stat += (float(counts[~big].sum()) - rest) ** 2 / rest
-        dof += 1
-    return stat, max(dof, 1)
 
 
 def chi_square_ok(counts, probs, shots: int, n_sigma: float = 4.0) -> bool:

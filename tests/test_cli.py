@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,9 @@ from dclwe.cli import (
     run_experiment,
     run_point_trial,
 )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -253,6 +260,9 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     # Feasibility failures (budget exceeds the field) map the same way.
     assert main(["solve", "--q", "101", "--kappa", "8", "--trials", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # Controlled batches ignore sigma, so setting it there is refused.
+    assert main(["sweep", "--sigma", "0.5", "--trials", "1"]) == 2
+    assert "sigma: has no effect in controlled mode" in capsys.readouterr().err
 
 
 def test_main_maps_invariant_violations_to_exit_3(monkeypatch, capsys):
@@ -276,3 +286,21 @@ def test_main_bounds_subcommand(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1
     assert rows[0]["violated"] == "false"
+
+
+def test_bounds_refuses_dense_tables_before_allocating():
+    # At q = 65537 the exact paths would need tens of GB; under a 2 GiB
+    # address-space cap the size guard must answer exit 2 first.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from dclwe.cli import main\n"
+        "sys.exit(main(['bounds', '--q', '65537', '--trials', '1']))\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "dense limit" in proc.stderr

@@ -74,7 +74,7 @@ def test_uniform_errors_cover_the_window_evenly():
 
 
 def test_vector_and_scalar_draws_share_a_law():
-    # Not the same stream, but the same distribution.
+    # One stream: n scalar draws equal one vector draw of n from the same seed.
     for chi in (
         ErrorDistribution(UNIFORM, 2),
         ErrorDistribution(GAUSSIAN, 4, sigma=1.5),
@@ -86,9 +86,9 @@ def test_vector_and_scalar_draws_share_a_law():
         probs = w / w.sum()
         counts = np.bincount(vec + chi.xi, minlength=2 * chi.xi + 1)
         assert chi_square_ok(counts, probs, 20000)
+        rng = derive_rng(7, 0)
         scalars = np.array([sample_error(chi, rng) for _ in range(20000)])
-        counts = np.bincount(scalars + chi.xi, minlength=2 * chi.xi + 1)
-        assert chi_square_ok(counts, probs, 20000)
+        assert np.array_equal(scalars, vec)
 
 
 def test_gaussian_zero_to_one_ratio():

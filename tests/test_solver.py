@@ -16,6 +16,7 @@ from dclwe import (
     controlled_sources,
     derive_rng,
     elimination_sources,
+    kernel_shot,
     make_instance,
     solve,
     solve_coordinate,
@@ -92,8 +93,10 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     shots = []
     rng = derive_rng(81, 0)
     for _ in range(2000):
-        bs, ts = controlled_sources(inst, 0, params, rng)
-        value, stats = solve_coordinate(0, bs, ts, params, rng, s_true=int(inst.s[0]))
+        bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
+        value, stats = solve_coordinate(
+            0, kernel_shot(bs, rng), ts, params.L, params.M, params.xi_prime, s_true=int(inst.s[0])
+        )
         assert value == int(inst.s[0]) % q
         assert stats.null_count == stats.shots - 1
         shots.append(stats.shots)
@@ -106,8 +109,8 @@ def test_zero_budget_consumes_nothing():
     inst = _instance(1, 31, 0, 82)
     params = SolveParameters(gamma=0.125, L=0, M=1, xi_prime=0, C=1 / 16)
     rng = derive_rng(83, 0)
-    bs, ts = controlled_sources(inst, 0, params, rng)
-    value, stats = solve_coordinate(0, bs, ts, params, rng)
+    bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
+    value, stats = solve_coordinate(0, kernel_shot(bs, rng), ts, params.L, params.M, params.xi_prime)
     assert value is None
     assert stats.shots == 0 and stats.tests_used == 0
 
@@ -149,15 +152,6 @@ def test_solve_is_deterministic_under_a_fixed_stream():
     assert [st.shots for st in a.per_coordinate] == [st.shots for st in b.per_coordinate]
 
 
-def test_dense_and_factored_paths_agree_on_the_noiseless_case():
-    inst = _instance(2, 17, 0, 90)
-    params = SolveParameters(gamma=0.125, L=10, M=1, xi_prime=0, C=1 / 16)
-    for dense in (False, True):
-        out = solve(inst, params, MODE_CONTROLLED, derive_rng(91, 0), dense=dense)
-        assert out.outcome == OUTCOME_SUCCESS
-        assert np.array_equal(out.returned_s, inst.s % 17)
-
-
 def test_solve_mode_validation():
     inst = _instance(2, 17, 0, 92)
     params = SolveParameters(gamma=0.125, L=5, M=1, xi_prime=0, C=1 / 16)
@@ -196,11 +190,11 @@ def test_controlled_sources_honor_v_size():
     inst = _instance(2, 101, 1, 97)
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
     rng = derive_rng(98, 0)
-    bs, _ = controlled_sources(inst, 0, params, rng, v_size=25)
+    bs, _ = controlled_sources(inst, 0, params.xi_prime, rng, v_size=25)
     for _ in range(5):
         batch = bs()
         assert batch.size == 25
-    bs_full, _ = controlled_sources(inst, 0, params, rng)
+    bs_full, _ = controlled_sources(inst, 0, params.xi_prime, rng)
     assert bs_full().size == 101
 
 
@@ -227,14 +221,3 @@ def test_elimination_mode_with_noise_stays_classified():
     # The test pair satisfies the reduced identity for coordinate 0.
     assert (pair.b_prime - pair.a_prime * int(inst.s[0]) - pair.eta_prime) % 101 == 0
 
-
-def test_dedup_skips_retesting_but_consumes_shots():
-    inst = _instance(1, 11, 1, 103)
-    params = SolveParameters(gamma=0.125, L=40, M=3, xi_prime=2, C=1 / 16)
-    rng = derive_rng(104, 0)
-    bs, ts = controlled_sources(inst, 0, params, rng)
-    value, stats = solve_coordinate(0, bs, ts, params, rng, dedup=True)
-    assert stats.shots <= params.L
-    # Candidates tried can not exceed distinct field values plus one
-    # acceptance.
-    assert stats.candidates_tried <= 11
