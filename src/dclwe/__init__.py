@@ -77,23 +77,29 @@ from .qsim import (
     bv_kernel,
     dump_state,
     extract_candidate,
+    extract_candidates,
     kernel_distribution,
     measure,
     prepare_sample_state,
     qft_matrix,
     qft_register,
+    root_table,
     sample_bv_outcome,
     sample_bv_outcomes,
+    sample_bv_stack,
 )
 from .reduce import (
     ReducedBatch,
     ReducedPair,
+    check_rows,
     dump_batch,
     elimination_batch,
+    elimination_stack,
     kappa_observed,
     make_test_sample,
     reduce_to_coordinate,
     synth_reduced_batch,
+    synth_reduced_stack,
 )
 from .rng import derive_rng
 from .solver import (

@@ -282,11 +282,17 @@ def _task(args: tuple[PointConfig, int, int, int]) -> ExperimentRecord:
     return run_point_trial(point, seed, point_index, trial_index)
 
 
+def _refuse_uniform_sigma(config: ExperimentConfig) -> None:
+    if config.chi_kind == UNIFORM and any(s is not None for s in config.sigma):
+        raise ConfigError("sigma: has no effect with uniform noise")
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """All (point, trial) tasks in deterministic order."""
     if config.mode == MODE_CONTROLLED and any(s is not None for s in config.sigma):
         # Controlled batches and test pairs draw from the noise kind at xi' alone.
         raise ConfigError("sigma: has no effect in controlled mode")
+    _refuse_uniform_sigma(config)
     tasks = [
         (point, config.seed, pi, ti)
         for pi, point in enumerate(config.points())
@@ -336,6 +342,7 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     and the wrong-accept bound in its continuous (2 kappa alpha)^M and
     integer-count ((2 xi' + 1)/q)^M forms when the point admits a budget.
     """
+    _refuse_uniform_sigma(config)
     rows = []
     grid_index = 0
     for point in config.points():

@@ -14,6 +14,8 @@ n * q^2 < 2**63 for any realistic n.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidLength, InvalidModulus, SingularMatrix, ZeroInverse
@@ -53,17 +55,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)
+def _check_modulus(q: int) -> None:
+    """Raise InvalidModulus unless q is a supported odd prime. A raise is
+    never cached, so a bad q fails on every call."""
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        raise InvalidModulus(f"q must be an odd prime, got {q}")
+    if q > MODULUS_CEILING:
+        raise InvalidModulus(f"q={q} exceeds the supported ceiling {MODULUS_CEILING}")
+
+
 class PrimeField:
-    """Arithmetic context for one odd prime modulus."""
+    """Arithmetic context for one odd prime modulus, validated once per q."""
 
     __slots__ = ("q",)
 
     def __init__(self, q: int):
         q = int(q)
-        if q < 3 or q % 2 == 0 or not is_prime(q):
-            raise InvalidModulus(f"q must be an odd prime, got {q}")
-        if q > MODULUS_CEILING:
-            raise InvalidModulus(f"q={q} exceeds the supported ceiling {MODULUS_CEILING}")
+        _check_modulus(q)
         self.q = q
 
     def __repr__(self) -> str:
@@ -77,11 +86,11 @@ class PrimeField:
         return pow(x, self.q - 2, self.q)
 
     def inverse_table(self) -> np.ndarray:
-        """table[x] = x^-1 mod q for x in [1, q); table[0] = 0 as a sentinel."""
-        table = np.zeros(self.q, dtype=np.int64)
-        for x in range(1, self.q):
-            table[x] = pow(x, self.q - 2, self.q)
-        return table
+        """table[x] = x^-1 mod q for x in [1, q); table[0] = 0 as a sentinel.
+
+        Built once per q and shared between callers, so it is read-only.
+        """
+        return _inverse_table(self.q)
 
     def centered(self, x: int) -> int:
         """Representative of x in (-q/2, q/2]."""
@@ -91,6 +100,21 @@ class PrimeField:
     def centered_array(self, xs) -> np.ndarray:
         h = self.q // 2
         return (np.asarray(xs, dtype=np.int64) + h) % self.q - h
+
+
+@lru_cache(maxsize=16)
+def _inverse_table(q: int) -> np.ndarray:
+    # x^(q-2) for every x at once by square-and-multiply; 0 maps to 0.
+    table = np.ones(q, dtype=np.int64)
+    base = np.arange(q, dtype=np.int64)
+    e = q - 2
+    while e:
+        if e & 1:
+            table = table * base % q
+        base = base * base % q
+        e >>= 1
+    table.flags.writeable = False
+    return table
 
 
 def centered(x: int, q: int) -> int:

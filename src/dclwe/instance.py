@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundTooLarge, InvalidLength
+from .errors import BoundTooLarge, InvalidLength, InvariantViolation
 from .fq import PrimeField, mat_vec
 
 UNIFORM = "uniform"
@@ -27,9 +27,9 @@ _KINDS = (UNIFORM, GAUSSIAN)
 class ErrorDistribution:
     """Noise law on the integer window [-xi, xi].
 
-    kind "uniform" draws each value with equal weight; "gaussian" draws
-    proportionally to exp(-eta^2 / (2 sigma^2)) truncated to the window,
-    with sigma defaulting to xi / 3.
+    kind "uniform" draws each value with equal weight and takes no sigma;
+    "gaussian" draws proportionally to exp(-eta^2 / (2 sigma^2))
+    truncated to the window, with sigma defaulting to xi / 3.
     """
 
     kind: str
@@ -41,6 +41,8 @@ class ErrorDistribution:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.xi < 0:
             raise ValueError(f"xi must be non-negative, got {self.xi}")
+        if self.kind == UNIFORM and self.sigma is not None:
+            raise ValueError("sigma: has no effect with uniform noise")
         if self.kind == GAUSSIAN:
             if self.sigma is None:
                 object.__setattr__(self, "sigma", self.xi / 3 if self.xi > 0 else 1.0)
@@ -95,8 +97,10 @@ def make_instance(n: int, q: int, chi: ErrorDistribution, rng: np.random.Generat
     return LweInstance(n=n, q=q, s=gen_secret(n, q, rng), chi=chi)
 
 
-def sample_errors(chi: ErrorDistribution, rng: np.random.Generator, size: int | None = None):
-    """Draws from chi: one int64 for size=None, else an array of `size`.
+def sample_errors(
+    chi: ErrorDistribution, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
+):
+    """Draws from chi: one int64 for size=None, else an array of shape `size`.
 
     Uniform noise takes one bounded-integer draw per value; gaussian
     noise inverts the CDF of chi.weights() with one uniform double per
@@ -115,18 +119,25 @@ def sample_error(chi: ErrorDistribution, rng: np.random.Generator) -> int:
     return int(sample_errors(chi, rng))
 
 
-def gen_sample(instance: LweInstance, rng: np.random.Generator) -> Sample:
-    a = rng.integers(0, instance.q, size=instance.n, dtype=np.int64)
-    eta = sample_error(instance.chi, rng)
-    b = int((int(mat_vec(a, instance.s, instance.q)) + eta) % instance.q)
-    # Ground-truth identity checked on every generated sample.
-    assert abs(eta) <= instance.chi.xi
-    assert (b - int(mat_vec(a, instance.s, instance.q))) % instance.q == eta % instance.q
-    return Sample(a=a, b=b, eta=eta)
-
-
 def gen_samples(instance: LweInstance, rng: np.random.Generator, count: int) -> list[Sample]:
-    return [gen_sample(instance, rng) for _ in range(count)]
+    """count samples from one (count, n) draw of inputs and one draw of errors.
+
+    The ground-truth identity b = a . s + eta mod q with |eta| <= xi is
+    checked once over the whole draw.
+    """
+    q = instance.q
+    a = rng.integers(0, q, size=(count, instance.n), dtype=np.int64)
+    eta = sample_errors(instance.chi, rng, count)
+    clean = mat_vec(a, instance.s, q)
+    b = (clean + eta) % q
+    if count and (int(np.abs(eta).max()) > instance.chi.xi or ((b - clean - eta) % q).any()):
+        raise InvariantViolation("generated samples break b = a . s + eta with |eta| <= xi")
+    return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b.tolist(), eta.tolist())]
+
+
+def gen_sample(instance: LweInstance, rng: np.random.Generator) -> Sample:
+    """gen_samples with count 1."""
+    return gen_samples(instance, rng, 1)[0]
 
 
 def write_samples(path: str | Path, instance: LweInstance, samples: Iterable[Sample], seed: int) -> None:

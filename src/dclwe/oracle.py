@@ -6,7 +6,9 @@ batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
 table for the four memory layouts. Keeping these routes separate from
 the statevector path is the point; tests compare them, they never feed
-each other.
+each other. The one thing shared is qsim.root_table, the cached phases
+w^r: the same values np.exp gives element by element, and within 1e-15
+of np.cos for the real parts restricted_ridge_sum reads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import InvalidLength, InvariantViolation
 from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance, sample_error
+from .qsim import root_table
 from .reduce import ReducedBatch
 from .solver import CoordinateStats, SolveOutcome, classify, controlled_sources, solve_coordinate
 from .verify import false_accept_probability
@@ -66,7 +69,7 @@ def exact_success_probability(batch: ReducedBatch, s_j: int | None = None) -> fl
                 f"batch is inconsistent with s_j={int(s_j)}: b' != a' s_j + eta' mod {q}"
             )
     ks = np.arange(q, dtype=np.int64)
-    phases = np.exp(2j * np.pi * (np.outer(batch.eta_values, ks) % q) / q)
+    phases = root_table(q)[np.outer(batch.eta_values, ks) % q]
     inner = phases.sum(axis=0)
     return float((np.abs(inner) ** 2).sum() / (q * q * m))
 
@@ -83,7 +86,8 @@ def restricted_ridge_sum(batch: ReducedBatch, gamma: float) -> float:
         raise InvalidLength("restricted sum needs xi' >= 1")
     k_max = math.floor(gamma * q / batch.xi_prime)
     ks = np.arange(0, min(k_max, q - 1) + 1, dtype=np.int64)
-    re = np.cos(2 * np.pi * (np.outer(batch.eta_values, ks) % q) / q).sum(axis=0)
+    check_dense_size(m, ks.size, "restricted_ridge_sum")
+    re = root_table(q)[np.outer(batch.eta_values, ks) % q].real.sum(axis=0)
     return float((re**2).sum() / (q * q * m))
 
 

@@ -12,10 +12,15 @@ must agree (tests enforce it):
 1. the dense matrix path, prepare_sample_state -> bv_kernel -> measure;
 2. kernel_distribution, the closed-form amplitude grid
    amp[k_d, k*] = (1/(q sqrt(m))) sum_{a'} w^{a' k_d + b'(a') k*};
-3. sample_bv_outcome, a factored sampler that draws k* first (its
+3. sample_bv_stack, a factored sampler that draws k* first (its
    marginal is exactly uniform, by Parseval over the D register) and
-   then k_d from the conditional row; this is the fast path the solver
-   uses, costing one length-q transform per shot instead of O(q^3).
+   then k_d from the conditional row. It measures a (k, m) stack of
+   batches at once, one row per shot, with one batched length-q
+   transform; this is the fast path the solver uses, and
+   sample_bv_outcome is its one-row case.
+
+Every phase w^r is read from one cached table, root_table(q), which the
+closed forms here and in the oracle share.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .errors import InvalidLength, InvariantViolation
-from .fq import check_dense_size
+from .fq import PrimeField, check_dense_size
 from .reduce import ReducedBatch
 
 REGISTER_D = "D"
@@ -65,7 +70,20 @@ class TwoQuditState:
 
 
 @lru_cache(maxsize=16)
+def root_table(q: int) -> np.ndarray:
+    """table[r] = w^r = exp(2 pi i r / q) for r in [0, q); read-only, shared.
+
+    Built with the same expression the phases were once computed with
+    element by element, so a lookup gives bit-identical values.
+    """
+    table = np.exp(2j * np.pi * np.arange(q, dtype=np.int64) / q)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=16)
 def _qft_matrix(q: int, inverse: bool) -> np.ndarray:
+    check_dense_size(q, q, "the transform matrix")
     ks = np.arange(q, dtype=np.int64)
     phases = np.outer(ks, ks) % q
     sign = -2j if inverse else 2j
@@ -116,16 +134,20 @@ def measure(state: TwoQuditState, rng: np.random.Generator) -> MeasurementOutcom
     return MeasurementOutcome(k_d=k_d, k_star=k_star)
 
 
-def extract_candidate(outcome: MeasurementOutcome, q: int) -> int | None:
-    """Candidate secret coordinate from one outcome: (-k_d) * k*^-1 mod q.
+def extract_candidates(k_d: np.ndarray, k_star: np.ndarray, q: int) -> list[int | None]:
+    """Candidate secret coordinate per outcome: (-k_d) * k*^-1 mod q.
 
-    A zero k* pins nothing down; the shot is a null and returns None.
+    A zero k* pins nothing down; that shot is a null and yields None.
     """
-    k_star = int(outcome.k_star) % q
-    if k_star == 0:
-        return None
-    neg_kd = (-int(outcome.k_d)) % q
-    return neg_kd * pow(k_star, -1, q) % q
+    k_star = np.asarray(k_star, dtype=np.int64) % q
+    inv = PrimeField(q).inverse_table()
+    cand = (-np.asarray(k_d, dtype=np.int64)) % q * inv[k_star] % q
+    return [None if ks == 0 else c for c, ks in zip(cand.tolist(), k_star.tolist())]
+
+
+def extract_candidate(outcome: MeasurementOutcome, q: int) -> int | None:
+    """extract_candidates for one outcome."""
+    return extract_candidates(np.array([outcome.k_d]), np.array([outcome.k_star]), q)[0]
 
 
 def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
@@ -137,30 +159,48 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     q, m = batch.q, batch.size
     check_dense_size(q, q, "kernel_distribution")
     ks = np.arange(q, dtype=np.int64)
-    ea = np.exp(2j * np.pi * (np.outer(batch.a_values, ks) % q) / q)
-    eb = np.exp(2j * np.pi * (np.outer(batch.b_values, ks) % q) / q)
+    roots = root_table(q)
+    ea = roots[np.outer(batch.a_values, ks) % q]
+    eb = roots[np.outer(batch.b_values, ks) % q]
     amp = ea.T @ eb / (q * np.sqrt(m))
     return np.abs(amp) ** 2
 
 
-def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:
-    """One post-kernel measurement without building the q x q state.
+def sample_bv_stack(
+    q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One post-kernel measurement per row of a stack of batches.
 
-    The A-register marginal is exactly uniform for any batch of
-    unit-weight pairs with distinct a', so k* is drawn flat; the
-    conditional over k_d is one length-q transform of the pair phases.
+    Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
+    single row that every batch shares. The A-register marginal is
+    exactly uniform for any batch of unit-weight pairs with distinct a',
+    so each k* is drawn flat; each conditional over k_d is one length-q
+    transform of that row's pair phases, all rows in one batched call.
+    Returns the (k_d, k*) arrays; a row whose conditional mass drifts
+    from 1 raises InvariantViolation. The stream per call: k bounded
+    integers for k*, then k uniform doubles for k_d.
     """
-    q, m = batch.q, batch.size
-    k_star = int(rng.integers(q))
-    x = np.zeros(q, dtype=np.complex128)
-    x[batch.a_values] = np.exp(2j * np.pi * (batch.b_values * k_star % q) / q)
-    g = np.fft.ifft(x) * q  # g[k] = sum_a x[a] w^{a k}
-    p = np.abs(g) ** 2 / (q * m)
-    total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise InvariantViolation(f"conditional mass {total} is not 1")
-    k_d = int(np.searchsorted(np.cumsum(p), rng.random() * total, side="right"))
-    return MeasurementOutcome(k_d=min(k_d, q - 1), k_star=k_star)
+    k, m = b_values.shape
+    k_star = rng.integers(q, size=k)
+    x = np.zeros((k, q), dtype=np.complex128)
+    x[np.arange(k)[:, None], a_values] = root_table(q)[b_values * k_star[:, None] % q]
+    g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
+    cdf = np.cumsum(g.real**2 + g.imag**2, axis=1)
+    cdf *= q / m
+    total = cdf[:, -1]
+    drift = float(np.abs(total - 1.0).max())
+    if drift > NORM_TOL:
+        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
+    # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
+    k_d = (cdf <= (rng.random(k) * total)[:, None]).sum(axis=1)
+    return np.minimum(k_d, q - 1), k_star
+
+
+def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:
+    """One post-kernel measurement without building the q x q state:
+    sample_bv_stack on a one-row stack."""
+    k_d, k_star = sample_bv_stack(batch.q, batch.a_values[None], batch.b_values[None], rng)
+    return MeasurementOutcome(k_d=int(k_d[0]), k_star=int(k_star[0]))
 
 
 def sample_bv_outcomes(batch: ReducedBatch, rng: np.random.Generator, shots: int) -> np.ndarray:

@@ -65,8 +65,7 @@ class ReducedBatch:
         self.validate()
 
     def validate(self) -> None:
-        """The batch's only structural check: lengths, 0 <= a' < q with
-        distinct a', and |eta'| <= xi'."""
+        """Lengths, then check_rows on the batch as a one-row stack."""
         m = self.a_values.size
         if m == 0:
             raise InvalidLength("batch needs at least one pair")
@@ -74,12 +73,7 @@ class ReducedBatch:
             raise InvalidLength(f"batch of {m} pairs exceeds field size {self.q}")
         if not (self.b_values.size == self.eta_values.size == self.coeff_l1_values.size == m):
             raise InvalidLength("batch arrays disagree on length")
-        if int(self.a_values.min()) < 0 or int(self.a_values.max()) >= self.q:
-            raise InvariantViolation(f"batch inputs a' must lie in [0, {self.q})")
-        if int(np.bincount(self.a_values, minlength=self.q).max()) > 1:
-            raise DuplicateInput("batch inputs a' must be distinct")
-        if int(np.abs(self.eta_values).max()) > self.xi_prime:
-            raise InvariantViolation("batch error exceeds declared bound xi'")
+        check_rows(self.q, self.a_values[None], self.eta_values[None], self.xi_prime)
 
     @property
     def size(self) -> int:
@@ -98,6 +92,22 @@ class ReducedBatch:
                 self.a_values, self.b_values, self.eta_values, self.coeff_l1_values
             )
         ]
+
+
+def check_rows(q: int, a_values: np.ndarray, eta_values: np.ndarray, xi_prime) -> None:
+    """The one structural check on batches, one batch per row of a stack:
+    0 <= a' < q, distinct a' within each row, and |eta'| <= xi'.
+
+    a_values is (k, m), or a single (1, m) row that all k rows of the
+    (k, m) eta_values share.
+    """
+    if int(a_values.min()) < 0 or int(a_values.max()) >= q:
+        raise InvariantViolation(f"batch inputs a' must lie in [0, {q})")
+    keys = a_values + q * np.arange(a_values.shape[0])[:, None]  # row r owns [rq, rq + q)
+    if int(np.bincount(keys.ravel()).max()) > 1:
+        raise DuplicateInput("batch inputs a' must be distinct")
+    if (np.abs(eta_values).max(axis=1) > xi_prime).any():
+        raise InvariantViolation("batch error exceeds declared bound xi'")
 
 
 def _input_array(v: Iterable[int], q: int) -> np.ndarray:
@@ -148,6 +158,31 @@ def make_test_sample(
     return reduce_to_coordinate(samples, j, t_target, secret, q)
 
 
+def synth_reduced_stack(
+    s_j: int,
+    q: int,
+    a_values: np.ndarray,
+    k: int,
+    xi_prime: int,
+    chi_prime,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k controlled-mode batches for one coordinate, one per row, from
+    one (k, m) draw of errors from chi_prime.
+
+    a_values is (k, m), or one (1, m) row of inputs all k batches share.
+    Returns (b_values, eta_values), both (k, m), after check_rows.
+    """
+    if xi_prime < 0 or 2 * xi_prime >= q:
+        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
+    if chi_prime.xi > xi_prime:
+        raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
+    eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
+    b_values = (a_values * (int(s_j) % q) + eta_values) % q
+    check_rows(q, a_values, eta_values, xi_prime)
+    return b_values, eta_values
+
+
 def synth_reduced_batch(
     s_j: int,
     q: int,
@@ -159,26 +194,21 @@ def synth_reduced_batch(
     j: int = 0,
     xi: int = 1,
 ) -> ReducedBatch:
-    """Controlled-mode batch over inputs v with errors drawn from chi_prime.
+    """Controlled-mode batch over inputs v: synth_reduced_stack's one-row case.
 
     Every error honors |eta'| <= xi_prime by construction; the recorded
     amplification is the ratio of xi_prime to the reference bound xi.
     """
-    if xi_prime < 0 or 2 * xi_prime >= q:
-        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
-    if chi_prime.xi > xi_prime:
-        raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
     a_values = _input_array(v, q)
-    eta_values = sample_errors(chi_prime, rng, a_values.size)
-    b_values = (a_values * (int(s_j) % q) + eta_values) % q
+    b_values, eta_values = synth_reduced_stack(s_j, q, a_values[None], 1, xi_prime, chi_prime, rng)
     kappa = xi_prime / xi if xi > 0 else 1.0
     coeff = math.ceil(kappa) if xi > 0 else 0
     return ReducedBatch(
         j=j,
         q=q,
         a_values=a_values,
-        b_values=b_values,
-        eta_values=eta_values,
+        b_values=b_values[0],
+        eta_values=eta_values[0],
         coeff_l1_values=np.full(a_values.size, coeff, dtype=np.int64),
         xi_prime=int(xi_prime),
         kappa=kappa,
@@ -230,6 +260,15 @@ def elimination_batch(
         xi_prime=kappa * instance.xi,
         kappa=float(kappa),
     )
+
+
+def elimination_stack(
+    instance: LweInstance, j: int, a_values: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One elimination_batch per row of the (k, m) inputs, each built and
+    validated as a ReducedBatch; returns the stacked (a_values, b_values)."""
+    batches = [elimination_batch(instance, j, row, rng) for row in a_values]
+    return np.stack([b.a_values for b in batches]), np.stack([b.b_values for b in batches])
 
 
 def kappa_observed(batch: ReducedBatch) -> int:

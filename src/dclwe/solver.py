@@ -16,10 +16,18 @@ trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
 solve_coordinate is the one per-coordinate loop. It takes a shot, a
-callable returning a candidate or None, so the kernel (kernel_shot, on
-the factored sampler) and the classical direct-candidate baseline run
-through the same budget, test and bookkeeping code; classify turns the
-per-coordinate records of either into a SolveOutcome.
+callable returning a candidate or None, so the kernel and the classical
+direct-candidate baseline run through the same budget, test and
+bookkeeping code; classify turns the per-coordinate records of either
+into a SolveOutcome.
+
+kernel_shot measures in chunks: it asks a stack source for k fresh
+batches at once, measures all k rows with the stacked factored sampler
+and hands the candidates out one per shot, in draw order. Chunks start
+at FIRST_CHUNK batches, then match the number drawn so far, capped by
+the remaining budget and by k * q <= CHUNK_ENTRIES; the first accepted
+candidate is the one a shot-by-shot loop would accept, and candidates
+drawn after it are discarded.
 """
 
 from __future__ import annotations
@@ -33,14 +41,8 @@ import numpy as np
 from .errors import InfeasibleParameters, InvariantViolation, SingularMatrix
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, gen_samples, sample_error
-from .qsim import extract_candidate, sample_bv_outcome
-from .reduce import (
-    ReducedBatch,
-    ReducedPair,
-    elimination_batch,
-    make_test_sample,
-    synth_reduced_batch,
-)
+from .qsim import extract_candidates, sample_bv_stack
+from .reduce import ReducedPair, elimination_stack, make_test_sample, synth_reduced_stack
 from .verify import m_trial_test
 
 MODE_CONTROLLED = "controlled"
@@ -52,7 +54,12 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-BatchSource = Callable[[], ReducedBatch]
+# Chunk schedule of kernel_shot. CHUNK_ENTRIES keeps each (k, q) complex
+# table of the stacked sampler near 256 KiB.
+FIRST_CHUNK = 4
+CHUNK_ENTRIES = 1 << 14
+
+StackSource = Callable[[int], tuple[np.ndarray, np.ndarray]]  # k -> (a', b') rows
 TestSource = Callable[[], ReducedPair]
 Shot = Callable[[], "int | None"]
 
@@ -123,12 +130,12 @@ def choose_parameters(
     return SolveParameters(gamma=gamma, L=l_budget, M=m, xi_prime=xi_prime, C=c)
 
 
-def _input_picker(q: int, v_size: int | None, rng: np.random.Generator) -> Callable[[], np.ndarray]:
-    """Batch inputs per call: the whole field, or a fresh v_size subset."""
+def _input_rows(q: int, v_size: int | None, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """Inputs for k batches: one full-field row they all share, or k fresh v_size subsets."""
     if v_size is None or v_size >= q:
-        all_inputs = np.arange(q, dtype=np.int64)
-        return lambda: all_inputs
-    return lambda: rng.choice(q, size=v_size, replace=False)
+        all_inputs = np.arange(q, dtype=np.int64)[None, :]
+        return lambda k: all_inputs
+    return lambda k: np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
 
 
 def controlled_sources(
@@ -137,8 +144,8 @@ def controlled_sources(
     xi_prime: int,
     rng: np.random.Generator,
     v_size: int | None = None,
-) -> tuple[BatchSource, TestSource]:
-    """Synthesized batch and test-pair sources for coordinate j.
+) -> tuple[StackSource, TestSource]:
+    """Synthesized batch-stack and test-pair sources for coordinate j.
 
     Errors are drawn from the instance's noise kind rescaled to the
     amplified bound xi' (gaussian width defaults to xi'/3), so every
@@ -147,11 +154,13 @@ def controlled_sources(
     q = instance.q
     s_j = int(instance.s[j])
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
-    pick = _input_picker(q, v_size, rng)
+    inputs = _input_rows(q, v_size, rng)
     coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
 
-    def batch_source() -> ReducedBatch:
-        return synth_reduced_batch(s_j, q, pick(), xi_prime, chi_prime, rng, j=j, xi=instance.xi)
+    def stack_source(k: int) -> tuple[np.ndarray, np.ndarray]:
+        a_values = inputs(k)
+        b_values, _ = synth_reduced_stack(s_j, q, a_values, k, xi_prime, chi_prime, rng)
+        return a_values, b_values
 
     def test_source() -> ReducedPair:
         t = int(rng.integers(1, q))
@@ -160,7 +169,7 @@ def controlled_sources(
             a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
         )
 
-    return batch_source, test_source
+    return stack_source, test_source
 
 
 def elimination_sources(
@@ -168,17 +177,18 @@ def elimination_sources(
     j: int,
     rng: np.random.Generator,
     v_size: int | None = None,
-) -> tuple[BatchSource, TestSource]:
-    """Batch and test-pair sources that eliminate fresh samples each call.
+) -> tuple[StackSource, TestSource]:
+    """Batch-stack and test-pair sources that eliminate fresh samples each call.
 
     Test pairs use sample sets disjoint from every batch's, since both
     consume the stream strictly forward.
     """
     q, n = instance.q, instance.n
-    pick = _input_picker(q, v_size, rng)
+    inputs = _input_rows(q, v_size, rng)
 
-    def batch_source() -> ReducedBatch:
-        return elimination_batch(instance, j, pick(), rng)
+    def stack_source(k: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = inputs(k)
+        return elimination_stack(instance, j, np.broadcast_to(rows, (k, rows.shape[1])), rng)
 
     def test_source() -> ReducedPair:
         t = int(rng.integers(1, q))
@@ -189,15 +199,27 @@ def elimination_sources(
             except SingularMatrix:
                 continue
 
-    return batch_source, test_source
+    return stack_source, test_source
 
 
-def kernel_shot(batch_source: BatchSource, rng: np.random.Generator) -> Shot:
-    """Shot source for the kernel: fresh batch, one measurement, candidate."""
+def kernel_shot(
+    stack_source: StackSource, q: int, budget: int, rng: np.random.Generator
+) -> Shot:
+    """Shot source for the kernel over at most `budget` batches, measured in chunks."""
+    pending: list[int | None] = []  # candidates of the current chunk, next one last
+    drawn = 0
 
     def shot() -> int | None:
-        batch = batch_source()
-        return extract_candidate(sample_bv_outcome(batch, rng), batch.q)
+        nonlocal drawn
+        if not pending:
+            k = min(max(drawn, FIRST_CHUNK), budget - drawn, max(1, CHUNK_ENTRIES // q))
+            if k < 1:
+                raise InvariantViolation(f"shot requested past the budget of {budget} batches")
+            a_values, b_values = stack_source(k)
+            k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
+            pending.extend(reversed(extract_candidates(k_d, k_star, q)))
+            drawn += k
+        return pending.pop()
 
     return shot
 
@@ -269,12 +291,12 @@ def solve(
     per_coordinate: list[CoordinateStats] = []
     for j, crng in enumerate(rng.spawn(n)):
         if mode == MODE_CONTROLLED:
-            batch_source, test_source = controlled_sources(instance, j, params.xi_prime, crng, v_size)
+            stack_source, test_source = controlled_sources(instance, j, params.xi_prime, crng, v_size)
         else:
-            batch_source, test_source = elimination_sources(instance, j, crng, v_size)
+            stack_source, test_source = elimination_sources(instance, j, crng, v_size)
         _, stats = solve_coordinate(
             j,
-            kernel_shot(batch_source, crng),
+            kernel_shot(stack_source, instance.q, params.L, crng),
             test_source,
             params.L,
             params.M,

@@ -263,6 +263,13 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     # Controlled batches ignore sigma, so setting it there is refused.
     assert main(["sweep", "--sigma", "0.5", "--trials", "1"]) == 2
     assert "sigma: has no effect in controlled mode" in capsys.readouterr().err
+    # Uniform noise has no width, so sigma is refused with it in any mode.
+    for argv in (
+        ["sweep", "--mode", "elimination", "--sigma", "0.5", "--trials", "1"],
+        ["bounds", "--sigma", "0.5", "--trials", "1"],
+    ):
+        assert main(argv) == 2
+        assert "sigma: has no effect with uniform noise" in capsys.readouterr().err
 
 
 def test_main_maps_invariant_violations_to_exit_3(monkeypatch, capsys):

@@ -56,6 +56,21 @@ def test_field_rejects_bad_modulus():
             PrimeField(q)
 
 
+def test_bad_modulus_raises_on_every_call():
+    # Validation is cached per q; a refusal must never be.
+    for q in (9, 33554467):
+        for _ in range(3):
+            with pytest.raises(InvalidModulus):
+                PrimeField(q)
+
+
+def test_shared_inverse_table_is_read_only():
+    table = PrimeField(13).inverse_table()
+    assert table is PrimeField(13).inverse_table()
+    with pytest.raises(ValueError):
+        table[2] = 0
+
+
 def test_field_rejects_prime_above_ceiling():
     # 33554467 is the first prime past the 2**25 ceiling.
     assert 33554467 > MODULUS_CEILING

@@ -40,6 +40,11 @@ def test_error_distribution_validation():
         ErrorDistribution(GAUSSIAN, 3, sigma=-1.0)
 
 
+def test_uniform_noise_takes_no_sigma():
+    with pytest.raises(ValueError, match="no effect with uniform noise"):
+        ErrorDistribution(UNIFORM, 2, sigma=1.0)
+
+
 def test_gaussian_sigma_defaults_to_third_of_bound():
     assert ErrorDistribution(GAUSSIAN, 6).sigma == 2.0
     assert ErrorDistribution(GAUSSIAN, 6, sigma=1.5).sigma == 1.5

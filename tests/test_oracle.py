@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def test_restricted_sum_requires_noise_scale():
     batch = _literal(11, 4, [0] * 11, 0)
     with pytest.raises(InvalidLength):
         restricted_ridge_sum(batch, 0.125)
+
+
+def test_restricted_sum_refuses_dense_tables_before_allocating():
+    # q = 65537, xi' = 1, gamma = 1/8: a 65537 x 8193 table, about 8.6 GB.
+    q = 65537
+    batch = synth_reduced_batch(3, q, range(q), 1, ErrorDistribution(UNIFORM, 1), derive_rng(61, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidLength):
+            restricted_ridge_sum(batch, 0.125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_wrong_accept_bound_values():

@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from dclwe import (
     prepare_sample_state,
     qft_matrix,
     qft_register,
+    root_table,
     sample_bv_outcome,
     sample_bv_outcomes,
+    sample_bv_stack,
     synth_reduced_batch,
 )
 from dclwe.instance import UNIFORM
@@ -250,6 +253,58 @@ def test_factored_sampler_marginal_is_uniform_even_for_partial_batches():
     for _ in range(shots):
         counts[sample_bv_outcome(batch, rng).k_star] += 1
     assert chi_square_ok(counts, np.full(q, 1 / q), shots)
+
+
+def test_stacked_sampler_matches_the_grid_on_a_shared_full_field_row():
+    # Every row measures the same batch through one shared input row.
+    q = 11
+    batch = _batch(4, q, range(q), 2, 56)
+    probs = kernel_distribution(batch).ravel()
+    shots = 40000
+    b_rows = np.broadcast_to(batch.b_values, (shots, q))
+    k_d, k_star = sample_bv_stack(q, batch.a_values[None], b_rows, derive_rng(57, 0))
+    counts = np.bincount(k_d * q + k_star, minlength=q * q)
+    assert chi_square_ok(counts, probs, shots)
+
+
+def test_stacked_sampler_matches_the_grid_on_v_size_rows():
+    # Each row holds the same partial batch with its pairs in another order,
+    # so every row reads its own inputs.
+    q = 13
+    batch = _batch(5, q, [0, 3, 4, 8, 11], 1, 58)
+    probs = kernel_distribution(batch).ravel()
+    rng = derive_rng(59, 0)
+    shots = 30000
+    order = np.argsort(rng.random((shots, batch.size)), axis=1)
+    k_d, k_star = sample_bv_stack(q, batch.a_values[order], batch.b_values[order], rng)
+    counts = np.bincount(k_d * q + k_star, minlength=q * q)
+    assert chi_square_ok(counts, probs, shots)
+
+
+def test_stacked_sampler_checks_every_row_norm():
+    # A repeated input overwrites a phase, so that row's mass falls short of 1.
+    q = 7
+    a_values = np.array([[0, 1, 2], [0, 1, 1]])
+    b_values = np.array([[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(InvariantViolation):
+        sample_bv_stack(q, a_values, b_values, derive_rng(60, 0))
+
+
+def test_root_table_is_bit_identical_to_elementwise_phases():
+    for q in (7, 401, 4093):
+        residues = np.outer(np.arange(q), np.arange(0, q, 97)) % q
+        assert np.array_equal(root_table(q)[residues], np.exp(2j * np.pi * residues / q))
+
+
+def test_qft_matrix_refuses_dense_tables_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidLength):
+            qft_matrix(65537)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_vectorized_sampler_agrees_with_the_grid():

@@ -15,6 +15,7 @@ from dclwe import (
     ReducedBatch,
     Sample,
     centered,
+    check_rows,
     derive_rng,
     dump_batch,
     elimination_batch,
@@ -225,6 +226,19 @@ def test_batch_invariants_are_enforced():
     )
     with pytest.raises(InvalidLength):
         ReducedBatch(**big)
+
+
+def test_row_check_is_per_row():
+    eta = np.zeros((2, 3), dtype=np.int64)
+    # The same inputs in two rows are fine; a repeat within a row is not.
+    check_rows(7, np.array([[0, 1, 2], [2, 1, 0]]), eta, 0)
+    check_rows(7, np.array([[4, 5, 6]]), eta, 0)  # one row shared by both
+    with pytest.raises(DuplicateInput):
+        check_rows(7, np.array([[0, 1, 2], [6, 1, 6]]), eta, 0)
+    with pytest.raises(InvariantViolation):
+        check_rows(7, np.array([[0, 1, 7]]), eta, 0)
+    with pytest.raises(InvariantViolation):
+        check_rows(7, np.array([[0, 1, 2]]), np.array([[0, 0, 0], [0, 2, 0]]), 1)
 
 
 def test_elimination_batch_identity_and_amplification():

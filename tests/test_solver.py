@@ -95,7 +95,13 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     for _ in range(2000):
         bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
         value, stats = solve_coordinate(
-            0, kernel_shot(bs, rng), ts, params.L, params.M, params.xi_prime, s_true=int(inst.s[0])
+            0,
+            kernel_shot(bs, q, params.L, rng),
+            ts,
+            params.L,
+            params.M,
+            params.xi_prime,
+            s_true=int(inst.s[0]),
         )
         assert value == int(inst.s[0]) % q
         assert stats.null_count == stats.shots - 1
@@ -110,9 +116,30 @@ def test_zero_budget_consumes_nothing():
     params = SolveParameters(gamma=0.125, L=0, M=1, xi_prime=0, C=1 / 16)
     rng = derive_rng(83, 0)
     bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
-    value, stats = solve_coordinate(0, kernel_shot(bs, rng), ts, params.L, params.M, params.xi_prime)
+    shot = kernel_shot(bs, 31, params.L, rng)
+    value, stats = solve_coordinate(0, shot, ts, params.L, params.M, params.xi_prime)
     assert value is None
     assert stats.shots == 0 and stats.tests_used == 0
+
+
+def test_chunks_stay_within_the_budget_and_the_table_cap():
+    # A test bound no residual meets rejects every candidate, so the
+    # coordinate spends its whole budget.
+    for q, budget in ((401, 119), (4093, 30), (101, 3)):
+        inst = _instance(1, q, 1, 103)
+        rng = derive_rng(104, q)
+        bs, ts = controlled_sources(inst, 0, 2, rng)
+        requested = []
+
+        def spy(k):
+            requested.append(k)
+            return bs(k)
+
+        value, stats = solve_coordinate(0, kernel_shot(spy, q, budget, rng), ts, budget, 1, -1)
+        assert value is None and stats.shots == budget
+        assert sum(requested) == budget
+        assert max(requested) <= max(1, 2**14 // q)
+        assert requested[0] == min(4, budget, 2**14 // q)
 
 
 def test_true_candidate_never_rejected_in_controlled_mode():
@@ -191,11 +218,13 @@ def test_controlled_sources_honor_v_size():
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
     rng = derive_rng(98, 0)
     bs, _ = controlled_sources(inst, 0, params.xi_prime, rng, v_size=25)
-    for _ in range(5):
-        batch = bs()
-        assert batch.size == 25
+    a_values, b_values = bs(5)
+    assert a_values.shape == b_values.shape == (5, 25)
+    assert all(np.unique(row).size == 25 for row in a_values)
     bs_full, _ = controlled_sources(inst, 0, params.xi_prime, rng)
-    assert bs_full().size == 101
+    a_values, b_values = bs_full(5)
+    assert a_values.tolist() == [list(range(101))]
+    assert b_values.shape == (5, 101)
 
 
 def test_elimination_mode_recovers_noiseless_secret():
@@ -213,9 +242,9 @@ def test_elimination_mode_with_noise_stays_classified():
     inst = _instance(2, 101, 1, 101)
     rng = derive_rng(102, 0)
     bs, ts = elimination_sources(inst, 0, rng, v_size=40)
-    batch = bs()
-    assert batch.size == 40
-    assert batch.xi_prime == batch.kappa * inst.xi
+    a_values, b_values = bs(3)
+    assert a_values.shape == b_values.shape == (3, 40)
+    assert all(np.unique(row).size == 40 for row in a_values)
     pair = ts()
     assert pair.a_prime != 0
     # The test pair satisfies the reduced identity for coordinate 0.
