@@ -29,6 +29,7 @@ from .fq import (
     centered,
     is_prime,
     mat_inverse,
+    mat_inverse_stack,
     mat_mul,
     mat_vec,
     solve_noiseless,
@@ -39,6 +40,7 @@ from .instance import (
     ErrorDistribution,
     LweInstance,
     Sample,
+    draw_samples,
     gen_sample,
     gen_samples,
     gen_secret,
@@ -89,6 +91,7 @@ from .qsim import (
     sample_bv_stack,
 )
 from .reduce import (
+    EliminationStack,
     ReducedBatch,
     ReducedPair,
     check_rows,

@@ -251,6 +251,37 @@ def feasibility_warnings(config: ExperimentConfig) -> list[str]:
     return warnings
 
 
+def unreachable_points(config: ExperimentConfig) -> list[str]:
+    """Elimination-mode points whose measured xi' exceeds the tested xi'.
+
+    Each point builds one probe batch on a stream no trial uses. A batch
+    whose measured amplification pushes its bound past the xi' the
+    residual tests use makes true candidates fail those tests, so the
+    point cannot be expected to succeed.
+    """
+    if config.mode != MODE_ELIMINATION:
+        return []
+    _refuse_uniform_sigma(config)
+    problems = []
+    for pi, point in enumerate(config.points()):
+        # Trial streams take a (point, trial) path; a three-index path is none of them.
+        rng = derive_rng(config.seed, pi, 0, 0)
+        chi = ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma)
+        q = point.q
+        instance = make_instance(point.n, q, chi, rng)
+        params = choose_parameters(point.n, q, point.xi, point.kappa, point.delta, point.gamma)
+        full = point.v_size is None or point.v_size >= q
+        v = np.arange(q) if full else rng.choice(q, size=point.v_size, replace=False)
+        batch = elimination_batch(instance, 0, v, rng)
+        if batch.xi_prime > params.xi_prime:
+            problems.append(
+                f"point {pi} (n={point.n}, q={q}, xi={point.xi}): elimination measured"
+                f" xi'={batch.xi_prime} (kappa={batch.kappa:g}) on a probe batch, above the"
+                f" tested xi'={params.xi_prime}; true candidates would fail their tests"
+            )
+    return problems
+
+
 def run_point_trial(point: PointConfig, seed: int, point_index: int, trial_index: int) -> ExperimentRecord:
     """One solve with a stream derived from (seed, point, trial)."""
     rng = derive_rng(seed, point_index, trial_index)
@@ -515,15 +546,18 @@ def _write(rows: Sequence[dict], args: argparse.Namespace) -> None:
         emit(rows, args.format, fh)
 
 
-def _run_from_args(args: argparse.Namespace) -> list[ExperimentRecord]:
-    config = _config_from_args(args)
+def _run(config: ExperimentConfig, args: argparse.Namespace) -> list[ExperimentRecord]:
     for warning in feasibility_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     return run_experiment(config, workers=args.workers)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    records = _run_from_args(args)
+    config = _config_from_args(args)
+    unreachable = unreachable_points(config)
+    if unreachable:
+        raise InfeasibleParameters("; ".join(unreachable))
+    records = _run(config, args)
     by_point: dict[int, list[ExperimentRecord]] = {}
     for record in records:
         by_point.setdefault(record.point_index, []).append(record)
@@ -543,7 +577,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _write([r.to_dict() for r in _run_from_args(args)], args)
+    config = _config_from_args(args)
+    for problem in unreachable_points(config):
+        print(f"warning: {problem}", file=sys.stderr)
+    _write([r.to_dict() for r in _run(config, args)], args)
     return 0
 
 

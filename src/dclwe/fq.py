@@ -147,32 +147,50 @@ def mat_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.einsum("ik,kj->ij", a, b) % q
 
 
-def mat_inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a square matrix mod q by Gauss-Jordan elimination.
+def mat_inverse_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (k, n, n) stack of square matrices mod q by one
+    Gauss-Jordan elimination over the whole stack.
 
-    Pivoting picks the first nonzero entry in each column. Raises
-    SingularMatrix when no pivot exists, InvalidModulus for a bad q.
+    Each step pivots every matrix on the first nonzero entry in its
+    column and normalises with the field's inverse table. Returns the
+    (k, n, n) inverses and a (k,) mask that is False where a matrix is
+    singular; the rows of a singular matrix's "inverse" are meaningless.
+    Raises InvalidModulus for a bad q, InvalidLength for a bad shape.
     """
-    field = PrimeField(q)
+    table = PrimeField(q).inverse_table()
     a = np.array(a, dtype=np.int64) % q
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidLength(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidLength(f"expected a stack of square matrices, got shape {a.shape}")
+    k, n, _ = a.shape
     if n == 0:
         raise InvalidLength("empty matrix has no inverse")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)], axis=2)
+    invertible = np.ones(k, dtype=bool)
+    rows = np.arange(k)
     for col in range(n):
-        pivots = np.nonzero(aug[col:, col])[0]
-        if pivots.size == 0:
-            raise SingularMatrix(f"no pivot in column {col}")
-        r = col + int(pivots[0])
-        if r != col:
-            aug[[col, r]] = aug[[r, col]]
-        aug[col] = aug[col] * field.inv(int(aug[col, col])) % q
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        aug = (aug - np.outer(factors, aug[col])) % q
-    return aug[:, n:]
+        nonzero = aug[:, col:, col] != 0
+        invertible &= nonzero.any(axis=1)
+        # A matrix with no pivot keeps row col, which the table's 0 -> 0 zeroes.
+        r = col + nonzero.argmax(axis=1)
+        pivot = aug[rows, r]
+        aug[rows, r] = aug[:, col]
+        aug[:, col] = pivot * table[pivot[:, col]][:, None] % q
+        factors = aug[:, :, col].copy()
+        factors[:, col] = 0
+        aug = (aug - factors[:, :, None] * aug[:, col][:, None, :]) % q
+    return aug[:, :, n:], invertible
+
+
+def mat_inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of one square matrix mod q: mat_inverse_stack's one-matrix case.
+
+    Raises SingularMatrix when no pivot exists, InvalidModulus for a bad q,
+    InvalidLength unless a is square.
+    """
+    inv, invertible = mat_inverse_stack(np.asarray(a)[None], q)
+    if not invertible[0]:
+        raise SingularMatrix(f"matrix is singular mod {q}")
+    return inv[0]
 
 
 def solve_noiseless(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

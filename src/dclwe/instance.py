@@ -119,19 +119,28 @@ def sample_error(chi: ErrorDistribution, rng: np.random.Generator) -> int:
     return int(sample_errors(chi, rng))
 
 
-def gen_samples(instance: LweInstance, rng: np.random.Generator, count: int) -> list[Sample]:
-    """count samples from one (count, n) draw of inputs and one draw of errors.
+def draw_samples(
+    instance: LweInstance, rng: np.random.Generator, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of samples as arrays: inputs (*shape, n), outputs and errors (*shape,).
 
-    The ground-truth identity b = a . s + eta mod q with |eta| <= xi is
-    checked once over the whole draw.
+    One draw of all inputs, then one draw of all errors. The ground-truth
+    identity b = a . s + eta mod q with |eta| <= xi is checked once over
+    the whole block.
     """
     q = instance.q
-    a = rng.integers(0, q, size=(count, instance.n), dtype=np.int64)
-    eta = sample_errors(instance.chi, rng, count)
+    a = rng.integers(0, q, size=(*shape, instance.n), dtype=np.int64)
+    eta = sample_errors(instance.chi, rng, shape)
     clean = mat_vec(a, instance.s, q)
     b = (clean + eta) % q
-    if count and (int(np.abs(eta).max()) > instance.chi.xi or ((b - clean - eta) % q).any()):
+    if eta.size and (int(np.abs(eta).max()) > instance.chi.xi or ((b - clean - eta) % q).any()):
         raise InvariantViolation("generated samples break b = a . s + eta with |eta| <= xi")
+    return a, b, eta
+
+
+def gen_samples(instance: LweInstance, rng: np.random.Generator, count: int) -> list[Sample]:
+    """count samples: draw_samples as a list of Sample values."""
+    a, b, eta = draw_samples(instance, rng, (count,))
     return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b.tolist(), eta.tolist())]
 
 

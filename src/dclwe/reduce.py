@@ -9,12 +9,22 @@ worst case over their pairs.
 
 Two ways to build a batch:
 
-- elimination: invert the stacked sample matrix and combine real
-  samples; the amplification is whatever the elimination produced, and
-  it is measured, never assumed.
+- elimination: invert a matrix of n real samples and combine them;
+  the amplification is whatever the elimination produced, and it is
+  measured, never assumed.
 - controlled: synthesize pairs whose errors are drawn directly within a
   declared bound xi', so probability statements downstream can be
   checked in isolation from the elimination's amplification behavior.
+
+Both build k batches at once, one per row of a stack. elimination_stack
+draws a (k, n, n) block of samples, inverts it with one batched
+Gauss-Jordan, redraws only the singular matrices, combines all rows in
+one vectorised step, and validates the stack against each row's own
+measured bound with one check_rows call. elimination_batch is its
+one-row case; reduce_to_coordinate and make_test_sample run the same
+combination for one input over given samples, and a test pair is an
+elimination whose only input is t. synth_reduced_batch is likewise the
+one-row case of synth_reduced_stack.
 
 Batches store their pairs as parallel arrays (the simulator and the
 analysis oracles consume them whole); `pairs()` materializes individual
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -37,8 +47,8 @@ from .errors import (
     InvariantViolation,
     SingularMatrix,
 )
-from .fq import PrimeField, mat_inverse
-from .instance import LweInstance, Sample, gen_samples, sample_errors, samples_to_arrays
+from .fq import PrimeField, mat_inverse, mat_inverse_stack
+from .instance import LweInstance, Sample, draw_samples, sample_errors, samples_to_arrays
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,8 @@ def check_rows(q: int, a_values: np.ndarray, eta_values: np.ndarray, xi_prime) -
     0 <= a' < q, distinct a' within each row, and |eta'| <= xi'.
 
     a_values is (k, m), or a single (1, m) row that all k rows of the
-    (k, m) eta_values share.
+    (k, m) eta_values share. xi_prime is one bound for every row or a
+    (k,) array with each row's own bound.
     """
     if int(a_values.min()) < 0 or int(a_values.max()) >= q:
         raise InvariantViolation(f"batch inputs a' must lie in [0, {q})")
@@ -120,17 +131,48 @@ def _input_array(v: Iterable[int], q: int) -> np.ndarray:
     return arr
 
 
+class EliminationStack(NamedTuple):
+    """k eliminated batches for one coordinate, one per row; every array is (k, m)
+    except the per-row measured amplification and bound."""
+
+    b_values: np.ndarray
+    eta_values: np.ndarray  # ground truth, harness only
+    coeff_l1_values: np.ndarray
+    kappa: np.ndarray  # (k,) worst coeff_l1 of each row
+    xi_prime: np.ndarray  # (k,) kappa * xi
+
+
+def _combine(
+    inv_rows: np.ndarray, b: np.ndarray, a_values: np.ndarray, s_j: int, q: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Push each input a' of row i through row i's inverse row.
+
+    inv_rows and b are (k, n): row j of each sample matrix's inverse and
+    the matching sample outputs. a_values is (k, m) or one shared (1, m)
+    row. The combination of a' is a' * inv_rows[i], so b' = a' * s_j + eta'
+    with eta' that combination applied to the hidden errors; eta' is
+    recovered from the ground-truth s_j. Returns (b', eta', coeff_l1),
+    each (k, m).
+    """
+    field = PrimeField(q)
+    combos = a_values[:, :, None] * inv_rows[:, None, :] % q  # (k, m, n)
+    b_values = (combos * b[:, None, :] % q).sum(axis=2) % q
+    eta_values = field.centered_array(b_values - a_values * s_j)
+    coeff_l1_values = np.abs(field.centered_array(combos)).sum(axis=2)
+    return b_values, eta_values, coeff_l1_values
+
+
 def reduce_to_coordinate(
     samples: Sequence[Sample], j: int, a_target: int, secret: np.ndarray, q: int
 ) -> ReducedPair:
-    """Combine n samples into one pair for coordinate j with input a_target.
+    """Combine n given samples into one pair for coordinate j with input
+    a_target: the one-row, one-input case of the stacked elimination.
 
     The combination is a_target times row j of the inverse sample
     matrix, so b' = a_target * s_j + eta' where eta' is the same
     combination applied to the hidden errors. The pair's eta_prime is
     recovered from the ground-truth secret for harness use only.
     """
-    field = PrimeField(q)
     target = int(a_target) % q
     n = len(samples)
     a, b = samples_to_arrays(samples, q)
@@ -139,11 +181,16 @@ def reduce_to_coordinate(
     if not 0 <= j < n:
         raise InvalidLength(f"coordinate {j} out of range for n={n}")
     row = mat_inverse(a, q)[j]
-    c = target * row % q
-    b_prime = int((c * b % q).sum() % q)
-    eta_prime = field.centered(b_prime - target * int(secret[j]))
-    coeff_l1 = int(np.abs(field.centered_array(c)).sum())
-    return ReducedPair(a_prime=target, b_prime=b_prime, eta_prime=eta_prime, coeff_l1=coeff_l1, q=q)
+    b_prime, eta_prime, coeff_l1 = _combine(
+        row[None], b[None], np.array([[target]], dtype=np.int64), int(secret[j]), q
+    )
+    return ReducedPair(
+        a_prime=target,
+        b_prime=int(b_prime[0, 0]),
+        eta_prime=int(eta_prime[0, 0]),
+        coeff_l1=int(coeff_l1[0, 0]),
+        q=q,
+    )
 
 
 def make_test_sample(
@@ -215,6 +262,47 @@ def synth_reduced_batch(
     )
 
 
+def elimination_stack(
+    instance: LweInstance,
+    j: int,
+    a_values: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    max_redraws: int = 64,
+) -> EliminationStack:
+    """k batches for coordinate j by elimination, one per row of the
+    (k, m) inputs, each from its own n fresh samples.
+
+    All k sample matrices are drawn and inverted at once; only the
+    singular ones are drawn again, and a row still singular after
+    max_redraws draws raises SingularMatrix. Within a row, every input
+    a' is pushed through the same inverse row. Each row's bound xi' is
+    its measured worst-case amplification times the instance bound, and
+    one check_rows call validates the stack against those bounds.
+    """
+    q, n = instance.q, instance.n
+    k = a_values.shape[0]
+    a, b, _ = draw_samples(instance, rng, (k, n))
+    inv, invertible = mat_inverse_stack(a, q)
+    draws = 1
+    while not invertible.all():
+        if draws >= max_redraws:
+            raise SingularMatrix(f"no invertible sample matrix in {max_redraws} draws")
+        bad = np.flatnonzero(~invertible)
+        a_bad, b_bad, _ = draw_samples(instance, rng, (bad.size, n))
+        b[bad] = b_bad
+        inv[bad], invertible[bad] = mat_inverse_stack(a_bad, q)
+        draws += 1
+
+    b_values, eta_values, coeff_l1_values = _combine(
+        inv[:, j], b, a_values, int(instance.s[j]), q
+    )
+    kappa = coeff_l1_values.max(axis=1)
+    xi_prime = kappa * instance.xi
+    check_rows(q, a_values, eta_values, xi_prime)
+    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
+
+
 def elimination_batch(
     instance: LweInstance,
     j: int,
@@ -223,52 +311,23 @@ def elimination_batch(
     *,
     max_redraws: int = 64,
 ) -> ReducedBatch:
-    """Batch for coordinate j built from n fresh samples by elimination.
+    """Batch for coordinate j over inputs v: elimination_stack's one-row case.
 
-    One invertible sample matrix serves the whole batch: each input a'
-    in v is pushed through the same inverse row, so its error is that
-    row's combined noise scaled by a'. The batch bound xi' is the
-    measured worst-case amplification times the instance bound.
+    One invertible sample matrix serves the whole batch, so each input's
+    error is that row's combined noise scaled by a'.
     """
-    q, n = instance.q, instance.n
-    field = PrimeField(q)
-    for _ in range(max_redraws):
-        samples = gen_samples(instance, rng, n)
-        a, b = samples_to_arrays(samples, q)
-        try:
-            inv = mat_inverse(a, q)
-        except SingularMatrix:
-            continue
-        break
-    else:
-        raise SingularMatrix(f"no invertible sample matrix in {max_redraws} draws")
-
-    a_values = _input_array(v, q)
-    row = inv[j]
-    combos = a_values[:, None] * row[None, :] % q  # one combination per a'
-    b_values = (combos * b[None, :] % q).sum(axis=1) % q
-    eta_values = field.centered_array(b_values - a_values * int(instance.s[j]))
-    coeff_l1_values = np.abs(field.centered_array(combos)).sum(axis=1)
-    kappa = int(coeff_l1_values.max())
+    a_values = _input_array(v, instance.q)
+    stack = elimination_stack(instance, j, a_values[None], rng, max_redraws=max_redraws)
     return ReducedBatch(
         j=j,
-        q=q,
+        q=instance.q,
         a_values=a_values,
-        b_values=b_values,
-        eta_values=eta_values,
-        coeff_l1_values=coeff_l1_values,
-        xi_prime=kappa * instance.xi,
-        kappa=float(kappa),
+        b_values=stack.b_values[0],
+        eta_values=stack.eta_values[0],
+        coeff_l1_values=stack.coeff_l1_values[0],
+        xi_prime=int(stack.xi_prime[0]),
+        kappa=float(stack.kappa[0]),
     )
-
-
-def elimination_stack(
-    instance: LweInstance, j: int, a_values: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One elimination_batch per row of the (k, m) inputs, each built and
-    validated as a ReducedBatch; returns the stacked (a_values, b_values)."""
-    batches = [elimination_batch(instance, j, row, rng) for row in a_values]
-    return np.stack([b.a_values for b in batches]), np.stack([b.b_values for b in batches])
 
 
 def kappa_observed(batch: ReducedBatch) -> int:

@@ -28,6 +28,12 @@ at FIRST_CHUNK batches, then match the number drawn so far, capped by
 the remaining budget and by k * q <= CHUNK_ENTRIES; the first accepted
 candidate is the one a shot-by-shot loop would accept, and candidates
 drawn after it are discarded.
+
+In elimination mode both sources go through reduce.elimination_stack:
+each chunk of batches is one stacked elimination, and test pairs are
+built in blocks sized by the same chunk rule (with no budget cap) and
+handed to the M-trial test one per trial; pairs left in a block when
+the coordinate settles are discarded.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleParameters, InvariantViolation, SingularMatrix
+from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
-from .instance import ErrorDistribution, LweInstance, gen_samples, sample_error
+from .instance import ErrorDistribution, LweInstance, sample_error
 from .qsim import extract_candidates, sample_bv_stack
-from .reduce import ReducedPair, elimination_stack, make_test_sample, synth_reduced_stack
+from .reduce import ReducedPair, elimination_stack, synth_reduced_stack
 from .verify import m_trial_test
 
 MODE_CONTROLLED = "controlled"
@@ -180,26 +186,44 @@ def elimination_sources(
 ) -> tuple[StackSource, TestSource]:
     """Batch-stack and test-pair sources that eliminate fresh samples each call.
 
-    Test pairs use sample sets disjoint from every batch's, since both
-    consume the stream strictly forward.
+    A test pair is a one-input elimination with a uniform nonzero t;
+    pairs are built in blocks through elimination_stack, sized by the
+    chunk rule, and handed out one per call. Test pairs use sample sets
+    disjoint from every batch's, since both consume the stream strictly
+    forward.
     """
-    q, n = instance.q, instance.n
+    q = instance.q
     inputs = _input_rows(q, v_size, rng)
+    pending: list[ReducedPair] = []  # pairs of the current block, next one last
+    drawn = 0
 
     def stack_source(k: int) -> tuple[np.ndarray, np.ndarray]:
         rows = inputs(k)
-        return elimination_stack(instance, j, np.broadcast_to(rows, (k, rows.shape[1])), rng)
+        a_values = np.broadcast_to(rows, (k, rows.shape[1]))
+        return a_values, elimination_stack(instance, j, a_values, rng).b_values
 
     def test_source() -> ReducedPair:
-        t = int(rng.integers(1, q))
-        while True:
-            samples = gen_samples(instance, rng, n)
-            try:
-                return make_test_sample(samples, j, t, instance.s, q)
-            except SingularMatrix:
-                continue
+        nonlocal drawn
+        if not pending:
+            k = _chunk_size(drawn, q)
+            t = rng.integers(1, q, size=(k, 1))
+            block = elimination_stack(instance, j, t, rng)
+            columns = (t, block.b_values, block.eta_values, block.coeff_l1_values)
+            pairs = [
+                ReducedPair(a_prime=a, b_prime=b, eta_prime=e, coeff_l1=c, q=q)
+                for a, b, e, c in zip(*(col[:, 0].tolist() for col in columns))
+            ]
+            pending.extend(reversed(pairs))
+            drawn += k
+        return pending.pop()
 
     return stack_source, test_source
+
+
+def _chunk_size(drawn: int, q: int) -> int:
+    """Rows in the next chunk after `drawn` rows: FIRST_CHUNK, then the
+    number drawn so far, at most CHUNK_ENTRIES // q (and at least 1)."""
+    return min(max(drawn, FIRST_CHUNK), max(1, CHUNK_ENTRIES // q))
 
 
 def kernel_shot(
@@ -212,7 +236,7 @@ def kernel_shot(
     def shot() -> int | None:
         nonlocal drawn
         if not pending:
-            k = min(max(drawn, FIRST_CHUNK), budget - drawn, max(1, CHUNK_ENTRIES // q))
+            k = min(_chunk_size(drawn, q), budget - drawn)
             if k < 1:
                 raise InvariantViolation(f"shot requested past the budget of {budget} batches")
             a_values, b_values = stack_source(k)

@@ -272,6 +272,22 @@ def test_main_maps_config_errors_to_exit_2(capsys):
         assert "sigma: has no effect with uniform noise" in capsys.readouterr().err
 
 
+def test_elimination_runs_that_cannot_succeed_are_refused(capsys):
+    # Elimination amplifies the noise far past the tested xi' = 1.
+    argv = ["--mode", "elimination", "--n", "2", "--q", "101", "--seed", "3", "--trials", "2"]
+    assert main(["solve", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "tested xi'=1" in err and "measured xi'=" in err
+    # A sweep runs anyway and warns.
+    assert main(["sweep", *argv]) == 0
+    captured = capsys.readouterr()
+    assert "warning:" in captured.err and "tested xi'=1" in captured.err
+    assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 2
+    # Without noise nothing is amplified, so the run goes ahead.
+    assert main(["solve", *argv, "--xi", "0"]) == 0
+    assert "success=1.000" in capsys.readouterr().out
+
+
 def test_main_maps_invariant_violations_to_exit_3(monkeypatch, capsys):
     from dclwe import InvariantViolation
     import dclwe.cli as cli_module

@@ -14,6 +14,7 @@ from dclwe import (
     derive_rng,
     is_prime,
     mat_inverse,
+    mat_inverse_stack,
     mat_mul,
     mat_vec,
     solve_noiseless,
@@ -201,6 +202,61 @@ def test_mat_inverse_product_is_identity(q, seed, n):
         return
     assert np.array_equal(mat_mul(a, inv, q), eye)
     assert np.array_equal(mat_mul(inv, a, q), eye)
+
+
+def loop_inverse(a, q):
+    """Reference: one matrix at a time, first nonzero pivot, Fermat inverses;
+    None when singular."""
+    n = len(a)
+    aug = [[int(x) % q for x in row] + [int(i == r) for i in range(n)] for r, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], q - 2, q)
+        aug[col] = [x * inv % q for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[col])]
+    return np.array([row[n:] for row in aug], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [3, 7, 101])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mat_inverse_stack_matches_one_matrix_at_a_time(q, n):
+    rng = derive_rng(q, n)
+    a = rng.integers(0, q, size=(40, n, n), dtype=np.int64)
+    a[0] = 0
+    a[7, :, -1] = 0  # a zero column
+    forced = [0, 7]
+    if n > 1:
+        a[13, -1] = a[13, 0] * 2 % q  # a row that repeats another
+        forced.append(13)
+    inv, invertible = mat_inverse_stack(a, q)
+    assert inv.shape == a.shape and invertible.shape == (40,)
+    assert not invertible[forced].any()
+    eye = np.eye(n, dtype=np.int64)
+    for i in range(40):
+        expected = loop_inverse(a[i], q)
+        assert invertible[i] == (expected is not None)
+        if expected is None:
+            with pytest.raises(SingularMatrix):
+                mat_inverse(a[i], q)
+            continue
+        assert np.array_equal(inv[i], expected)
+        assert np.array_equal(mat_inverse(a[i], q), expected)
+        assert np.array_equal(mat_mul(a[i], inv[i], q), eye)
+
+
+def test_mat_inverse_stack_rejects_bad_shapes_and_moduli():
+    with pytest.raises(InvalidLength):
+        mat_inverse_stack(np.zeros((2, 2, 3), dtype=np.int64), 5)
+    with pytest.raises(InvalidLength):
+        mat_inverse_stack(np.zeros((2, 2), dtype=np.int64), 5)
+    with pytest.raises(InvalidModulus):
+        mat_inverse_stack(np.eye(2, dtype=np.int64)[None], 9)
 
 
 def test_solve_noiseless_single_sample():

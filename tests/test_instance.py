@@ -12,6 +12,7 @@ from dclwe import (
     InvalidModulus,
     centered,
     derive_rng,
+    draw_samples,
     gen_sample,
     gen_samples,
     gen_secret,
@@ -147,6 +148,17 @@ def test_generated_samples_satisfy_the_lwe_identity():
         assert 0 <= s.b < 101
         lhs = centered(s.b - int(mat_vec(s.a, inst.s, 101)), 101)
         assert lhs == s.eta
+
+
+def test_sample_block_draw_and_its_list_view_agree():
+    inst = make_instance(3, 31, ErrorDistribution(UNIFORM, 2), derive_rng(17, 0))
+    a, b, eta = draw_samples(inst, derive_rng(17, 1), (4, 5))
+    assert a.shape == (4, 5, 3) and b.shape == eta.shape == (4, 5)
+    assert not ((mat_vec(a, inst.s, 31) + eta - b) % 31).any()
+    listed = gen_samples(inst, derive_rng(17, 1), 20)
+    assert np.array_equal(np.stack([smp.a for smp in listed]), a.reshape(20, 3))
+    assert [smp.b for smp in listed] == b.ravel().tolist()
+    assert [smp.eta for smp in listed] == eta.ravel().tolist()
 
 
 def test_sample_serialization_round_trip(tmp_path):

@@ -18,8 +18,11 @@ from dclwe import (
     check_rows,
     derive_rng,
     dump_batch,
+    SingularMatrix,
     elimination_batch,
+    elimination_stack,
     gen_samples,
+    mat_inverse,
     kappa_observed,
     make_instance,
     make_test_sample,
@@ -27,6 +30,7 @@ from dclwe import (
     samples_to_arrays,
     synth_reduced_batch,
 )
+import dclwe.reduce
 from dclwe.instance import UNIFORM
 
 
@@ -239,6 +243,74 @@ def test_row_check_is_per_row():
         check_rows(7, np.array([[0, 1, 7]]), eta, 0)
     with pytest.raises(InvariantViolation):
         check_rows(7, np.array([[0, 1, 2]]), np.array([[0, 0, 0], [0, 2, 0]]), 1)
+
+
+def test_row_check_takes_a_bound_per_row():
+    eta = np.array([[0, 2, 0], [0, 3, -3]], dtype=np.int64)
+    a = np.array([[0, 1, 2]])
+    check_rows(7, a, eta, np.array([2, 3]))
+    # Row 0 breaks its own bound of 1 although row 1 allows 3.
+    with pytest.raises(InvariantViolation):
+        check_rows(7, a, eta, np.array([1, 3]))
+
+
+def test_elimination_stack_rows_satisfy_their_own_identity():
+    q, xi = 101, 2
+    inst, rng = _noisy_instance(3, q, xi, 70)
+    a_values = np.broadcast_to(np.arange(q), (12, q))
+    stack = elimination_stack(inst, 2, a_values, rng)
+    s_j = int(inst.s[2])
+    assert stack.b_values.shape == stack.eta_values.shape == (12, q)
+    assert not ((stack.b_values - a_values * s_j - stack.eta_values) % q).any()
+    assert np.array_equal(stack.kappa, stack.coeff_l1_values.max(axis=1))
+    assert np.array_equal(stack.xi_prime, stack.kappa * xi)
+    assert (np.abs(stack.eta_values).max(axis=1) <= stack.xi_prime).all()
+    # Within a row eta'(a') = a' * r, r the row's combined noise (its a' = 1 error).
+    r = stack.eta_values[:, 1]
+    assert not ((stack.eta_values - a_values * r[:, None]) % q).any()
+    # Each row eliminates its own sample matrix, so r varies across the stack.
+    assert np.unique(r).size > 1
+
+
+def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
+    # At q = 3 about 44% of 3 x 3 matrices are singular.
+    q, n, k = 3, 3, 24
+    inst, rng = _noisy_instance(n, q, 1, 71)
+    drawn = []
+    real_draw = dclwe.reduce.draw_samples
+
+    def spy(instance, rng, shape):
+        out = real_draw(instance, rng, shape)
+        drawn.append(out[0])
+        return out
+
+    monkeypatch.setattr(dclwe.reduce, "draw_samples", spy)
+    stack = elimination_stack(inst, 0, np.ones((k, 1), dtype=np.int64), rng)
+    assert drawn[0].shape == (k, n, n) and len(drawn) > 1
+
+    def singular(mats):
+        out = []
+        for i, mat in enumerate(mats):
+            try:
+                mat_inverse(mat, q)
+            except SingularMatrix:
+                out.append(i)
+        return np.array(out, dtype=np.int64)
+
+    # Replay the redraws: each later draw replaces exactly the rows still singular.
+    final = drawn[0].copy()
+    pending = np.arange(k)[singular(drawn[0])]
+    for redraw in drawn[1:]:
+        assert redraw.shape[0] == pending.size > 0
+        final[pending] = redraw
+        pending = pending[singular(redraw)]
+    assert pending.size == 0
+    # With a' = 1 a row's combination is row 0 of its final matrix's inverse.
+    row_l1 = [sum(abs(centered(x, q)) for x in mat_inverse(m, q)[0]) for m in final]
+    assert stack.coeff_l1_values[:, 0].tolist() == row_l1
+    assert not ((stack.b_values - int(inst.s[0]) - stack.eta_values) % q).any()
+    with pytest.raises(SingularMatrix):
+        elimination_stack(inst, 0, np.ones((k, 1), dtype=np.int64), rng, max_redraws=1)
 
 
 def test_elimination_batch_identity_and_amplification():

@@ -245,8 +245,12 @@ def test_elimination_mode_with_noise_stays_classified():
     a_values, b_values = bs(3)
     assert a_values.shape == b_values.shape == (3, 40)
     assert all(np.unique(row).size == 40 for row in a_values)
-    pair = ts()
-    assert pair.a_prime != 0
-    # The test pair satisfies the reduced identity for coordinate 0.
-    assert (pair.b_prime - pair.a_prime * int(inst.s[0]) - pair.eta_prime) % 101 == 0
+    # Test pairs come in blocks (4, 4, 8, 16, ...); 50 of them span five.
+    # Each satisfies the reduced identity for coordinate 0 within its own bound.
+    pairs = [ts() for _ in range(50)]
+    for pair in pairs:
+        assert 1 <= pair.a_prime < 101
+        assert (pair.b_prime - pair.a_prime * int(inst.s[0]) - pair.eta_prime) % 101 == 0
+        assert abs(pair.eta_prime) <= pair.coeff_l1 * inst.xi
+    assert len({pair.a_prime for pair in pairs}) > 1
 
