@@ -4,7 +4,9 @@ Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. Keeping these routes separate from
+table for the four memory layouts. The baseline takes its test pairs
+from the controlled pool of one solve, on the solve's one stream, as the
+quantum path does. Keeping these routes separate from
 the statevector path is the point; tests compare them, they never feed
 each other. The one thing shared is qsim.root_table, the cached phases
 w^r: the same values np.exp gives element by element, and within 1e-15
@@ -158,26 +160,28 @@ def classical_baseline_solve(
     Per coordinate, each of up to trial_budget shots draws a single
     pair (a', a' s_j + eta') with the amplified bound and takes
     s~ = b' * a'^-1; the solver's own loop then runs the same M-trial
-    residual test, on the same controlled test pairs, the quantum path
-    uses. The candidate is correct only when eta' vanished, so with
-    uniform errors the per-coordinate rate is 1/(2 xi' + 1) and the
-    full-solve rate decays geometrically in n.
+    residual test the quantum path uses, on test pairs from the same
+    controlled pool, all drawn from `rng` in coordinate order. The
+    candidate is correct only when eta' vanished, so with uniform errors
+    the per-coordinate rate is 1/(2 xi' + 1) and the full-solve rate
+    decays geometrically in n.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
     q = instance.q
     xi_prime = round(kappa * instance.xi)
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
+    sources = controlled_sources(instance, xi_prime, trial_budget, rng)
     per_coordinate: list[CoordinateStats] = []
-    for j, crng in enumerate(rng.spawn(instance.n)):
+    for j in range(instance.n):
         s_j = int(instance.s[j])
 
         def direct_shot() -> int:
-            a_prime = int(crng.integers(1, q))
-            b_prime = (a_prime * s_j + sample_error(chi_prime, crng)) % q
+            a_prime = int(rng.integers(1, q))
+            b_prime = (a_prime * s_j + sample_error(chi_prime, rng)) % q
             return b_prime * pow(a_prime, -1, q) % q
 
-        _, test_source = controlled_sources(instance, j, xi_prime, crng)
+        _, test_source = sources(j)
         _, stats = solve_coordinate(
             j, direct_shot, test_source, trial_budget, m, xi_prime, s_true=s_j
         )

@@ -21,6 +21,13 @@ must agree (tests enforce it):
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
+
+Shift identity: a batch b'(a') = a' s + eta'(a') has amplitude
+amp_s[k_d, k*] = amp_0[k_d + s k* mod q, k*], where amp_0 belongs to the
+s-free batch (a', eta'), so its outcome law is the s-free law with each
+column k* moved by s k* along k_d, and the candidate -k_d / k* moves by
++s. The controlled solver measures s-free batches only, in one pool per
+solve, and reads coordinate j's candidate as s_j + c0.
 """
 
 from __future__ import annotations
@@ -176,14 +183,19 @@ def sample_bv_stack(
     exactly uniform for any batch of unit-weight pairs with distinct a',
     so each k* is drawn flat; each conditional over k_d is one length-q
     transform of that row's pair phases, all rows in one batched call.
+    When every row's inputs are 0..q-1 in order, the phase table is one
+    lookup, with no scatter.
     Returns the (k_d, k*) arrays; a row whose conditional mass drifts
     from 1 raises InvariantViolation. The stream per call: k bounded
     integers for k*, then k uniform doubles for k_d.
     """
     k, m = b_values.shape
     k_star = rng.integers(q, size=k)
-    x = np.zeros((k, q), dtype=np.complex128)
-    x[np.arange(k)[:, None], a_values] = root_table(q)[b_values * k_star[:, None] % q]
+    x = root_table(q)[b_values * k_star[:, None] % q]
+    if m != q or not (a_values == np.arange(q)).all():
+        # Rows that are not the full field in order scatter into a zero table.
+        phases, x = x, np.zeros((k, q), dtype=np.complex128)
+        x[np.arange(k)[:, None], a_values] = phases
     g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
     cdf = np.cumsum(g.real**2 + g.imag**2, axis=1)
     cdf *= q / m

@@ -21,19 +21,28 @@ direct-candidate baseline run through the same budget, test and
 bookkeeping code; classify turns the per-coordinate records of either
 into a SolveOutcome.
 
-kernel_shot measures in chunks: it asks a stack source for k fresh
-batches at once, measures all k rows with the stacked factored sampler
-and hands the candidates out one per shot, in draw order. Chunks start
-at FIRST_CHUNK batches, then match the number drawn so far, capped by
-the remaining budget and by k * q <= CHUNK_ENTRIES; the first accepted
-candidate is the one a shot-by-shot loop would accept, and candidates
-drawn after it are discarded.
+In controlled mode one pool per solve, on the solve's own stream,
+serves every coordinate (controlled_sources). Its rows are s-free
+batches (a', eta'), measured in stacks with one batched FFT. By the
+Fourier shift theorem the coordinate-j batch (a', a' s_j + eta') has
+the s-free outcome law moved along k_d, P_s(k_d, k*) =
+P_0(k_d + s_j k* mod q, k*), so an s-free row's candidate c0 reads as
+s_j + c0. Rows and test pairs a settled coordinate leaves go to the
+next one.
 
-In elimination mode both sources go through reduce.elimination_stack:
-each chunk of batches is one stacked elimination, and test pairs are
-built in blocks sized by the same chunk rule (with no budget cap) and
-handed to the M-trial test one per trial; pairs left in a block when
-the coordinate settles are discarded.
+In elimination mode every coordinate owns an RNG stream spawned by
+index and a kernel_shot, which asks a stack source for k fresh batches
+at once, measures all k rows and hands the candidates out one per shot.
+Chunks start at FIRST_CHUNK batches, then match the number drawn so
+far, capped by the remaining budget and by k * q <= CHUNK_ENTRIES;
+candidates drawn after the accepted one are discarded. Both sources go
+through reduce.elimination_stack: each chunk of batches is one stacked
+elimination, and test pairs are built in blocks sized by the same chunk
+rule (with no budget cap) and handed to the M-trial test one per
+trial; pairs left in a block when the coordinate settles are discarded.
+
+In both modes the first accepted candidate is the one a shot-by-shot
+loop would accept, and no coordinate takes more than L shots.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import numpy as np
 
 from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
-from .instance import ErrorDistribution, LweInstance, sample_error
+from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import extract_candidates, sample_bv_stack
 from .reduce import ReducedPair, elimination_stack, synth_reduced_stack
 from .verify import m_trial_test
@@ -60,8 +69,8 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Chunk schedule of kernel_shot. CHUNK_ENTRIES keeps each (k, q) complex
-# table of the stacked sampler near 256 KiB.
+# Chunk schedule of kernel_shot and the controlled pool. CHUNK_ENTRIES keeps
+# each (k, q) complex table of the stacked sampler near 256 KiB.
 FIRST_CHUNK = 4
 CHUNK_ENTRIES = 1 << 14
 
@@ -146,36 +155,65 @@ def _input_rows(q: int, v_size: int | None, rng: np.random.Generator) -> Callabl
 
 def controlled_sources(
     instance: LweInstance,
-    j: int,
     xi_prime: int,
+    budget: int,
     rng: np.random.Generator,
     v_size: int | None = None,
-) -> tuple[StackSource, TestSource]:
-    """Synthesized batch-stack and test-pair sources for coordinate j.
+) -> Callable[[int], tuple[Shot, TestSource]]:
+    """One controlled solve's pool of measured batches and test pairs.
 
-    Errors are drawn from the instance's noise kind rescaled to the
-    amplified bound xi' (gaussian width defaults to xi'/3), so every
-    batch honors |eta'| <= xi' by construction.
+    Returns sources(j) -> (shot, test_source) for coordinate j; the
+    coordinates run in order j = 0, 1, ..., n - 1, each for at most
+    `budget` shots. Errors are drawn from the instance's noise kind
+    rescaled to xi' (gaussian width defaults to xi'/3). Rows are
+    measured in refills of min(CHUNK_ENTRIES // q, FIRST_CHUNK *
+    coordinates not yet run, shots the solve may still take) s-free
+    batches; coordinate j reads a row's candidate c0 as s_j + c0, and a
+    null stays a null. Test pairs are drawn in blocks of FIRST_CHUNK *
+    coordinates not yet run, one array of t and one of eta', and
+    b' = t s_j + eta' is formed when a pair is used. A solve discards
+    at most part of one refill of each.
     """
-    q = instance.q
-    s_j = int(instance.s[j])
+    q, n = instance.q, instance.n
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
     inputs = _input_rows(q, v_size, rng)
     coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
+    offsets: list[int | None] = []  # s-free candidates c0 of measured rows, next one last
+    tests: list[tuple[int, int]] = []  # (t, eta') of drawn test pairs, next one last
 
-    def stack_source(k: int) -> tuple[np.ndarray, np.ndarray]:
-        a_values = inputs(k)
-        b_values, _ = synth_reduced_stack(s_j, q, a_values, k, xi_prime, chi_prime, rng)
-        return a_values, b_values
+    def sources(j: int) -> tuple[Shot, TestSource]:
+        s_j = int(instance.s[j]) % q
+        left = n - j  # coordinates not yet run, this one included
+        taken = 0
 
-    def test_source() -> ReducedPair:
-        t = int(rng.integers(1, q))
-        eta = sample_error(chi_prime, rng)
-        return ReducedPair(
-            a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
-        )
+        def shot() -> int | None:
+            nonlocal taken
+            if not offsets:
+                k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - taken)
+                if k < 1:
+                    raise InvariantViolation(f"shot requested past the budget of {budget} batches")
+                a_values = inputs(k)
+                b_values, _ = synth_reduced_stack(0, q, a_values, k, xi_prime, chi_prime, rng)
+                k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
+                offsets.extend(reversed(extract_candidates(k_d, k_star, q)))
+            taken += 1
+            c0 = offsets.pop()
+            return None if c0 is None else (s_j + c0) % q
 
-    return stack_source, test_source
+        def test_source() -> ReducedPair:
+            if not tests:
+                k = FIRST_CHUNK * left
+                t = rng.integers(1, q, size=k)
+                eta = sample_errors(chi_prime, rng, k)
+                tests.extend(reversed(list(zip(t.tolist(), eta.tolist()))))
+            t, eta = tests.pop()
+            return ReducedPair(
+                a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
+            )
+
+        return shot, test_source
+
+    return sources
 
 
 def elimination_sources(
@@ -305,30 +343,29 @@ def solve(
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
-    Every coordinate owns an RNG stream spawned by index, so results do
-    not depend on scheduling. The total quantum-sample count is checked
-    against the n * L budget.
+    A controlled solve draws every coordinate's batches and test pairs
+    from one pool on `rng` (controlled_sources); in elimination mode
+    every coordinate owns an RNG stream spawned by index. The total
+    quantum-sample count is checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
-    n = instance.n
-    per_coordinate: list[CoordinateStats] = []
-    for j, crng in enumerate(rng.spawn(n)):
-        if mode == MODE_CONTROLLED:
-            stack_source, test_source = controlled_sources(instance, j, params.xi_prime, crng, v_size)
-        else:
-            stack_source, test_source = elimination_sources(instance, j, crng, v_size)
-        _, stats = solve_coordinate(
-            j,
-            kernel_shot(stack_source, instance.q, params.L, crng),
-            test_source,
-            params.L,
-            params.M,
-            params.xi_prime,
-            s_true=int(instance.s[j]),
-        )
-        per_coordinate.append(stats)
+    n, q = instance.n, instance.q
+    if mode == MODE_CONTROLLED:
+        sources = controlled_sources(instance, params.xi_prime, params.L, rng, v_size)
+    else:
+        streams = rng.spawn(n)
 
+        def sources(j: int) -> tuple[Shot, TestSource]:
+            stack_source, test_source = elimination_sources(instance, j, streams[j], v_size)
+            return kernel_shot(stack_source, q, params.L, streams[j]), test_source
+
+    per_coordinate = [
+        solve_coordinate(
+            j, *sources(j), params.L, params.M, params.xi_prime, s_true=int(instance.s[j])
+        )[1]
+        for j in range(n)
+    ]
     quantum_samples = sum(st.shots for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(

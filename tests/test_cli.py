@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dclwe import ConfigError, EmptyResult
 from dclwe.cli import (
@@ -270,6 +273,28 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     ):
         assert main(argv) == 2
         assert "sigma: has no effect with uniform noise" in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "sweep"]),
+    n=st.integers(1, 3),
+    q=st.sampled_from([31, 101]),
+    mode=st.sampled_from(["controlled", "elimination"]),
+    chi_kind=st.sampled_from(["uniform", "gaussian"]),
+    v_size=st.one_of(st.none(), st.integers(1, 100)),
+    sigma=st.sampled_from([None, None, None, 0.4, 1.5]),  # a set sigma runs only in gaussian elimination
+    seed=st.integers(0, 1000),
+)
+def test_small_configs_run_or_exit_with_a_reason(command, n, q, mode, chi_kind, v_size, sigma, seed):
+    argv = [command, "--n", str(n), "--q", str(q), "--mode", mode, "--chi-kind", chi_kind]
+    argv += ["--trials", "1", "--seed", str(seed)]
+    if v_size is not None and v_size < q:
+        argv += ["--v-size", str(v_size)]
+    if sigma is not None:
+        argv += ["--sigma", str(sigma)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3)
 
 
 def test_elimination_runs_that_cannot_succeed_are_refused(capsys):

@@ -20,6 +20,7 @@ from dclwe import (
     derive_rng,
     dump_state,
     extract_candidate,
+    extract_candidates,
     kernel_distribution,
     measure,
     prepare_sample_state,
@@ -279,6 +280,65 @@ def test_stacked_sampler_matches_the_grid_on_v_size_rows():
     k_d, k_star = sample_bv_stack(q, batch.a_values[order], batch.b_values[order], rng)
     counts = np.bincount(k_d * q + k_star, minlength=q * q)
     assert chi_square_ok(counts, probs, shots)
+
+
+def _s_free_and_secret_batches(q, inputs, s, xi_prime, seed):
+    """An s-free batch (a', eta') and the batch (a', a' s + eta') with the same errors."""
+    free = _batch(0, q, inputs, xi_prime, seed)
+    b_values = (free.a_values * s + free.eta_values) % q
+    return free, _literal_batch(q, free.a_values, b_values, xi_prime, free.eta_values)
+
+
+def _shifted(grid, shift):
+    """grid[(k_d + shift * k*) mod q, k*] at every (k_d, k*)."""
+    q = grid.shape[0]
+    ks = np.arange(q)
+    return grid[(ks[:, None] + shift * ks[None, :]) % q, ks[None, :]]
+
+
+@pytest.mark.parametrize(
+    "q, inputs",
+    [(7, range(7)), (7, [0, 2, 3, 5]), (101, range(101)), (101, range(3, 101, 5))],
+)
+def test_secret_batch_law_is_the_s_free_law_shifted_along_k_d(q, inputs):
+    for s in (1, 3, q - 2):
+        free, batch = _s_free_and_secret_batches(q, inputs, s, 2, 61 + s)
+        p_free, p_s = kernel_distribution(free), kernel_distribution(batch)
+        assert np.abs(p_s - _shifted(p_free, s)).max() < 1e-12
+        assert np.abs(p_s - _shifted(p_free, -s)).max() > 1e-3
+
+
+@pytest.mark.parametrize("q, inputs", [(11, range(11)), (13, [0, 3, 4, 8, 11])])
+def test_translated_s_free_draws_follow_the_secret_batch_law(q, inputs):
+    s = 4
+    free, batch = _s_free_and_secret_batches(q, inputs, s, 2, 62)
+    probs = kernel_distribution(batch).ravel()
+    shots = 40000
+    b_rows = np.broadcast_to(free.b_values, (shots, free.size))
+    k_d, k_star = sample_bv_stack(q, free.a_values[None], b_rows, derive_rng(63, q))
+    counts = np.bincount((k_d - s * k_star) % q * q + k_star, minlength=q * q)
+    assert chi_square_ok(counts, probs, shots)
+    wrong = np.bincount((k_d + s * k_star) % q * q + k_star, minlength=q * q)
+    assert not chi_square_ok(wrong, probs, shots)
+    # The candidate of a translated outcome is s + c0, and a null stays a null.
+    c0 = extract_candidates(k_d[:200], k_star[:200], q)
+    translated = extract_candidates((k_d[:200] - s * k_star[:200]) % q, k_star[:200], q)
+    assert translated == [None if c is None else (c + s) % q for c in c0]
+
+
+def test_full_field_gather_matches_the_scatter_of_a_permuted_row():
+    # Inputs 0..q-1 in order take the gather path; the same pairs in another
+    # order take the scatter path. Both build the same table, so the same
+    # stream gives the same outcomes.
+    q = 101
+    batch = _batch(7, q, range(q), 3, 64)
+    order = derive_rng(65, 0).permutation(q)
+    b_rows = np.broadcast_to(batch.b_values, (6, q))
+    gathered = sample_bv_stack(q, batch.a_values[None], b_rows, derive_rng(66, 0))
+    scattered = sample_bv_stack(
+        q, batch.a_values[order][None], b_rows[:, order], derive_rng(66, 0)
+    )
+    assert all(np.array_equal(x, y) for x, y in zip(gathered, scattered))
 
 
 def test_stacked_sampler_checks_every_row_norm():

@@ -16,11 +16,14 @@ from dclwe import (
     controlled_sources,
     derive_rng,
     elimination_sources,
+    extract_candidates,
     kernel_shot,
     make_instance,
+    sample_bv_stack,
     solve,
     solve_coordinate,
 )
+from dclwe import solver as solver_module
 from dclwe.instance import UNIFORM
 
 from _stats import binom_3sigma
@@ -93,10 +96,10 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     shots = []
     rng = derive_rng(81, 0)
     for _ in range(2000):
-        bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
+        shot, ts = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
         value, stats = solve_coordinate(
             0,
-            kernel_shot(bs, q, params.L, rng),
+            shot,
             ts,
             params.L,
             params.M,
@@ -115,20 +118,19 @@ def test_zero_budget_consumes_nothing():
     inst = _instance(1, 31, 0, 82)
     params = SolveParameters(gamma=0.125, L=0, M=1, xi_prime=0, C=1 / 16)
     rng = derive_rng(83, 0)
-    bs, ts = controlled_sources(inst, 0, params.xi_prime, rng)
-    shot = kernel_shot(bs, 31, params.L, rng)
+    shot, ts = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
     value, stats = solve_coordinate(0, shot, ts, params.L, params.M, params.xi_prime)
     assert value is None
     assert stats.shots == 0 and stats.tests_used == 0
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
-    # A test bound no residual meets rejects every candidate, so the
-    # coordinate spends its whole budget.
+    # Elimination mode's kernel_shot. A test bound no residual meets
+    # rejects every candidate, so the coordinate spends its whole budget.
     for q, budget in ((401, 119), (4093, 30), (101, 3)):
         inst = _instance(1, q, 1, 103)
         rng = derive_rng(104, q)
-        bs, ts = controlled_sources(inst, 0, 2, rng)
+        bs, ts = elimination_sources(inst, 0, rng)
         requested = []
 
         def spy(k):
@@ -140,6 +142,65 @@ def test_chunks_stay_within_the_budget_and_the_table_cap():
         assert sum(requested) == budget
         assert max(requested) <= max(1, 2**14 // q)
         assert requested[0] == min(4, budget, 2**14 // q)
+
+
+def _spy_on_refills(monkeypatch):
+    """Record every stack the controlled pool measures: (a', b', c0 per row)."""
+    refills = []
+
+    def spy(q, a_values, b_values, rng):
+        k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
+        refills.append((a_values, b_values, extract_candidates(k_d, k_star, q)))
+        return k_d, k_star
+
+    monkeypatch.setattr(solver_module, "sample_bv_stack", spy)
+    return refills
+
+
+def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
+    # A test bound no residual meets rejects every candidate, so every
+    # coordinate spends its whole budget L.
+    refills = _spy_on_refills(monkeypatch)
+    for n, q, budget in ((8, 401, 119), (3, 4093, 30), (4, 101, 3), (5, 31, 6)):
+        refills.clear()
+        inst = _instance(n, q, 1, 105)
+        sources = controlled_sources(inst, 2, budget, derive_rng(106, q))
+        handed = []  # (coordinate, candidate) in shot order
+        for j in range(n):
+            shot, ts = sources(j)
+
+            def counted():
+                cand = shot()
+                handed.append((j, cand))
+                return cand
+
+            value, stats = solve_coordinate(j, counted, ts, budget, 1, -1)
+            assert value is None and stats.shots == budget
+        sizes = [len(c0) for _, _, c0 in refills]
+        assert all(k * q <= 2**14 for k in sizes)
+        drawn = [c0 for _, _, rows in refills for c0 in rows]
+        # Row i went to exactly one coordinate, as s_j + c0 (or a null).
+        assert len(handed) == n * budget <= len(drawn)
+        for (j, cand), c0 in zip(handed, drawn):
+            s_j = int(inst.s[j]) % q
+            assert cand == (None if c0 is None else (s_j + c0) % q)
+        assert len(drawn) - len(handed) < 4
+
+
+def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
+    refills = _spy_on_refills(monkeypatch)
+    inst = _instance(4, 101, 1, 107)
+    sources = controlled_sources(inst, 2, 20, derive_rng(108, 0))
+    for j in range(4):
+        shot, ts = sources(j)
+        solve_coordinate(j, shot, ts, 20, 1, -1)
+    # FIRST_CHUNK rows per coordinate not yet run; what a coordinate
+    # leaves opens the next one.
+    assert [len(c0) for _, _, c0 in refills] == [16, 16, 12, 8, 8, 4, 4, 4, 4, 4]
+    for a_values, b_values, _ in refills:
+        assert a_values.tolist() == [list(range(101))]
+        eta = (b_values + 50) % 101 - 50  # b' = eta' for an s-free row
+        assert np.abs(eta).max() <= 2
 
 
 def test_true_candidate_never_rejected_in_controlled_mode():
@@ -213,18 +274,21 @@ def test_wrong_accept_rate_within_union_bound():
     assert wrong / trials <= bound + binom_3sigma(min(bound, 1.0), trials)
 
 
-def test_controlled_sources_honor_v_size():
+def test_controlled_sources_honor_v_size(monkeypatch):
+    refills = _spy_on_refills(monkeypatch)
     inst = _instance(2, 101, 1, 97)
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
     rng = derive_rng(98, 0)
-    bs, _ = controlled_sources(inst, 0, params.xi_prime, rng, v_size=25)
-    a_values, b_values = bs(5)
-    assert a_values.shape == b_values.shape == (5, 25)
+    shot, _ = controlled_sources(inst, params.xi_prime, params.L, rng, v_size=25)(0)
+    shot()
+    a_values, b_values, _ = refills.pop()
+    assert a_values.shape == b_values.shape == (8, 25)
     assert all(np.unique(row).size == 25 for row in a_values)
-    bs_full, _ = controlled_sources(inst, 0, params.xi_prime, rng)
-    a_values, b_values = bs_full(5)
+    shot, _ = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
+    shot()
+    a_values, b_values, _ = refills.pop()
     assert a_values.tolist() == [list(range(101))]
-    assert b_values.shape == (5, 101)
+    assert b_values.shape == (8, 101)
 
 
 def test_elimination_mode_recovers_noiseless_secret():
