@@ -8,7 +8,7 @@ its own RNG stream from the master seed, so results are identical for
 any worker count and any scheduling order.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on invariant
-violations.
+violations, 141 when the reader of stdout closes the pipe.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -643,7 +644,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # `dclwe sweep ... | head`: what is still buffered goes to devnull, so
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -179,25 +179,40 @@ def sample_bv_stack(
     """One post-kernel measurement per row of a stack of batches.
 
     Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
-    single row that every batch shares. The A-register marginal is
-    exactly uniform for any batch of unit-weight pairs with distinct a',
-    so each k* is drawn flat; each conditional over k_d is one length-q
-    transform of that row's pair phases, all rows in one batched call.
-    When every row's inputs are 0..q-1 in order, the phase table is one
-    lookup, with no scatter.
+    single row that every batch shares, and b_values may hold any
+    representative of each b' mod q (an s-free row passes its errors
+    eta' as they are). The A-register marginal is exactly uniform for
+    any batch of unit-weight pairs with distinct a', so each k* is drawn
+    flat; each conditional over k_d is one length-q transform of that
+    row's pair phases, all rows in one batched call.
+    Phases w^{b' k*} come from root_table(q). When the stack's values
+    span fewer than m integers, each row gets a table over that span
+    and every phase is one flat take from the k tables; otherwise each
+    phase is a direct lookup at b' k* mod q. Both read the same table
+    entry. When every row's inputs are 0..q-1 in order, the phases are
+    the transform's input as they are, with no scatter.
     Returns the (k_d, k*) arrays; a row whose conditional mass drifts
     from 1 raises InvariantViolation. The stream per call: k bounded
     integers for k*, then k uniform doubles for k_d.
     """
     k, m = b_values.shape
     k_star = rng.integers(q, size=k)
-    x = root_table(q)[b_values * k_star[:, None] % q]
+    lo, hi = int(b_values.min()), int(b_values.max())
+    span = hi - lo + 1
+    if span < m:
+        # Row i's table is root_table(q)[v k*_i mod q] for v in [lo, hi].
+        table = root_table(q)[np.outer(k_star, np.arange(lo, hi + 1)) % q]
+        x = table.ravel().take(b_values + (np.arange(k) * span - lo)[:, None])
+    else:
+        x = root_table(q)[b_values * k_star[:, None] % q]
     if m != q or not (a_values == np.arange(q)).all():
         # Rows that are not the full field in order scatter into a zero table.
         phases, x = x, np.zeros((k, q), dtype=np.complex128)
         x[np.arange(k)[:, None], a_values] = phases
     g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
-    cdf = np.cumsum(g.real**2 + g.imag**2, axis=1)
+    cdf = g.real**2
+    cdf += g.imag**2
+    np.cumsum(cdf, axis=1, out=cdf)
     cdf *= q / m
     total = cdf[:, -1]
     drift = float(np.abs(total - 1.0).max())

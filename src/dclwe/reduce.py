@@ -24,7 +24,8 @@ measured bound with one check_rows call. elimination_batch is its
 one-row case; reduce_to_coordinate and make_test_sample run the same
 combination for one input over given samples, and a test pair is an
 elimination whose only input is t. synth_reduced_batch is likewise the
-one-row case of synth_reduced_stack.
+one-row case of synth_reduced_stack, and synth_reduced_errors is its
+checked error draw, which the controlled pool measures as s-free b'.
 
 Batches store their pairs as parallel arrays (the simulator and the
 analysis oracles consume them whole); `pairs()` materializes individual
@@ -220,14 +221,26 @@ def synth_reduced_stack(
     a_values is (k, m), or one (1, m) row of inputs all k batches share.
     Returns (b_values, eta_values), both (k, m), after check_rows.
     """
+    eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
+    return (a_values * (int(s_j) % q) + eta_values) % q, eta_values
+
+
+def synth_reduced_errors(
+    q: int, a_values: np.ndarray, k: int, xi_prime: int, chi_prime, rng: np.random.Generator
+) -> np.ndarray:
+    """The (k, m) errors eta' of synth_reduced_stack's batches, checked by
+    check_rows. For s_j = 0 they are the batches' outputs b' up to mod q.
+
+    Raises BoundTooLarge when xi' does not fit below q/2 or chi_prime's
+    bound exceeds xi'.
+    """
     if xi_prime < 0 or 2 * xi_prime >= q:
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
     if chi_prime.xi > xi_prime:
         raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
     eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
-    b_values = (a_values * (int(s_j) % q) + eta_values) % q
     check_rows(q, a_values, eta_values, xi_prime)
-    return b_values, eta_values
+    return eta_values
 
 
 def synth_reduced_batch(

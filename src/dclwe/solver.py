@@ -23,7 +23,9 @@ into a SolveOutcome.
 
 In controlled mode one pool per solve, on the solve's own stream,
 serves every coordinate (controlled_sources). Its rows are s-free
-batches (a', eta'), measured in stacks with one batched FFT. By the
+batches (a', eta'), whose outputs b' are their errors eta' as drawn;
+they are measured in stacks of at most CHUNK_ENTRIES // q rows with one
+batched FFT, which keeps each (k, q) complex table near 512 KiB. By the
 Fourier shift theorem the coordinate-j batch (a', a' s_j + eta') has
 the s-free outcome law moved along k_d, P_s(k_d, k*) =
 P_0(k_d + s_j k* mod q, k*), so an s-free row's candidate c0 reads as
@@ -57,7 +59,7 @@ from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import extract_candidates, sample_bv_stack
-from .reduce import ReducedPair, elimination_stack, synth_reduced_stack
+from .reduce import ReducedPair, elimination_stack, synth_reduced_errors
 from .verify import m_trial_test
 
 MODE_CONTROLLED = "controlled"
@@ -70,9 +72,13 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 _MAX_M = 64
 
 # Chunk schedule of kernel_shot and the controlled pool. CHUNK_ENTRIES keeps
-# each (k, q) complex table of the stacked sampler near 256 KiB.
+# each (k, q) complex table of the stacked sampler near 512 KiB. numpy plans
+# a prime-length FFT afresh on every call, so rows measured together share
+# that setup: at q=4093 the cap allows 8 rows per call, and one batched ifft
+# took 1.4 ms for 8 rows against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for
+# one row at q=4096; one thread on a 2-core Xeon).
 FIRST_CHUNK = 4
-CHUNK_ENTRIES = 1 << 14
+CHUNK_ENTRIES = 1 << 15
 
 StackSource = Callable[[int], tuple[np.ndarray, np.ndarray]]  # k -> (a', b') rows
 TestSource = Callable[[], ReducedPair]
@@ -168,11 +174,12 @@ def controlled_sources(
     rescaled to xi' (gaussian width defaults to xi'/3). Rows are
     measured in refills of min(CHUNK_ENTRIES // q, FIRST_CHUNK *
     coordinates not yet run, shots the solve may still take) s-free
-    batches; coordinate j reads a row's candidate c0 as s_j + c0, and a
-    null stays a null. Test pairs are drawn in blocks of FIRST_CHUNK *
-    coordinates not yet run, one array of t and one of eta', and
-    b' = t s_j + eta' is formed when a pair is used. A solve discards
-    at most part of one refill of each.
+    batches, each measured with its errors eta' as its b'; coordinate j
+    reads a row's candidate c0 as s_j + c0, and a null stays a null.
+    Test pairs are drawn in blocks of FIRST_CHUNK * coordinates not yet
+    run, one array of t and one of eta', and b' = t s_j + eta' is formed
+    when a pair is used. A solve discards at most part of one refill of
+    each.
     """
     q, n = instance.q, instance.n
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
@@ -193,8 +200,8 @@ def controlled_sources(
                 if k < 1:
                     raise InvariantViolation(f"shot requested past the budget of {budget} batches")
                 a_values = inputs(k)
-                b_values, _ = synth_reduced_stack(0, q, a_values, k, xi_prime, chi_prime, rng)
-                k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
+                eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
+                k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
                 offsets.extend(reversed(extract_candidates(k_d, k_star, q)))
             taken += 1
             c0 = offsets.pop()

@@ -352,3 +352,30 @@ def test_bounds_refuses_dense_tables_before_allocating():
     )
     assert proc.returncode == 2, proc.stderr
     assert "dense limit" in proc.stderr
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # `dclwe sweep ... | head -n 1`: the reader is gone before the first write.
+    script = (
+        "import sys\n"
+        "from dclwe.cli import main\n"
+        "sys.exit(main(['sweep', '--n', '2', '--q', '101', '--kappa', '2',"
+        " '--trials', '20', '--seed', '1']))\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""

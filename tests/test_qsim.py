@@ -341,6 +341,45 @@ def test_full_field_gather_matches_the_scatter_of_a_permuted_row():
     assert all(np.array_equal(x, y) for x, y in zip(gathered, scattered))
 
 
+def _phase_cases():
+    """(q, a_values, eta' rows) per sampler route; the rows differ in spread."""
+    rng = derive_rng(67, 0)
+
+    def inputs(q, m, k):
+        return np.stack([rng.choice(q, size=m, replace=False) for _ in range(k)])
+
+    def errors(m, bounds):
+        rows = np.stack([rng.integers(-xi, xi + 1, size=m) for xi in bounds])
+        rows[:, 0], rows[:, 1] = -np.array(bounds), bounds  # row i spans 2 xi_i + 1 values
+        return rows
+
+    # The last two stacks each hold a row spanning at least m values, which
+    # sends the whole stack to the direct lookup.
+    return {
+        "full field, span tables": (101, np.arange(101)[None], errors(101, (1, 2, 5, 3))),
+        "partial rows, span tables": (101, inputs(101, 30, 4), errors(30, (1, 4, 2, 3))),
+        "full field, direct lookup": (31, np.arange(31)[None], errors(31, (1, 2, 15))),
+        "partial rows, direct lookup": (31, inputs(31, 10, 3), errors(10, (1, 7, 3))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_phase_cases()))
+def test_sampler_reads_any_representative_of_b_mod_q(case):
+    # eta' itself, eta' mod q and eta' + q are the same b' mod q, so one
+    # stream must give bit-identical draws whichever route reads the phases.
+    q, a_values, eta = _phase_cases()[case]
+    assert (np.ptp(eta) + 1 < eta.shape[1]) == case.endswith("span tables")
+    k_stars = set()
+    for seed in range(6):
+        draws = [
+            sample_bv_stack(q, a_values, b, derive_rng(68, seed)) for b in (eta, eta % q, eta + q)
+        ]
+        for k_d, k_star in draws[1:]:
+            assert np.array_equal(k_d, draws[0][0]) and np.array_equal(k_star, draws[0][1])
+        k_stars.update(draws[0][1].tolist())
+    assert len(k_stars) > 1
+
+
 def test_stacked_sampler_checks_every_row_norm():
     # A repeated input overwrites a phase, so that row's mass falls short of 1.
     q = 7

@@ -9,6 +9,7 @@ from dclwe import (
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
     OUTCOME_WRONG_ACCEPT,
+    BoundTooLarge,
     ErrorDistribution,
     InfeasibleParameters,
     SolveParameters,
@@ -140,8 +141,8 @@ def test_chunks_stay_within_the_budget_and_the_table_cap():
         value, stats = solve_coordinate(0, kernel_shot(spy, q, budget, rng), ts, budget, 1, -1)
         assert value is None and stats.shots == budget
         assert sum(requested) == budget
-        assert max(requested) <= max(1, 2**14 // q)
-        assert requested[0] == min(4, budget, 2**14 // q)
+        assert max(requested) <= max(1, solver_module.CHUNK_ENTRIES // q)
+        assert requested[0] == min(4, budget, solver_module.CHUNK_ENTRIES // q)
 
 
 def _spy_on_refills(monkeypatch):
@@ -177,7 +178,7 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
             value, stats = solve_coordinate(j, counted, ts, budget, 1, -1)
             assert value is None and stats.shots == budget
         sizes = [len(c0) for _, _, c0 in refills]
-        assert all(k * q <= 2**14 for k in sizes)
+        assert all(k * q <= solver_module.CHUNK_ENTRIES for k in sizes)
         drawn = [c0 for _, _, rows in refills for c0 in rows]
         # Row i went to exactly one coordinate, as s_j + c0 (or a null).
         assert len(handed) == n * budget <= len(drawn)
@@ -201,6 +202,28 @@ def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monk
         assert a_values.tolist() == [list(range(101))]
         eta = (b_values + 50) % 101 - 50  # b' = eta' for an s-free row
         assert np.abs(eta).max() <= 2
+
+
+def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
+    inst = _instance(2, 101, 1, 109)
+    shot, _ = controlled_sources(inst, 51, 10, derive_rng(110, 0))(0)  # 2 * 51 >= 101
+    with pytest.raises(BoundTooLarge):
+        shot()
+    # An error law wider than the declared xi' is refused, not measured.
+    monkeypatch.setattr(
+        solver_module, "ErrorDistribution", lambda kind, xi: ErrorDistribution(kind, xi + 1)
+    )
+    shot, _ = controlled_sources(inst, 2, 10, derive_rng(110, 1))(0)
+    with pytest.raises(BoundTooLarge):
+        shot()
+
+
+def test_controlled_refill_at_q4093_holds_eight_rows(monkeypatch):
+    refills = _spy_on_refills(monkeypatch)
+    inst = _instance(3, 4093, 1, 111)
+    shot, _ = controlled_sources(inst, 2, 30, derive_rng(112, 0))(0)
+    shot()
+    assert [len(c0) for _, _, c0 in refills] == [8] == [solver_module.CHUNK_ENTRIES // 4093]
 
 
 def test_true_candidate_never_rejected_in_controlled_mode():
