@@ -116,7 +116,8 @@ from .solver import (
     SolveParameters,
     choose_parameters,
     classify,
-    controlled_sources,
+    controlled_pass,
+    controlled_refills,
     elimination_sources,
     kernel_shot,
     solve,

@@ -320,7 +320,10 @@ def _refuse_uniform_sigma(config: ExperimentConfig) -> None:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
-    """All (point, trial) tasks in deterministic order."""
+    """All (point, trial) tasks in deterministic order, on at most
+    `workers` processes and never more processes than tasks."""
+    if workers < 1:
+        raise ConfigError("workers: must be at least 1")
     if config.mode == MODE_CONTROLLED and any(s is not None for s in config.sigma):
         # Controlled batches and test pairs draw from the noise kind at xi' alone.
         raise ConfigError("sigma: has no effect in controlled mode")
@@ -330,6 +333,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
         for pi, point in enumerate(config.points())
         for ti in range(config.trials)
     ]
+    # Under the fork start method a pool starts all its workers on the first submit.
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,9 +4,9 @@ Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. The baseline takes its test pairs
-from the controlled pool of one solve, on the solve's one stream, as the
-quantum path does. Keeping these routes separate from
+table for the four memory layouts. The baseline draws its direct
+candidates and its test pairs from the solve's one stream, test pairs in
+blocks shared across coordinates. Keeping these routes separate from
 the statevector path is the point; tests compare them, they never feed
 each other. The one thing shared is qsim.root_table, the cached phases
 w^r: the same values np.exp gives element by element, and within 1e-15
@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import InvalidLength, InvariantViolation
 from .fq import check_dense_size
-from .instance import ErrorDistribution, LweInstance, sample_error
+from .instance import ErrorDistribution, LweInstance, sample_error, sample_errors
 from .qsim import root_table
-from .reduce import ReducedBatch
-from .solver import CoordinateStats, SolveOutcome, classify, controlled_sources, solve_coordinate
+from .reduce import ReducedBatch, ReducedPair
+from .solver import FIRST_CHUNK, CoordinateStats, SolveOutcome, classify, solve_coordinate
 from .verify import false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
@@ -159,29 +159,41 @@ def classical_baseline_solve(
 
     Per coordinate, each of up to trial_budget shots draws a single
     pair (a', a' s_j + eta') with the amplified bound and takes
-    s~ = b' * a'^-1; the solver's own loop then runs the same M-trial
-    residual test the quantum path uses, on test pairs from the same
-    controlled pool, all drawn from `rng` in coordinate order. The
+    s~ = b' * a'^-1; solve_coordinate then runs the M-trial residual
+    test on pairs (t, t s_j + eta') drawn in blocks of FIRST_CHUNK *
+    coordinates not yet run, which a settled coordinate leaves to the
+    next, all drawn from `rng` in coordinate order. The
     candidate is correct only when eta' vanished, so with uniform errors
     the per-coordinate rate is 1/(2 xi' + 1) and the full-solve rate
     decays geometrically in n.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
-    q = instance.q
+    q, n = instance.q, instance.n
     xi_prime = round(kappa * instance.xi)
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
-    sources = controlled_sources(instance, xi_prime, trial_budget, rng)
+    coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
+    tests: list[tuple[int, int]] = []  # (t, eta') of the current test block, next one last
     per_coordinate: list[CoordinateStats] = []
-    for j in range(instance.n):
+    for j in range(n):
         s_j = int(instance.s[j])
+        left = n - j  # coordinates not yet run, this one included
 
         def direct_shot() -> int:
             a_prime = int(rng.integers(1, q))
             b_prime = (a_prime * s_j + sample_error(chi_prime, rng)) % q
             return b_prime * pow(a_prime, -1, q) % q
 
-        _, test_source = sources(j)
+        def test_source() -> ReducedPair:
+            if not tests:
+                t = rng.integers(1, q, size=FIRST_CHUNK * left)
+                eta = sample_errors(chi_prime, rng, t.size)
+                tests.extend(reversed(list(zip(t.tolist(), eta.tolist()))))
+            t, eta = tests.pop()
+            return ReducedPair(
+                a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
+            )
+
         _, stats = solve_coordinate(
             j, direct_shot, test_source, trial_budget, m, xi_prime, s_true=s_j
         )

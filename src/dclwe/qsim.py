@@ -213,9 +213,9 @@ def sample_bv_stack(
     cdf = g.real**2
     cdf += g.imag**2
     np.cumsum(cdf, axis=1, out=cdf)
-    cdf *= q / m
+    # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
     total = cdf[:, -1]
-    drift = float(np.abs(total - 1.0).max())
+    drift = float(np.abs(total * (q / m) - 1.0).max())
     if drift > NORM_TOL:
         raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
     # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").

@@ -25,7 +25,7 @@ one-row case; reduce_to_coordinate and make_test_sample run the same
 combination for one input over given samples, and a test pair is an
 elimination whose only input is t. synth_reduced_batch is likewise the
 one-row case of synth_reduced_stack, and synth_reduced_errors is its
-checked error draw, which the controlled pool measures as s-free b'.
+checked error draw, which a controlled refill measures as s-free b'.
 
 Batches store their pairs as parallel arrays (the simulator and the
 analysis oracles consume them whole); `pairs()` materializes individual

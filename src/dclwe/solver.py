@@ -15,22 +15,20 @@ drops below delta/n at L = ceil((xi'/C) * ln(n/delta)); M is the least
 trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
-solve_coordinate is the one per-coordinate loop. It takes a shot, a
-callable returning a candidate or None, so the kernel and the classical
-direct-candidate baseline run through the same budget, test and
-bookkeeping code; classify turns the per-coordinate records of either
-into a SolveOutcome.
-
-In controlled mode one pool per solve, on the solve's own stream,
-serves every coordinate (controlled_sources). Its rows are s-free
-batches (a', eta'), whose outputs b' are their errors eta' as drawn;
-they are measured in stacks of at most CHUNK_ENTRIES // q rows with one
+A controlled solve runs as one array pass per refill (controlled_pass)
+over rows from one stream per solve (controlled_refills). Its rows are
+s-free batches (a', eta'), whose outputs b' are their errors eta' as
+drawn; a refill measures at most CHUNK_ENTRIES // q of them with one
 batched FFT, which keeps each (k, q) complex table near 512 KiB. By the
 Fourier shift theorem the coordinate-j batch (a', a' s_j + eta') has
 the s-free outcome law moved along k_d, P_s(k_d, k*) =
 P_0(k_d + s_j k* mod q, k*), so an s-free row's candidate c0 reads as
-s_j + c0. Rows and test pairs a settled coordinate leaves go to the
-next one.
+s_j + c0. Each row carries its own block of M test pairs (t, eta'), and
+the residual of s_j + c0 on the pair (t, t s_j + eta') is eta' - t c0:
+row_verdicts judges a whole refill at once, with no s, and the pass
+then hands rows out in order, each coordinate up to its first accepted
+row or L rows. Rows a settled coordinate leaves, and their verdicts, go
+to the next one.
 
 In elimination mode every coordinate owns an RNG stream spawned by
 index and a kernel_shot, which asks a stack source for k fresh batches
@@ -42,6 +40,11 @@ through reduce.elimination_stack: each chunk of batches is one stacked
 elimination, and test pairs are built in blocks sized by the same chunk
 rule (with no budget cap) and handed to the M-trial test one per
 trial; pairs left in a block when the coordinate settles are discarded.
+solve_coordinate is the per-coordinate loop there: it takes a shot, a
+callable returning a candidate or None, and runs m_trial_test on each
+candidate. The classical direct-candidate baseline runs through it too,
+and classify turns the per-coordinate records of any mode into a
+SolveOutcome.
 
 In both modes the first accepted candidate is the one a shot-by-shot
 loop would accept, and no coordinate takes more than L shots.
@@ -71,7 +74,7 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Chunk schedule of kernel_shot and the controlled pool. CHUNK_ENTRIES keeps
+# Chunk schedule of kernel_shot and the controlled refills. CHUNK_ENTRIES keeps
 # each (k, q) complex table of the stacked sampler near 512 KiB. numpy plans
 # a prime-length FFT afresh on every call, so rows measured together share
 # that setup: at q=4093 the cap allows 8 rows per call, and one batched ifft
@@ -83,6 +86,8 @@ CHUNK_ENTRIES = 1 << 15
 StackSource = Callable[[int], tuple[np.ndarray, np.ndarray]]  # k -> (a', b') rows
 TestSource = Callable[[], ReducedPair]
 Shot = Callable[[], "int | None"]
+# k -> (k_d, k*) of k measured s-free rows and their (k, M) test pairs (t, eta')
+Refill = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -159,68 +164,101 @@ def _input_rows(q: int, v_size: int | None, rng: np.random.Generator) -> Callabl
     return lambda k: np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
 
 
-def controlled_sources(
+def controlled_refills(
     instance: LweInstance,
     xi_prime: int,
-    budget: int,
+    m: int,
     rng: np.random.Generator,
     v_size: int | None = None,
-) -> Callable[[int], tuple[Shot, TestSource]]:
-    """One controlled solve's pool of measured batches and test pairs.
+) -> Refill:
+    """Refill source of one controlled solve: k -> (k_d, k*, t, eta') for k rows.
 
-    Returns sources(j) -> (shot, test_source) for coordinate j; the
-    coordinates run in order j = 0, 1, ..., n - 1, each for at most
-    `budget` shots. Errors are drawn from the instance's noise kind
-    rescaled to xi' (gaussian width defaults to xi'/3). Rows are
-    measured in refills of min(CHUNK_ENTRIES // q, FIRST_CHUNK *
-    coordinates not yet run, shots the solve may still take) s-free
-    batches, each measured with its errors eta' as its b'; coordinate j
-    reads a row's candidate c0 as s_j + c0, and a null stays a null.
-    Test pairs are drawn in blocks of FIRST_CHUNK * coordinates not yet
-    run, one array of t and one of eta', and b' = t s_j + eta' is formed
-    when a pair is used. A solve discards at most part of one refill of
-    each.
+    Each call draws k s-free batches (a', eta') with synth_reduced_errors,
+    measures them with their errors eta' as their b' in one
+    sample_bv_stack call, then draws one (k, m) block of test pairs: t
+    uniform on [1, q) and eta' from the same law. Errors come from the
+    instance's noise kind rescaled to xi' (gaussian width defaults to
+    xi'/3). Nothing here depends on s.
     """
-    q, n = instance.q, instance.n
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
+    q = instance.q
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
     inputs = _input_rows(q, v_size, rng)
-    coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
-    offsets: list[int | None] = []  # s-free candidates c0 of measured rows, next one last
-    tests: list[tuple[int, int]] = []  # (t, eta') of drawn test pairs, next one last
 
-    def sources(j: int) -> tuple[Shot, TestSource]:
-        s_j = int(instance.s[j]) % q
+    def refill(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        a_values = inputs(k)
+        eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
+        k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
+        t = rng.integers(1, q, size=(k, m))
+        return k_d, k_star, t, sample_errors(chi_prime, rng, (k, m))
+
+    return refill
+
+
+def row_verdicts(
+    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, eta: np.ndarray, xi_prime: int
+) -> tuple[list[int], list[int], list[bool]]:
+    """Per row of a refill: its s-free candidate c0, the tests it uses and its verdict.
+
+    c0 = -k_d / k* mod q. Row i's candidate for coordinate j is s_j + c0,
+    and its test pairs (t, t s_j + eta') leave the residual eta' - t c0,
+    so the verdict holds for every coordinate: accepted iff every
+    centered |eta' - t c0| <= xi'. A candidate uses trials up to its
+    first failing one, or all M; a null (k* = 0) uses none, so the tests
+    used are 0 exactly for nulls.
+    """
+    field = PrimeField(q)
+    null = k_star == 0
+    c0 = (-k_d) % q * field.inverse_table()[k_star] % q
+    fail = np.abs(field.centered_array(eta - t * c0[:, None])) > xi_prime
+    rejected = fail.any(axis=1)
+    tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
+    tests[null] = 0
+    return c0.tolist(), tests.tolist(), (~rejected & ~null).tolist()
+
+
+def controlled_pass(
+    s: np.ndarray, q: int, refill: Refill, budget: int, xi_prime: int
+) -> list[CoordinateStats]:
+    """Every coordinate of one controlled solve from one stream of refills.
+
+    A refill holds min(CHUNK_ENTRIES // q, FIRST_CHUNK * coordinates not
+    yet run, shots the solve may still take) rows, judged at once by
+    row_verdicts. Coordinate j takes rows in order up to its first
+    accepted one or `budget` rows and accepts s_j + c0; the rows it
+    leaves go to the next coordinate with their verdicts, which do not
+    depend on s. A true candidate (c0 = 0) that is rejected counts as a
+    true rejection.
+    """
+    n = len(s)
+    c0s: list[int] = []
+    tests: list[int] = []
+    accepted: list[bool] = []
+    row = 0  # next unused row of the current refill
+    per_coordinate = []
+    for j in range(n):
         left = n - j  # coordinates not yet run, this one included
-        taken = 0
-
-        def shot() -> int | None:
-            nonlocal taken
-            if not offsets:
-                k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - taken)
-                if k < 1:
-                    raise InvariantViolation(f"shot requested past the budget of {budget} batches")
-                a_values = inputs(k)
-                eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
-                k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
-                offsets.extend(reversed(extract_candidates(k_d, k_star, q)))
-            taken += 1
-            c0 = offsets.pop()
-            return None if c0 is None else (s_j + c0) % q
-
-        def test_source() -> ReducedPair:
-            if not tests:
-                k = FIRST_CHUNK * left
-                t = rng.integers(1, q, size=k)
-                eta = sample_errors(chi_prime, rng, k)
-                tests.extend(reversed(list(zip(t.tolist(), eta.tolist()))))
-            t, eta = tests.pop()
-            return ReducedPair(
-                a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
-            )
-
-        return shot, test_source
-
-    return sources
+        stats = CoordinateStats(j=j)
+        while stats.shots < budget:
+            if row == len(c0s):
+                k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - stats.shots)
+                c0s, tests, accepted = row_verdicts(q, *refill(k), xi_prime)
+                row = 0
+            i = row
+            row += 1
+            stats.shots += 1
+            if not tests[i]:
+                stats.null_count += 1
+                continue
+            stats.candidates_tried += 1
+            stats.tests_used += tests[i]
+            if accepted[i]:
+                stats.accepted_value = (int(s[j]) + c0s[i]) % q
+                break
+            stats.true_rejections += c0s[i] == 0
+        per_coordinate.append(stats)
+    return per_coordinate
 
 
 def elimination_sources(
@@ -350,29 +388,27 @@ def solve(
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
-    A controlled solve draws every coordinate's batches and test pairs
-    from one pool on `rng` (controlled_sources); in elimination mode
-    every coordinate owns an RNG stream spawned by index. The total
+    A controlled solve is one array pass over refills drawn from `rng`
+    (controlled_refills, controlled_pass), each row with its own block
+    of M test pairs; in elimination mode every coordinate owns an RNG
+    stream spawned by index and runs solve_coordinate. The total
     quantum-sample count is checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
     n, q = instance.n, instance.q
     if mode == MODE_CONTROLLED:
-        sources = controlled_sources(instance, params.xi_prime, params.L, rng, v_size)
+        refill = controlled_refills(instance, params.xi_prime, params.M, rng, v_size)
+        per_coordinate = controlled_pass(instance.s, q, refill, params.L, params.xi_prime)
     else:
-        streams = rng.spawn(n)
-
-        def sources(j: int) -> tuple[Shot, TestSource]:
-            stack_source, test_source = elimination_sources(instance, j, streams[j], v_size)
-            return kernel_shot(stack_source, q, params.L, streams[j]), test_source
-
-    per_coordinate = [
-        solve_coordinate(
-            j, *sources(j), params.L, params.M, params.xi_prime, s_true=int(instance.s[j])
-        )[1]
-        for j in range(n)
-    ]
+        per_coordinate = []
+        for j, stream in enumerate(rng.spawn(n)):
+            stack_source, test_source = elimination_sources(instance, j, stream, v_size)
+            shot = kernel_shot(stack_source, q, params.L, stream)
+            _, stats = solve_coordinate(
+                j, shot, test_source, params.L, params.M, params.xi_prime, s_true=int(instance.s[j])
+            )
+            per_coordinate.append(stats)
     quantum_samples = sum(st.shots for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(

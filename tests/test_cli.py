@@ -170,6 +170,48 @@ def test_run_experiment_worker_count_does_not_change_results():
     assert [_strip_wall(r) for r in serial] == [_strip_wall(r) for r in parallel]
 
 
+def test_workers_below_one_are_refused(capsys):
+    for command in ("solve", "sweep"):
+        for workers in ("0", "-3"):
+            argv = [command, "--n", "2", "--q", "101", "--trials", "1", "--workers", workers]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "workers: must be at least 1" in captured.err
+            assert captured.out == ""
+
+
+def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
+    import dclwe.cli as cli_module
+
+    requested = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    config = _config(trials=3)
+    serial = [_strip_wall(r) for r in run_experiment(config)]
+    assert requested == []
+    assert [_strip_wall(r) for r in run_experiment(config, workers=10**6)] == serial
+    assert requested == [3]
+    run_experiment(config, workers=2)
+    assert requested == [3, 2]
+    run_experiment(_config(trials=1), workers=8)  # one task runs in this process
+    assert requested == [3, 2]
+
+
 def test_emit_csv_round_trips():
     config = _config(trials=2)
     rows = [r.to_dict() for r in run_experiment(config)]

@@ -259,6 +259,34 @@ def test_baseline_budget_raises_the_rate():
     assert abs(hits / trials - expect) < binom_3sigma(expect, trials) + 0.01
 
 
+@pytest.mark.parametrize(
+    "n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw",
+    [
+        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 2), (1, 1), (1, 1)], 1021132722),
+        (5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE, [(3, 3), (3, 4)] + [(3, 3)] * 3, 185750318),
+        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(1, 1), (4, 4), (2, 2), (3, 3)], 471806245),
+        (
+            8, 401, GAUSSIAN, 2, 1.0, 2, 5, 3, OUTCOME_SUCCESS,
+            [(1, 2), (4, 5), (1, 2), (2, 3), (2, 3), (4, 5), (2, 3), (1, 2)],
+            881870988,
+        ),
+    ],
+)
+def test_baseline_stream_is_pinned(
+    n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw
+):
+    # Frozen outcomes, per-coordinate (shots, tests) and the next draw of
+    # the stream: test pairs come in blocks of 4 per coordinate not yet
+    # run, shared across coordinates and drawn between the direct shots.
+    rng = derive_rng(700, seed)
+    inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
+    out = classical_baseline_solve(inst, kappa, m, budget, rng)
+    assert out.outcome == outcome
+    assert [(st.shots, st.tests_used) for st in out.per_coordinate] == per_coordinate
+    assert all(st.candidates_tried == st.shots for st in out.per_coordinate)
+    assert int(rng.integers(1 << 30)) == next_draw
+
+
 def test_baseline_validation():
     rng = derive_rng(13, 0)
     inst = make_instance(2, 31, ErrorDistribution(UNIFORM, 1), rng)

@@ -12,9 +12,11 @@ from dclwe import (
     BoundTooLarge,
     ErrorDistribution,
     InfeasibleParameters,
+    ReducedPair,
     SolveParameters,
     choose_parameters,
-    controlled_sources,
+    controlled_pass,
+    controlled_refills,
     derive_rng,
     elimination_sources,
     extract_candidates,
@@ -97,17 +99,9 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     shots = []
     rng = derive_rng(81, 0)
     for _ in range(2000):
-        shot, ts = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
-        value, stats = solve_coordinate(
-            0,
-            shot,
-            ts,
-            params.L,
-            params.M,
-            params.xi_prime,
-            s_true=int(inst.s[0]),
-        )
-        assert value == int(inst.s[0]) % q
+        refill = controlled_refills(inst, params.xi_prime, params.M, rng)
+        [stats] = controlled_pass(inst.s, q, refill, params.L, params.xi_prime)
+        assert stats.accepted_value == int(inst.s[0]) % q
         assert stats.null_count == stats.shots - 1
         shots.append(stats.shots)
     mean = float(np.mean(shots))
@@ -118,11 +112,17 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
 def test_zero_budget_consumes_nothing():
     inst = _instance(1, 31, 0, 82)
     params = SolveParameters(gamma=0.125, L=0, M=1, xi_prime=0, C=1 / 16)
-    rng = derive_rng(83, 0)
-    shot, ts = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
-    value, stats = solve_coordinate(0, shot, ts, params.L, params.M, params.xi_prime)
-    assert value is None
+    refill = controlled_refills(inst, params.xi_prime, params.M, derive_rng(83, 0))
+    requested = []
+
+    def spy(k):
+        requested.append(k)
+        return refill(k)
+
+    [stats] = controlled_pass(inst.s, 31, spy, params.L, params.xi_prime)
+    assert stats.accepted_value is None
     assert stats.shots == 0 and stats.tests_used == 0
+    assert requested == []
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
@@ -160,41 +160,31 @@ def _spy_on_refills(monkeypatch):
 
 def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
     # A test bound no residual meets rejects every candidate, so every
-    # coordinate spends its whole budget L.
+    # coordinate spends its whole budget L on the next L rows.
     refills = _spy_on_refills(monkeypatch)
     for n, q, budget in ((8, 401, 119), (3, 4093, 30), (4, 101, 3), (5, 31, 6)):
         refills.clear()
         inst = _instance(n, q, 1, 105)
-        sources = controlled_sources(inst, 2, budget, derive_rng(106, q))
-        handed = []  # (coordinate, candidate) in shot order
-        for j in range(n):
-            shot, ts = sources(j)
-
-            def counted():
-                cand = shot()
-                handed.append((j, cand))
-                return cand
-
-            value, stats = solve_coordinate(j, counted, ts, budget, 1, -1)
-            assert value is None and stats.shots == budget
+        refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
+        per_coordinate = controlled_pass(inst.s, q, refill, budget, -1)
         sizes = [len(c0) for _, _, c0 in refills]
         assert all(k * q <= solver_module.CHUNK_ENTRIES for k in sizes)
         drawn = [c0 for _, _, rows in refills for c0 in rows]
-        # Row i went to exactly one coordinate, as s_j + c0 (or a null).
-        assert len(handed) == n * budget <= len(drawn)
-        for (j, cand), c0 in zip(handed, drawn):
-            s_j = int(inst.s[j]) % q
-            assert cand == (None if c0 is None else (s_j + c0) % q)
-        assert len(drawn) - len(handed) < 4
+        assert n * budget <= len(drawn) < n * budget + 4
+        for j, stats in enumerate(per_coordinate):
+            rows = drawn[j * budget : (j + 1) * budget]
+            nulls = rows.count(None)
+            assert stats.accepted_value is None and stats.shots == budget
+            assert stats.null_count == nulls
+            assert stats.candidates_tried == stats.tests_used == budget - nulls
+            # Row c0 = 0 is coordinate j's true value s_j + 0, rejected here.
+            assert stats.true_rejections == rows.count(0)
 
 
 def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(4, 101, 1, 107)
-    sources = controlled_sources(inst, 2, 20, derive_rng(108, 0))
-    for j in range(4):
-        shot, ts = sources(j)
-        solve_coordinate(j, shot, ts, 20, 1, -1)
+    controlled_pass(inst.s, 101, controlled_refills(inst, 2, 1, derive_rng(108, 0)), 20, -1)
     # FIRST_CHUNK rows per coordinate not yet run; what a coordinate
     # leaves opens the next one.
     assert [len(c0) for _, _, c0 in refills] == [16, 16, 12, 8, 8, 4, 4, 4, 4, 4]
@@ -206,24 +196,111 @@ def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monk
 
 def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
     inst = _instance(2, 101, 1, 109)
-    shot, _ = controlled_sources(inst, 51, 10, derive_rng(110, 0))(0)  # 2 * 51 >= 101
+    refill = controlled_refills(inst, 51, 1, derive_rng(110, 0))  # 2 * 51 >= 101
     with pytest.raises(BoundTooLarge):
-        shot()
+        controlled_pass(inst.s, 101, refill, 10, 51)
     # An error law wider than the declared xi' is refused, not measured.
     monkeypatch.setattr(
         solver_module, "ErrorDistribution", lambda kind, xi: ErrorDistribution(kind, xi + 1)
     )
-    shot, _ = controlled_sources(inst, 2, 10, derive_rng(110, 1))(0)
+    refill = controlled_refills(inst, 2, 1, derive_rng(110, 1))
     with pytest.raises(BoundTooLarge):
-        shot()
+        controlled_pass(inst.s, 101, refill, 10, 2)
 
 
 def test_controlled_refill_at_q4093_holds_eight_rows(monkeypatch):
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(3, 4093, 1, 111)
-    shot, _ = controlled_sources(inst, 2, 30, derive_rng(112, 0))(0)
-    shot()
-    assert [len(c0) for _, _, c0 in refills] == [8] == [solver_module.CHUNK_ENTRIES // 4093]
+    controlled_pass(inst.s, 4093, controlled_refills(inst, 2, 1, derive_rng(112, 0)), 30, -1)
+    assert len(refills[0][2]) == 8 == solver_module.CHUNK_ENTRIES // 4093
+
+
+def _recorded(refill):
+    """A refill source that also keeps every row it hands out, in order,
+    as (k_d, k*, its test pairs' t, their eta')."""
+    rows = []
+
+    def recorded(k):
+        out = refill(k)
+        rows.extend(zip(*(column.tolist() for column in out)))
+        return out
+
+    return recorded, rows
+
+
+def _synthetic_refill(q, m, xi_prime, rng):
+    """Rows rich in nulls, true candidates (c0 = 0) and c0 = 1, with
+    errors one wider than xi' so that true candidates can fail too."""
+
+    def refill(k):
+        k_star = rng.integers(q, size=k)
+        k_star[rng.random(k) < 0.2] = 0
+        k_d = rng.integers(q, size=k)
+        pick = rng.random(k)
+        k_d[pick < 0.3] = 0
+        k_d[pick > 0.8] = (-k_star[pick > 0.8]) % q  # c0 = 1
+        t = rng.integers(1, q, size=(k, m))
+        eta = rng.integers(-xi_prime - 1, xi_prime + 2, size=(k, m))
+        return k_d, k_star, t, eta
+
+    return refill
+
+
+def _scalar_reference(s, q, rows, budget, m, xi_prime):
+    """solve_coordinate and m_trial_test over `rows` in order: coordinate j
+    reads a row's candidate as s_j + c0 and tests it on that row's own
+    block of pairs (t, t s_j + eta')."""
+    rows = iter(rows)
+    per_coordinate = []
+    for j in range(len(s)):
+        s_j = int(s[j]) % q
+        block = []  # the current candidate's test pairs, next one last
+
+        def shot():
+            k_d, k_star, t, eta = next(rows)
+            block[:] = [ReducedPair(a, (a * s_j + e) % q, e, 0, q) for a, e in zip(t, eta)][::-1]
+            [c0] = extract_candidates(np.array([k_d]), np.array([k_star]), q)
+            return None if c0 is None else (s_j + c0) % q
+
+        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=s_j)
+        per_coordinate.append(stats)
+    return per_coordinate
+
+
+@pytest.mark.parametrize(
+    "n, q, budget, m, xi_prime, v_size",
+    [
+        (1, 13, 6, 2, 0, None),  # xi' = 0
+        (3, 13, 5, 3, -1, None),  # a bound no residual meets
+        (8, 31, 2, 2, 1, None),  # L smaller than a refill
+        (3, 101, 12, 2, 2, 40),  # measured rows, partial v_size
+        (8, 401, 119, 2, 2, None),  # measured rows, the acceptance point
+        (3, 11, 4, 1, 1, None),
+    ],
+)
+def test_controlled_pass_matches_the_scalar_loop(n, q, budget, m, xi_prime, v_size):
+    totals = dict.fromkeys(("accepted", "nulls", "rejected", "true_rejections"), 0)
+    for seed in range(25):
+        inst = _instance(n, q, 1, 1200 + seed)
+        rng = derive_rng(1201, n, q, seed)
+        if v_size is None and q < 400:
+            refill = _synthetic_refill(q, m, xi_prime, rng)
+        else:
+            refill = controlled_refills(inst, xi_prime, m, rng, v_size)
+        refill, rows = _recorded(refill)
+        per_coordinate = controlled_pass(inst.s, q, refill, budget, xi_prime)
+        assert per_coordinate == _scalar_reference(inst.s, q, rows, budget, m, xi_prime)
+        for st in per_coordinate:
+            totals["accepted"] += st.accepted_value is not None
+            totals["nulls"] += st.null_count
+            totals["rejected"] += st.candidates_tried - (st.accepted_value is not None)
+            totals["true_rejections"] += st.true_rejections
+    # Every case sees nulls and rejections; only the bound no residual
+    # meets accepts nothing, and only synthetic rows fail a true value.
+    assert totals["nulls"] > 0 and totals["rejected"] > 0
+    assert (totals["accepted"] > 0) == (xi_prime >= 0)
+    synthetic = v_size is None and q < 400
+    assert (totals["true_rejections"] > 0) == synthetic
 
 
 def test_true_candidate_never_rejected_in_controlled_mode():
@@ -268,6 +345,10 @@ def test_solve_mode_validation():
     params = SolveParameters(gamma=0.125, L=5, M=1, xi_prime=0, C=1 / 16)
     with pytest.raises(ValueError):
         solve(inst, params, "hybrid", derive_rng(93, 0))
+    # Without a trial a candidate's verdict would read as a null's.
+    no_trials = SolveParameters(gamma=0.125, L=5, M=0, xi_prime=0, C=1 / 16)
+    with pytest.raises(ValueError):
+        solve(inst, no_trials, MODE_CONTROLLED, derive_rng(93, 1))
 
 
 def test_single_shot_budget_mostly_fails():
@@ -302,14 +383,15 @@ def test_controlled_sources_honor_v_size(monkeypatch):
     inst = _instance(2, 101, 1, 97)
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
     rng = derive_rng(98, 0)
-    shot, _ = controlled_sources(inst, params.xi_prime, params.L, rng, v_size=25)(0)
-    shot()
-    a_values, b_values, _ = refills.pop()
+    refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
+    controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
+    a_values, b_values, _ = refills[0]
     assert a_values.shape == b_values.shape == (8, 25)
     assert all(np.unique(row).size == 25 for row in a_values)
-    shot, _ = controlled_sources(inst, params.xi_prime, params.L, rng)(0)
-    shot()
-    a_values, b_values, _ = refills.pop()
+    refills.clear()
+    refill = controlled_refills(inst, params.xi_prime, params.M, rng)
+    controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
+    a_values, b_values, _ = refills[0]
     assert a_values.tolist() == [list(range(101))]
     assert b_values.shape == (8, 101)
 
