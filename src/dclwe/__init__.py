@@ -96,13 +96,14 @@ from .reduce import (
     ReducedPair,
     check_rows,
     dump_batch,
+    eliminate_rows,
     elimination_batch,
     elimination_stack,
+    invertible_draws,
     kappa_observed,
     make_test_sample,
     reduce_to_coordinate,
     synth_reduced_batch,
-    synth_reduced_stack,
 )
 from .rng import derive_rng
 from .solver import (
@@ -118,8 +119,8 @@ from .solver import (
     classify,
     controlled_pass,
     controlled_refills,
-    elimination_sources,
-    kernel_shot,
+    elimination_pass,
+    elimination_refills,
     solve,
     solve_coordinate,
 )

@@ -4,9 +4,9 @@ Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. The baseline draws its direct
-candidates and its test pairs from the solve's one stream, test pairs in
-blocks shared across coordinates. Keeping these routes separate from
+table for the four memory layouts. The baseline is the one caller of
+the scalar solver.solve_coordinate loop; its direct candidates and test
+pairs come from the solve's one stream. Keeping these routes separate from
 the statevector path is the point; tests compare them, they never feed
 each other. The one thing shared is qsim.root_table, the cached phases
 w^r: the same values np.exp gives element by element, and within 1e-15

@@ -16,16 +16,18 @@ Two ways to build a batch:
   declared bound xi', so probability statements downstream can be
   checked in isolation from the elimination's amplification behavior.
 
-Both build k batches at once, one per row of a stack. elimination_stack
+Both build k batches at once, one per row of a stack. invertible_draws
 draws a (k, n, n) block of samples, inverts it with one batched
-Gauss-Jordan, redraws only the singular matrices, combines all rows in
-one vectorised step, and validates the stack against each row's own
-measured bound with one check_rows call. elimination_batch is its
-one-row case; reduce_to_coordinate and make_test_sample run the same
-combination for one input over given samples, and a test pair is an
-elimination whose only input is t. synth_reduced_batch is likewise the
-one-row case of synth_reduced_stack, and synth_reduced_errors is its
-checked error draw, which a controlled refill measures as s-free b'.
+Gauss-Jordan and redraws only the singular matrices; eliminate_rows
+combines all rows in one vectorised step, each through the inverse row
+of its own coordinate, and validates the stack against each row's own
+measured bound with one check_rows call. elimination_stack is the two
+for one coordinate, and elimination_batch is its one-row case;
+reduce_to_coordinate and make_test_sample run the same combination for
+one input over given samples, and a test pair is an elimination whose
+only input is t. synth_reduced_errors is the checked error draw of k
+controlled batches, which synth_reduced_batch adds to a' s_j and a
+controlled refill measures as s-free b'.
 
 Batches store their pairs as parallel arrays (the simulator and the
 analysis oracles consume them whole); `pairs()` materializes individual
@@ -133,8 +135,8 @@ def _input_array(v: Iterable[int], q: int) -> np.ndarray:
 
 
 class EliminationStack(NamedTuple):
-    """k eliminated batches for one coordinate, one per row; every array is (k, m)
-    except the per-row measured amplification and bound."""
+    """k eliminated batches, one per row, each for its row's coordinate; every
+    array is (k, m) except the per-row measured amplification and bound."""
 
     b_values: np.ndarray
     eta_values: np.ndarray  # ground truth, harness only
@@ -144,22 +146,22 @@ class EliminationStack(NamedTuple):
 
 
 def _combine(
-    inv_rows: np.ndarray, b: np.ndarray, a_values: np.ndarray, s_j: int, q: int
+    inv_rows: np.ndarray, b: np.ndarray, a_values: np.ndarray, s_j: int | np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push each input a' of row i through row i's inverse row.
 
-    inv_rows and b are (k, n): row j of each sample matrix's inverse and
-    the matching sample outputs. a_values is (k, m) or one shared (1, m)
-    row. The combination of a' is a' * inv_rows[i], so b' = a' * s_j + eta'
-    with eta' that combination applied to the hidden errors; eta' is
-    recovered from the ground-truth s_j. Returns (b', eta', coeff_l1),
-    each (k, m).
+    inv_rows and b are (k, n): row j(i) of each sample matrix's inverse
+    and the matching sample outputs. a_values is (k, m) or one shared
+    (1, m) row. The combination of a' is a' * inv_rows[i], linear in a',
+    so b' = a' * (inv_rows[i] . b[i]) = a' * s_j + eta' with eta' that
+    combination of the hidden errors, recovered from the ground-truth s_j
+    (one value or a (k, 1) column). Returns (b', eta', coeff_l1), each (k, m).
     """
     field = PrimeField(q)
     combos = a_values[:, :, None] * inv_rows[:, None, :] % q  # (k, m, n)
-    b_values = (combos * b[:, None, :] % q).sum(axis=2) % q
+    b_values = a_values * ((inv_rows * b).sum(axis=1) % q)[:, None] % q
     eta_values = field.centered_array(b_values - a_values * s_j)
-    coeff_l1_values = np.abs(field.centered_array(combos)).sum(axis=2)
+    coeff_l1_values = np.minimum(combos, q - combos).sum(axis=2)  # |centered combos|
     return b_values, eta_values, coeff_l1_values
 
 
@@ -206,29 +208,11 @@ def make_test_sample(
     return reduce_to_coordinate(samples, j, t_target, secret, q)
 
 
-def synth_reduced_stack(
-    s_j: int,
-    q: int,
-    a_values: np.ndarray,
-    k: int,
-    xi_prime: int,
-    chi_prime,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k controlled-mode batches for one coordinate, one per row, from
-    one (k, m) draw of errors from chi_prime.
-
-    a_values is (k, m), or one (1, m) row of inputs all k batches share.
-    Returns (b_values, eta_values), both (k, m), after check_rows.
-    """
-    eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
-    return (a_values * (int(s_j) % q) + eta_values) % q, eta_values
-
-
 def synth_reduced_errors(
     q: int, a_values: np.ndarray, k: int, xi_prime: int, chi_prime, rng: np.random.Generator
 ) -> np.ndarray:
-    """The (k, m) errors eta' of synth_reduced_stack's batches, checked by
+    """The (k, m) errors eta' of k controlled-mode batches, one per row of
+    a_values ((k, m), or one (1, m) row all k share), checked by
     check_rows. For s_j = 0 they are the batches' outputs b' up to mod q.
 
     Raises BoundTooLarge when xi' does not fit below q/2 or chi_prime's
@@ -254,25 +238,70 @@ def synth_reduced_batch(
     j: int = 0,
     xi: int = 1,
 ) -> ReducedBatch:
-    """Controlled-mode batch over inputs v: synth_reduced_stack's one-row case.
+    """Controlled-mode batch over inputs v (a' s_j + eta', with eta' from
+    synth_reduced_errors).
 
     Every error honors |eta'| <= xi_prime by construction; the recorded
     amplification is the ratio of xi_prime to the reference bound xi.
     """
     a_values = _input_array(v, q)
-    b_values, eta_values = synth_reduced_stack(s_j, q, a_values[None], 1, xi_prime, chi_prime, rng)
+    eta_values = synth_reduced_errors(q, a_values[None], 1, xi_prime, chi_prime, rng)[0]
     kappa = xi_prime / xi if xi > 0 else 1.0
     coeff = math.ceil(kappa) if xi > 0 else 0
     return ReducedBatch(
         j=j,
         q=q,
         a_values=a_values,
-        b_values=b_values[0],
-        eta_values=eta_values[0],
+        b_values=(a_values * (int(s_j) % q) + eta_values) % q,
+        eta_values=eta_values,
         coeff_l1_values=np.full(a_values.size, coeff, dtype=np.int64),
         xi_prime=int(xi_prime),
         kappa=kappa,
     )
+
+
+def invertible_draws(
+    instance: LweInstance, k: int, rng: np.random.Generator, *, max_redraws: int = 64
+) -> tuple[np.ndarray, np.ndarray]:
+    """k fresh invertible n x n sample matrices: their (k, n, n) inverses
+    and (k, n) outputs.
+
+    All k matrices are drawn and inverted at once; only the singular
+    ones are drawn again, and a matrix still singular after max_redraws
+    draws raises SingularMatrix.
+    """
+    a, b, _ = draw_samples(instance, rng, (k, instance.n))
+    inv, invertible = mat_inverse_stack(a, instance.q)
+    draws = 1
+    while not invertible.all():
+        if draws >= max_redraws:
+            raise SingularMatrix(f"no invertible sample matrix in {max_redraws} draws")
+        bad = np.flatnonzero(~invertible)
+        a_bad, b_bad, _ = draw_samples(instance, rng, (bad.size, instance.n))
+        b[bad] = b_bad
+        inv[bad], invertible[bad] = mat_inverse_stack(a_bad, instance.q)
+        draws += 1
+    return inv, b
+
+
+def eliminate_rows(
+    instance: LweInstance, inv: np.ndarray, b: np.ndarray, a_values: np.ndarray, j: int | np.ndarray
+) -> EliminationStack:
+    """Batches by elimination, one per row of the (k, m) inputs: row i
+    pushes every input a' through row j(i) of inverse i.
+
+    j is one coordinate for every row or a (k,) array of them. Each
+    row's bound xi' is its measured worst-case amplification times the
+    instance bound, and one check_rows call validates the stack against
+    those bounds.
+    """
+    inv_rows = inv[np.arange(inv.shape[0]), j]
+    s_j = np.reshape(instance.s[j], (-1, 1))
+    b_values, eta_values, coeff_l1_values = _combine(inv_rows, b, a_values, s_j, instance.q)
+    kappa = coeff_l1_values.max(axis=1)
+    xi_prime = kappa * instance.xi
+    check_rows(instance.q, a_values, eta_values, xi_prime)
+    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
 
 
 def elimination_stack(
@@ -284,36 +313,10 @@ def elimination_stack(
     max_redraws: int = 64,
 ) -> EliminationStack:
     """k batches for coordinate j by elimination, one per row of the
-    (k, m) inputs, each from its own n fresh samples.
-
-    All k sample matrices are drawn and inverted at once; only the
-    singular ones are drawn again, and a row still singular after
-    max_redraws draws raises SingularMatrix. Within a row, every input
-    a' is pushed through the same inverse row. Each row's bound xi' is
-    its measured worst-case amplification times the instance bound, and
-    one check_rows call validates the stack against those bounds.
-    """
-    q, n = instance.q, instance.n
-    k = a_values.shape[0]
-    a, b, _ = draw_samples(instance, rng, (k, n))
-    inv, invertible = mat_inverse_stack(a, q)
-    draws = 1
-    while not invertible.all():
-        if draws >= max_redraws:
-            raise SingularMatrix(f"no invertible sample matrix in {max_redraws} draws")
-        bad = np.flatnonzero(~invertible)
-        a_bad, b_bad, _ = draw_samples(instance, rng, (bad.size, n))
-        b[bad] = b_bad
-        inv[bad], invertible[bad] = mat_inverse_stack(a_bad, q)
-        draws += 1
-
-    b_values, eta_values, coeff_l1_values = _combine(
-        inv[:, j], b, a_values, int(instance.s[j]), q
-    )
-    kappa = coeff_l1_values.max(axis=1)
-    xi_prime = kappa * instance.xi
-    check_rows(q, a_values, eta_values, xi_prime)
-    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
+    (k, m) inputs, each from its own n fresh samples: invertible_draws,
+    then eliminate_rows."""
+    inv, b = invertible_draws(instance, a_values.shape[0], rng, max_redraws=max_redraws)
+    return eliminate_rows(instance, inv, b, a_values, j)
 
 
 def elimination_batch(

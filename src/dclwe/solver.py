@@ -15,39 +15,35 @@ drops below delta/n at L = ceil((xi'/C) * ln(n/delta)); M is the least
 trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
-A controlled solve runs as one array pass per refill (controlled_pass)
-over rows from one stream per solve (controlled_refills). Its rows are
-s-free batches (a', eta'), whose outputs b' are their errors eta' as
-drawn; a refill measures at most CHUNK_ENTRIES // q of them with one
-batched FFT, which keeps each (k, q) complex table near 512 KiB. By the
-Fourier shift theorem the coordinate-j batch (a', a' s_j + eta') has
-the s-free outcome law moved along k_d, P_s(k_d, k*) =
-P_0(k_d + s_j k* mod q, k*), so an s-free row's candidate c0 reads as
-s_j + c0. Each row carries its own block of M test pairs (t, eta'), and
-the residual of s_j + c0 on the pair (t, t s_j + eta') is eta' - t c0:
-row_verdicts judges a whole refill at once, with no s, and the pass
-then hands rows out in order, each coordinate up to its first accepted
-row or L rows. Rows a settled coordinate leaves, and their verdicts, go
-to the next one.
+Both modes run as array passes over refills drawn from the solve's one
+stream. Each row carries its own block of M test pairs (t, b'), and
+row_verdicts judges a whole refill at once: a row's candidate is
+c = -k_d / k* mod q, with residuals b' - t c. _take_row turns a judged
+row into a coordinate's CoordinateStats, so the passes differ only in
+where their rows come from and in what happens to the rows a settled
+coordinate leaves.
 
-In elimination mode every coordinate owns an RNG stream spawned by
-index and a kernel_shot, which asks a stack source for k fresh batches
-at once, measures all k rows and hands the candidates out one per shot.
-Chunks start at FIRST_CHUNK batches, then match the number drawn so
-far, capped by the remaining budget and by k * q <= CHUNK_ENTRIES;
-candidates drawn after the accepted one are discarded. Both sources go
-through reduce.elimination_stack: each chunk of batches is one stacked
-elimination, and test pairs are built in blocks sized by the same chunk
-rule (with no budget cap) and handed to the M-trial test one per
-trial; pairs left in a block when the coordinate settles are discarded.
-solve_coordinate is the per-coordinate loop there: it takes a shot, a
-callable returning a candidate or None, and runs m_trial_test on each
-candidate. The classical direct-candidate baseline runs through it too,
-and classify turns the per-coordinate records of any mode into a
-SolveOutcome.
+controlled_refills measures s-free batches (a', eta'), at most
+CHUNK_ENTRIES // q per batched FFT. By the Fourier shift theorem the
+coordinate-j batch (a', a' s_j + eta') has the s-free outcome law moved
+along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*), so a row's c reads
+as s_j + c for every coordinate, with the same verdict. controlled_pass
+hands rows out in order; the rows a settled coordinate leaves go to the
+next one.
 
-In both modes the first accepted candidate is the one a shot-by-shot
-loop would accept, and no coordinate takes more than L shots.
+elimination_pass runs every open coordinate in lockstep: each refill
+gives coordinate j the next chunk of its own rows, eliminated through
+row j of their own sample matrices' inverses (elimination_refills: one
+draw and one batched inversion for the batches and their test pairs,
+one sample_bv_stack call). Coordinate j accepts c, and the rows after
+its accepted one are discarded.
+
+solve_coordinate is the scalar per-coordinate loop of the classical
+direct-candidate baseline: a shot returns a candidate or None, and each
+candidate faces m_trial_test. classify turns the per-coordinate records
+of any run into a SolveOutcome. In every mode the first accepted
+candidate is the one a shot-by-shot loop would accept, and no
+coordinate takes more than L shots.
 """
 
 from __future__ import annotations
@@ -61,8 +57,8 @@ import numpy as np
 from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import extract_candidates, sample_bv_stack
-from .reduce import ReducedPair, elimination_stack, synth_reduced_errors
+from .qsim import sample_bv_stack
+from .reduce import ReducedPair, eliminate_rows, invertible_draws, synth_reduced_errors
 from .verify import m_trial_test
 
 MODE_CONTROLLED = "controlled"
@@ -74,20 +70,22 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Chunk schedule of kernel_shot and the controlled refills. CHUNK_ENTRIES keeps
-# each (k, q) complex table of the stacked sampler near 512 KiB. numpy plans
-# a prime-length FFT afresh on every call, so rows measured together share
-# that setup: at q=4093 the cap allows 8 rows per call, and one batched ifft
-# took 1.4 ms for 8 rows against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for
-# one row at q=4096; one thread on a 2-core Xeon).
+# Refill sizes of both passes. CHUNK_ENTRIES keeps each (k, q) complex table
+# of the stacked sampler near 512 KiB. numpy plans a prime-length FFT afresh
+# on every call, so rows measured together share that setup: at q=4093 the
+# cap allows 8 rows per call, and one batched ifft took 1.4 ms for 8 rows
+# against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for one row at q=4096; one
+# thread on a 2-core Xeon).
 FIRST_CHUNK = 4
 CHUNK_ENTRIES = 1 << 15
 
-StackSource = Callable[[int], tuple[np.ndarray, np.ndarray]]  # k -> (a', b') rows
 TestSource = Callable[[], ReducedPair]
 Shot = Callable[[], "int | None"]
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # k -> (k_d, k*) of k measured s-free rows and their (k, M) test pairs (t, eta')
-Refill = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+Refill = Callable[[int], Rows]
+# coordinate of each row -> (k_d, k*) of its measured batch and its (k, M) test pairs (t, b')
+EliminationRefill = Callable[[np.ndarray], Rows]
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def controlled_refills(
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
     inputs = _input_rows(q, v_size, rng)
 
-    def refill(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def refill(k: int) -> Rows:
         a_values = inputs(k)
         eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
         k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
@@ -196,26 +194,73 @@ def controlled_refills(
     return refill
 
 
-def row_verdicts(
-    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, eta: np.ndarray, xi_prime: int
-) -> tuple[list[int], list[int], list[bool]]:
-    """Per row of a refill: its s-free candidate c0, the tests it uses and its verdict.
+def elimination_refills(
+    instance: LweInstance, m: int, rng: np.random.Generator, v_size: int | None = None
+) -> EliminationRefill:
+    """Refill source of one elimination solve: coordinate per row -> (k_d, k*, t, b').
 
-    c0 = -k_d / k* mod q. Row i's candidate for coordinate j is s_j + c0,
-    and its test pairs (t, t s_j + eta') leave the residual eta' - t c0,
-    so the verdict holds for every coordinate: accepted iff every
-    centered |eta' - t c0| <= xi'. A candidate uses trials up to its
-    first failing one, or all M; a null (k* = 0) uses none, so the tests
-    used are 0 exactly for nulls.
+    Each call draws the K rows' inputs, a (K, m) block of test inputs t
+    uniform on [1, q) and K * (1 + m) invertible sample matrices: the
+    first K make the batches, the rest the test pairs, m per row in row
+    order, each eliminated for its row's coordinate and checked against
+    its measured bound. One sample_bv_stack call measures the batches.
+    """
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
+    q = instance.q
+    inputs = _input_rows(q, v_size, rng)
+
+    def refill(coords: np.ndarray) -> Rows:
+        k = coords.size
+        a_values = inputs(k)
+        t = rng.integers(1, q, size=(k, m))
+        inv, b = invertible_draws(instance, k * (1 + m), rng)
+        batches = eliminate_rows(instance, inv[:k], b[:k], a_values, coords)
+        tests = eliminate_rows(instance, inv[k:], b[k:], t.reshape(-1, 1), np.repeat(coords, m))
+        k_d, k_star = sample_bv_stack(q, a_values, batches.b_values, rng)
+        return k_d, k_star, t, tests.b_values.reshape(k, m)
+
+    return refill
+
+
+def row_verdicts(
+    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int
+) -> tuple[list[int], list[int], list[bool]]:
+    """Per row of a refill: its candidate c, the tests it uses and its verdict.
+
+    c = -k_d / k* mod q, and the row's own (t, b') pairs leave the
+    residuals b' - t c: accepted iff every centered residual is at most
+    xi'. A candidate uses trials up to its first failing one, or all M;
+    a null (k* = 0) uses none, so the tests used are 0 exactly for
+    nulls. An s-free controlled row passes its errors eta' as b', and its
+    c is the offset c0 of every coordinate's candidate s_j + c0.
     """
     field = PrimeField(q)
     null = k_star == 0
-    c0 = (-k_d) % q * field.inverse_table()[k_star] % q
-    fail = np.abs(field.centered_array(eta - t * c0[:, None])) > xi_prime
+    c = (-k_d) % q * field.inverse_table()[k_star] % q
+    fail = np.abs(field.centered_array(b - t * c[:, None])) > xi_prime
     rejected = fail.any(axis=1)
     tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
     tests[null] = 0
-    return c0.tolist(), tests.tolist(), (~rejected & ~null).tolist()
+    return c.tolist(), tests.tolist(), (~rejected & ~null).tolist()
+
+
+def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_j: int) -> bool:
+    """One judged row's shot for a coordinate; True when it settles it. A
+    null (no tests) only consumes the shot; a candidate `value` adds its
+    tests and is accepted, or, rejected while equal to s_j, counts as a
+    true rejection."""
+    stats.shots += 1
+    if not tests:
+        stats.null_count += 1
+        return False
+    stats.candidates_tried += 1
+    stats.tests_used += tests
+    if accepted:
+        stats.accepted_value = value
+        return True
+    stats.true_rejections += value == s_j
+    return False
 
 
 def controlled_pass(
@@ -228,8 +273,7 @@ def controlled_pass(
     row_verdicts. Coordinate j takes rows in order up to its first
     accepted one or `budget` rows and accepts s_j + c0; the rows it
     leaves go to the next coordinate with their verdicts, which do not
-    depend on s. A true candidate (c0 = 0) that is rejected counts as a
-    true rejection.
+    depend on s.
     """
     n = len(s)
     c0s: list[int] = []
@@ -240,6 +284,7 @@ def controlled_pass(
     for j in range(n):
         left = n - j  # coordinates not yet run, this one included
         stats = CoordinateStats(j=j)
+        s_j = int(s[j]) % q
         while stats.shots < budget:
             if row == len(c0s):
                 k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - stats.shots)
@@ -247,88 +292,42 @@ def controlled_pass(
                 row = 0
             i = row
             row += 1
-            stats.shots += 1
-            if not tests[i]:
-                stats.null_count += 1
-                continue
-            stats.candidates_tried += 1
-            stats.tests_used += tests[i]
-            if accepted[i]:
-                stats.accepted_value = (int(s[j]) + c0s[i]) % q
+            if _take_row(stats, (s_j + c0s[i]) % q, tests[i], accepted[i], s_j):
                 break
-            stats.true_rejections += c0s[i] == 0
         per_coordinate.append(stats)
     return per_coordinate
 
 
-def elimination_sources(
-    instance: LweInstance,
-    j: int,
-    rng: np.random.Generator,
-    v_size: int | None = None,
-) -> tuple[StackSource, TestSource]:
-    """Batch-stack and test-pair sources that eliminate fresh samples each call.
+def elimination_pass(
+    s: np.ndarray, q: int, refill: EliminationRefill, budget: int, xi_prime: int
+) -> list[CoordinateStats]:
+    """Every coordinate of one elimination solve, in lockstep refills.
 
-    A test pair is a one-input elimination with a uniform nonzero t;
-    pairs are built in blocks through elimination_stack, sized by the
-    chunk rule, and handed out one per call. Test pairs use sample sets
-    disjoint from every batch's, since both consume the stream strictly
-    forward.
+    A refill serves every open coordinate, one neither settled nor out
+    of budget. Coordinate j gets min(max(rows drawn, FIRST_CHUNK),
+    budget - rows drawn, max(1, CHUNK_ENTRIES // (q * open coordinates)))
+    rows of its own, judged with the rest by row_verdicts. It scans them
+    up to its first accepted one and accepts c; the rows it leaves are
+    discarded, never carried to another coordinate.
     """
-    q = instance.q
-    inputs = _input_rows(q, v_size, rng)
-    pending: list[ReducedPair] = []  # pairs of the current block, next one last
-    drawn = 0
-
-    def stack_source(k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = inputs(k)
-        a_values = np.broadcast_to(rows, (k, rows.shape[1]))
-        return a_values, elimination_stack(instance, j, a_values, rng).b_values
-
-    def test_source() -> ReducedPair:
-        nonlocal drawn
-        if not pending:
-            k = _chunk_size(drawn, q)
-            t = rng.integers(1, q, size=(k, 1))
-            block = elimination_stack(instance, j, t, rng)
-            columns = (t, block.b_values, block.eta_values, block.coeff_l1_values)
-            pairs = [
-                ReducedPair(a_prime=a, b_prime=b, eta_prime=e, coeff_l1=c, q=q)
-                for a, b, e, c in zip(*(col[:, 0].tolist() for col in columns))
-            ]
-            pending.extend(reversed(pairs))
-            drawn += k
-        return pending.pop()
-
-    return stack_source, test_source
-
-
-def _chunk_size(drawn: int, q: int) -> int:
-    """Rows in the next chunk after `drawn` rows: FIRST_CHUNK, then the
-    number drawn so far, at most CHUNK_ENTRIES // q (and at least 1)."""
-    return min(max(drawn, FIRST_CHUNK), max(1, CHUNK_ENTRIES // q))
-
-
-def kernel_shot(
-    stack_source: StackSource, q: int, budget: int, rng: np.random.Generator
-) -> Shot:
-    """Shot source for the kernel over at most `budget` batches, measured in chunks."""
-    pending: list[int | None] = []  # candidates of the current chunk, next one last
-    drawn = 0
-
-    def shot() -> int | None:
-        nonlocal drawn
-        if not pending:
-            k = min(_chunk_size(drawn, q), budget - drawn)
-            if k < 1:
-                raise InvariantViolation(f"shot requested past the budget of {budget} batches")
-            a_values, b_values = stack_source(k)
-            k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
-            pending.extend(reversed(extract_candidates(k_d, k_star, q)))
-            drawn += k
-        return pending.pop()
-
-    return shot
+    per_coordinate = [CoordinateStats(j=j) for j in range(len(s))]
+    open_coords = list(range(len(s))) if budget > 0 else []
+    while open_coords:
+        cap = max(1, CHUNK_ENTRIES // (q * len(open_coords)))
+        drawn = [per_coordinate[j].shots for j in open_coords]  # an open one scanned them all
+        sizes = [min(max(d, FIRST_CHUNK), budget - d, cap) for d in drawn]
+        cs, tests, accepted = row_verdicts(q, *refill(np.repeat(open_coords, sizes)), xi_prime)
+        still_open = []
+        row = 0  # first row of coordinate j in this refill
+        for j, k in zip(open_coords, sizes):
+            stats, s_j = per_coordinate[j], int(s[j]) % q
+            rows = range(row, row + k)
+            settled = any(_take_row(stats, cs[i], tests[i], accepted[i], s_j) for i in rows)
+            if not settled and stats.shots < budget:
+                still_open.append(j)
+            row += k
+        open_coords = still_open
+    return per_coordinate
 
 
 def solve_coordinate(
@@ -388,27 +387,22 @@ def solve(
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
-    A controlled solve is one array pass over refills drawn from `rng`
-    (controlled_refills, controlled_pass), each row with its own block
-    of M test pairs; in elimination mode every coordinate owns an RNG
-    stream spawned by index and runs solve_coordinate. The total
-    quantum-sample count is checked against the n * L budget.
+    Either mode is one array pass over refills drawn from `rng`:
+    controlled_pass or elimination_pass. v_size (inputs per batch, the
+    full field when None) must lie in [1, q]. The total quantum-sample
+    count is checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
     n, q = instance.n, instance.q
+    if v_size is not None and not 1 <= v_size <= q:
+        raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")
     if mode == MODE_CONTROLLED:
         refill = controlled_refills(instance, params.xi_prime, params.M, rng, v_size)
         per_coordinate = controlled_pass(instance.s, q, refill, params.L, params.xi_prime)
     else:
-        per_coordinate = []
-        for j, stream in enumerate(rng.spawn(n)):
-            stack_source, test_source = elimination_sources(instance, j, stream, v_size)
-            shot = kernel_shot(stack_source, q, params.L, stream)
-            _, stats = solve_coordinate(
-                j, shot, test_source, params.L, params.M, params.xi_prime, s_true=int(instance.s[j])
-            )
-            per_coordinate.append(stats)
+        refill = elimination_refills(instance, params.M, rng, v_size)
+        per_coordinate = elimination_pass(instance.s, q, refill, params.L, params.xi_prime)
     quantum_samples = sum(st.shots for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(

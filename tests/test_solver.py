@@ -13,15 +13,19 @@ from dclwe import (
     ErrorDistribution,
     InfeasibleParameters,
     ReducedPair,
+    Sample,
     SolveParameters,
     choose_parameters,
     controlled_pass,
     controlled_refills,
     derive_rng,
-    elimination_sources,
+    elimination_pass,
+    elimination_refills,
     extract_candidates,
-    kernel_shot,
     make_instance,
+    make_test_sample,
+    mat_inverse,
+    reduce_to_coordinate,
     sample_bv_stack,
     solve,
     solve_coordinate,
@@ -125,24 +129,66 @@ def test_zero_budget_consumes_nothing():
     assert requested == []
 
 
+def _recorded_coords(refill):
+    """An elimination refill source that also keeps each call's row coordinates."""
+    calls = []
+
+    def recorded(coords):
+        calls.append(coords.tolist())
+        return refill(coords)
+
+    return recorded, calls
+
+
+_CHUNK_CASES = (  # n, q, budget, xi, xi'
+    (1, 401, 119, 1, -1),
+    (1, 4093, 30, 1, -1),
+    (1, 101, 3, 1, -1),
+    (3, 4093, 30, 1, -1),  # a cap of 2 rows per coordinate while all three are open
+    (3, 101, 87, 1, 2),
+    (8, 401, 40, 1, 2),
+)
+
+
 def test_chunks_stay_within_the_budget_and_the_table_cap():
-    # Elimination mode's kernel_shot. A test bound no residual meets
-    # rejects every candidate, so the coordinate spends its whole budget.
-    for q, budget in ((401, 119), (4093, 30), (101, 3)):
-        inst = _instance(1, q, 1, 103)
-        rng = derive_rng(104, q)
-        bs, ts = elimination_sources(inst, 0, rng)
-        requested = []
+    # Elimination mode's lockstep refills. At xi' = -1 no residual meets
+    # the bound, so every coordinate spends its whole budget; at xi' = 2
+    # with one trial, coordinates settle at different refills.
+    for n, q, budget, xi, xi_prime in _CHUNK_CASES:
+        _check_elimination_chunks(n, q, budget, xi, xi_prime)
 
-        def spy(k):
-            requested.append(k)
-            return bs(k)
 
-        value, stats = solve_coordinate(0, kernel_shot(spy, q, budget, rng), ts, budget, 1, -1)
-        assert value is None and stats.shots == budget
-        assert sum(requested) == budget
-        assert max(requested) <= max(1, solver_module.CHUNK_ENTRIES // q)
-        assert requested[0] == min(4, budget, solver_module.CHUNK_ENTRIES // q)
+def _check_elimination_chunks(n, q, budget, xi, xi_prime):
+    inst = _instance(n, q, xi, 103)
+    refill, calls = _recorded_coords(elimination_refills(inst, 1, derive_rng(104, n, q)))
+    per_coordinate = elimination_pass(inst.s, q, refill, budget, xi_prime)
+    drawn = [0] * n
+    closed = {}  # coordinate -> the refill after which it is settled or spent
+    for r, coords in enumerate(calls):
+        open_coords = sorted(set(coords))
+        assert closed.keys().isdisjoint(open_coords)  # closed coordinates leave
+        assert len(coords) * q <= solver_module.CHUNK_ENTRIES
+        cap = max(1, solver_module.CHUNK_ENTRIES // (q * len(open_coords)))
+        for j in open_coords:
+            k = coords.count(j)
+            assert k == min(max(drawn[j], 4), budget - drawn[j], cap)  # per-coordinate doubling
+            drawn[j] += k
+            stats = per_coordinate[j]
+            if stats.accepted_value is not None and stats.shots <= drawn[j] or drawn[j] == budget:
+                closed[j] = r
+    assert sorted(closed) == list(range(n))
+    for j, stats in enumerate(per_coordinate):
+        assert stats.shots <= drawn[j] <= budget
+        if stats.accepted_value is None:
+            assert stats.shots == drawn[j] == budget
+        else:
+            # The accepted row lies in the coordinate's last chunk.
+            assert drawn[j] - stats.shots < [c.count(j) for c in calls if j in c][-1]
+    if xi_prime < 0:
+        assert all(st.shots == budget for st in per_coordinate)
+    elif n > 1:
+        assert any(st.accepted_value is not None for st in per_coordinate)
+        assert len(set(closed.values())) > 1
 
 
 def _spy_on_refills(monkeypatch):
@@ -404,22 +450,166 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def test_elimination_mode_with_noise_stays_classified():
-    # Amplification is measured per batch here, so xi' in the params
-    # must cover the worst case; use a generous bound and confirm the
-    # run completes with a legal classification.
-    inst = _instance(2, 101, 1, 101)
-    rng = derive_rng(102, 0)
-    bs, ts = elimination_sources(inst, 0, rng, v_size=40)
-    a_values, b_values = bs(3)
-    assert a_values.shape == b_values.shape == (3, 40)
-    assert all(np.unique(row).size == 40 for row in a_values)
-    # Test pairs come in blocks (4, 4, 8, 16, ...); 50 of them span five.
-    # Each satisfies the reduced identity for coordinate 0 within its own bound.
-    pairs = [ts() for _ in range(50)]
-    for pair in pairs:
-        assert 1 <= pair.a_prime < 101
-        assert (pair.b_prime - pair.a_prime * int(inst.s[0]) - pair.eta_prime) % 101 == 0
-        assert abs(pair.eta_prime) <= pair.coeff_l1 * inst.xi
-    assert len({pair.a_prime for pair in pairs}) > 1
+def _spy_on_eliminations(monkeypatch):
+    """Record every block an elimination refill builds: (a', coordinate per row, stack)."""
+    blocks = []
+    real = solver_module.eliminate_rows
 
+    def spy(instance, inv, b, a_values, coords):
+        stack = real(instance, inv, b, a_values, coords)
+        blocks.append((a_values, coords, stack))
+        return stack
+
+    monkeypatch.setattr(solver_module, "eliminate_rows", spy)
+    return blocks
+
+
+def test_elimination_mode_with_noise_stays_classified(monkeypatch):
+    # Amplification is measured per row here, so each row and each test
+    # pair carries its own bound; check every one against its own
+    # coordinate, and confirm a whole solve completes with a legal
+    # classification.
+    q, n = 101, 3
+    blocks = _spy_on_eliminations(monkeypatch)
+    inst = _instance(n, q, 1, 101)
+    refill = elimination_refills(inst, 2, derive_rng(102, 0), v_size=40)
+    coords = np.array([0, 0, 1, 2, 2, 2, 1])
+    k_d, k_star, t, b_t = refill(coords)
+    assert k_d.shape == k_star.shape == (7,) and t.shape == b_t.shape == (7, 2)
+    (a_values, batch_coords, batches), (t_values, test_coords, tests) = blocks
+    assert a_values.shape == batches.b_values.shape == (7, 40)
+    assert all(np.unique(row).size == 40 for row in a_values)
+    assert batch_coords.tolist() == coords.tolist()
+    assert t_values[:, 0].tolist() == t.ravel().tolist()
+    assert test_coords.tolist() == np.repeat(coords, 2).tolist()
+    assert tests.b_values.reshape(7, 2).tolist() == b_t.tolist()
+    for a, j, stack in blocks:
+        s_j = inst.s[j][:, None]
+        assert not ((stack.b_values - a * s_j - stack.eta_values) % q).any()
+        assert np.array_equal(stack.kappa, stack.coeff_l1_values.max(axis=1))
+        assert (np.abs(stack.eta_values).max(axis=1) <= stack.kappa * inst.xi).all()
+        assert (np.abs(stack.eta_values) <= stack.coeff_l1_values * inst.xi).all()
+    assert ((1 <= t) & (t < q)).all() and np.unique(t).size > 1
+    params = choose_parameters(n, q, 1, 2.0, 0.2)
+    out = solve(inst, params, MODE_ELIMINATION, derive_rng(102, 1), v_size=40)
+    assert out.outcome in (OUTCOME_SUCCESS, OUTCOME_FAILURE, OUTCOME_WRONG_ACCEPT)
+    assert out.quantum_samples == sum(st.shots for st in out.per_coordinate) <= n * params.L
+
+
+@pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
+def test_solve_refuses_a_v_size_outside_the_field(mode):
+    q = 101
+    inst = _instance(2, q, 1, 113)
+    params = choose_parameters(2, q, 1, 2.0, 0.2)
+    rng = derive_rng(114, 0)
+    state = rng.bit_generator.state
+    for v_size in (0, -5, q + 1, 500):
+        with pytest.raises(ValueError, match=f"v_size={v_size}") as err:
+            solve(inst, params, mode, rng, v_size=v_size)
+        assert f"q={q}" in str(err.value)
+    assert rng.bit_generator.state == state  # refused before any draw
+    out = solve(inst, params, mode, rng, v_size=q)  # the full field stays legal
+    assert out.quantum_samples > 0
+
+
+def _recorded_eliminations(monkeypatch, refill):
+    """Wrap an elimination refill and record, per call, the rows' coordinates,
+    the final sample draws (inverses, outputs), the measured batches
+    (a', b') and the refill's output."""
+    calls = []
+    current = {}
+    real_draws, real_measure = solver_module.invertible_draws, solver_module.sample_bv_stack
+
+    def draws(instance, k, rng):
+        current["inv"], current["b"] = real_draws(instance, k, rng)
+        return current["inv"], current["b"]
+
+    def measure(q, a_values, b_values, rng):
+        current["a_values"], current["b_values"] = a_values, b_values
+        return real_measure(q, a_values, b_values, rng)
+
+    def recorded(coords):
+        out = refill(coords)
+        calls.append(dict(current, coords=coords.tolist(), out=out))
+        return out
+
+    monkeypatch.setattr(solver_module, "invertible_draws", draws)
+    monkeypatch.setattr(solver_module, "sample_bv_stack", measure)
+    return recorded, calls
+
+
+def _samples(inst, inv, b):
+    """The n samples behind one recorded draw: its matrix is the inverse of inv."""
+    a = mat_inverse(inv, inst.q)
+    eta = (b - a @ inst.s + inst.q // 2) % inst.q - inst.q // 2
+    return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b, eta)]
+
+
+def _scalar_elimination(inst, calls, budget, m, xi_prime):
+    """solve_coordinate and m_trial_test on the recorded draws: coordinate j
+    takes its own rows in order, checks each measured batch against the
+    one-input elimination of that row's samples for j, and tests each
+    candidate on pairs it eliminates itself from the row's own m test
+    draws with make_test_sample."""
+    q = inst.q
+    per_coordinate = []
+    for j in range(inst.n):
+        s_j = int(inst.s[j])
+        rows = iter(
+            (call, i) for call in calls for i, c in enumerate(call["coords"]) if c == j
+        )
+        block = []  # the current candidate's test pairs, next one last
+
+        def shot():
+            call, i = next(rows)
+            k = len(call["coords"])
+            samples = _samples(inst, call["inv"][i], call["b"][i])
+            # A row's combination of a' is a' times its combination of 1.
+            unit = reduce_to_coordinate(samples, j, 1, inst.s, q).b_prime
+            a_row = call["a_values"][i if call["a_values"].shape[0] > 1 else 0]
+            assert call["b_values"][i].tolist() == (a_row * unit % q).tolist()
+            t = call["out"][2][i].tolist()
+            draws = [(call["inv"][k + i * m + r], call["b"][k + i * m + r]) for r in range(m)]
+            block[:] = [
+                lambda t_r=t_r, d=d: make_test_sample(_samples(inst, *d), j, t_r, inst.s, q)
+                for t_r, d in zip(t, draws)
+            ][::-1]
+            k_d, k_star = call["out"][0][i], call["out"][1][i]
+            return extract_candidates(np.array([k_d]), np.array([k_star]), q)[0]
+
+        _, stats = solve_coordinate(
+            j, shot, lambda: block.pop()(), budget, m, xi_prime, s_true=s_j
+        )
+        per_coordinate.append(stats)
+    return per_coordinate
+
+
+@pytest.mark.parametrize(
+    "n, q, xi, budget, m, xi_prime, v_size, seeds",
+    [
+        (1, 31, 0, 10, 2, 0, None, 10),  # noiseless
+        (3, 31, 0, 10, 2, 0, None, 10),  # noiseless, coordinates settle apart
+        (3, 101, 1, 87, 3, 2, None, 3),  # noisy, the elimination-q101 point
+        (3, 101, 1, 30, 2, 2, 40, 3),  # per-row input subsets
+        (3, 31, 1, 2, 1, 2, None, 10),  # L below the first chunk
+        (2, 31, 0, 9, 2, -1, None, 5),  # a bound no residual meets
+    ],
+)
+def test_elimination_pass_matches_the_scalar_loop(
+    monkeypatch, n, q, xi, budget, m, xi_prime, v_size, seeds
+):
+    totals = dict.fromkeys(("accepted", "rejected", "true_rejections"), 0)
+    for seed in range(seeds):
+        inst = _instance(n, q, xi, 1300 + seed)
+        refill = elimination_refills(inst, m, derive_rng(1301, n, q, seed), v_size)
+        refill, calls = _recorded_eliminations(monkeypatch, refill)
+        per_coordinate = elimination_pass(inst.s, q, refill, budget, xi_prime)
+        assert per_coordinate == _scalar_elimination(inst, calls, budget, m, xi_prime)
+        for st in per_coordinate:
+            totals["accepted"] += st.accepted_value is not None
+            totals["rejected"] += st.candidates_tried - (st.accepted_value is not None)
+            totals["true_rejections"] += st.true_rejections
+    # Noiseless rows accept only true values; noisy ones reject candidates.
+    assert totals["accepted"] > 0 if xi == 0 <= xi_prime else totals["rejected"] > 0
+    # A noiseless true candidate always passes; a bound no residual meets rejects it.
+    assert (totals["true_rejections"] > 0) == (xi > 0 or xi_prime < 0)
