@@ -30,9 +30,7 @@ from .fq import (
     is_prime,
     mat_inverse,
     mat_inverse_stack,
-    mat_mul,
     mat_vec,
-    solve_noiseless,
 )
 from .instance import (
     GAUSSIAN,
@@ -41,17 +39,12 @@ from .instance import (
     LweInstance,
     Sample,
     draw_samples,
-    gen_sample,
     gen_samples,
     gen_secret,
     make_instance,
-    read_samples,
-    read_secret,
     sample_error,
     sample_errors,
     samples_to_arrays,
-    write_samples,
-    write_secret,
 )
 from .oracle import (
     FORM_DIVIDED,
@@ -77,7 +70,6 @@ from .qsim import (
     MeasurementOutcome,
     TwoQuditState,
     bv_kernel,
-    dump_state,
     extract_candidate,
     extract_candidates,
     kernel_distribution,
@@ -95,14 +87,12 @@ from .reduce import (
     ReducedBatch,
     ReducedPair,
     check_rows,
-    dump_batch,
     eliminate_rows,
     elimination_batch,
     elimination_stack,
     invertible_draws,
     kappa_observed,
     make_test_sample,
-    reduce_to_coordinate,
     synth_reduced_batch,
 )
 from .rng import derive_rng
@@ -122,7 +112,6 @@ from .solver import (
     elimination_pass,
     elimination_refills,
     solve,
-    solve_coordinate,
 )
 from .verify import (
     FalseAcceptBound,

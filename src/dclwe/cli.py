@@ -56,7 +56,7 @@ from .qsim import (
 )
 from .reduce import elimination_batch, kappa_observed, synth_reduced_batch
 from .rng import derive_rng
-from .solver import MODE_CONTROLLED, MODE_ELIMINATION, choose_parameters, solve
+from .solver import MODE_CONTROLLED, MODE_ELIMINATION, amplified_bound, choose_parameters, solve
 
 _SWEEPABLE = ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size")
 
@@ -229,6 +229,11 @@ def _validate_config(config: ExperimentConfig) -> None:
         for value in getattr(config, field):
             if not ok(value):
                 raise ConfigError(f"{field}: {rule}, got {value}")
+    for kappa, xi in itertools.product(config.kappa, config.xi):
+        try:
+            amplified_bound(kappa, xi)
+        except InfeasibleParameters as exc:
+            raise ConfigError(f"kappa/xi: {exc} (kappa={kappa}, xi={xi})")
     for q in config.q:
         for xi in config.xi:
             if 2 * xi >= q:
@@ -383,7 +388,7 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     rows = []
     grid_index = 0
     for point in config.points():
-        xi_prime = round(point.kappa * point.xi)
+        xi_prime = amplified_bound(point.kappa, point.xi)
         if xi_prime < 1 or 2 * xi_prime >= point.q:
             continue
         rng = derive_rng(config.seed, 7, grid_index)

@@ -141,12 +141,6 @@ def mat_vec(a: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
     return (a * x % q).sum(axis=-1) % q
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    return np.einsum("ik,kj->ij", a, b) % q
-
-
 def mat_inverse_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (k, n, n) stack of square matrices mod q by one
     Gauss-Jordan elimination over the whole stack.
@@ -191,19 +185,3 @@ def mat_inverse(a: np.ndarray, q: int) -> np.ndarray:
     if not invertible[0]:
         raise SingularMatrix(f"matrix is singular mod {q}")
     return inv[0]
-
-
-def solve_noiseless(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Recover x from n exact equations a_i . x = b_i mod q.
-
-    a is the (n, n) stack of input rows, b the matching outputs.
-    Raises SingularMatrix when the rows do not span, InvalidLength on a
-    shape mismatch.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64) % q
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidLength(f"expected n equations in n unknowns, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise InvalidLength(f"output vector shape {b.shape} does not match {a.shape[0]} rows")
-    return mat_vec(mat_inverse(a, q), b, q)

@@ -2,16 +2,13 @@
 
 Ground truth (the secret and each sample's error term) is carried for
 the measurement harness only. Solver-facing code must consume just the
-(a, b) pair of a sample; the serialized sample format enforces this by
-construction, keeping the secret in a separate sidecar file and never
-writing error terms at all.
+(a, b) pair of a sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,57 +139,6 @@ def gen_samples(instance: LweInstance, rng: np.random.Generator, count: int) -> 
     """count samples: draw_samples as a list of Sample values."""
     a, b, eta = draw_samples(instance, rng, (count,))
     return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b.tolist(), eta.tolist())]
-
-
-def gen_sample(instance: LweInstance, rng: np.random.Generator) -> Sample:
-    """gen_samples with count 1."""
-    return gen_samples(instance, rng, 1)[0]
-
-
-def write_samples(path: str | Path, instance: LweInstance, samples: Iterable[Sample], seed: int) -> None:
-    """Line-oriented dump: header `n q xi kind seed`, then `a_0 .. a_{n-1} b`.
-
-    Error terms are deliberately not written; the secret goes into a
-    sidecar via write_secret.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{instance.n} {instance.q} {instance.chi.xi} {instance.chi.kind} {seed}\n")
-        for s in samples:
-            fh.write(" ".join(str(int(v)) for v in s.a) + f" {int(s.b)}\n")
-
-
-def read_samples(path: str | Path) -> tuple[dict, list[tuple[np.ndarray, int]]]:
-    """Parse a sample dump; returns (header, [(a, b), ...])."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 5:
-            raise InvalidLength(f"bad header in {path}: expected 5 fields, got {len(head)}")
-        header = {
-            "n": int(head[0]),
-            "q": int(head[1]),
-            "xi": int(head[2]),
-            "kind": head[3],
-            "seed": int(head[4]),
-        }
-        pairs = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != header["n"] + 1:
-                raise InvalidLength(f"bad sample line in {path}: {line.rstrip()!r}")
-            pairs.append((np.array(parts[:-1], dtype=np.int64), int(parts[-1])))
-    return header, pairs
-
-
-def write_secret(path: str | Path, instance: LweInstance) -> None:
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(int(v)) for v in instance.s) + "\n")
-
-
-def read_secret(path: str | Path) -> np.ndarray:
-    with open(path) as fh:
-        return np.array(fh.readline().split(), dtype=np.int64)
 
 
 def samples_to_arrays(samples: Sequence[Sample], q: int) -> tuple[np.ndarray, np.ndarray]:

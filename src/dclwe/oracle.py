@@ -4,13 +4,14 @@ Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. The baseline is the one caller of
-the scalar solver.solve_coordinate loop; its direct candidates and test
-pairs come from the solve's one stream. Keeping these routes separate from
-the statevector path is the point; tests compare them, they never feed
-each other. The one thing shared is qsim.root_table, the cached phases
-w^r: the same values np.exp gives element by element, and within 1e-15
-of np.cos for the real parts restricted_ridge_sum reads.
+table for the four memory layouts. The baseline runs through
+solver.controlled_pass: its direct candidates are s-free offsets read
+from pairs drawn on the solve's one stream. Keeping these routes
+separate from the statevector path is the point; tests compare them,
+they never feed each other. The one thing shared is qsim.root_table,
+the cached phases w^r: the same values np.exp gives element by element,
+and within 1e-15 of np.cos for the real parts restricted_ridge_sum
+reads.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidLength, InvariantViolation
+from .errors import BoundTooLarge, InvalidLength, InvariantViolation
 from .fq import check_dense_size
-from .instance import ErrorDistribution, LweInstance, sample_error, sample_errors
+from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import root_table
-from .reduce import ReducedBatch, ReducedPair
-from .solver import FIRST_CHUNK, CoordinateStats, SolveOutcome, classify, solve_coordinate
+from .reduce import ReducedBatch
+from .solver import Rows, SolveOutcome, amplified_bound, classify, controlled_pass
 from .verify import false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
@@ -157,47 +158,33 @@ def classical_baseline_solve(
 ) -> SolveOutcome:
     """Classical control: read the candidate straight off one reduced pair.
 
-    Per coordinate, each of up to trial_budget shots draws a single
-    pair (a', a' s_j + eta') with the amplified bound and takes
-    s~ = b' * a'^-1; solve_coordinate then runs the M-trial residual
-    test on pairs (t, t s_j + eta') drawn in blocks of FIRST_CHUNK *
-    coordinates not yet run, which a settled coordinate leaves to the
-    next, all drawn from `rng` in coordinate order. The
-    candidate is correct only when eta' vanished, so with uniform errors
-    the per-coordinate rate is 1/(2 xi' + 1) and the full-solve rate
-    decays geometrically in n.
+    Coordinate j's pair (a', a' s_j + eta'), with eta' at the amplified
+    bound xi' = kappa * xi, gives s~ = b' * a'^-1 = s_j + c0 with the
+    s-free offset c0 = eta' * a'^-1. controlled_pass reads c0 from the
+    row k* = a', k_d = -eta', so no row is a null; each refill draws k
+    pairs (a' uniform on [1, q), eta') and a (k, m) block of test pairs
+    (t, eta'). The candidate is correct only when eta' vanished, so with
+    uniform errors the per-coordinate rate is 1/(2 xi' + 1) and the
+    full-solve rate decays geometrically in n. Refuses trial_budget or m
+    below 1, a non-integer kappa * xi and 2 xi' >= q before any draw.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
-    q, n = instance.q, instance.n
-    xi_prime = round(kappa * instance.xi)
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
+    q = instance.q
+    xi_prime = amplified_bound(kappa, instance.xi)
+    if 2 * xi_prime >= q:
+        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
     chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
-    coeff = math.ceil(xi_prime / instance.xi) if instance.xi > 0 else 0
-    tests: list[tuple[int, int]] = []  # (t, eta') of the current test block, next one last
-    per_coordinate: list[CoordinateStats] = []
-    for j in range(n):
-        s_j = int(instance.s[j])
-        left = n - j  # coordinates not yet run, this one included
 
-        def direct_shot() -> int:
-            a_prime = int(rng.integers(1, q))
-            b_prime = (a_prime * s_j + sample_error(chi_prime, rng)) % q
-            return b_prime * pow(a_prime, -1, q) % q
+    def refill(k: int) -> Rows:
+        a_prime = rng.integers(1, q, size=k)
+        eta = sample_errors(chi_prime, rng, k)
+        t = rng.integers(1, q, size=(k, m))
+        return -eta % q, a_prime, t, sample_errors(chi_prime, rng, (k, m))
 
-        def test_source() -> ReducedPair:
-            if not tests:
-                t = rng.integers(1, q, size=FIRST_CHUNK * left)
-                eta = sample_errors(chi_prime, rng, t.size)
-                tests.extend(reversed(list(zip(t.tolist(), eta.tolist()))))
-            t, eta = tests.pop()
-            return ReducedPair(
-                a_prime=t, b_prime=(t * s_j + eta) % q, eta_prime=eta, coeff_l1=coeff, q=q
-            )
-
-        _, stats = solve_coordinate(
-            j, direct_shot, test_source, trial_budget, m, xi_prime, s_true=s_j
-        )
-        per_coordinate.append(stats)
+    per_coordinate = controlled_pass(instance.s, q, refill, trial_budget, xi_prime)
     return classify(instance, per_coordinate, quantum_samples=0)  # no kernel shots
 
 

@@ -33,7 +33,7 @@ solve, and reads coordinate j's candidate as s_j + c0.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, TextIO
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,13 +237,3 @@ def sample_bv_outcomes(batch: ReducedBatch, rng: np.random.Generator, shots: int
     p = p / p.sum()
     idx = rng.choice(q * q, size=shots, p=p)
     return np.stack(divmod(idx, q), axis=1)
-
-
-def dump_state(state: TwoQuditState, fh: TextIO, tol: float = 0.0) -> None:
-    """One line per nonzero amplitude: `k_d k_star re im prob`."""
-    probs = state.probabilities()
-    for k_d, k_star in zip(*np.nonzero(probs > tol)):
-        amp = state.amps[k_d, k_star]
-        fh.write(
-            f"{int(k_d)} {int(k_star)} {amp.real:.17g} {amp.imag:.17g} {probs[k_d, k_star]:.17g}\n"
-        )

@@ -23,11 +23,11 @@ combines all rows in one vectorised step, each through the inverse row
 of its own coordinate, and validates the stack against each row's own
 measured bound with one check_rows call. elimination_stack is the two
 for one coordinate, and elimination_batch is its one-row case;
-reduce_to_coordinate and make_test_sample run the same combination for
-one input over given samples, and a test pair is an elimination whose
-only input is t. synth_reduced_errors is the checked error draw of k
-controlled batches, which synth_reduced_batch adds to a' s_j and a
-controlled refill measures as s-free b'.
+make_test_sample runs the same combination for one input t over given
+samples, since a test pair is an elimination whose only input is t.
+synth_reduced_errors is the checked error draw of k controlled batches,
+which synth_reduced_batch adds to a' s_j and a controlled refill
+measures as s-free b'.
 
 Batches store their pairs as parallel arrays (the simulator and the
 analysis oracles consume them whole); `pairs()` materializes individual
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,18 +165,21 @@ def _combine(
     return b_values, eta_values, coeff_l1_values
 
 
-def reduce_to_coordinate(
-    samples: Sequence[Sample], j: int, a_target: int, secret: np.ndarray, q: int
+def make_test_sample(
+    samples: Sequence[Sample], j: int, t_target: int, secret: np.ndarray, q: int
 ) -> ReducedPair:
-    """Combine n given samples into one pair for coordinate j with input
-    a_target: the one-row, one-input case of the stacked elimination.
+    """Test pair (t, t * s_j + eta') for coordinate j from n given samples:
+    the one-row, one-input case of the stacked elimination.
 
-    The combination is a_target times row j of the inverse sample
-    matrix, so b' = a_target * s_j + eta' where eta' is the same
-    combination applied to the hidden errors. The pair's eta_prime is
-    recovered from the ground-truth secret for harness use only.
+    The combination is t times row j of the inverse sample matrix, so
+    eta' is the same combination applied to the hidden errors; the
+    pair's eta_prime is recovered from the ground-truth secret for
+    harness use only. t = 0 would reduce to a pure noise sample and is
+    rejected.
     """
-    target = int(a_target) % q
+    target = int(t_target) % q
+    if target == 0:
+        raise DegenerateTest("test input t = 0 carries no information")
     n = len(samples)
     a, b = samples_to_arrays(samples, q)
     if a.shape != (n, n):
@@ -194,18 +197,6 @@ def reduce_to_coordinate(
         coeff_l1=int(coeff_l1[0, 0]),
         q=q,
     )
-
-
-def make_test_sample(
-    samples: Sequence[Sample], j: int, t_target: int, secret: np.ndarray, q: int
-) -> ReducedPair:
-    """Deterministic test pair (t, t * s_j + eta') for candidate checking.
-
-    t = 0 would reduce to a pure noise sample and is rejected.
-    """
-    if int(t_target) % q == 0:
-        raise DegenerateTest("test input t = 0 carries no information")
-    return reduce_to_coordinate(samples, j, t_target, secret, q)
 
 
 def synth_reduced_errors(
@@ -349,9 +340,3 @@ def elimination_batch(
 def kappa_observed(batch: ReducedBatch) -> int:
     """Worst-case measured amplification across the batch."""
     return int(batch.coeff_l1_values.max())
-
-
-def dump_batch(batch: ReducedBatch, fh: TextIO) -> None:
-    """One line per pair: `a_prime b_prime eta_prime coeff_l1`."""
-    for a, b, e, c in zip(batch.a_values, batch.b_values, batch.eta_values, batch.coeff_l1_values):
-        fh.write(f"{int(a)} {int(b)} {int(e)} {int(c)}\n")

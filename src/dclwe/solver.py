@@ -38,12 +38,11 @@ draw and one batched inversion for the batches and their test pairs,
 one sample_bv_stack call). Coordinate j accepts c, and the rows after
 its accepted one are discarded.
 
-solve_coordinate is the scalar per-coordinate loop of the classical
-direct-candidate baseline: a shot returns a candidate or None, and each
-candidate faces m_trial_test. classify turns the per-coordinate records
-of any run into a SolveOutcome. In every mode the first accepted
-candidate is the one a shot-by-shot loop would accept, and no
-coordinate takes more than L shots.
+oracle.classical_baseline_solve runs controlled_pass too, over s-free
+direct pairs that no kernel measures. classify turns the per-coordinate records of
+any run into a SolveOutcome. In every mode the first accepted candidate
+is the one a shot-by-shot loop would accept, and no coordinate takes
+more than L shots.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import sample_bv_stack
-from .reduce import ReducedPair, eliminate_rows, invertible_draws, synth_reduced_errors
-from .verify import m_trial_test
+from .reduce import eliminate_rows, invertible_draws, synth_reduced_errors
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -79,10 +77,8 @@ _MAX_M = 64
 FIRST_CHUNK = 4
 CHUNK_ENTRIES = 1 << 15
 
-TestSource = Callable[[], ReducedPair]
-Shot = Callable[[], "int | None"]
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# k -> (k_d, k*) of k measured s-free rows and their (k, M) test pairs (t, eta')
+# k -> (k_d, k*) of k s-free rows and their (k, M) test pairs (t, eta')
 Refill = Callable[[int], Rows]
 # coordinate of each row -> (k_d, k*) of its measured batch and its (k, M) test pairs (t, b')
 EliminationRefill = Callable[[np.ndarray], Rows]
@@ -117,6 +113,15 @@ class SolveOutcome:
     test_samples: int
 
 
+def amplified_bound(kappa: float, xi: int) -> int:
+    """The amplified error bound xi' = kappa * xi, which must be an integer;
+    raises InfeasibleParameters otherwise."""
+    xi_prime = round(kappa * xi)
+    if abs(kappa * xi - xi_prime) > 1e-9:
+        raise InfeasibleParameters(f"kappa * xi = {kappa * xi} is not an integer bound")
+    return xi_prime
+
+
 def choose_parameters(
     n: int, q: int, xi: int, kappa: float, delta: float, gamma: float = 0.125
 ) -> SolveParameters:
@@ -131,10 +136,7 @@ def choose_parameters(
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     PrimeField(q)
-    xi_prime_real = kappa * xi
-    xi_prime = round(xi_prime_real)
-    if abs(xi_prime_real - xi_prime) > 1e-9:
-        raise InfeasibleParameters(f"kappa * xi = {xi_prime_real} is not an integer bound")
+    xi_prime = amplified_bound(kappa, xi)
     if 2 * xi_prime >= q:
         raise InfeasibleParameters(f"amplified bound xi'={xi_prime} does not fit below q/2")
     c = gamma * math.cos(2 * math.pi * gamma) ** 2
@@ -266,7 +268,7 @@ def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_
 def controlled_pass(
     s: np.ndarray, q: int, refill: Refill, budget: int, xi_prime: int
 ) -> list[CoordinateStats]:
-    """Every coordinate of one controlled solve from one stream of refills.
+    """Every coordinate of one controlled or baseline solve from one stream of refills.
 
     A refill holds min(CHUNK_ENTRIES // q, FIRST_CHUNK * coordinates not
     yet run, shots the solve may still take) rows, judged at once by
@@ -328,39 +330,6 @@ def elimination_pass(
             row += k
         open_coords = still_open
     return per_coordinate
-
-
-def solve_coordinate(
-    j: int,
-    shot: Shot,
-    test_source: TestSource,
-    budget: int,
-    m: int,
-    xi_prime: int,
-    *,
-    s_true: int | None = None,
-) -> tuple[int | None, CoordinateStats]:
-    """Run up to `budget` shots for coordinate j; return the accepted value or None.
-
-    A shot returning None is a null and only consumes the shot; any
-    other candidate faces an m-trial residual test at bound xi'.
-    """
-    stats = CoordinateStats(j=j)
-    for _ in range(budget):
-        stats.shots += 1
-        cand = shot()
-        if cand is None:
-            stats.null_count += 1
-            continue
-        stats.candidates_tried += 1
-        verdict = m_trial_test(cand, m, xi_prime, test_source)
-        stats.tests_used += verdict.trials_used
-        if verdict.accepted:
-            stats.accepted_value = cand
-            return cand, stats
-        if cand == s_true:
-            stats.true_rejections += 1
-    return None, stats
 
 
 def classify(

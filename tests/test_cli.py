@@ -115,6 +115,7 @@ def test_validation_messages_name_the_field():
         "q": {"q": "8"},
         "xi": {"xi": "-1"},
         "kappa": {"kappa": "0"},
+        "kappa/xi": {"kappa": "1.5"},
         "gamma": {"gamma": "0.3"},
         "delta": {"delta": "1.5"},
         "v_size": {"v_size": "200"},
@@ -305,6 +306,9 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     # Feasibility failures (budget exceeds the field) map the same way.
     assert main(["solve", "--q", "101", "--kappa", "8", "--trials", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # A non-integer kappa * xi is refused by every subcommand, bounds included.
+    assert main(["bounds", "--q", "101", "--xi", "1", "--kappa", "1.5", "--trials", "1"]) == 2
+    assert "kappa/xi: kappa * xi = 1.5" in capsys.readouterr().err
     # Controlled batches ignore sigma, so setting it there is refused.
     assert main(["sweep", "--sigma", "0.5", "--trials", "1"]) == 2
     assert "sigma: has no effect in controlled mode" in capsys.readouterr().err

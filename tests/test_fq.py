@@ -15,9 +15,7 @@ from dclwe import (
     is_prime,
     mat_inverse,
     mat_inverse_stack,
-    mat_mul,
     mat_vec,
-    solve_noiseless,
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 101]
@@ -152,8 +150,8 @@ def test_mat_mul_and_inverse_example():
     a = np.array([[1, 1], [0, 1]], dtype=np.int64)
     inv = mat_inverse(a, q)
     assert inv.tolist() == [[1, 4], [0, 1]]
-    assert mat_mul(a, inv, q).tolist() == [[1, 0], [0, 1]]
-    assert mat_mul(inv, a, q).tolist() == [[1, 0], [0, 1]]
+    assert (a @ inv % q).tolist() == [[1, 0], [0, 1]]
+    assert (inv @ a % q).tolist() == [[1, 0], [0, 1]]
 
 
 def test_mat_inverse_one_by_one():
@@ -200,8 +198,8 @@ def test_mat_inverse_product_is_identity(q, seed, n):
                 break
         assert found_kernel
         return
-    assert np.array_equal(mat_mul(a, inv, q), eye)
-    assert np.array_equal(mat_mul(inv, a, q), eye)
+    assert np.array_equal(a @ inv % q, eye)
+    assert np.array_equal(inv @ a % q, eye)
 
 
 def loop_inverse(a, q):
@@ -247,7 +245,7 @@ def test_mat_inverse_stack_matches_one_matrix_at_a_time(q, n):
             continue
         assert np.array_equal(inv[i], expected)
         assert np.array_equal(mat_inverse(a[i], q), expected)
-        assert np.array_equal(mat_mul(a[i], inv[i], q), eye)
+        assert np.array_equal(a[i] @ inv[i] % q, eye)
 
 
 def test_mat_inverse_stack_rejects_bad_shapes_and_moduli():
@@ -259,11 +257,12 @@ def test_mat_inverse_stack_rejects_bad_shapes_and_moduli():
         mat_inverse_stack(np.eye(2, dtype=np.int64)[None], 9)
 
 
+# The solve_noiseless tests: the inverse solves an exact system, s = A^-1 b.
 def test_solve_noiseless_single_sample():
     # 3 * s = 5 (mod 7) has the unique solution s = 4.
     a = np.array([[3]], dtype=np.int64)
     b = np.array([5], dtype=np.int64)
-    assert solve_noiseless(a, b, 7).tolist() == [4]
+    assert mat_vec(mat_inverse(a, 7), b, 7).tolist() == [4]
 
 
 def test_solve_noiseless_recovers_known_secret():
@@ -278,14 +277,7 @@ def test_solve_noiseless_recovers_known_secret():
         except SingularMatrix:
             continue
     b = (a * s % q).sum(axis=1) % q
-    assert np.array_equal(solve_noiseless(a, b, q), s)
-
-
-def test_solve_noiseless_shape_mismatch():
-    with pytest.raises(InvalidLength):
-        solve_noiseless(
-            np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), 5
-        )
+    assert np.array_equal(mat_vec(mat_inverse(a, q), b, q), s)
 
 
 @settings(deadline=None, max_examples=40)
@@ -304,5 +296,5 @@ def test_solve_round_trips_generated_systems(q, seed):
         except SingularMatrix:
             continue
         b = (a * s % q).sum(axis=1) % q
-        assert np.array_equal(solve_noiseless(a, b, q), s)
+        assert np.array_equal(mat_vec(mat_inverse(a, q), b, q), s)
         return

@@ -13,18 +13,13 @@ from dclwe import (
     centered,
     derive_rng,
     draw_samples,
-    gen_sample,
     gen_samples,
     gen_secret,
     make_instance,
     mat_vec,
-    read_samples,
-    read_secret,
     sample_error,
     sample_errors,
     samples_to_arrays,
-    write_samples,
-    write_secret,
 )
 
 from _stats import chi_square_ok
@@ -159,39 +154,6 @@ def test_sample_block_draw_and_its_list_view_agree():
     assert np.array_equal(np.stack([smp.a for smp in listed]), a.reshape(20, 3))
     assert [smp.b for smp in listed] == b.ravel().tolist()
     assert [smp.eta for smp in listed] == eta.ravel().tolist()
-
-
-def test_sample_serialization_round_trip(tmp_path):
-    rng = derive_rng(15, 0)
-    inst = make_instance(3, 31, ErrorDistribution(GAUSSIAN, 2), rng)
-    samples = gen_samples(inst, rng, 20)
-    spath = tmp_path / "samples.txt"
-    write_samples(spath, inst, samples, seed=15)
-    header, pairs = read_samples(spath)
-    assert header == {"n": 3, "q": 31, "xi": 2, "kind": GAUSSIAN, "seed": 15}
-    assert len(pairs) == 20
-    for smp, (a, b) in zip(samples, pairs):
-        assert np.array_equal(smp.a, a)
-        assert smp.b == b
-
-    # Error terms must not leak into the file: n + 1 columns per row.
-    lines = spath.read_text().splitlines()
-    assert all(len(line.split()) == 4 for line in lines[1:])
-
-    kpath = tmp_path / "secret.txt"
-    write_secret(kpath, inst)
-    assert np.array_equal(read_secret(kpath), inst.s)
-
-
-def test_read_samples_rejects_malformed_input(tmp_path):
-    p = tmp_path / "bad_header.txt"
-    p.write_text("3 31 2 gaussian\n")
-    with pytest.raises(InvalidLength):
-        read_samples(p)
-    p = tmp_path / "bad_row.txt"
-    p.write_text("2 31 1 uniform 0\n1 2 3 4\n")
-    with pytest.raises(InvalidLength):
-        read_samples(p)
 
 
 def test_samples_to_arrays_stacks_public_parts():

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 import tracemalloc
 
@@ -13,7 +14,10 @@ from dclwe import (
     OUTCOME_WRONG_ACCEPT,
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
+    BoundTooLarge,
+    CoordinateStats,
     ErrorDistribution,
+    InfeasibleParameters,
     InvalidLength,
     InvariantViolation,
     ReducedBatch,
@@ -29,9 +33,12 @@ from dclwe import (
     prob_iii_bound,
     qram_cost,
     restricted_ridge_sum,
+    sample_errors,
     synth_reduced_batch,
 )
+from dclwe import oracle as oracle_module
 from dclwe.instance import GAUSSIAN, UNIFORM
+from dclwe.solver import row_verdicts
 
 from _stats import binom_3sigma
 
@@ -262,13 +269,17 @@ def test_baseline_budget_raises_the_rate():
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 2), (1, 1), (1, 1)], 1021132722),
-        (5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE, [(3, 3), (3, 4)] + [(3, 3)] * 3, 185750318),
-        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(1, 1), (4, 4), (2, 2), (3, 3)], 471806245),
+        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 1), (1, 1), (1, 2)], 244970129),
+        (
+            5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE,
+            [(2, 3), (1, 2), (3, 3), (2, 4), (3, 3)],
+            869224539,
+        ),
+        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(4, 4), (1, 1), (2, 2), (4, 4)], 597026080),
         (
             8, 401, GAUSSIAN, 2, 1.0, 2, 5, 3, OUTCOME_SUCCESS,
-            [(1, 2), (4, 5), (1, 2), (2, 3), (2, 3), (4, 5), (2, 3), (1, 2)],
-            881870988,
+            [(2, 3), (3, 4), (1, 2), (2, 3), (1, 2), (1, 2), (1, 2), (1, 2)],
+            929181516,
         ),
     ],
 )
@@ -276,8 +287,9 @@ def test_baseline_stream_is_pinned(
     n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw
 ):
     # Frozen outcomes, per-coordinate (shots, tests) and the next draw of
-    # the stream: test pairs come in blocks of 4 per coordinate not yet
-    # run, shared across coordinates and drawn between the direct shots.
+    # the stream: each refill draws its direct pairs, then one test pair
+    # block, for 4 rows per coordinate not yet run; rows a settled
+    # coordinate leaves go to the next one.
     rng = derive_rng(700, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = classical_baseline_solve(inst, kappa, m, budget, rng)
@@ -290,8 +302,44 @@ def test_baseline_stream_is_pinned(
 def test_baseline_validation():
     rng = derive_rng(13, 0)
     inst = make_instance(2, 31, ErrorDistribution(UNIFORM, 1), rng)
-    with pytest.raises(ValueError):
-        classical_baseline_solve(inst, 1.0, 2, 0, rng)
+    small = make_instance(2, 11, ErrorDistribution(UNIFORM, 1), rng)
+    state = rng.bit_generator.state
+    for instance, kappa, m, budget, error in (
+        (inst, 1.0, 2, 0, ValueError),  # no trial budget
+        (inst, 1.0, 0, 1, ValueError),  # no test trials
+        (inst, 1.5, 2, 1, InfeasibleParameters),  # kappa * xi = 1.5
+        (small, 6.0, 2, 1, BoundTooLarge),  # a window of 13 covers F_11
+    ):
+        with pytest.raises(error):
+            classical_baseline_solve(instance, kappa, m, budget, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
+    # The refill's rows, against the pairs (a', eta') its stream draws:
+    # k* = a' and the read candidate s_j + c is b' a'^-1 for every s_j.
+    q, xi_prime, m = 101, 2, 3
+    rng = derive_rng(14, 0)
+    inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), rng)
+    seen = {}
+
+    def pass_spy(s, q, refill, budget, xi):
+        twin = copy.deepcopy(rng)
+        seen["rows"] = refill(200)
+        seen["a"] = twin.integers(1, q, size=200)
+        seen["eta"] = sample_errors(ErrorDistribution(UNIFORM, xi_prime), twin, 200)
+        return [CoordinateStats(j=j) for j in range(len(s))]
+
+    monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)
+    classical_baseline_solve(inst, 2.0, m, 1, rng)
+    k_d, k_star, t, eta_t = seen["rows"]
+    a, eta = seen["a"], seen["eta"]
+    assert (k_star >= 1).all() and np.array_equal(k_star, a)
+    assert t.shape == eta_t.shape == (200, m)
+    c, _, _ = row_verdicts(q, k_d, k_star, t, eta_t, xi_prime)
+    for s_j in inst.s:
+        direct = (a * s_j + eta) % q * np.array([pow(int(x), -1, q) for x in a]) % q
+        assert np.array_equal((s_j + np.array(c)) % q, direct)
 
 
 def test_qram_cost_examples():

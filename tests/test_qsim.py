@@ -1,5 +1,4 @@
 import cmath
-import io
 import math
 import tracemalloc
 
@@ -18,7 +17,6 @@ from dclwe import (
     TwoQuditState,
     bv_kernel,
     derive_rng,
-    dump_state,
     extract_candidate,
     extract_candidates,
     kernel_distribution,
@@ -431,22 +429,6 @@ def test_noiseless_extraction_success_rate():
     assert hits == 20000 - nulls  # every informative shot is correct
     p_null = nulls / 20000
     assert abs(p_null - 1 / q) < 3 * math.sqrt((1 / q) * (1 - 1 / q) / 20000)
-
-
-def test_dump_state_round_trips_amplitudes():
-    q = 5
-    batch = _batch(2, q, range(q), 1, 55)
-    state = bv_kernel(prepare_sample_state(batch))
-    buf = io.StringIO()
-    dump_state(state, buf, tol=1e-15)
-    total = 0.0
-    for line in buf.getvalue().splitlines():
-        k_d, k_star, re, im, prob = line.split()
-        amp = state.amps[int(k_d), int(k_star)]
-        assert float(re) == amp.real and float(im) == amp.imag
-        assert float(prob) == pytest.approx(abs(amp) ** 2, abs=1e-16)
-        total += float(prob)
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qft_register_rejects_unknown_register():

@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -17,7 +16,6 @@ from dclwe import (
     centered,
     check_rows,
     derive_rng,
-    dump_batch,
     SingularMatrix,
     elimination_batch,
     elimination_stack,
@@ -26,7 +24,6 @@ from dclwe import (
     kappa_observed,
     make_instance,
     make_test_sample,
-    reduce_to_coordinate,
     samples_to_arrays,
     synth_reduced_batch,
 )
@@ -61,7 +58,7 @@ def test_identity_matrix_reduction_is_a_row_pick():
         Sample(a=np.array([1, 0], dtype=np.int64), b=int((s[0] + 1) % q), eta=1),
         Sample(a=np.array([0, 1], dtype=np.int64), b=int((s[1] - 1) % q), eta=-1),
     ]
-    pair = reduce_to_coordinate(samples, 1, 3, s, q)
+    pair = make_test_sample(samples, 1, 3, s, q)
     assert pair.a_prime == 3
     assert pair.b_prime == (3 * samples[1].b) % q
     assert pair.eta_prime == centered(3 * -1, q)
@@ -75,7 +72,7 @@ def test_identity_matrix_unit_target_has_unit_amplification():
         Sample(a=np.array([1, 0], dtype=np.int64), b=int(s[0]), eta=0),
         Sample(a=np.array([0, 1], dtype=np.int64), b=int(s[1]), eta=0),
     ]
-    pair = reduce_to_coordinate(samples, 0, 1, s, q)
+    pair = make_test_sample(samples, 0, 1, s, q)
     assert pair.coeff_l1 == 1
     assert pair.b_prime == s[0]
     assert pair.eta_prime == 0
@@ -96,7 +93,7 @@ def test_reduction_matches_enumeration_oracle():
             break
         for j in (0, 1):
             for target in (1, 5, 10):
-                pair = reduce_to_coordinate(samples, j, target, inst.s, 11)
+                pair = make_test_sample(samples, j, target, inst.s, 11)
                 assert pair.b_prime == (target * int(x[j])) % 11
                 assert (pair.b_prime - target * int(inst.s[j]) - pair.eta_prime) % 11 == 0
 
@@ -109,7 +106,7 @@ def test_reduction_error_respects_l1_bound():
         inst, rng = _noisy_instance(3, q, 2, seed)
         samples = gen_samples(inst, rng, 3)
         try:
-            pair = reduce_to_coordinate(samples, 1, 7, inst.s, q)
+            pair = make_test_sample(samples, 1, 7, inst.s, q)
         except Exception:
             continue
         assert abs(pair.eta_prime) <= (q - 1) // 2
@@ -125,9 +122,9 @@ def test_reduction_rejects_bad_shapes_and_indices():
         Sample(a=np.array([0, 1], dtype=np.int64), b=2, eta=0),
     ]
     with pytest.raises(InvalidLength):
-        reduce_to_coordinate(samples, 2, 1, s, q)
+        make_test_sample(samples, 2, 1, s, q)
     with pytest.raises(InvalidLength):
-        reduce_to_coordinate(samples[:1], 0, 1, s, q)
+        make_test_sample(samples[:1], 0, 1, s, q)
 
 
 def test_test_sample_rejects_zero_target():
@@ -344,15 +341,3 @@ def test_elimination_batch_shares_one_combination_per_batch():
     base = int(batch.eta_values[batch.a_values.tolist().index(1)])
     for a, e in zip(batch.a_values, batch.eta_values):
         assert (int(e) - int(a) * base) % 101 == 0
-
-
-def test_dump_batch_format():
-    rng = derive_rng(25, 0)
-    batch = synth_reduced_batch(3, 11, [2, 5, 7], 1, ErrorDistribution(UNIFORM, 1), rng)
-    buf = io.StringIO()
-    dump_batch(batch, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 3
-    for line, p in zip(lines, batch.pairs()):
-        a, b, e, c = (int(x) for x in line.split())
-        assert (a, b, e, c) == (p.a_prime, p.b_prime, p.eta_prime, p.coeff_l1)

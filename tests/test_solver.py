@@ -10,6 +10,7 @@ from dclwe import (
     OUTCOME_SUCCESS,
     OUTCOME_WRONG_ACCEPT,
     BoundTooLarge,
+    CoordinateStats,
     ErrorDistribution,
     InfeasibleParameters,
     ReducedPair,
@@ -22,13 +23,12 @@ from dclwe import (
     elimination_pass,
     elimination_refills,
     extract_candidates,
+    m_trial_test,
     make_instance,
     make_test_sample,
     mat_inverse,
-    reduce_to_coordinate,
     sample_bv_stack,
     solve,
-    solve_coordinate,
 )
 from dclwe import solver as solver_module
 from dclwe.instance import UNIFORM
@@ -290,6 +290,31 @@ def _synthetic_refill(q, m, xi_prime, rng):
         return k_d, k_star, t, eta
 
     return refill
+
+
+def solve_coordinate(j, shot, test_source, budget, m, xi_prime, *, s_true=None):
+    """The scalar per-coordinate loop both passes must match: up to
+    `budget` shots for coordinate j, returning the accepted value or None.
+
+    A shot returning None is a null and only consumes the shot; any
+    other candidate faces an m-trial residual test at bound xi'.
+    """
+    stats = CoordinateStats(j=j)
+    for _ in range(budget):
+        stats.shots += 1
+        cand = shot()
+        if cand is None:
+            stats.null_count += 1
+            continue
+        stats.candidates_tried += 1
+        verdict = m_trial_test(cand, m, xi_prime, test_source)
+        stats.tests_used += verdict.trials_used
+        if verdict.accepted:
+            stats.accepted_value = cand
+            return cand, stats
+        if cand == s_true:
+            stats.true_rejections += 1
+    return None, stats
 
 
 def _scalar_reference(s, q, rows, budget, m, xi_prime):
@@ -565,7 +590,7 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
             k = len(call["coords"])
             samples = _samples(inst, call["inv"][i], call["b"][i])
             # A row's combination of a' is a' times its combination of 1.
-            unit = reduce_to_coordinate(samples, j, 1, inst.s, q).b_prime
+            unit = make_test_sample(samples, j, 1, inst.s, q).b_prime
             a_row = call["a_values"][i if call["a_values"].shape[0] > 1 else 0]
             assert call["b_values"][i].tolist() == (a_row * unit % q).tolist()
             t = call["out"][2][i].tolist()
