@@ -17,7 +17,12 @@ must agree (tests enforce it):
    then k_d from the conditional row. It measures a (k, m) stack of
    batches at once, one row per shot, with one batched length-q
    transform; this is the fast path the solver uses, and
-   sample_bv_outcome is its one-row case.
+   sample_bv_outcome is its one-row case. A row whose values span
+   fewer than m integers (an s-free error row, on k_d = 0 with
+   probability f(k*) + (1 - f(k*))/q) draws that atom from its phase
+   sum dc, with mass |dc|^2 / (q m), and checks its mass sum |x|^2 / m
+   (Parseval) in place of the transform; rows with b' spread over
+   [0, q) hold about 1/q there and are all transformed.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -173,6 +178,13 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
+def _check_mass(mass: np.ndarray) -> None:
+    """Raise InvariantViolation when any row's conditional mass drifts from 1."""
+    drift = float(np.abs(mass - 1.0).max())
+    if drift > NORM_TOL:
+        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
+
+
 def sample_bv_stack(
     q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,19 +196,30 @@ def sample_bv_stack(
     eta' as they are). The A-register marginal is exactly uniform for
     any batch of unit-weight pairs with distinct a', so each k* is drawn
     flat; each conditional over k_d is one length-q transform of that
-    row's pair phases, all rows in one batched call.
+    row's pair phases x, all transformed rows in one batched call.
     Phases w^{b' k*} come from root_table(q). When the stack's values
     span fewer than m integers, each row gets a table over that span
     and every phase is one flat take from the k tables; otherwise each
     phase is a direct lookup at b' k* mod q. Both read the same table
     entry. When every row's inputs are 0..q-1 in order, the phases are
     the transform's input as they are, with no scatter.
-    Returns the (k_d, k*) arrays; a row whose conditional mass drifts
-    from 1 raises InvariantViolation. The stream per call: k bounded
+    The k_d = 0 atom needs no transform: its mass is |dc|^2 / (q m) with
+    dc = sum_a x[i, a], so a row whose uniform u has |dc|^2 > u m q
+    draws k_d = 0, and only the other rows are transformed. Span-table
+    rows take the atom: they are s-free error rows, which land on
+    k_d = 0 with probability f(k*) + (1 - f(k*))/q. Direct-lookup rows
+    spread b' over [0, q), their atom holds about 1/q of the mass, and
+    they are all transformed.
+    Returns the (k_d, k*) arrays. A transformed row whose conditional
+    mass drifts from 1 raises InvariantViolation, and so does an atom
+    row whose sum_a |x[i, a]|^2 / m (its mass, by Parseval) drifts; both
+    read the row the transform would read, after the scatter, so a
+    repeated input raises either way. The stream per call: k bounded
     integers for k*, then k uniform doubles for k_d.
     """
     k, m = b_values.shape
     k_star = rng.integers(q, size=k)
+    u = rng.random(k)
     lo, hi = int(b_values.min()), int(b_values.max())
     span = hi - lo + 1
     if span < m:
@@ -209,18 +232,35 @@ def sample_bv_stack(
         # Rows that are not the full field in order scatter into a zero table.
         phases, x = x, np.zeros((k, q), dtype=np.complex128)
         x[np.arange(k)[:, None], a_values] = phases
-    g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
-    cdf = g.real**2
-    cdf += g.imag**2
-    np.cumsum(cdf, axis=1, out=cdf)
-    # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
-    total = cdf[:, -1]
-    drift = float(np.abs(total * (q / m) - 1.0).max())
-    if drift > NORM_TOL:
-        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
-    # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
-    k_d = (cdf <= (rng.random(k) * total)[:, None]).sum(axis=1)
-    return np.minimum(k_d, q - 1), k_star
+    k_d = np.zeros(k, dtype=np.int64)
+    rows = slice(None)
+    if span < m:
+        # k_d = 0 iff cdf[0] > u * total, i.e. |dc|^2 / q^2 > u m / q.
+        dc = x.sum(axis=1)
+        atom = dc.real**2 + dc.imag**2 > u * (m * q)
+        if atom.any():
+            hit = x[atom].view(np.float64)  # as (re, im) pairs, a row's sum of squares is sum |x|^2
+            _check_mass(np.einsum("ij,ij->i", hit, hit) / m)
+            del hit
+            rows = np.flatnonzero(~atom)
+            x, u = x[rows], u[rows]
+    if len(x):
+        g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
+        # Spent arrays are freed at once (hit above, x here) and |g|^2 is summed
+        # in g's own memory, as (re, im) pairs: at large q a call's fresh pages
+        # cost about as much as the transform rows the atom saves.
+        del x
+        pairs = g.view(np.float64)
+        np.square(pairs, out=pairs)
+        cdf = pairs[:, 0::2]
+        np.add(cdf, pairs[:, 1::2], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
+        total = cdf[:, -1]
+        _check_mass(total * (q / m))
+        # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
+        k_d[rows] = np.minimum((cdf <= (u * total)[:, None]).sum(axis=1), q - 1)
+    return k_d, k_star
 
 
 def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:

@@ -11,8 +11,9 @@ some coordinate is wrong).
 
 Budgets follow the retry calculus: with per-shot success probability at
 least C/xi' (C = gamma * cos^2(2*pi*gamma)) the coordinate-failure rate
-drops below delta/n at L = ceil((xi'/C) * ln(n/delta)); M is the least
-trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
+drops below delta/n at L = ceil((xi'/C) * ln(n/delta)). At xi' = 0 that
+term is 0 and only nulls fail a coordinate, so L = ceil(ln(n/delta) / ln q),
+the least with q^-L <= delta/n. M is the least trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
 Both modes run as array passes over refills drawn from the solve's one
@@ -127,9 +128,11 @@ def choose_parameters(
 ) -> SolveParameters:
     """Derive (L, M, xi', C) for the requested failure budget delta.
 
-    Raises InfeasibleParameters when the amplified bound does not fit
-    under q/2, when the retry budget L would exceed q, or when no
-    M <= 64 pushes the false-accept bound under delta/n.
+    At xi' = 0 only nulls (k* = 0, probability 1/q per shot) fail a
+    coordinate, so L is the least with q^-L <= delta/n. Raises
+    InfeasibleParameters when the amplified bound does not fit under
+    q/2, when the retry budget L would exceed q, or when no M <= 64
+    pushes the false-accept bound under delta/n.
     """
     if not 0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
@@ -140,7 +143,10 @@ def choose_parameters(
     if 2 * xi_prime >= q:
         raise InfeasibleParameters(f"amplified bound xi'={xi_prime} does not fit below q/2")
     c = gamma * math.cos(2 * math.pi * gamma) ** 2
-    required = (xi_prime / c) * math.log(n / delta)
+    if xi_prime == 0:
+        required = math.log(n / delta) / math.log(q)
+    else:
+        required = (xi_prime / c) * math.log(n / delta)
     l_budget = max(1, math.ceil(required))
     if l_budget > q:
         raise InfeasibleParameters(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dclwe import (
+    NORM_TOL,
     REGISTER_A,
     REGISTER_D,
     DuplicateInput,
@@ -28,9 +29,10 @@ from dclwe import (
     sample_bv_outcome,
     sample_bv_outcomes,
     sample_bv_stack,
+    sample_errors,
     synth_reduced_batch,
 )
-from dclwe.instance import UNIFORM
+from dclwe.instance import GAUSSIAN, UNIFORM
 
 from _stats import chi_square_ok
 
@@ -385,6 +387,126 @@ def test_stacked_sampler_checks_every_row_norm():
     b_values = np.array([[1, 2, 3], [1, 2, 3]])
     with pytest.raises(InvariantViolation):
         sample_bv_stack(q, a_values, b_values, derive_rng(60, 0))
+    # On a span-table stack with a constant b' the scatter keeps 5 of the
+    # second row's 6 phases, so |dc| = 5 and that row takes the k_d = 0 atom
+    # when its uniform (the second double after the k* draws) is below
+    # 5^2 / (6 q). It must raise whether or not it does.
+    a_values = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4]])
+    b_values = np.full(a_values.shape, 2)
+    atom_below = 25 / (6 * q)
+    on_atom = 0
+    for seed in range(20):
+        rng = derive_rng(60, seed)
+        rng.integers(q, size=2)
+        on_atom += rng.random(2)[1] < atom_below
+        with pytest.raises(InvariantViolation):
+            sample_bv_stack(q, a_values, b_values, derive_rng(60, seed))
+    assert 0 < on_atom < 20
+
+
+def _every_row_sampler(q, a_values, b_values, rng):
+    """Reference: sample_bv_stack with every row through the transform."""
+    k, m = b_values.shape
+    k_star = rng.integers(q, size=k)
+    lo, hi = int(b_values.min()), int(b_values.max())
+    span = hi - lo + 1
+    if span < m:
+        table = root_table(q)[np.outer(k_star, np.arange(lo, hi + 1)) % q]
+        x = table.ravel().take(b_values + (np.arange(k) * span - lo)[:, None])
+    else:
+        x = root_table(q)[b_values * k_star[:, None] % q]
+    if m != q or not (a_values == np.arange(q)).all():
+        phases, x = x, np.zeros((k, q), dtype=np.complex128)
+        x[np.arange(k)[:, None], a_values] = phases
+    g = np.fft.ifft(x, axis=1)
+    cdf = g.real**2
+    cdf += g.imag**2
+    np.cumsum(cdf, axis=1, out=cdf)
+    total = cdf[:, -1]
+    drift = float(np.abs(total * (q / m) - 1.0).max())
+    if drift > NORM_TOL:
+        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
+    k_d = (cdf <= (rng.random(k) * total)[:, None]).sum(axis=1)
+    return np.minimum(k_d, q - 1), k_star
+
+
+def _s_free_cases():
+    """(q, a_values, eta' rows) of s-free stacks as the controlled solver draws them."""
+    rng = derive_rng(69, 0)
+    cases = {}
+    for q, k in [(101, 24), (401, 16), (4093, 6)]:
+        for kind in (UNIFORM, GAUSSIAN):
+            eta = sample_errors(ErrorDistribution(kind, 2), rng, (k, q))
+            cases[f"full field q={q} {kind}"] = (q, np.arange(q)[None], eta)
+    for q, m, kind in [(101, 40, GAUSSIAN), (401, 120, UNIFORM)]:
+        inputs = np.stack([rng.choice(q, size=m, replace=False) for _ in range(12)])
+        eta = sample_errors(ErrorDistribution(kind, 3), rng, (12, m))
+        cases[f"partial rows q={q} {kind}"] = (q, inputs, eta)
+    return cases
+
+
+def _reference_cases():
+    return {**_phase_cases(), **_s_free_cases()}
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_stacked_sampler_matches_the_every_row_reference(case):
+    q, a_values, eta = _reference_cases()[case]
+    atoms = 0
+    for seed in range(8):
+        ref_rng, rng = derive_rng(70, seed), derive_rng(70, seed)
+        k_d, k_star = sample_bv_stack(q, a_values, eta, rng)
+        ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
+        assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+        assert rng.random() == ref_rng.random()
+        atoms += int((k_d == 0).sum())
+    assert atoms > 0
+
+
+@pytest.fixture
+def transformed_rows(monkeypatch):
+    """The rows handed to np.fft.ifft, one array per call."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def spy(x, *args, **kwargs):
+        calls.append(np.array(x))
+        return ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    return calls
+
+
+def _phase_rows(q, a_values, b_values, k_star):
+    """Row i holds w^{b' k*_i} at each input a' and 0 elsewhere."""
+    k = b_values.shape[0]
+    x = np.zeros((k, q), dtype=np.complex128)
+    x[np.arange(k)[:, None], a_values] = root_table(q)[b_values * k_star[:, None] % q]
+    return x
+
+
+def test_noiseless_s_free_rows_need_no_transform(transformed_rows):
+    q = 401
+    b_values = np.zeros((16, q), dtype=np.int64)
+    k_d, k_star = sample_bv_stack(q, np.arange(q)[None], b_values, derive_rng(71, 0))
+    assert transformed_rows == []
+    assert (k_d == 0).all() and len(set(k_star.tolist())) > 1
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_only_rows_off_the_atom_are_transformed(case, transformed_rows):
+    # Span-table rows that draw k_d = 0 skip the transform; direct-lookup
+    # rows are all transformed.
+    q, a_values, eta = _reference_cases()[case]
+    span_table = np.ptp(eta) + 1 < eta.shape[1]
+    for seed in range(4):
+        transformed_rows.clear()
+        k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(72, seed))
+        expect = _phase_rows(q, a_values, eta, k_star)
+        if span_table:
+            expect = expect[k_d != 0]
+        handed = np.concatenate(transformed_rows) if transformed_rows else np.zeros((0, q))
+        assert np.array_equal(handed, expect)
 
 
 def test_root_table_is_bit_identical_to_elementwise_phases():

@@ -85,6 +85,28 @@ def test_parameter_infeasibility():
         choose_parameters(4, 101, 2, 0.75, 0.2)  # kappa xi not integral
 
 
+def test_noiseless_budget_covers_the_nulls():
+    # At xi' = 0 a coordinate fails only when all L shots are nulls (1/q
+    # each), so L is the least with q^-L <= delta/n.
+    n, delta = 3, 0.2
+    for q, budget in [(3, 3), (5, 2), (7, 2), (11, 2)]:
+        p = choose_parameters(n, q, 0, 1.0, delta)
+        assert p.L == budget
+        assert q**-p.L <= delta / n < q ** -(p.L - 1)
+    assert choose_parameters(20, 101, 0, 1.0, delta).L == 1
+    with pytest.raises(InfeasibleParameters):
+        choose_parameters(8, 3, 0, 1.0, delta)  # L = 4 > q
+    q, trials = 3, 400
+    params = choose_parameters(n, q, 0, 1.0, delta)
+    rng = derive_rng(84, 0)
+    failures = sum(
+        solve(_instance(n, q, 0, 85 + t), params, MODE_CONTROLLED, rng).outcome == OUTCOME_FAILURE
+        for t in range(trials)
+    )
+    expect = 1 - (1 - q**-params.L) ** n
+    assert abs(failures / trials - expect) <= binom_3sigma(expect, trials)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         choose_parameters(4, 101, 1, 1.0, 0.2, gamma=0.25)
