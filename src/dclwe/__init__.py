@@ -19,14 +19,12 @@ from .errors import (
     InvalidModulus,
     InvariantViolation,
     SingularMatrix,
-    TestSourceExhausted,
     ZeroInverse,
 )
 from .fq import (
     DENSE_BYTES_LIMIT,
     MODULUS_CEILING,
     PrimeField,
-    centered,
     is_prime,
     mat_inverse,
     mat_inverse_stack,
@@ -65,8 +63,6 @@ from .oracle import (
 )
 from .qsim import (
     NORM_TOL,
-    REGISTER_A,
-    REGISTER_D,
     MeasurementOutcome,
     TwoQuditState,
     bv_kernel,
@@ -76,7 +72,6 @@ from .qsim import (
     measure,
     prepare_sample_state,
     qft_matrix,
-    qft_register,
     root_table,
     sample_bv_outcome,
     sample_bv_outcomes,
@@ -89,7 +84,6 @@ from .reduce import (
     check_rows,
     eliminate_rows,
     elimination_batch,
-    elimination_stack,
     invertible_draws,
     kappa_observed,
     make_test_sample,

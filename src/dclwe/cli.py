@@ -514,8 +514,8 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     return 0 if failures == 0 else 3
 
 
-def pooled_chi_square(counts, probs, shots: int, min_expected: float = 5.0) -> tuple[float, int]:
-    """Chi-square statistic with low-expectation cells pooled into one.
+def pooled_chi_square(counts, probs, shots: int) -> tuple[float, int]:
+    """Chi-square statistic with cells expecting fewer than 5 counts pooled into one.
 
     Returns (statistic, degrees of freedom). Pooling keeps the usual
     chi-square approximation honest when the distribution has many
@@ -523,7 +523,7 @@ def pooled_chi_square(counts, probs, shots: int, min_expected: float = 5.0) -> t
     """
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(probs, dtype=float) * shots
-    big = expected >= min_expected
+    big = expected >= 5.0
     stat = float(((counts[big] - expected[big]) ** 2 / expected[big]).sum())
     dof = int(big.sum()) - 1
     rest = float(expected[~big].sum())

@@ -33,10 +33,6 @@ class DegenerateTest(DclweError):
     """Test sample with t = 0 carries no information about the secret."""
 
 
-class TestSourceExhausted(DclweError):
-    """Test-sample source ran dry before the requested trials completed."""
-
-
 class InfeasibleParameters(DclweError):
     """No valid retry/test budget exists for the requested configuration."""
 

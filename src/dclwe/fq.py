@@ -117,12 +117,6 @@ def _inverse_table(q: int) -> np.ndarray:
     return table
 
 
-def centered(x: int, q: int) -> int:
-    """Representative of x in (-q/2, q/2] without building a field object."""
-    h = q // 2
-    return (int(x) + h) % q - h
-
-
 def check_dense_size(rows: int, cols: int, what: str) -> None:
     """Refuse a rows x cols complex table above DENSE_BYTES_LIMIT before
     anything is allocated."""

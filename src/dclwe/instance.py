@@ -36,6 +36,8 @@ class ErrorDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not isinstance(self.xi, (int, np.integer)):
+            raise ValueError(f"xi must be an integer, got {self.xi!r}")
         if self.xi < 0:
             raise ValueError(f"xi must be non-negative, got {self.xi}")
         if self.kind == UNIFORM and self.sigma is not None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundTooLarge, InvalidLength, InvariantViolation
+from .errors import BoundTooLarge, InvalidLength
 from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import root_table
@@ -52,25 +52,16 @@ class WrongAcceptBound(NamedTuple):
     exact: float  # L * ((2 xi' + 1)/q)^M
 
 
-def exact_success_probability(batch: ReducedBatch, s_j: int | None = None) -> float:
+def exact_success_probability(batch: ReducedBatch) -> float:
     """Probability that one shot lands on the correlated ridge k_d = -s_j k*.
 
     Computed from the batch's ground-truth errors by direct summation:
     (1/(q^2 m)) * sum_{k*} |sum_{a'} w^{eta'(a') k*}|^2. The k* = 0 term
-    is included, so a noiseless full-field batch scores exactly 1.
-
-    Passing s_j cross-checks the batch against the claimed secret
-    coordinate first; the value itself never enters the sum, since the
-    ridge mass depends only on the stored errors.
+    is included, so a noiseless full-field batch scores exactly 1. The
+    ridge mass depends only on the stored errors, never on s_j.
     """
     q, m = batch.q, batch.size
     check_dense_size(m, q, "exact_success_probability")
-    if s_j is not None:
-        implied = (batch.a_values * (int(s_j) % q) + batch.eta_values) % q
-        if not np.array_equal(implied, batch.b_values % q):
-            raise InvariantViolation(
-                f"batch is inconsistent with s_j={int(s_j)}: b' != a' s_j + eta' mod {q}"
-            )
     ks = np.arange(q, dtype=np.int64)
     phases = root_table(q)[np.outer(batch.eta_values, ks) % q]
     inner = phases.sum(axis=0)
@@ -166,7 +157,8 @@ def classical_baseline_solve(
     (t, eta'). The candidate is correct only when eta' vanished, so with
     uniform errors the per-coordinate rate is 1/(2 xi' + 1) and the
     full-solve rate decays geometrically in n. Refuses trial_budget or m
-    below 1, a non-integer kappa * xi and 2 xi' >= q before any draw.
+    below 1, kappa <= 0, a non-integer kappa * xi and 2 xi' >= q before
+    any draw.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")

@@ -9,7 +9,8 @@ cleverness at these sizes.
 Three independent routes to the post-kernel distribution coexist and
 must agree (tests enforce it):
 
-1. the dense matrix path, prepare_sample_state -> bv_kernel -> measure;
+1. the dense matrix path, prepare_sample_state -> bv_kernel -> measure,
+   where bv_kernel transforms both registers at once as F amps F;
 2. kernel_distribution, the closed-form amplitude grid
    amp[k_d, k*] = (1/(q sqrt(m))) sum_{a'} w^{a' k_d + b'(a') k*};
 3. sample_bv_stack, a factored sampler that draws k* first (its
@@ -46,9 +47,6 @@ from .errors import InvalidLength, InvariantViolation
 from .fq import PrimeField, check_dense_size
 from .reduce import ReducedBatch
 
-REGISTER_D = "D"
-REGISTER_A = "A"
-
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
 
@@ -63,14 +61,13 @@ class TwoQuditState:
 
     __slots__ = ("q", "amps")
 
-    def __init__(self, q: int, amps: np.ndarray, check: bool = True):
+    def __init__(self, q: int, amps: np.ndarray):
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (q, q):
             raise InvalidLength(f"amplitude grid must be ({q}, {q}), got {amps.shape}")
-        if check:
-            drift = abs(float(np.vdot(amps, amps).real) - 1.0)
-            if drift > NORM_TOL:
-                raise InvariantViolation(f"state norm drifted by {drift:.3e}")
+        drift = abs(float(np.vdot(amps, amps).real) - 1.0)
+        if drift > NORM_TOL:
+            raise InvariantViolation(f"state norm drifted by {drift:.3e}")
         self.q = q
         self.amps = amps
 
@@ -94,17 +91,14 @@ def root_table(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _qft_matrix(q: int, inverse: bool) -> np.ndarray:
+def qft_matrix(q: int) -> np.ndarray:
+    """The q-point transform matrix F[k, j] = w^{jk} / sqrt(q); read-only, shared."""
     check_dense_size(q, q, "the transform matrix")
     ks = np.arange(q, dtype=np.int64)
     phases = np.outer(ks, ks) % q
-    sign = -2j if inverse else 2j
-    return np.exp(sign * np.pi * phases / q) / np.sqrt(q)
-
-
-def qft_matrix(q: int, inverse: bool = False) -> np.ndarray:
-    """The q-point transform matrix F[k, j] = w^{jk} / sqrt(q)."""
-    return _qft_matrix(int(q), bool(inverse)).copy()
+    f = np.exp(2j * np.pi * phases / q) / np.sqrt(q)
+    f.flags.writeable = False
+    return f
 
 
 def prepare_sample_state(batch: ReducedBatch) -> TwoQuditState:
@@ -117,21 +111,10 @@ def prepare_sample_state(batch: ReducedBatch) -> TwoQuditState:
     return TwoQuditState(q, amps)
 
 
-def qft_register(state: TwoQuditState, register: str, inverse: bool = False) -> TwoQuditState:
-    """Apply the transform to one register; returns a new state."""
-    f = _qft_matrix(state.q, inverse)
-    if register == REGISTER_D:
-        amps = f @ state.amps
-    elif register == REGISTER_A:
-        amps = state.amps @ f.T
-    else:
-        raise InvalidLength(f"register must be {REGISTER_D!r} or {REGISTER_A!r}, got {register!r}")
-    return TwoQuditState(state.q, amps)
-
-
 def bv_kernel(state: TwoQuditState) -> TwoQuditState:
-    """Transform both registers (the tensor product commutes, order is moot)."""
-    return qft_register(qft_register(state, REGISTER_D), REGISTER_A)
+    """Transform both registers: F amps F^T, which is F amps F as F is symmetric."""
+    f = qft_matrix(state.q)
+    return TwoQuditState(state.q, f @ state.amps @ f)
 
 
 def measure(state: TwoQuditState, rng: np.random.Generator) -> MeasurementOutcome:

@@ -21,17 +21,16 @@ draws a (k, n, n) block of samples, inverts it with one batched
 Gauss-Jordan and redraws only the singular matrices; eliminate_rows
 combines all rows in one vectorised step, each through the inverse row
 of its own coordinate, and validates the stack against each row's own
-measured bound with one check_rows call. elimination_stack is the two
-for one coordinate, and elimination_batch is its one-row case;
-make_test_sample runs the same combination for one input t over given
-samples, since a test pair is an elimination whose only input is t.
+measured bound with one check_rows call. elimination_batch is the two
+for one batch of one coordinate; make_test_sample runs the same
+combination for one input t over given samples, since a test pair is an
+elimination whose only input is t.
 synth_reduced_errors is the checked error draw of k controlled batches,
 which synth_reduced_batch adds to a' s_j and a controlled refill
 measures as s-free b'.
 
-Batches store their pairs as parallel arrays (the simulator and the
-analysis oracles consume them whole); `pairs()` materializes individual
-ReducedPair values when object-level access reads better.
+Batches store their pairs as parallel arrays, which the simulator and
+the analysis oracles consume whole.
 """
 
 from __future__ import annotations
@@ -52,6 +51,9 @@ from .errors import (
 )
 from .fq import PrimeField, mat_inverse, mat_inverse_stack
 from .instance import LweInstance, Sample, draw_samples, sample_errors, samples_to_arrays
+
+# Draws of one sample matrix before invertible_draws gives up on it.
+MAX_REDRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -91,20 +93,6 @@ class ReducedBatch:
     @property
     def size(self) -> int:
         return int(self.a_values.size)
-
-    def pairs(self) -> list[ReducedPair]:
-        return [
-            ReducedPair(
-                a_prime=int(a),
-                b_prime=int(b),
-                eta_prime=int(e),
-                coeff_l1=int(c),
-                q=self.q,
-            )
-            for a, b, e, c in zip(
-                self.a_values, self.b_values, self.eta_values, self.coeff_l1_values
-            )
-        ]
 
 
 def check_rows(q: int, a_values: np.ndarray, eta_values: np.ndarray, xi_prime) -> None:
@@ -226,7 +214,6 @@ def synth_reduced_batch(
     chi_prime,
     rng: np.random.Generator,
     *,
-    j: int = 0,
     xi: int = 1,
 ) -> ReducedBatch:
     """Controlled-mode batch over inputs v (a' s_j + eta', with eta' from
@@ -240,7 +227,7 @@ def synth_reduced_batch(
     kappa = xi_prime / xi if xi > 0 else 1.0
     coeff = math.ceil(kappa) if xi > 0 else 0
     return ReducedBatch(
-        j=j,
+        j=0,
         q=q,
         a_values=a_values,
         b_values=(a_values * (int(s_j) % q) + eta_values) % q,
@@ -252,21 +239,21 @@ def synth_reduced_batch(
 
 
 def invertible_draws(
-    instance: LweInstance, k: int, rng: np.random.Generator, *, max_redraws: int = 64
+    instance: LweInstance, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """k fresh invertible n x n sample matrices: their (k, n, n) inverses
     and (k, n) outputs.
 
     All k matrices are drawn and inverted at once; only the singular
-    ones are drawn again, and a matrix still singular after max_redraws
+    ones are drawn again, and a matrix still singular after MAX_REDRAWS
     draws raises SingularMatrix.
     """
     a, b, _ = draw_samples(instance, rng, (k, instance.n))
     inv, invertible = mat_inverse_stack(a, instance.q)
     draws = 1
     while not invertible.all():
-        if draws >= max_redraws:
-            raise SingularMatrix(f"no invertible sample matrix in {max_redraws} draws")
+        if draws >= MAX_REDRAWS:
+            raise SingularMatrix(f"no invertible sample matrix in {MAX_REDRAWS} draws")
         bad = np.flatnonzero(~invertible)
         a_bad, b_bad, _ = draw_samples(instance, rng, (bad.size, instance.n))
         b[bad] = b_bad
@@ -295,36 +282,18 @@ def eliminate_rows(
     return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
 
 
-def elimination_stack(
-    instance: LweInstance,
-    j: int,
-    a_values: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    max_redraws: int = 64,
-) -> EliminationStack:
-    """k batches for coordinate j by elimination, one per row of the
-    (k, m) inputs, each from its own n fresh samples: invertible_draws,
-    then eliminate_rows."""
-    inv, b = invertible_draws(instance, a_values.shape[0], rng, max_redraws=max_redraws)
-    return eliminate_rows(instance, inv, b, a_values, j)
-
-
 def elimination_batch(
-    instance: LweInstance,
-    j: int,
-    v: Iterable[int],
-    rng: np.random.Generator,
-    *,
-    max_redraws: int = 64,
+    instance: LweInstance, j: int, v: Iterable[int], rng: np.random.Generator
 ) -> ReducedBatch:
-    """Batch for coordinate j over inputs v: elimination_stack's one-row case.
+    """Batch for coordinate j over inputs v from n fresh samples:
+    invertible_draws, then eliminate_rows, as a one-row stack.
 
     One invertible sample matrix serves the whole batch, so each input's
     error is that row's combined noise scaled by a'.
     """
     a_values = _input_array(v, instance.q)
-    stack = elimination_stack(instance, j, a_values[None], rng, max_redraws=max_redraws)
+    inv, b = invertible_draws(instance, 1, rng)
+    stack = eliminate_rows(instance, inv, b, a_values[None], j)
     return ReducedBatch(
         j=j,
         q=instance.q,

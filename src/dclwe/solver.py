@@ -116,7 +116,12 @@ class SolveOutcome:
 
 def amplified_bound(kappa: float, xi: int) -> int:
     """The amplified error bound xi' = kappa * xi, which must be an integer;
-    raises InfeasibleParameters otherwise."""
+    raises InfeasibleParameters otherwise, and ValueError for kappa <= 0 or
+    xi < 0."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if xi < 0:
+        raise ValueError(f"xi must be non-negative, got {xi}")
     xi_prime = round(kappa * xi)
     if abs(kappa * xi - xi_prime) > 1e-9:
         raise InfeasibleParameters(f"kappa * xi = {kappa * xi} is not an integer bound")
@@ -134,6 +139,8 @@ def choose_parameters(
     q/2, when the retry budget L would exceed q, or when no M <= 64
     pushes the false-accept bound under delta/n.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
     if not 0 < delta < 1:

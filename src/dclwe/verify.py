@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateTest
-from .fq import PrimeField, centered
+from .fq import PrimeField
 from .instance import ErrorDistribution
 from .reduce import ReducedPair
 
@@ -40,7 +40,7 @@ def delta(test_pair: ReducedPair, s_tilde: int) -> int:
     t = test_pair.a_prime % q
     if t == 0:
         raise DegenerateTest("test input t = 0 carries no information")
-    return abs(centered(test_pair.b_prime - t * (int(s_tilde) % q), q))
+    return abs(PrimeField(q).centered(test_pair.b_prime - t * (int(s_tilde) % q)))
 
 
 def m_trial_test(

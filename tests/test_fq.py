@@ -10,7 +10,6 @@ from dclwe import (
     PrimeField,
     SingularMatrix,
     ZeroInverse,
-    centered,
     derive_rng,
     is_prime,
     mat_inverse,
@@ -105,22 +104,22 @@ def test_inverse_exhaustive_against_oracle():
 
 
 def test_centered_examples():
-    assert centered(6, 7) == -1
-    assert centered(3, 7) == 3
-    assert centered(0, 7) == 0
-    assert centered(4, 7) == -3
     f = PrimeField(7)
     assert f.centered(6) == -1
+    assert f.centered(3) == 3
+    assert f.centered(0) == 0
+    assert f.centered(4) == -3
     assert list(f.centered_array(np.arange(7))) == [0, 1, 2, 3, -3, -2, -1]
 
 
 def test_centered_is_a_bijection_onto_the_window():
     for q in (3, 7, 31, 101):
-        values = {centered(x, q) for x in range(q)}
+        f = PrimeField(q)
+        values = {f.centered(x) for x in range(q)}
         half = (q - 1) // 2
         assert values == set(range(-half, half + 1))
         for x in range(q):
-            c = centered(x, q)
+            c = f.centered(x)
             assert c % q == x
             assert abs(c) <= half
 
@@ -130,7 +129,7 @@ def test_centered_is_a_bijection_onto_the_window():
     q=st.sampled_from(SMALL_PRIMES),
 )
 def test_centered_congruence_property(x, q):
-    c = centered(x, q)
+    c = PrimeField(q).centered(x)
     assert (c - x) % q == 0
     assert -q // 2 < c <= q // 2
 

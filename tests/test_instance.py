@@ -10,7 +10,7 @@ from dclwe import (
     ErrorDistribution,
     InvalidLength,
     InvalidModulus,
-    centered,
+    PrimeField,
     derive_rng,
     draw_samples,
     gen_samples,
@@ -34,6 +34,15 @@ def test_error_distribution_validation():
         ErrorDistribution(GAUSSIAN, 3, sigma=0.0)
     with pytest.raises(ValueError):
         ErrorDistribution(GAUSSIAN, 3, sigma=-1.0)
+
+
+def test_error_distribution_takes_only_an_integer_bound():
+    # A non-integer bound would give weights() points that sample_errors never draws.
+    for kind, xi in ((UNIFORM, 1.5), (UNIFORM, 2.0), (UNIFORM, "2"), (GAUSSIAN, 1.5)):
+        with pytest.raises(ValueError, match="xi must be an integer"):
+            ErrorDistribution(kind, xi)
+    for xi in (2, np.int64(2), np.int32(2)):
+        assert ErrorDistribution(UNIFORM, xi).weights().size == 5
 
 
 def test_uniform_noise_takes_no_sigma():
@@ -141,7 +150,7 @@ def test_generated_samples_satisfy_the_lwe_identity():
     for s in gen_samples(inst, rng, 500):
         assert abs(s.eta) <= 3
         assert 0 <= s.b < 101
-        lhs = centered(s.b - int(mat_vec(s.a, inst.s, 101)), 101)
+        lhs = PrimeField(101).centered(s.b - int(mat_vec(s.a, inst.s, 101)))
         assert lhs == s.eta
 
 

@@ -19,7 +19,6 @@ from dclwe import (
     ErrorDistribution,
     InfeasibleParameters,
     InvalidLength,
-    InvariantViolation,
     ReducedBatch,
     baseline_coordinate_rate,
     bound_report,
@@ -108,15 +107,6 @@ def test_exact_probability_matches_the_grid_ridge():
         assert exact_success_probability(batch) == pytest.approx(
             brute_ridge_mass(batch), abs=1e-12
         )
-
-
-def test_exact_probability_s_j_cross_check():
-    batch = _batch(7, 13, range(13), 2, 9)
-    base = exact_success_probability(batch)
-    assert exact_success_probability(batch, s_j=7) == base
-    assert exact_success_probability(batch, s_j=7 + 13) == base  # residue class
-    with pytest.raises(InvariantViolation):
-        exact_success_probability(batch, s_j=8)
 
 
 def test_exact_probability_matches_scalar_summation():
@@ -308,6 +298,8 @@ def test_baseline_validation():
         (inst, 1.0, 2, 0, ValueError),  # no trial budget
         (inst, 1.0, 0, 1, ValueError),  # no test trials
         (inst, 1.5, 2, 1, InfeasibleParameters),  # kappa * xi = 1.5
+        (inst, -2.0, 2, 1, ValueError),  # kappa <= 0
+        (inst, 0.0, 2, 1, ValueError),
         (small, 6.0, 2, 1, BoundTooLarge),  # a window of 13 covers F_11
     ):
         with pytest.raises(error):

@@ -7,8 +7,6 @@ import pytest
 
 from dclwe import (
     NORM_TOL,
-    REGISTER_A,
-    REGISTER_D,
     DuplicateInput,
     ErrorDistribution,
     InvalidLength,
@@ -24,7 +22,6 @@ from dclwe import (
     measure,
     prepare_sample_state,
     qft_matrix,
-    qft_register,
     root_table,
     sample_bv_outcome,
     sample_bv_outcomes,
@@ -94,7 +91,7 @@ def test_qft_matrix_is_unitary_and_symmetric():
         f = qft_matrix(q)
         assert np.allclose(f @ f.conj().T, np.eye(q), atol=1e-12)
         assert np.allclose(f, f.T)
-        assert np.allclose(qft_matrix(q, inverse=True), f.conj())
+        assert not f.flags.writeable  # cached and shared
 
 
 def test_qft_roundtrip_restores_state():
@@ -104,11 +101,13 @@ def test_qft_roundtrip_restores_state():
         raw = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
         raw /= np.linalg.norm(raw)
         state = TwoQuditState(q, raw)
-        for reg in (REGISTER_D, REGISTER_A):
-            back = qft_register(qft_register(state, reg), reg, inverse=True)
-            assert np.allclose(back.amps, raw, atol=1e-12)
         both = bv_kernel(state)
         assert abs(both.norm_squared() - 1.0) < 1e-12
+        # F^2 maps |j> to |-j>: two kernels reflect both registers, four restore them.
+        neg = -np.arange(q) % q
+        twice = bv_kernel(both)
+        assert np.allclose(twice.amps, raw[np.ix_(neg, neg)], atol=1e-12)
+        assert np.allclose(bv_kernel(bv_kernel(twice)).amps, raw, atol=1e-12)
 
 
 def test_state_rejects_norm_drift_and_bad_shape():
@@ -116,8 +115,9 @@ def test_state_rejects_norm_drift_and_bad_shape():
         TwoQuditState(3, np.ones((3, 3)))
     with pytest.raises(InvalidLength):
         TwoQuditState(3, np.zeros((3, 4)))
-    # check=False defers the norm check to measurement.
-    bad = TwoQuditState(3, np.ones((3, 3)), check=False)
+    # measure checks the mass again, so a grid unnormalised after construction raises.
+    bad = TwoQuditState(3, np.eye(3) / math.sqrt(3))
+    bad.amps = np.ones((3, 3), dtype=np.complex128)
     with pytest.raises(InvariantViolation):
         measure(bad, derive_rng(31, 0))
 
@@ -551,9 +551,3 @@ def test_noiseless_extraction_success_rate():
     assert hits == 20000 - nulls  # every informative shot is correct
     p_null = nulls / 20000
     assert abs(p_null - 1 / q) < 3 * math.sqrt((1 / q) * (1 - 1 / q) / 20000)
-
-
-def test_qft_register_rejects_unknown_register():
-    state = TwoQuditState(3, np.eye(3, dtype=np.complex128) / math.sqrt(3))
-    with pytest.raises(InvalidLength):
-        qft_register(state, "B")

@@ -11,15 +11,16 @@ from dclwe import (
     InvalidLength,
     InvariantViolation,
     LweInstance,
+    PrimeField,
     ReducedBatch,
     Sample,
-    centered,
     check_rows,
     derive_rng,
     SingularMatrix,
+    eliminate_rows,
     elimination_batch,
-    elimination_stack,
     gen_samples,
+    invertible_draws,
     mat_inverse,
     kappa_observed,
     make_instance,
@@ -61,7 +62,7 @@ def test_identity_matrix_reduction_is_a_row_pick():
     pair = make_test_sample(samples, 1, 3, s, q)
     assert pair.a_prime == 3
     assert pair.b_prime == (3 * samples[1].b) % q
-    assert pair.eta_prime == centered(3 * -1, q)
+    assert pair.eta_prime == PrimeField(q).centered(3 * -1)
     assert pair.coeff_l1 == 3
 
 
@@ -164,10 +165,9 @@ def test_synth_batch_identity_holds_for_every_pair():
     batch = synth_reduced_batch(9, 31, range(31), 3, chi, rng, xi=1)
     assert batch.size == 31
     assert batch.kappa == 3.0
-    for p in batch.pairs():
-        assert (p.b_prime - p.a_prime * 9 - p.eta_prime) % 31 == 0
-        assert abs(p.eta_prime) <= 3
-        assert p.coeff_l1 == 3
+    assert not ((batch.b_values - batch.a_values * 9 - batch.eta_values) % 31).any()
+    assert np.abs(batch.eta_values).max() <= 3
+    assert batch.coeff_l1_values.tolist() == [3] * 31
 
 
 def test_synth_batch_noiseless():
@@ -255,7 +255,8 @@ def test_elimination_stack_rows_satisfy_their_own_identity():
     q, xi = 101, 2
     inst, rng = _noisy_instance(3, q, xi, 70)
     a_values = np.broadcast_to(np.arange(q), (12, q))
-    stack = elimination_stack(inst, 2, a_values, rng)
+    inv, b = invertible_draws(inst, 12, rng)
+    stack = eliminate_rows(inst, inv, b, a_values, 2)
     s_j = int(inst.s[2])
     assert stack.b_values.shape == stack.eta_values.shape == (12, q)
     assert not ((stack.b_values - a_values * s_j - stack.eta_values) % q).any()
@@ -282,7 +283,9 @@ def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(dclwe.reduce, "draw_samples", spy)
-    stack = elimination_stack(inst, 0, np.ones((k, 1), dtype=np.int64), rng)
+    ones = np.ones((k, 1), dtype=np.int64)
+    inv, b = invertible_draws(inst, k, rng)
+    stack = eliminate_rows(inst, inv, b, ones, 0)
     assert drawn[0].shape == (k, n, n) and len(drawn) > 1
 
     def singular(mats):
@@ -303,11 +306,13 @@ def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
         pending = pending[singular(redraw)]
     assert pending.size == 0
     # With a' = 1 a row's combination is row 0 of its final matrix's inverse.
-    row_l1 = [sum(abs(centered(x, q)) for x in mat_inverse(m, q)[0]) for m in final]
+    field = PrimeField(q)
+    row_l1 = [sum(abs(field.centered(x)) for x in mat_inverse(m, q)[0]) for m in final]
     assert stack.coeff_l1_values[:, 0].tolist() == row_l1
     assert not ((stack.b_values - int(inst.s[0]) - stack.eta_values) % q).any()
+    monkeypatch.setattr(dclwe.reduce, "MAX_REDRAWS", 1)
     with pytest.raises(SingularMatrix):
-        elimination_stack(inst, 0, np.ones((k, 1), dtype=np.int64), rng, max_redraws=1)
+        invertible_draws(inst, k, rng)
 
 
 def test_elimination_batch_identity_and_amplification():

@@ -116,6 +116,18 @@ def test_parameter_validation():
         choose_parameters(4, 101, 1, 1.0, 1.0)
 
 
+def test_parameter_refusals_name_the_argument():
+    # Each is refused before any budget is computed; a negative kappa would
+    # otherwise give xi' < 0 and a budget a solve can only run to failure.
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        choose_parameters(0, 101, 1, 1.0, 0.2)
+    for kappa in (-2.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            choose_parameters(3, 101, 1, kappa, 0.2)
+    with pytest.raises(ValueError, match="xi must be non-negative"):
+        choose_parameters(3, 101, -1, 1.0, 0.2)
+
+
 def test_noiseless_coordinate_settles_on_first_informative_shot():
     # Null rate is exactly 1/q, so shots per coordinate are geometric
     # with mean q / (q - 1).

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dclwe import (
     DegenerateTest,
     ErrorDistribution,
+    PrimeField,
     ReducedPair,
-    centered,
     delta,
     derive_rng,
     false_accept_probability,
@@ -17,7 +17,6 @@ from dclwe import (
     sample_error,
     single_trial_pass_rate,
 )
-from dclwe import TestSourceExhausted as SourceExhausted
 from dclwe.instance import GAUSSIAN, UNIFORM
 
 from _stats import binom_3sigma
@@ -30,10 +29,11 @@ def _pair(t, b, q, coeff=1):
 def brute_pass_rate(gap, chi, xi_prime, q):
     """Oracle: average the acceptance indicator over all t and eta."""
     weights = chi.weights()
+    field = PrimeField(q)
     total = 0.0
     for ti in range(1, q):
         for k, eta in enumerate(range(-chi.xi, chi.xi + 1)):
-            if abs(centered((ti * gap + eta) % q, q)) <= xi_prime:
+            if abs(field.centered((ti * gap + eta) % q)) <= xi_prime:
                 total += weights[k]
     return total / ((q - 1) * weights.sum())
 
@@ -104,6 +104,9 @@ def test_m_trial_test_rejects_zero_trials():
 
 
 def test_m_trial_test_propagates_exhausted_source():
+    class SourceExhausted(Exception):
+        pass
+
     def source():
         raise SourceExhausted("dry")
 
