@@ -14,6 +14,7 @@ violations, 141 when the reader of stdout closes the pipe.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -53,10 +54,13 @@ from .qsim import (
     kernel_distribution,
     prepare_sample_state,
     sample_bv_outcomes,
+    sample_bv_stack,
 )
 from .reduce import elimination_batch, kappa_observed, synth_reduced_batch
 from .rng import derive_rng
-from .solver import MODE_CONTROLLED, MODE_ELIMINATION, amplified_bound, choose_parameters, solve
+from .solver import (
+    MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, choose_parameters, solve
+)
 
 _SWEEPABLE = ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size")
 
@@ -162,10 +166,7 @@ def _parse_scalar(field: str, raw: str):
 
 def _parse_field(field: str, raw: str):
     if field in _SWEEPABLE:
-        values = tuple(_parse_scalar(field, part) for part in raw.split(","))
-        if not values:
-            raise ConfigError(f"{field}: empty value list")
-        return values
+        return tuple(_parse_scalar(field, part) for part in raw.split(","))
     if "," in raw:
         raise ConfigError(f"{field}: is not sweepable")
     return _parse_scalar(field, raw)
@@ -220,8 +221,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     for field, ok, rule in (
         ("n", lambda v: v >= 1, "must be at least 1"),
         ("xi", lambda v: v >= 0, "must be non-negative"),
-        ("kappa", lambda v: v > 0, "must be positive"),
-        ("sigma", lambda v: v is None or v > 0, "must be positive"),
+        ("kappa", lambda v: 0 < v < np.inf, "must be positive and finite"),
+        ("sigma", lambda v: v is None or 0 < v < np.inf, "must be positive and finite"),
         ("gamma", lambda v: 0 < v < 0.25, "must lie in (0, 1/4)"),
         ("delta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
         ("v_size", lambda v: v is None or v >= 1, "must be at least 1"),
@@ -229,71 +230,88 @@ def _validate_config(config: ExperimentConfig) -> None:
         for value in getattr(config, field):
             if not ok(value):
                 raise ConfigError(f"{field}: {rule}, got {value}")
-    for kappa, xi in itertools.product(config.kappa, config.xi):
+    for point in config.points():
         try:
-            amplified_bound(kappa, xi)
+            amplified_bound(point.kappa, point.xi)
         except InfeasibleParameters as exc:
-            raise ConfigError(f"kappa/xi: {exc} (kappa={kappa}, xi={xi})")
-    for q in config.q:
-        for xi in config.xi:
-            if 2 * xi >= q:
-                raise ConfigError(f"xi: bound {xi} does not fit below q/2 for q={q}")
-        for v_size in config.v_size:
-            if v_size is not None and v_size > q:
-                raise ConfigError(f"v_size: {v_size} exceeds q={q}")
+            raise ConfigError(f"kappa/xi: {exc} (kappa={point.kappa}, xi={point.xi})")
+        if 2 * point.xi >= point.q:
+            raise ConfigError(f"xi: bound {point.xi} does not fit below q/2 for q={point.q}")
+        if point.v_size is not None and point.v_size > point.q:
+            raise ConfigError(f"v_size: {point.v_size} exceeds q={point.q}")
+
+
+def _name(point_index: int, point: PointConfig) -> str:
+    return f"point {point_index} (n={point.n}, q={point.q}, xi={point.xi}, kappa={point.kappa:g})"
+
+
+Budget = tuple[ErrorDistribution, SolveParameters]
+
+
+def point_budget(point_index: int, point: PointConfig) -> Budget:
+    """A sweep point's noise law and solve budget, derived once for all its trials.
+
+    Refuses a sigma with uniform noise, which has no width, and names
+    the point when no budget fits it.
+    """
+    if point.chi_kind == UNIFORM and point.sigma is not None:
+        raise ConfigError("sigma: has no effect with uniform noise")
+    try:
+        params = choose_parameters(point.n, point.q, point.xi, point.kappa, point.delta, point.gamma)
+    except InfeasibleParameters as exc:
+        raise InfeasibleParameters(f"{_name(point_index, point)}: {exc}") from None
+    return ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma), params
 
 
 def feasibility_warnings(config: ExperimentConfig) -> list[str]:
     """Report sweep points whose relative amplified noise 2*kappa*alpha
     reaches 1/2; the success floor degrades there."""
     warnings = []
-    for point in config.points():
+    for pi, point in enumerate(config.points()):
         rate = 2 * point.kappa * point.xi / point.q
         if rate >= 0.5:
-            warnings.append(
-                f"point (n={point.n}, q={point.q}, xi={point.xi}, kappa={point.kappa}):"
-                f" 2*kappa*alpha = {rate:.3f} >= 1/2"
-            )
+            warnings.append(f"{_name(pi, point)}: 2*kappa*alpha = {rate:.3f} >= 1/2")
     return warnings
 
 
 def unreachable_points(config: ExperimentConfig) -> list[str]:
     """Elimination-mode points whose measured xi' exceeds the tested xi'.
 
-    Each point builds one probe batch on a stream no trial uses. A batch
-    whose measured amplification pushes its bound past the xi' the
-    residual tests use makes true candidates fail those tests, so the
-    point cannot be expected to succeed.
+    Each point builds one probe batch on a stream no trial uses, after
+    every point's budget is derived. A batch whose measured
+    amplification pushes its bound past the xi' the residual tests use
+    makes true candidates fail those tests, so the point cannot be
+    expected to succeed.
     """
     if config.mode != MODE_ELIMINATION:
         return []
-    _refuse_uniform_sigma(config)
+    points = config.points()
+    budgets = [point_budget(pi, point) for pi, point in enumerate(points)]
     problems = []
-    for pi, point in enumerate(config.points()):
+    for pi, (point, (chi, params)) in enumerate(zip(points, budgets)):
         # Trial streams take a (point, trial) path; a three-index path is none of them.
         rng = derive_rng(config.seed, pi, 0, 0)
-        chi = ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma)
         q = point.q
         instance = make_instance(point.n, q, chi, rng)
-        params = choose_parameters(point.n, q, point.xi, point.kappa, point.delta, point.gamma)
-        full = point.v_size is None or point.v_size >= q
-        v = np.arange(q) if full else rng.choice(q, size=point.v_size, replace=False)
+        v = np.arange(q) if point.v_size in (None, q) else rng.choice(q, size=point.v_size, replace=False)
         batch = elimination_batch(instance, 0, v, rng)
         if batch.xi_prime > params.xi_prime:
             problems.append(
-                f"point {pi} (n={point.n}, q={q}, xi={point.xi}): elimination measured"
-                f" xi'={batch.xi_prime} (kappa={batch.kappa:g}) on a probe batch, above the"
-                f" tested xi'={params.xi_prime}; true candidates would fail their tests"
+                f"{_name(pi, point)}: elimination measured xi'={batch.xi_prime}"
+                f" (kappa={batch.kappa:g}) on a probe batch, above the tested"
+                f" xi'={params.xi_prime}; true candidates would fail their tests"
             )
     return problems
 
 
-def run_point_trial(point: PointConfig, seed: int, point_index: int, trial_index: int) -> ExperimentRecord:
-    """One solve with a stream derived from (seed, point, trial)."""
+def run_point_trial(
+    point: PointConfig, budget: Budget, seed: int, point_index: int, trial_index: int
+) -> ExperimentRecord:
+    """One solve at the point's noise law and budget (point_budget), with a
+    stream derived from (seed, point, trial)."""
+    chi, params = budget
     rng = derive_rng(seed, point_index, trial_index)
-    chi = ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma)
     instance = make_instance(point.n, point.q, chi, rng)
-    params = choose_parameters(point.n, point.q, point.xi, point.kappa, point.delta, point.gamma)
     start = time.perf_counter()
     result = solve(instance, params, point.mode, rng, v_size=point.v_size)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -314,36 +332,29 @@ def run_point_trial(point: PointConfig, seed: int, point_index: int, trial_index
     )
 
 
-def _task(args: tuple[PointConfig, int, int, int]) -> ExperimentRecord:
-    point, seed, point_index, trial_index = args
-    return run_point_trial(point, seed, point_index, trial_index)
-
-
-def _refuse_uniform_sigma(config: ExperimentConfig) -> None:
-    if config.chi_kind == UNIFORM and any(s is not None for s in config.sigma):
-        raise ConfigError("sigma: has no effect with uniform noise")
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """All (point, trial) tasks in deterministic order, on at most
-    `workers` processes and never more processes than tasks."""
+    `workers` processes and never more processes than tasks. Every
+    point's budget is derived before the first task runs."""
     if workers < 1:
         raise ConfigError("workers: must be at least 1")
     if config.mode == MODE_CONTROLLED and any(s is not None for s in config.sigma):
         # Controlled batches and test pairs draw from the noise kind at xi' alone.
         raise ConfigError("sigma: has no effect in controlled mode")
-    _refuse_uniform_sigma(config)
+    points = config.points()
+    budgets = [point_budget(pi, point) for pi, point in enumerate(points)]
     tasks = [
-        (point, config.seed, pi, ti)
-        for pi, point in enumerate(config.points())
+        (point, budget, config.seed, pi, ti)
+        for pi, (point, budget) in enumerate(zip(points, budgets))
         for ti in range(config.trials)
     ]
     # Under the fork start method a pool starts all its workers on the first submit.
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [_task(t) for t in tasks]
+        return [run_point_trial(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+        chunksize = max(1, len(tasks) // (workers * 4))
+        return list(pool.map(run_point_trial, *zip(*tasks), chunksize=chunksize))
 
 
 def _fmt(value) -> str:
@@ -383,21 +394,25 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     Monte Carlo rate over `trials` shots with its 3-sigma half-width,
     and the wrong-accept bound in its continuous (2 kappa alpha)^M and
     integer-count ((2 xi' + 1)/q)^M forms when the point admits a budget.
+    A point whose xi' lies outside [1, q/2) is refused before any draw.
     """
-    _refuse_uniform_sigma(config)
-    rows = []
-    grid_index = 0
-    for point in config.points():
+    points = config.points()
+    budgets = []
+    for pi, point in enumerate(points):
         xi_prime = amplified_bound(point.kappa, point.xi)
         if xi_prime < 1 or 2 * xi_prime >= point.q:
-            continue
-        rng = derive_rng(config.seed, 7, grid_index)
-        grid_index += 1
+            raise ConfigError(f"xi/kappa: {_name(pi, point)} has xi'={xi_prime}, outside [1, q/2)")
+        try:
+            budgets.append((xi_prime, point_budget(pi, point)[1]))
+        except InfeasibleParameters:
+            budgets.append((xi_prime, None))  # the row stays, with empty bound columns
+    rows = []
+    for pi, (point, (xi_prime, params)) in enumerate(zip(points, budgets)):
+        rng = derive_rng(config.seed, 7, pi)
         q = point.q
-        batch_size = point.v_size if point.v_size is not None else q
         s_j = int(rng.integers(q))
         chi_prime = ErrorDistribution(point.chi_kind, xi_prime, sigma=point.sigma)
-        v = np.arange(q) if batch_size >= q else rng.choice(q, size=batch_size, replace=False)
+        v = np.arange(q) if point.v_size in (None, q) else rng.choice(q, size=point.v_size, replace=False)
         batch = synth_reduced_batch(s_j, q, v, xi_prime, chi_prime, rng, xi=max(point.xi, 1))
         report = bound_report(batch, point.gamma)
 
@@ -407,15 +422,12 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
         sigma3 = 3 * float(np.sqrt(on_ridge * (1 - on_ridge) / shots))
 
         row = {**asdict(report), "empirical_p": float(on_ridge), "empirical_3sigma": sigma3}
-        try:
-            params = choose_parameters(point.n, q, point.xi, point.kappa, point.delta, point.gamma)
+        if params is None:
+            row.update(L=None, M=None, wrong_accept_approx=None, wrong_accept_exact=None)
+        else:
             wa = prob_iii_bound(params.L, point.kappa, point.xi / q, params.M, q)
             row.update(L=params.L, M=params.M, wrong_accept_approx=wa.approx, wrong_accept_exact=wa.exact)
-        except InfeasibleParameters:
-            row.update(L=None, M=None, wrong_accept_approx=None, wrong_accept_exact=None)
         rows.append(row)
-    if not rows:
-        raise ConfigError("xi/kappa: no sweep point yields a usable xi' in [1, q/2)")
     return rows
 
 
@@ -478,14 +490,15 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
         ok &= kappa_observed(batch) == int(batch.coeff_l1_values.max())
     check("elimination identity and amplification bound", ok)
 
-    # Measurement sampler agrees with the exact grid (chi-square, 4 sigma).
+    # The solver's stacked sampler agrees with the exact grid (chi-square, 4 sigma).
     q = 31
     chi_prime = ErrorDistribution(UNIFORM, 2)
     batch = synth_reduced_batch(int(rng.integers(q)), q, np.arange(q), 2, chi_prime, rng)
     grid = kernel_distribution(batch).ravel()
     shots = 20000
-    outcomes = sample_bv_outcomes(batch, rng, shots)
-    counts = np.bincount(outcomes[:, 0] * q + outcomes[:, 1], minlength=q * q)
+    b_rows = np.broadcast_to(batch.b_values, (shots, q))
+    k_d, k_star = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
+    counts = np.bincount(k_d * q + k_star, minlength=q * q)
     stat, dof = pooled_chi_square(counts, grid, shots)
     limit = dof + 4 * np.sqrt(2 * dof)
     check("measurement sampler chi-square (4 sigma)", stat <= limit, f"{stat:.1f} <= {limit:.1f}")
@@ -533,7 +546,9 @@ def pooled_chi_square(counts, probs, shots: int) -> tuple[float, int]:
     return stat, max(dof, 1)
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+def _config_parser() -> argparse.ArgumentParser:
+    """Parent parser of solve, sweep and bounds: the configuration, --out and --format."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="flat key=value configuration file")
     for field in _SWEEPABLE:
         parser.add_argument(f"--{field.replace('_', '-')}", help=f"override {field} (comma list sweeps)")
@@ -541,6 +556,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=[MODE_CONTROLLED, MODE_ELIMINATION], help="batch construction mode")
     parser.add_argument("--trials", help="solves per sweep point")
     parser.add_argument("--seed", help="master seed")
+    parser.add_argument("--out", help="write records to this path (sweep and bounds: default stdout)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -550,36 +568,30 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _write(rows: Sequence[dict], args: argparse.Namespace) -> None:
     """Emit rows to --out, or to stdout when it is unset."""
-    if not args.out:
-        emit(rows, args.format, sys.stdout)
-        return
-    with open(args.out, "w") as fh:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         emit(rows, args.format, fh)
 
 
-def _run(config: ExperimentConfig, args: argparse.Namespace) -> list[ExperimentRecord]:
-    for warning in feasibility_warnings(config):
+def _run(args: argparse.Namespace, refuse_unreachable: bool) -> list[ExperimentRecord]:
+    config = _config_from_args(args)
+    unreachable = unreachable_points(config)
+    if unreachable and refuse_unreachable:
+        raise InfeasibleParameters("; ".join(unreachable))
+    for warning in unreachable + feasibility_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     return run_experiment(config, workers=args.workers)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    unreachable = unreachable_points(config)
-    if unreachable:
-        raise InfeasibleParameters("; ".join(unreachable))
-    records = _run(config, args)
-    by_point: dict[int, list[ExperimentRecord]] = {}
-    for record in records:
-        by_point.setdefault(record.point_index, []).append(record)
-    for pi, recs in sorted(by_point.items()):
-        total = len(recs)
+    records = _run(args, refuse_unreachable=True)
+    for pi, group in itertools.groupby(records, key=lambda r: r.point_index):
+        recs = list(group)
         tally = Counter(r.outcome for r in recs)
         head = recs[0]
-        fractions = ", ".join(f"{k}={v / total:.3f}" for k, v in sorted(tally.items()))
+        fractions = ", ".join(f"{k}={v / len(recs):.3f}" for k, v in sorted(tally.items()))
         print(
             f"point {pi}: n={head.n} q={head.q} xi'={head.xi_prime} L={head.L} M={head.M}"
-            f" trials={total}: {fractions}"
+            f" trials={len(recs)}: {fractions}"
         )
     if args.out:
         _write([r.to_dict() for r in records], args)
@@ -588,10 +600,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    for problem in unreachable_points(config):
-        print(f"warning: {problem}", file=sys.stderr)
-    _write([r.to_dict() for r in _run(config, args)], args)
+    _write([r.to_dict() for r in _run(args, refuse_unreachable=False)], args)
     return 0
 
 
@@ -610,10 +619,6 @@ def _cmd_qram_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    return run_selftest(sys.stdout)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dclwe",
@@ -621,25 +626,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run solves and print outcome fractions")
-    _add_config_arguments(p_solve)
-    p_solve.add_argument("--out", help="also write records to this path")
-    p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_solve.add_argument("--workers", type=int, default=1)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="run the sweep grid and emit records")
-    _add_config_arguments(p_sweep)
-    p_sweep.add_argument("--out", help="output path (default stdout)")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_bounds = sub.add_parser("bounds", help="exact success probability vs. its lower bound")
-    _add_config_arguments(p_bounds)
-    p_bounds.add_argument("--out", help="output path (default stdout)")
-    p_bounds.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_bounds.set_defaults(func=_cmd_bounds)
+    config_options = _config_parser()
+    for name, func, text in (
+        ("solve", _cmd_solve, "run solves and print outcome fractions"),
+        ("sweep", _cmd_sweep, "run the sweep grid and emit records"),
+        ("bounds", _cmd_bounds, "exact success probability vs. its lower bound"),
+    ):
+        p_config = sub.add_parser(name, help=text, parents=[config_options])
+        p_config.set_defaults(func=func)
+        if name != "bounds":
+            p_config.add_argument("--workers", type=int, default=1)
 
     p_qram = sub.add_parser("qram-cost", help="query cost for a memory layout")
     p_qram.add_argument("--q", type=int, required=True)
@@ -650,7 +646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_qram.set_defaults(func=_cmd_qram_cost)
 
     p_self = sub.add_parser("selftest", help="run the structural invariant suite")
-    p_self.set_defaults(func=_cmd_selftest)
+    p_self.set_defaults(func=lambda args: run_selftest(sys.stdout))
 
     args = parser.parse_args(argv)
     try:

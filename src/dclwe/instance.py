@@ -45,8 +45,8 @@ class ErrorDistribution:
         if self.kind == GAUSSIAN:
             if self.sigma is None:
                 object.__setattr__(self, "sigma", self.xi / 3 if self.xi > 0 else 1.0)
-            elif self.sigma <= 0:
-                raise ValueError(f"sigma must be positive, got {self.sigma}")
+            elif not 0 < self.sigma < np.inf:
+                raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def weights(self) -> np.ndarray:
         """Unnormalized weight of each eta in [-xi, xi], in window order."""

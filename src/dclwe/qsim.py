@@ -90,7 +90,7 @@ def root_table(q: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # up to 256 MiB at q = 4093, so one modulus at a time
 def qft_matrix(q: int) -> np.ndarray:
     """The q-point transform matrix F[k, j] = w^{jk} / sqrt(q); read-only, shared."""
     check_dense_size(q, q, "the transform matrix")

@@ -116,10 +116,10 @@ class SolveOutcome:
 
 def amplified_bound(kappa: float, xi: int) -> int:
     """The amplified error bound xi' = kappa * xi, which must be an integer;
-    raises InfeasibleParameters otherwise, and ValueError for kappa <= 0 or
-    xi < 0."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    raises InfeasibleParameters otherwise, and ValueError for a kappa that
+    is not positive and finite or for xi < 0."""
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if xi < 0:
         raise ValueError(f"xi must be non-negative, got {xi}")
     xi_prime = round(kappa * xi)
@@ -370,12 +370,15 @@ def solve(
     """Recover the full secret coordinate by coordinate and classify the run.
 
     Either mode is one array pass over refills drawn from `rng`:
-    controlled_pass or elimination_pass. v_size (inputs per batch, the
-    full field when None) must lie in [1, q]. The total quantum-sample
-    count is checked against the n * L budget.
+    controlled_pass or elimination_pass. Before the first draw, v_size (inputs
+    per batch, the full field when None) must lie in [1, q] and xi' and L must
+    be non-negative. Quantum samples are checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
+    for field in ("xi_prime", "L"):
+        if getattr(params, field) < 0:
+            raise ValueError(f"{field} must be non-negative, got {field}={getattr(params, field)}")
     n, q = instance.n, instance.q
     if v_size is not None and not 1 <= v_size <= q:
         raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")

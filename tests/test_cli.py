@@ -18,6 +18,7 @@ from dclwe.cli import (
     emit,
     feasibility_warnings,
     main,
+    point_budget,
     read_config_file,
     report_bounds,
     run_experiment,
@@ -144,10 +145,11 @@ def test_feasibility_warnings_flag_heavy_amplification():
 
 def test_run_point_trial_is_deterministic():
     point = _config().points()[0]
-    a = run_point_trial(point, 777, 0, 0)
-    b = run_point_trial(point, 777, 0, 0)
+    budget = point_budget(0, point)
+    a = run_point_trial(point, budget, 777, 0, 0)
+    b = run_point_trial(point, budget, 777, 0, 0)
     assert _strip_wall(a) == _strip_wall(b)
-    c = run_point_trial(point, 777, 0, 1)
+    c = run_point_trial(point, budget, 777, 0, 1)
     assert _strip_wall(c) != _strip_wall(a)
 
 
@@ -198,8 +200,8 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
     config = _config(trials=3)
@@ -357,6 +359,49 @@ def test_elimination_runs_that_cannot_succeed_are_refused(capsys):
     # Without noise nothing is amplified, so the run goes ahead.
     assert main(["solve", *argv, "--xi", "0"]) == 0
     assert "success=1.000" in capsys.readouterr().out
+
+
+def test_an_infeasible_later_point_is_refused_before_any_solve(monkeypatch, capsys):
+    # q=11 leaves no budget (L=96 > q) at kappa=2; the q=101 point runs fine alone.
+    import dclwe.cli as cli_module
+
+    solves = []
+    real_solve = cli_module.solve
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "solve", spy)
+    for command in ("solve", "sweep"):
+        for mode in ("controlled", "elimination"):
+            argv = [command, "--n", "4", "--q", "101,11", "--xi", "1", "--kappa", "2"]
+            assert main([*argv, "--mode", mode, "--trials", "30", "--seed", "1"]) == 2
+            assert solves == [], (command, mode)
+            captured = capsys.readouterr()
+            assert "point 1 (n=4, q=11, xi=1, kappa=2)" in captured.err
+            assert "L=96 exceeds q=11" in captured.err
+            assert captured.out == ""
+
+
+def test_bounds_refuses_a_point_without_a_usable_bound(capsys):
+    # xi' = kappa * xi must lie in [1, q/2); the xi=0 point is named, not skipped.
+    assert main(["bounds", "--n", "3", "--q", "101", "--xi", "0,1", "--kappa", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "xi/kappa: point 0 (n=3, q=101, xi=0, kappa=1) has xi'=0" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_kappa_and_sigma_are_config_errors(capsys):
+    for command in ("solve", "sweep", "bounds"):
+        for kappa in ("inf", "1e400", "nan"):
+            for xi in ("0", "1"):  # at xi=0, kappa*xi is nan
+                assert main([command, "--trials", "1", "--kappa", kappa, "--xi", xi]) == 2, (command, kappa)
+                assert "configuration error: kappa:" in capsys.readouterr().err
+        gaussian = [command, "--mode", "elimination", "--chi-kind", "gaussian", "--trials", "1"]
+        for sigma in ("inf", "1e400", "nan"):
+            assert main([*gaussian, "--sigma", sigma]) == 2, (command, sigma)
+            assert "configuration error: sigma:" in capsys.readouterr().err
 
 
 def test_main_maps_invariant_violations_to_exit_3(monkeypatch, capsys):

@@ -45,6 +45,13 @@ def test_error_distribution_takes_only_an_integer_bound():
         assert ErrorDistribution(UNIFORM, xi).weights().size == 5
 
 
+def test_gaussian_sigma_must_be_finite():
+    # An infinite width would flatten the gaussian into uniform noise.
+    for sigma in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ErrorDistribution(GAUSSIAN, 3, sigma=sigma)
+
+
 def test_uniform_noise_takes_no_sigma():
     with pytest.raises(ValueError, match="no effect with uniform noise"):
         ErrorDistribution(UNIFORM, 2, sigma=1.0)

@@ -526,6 +526,13 @@ def test_qft_matrix_refuses_dense_tables_before_allocating():
     assert peak < 1 << 20
 
 
+def test_qft_matrix_keeps_one_table_alive():
+    # Each table is q*q complex values (256 MiB at q = 4093), so the cache holds one.
+    for q in (101, 103, 107):
+        qft_matrix(q)
+    assert qft_matrix.cache_info().currsize <= 1
+
+
 def test_vectorized_sampler_agrees_with_the_grid():
     q = 7
     batch = _batch(1, q, range(q), 1, 52)

@@ -31,6 +31,7 @@ from dclwe import (
     solve,
 )
 from dclwe import solver as solver_module
+from dclwe.solver import amplified_bound
 from dclwe.instance import UNIFORM
 
 from _stats import binom_3sigma
@@ -454,6 +455,30 @@ def test_solve_mode_validation():
     no_trials = SolveParameters(gamma=0.125, L=5, M=0, xi_prime=0, C=1 / 16)
     with pytest.raises(ValueError):
         solve(inst, no_trials, MODE_CONTROLLED, derive_rng(93, 1))
+
+
+def test_solve_refuses_a_negative_bound_or_budget_before_drawing():
+    inst = _instance(3, 101, 1, 96)
+    for field, params in (
+        ("xi_prime", SolveParameters(0.125, 5, 2, -2, 0.1)),
+        ("L", SolveParameters(0.125, -3, 2, 1, 0.1)),
+    ):
+        for mode in (MODE_CONTROLLED, MODE_ELIMINATION):
+            rng = derive_rng(97, 0)
+            with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+                solve(inst, params, mode, rng)
+            assert rng.random() == derive_rng(97, 0).random()  # nothing was drawn
+    # L = 0 is a budget, not an error: the solve fails having consumed nothing.
+    for mode in (MODE_CONTROLLED, MODE_ELIMINATION):
+        result = solve(inst, SolveParameters(0.125, 0, 2, 1, 0.1), mode, derive_rng(97, 1))
+        assert result.outcome == OUTCOME_FAILURE and result.quantum_samples == 0
+
+
+def test_amplified_bound_refuses_non_finite_kappa():
+    for kappa in (math.inf, -math.inf, math.nan):
+        for xi in (0, 1):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                amplified_bound(kappa, xi)
 
 
 def test_single_shot_budget_mostly_fails():
