@@ -69,7 +69,6 @@ from .qsim import (
     extract_candidate,
     extract_candidates,
     kernel_distribution,
-    measure,
     prepare_sample_state,
     qft_matrix,
     root_table,

@@ -48,14 +48,7 @@ from .oracle import (
     prob_iii_bound,
     qram_cost,
 )
-from .qsim import (
-    TwoQuditState,
-    bv_kernel,
-    kernel_distribution,
-    prepare_sample_state,
-    sample_bv_outcomes,
-    sample_bv_stack,
-)
+from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_state, sample_bv_outcomes
 from .reduce import elimination_batch, kappa_observed, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
@@ -263,17 +256,6 @@ def point_budget(point_index: int, point: PointConfig) -> Budget:
     return ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma), params
 
 
-def feasibility_warnings(config: ExperimentConfig) -> list[str]:
-    """Report sweep points whose relative amplified noise 2*kappa*alpha
-    reaches 1/2; the success floor degrades there."""
-    warnings = []
-    for pi, point in enumerate(config.points()):
-        rate = 2 * point.kappa * point.xi / point.q
-        if rate >= 0.5:
-            warnings.append(f"{_name(pi, point)}: 2*kappa*alpha = {rate:.3f} >= 1/2")
-    return warnings
-
-
 def unreachable_points(config: ExperimentConfig) -> list[str]:
     """Elimination-mode points whose measured xi' exceeds the tested xi'.
 
@@ -390,12 +372,15 @@ def emit(rows: Sequence[dict], fmt: str, fh: TextIO) -> None:
 def report_bounds(config: ExperimentConfig) -> list[dict]:
     """Exact ridge mass next to its analytic floor across the sweep grid.
 
-    One synthesized batch per (q, xi', gamma, batch size) point, plus a
-    Monte Carlo rate over `trials` shots with its 3-sigma half-width,
-    and the wrong-accept bound in its continuous (2 kappa alpha)^M and
-    integer-count ((2 xi' + 1)/q)^M forms when the point admits a budget.
-    A point whose xi' lies outside [1, q/2) is refused before any draw.
+    One synthesized controlled batch per (q, xi', gamma, batch size)
+    point, plus a Monte Carlo rate over `trials` shots of the solver's
+    sampler with its 3-sigma half-width, and the wrong-accept bound in
+    its continuous (2 kappa alpha)^M and integer-count ((2 xi' + 1)/q)^M
+    forms when the point admits a budget. A mode other than controlled,
+    or a point whose xi' lies outside [1, q/2), is refused before any draw.
     """
+    if config.mode != MODE_CONTROLLED:
+        raise ConfigError(f"mode: bounds draws controlled batches only, got {config.mode!r}")
     points = config.points()
     budgets = []
     for pi, point in enumerate(points):
@@ -416,7 +401,7 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
         batch = synth_reduced_batch(s_j, q, v, xi_prime, chi_prime, rng, xi=max(point.xi, 1))
         report = bound_report(batch, point.gamma)
 
-        shots = max(config.trials, 100)
+        shots = config.trials
         outcomes = sample_bv_outcomes(batch, rng, shots)
         on_ridge = (outcomes[:, 0] == (-s_j * outcomes[:, 1]) % q).mean()
         sigma3 = 3 * float(np.sqrt(on_ridge * (1 - on_ridge) / shots))
@@ -464,13 +449,14 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     check("centered representatives bijective", ok)
 
     # Kernel preserves the norm on random states: 1e3 states, drift < 1e-10.
+    # States are grouped by modulus, since qft_matrix caches one table.
     worst = 0.0
-    for i in range(1000):
-        q = (5, 7, 11, 13)[i % 4]
-        raw = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
-        raw /= np.linalg.norm(raw)
-        out = bv_kernel(TwoQuditState(q, raw))
-        worst = max(worst, abs(out.norm_squared() - 1.0))
+    for q in (5, 7, 11, 13):
+        for _ in range(250):
+            raw = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            raw /= np.linalg.norm(raw)
+            out = bv_kernel(TwoQuditState(q, raw))
+            worst = max(worst, abs(out.norm_squared() - 1.0))
     check("kernel unitarity on 1e3 random states", worst < 1e-10, f"max drift {worst:.2e}")
 
     # Elimination identity: b' = a' s_j + eta' and the L1 bound on eta'.
@@ -496,9 +482,8 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     batch = synth_reduced_batch(int(rng.integers(q)), q, np.arange(q), 2, chi_prime, rng)
     grid = kernel_distribution(batch).ravel()
     shots = 20000
-    b_rows = np.broadcast_to(batch.b_values, (shots, q))
-    k_d, k_star = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
-    counts = np.bincount(k_d * q + k_star, minlength=q * q)
+    outcomes = sample_bv_outcomes(batch, rng, shots)
+    counts = np.bincount(outcomes[:, 0] * q + outcomes[:, 1], minlength=q * q)
     stat, dof = pooled_chi_square(counts, grid, shots)
     limit = dof + 4 * np.sqrt(2 * dof)
     check("measurement sampler chi-square (4 sigma)", stat <= limit, f"{stat:.1f} <= {limit:.1f}")
@@ -547,14 +532,14 @@ def pooled_chi_square(counts, probs, shots: int) -> tuple[float, int]:
 
 
 def _config_parser() -> argparse.ArgumentParser:
-    """Parent parser of solve, sweep and bounds: the configuration, --out and --format."""
+    """Parent parser of solve, sweep and bounds: the configuration, --out and --format.
+    solve and sweep add --mode and --workers."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="flat key=value configuration file")
     for field in _SWEEPABLE:
         parser.add_argument(f"--{field.replace('_', '-')}", help=f"override {field} (comma list sweeps)")
     parser.add_argument("--chi-kind", choices=[UNIFORM, GAUSSIAN], help="error law")
-    parser.add_argument("--mode", choices=[MODE_CONTROLLED, MODE_ELIMINATION], help="batch construction mode")
-    parser.add_argument("--trials", help="solves per sweep point")
+    parser.add_argument("--trials", help="solves per sweep point (bounds: shots per point)")
     parser.add_argument("--seed", help="master seed")
     parser.add_argument("--out", help="write records to this path (sweep and bounds: default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -563,7 +548,7 @@ def _config_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     file_values = read_config_file(args.config) if args.config else None
-    return build_config(file_values, {field: getattr(args, field) for field in _DEFAULTS})
+    return build_config(file_values, {field: getattr(args, field, None) for field in _DEFAULTS})
 
 
 def _write(rows: Sequence[dict], args: argparse.Namespace) -> None:
@@ -577,7 +562,7 @@ def _run(args: argparse.Namespace, refuse_unreachable: bool) -> list[ExperimentR
     unreachable = unreachable_points(config)
     if unreachable and refuse_unreachable:
         raise InfeasibleParameters("; ".join(unreachable))
-    for warning in unreachable + feasibility_warnings(config):
+    for warning in unreachable:
         print(f"warning: {warning}", file=sys.stderr)
     return run_experiment(config, workers=args.workers)
 
@@ -634,7 +619,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ):
         p_config = sub.add_parser(name, help=text, parents=[config_options])
         p_config.set_defaults(func=func)
-        if name != "bounds":
+        if name != "bounds":  # bounds draws controlled batches on one process
+            modes = [MODE_CONTROLLED, MODE_ELIMINATION]
+            p_config.add_argument("--mode", choices=modes, help="batch construction mode")
             p_config.add_argument("--workers", type=int, default=1)
 
     p_qram = sub.add_parser("qram-cost", help="query cost for a memory layout")

@@ -9,21 +9,24 @@ cleverness at these sizes.
 Three independent routes to the post-kernel distribution coexist and
 must agree (tests enforce it):
 
-1. the dense matrix path, prepare_sample_state -> bv_kernel -> measure,
-   where bv_kernel transforms both registers at once as F amps F;
+1. the dense matrix path, prepare_sample_state -> bv_kernel ->
+   TwoQuditState.probabilities(), where bv_kernel transforms both
+   registers at once as F amps F;
 2. kernel_distribution, the closed-form amplitude grid
-   amp[k_d, k*] = (1/(q sqrt(m))) sum_{a'} w^{a' k_d + b'(a') k*};
+   amp[k_d, k*] = (1/(q sqrt(m))) sum_{a'} w^{a' k_d + b'(a') k*},
+   an oracle that nothing samples from;
 3. sample_bv_stack, a factored sampler that draws k* first (its
    marginal is exactly uniform, by Parseval over the D register) and
    then k_d from the conditional row. It measures a (k, m) stack of
    batches at once, one row per shot, with one batched length-q
-   transform; this is the fast path the solver uses, and
-   sample_bv_outcome is its one-row case. A row whose values span
-   fewer than m integers (an s-free error row, on k_d = 0 with
-   probability f(k*) + (1 - f(k*))/q) draws that atom from its phase
-   sum dc, with mass |dc|^2 / (q m), and checks its mass sum |x|^2 / m
-   (Parseval) in place of the transform; rows with b' spread over
-   [0, q) hold about 1/q there and are all transformed.
+   transform. Every simulated shot comes from it: the solver calls it
+   directly, sample_bv_outcome is its one-row view and
+   sample_bv_outcomes its view of one batch repeated. A row whose
+   values span fewer than m integers (an s-free error row, on k_d = 0
+   with probability f(k*) + (1 - f(k*))/q) draws that atom from its
+   phase sum dc, with mass |dc|^2 / (q m), and checks its mass
+   sum |x|^2 / m (Parseval) in place of the transform; rows with b'
+   spread over [0, q) hold about 1/q there and are all transformed.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -49,6 +52,14 @@ from .reduce import ReducedBatch
 
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
+
+# Rows per sample_bv_stack call. CHUNK_ENTRIES keeps each (k, q) complex table
+# of the stacked sampler near 512 KiB. numpy plans a prime-length FFT afresh
+# on every call, so rows measured together share that setup: at q=4093 the
+# cap allows 8 rows per call, and one batched ifft took 1.4 ms for 8 rows
+# against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for one row at q=4096; one
+# thread on a 2-core Xeon).
+CHUNK_ENTRIES = 1 << 15
 
 
 class MeasurementOutcome(NamedTuple):
@@ -115,18 +126,6 @@ def bv_kernel(state: TwoQuditState) -> TwoQuditState:
     """Transform both registers: F amps F^T, which is F amps F as F is symmetric."""
     f = qft_matrix(state.q)
     return TwoQuditState(state.q, f @ state.amps @ f)
-
-
-def measure(state: TwoQuditState, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample one (k_d, k*) from |amplitude|^2. The state is not reused after."""
-    p = state.probabilities().ravel()
-    total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise InvariantViolation(f"probability mass {total} is not 1")
-    idx = int(np.searchsorted(np.cumsum(p), rng.random() * total, side="right"))
-    idx = min(idx, p.size - 1)
-    k_d, k_star = divmod(idx, state.q)
-    return MeasurementOutcome(k_d=k_d, k_star=k_star)
 
 
 def extract_candidates(k_d: np.ndarray, k_star: np.ndarray, q: int) -> list[int | None]:
@@ -254,9 +253,14 @@ def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> Measurem
 
 
 def sample_bv_outcomes(batch: ReducedBatch, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Vectorized draws from one batch's exact output grid; shape (shots, 2)."""
+    """`shots` post-kernel measurements of one batch, as (k_d, k*) rows of a
+    (shots, 2) array: sample_bv_stack on the batch's row repeated, in calls
+    of max(1, CHUNK_ENTRIES // q) rows. No q x q table is built."""
     q = batch.q
-    p = kernel_distribution(batch).ravel()
-    p = p / p.sum()
-    idx = rng.choice(q * q, size=shots, p=p)
-    return np.stack(divmod(idx, q), axis=1)
+    out = np.empty((shots, 2), dtype=np.int64)
+    rows = max(1, CHUNK_ENTRIES // q)
+    for start in range(0, shots, rows):
+        chunk = out[start : start + rows]
+        b_rows = np.broadcast_to(batch.b_values, (len(chunk), batch.size))
+        chunk[:, 0], chunk[:, 1] = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
+    return out

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import sample_bv_stack
+from .qsim import CHUNK_ENTRIES, sample_bv_stack
 from .reduce import eliminate_rows, invertible_draws, synth_reduced_errors
 
 MODE_CONTROLLED = "controlled"
@@ -69,14 +69,9 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Refill sizes of both passes. CHUNK_ENTRIES keeps each (k, q) complex table
-# of the stacked sampler near 512 KiB. numpy plans a prime-length FFT afresh
-# on every call, so rows measured together share that setup: at q=4093 the
-# cap allows 8 rows per call, and one batched ifft took 1.4 ms for 8 rows
-# against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for one row at q=4096; one
-# thread on a 2-core Xeon).
+# Refill sizes of both passes: the first refill per coordinate, then at most
+# qsim.CHUNK_ENTRIES // q rows per sampler call.
 FIRST_CHUNK = 4
-CHUNK_ENTRIES = 1 << 15
 
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # k -> (k_d, k*) of k s-free rows and their (k, M) test pairs (t, eta')

@@ -16,7 +16,6 @@ from dclwe.cli import (
     ExperimentConfig,
     build_config,
     emit,
-    feasibility_warnings,
     main,
     point_budget,
     read_config_file,
@@ -136,11 +135,6 @@ def test_validation_messages_name_the_field():
 def test_oversized_error_bound_is_a_config_error():
     with pytest.raises(ConfigError):
         _config(q="7", xi="4")
-
-
-def test_feasibility_warnings_flag_heavy_amplification():
-    assert feasibility_warnings(_config(q="11", xi="3")) != []
-    assert feasibility_warnings(_config(q="101", xi="1")) == []
 
 
 def test_run_point_trial_is_deterministic():
@@ -398,7 +392,9 @@ def test_non_finite_kappa_and_sigma_are_config_errors(capsys):
             for xi in ("0", "1"):  # at xi=0, kappa*xi is nan
                 assert main([command, "--trials", "1", "--kappa", kappa, "--xi", xi]) == 2, (command, kappa)
                 assert "configuration error: kappa:" in capsys.readouterr().err
-        gaussian = [command, "--mode", "elimination", "--chi-kind", "gaussian", "--trials", "1"]
+        # Controlled solves refuse any sigma; bounds takes no --mode.
+        mode = [] if command == "bounds" else ["--mode", "elimination"]
+        gaussian = [command, *mode, "--chi-kind", "gaussian", "--trials", "1"]
         for sigma in ("inf", "1e400", "nan"):
             assert main([*gaussian, "--sigma", sigma]) == 2, (command, sigma)
             assert "configuration error: sigma:" in capsys.readouterr().err
@@ -425,6 +421,47 @@ def test_main_bounds_subcommand(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1
     assert rows[0]["violated"] == "false"
+
+
+def test_bounds_takes_no_mode(tmp_path, capsys):
+    # The bound table draws controlled batches only, so a mode cannot be set.
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--q", "101", "--mode", "elimination", "--trials", "10"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = elimination\n")
+    assert main(["bounds", "--config", str(cfg), "--q", "101", "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error: mode:" in captured.err
+    assert captured.out == ""
+
+
+def test_bounds_trials_is_the_shot_count(monkeypatch):
+    import dclwe.cli as cli_module
+
+    shots = []
+    real_sampler = cli_module.sample_bv_outcomes
+
+    def spy(batch, rng, count):
+        shots.append(count)
+        return real_sampler(batch, rng, count)
+
+    monkeypatch.setattr(cli_module, "sample_bv_outcomes", spy)
+    (row,) = report_bounds(_config(q="101", xi="1", trials=7))
+    assert shots == [7]
+    hits = row["empirical_p"] * 7
+    assert abs(hits - round(hits)) < 1e-9
+
+
+def test_bounds_runs_above_the_dense_limit_when_its_exact_column_fits(capsys):
+    # A 4099 x 4099 grid is over the dense limit; the 100-pair batch's
+    # exact column and the sampler's few-row tables are not.
+    argv = ["bounds", "--n", "3", "--q", "4099", "--kappa", "2", "--v-size", "100"]
+    assert main([*argv, "--trials", "50", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["q"] == 4099 and row["batch_size"] == 100
+    assert abs(row["empirical_p"] - row["exact_p"]) <= row["empirical_3sigma"] + 0.05
 
 
 def test_bounds_refuses_dense_tables_before_allocating():

@@ -19,7 +19,6 @@ from dclwe import (
     extract_candidate,
     extract_candidates,
     kernel_distribution,
-    measure,
     prepare_sample_state,
     qft_matrix,
     root_table,
@@ -115,11 +114,6 @@ def test_state_rejects_norm_drift_and_bad_shape():
         TwoQuditState(3, np.ones((3, 3)))
     with pytest.raises(InvalidLength):
         TwoQuditState(3, np.zeros((3, 4)))
-    # measure checks the mass again, so a grid unnormalised after construction raises.
-    bad = TwoQuditState(3, np.eye(3) / math.sqrt(3))
-    bad.amps = np.ones((3, 3), dtype=np.complex128)
-    with pytest.raises(InvariantViolation):
-        measure(bad, derive_rng(31, 0))
 
 
 def test_prepare_places_uniform_mass_on_batch_pairs():
@@ -188,29 +182,6 @@ def test_single_pair_batch_is_flat():
     q = 5
     batch = _literal_batch(q, [2], [4], xi_prime=2, eta=[0])
     assert np.allclose(kernel_distribution(batch), np.full((q, q), 1 / q**2), atol=1e-12)
-
-
-def test_measure_follows_the_grid_distribution():
-    q = 7
-    batch = _batch(2, q, range(q), 1, 45)
-    state = bv_kernel(prepare_sample_state(batch))
-    probs = state.probabilities().ravel()
-    rng = derive_rng(46, 0)
-    shots = 20000
-    counts = np.zeros(q * q)
-    for _ in range(shots):
-        out = measure(state, rng)
-        counts[out.k_d * q + out.k_star] += 1
-    assert chi_square_ok(counts, probs, shots)
-
-
-def test_measure_on_point_mass_is_deterministic():
-    q = 5
-    amps = np.zeros((q, q), dtype=np.complex128)
-    amps[3, 2] = 1.0
-    state = TwoQuditState(q, amps)
-    rng = derive_rng(47, 0)
-    assert all(measure(state, rng) == (3, 2) for _ in range(10))
 
 
 def test_extract_candidate_examples():
@@ -541,6 +512,20 @@ def test_vectorized_sampler_agrees_with_the_grid():
     assert outs.shape == (30000, 2)
     counts = np.bincount(outs[:, 0] * q + outs[:, 1], minlength=q * q)
     assert chi_square_ok(counts, probs, 30000)
+
+
+def test_repeated_batch_draws_stay_in_small_tables():
+    # The draws go through sample_bv_stack a few rows at a time, never
+    # through a q x q grid (17 MiB of complex values at q = 1031).
+    batch = _batch(5, 1031, range(1031), 2, 55)
+    tracemalloc.start()
+    try:
+        outs = sample_bv_outcomes(batch, derive_rng(55, 1), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outs.shape == (1000, 2)
+    assert peak < 8 << 20
 
 
 def test_noiseless_extraction_success_rate():
