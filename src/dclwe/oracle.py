@@ -61,10 +61,7 @@ def exact_success_probability(batch: ReducedBatch) -> float:
     ridge mass depends only on the stored errors, never on s_j.
     """
     q, m = batch.q, batch.size
-    check_dense_size(m, q, "exact_success_probability")
-    ks = np.arange(q, dtype=np.int64)
-    phases = root_table(q)[np.outer(batch.eta_values, ks) % q]
-    inner = phases.sum(axis=0)
+    inner = _error_phase_sums(batch, q, "exact_success_probability")
     return float((np.abs(inner) ** 2).sum() / (q * q * m))
 
 
@@ -79,10 +76,21 @@ def restricted_ridge_sum(batch: ReducedBatch, gamma: float) -> float:
     if batch.xi_prime < 1:
         raise InvalidLength("restricted sum needs xi' >= 1")
     k_max = math.floor(gamma * q / batch.xi_prime)
-    ks = np.arange(0, min(k_max, q - 1) + 1, dtype=np.int64)
-    check_dense_size(m, ks.size, "restricted_ridge_sum")
-    re = root_table(q)[np.outer(batch.eta_values, ks) % q].real.sum(axis=0)
+    re = _error_phase_sums(batch, min(k_max, q - 1) + 1, "restricted_ridge_sum").real
     return float((re**2).sum() / (q * q * m))
+
+
+def _error_phase_sums(batch: ReducedBatch, width: int, what: str) -> np.ndarray:
+    """sum_{a'} w^{eta'(a') k*} for k* in [0, width).
+
+    The sum depends only on how many pairs carry each error value, so it
+    runs over a table of one row per distinct value: at most
+    min(m, 2 xi' + 1) rows, refused before allocating when over the limit.
+    """
+    values, counts = np.unique(batch.eta_values, return_counts=True)
+    check_dense_size(values.size, width, what)
+    ks = np.arange(width, dtype=np.int64)
+    return counts @ root_table(batch.q)[np.outer(values, ks) % batch.q]
 
 
 def lower_bound_p(gamma: float, batch_size: int, xi_prime: int, q: int) -> float:

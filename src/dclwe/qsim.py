@@ -27,6 +27,9 @@ must agree (tests enforce it):
    phase sum dc, with mass |dc|^2 / (q m), and checks its mass
    sum |x|^2 / m (Parseval) in place of the transform; rows with b'
    spread over [0, q) hold about 1/q there and are all transformed.
+   A call holds one (k, q) phase table: the rows off the atom move to
+   its front, and the transform, the squares and the cdf overwrite
+   them there.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -53,13 +56,14 @@ from .reduce import ReducedBatch
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
 
-# Rows per sample_bv_stack call. CHUNK_ENTRIES keeps each (k, q) complex table
-# of the stacked sampler near 512 KiB. numpy plans a prime-length FFT afresh
-# on every call, so rows measured together share that setup: at q=4093 the
-# cap allows 8 rows per call, and one batched ifft took 1.4 ms for 8 rows
-# against 1.0 ms for 4 and 0.5 ms for 1 (0.06 ms for one row at q=4096; one
-# thread on a 2-core Xeon).
-CHUNK_ENTRIES = 1 << 15
+# Rows per sample_bv_stack call: at most CHUNK_ENTRIES // q. A call holds one
+# (k, q) complex table, transformed in place, so 16 rows at q=4093 hold 1 MiB.
+# numpy plans a prime-length FFT (Bluestein) afresh on every call, so rows
+# measured together share that setup and its freshly faulted buffers: a
+# controlled n=8 solve at q=4093 makes 3.5 calls and 1,150 minor page faults,
+# against 5.8 calls and 1,770 faults at 2^15 entries, 8 rows a call (1,000
+# solves, one thread on a 2-core Xeon).
+CHUNK_ENTRIES = 1 << 16
 
 
 class MeasurementOutcome(NamedTuple):
@@ -191,7 +195,9 @@ def sample_bv_stack(
     rows take the atom: they are s-free error rows, which land on
     k_d = 0 with probability f(k*) + (1 - f(k*))/q. Direct-lookup rows
     spread b' over [0, q), their atom holds about 1/q of the mass, and
-    they are all transformed.
+    they are all transformed. The transformed rows move to the front of
+    the phase table, which the transform and the cdf then overwrite; the
+    inputs are only read, so read-only or broadcast rows are fine.
     Returns the (k_d, k*) arrays. A transformed row whose conditional
     mass drifts from 1 raises InvariantViolation, and so does an atom
     row whose sum_a |x[i, a]|^2 / m (its mass, by Parseval) drifts; both
@@ -214,24 +220,33 @@ def sample_bv_stack(
         # Rows that are not the full field in order scatter into a zero table.
         phases, x = x, np.zeros((k, q), dtype=np.complex128)
         x[np.arange(k)[:, None], a_values] = phases
+        del phases
     k_d = np.zeros(k, dtype=np.int64)
-    rows = slice(None)
+    rows = np.arange(k)
     if span < m:
         # k_d = 0 iff cdf[0] > u * total, i.e. |dc|^2 / q^2 > u m / q.
         dc = x.sum(axis=1)
         atom = dc.real**2 + dc.imag**2 > u * (m * q)
         if atom.any():
-            hit = x[atom].view(np.float64)  # as (re, im) pairs, a row's sum of squares is sum |x|^2
-            _check_mass(np.einsum("ij,ij->i", hit, hit) / m)
-            del hit
+            # As (re, im) pairs, a row's sum of squares is sum |x|^2. Summing
+            # every row in place costs no more than copying the atom rows out.
+            pairs = x.view(np.float64)
+            _check_mass(np.vecdot(pairs, pairs)[atom] / m)
             rows = np.flatnonzero(~atom)
-            x, u = x[rows], u[rows]
-    if len(x):
-        g = np.fft.ifft(x, axis=1)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
-        # Spent arrays are freed at once (hit above, x here) and |g|^2 is summed
-        # in g's own memory, as (re, im) pairs: at large q a call's fresh pages
-        # cost about as much as the transform rows the atom saves.
-        del x
+            u = u[rows]
+            # The rows off the atom move to the front of x, each to its rank
+            # among them, which lies before it once an atom row has passed;
+            # one row at a time, as numpy buffers a take or an assignment
+            # whose operands overlap.
+            first = int(atom.argmax())
+            for dst, src in enumerate(rows[first:].tolist(), first):
+                x[dst] = x[src]
+    if len(rows):
+        # From here on every step overwrites x, so a call holds one (k, q)
+        # table: each fresh table costs fresh pages, and at large q their
+        # faults cost about as much as the transform.
+        g = x[: len(rows)]
+        np.fft.ifft(g, axis=1, out=g)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
         pairs = g.view(np.float64)
         np.square(pairs, out=pairs)
         cdf = pairs[:, 0::2]

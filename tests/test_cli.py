@@ -455,23 +455,26 @@ def test_bounds_trials_is_the_shot_count(monkeypatch):
 
 
 def test_bounds_runs_above_the_dense_limit_when_its_exact_column_fits(capsys):
-    # A 4099 x 4099 grid is over the dense limit; the 100-pair batch's
-    # exact column and the sampler's few-row tables are not.
-    argv = ["bounds", "--n", "3", "--q", "4099", "--kappa", "2", "--v-size", "100"]
-    assert main([*argv, "--trials", "50", "--format", "json"]) == 0
-    (row,) = json.loads(capsys.readouterr().out)
-    assert row["q"] == 4099 and row["batch_size"] == 100
-    assert abs(row["empirical_p"] - row["exact_p"]) <= row["empirical_3sigma"] + 0.05
+    # A 4099 x 4099 grid is over the dense limit; the exact column's table,
+    # one row per error value (2 xi' + 1 = 5) whether the batch holds 100
+    # pairs or the full field, and the sampler's few-row tables are not.
+    argv = ["bounds", "--n", "3", "--q", "4099", "--kappa", "2", "--trials", "50"]
+    for v_size in (100, 4099):
+        assert main([*argv, "--v-size", str(v_size), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["q"] == 4099 and row["batch_size"] == v_size
+        assert abs(row["empirical_p"] - row["exact_p"]) <= row["empirical_3sigma"] + 0.05
 
 
 def test_bounds_refuses_dense_tables_before_allocating():
-    # At q = 65537 the exact paths would need tens of GB; under a 2 GiB
-    # address-space cap the size guard must answer exit 2 first.
+    # The exact column needs one row of q phases per distinct error value:
+    # at q = 65537 and xi' = 200, a 401 x 65537 table over the dense limit.
+    # Under a 2 GiB address-space cap the size guard must answer exit 2 first.
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from dclwe.cli import main\n"
-        "sys.exit(main(['bounds', '--q', '65537', '--trials', '1']))\n"
+        "sys.exit(main(['bounds', '--q', '65537', '--kappa', '200', '--trials', '1']))\n"
     )
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)

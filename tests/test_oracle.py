@@ -167,9 +167,11 @@ def test_restricted_sum_requires_noise_scale():
 
 
 def test_restricted_sum_refuses_dense_tables_before_allocating():
-    # q = 65537, xi' = 1, gamma = 1/8: a 65537 x 8193 table, about 8.6 GB.
-    q = 65537
-    batch = synth_reduced_batch(3, q, range(q), 1, ErrorDistribution(UNIFORM, 1), derive_rng(61, 0))
+    # The table has one row per distinct error value, at most 2 xi' + 1, and
+    # one column per k* in the window: q = 2^31 - 1, xi' = 1, gamma = 1/8
+    # give 2^28 columns, several GiB, even for a batch of three pairs.
+    q = 2**31 - 1
+    batch = synth_reduced_batch(3, q, range(3), 1, ErrorDistribution(UNIFORM, 1), derive_rng(61, 0))
     tracemalloc.start()
     try:
         with pytest.raises(InvalidLength):

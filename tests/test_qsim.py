@@ -434,6 +434,67 @@ def test_stacked_sampler_matches_the_every_row_reference(case):
     assert atoms > 0
 
 
+def _sixteen_row_cases():
+    """16-row s-free stacks at q=4093, a full refill of the controlled solver."""
+    rng = derive_rng(73, 0)
+    q = 4093
+    cases = {}
+    for kind in (UNIFORM, GAUSSIAN):
+        eta = sample_errors(ErrorDistribution(kind, 2), rng, (16, q))
+        cases[f"full field {kind}"] = (q, np.arange(q)[None], eta)
+    inputs = np.stack([rng.choice(q, size=1000, replace=False) for _ in range(16)])
+    eta = sample_errors(ErrorDistribution(UNIFORM, 2), rng, (16, 1000))
+    cases["partial rows"] = (q, inputs, eta)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_sixteen_row_cases()))
+def test_sixteen_row_stacks_at_q4093_match_the_every_row_reference(case):
+    # An atom row with transformed rows after it makes those rows move
+    # forward in the table before the transform.
+    q, a_values, eta = _sixteen_row_cases()[case]
+    mid_stack = 0
+    for seed in range(6):
+        ref_rng, rng = derive_rng(74, seed), derive_rng(74, seed)
+        k_d, k_star = sample_bv_stack(q, a_values, eta, rng)
+        ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
+        assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+        assert rng.random() == ref_rng.random()
+        atom = k_d == 0
+        mid_stack += bool(atom.any() and not atom[atom.argmax() :].all())
+    assert mid_stack > 0
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_sampler_leaves_its_inputs_alone(case):
+    # Read-only inputs, like the broadcast rows sample_bv_outcomes passes:
+    # a write into either raises, and the values are the same after the call.
+    q, a_values, eta = _reference_cases()[case]
+    a_in, b_in = a_values.copy(), eta.copy()
+    a_in.flags.writeable = b_in.flags.writeable = False
+    for b_rows in (b_in, np.broadcast_to(b_in[0], b_in.shape)):
+        sample_bv_stack(q, a_in, b_rows, derive_rng(75, 0))
+    assert np.array_equal(a_in, a_values) and np.array_equal(b_in, eta)
+
+
+@pytest.mark.parametrize("case", sorted(_sixteen_row_cases()))
+def test_sixteen_row_call_at_q4093_holds_one_table(case):
+    # The phase table, transformed in place, and the int64 index it is
+    # gathered through: under 1.6 tables of 16 * 16 * q bytes. A second
+    # complex table for the transform's output pushes the peak towards two.
+    q, a_values, eta = _sixteen_row_cases()[case]
+    table = 16 * 16 * q
+    sample_bv_stack(q, a_values, eta, derive_rng(77, 0))  # root_table(q) is cached
+    for seed in range(4):
+        tracemalloc.start()
+        try:
+            sample_bv_stack(q, a_values, eta, derive_rng(77, seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * table
+
+
 @pytest.fixture
 def transformed_rows(monkeypatch):
     """The rows handed to np.fft.ifft, one array per call."""

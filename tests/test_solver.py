@@ -179,15 +179,17 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
     (1, 401, 119, 1, -1),
     (1, 4093, 30, 1, -1),
     (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # a cap of 2 rows per coordinate while all three are open
+    (3, 4093, 30, 1, -1),  # a cap of 5 rows per coordinate while all three are open
     (3, 101, 87, 1, 2),
-    (8, 401, 40, 1, 2),
+    # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
+    # 0.1 here, so coordinates settle at different refills by construction.
+    (8, 401, 40, 1, 20),
 )
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
     # Elimination mode's lockstep refills. At xi' = -1 no residual meets
-    # the bound, so every coordinate spends its whole budget; at xi' = 2
+    # the bound, so every coordinate spends its whole budget; at xi' >= 2
     # with one trial, coordinates settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
         _check_elimination_chunks(n, q, budget, xi, xi_prime)
@@ -289,11 +291,12 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
         controlled_pass(inst.s, 101, refill, 10, 2)
 
 
-def test_controlled_refill_at_q4093_holds_eight_rows(monkeypatch):
+def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
+    # Four coordinates ask for FIRST_CHUNK * 4 = 16 rows, all the table cap allows.
     refills = _spy_on_refills(monkeypatch)
-    inst = _instance(3, 4093, 1, 111)
+    inst = _instance(4, 4093, 1, 111)
     controlled_pass(inst.s, 4093, controlled_refills(inst, 2, 1, derive_rng(112, 0)), 30, -1)
-    assert len(refills[0][2]) == 8 == solver_module.CHUNK_ENTRIES // 4093
+    assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
 
 
 def _recorded(refill):
