@@ -235,12 +235,14 @@ def sample_bv_stack(
             rows = np.flatnonzero(~atom)
             u = u[rows]
             # The rows off the atom move to the front of x, each to its rank
-            # among them, which lies before it once an atom row has passed;
-            # one row at a time, as numpy buffers a take or an assignment
-            # whose operands overlap.
+            # among them, which is at most its index, so no block reads a row
+            # that an earlier block wrote. Each block is gathered through a
+            # copy of at most ceil(k / 8) rows, in at most eight steps.
             first = int(atom.argmax())
-            for dst, src in enumerate(rows[first:].tolist(), first):
-                x[dst] = x[src]
+            step = -(-k // 8)
+            for dst in range(first, len(rows), step):
+                src = rows[dst : dst + step]
+                x[dst : dst + len(src)] = x[src]
     if len(rows):
         # From here on every step overwrites x, so a call holds one (k, q)
         # table: each fresh table costs fresh pages, and at large q their

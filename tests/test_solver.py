@@ -292,9 +292,10 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
 
 
 def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
-    # Four coordinates ask for FIRST_CHUNK * 4 = 16 rows, all the table cap allows.
+    # Five coordinates ask for FIRST_CHUNK * 5 = 20 rows; the table cap cuts
+    # the first refill to CHUNK_ENTRIES // 4093 = 16.
     refills = _spy_on_refills(monkeypatch)
-    inst = _instance(4, 4093, 1, 111)
+    inst = _instance(5, 4093, 1, 111)
     controlled_pass(inst.s, 4093, controlled_refills(inst, 2, 1, derive_rng(112, 0)), 30, -1)
     assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
 
