@@ -5,6 +5,9 @@ single-coordinate subproblems by modular elimination, simulates the
 transform kernel that reads a coordinate off a batch of reduced pairs,
 verifies candidates with repeated residual tests, and checks every
 probability claim against closed-form oracles.
+
+The names exported here are the library's API. Everything else, such as
+the array passes and the one-row forms, imports from its own module.
 """
 
 from .errors import (
@@ -25,24 +28,13 @@ from .fq import (
     DENSE_BYTES_LIMIT,
     MODULUS_CEILING,
     PrimeField,
-    is_prime,
-    mat_inverse,
-    mat_inverse_stack,
-    mat_vec,
 )
 from .instance import (
     GAUSSIAN,
     UNIFORM,
     ErrorDistribution,
     LweInstance,
-    Sample,
-    draw_samples,
-    gen_samples,
-    gen_secret,
     make_instance,
-    sample_error,
-    sample_errors,
-    samples_to_arrays,
 )
 from .oracle import (
     FORM_DIVIDED,
@@ -50,7 +42,6 @@ from .oracle import (
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
     BoundReport,
-    WrongAcceptBound,
     baseline_coordinate_rate,
     bound_report,
     classical_baseline_solve,
@@ -62,30 +53,16 @@ from .oracle import (
     restricted_ridge_sum,
 )
 from .qsim import (
-    NORM_TOL,
-    MeasurementOutcome,
     TwoQuditState,
     bv_kernel,
-    extract_candidate,
-    extract_candidates,
     kernel_distribution,
     prepare_sample_state,
-    qft_matrix,
-    root_table,
-    sample_bv_outcome,
     sample_bv_outcomes,
     sample_bv_stack,
 )
 from .reduce import (
-    EliminationStack,
     ReducedBatch,
-    ReducedPair,
-    check_rows,
-    eliminate_rows,
     elimination_batch,
-    invertible_draws,
-    kappa_observed,
-    make_test_sample,
     synth_reduced_batch,
 )
 from .rng import derive_rng
@@ -99,19 +76,11 @@ from .solver import (
     SolveOutcome,
     SolveParameters,
     choose_parameters,
-    classify,
-    controlled_pass,
-    controlled_refills,
-    elimination_pass,
-    elimination_refills,
     solve,
 )
 from .verify import (
     FalseAcceptBound,
-    TestVerdict,
-    delta,
     false_accept_probability,
-    m_trial_test,
     single_trial_pass_rate,
 )
 

@@ -547,18 +547,37 @@ def _config_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = read_config_file(args.config) if args.config else None
+    try:
+        file_values = read_config_file(args.config) if args.config else None
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {args.config}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config: cannot read {args.config}: not a text file") from None
     return build_config(file_values, {field: getattr(args, field, None) for field in _DEFAULTS})
 
 
-def _write(rows: Sequence[dict], args: argparse.Namespace) -> None:
-    """Emit rows to --out, or to stdout when it is unset."""
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        emit(rows, args.format, fh)
+def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
+    """--out opened for appending, or stdout when it is unset. Commands open it
+    before their first draw, so a path that cannot be written costs no run;
+    _write empties it, so a run refused in between leaves its contents alone."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "a")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {args.out}: {exc.strerror}") from None
 
 
-def _run(args: argparse.Namespace, refuse_unreachable: bool) -> list[ExperimentRecord]:
-    config = _config_from_args(args)
+def _write(rows: Sequence[dict], args: argparse.Namespace, fh: TextIO) -> None:
+    """Emit rows to _output's handle, replacing what a regular --out file held."""
+    if args.out and fh.seekable():
+        fh.truncate(0)
+    emit(rows, args.format, fh)
+
+
+def _run(
+    config: ExperimentConfig, args: argparse.Namespace, refuse_unreachable: bool
+) -> list[ExperimentRecord]:
     unreachable = unreachable_points(config)
     if unreachable and refuse_unreachable:
         raise InfeasibleParameters("; ".join(unreachable))
@@ -568,30 +587,36 @@ def _run(args: argparse.Namespace, refuse_unreachable: bool) -> list[ExperimentR
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    records = _run(args, refuse_unreachable=True)
-    for pi, group in itertools.groupby(records, key=lambda r: r.point_index):
-        recs = list(group)
-        tally = Counter(r.outcome for r in recs)
-        head = recs[0]
-        fractions = ", ".join(f"{k}={v / len(recs):.3f}" for k, v in sorted(tally.items()))
-        print(
-            f"point {pi}: n={head.n} q={head.q} xi'={head.xi_prime} L={head.L} M={head.M}"
-            f" trials={len(recs)}: {fractions}"
-        )
-    if args.out:
-        _write([r.to_dict() for r in records], args)
-        print(f"wrote {len(records)} records to {args.out}")
+    config = _config_from_args(args)
+    with _output(args) as fh:
+        records = _run(config, args, refuse_unreachable=True)
+        for pi, group in itertools.groupby(records, key=lambda r: r.point_index):
+            recs = list(group)
+            tally = Counter(r.outcome for r in recs)
+            head = recs[0]
+            fractions = ", ".join(f"{k}={v / len(recs):.3f}" for k, v in sorted(tally.items()))
+            print(
+                f"point {pi}: n={head.n} q={head.q} xi'={head.xi_prime} L={head.L} M={head.M}"
+                f" trials={len(recs)}: {fractions}"
+            )
+        if args.out:
+            _write([r.to_dict() for r in records], args, fh)
+            print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _write([r.to_dict() for r in _run(args, refuse_unreachable=False)], args)
+    config = _config_from_args(args)
+    with _output(args) as fh:
+        _write([r.to_dict() for r in _run(config, args, refuse_unreachable=False)], args, fh)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    rows = report_bounds(_config_from_args(args))
-    _write(rows, args)
+    config = _config_from_args(args)
+    with _output(args) as fh:
+        rows = report_bounds(config)
+        _write(rows, args, fh)
     violated = [r for r in rows if r["violated"]]
     if violated:
         print(f"warning: {len(violated)} of {len(rows)} points violate the bound", file=sys.stderr)

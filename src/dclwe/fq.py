@@ -173,7 +173,8 @@ def mat_inverse(a: np.ndarray, q: int) -> np.ndarray:
     """Inverse of one square matrix mod q: mat_inverse_stack's one-matrix case.
 
     Raises SingularMatrix when no pivot exists, InvalidModulus for a bad q,
-    InvalidLength unless a is square.
+    InvalidLength unless a is square. Only make_test_sample calls it; it
+    stays only for bench/layers.py and the tests, until ROADMAP item 3.
     """
     inv, invertible = mat_inverse_stack(np.asarray(a)[None], q)
     if not invertible[0]:

@@ -76,11 +76,6 @@ class LweInstance:
     def xi(self) -> int:
         return self.chi.xi
 
-    @property
-    def alpha(self) -> float:
-        """Relative error rate xi / q."""
-        return self.chi.xi / self.q
-
 
 def gen_secret(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform secret in F_q^n."""
@@ -114,7 +109,8 @@ def sample_errors(
 
 
 def sample_error(chi: ErrorDistribution, rng: np.random.Generator) -> int:
-    """One draw from chi, the scalar form of sample_errors."""
+    """One draw from chi, the scalar form of sample_errors.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     return int(sample_errors(chi, rng))
 
 
@@ -138,13 +134,15 @@ def draw_samples(
 
 
 def gen_samples(instance: LweInstance, rng: np.random.Generator, count: int) -> list[Sample]:
-    """count samples: draw_samples as a list of Sample values."""
+    """count samples: draw_samples as a list of Sample values.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     a, b, eta = draw_samples(instance, rng, (count,))
     return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b.tolist(), eta.tolist())]
 
 
 def samples_to_arrays(samples: Sequence[Sample], q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the public parts of samples into (A, b) arrays mod q."""
+    """Stack the public parts of samples into (A, b) arrays mod q.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     a = np.stack([s.a for s in samples]).astype(np.int64) % q
     b = np.array([s.b for s in samples], dtype=np.int64) % q
     return a, b

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import root_table
 from .reduce import ReducedBatch
 from .solver import Rows, SolveOutcome, amplified_bound, classify, controlled_pass
-from .verify import false_accept_probability
+from .verify import FalseAcceptBound, false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
 SCHEME_BUCKET = "bucket_brigade"
@@ -45,11 +44,6 @@ class BoundReport:
     exact_p: float
     lower_bound: float
     violated: bool
-
-
-class WrongAcceptBound(NamedTuple):
-    approx: float  # L * (2 kappa alpha)^M
-    exact: float  # L * ((2 xi' + 1)/q)^M
 
 
 def exact_success_probability(batch: ReducedBatch) -> float:
@@ -122,7 +116,7 @@ def bound_report(batch: ReducedBatch, gamma: float) -> BoundReport:
     )
 
 
-def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) -> WrongAcceptBound:
+def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) -> FalseAcceptBound:
     """Wrong-accept probability bound after L candidates of M trials each:
     L times the per-candidate false_accept_probability, in its reporting
     form L * (2 kappa alpha)^M and its exact-count form L * ((2 xi' + 1)/q)^M.
@@ -130,7 +124,7 @@ def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) ->
     if l_budget < 1:
         raise ValueError(f"L must be at least 1, got {l_budget}")
     per_candidate = false_accept_probability(kappa, alpha, q, m)
-    return WrongAcceptBound(approx=l_budget * per_candidate.approx, exact=l_budget * per_candidate.exact)
+    return FalseAcceptBound(exact=l_budget * per_candidate.exact, approx=l_budget * per_candidate.approx)
 
 
 def prob_i_bound(delta: float, n: int) -> float:

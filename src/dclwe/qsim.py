@@ -144,7 +144,8 @@ def extract_candidates(k_d: np.ndarray, k_star: np.ndarray, q: int) -> list[int 
 
 
 def extract_candidate(outcome: MeasurementOutcome, q: int) -> int | None:
-    """extract_candidates for one outcome."""
+    """extract_candidates for one outcome.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     return extract_candidates(np.array([outcome.k_d]), np.array([outcome.k_star]), q)[0]
 
 
@@ -264,7 +265,8 @@ def sample_bv_stack(
 
 def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:
     """One post-kernel measurement without building the q x q state:
-    sample_bv_stack on a one-row stack."""
+    sample_bv_stack on a one-row stack.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     k_d, k_star = sample_bv_stack(batch.q, batch.a_values[None], batch.b_values[None], rng)
     return MeasurementOutcome(k_d=int(k_d[0]), k_star=int(k_star[0]))
 

@@ -163,7 +163,7 @@ def make_test_sample(
     eta' is the same combination applied to the hidden errors; the
     pair's eta_prime is recovered from the ground-truth secret for
     harness use only. t = 0 would reduce to a pure noise sample and is
-    rejected.
+    rejected. It stays only for bench/layers.py and the tests, until ROADMAP item 3.
     """
     target = int(t_target) % q
     if target == 0:

@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleParameters, InvariantViolation
+from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import CHUNK_ENTRIES, sample_bv_stack
@@ -366,8 +366,9 @@ def solve(
 
     Either mode is one array pass over refills drawn from `rng`:
     controlled_pass or elimination_pass. Before the first draw, v_size (inputs
-    per batch, the full field when None) must lie in [1, q] and xi' and L must
-    be non-negative. Quantum samples are checked against the n * L budget.
+    per batch, the full field when None) must lie in [1, q], xi' and L must be
+    non-negative, and 2 xi' must lie below q (BoundTooLarge). Quantum samples
+    are checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
@@ -375,6 +376,8 @@ def solve(
         if getattr(params, field) < 0:
             raise ValueError(f"{field} must be non-negative, got {field}={getattr(params, field)}")
     n, q = instance.n, instance.q
+    if 2 * params.xi_prime >= q:
+        raise BoundTooLarge(f"xi'={params.xi_prime} does not fit below q/2 for q={q}")
     if v_size is not None and not 1 <= v_size <= q:
         raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")
     if mode == MODE_CONTROLLED:

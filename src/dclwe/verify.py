@@ -50,7 +50,8 @@ def m_trial_test(
     test_source: Callable[[], ReducedPair],
 ) -> TestVerdict:
     """Accept s~ iff M consecutive fresh test pairs keep the residual
-    within xi'. Stops at the first violation."""
+    within xi'. Stops at the first violation.
+    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     deltas: list[int] = []

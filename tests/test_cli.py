@@ -378,6 +378,54 @@ def test_an_infeasible_later_point_is_refused_before_any_solve(monkeypatch, caps
             assert captured.out == ""
 
 
+def test_an_unusable_config_or_out_path_is_refused_before_any_draw(tmp_path, monkeypatch, capsys):
+    import dclwe.cli as cli_module
+
+    calls = []
+
+    def spy(name):
+        real = getattr(cli_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "synth_reduced_batch"):  # the first draws of solves and bounds
+        monkeypatch.setattr(cli_module, name, spy(name))
+    missing_dir = tmp_path / "no_such_dir"
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"n = 2\n\xc0\xff\n")
+    cases = (
+        (["--out", str(missing_dir / "x.csv")], f"out: cannot write {missing_dir}"),
+        (["--config", str(missing_dir / "x.cfg")], f"config: cannot read {missing_dir}"),
+        (["--config", str(tmp_path)], f"config: cannot read {tmp_path}"),  # a directory
+        (["--config", str(binary)], f"config: cannot read {binary}: not a text file"),
+    )
+    for command in ("solve", "sweep", "bounds"):
+        for extra, message in cases:
+            assert main([command, "--n", "2", "--q", "101", "--trials", "1", *extra]) == 2
+            captured = capsys.readouterr()
+            assert f"configuration error: {message}" in captured.err, (command, extra)
+            assert captured.out == ""
+            assert calls == [], (command, extra)
+    assert not missing_dir.exists()
+
+
+def test_out_is_replaced_by_a_run_and_left_alone_by_a_refusal(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    before = "previous contents\n" * 100
+    out.write_text(before)
+    argv = ["--n", "2", "--q", "101", "--trials", "2", "--out", str(out)]
+    for refused in (["solve", "--workers", "0"], ["sweep", "--workers", "0"], ["bounds", "--xi", "0"]):
+        assert main([*refused, *argv]) == 2
+        assert out.read_text() == before, refused
+    for command, rows in (("solve", 2), ("sweep", 2), ("bounds", 1)):
+        assert main([command, *argv]) == 0
+        assert len(list(csv.DictReader(out.open()))) == rows, command
+
+
 def test_bounds_refuses_a_point_without_a_usable_bound(capsys):
     # xi' = kappa * xi must lie in [1, q/2); the xi=0 point is named, not skipped.
     assert main(["bounds", "--n", "3", "--q", "101", "--xi", "0,1", "--kappa", "1"]) == 2

@@ -11,11 +11,8 @@ from dclwe import (
     SingularMatrix,
     ZeroInverse,
     derive_rng,
-    is_prime,
-    mat_inverse,
-    mat_inverse_stack,
-    mat_vec,
 )
+from dclwe.fq import is_prime, mat_inverse, mat_inverse_stack, mat_vec
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 101]
 

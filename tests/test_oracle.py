@@ -32,11 +32,10 @@ from dclwe import (
     prob_iii_bound,
     qram_cost,
     restricted_ridge_sum,
-    sample_errors,
     synth_reduced_batch,
 )
 from dclwe import oracle as oracle_module
-from dclwe.instance import GAUSSIAN, UNIFORM
+from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 from dclwe.solver import row_verdicts
 
 from _stats import binom_3sigma

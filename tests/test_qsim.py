@@ -6,29 +6,30 @@ import numpy as np
 import pytest
 
 from dclwe import (
-    NORM_TOL,
     DuplicateInput,
     ErrorDistribution,
     InvalidLength,
     InvariantViolation,
-    MeasurementOutcome,
     ReducedBatch,
     TwoQuditState,
     bv_kernel,
     derive_rng,
-    extract_candidate,
-    extract_candidates,
     kernel_distribution,
     prepare_sample_state,
+    sample_bv_outcomes,
+    sample_bv_stack,
+    synth_reduced_batch,
+)
+from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
+from dclwe.qsim import (
+    NORM_TOL,
+    MeasurementOutcome,
+    extract_candidate,
+    extract_candidates,
     qft_matrix,
     root_table,
     sample_bv_outcome,
-    sample_bv_outcomes,
-    sample_bv_stack,
-    sample_errors,
-    synth_reduced_batch,
 )
-from dclwe.instance import GAUSSIAN, UNIFORM
 
 from _stats import chi_square_ok
 

@@ -13,23 +13,22 @@ from dclwe import (
     LweInstance,
     PrimeField,
     ReducedBatch,
-    Sample,
-    check_rows,
     derive_rng,
     SingularMatrix,
-    eliminate_rows,
     elimination_batch,
-    gen_samples,
-    invertible_draws,
-    mat_inverse,
-    kappa_observed,
     make_instance,
-    make_test_sample,
-    samples_to_arrays,
     synth_reduced_batch,
 )
+from dclwe.fq import mat_inverse
+from dclwe.instance import UNIFORM, Sample, gen_samples, samples_to_arrays
+from dclwe.reduce import (
+    check_rows,
+    eliminate_rows,
+    invertible_draws,
+    kappa_observed,
+    make_test_sample,
+)
 import dclwe.reduce
-from dclwe.instance import UNIFORM
 
 
 def _noisy_instance(n, q, xi, seed, kind=UNIFORM):

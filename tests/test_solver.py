@@ -13,26 +13,26 @@ from dclwe import (
     CoordinateStats,
     ErrorDistribution,
     InfeasibleParameters,
-    ReducedPair,
-    Sample,
     SolveParameters,
     choose_parameters,
-    controlled_pass,
-    controlled_refills,
     derive_rng,
-    elimination_pass,
-    elimination_refills,
-    extract_candidates,
-    m_trial_test,
     make_instance,
-    make_test_sample,
-    mat_inverse,
     sample_bv_stack,
     solve,
 )
 from dclwe import solver as solver_module
-from dclwe.solver import amplified_bound
-from dclwe.instance import UNIFORM
+from dclwe.fq import mat_inverse
+from dclwe.instance import UNIFORM, Sample
+from dclwe.qsim import extract_candidates
+from dclwe.reduce import ReducedPair, make_test_sample
+from dclwe.solver import (
+    amplified_bound,
+    controlled_pass,
+    controlled_refills,
+    elimination_pass,
+    elimination_refills,
+)
+from dclwe.verify import m_trial_test
 
 from _stats import binom_3sigma
 
@@ -598,6 +598,24 @@ def test_solve_refuses_a_v_size_outside_the_field(mode):
     assert rng.bit_generator.state == state  # refused before any draw
     out = solve(inst, params, mode, rng, v_size=q)  # the full field stays legal
     assert out.quantum_samples > 0
+
+
+@pytest.mark.parametrize("mode, v_size", [
+    (MODE_CONTROLLED, None),
+    (MODE_CONTROLLED, 40),  # draws its inputs before the first batch's bound check
+    (MODE_ELIMINATION, None),  # tests residuals against a window wider than the field
+    (MODE_ELIMINATION, 40),
+])
+def test_solve_refuses_a_bound_that_does_not_fit_below_half_q_before_drawing(mode, v_size):
+    inst = make_instance(3, 101, ErrorDistribution(UNIFORM, 1), derive_rng(1, 2))
+    for xi_prime in (51, 60):
+        rng = derive_rng(1, 3)
+        state = rng.bit_generator.state
+        with pytest.raises(BoundTooLarge, match=f"xi'={xi_prime} does not fit below q/2 for q=101"):
+            solve(inst, SolveParameters(0.125, 5, 1, xi_prime, 0.1), mode, rng, v_size=v_size)
+        assert rng.bit_generator.state == state
+    out = solve(inst, SolveParameters(0.125, 5, 1, 50, 0.1), mode, derive_rng(1, 3), v_size=v_size)
+    assert out.quantum_samples > 0  # 2 * 50 < 101 still runs
 
 
 def _recorded_eliminations(monkeypatch, refill):

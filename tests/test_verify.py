@@ -9,15 +9,13 @@ from dclwe import (
     DegenerateTest,
     ErrorDistribution,
     PrimeField,
-    ReducedPair,
-    delta,
     derive_rng,
     false_accept_probability,
-    m_trial_test,
-    sample_error,
     single_trial_pass_rate,
 )
-from dclwe.instance import GAUSSIAN, UNIFORM
+from dclwe.instance import GAUSSIAN, UNIFORM, sample_error
+from dclwe.reduce import ReducedPair
+from dclwe.verify import delta, m_trial_test
 
 from _stats import binom_3sigma
 
