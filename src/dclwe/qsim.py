@@ -22,14 +22,18 @@ must agree (tests enforce it):
    transform. Every simulated shot comes from it: the solver calls it
    directly, sample_bv_outcome is its one-row view and
    sample_bv_outcomes its view of one batch repeated. A row whose
-   values span fewer than m integers (an s-free error row, on k_d = 0
+   values span at most m/2 integers (an s-free error row, on k_d = 0
    with probability f(k*) + (1 - f(k*))/q) draws that atom from its
    phase sum dc, with mass |dc|^2 / (q m), and checks its mass
    sum |x|^2 / m (Parseval) in place of the transform; rows with b'
    spread over [0, q) hold about 1/q there and are all transformed.
-   A call holds one (k, q) phase table: the rows off the atom move to
-   its front, and the transform, the squares and the cdf overwrite
-   them there.
+   The phases and their int64 indices go into two flat tables kept for
+   the whole process, grown to its largest call: for a controlled solve
+   max(CHUNK_ENTRIES, q) x 24 B, about 1.5 MiB. On the full field the
+   rows off the atom move to the front of the kept phase table, and the
+   transform, the squares and the cdf overwrite them there. So the
+   sampler is not re-entrant; `--workers` runs solves in processes,
+   each with its own tables.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -56,13 +60,14 @@ from .reduce import ReducedBatch
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
 
-# Rows per sample_bv_stack call: at most CHUNK_ENTRIES // q. A call holds one
-# (k, q) complex table, transformed in place, so 16 rows at q=4093 hold 1 MiB.
-# numpy plans a prime-length FFT (Bluestein) afresh on every call, so rows
-# measured together share that setup and its freshly faulted buffers: a
-# controlled n=8 solve at q=4093 makes 3.5 calls and 1,150 minor page faults,
-# against 5.8 calls and 1,770 faults at 2^15 entries, 8 rows a call (1,000
-# solves, one thread on a 2-core Xeon).
+# Rows per sample_bv_stack call: at most CHUNK_ENTRIES // q, and the least
+# size of the kept phase and index tables, so 16 rows at q=4093 fill them
+# (1 MiB + 512 KiB). numpy plans a prime-length FFT (Bluestein) afresh on
+# every call, so rows measured together share that setup and its freshly
+# faulted buffers. A controlled n=8 solve at q=4093 makes 3.5 calls and takes
+# 694 minor page faults, nearly all in the transform and the error draws,
+# against 1,133 when each call built its own tables (300 solves, one thread
+# on a 2-core Xeon). 2^17 entries measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -103,6 +108,19 @@ def root_table(q: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(q, dtype=np.int64) / q)
     table.flags.writeable = False
     return table
+
+
+_kept: dict[type, np.ndarray] = {}
+
+
+def _kept_table(dtype: type, k: int, m: int) -> np.ndarray:
+    """A (k, m) view of the process's one table of `dtype`, grown to at least
+    CHUNK_ENTRIES and never given back: fresh pages on every call cost
+    about as much as the transform at q=4093."""
+    table = _kept.get(dtype)
+    if table is None or table.size < k * m:
+        table = _kept[dtype] = np.empty(max(k * m, CHUNK_ENTRIES), dtype=dtype)
+    return table[: k * m].reshape(k, m)
 
 
 @lru_cache(maxsize=1)  # up to 256 MiB at q = 4093, so one modulus at a time
@@ -185,11 +203,12 @@ def sample_bv_stack(
     flat; each conditional over k_d is one length-q transform of that
     row's pair phases x, all transformed rows in one batched call.
     Phases w^{b' k*} come from root_table(q). When the stack's values
-    span fewer than m integers, each row gets a table over that span
+    span at most m/2 integers, each row gets a table over that span
     and every phase is one flat take from the k tables; otherwise each
     phase is a direct lookup at b' k* mod q. Both read the same table
-    entry. When every row's inputs are 0..q-1 in order, the phases are
-    the transform's input as they are, with no scatter.
+    entry, and both write into the kept (k, m) tables. When every row's
+    inputs are 0..q-1 in order, the phases are the transform's input as
+    they are; otherwise they scatter into a fresh zero (k, q) table.
     The k_d = 0 atom needs no transform: its mass is |dc|^2 / (q m) with
     dc = sum_a x[i, a], so a row whose uniform u has |dc|^2 > u m q
     draws k_d = 0, and only the other rows are transformed. Span-table
@@ -211,20 +230,26 @@ def sample_bv_stack(
     u = rng.random(k)
     lo, hi = int(b_values.min()), int(b_values.max())
     span = hi - lo + 1
-    if span < m:
+    spanned = 2 * span <= m
+    index, x = _kept_table(np.int64, k, m), _kept_table(np.complex128, k, m)
+    if spanned:
         # Row i's table is root_table(q)[v k*_i mod q] for v in [lo, hi].
         table = root_table(q)[np.outer(k_star, np.arange(lo, hi + 1)) % q]
-        x = table.ravel().take(b_values + (np.arange(k) * span - lo)[:, None])
+        np.add(b_values, (np.arange(k) * span - lo)[:, None], out=index)
     else:
-        x = root_table(q)[b_values * k_star[:, None] % q]
+        table = root_table(q)
+        np.multiply(b_values, k_star[:, None], out=index)
+        np.remainder(index, q, out=index)
+    # Every index is in range by construction, and "clip" writes straight
+    # into x where the default mode would fill a buffer first.
+    table.ravel().take(index, out=x, mode="clip")
     if m != q or not (a_values == np.arange(q)).all():
         # Rows that are not the full field in order scatter into a zero table.
         phases, x = x, np.zeros((k, q), dtype=np.complex128)
         x[np.arange(k)[:, None], a_values] = phases
-        del phases
     k_d = np.zeros(k, dtype=np.int64)
     rows = np.arange(k)
-    if span < m:
+    if spanned:
         # k_d = 0 iff cdf[0] > u * total, i.e. |dc|^2 / q^2 > u m / q.
         dc = x.sum(axis=1)
         atom = dc.real**2 + dc.imag**2 > u * (m * q)
@@ -245,9 +270,7 @@ def sample_bv_stack(
                 src = rows[dst : dst + step]
                 x[dst : dst + len(src)] = x[src]
     if len(rows):
-        # From here on every step overwrites x, so a call holds one (k, q)
-        # table: each fresh table costs fresh pages, and at large q their
-        # faults cost about as much as the transform.
+        # Every step from here on overwrites x: no second (k, q) table.
         g = x[: len(rows)]
         np.fft.ifft(g, axis=1, out=g)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
         pairs = g.view(np.float64)

@@ -20,6 +20,7 @@ from dclwe import (
     sample_bv_stack,
     synth_reduced_batch,
 )
+from dclwe import qsim
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 from dclwe.qsim import (
     NORM_TOL,
@@ -480,20 +481,72 @@ def test_sampler_leaves_its_inputs_alone(case):
 
 @pytest.mark.parametrize("case", sorted(_sixteen_row_cases()))
 def test_sixteen_row_call_at_q4093_holds_one_table(case):
-    # The phase table, transformed in place, and the int64 index it is
-    # gathered through: under 1.6 tables of 16 * 16 * q bytes. A second
-    # complex table for the transform's output pushes the peak towards two.
-    q, a_values, eta = _sixteen_row_cases()[case]
-    table = 16 * 16 * q
-    sample_bv_stack(q, a_values, eta, derive_rng(77, 0))  # root_table(q) is cached
+    # At most one table of the call's own, transformed in place (the zero
+    # table partial rows scatter into): under 1.6 tables of 16 * 16 * q
+    # bytes. A second complex table for the transform's output pushes the
+    # peak towards two.
+    for peak in _traced_peaks(*_sixteen_row_cases()[case]):
+        assert peak < 1.6 * 16 * 16 * 4093
+
+
+@pytest.mark.parametrize("case", ["full field gaussian", "full field uniform"])
+def test_sixteen_row_call_at_q4093_allocates_no_table(case):
+    # Once the kept tables have grown, a full-field call holds only small
+    # pieces of its own: the (k, span) tables, the copies that move rows
+    # off the atom and the threshold count's booleans.
+    for peak in _traced_peaks(*_sixteen_row_cases()[case]):
+        assert peak < 0.25 * 16 * 16 * 4093
+
+
+def _traced_peaks(q, a_values, eta):
+    """Traced peak bytes of four sampler calls, after one that fills the
+    caches: root_table(q) and the kept tables."""
+    sample_bv_stack(q, a_values, eta, derive_rng(77, 0))
+    peaks = []
     for seed in range(4):
         tracemalloc.start()
         try:
             sample_bv_stack(q, a_values, eta, derive_rng(77, seed))
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * table
+    return peaks
+
+
+def _interleaved_calls():
+    """(q, a_values, b' rows) of calls that each reuse the tables the call
+    before wrote: 16 rows at q=4093, 5 rows at q=101 on the span tables
+    (full field, then scattered), 5 on the direct lookup, then 3 at q=4093."""
+    eta = sample_errors(ErrorDistribution(GAUSSIAN, 2), derive_rng(79, 0), (16, 4093))
+    calls = [(4093, np.arange(4093)[None], eta)]
+    for name in ("full field, span tables", "partial rows, span tables"):
+        q, a_values, b_values = _phase_cases()[name]
+        a_values, b_values = (np.resize(v, (5, v.shape[1])) for v in (a_values, b_values))
+        calls.append((q, a_values, b_values))
+    wide = _batch(37, 101, range(101), 1, 50)
+    calls.append((101, wide.a_values[None], np.broadcast_to(wide.b_values, (5, 101))))
+    calls.append((4093, np.arange(4093)[None], eta[:3]))
+    return calls
+
+
+def test_interleaved_calls_match_the_every_row_reference():
+    for seed in range(3):
+        for i, (q, a_values, eta) in enumerate(_interleaved_calls()):
+            ref_rng, rng = derive_rng(80, seed, i), derive_rng(80, seed, i)
+            k_d, k_star = sample_bv_stack(q, a_values, eta, rng)
+            ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
+            assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+            assert rng.random() == ref_rng.random()
+
+
+def test_draws_never_share_memory_with_the_kept_tables():
+    # A caller keeps k_d and k* across calls, so neither may be a view of
+    # a table the next call overwrites.
+    for q, a_values, eta in _interleaved_calls():
+        draws = sample_bv_stack(q, a_values, eta, derive_rng(81, q))
+        assert qsim._kept
+        for kept in qsim._kept.values():
+            assert not any(np.shares_memory(d, kept) for d in draws)
 
 
 @pytest.fixture
@@ -531,7 +584,7 @@ def test_only_rows_off_the_atom_are_transformed(case, transformed_rows):
     # Span-table rows that draw k_d = 0 skip the transform; direct-lookup
     # rows are all transformed.
     q, a_values, eta = _reference_cases()[case]
-    span_table = np.ptp(eta) + 1 < eta.shape[1]
+    span_table = 2 * (np.ptp(eta) + 1) <= eta.shape[1]
     for seed in range(4):
         transformed_rows.clear()
         k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(72, seed))
@@ -540,6 +593,27 @@ def test_only_rows_off_the_atom_are_transformed(case, transformed_rows):
             expect = expect[k_d != 0]
         handed = np.concatenate(transformed_rows) if transformed_rows else np.zeros((0, q))
         assert np.array_equal(handed, expect)
+
+
+def test_wide_span_rows_are_all_transformed(transformed_rows):
+    # A full-field s_j = 37 batch spans 100 of its 101 values. A span table
+    # that wide costs as much as the direct lookup, so the stack takes the
+    # lookup, and every row goes through the transform, atom rows included.
+    q = 101
+    batch = _batch(37, q, range(q), 1, 50)
+    assert q / 2 < np.ptp(batch.b_values) + 1 < q
+    b_rows = np.broadcast_to(batch.b_values, (16, q))
+    atoms = 0
+    for seed in range(8):
+        transformed_rows.clear()
+        ref_rng, rng = derive_rng(78, seed), derive_rng(78, seed)
+        k_d, k_star = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
+        expect = _phase_rows(q, batch.a_values[None], b_rows, k_star)
+        assert np.array_equal(np.concatenate(transformed_rows), expect)
+        ref_k_d, ref_k_star = _every_row_sampler(q, batch.a_values[None], b_rows, ref_rng)
+        assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+        atoms += int((k_d == 0).sum())
+    assert atoms > 0
 
 
 def test_root_table_is_bit_identical_to_elementwise_phases():

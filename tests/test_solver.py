@@ -22,7 +22,7 @@ from dclwe import (
 )
 from dclwe import solver as solver_module
 from dclwe.fq import mat_inverse
-from dclwe.instance import UNIFORM, Sample
+from dclwe.instance import GAUSSIAN, UNIFORM, Sample
 from dclwe.qsim import extract_candidates
 from dclwe.reduce import ReducedPair, make_test_sample
 from dclwe.solver import (
@@ -298,6 +298,33 @@ def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
     inst = _instance(5, 4093, 1, 111)
     controlled_pass(inst.s, 4093, controlled_refills(inst, 2, 1, derive_rng(112, 0)), 30, -1)
     assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
+
+
+@pytest.mark.parametrize(
+    "n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw",
+    [
+        (
+            8, 401, UNIFORM, 1, 2.0, None, 0,
+            [(1, 2), (5, 6), (5, 6), (9, 10), (3, 4), (11, 12), (3, 4), (6, 7)],
+            1052367934,
+        ),
+        # 21 rows over five coordinates: the first refill is cut to 16.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (3, 4), (3, 4), (5, 6), (4, 5)], 940869534),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (8, 11), (9, 11)], 862592886),
+    ],
+)
+def test_controlled_stream_is_pinned(
+    n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw
+):
+    # Frozen per-coordinate (shots, tests) and the next draw of the stream:
+    # one changed draw anywhere in a refill, or in the sampler's tables,
+    # moves a count or the next draw.
+    rng = derive_rng(701, seed)
+    inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
+    out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_CONTROLLED, rng, v_size=v_size)
+    assert out.outcome == OUTCOME_SUCCESS
+    assert [(st.shots, st.tests_used) for st in out.per_coordinate] == per_coordinate
+    assert int(rng.integers(1 << 30)) == next_draw
 
 
 def _recorded(refill):
