@@ -144,12 +144,18 @@ def _combine(
     so b' = a' * (inv_rows[i] . b[i]) = a' * s_j + eta' with eta' that
     combination of the hidden errors, recovered from the ground-truth s_j
     (one value or a (k, 1) column). Returns (b', eta', coeff_l1), each (k, m).
+
+    The coefficients are formed as n planes of (k, m) per row, (k, n, m),
+    reduced and centered in place, and summed plane by plane, so every
+    step runs over whole contiguous rows of m.
     """
     field = PrimeField(q)
-    combos = a_values[:, :, None] * inv_rows[:, None, :] % q  # (k, m, n)
+    combos = inv_rows[:, :, None] * a_values[:, None, :]  # (k, n, m), below q^2
+    np.remainder(combos, q, out=combos)
+    np.minimum(combos, q - combos, out=combos)  # |centered combos|
+    coeff_l1_values = combos.sum(axis=1)
     b_values = a_values * ((inv_rows * b).sum(axis=1) % q)[:, None] % q
     eta_values = field.centered_array(b_values - a_values * s_j)
-    coeff_l1_values = np.minimum(combos, q - combos).sum(axis=2)  # |centered combos|
     return b_values, eta_values, coeff_l1_values
 
 

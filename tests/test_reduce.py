@@ -10,6 +10,7 @@ from dclwe import (
     ErrorDistribution,
     InvalidLength,
     InvariantViolation,
+    MODULUS_CEILING,
     LweInstance,
     PrimeField,
     ReducedBatch,
@@ -19,8 +20,8 @@ from dclwe import (
     make_instance,
     synth_reduced_batch,
 )
-from dclwe.fq import mat_inverse
-from dclwe.instance import UNIFORM, Sample, gen_samples, samples_to_arrays
+from dclwe.fq import is_prime, mat_inverse
+from dclwe.instance import UNIFORM, Sample, draw_samples, gen_samples, samples_to_arrays
 from dclwe.reduce import (
     check_rows,
     eliminate_rows,
@@ -267,6 +268,91 @@ def test_elimination_stack_rows_satisfy_their_own_identity():
     assert not ((stack.eta_values - a_values * r[:, None]) % q).any()
     # Each row eliminates its own sample matrix, so r varies across the stack.
     assert np.unique(r).size > 1
+
+
+def _inverse_mod(a, q):
+    """Gauss-Jordan on Python ints: the inverse of a mod q, or None when a is singular."""
+    n = len(a)
+    rows = [[int(x) % q for x in row] + [int(c == r) for c in range(n)] for r, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], -1, q)
+        rows[col] = [x * scale % q for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % q for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _python_draws(inst, k, rng):
+    """k invertible sample matrices inverted in Python ints, with no O(q)
+    table: their (k, n, n) inverses, outputs and hidden errors."""
+    inv, b, eta = [], [], []
+    while len(inv) < k:
+        a, b_draw, eta_draw = draw_samples(inst, rng, (inst.n,))
+        a_inv = _inverse_mod(a.tolist(), inst.q)
+        if a_inv is not None:
+            inv.append(a_inv)
+            b.append(b_draw)
+            eta.append(eta_draw)
+    return np.array(inv, dtype=np.int64), np.array(b), np.array(eta)
+
+
+def _pairs_by_hand(inst, inv, b, eta, a_values, coords):
+    """b', eta' and coeff_l1 pair by pair in Python ints, and each row's kappa:
+    row i pushes its inputs a' through row coords[i] of its inverse, and
+    eta' must also be that combination of the row's hidden errors."""
+    q, h = inst.q, inst.q // 2
+
+    def centered(x):
+        return (x + h) % q - h
+
+    b_out, eta_out, l1_out = [], [], []
+    for i, j in enumerate(coords):
+        row = [int(x) for x in inv[i][j]]
+        r = sum(x * int(y) for x, y in zip(row, b[i])) % q
+        noise = sum(x * int(e) for x, e in zip(row, eta[i]))
+        s_j = int(inst.s[j])
+        a_row = [int(a) for a in a_values[i if len(a_values) > 1 else 0]]
+        b_out.append([a * r % q for a in a_row])
+        eta_out.append([centered(a * r - a * s_j) for a in a_row])
+        assert eta_out[-1] == [centered(a * noise) for a in a_row]
+        l1_out.append([sum(abs(centered(a * x)) for x in row) for a in a_row])
+    return b_out, eta_out, l1_out, [max(row) for row in l1_out]
+
+
+@pytest.mark.parametrize("q", [3, 101, 4093, 33554393])
+def test_eliminate_rows_matches_a_per_pair_reference(q):
+    # 33554393 is the largest prime below MODULUS_CEILING: a' * r and a' * inv
+    # reach q^2 ~ 2^50, which int64 must hold without wrapping. A full-field
+    # row there would have 2^25 pairs, so its shared row is a spread of inputs
+    # that includes both ends of [1, q).
+    assert is_prime(q) and q <= MODULUS_CEILING
+    k, m, xi = 5, 4, min(2, (q - 1) // 2)
+    inst, rng = _noisy_instance(3, q, xi, 72)
+    if q <= 4093:
+        shared = np.arange(q, dtype=np.int64)[None]
+    else:
+        shared = np.unique(np.r_[1, q - 1, q // 2, rng.integers(1, q, size=61)])[None]
+    t = rng.integers(1, q, size=(k, m))
+    coords = rng.integers(0, inst.n, size=k)
+    blocks = [
+        (shared, int(coords[0]), [int(coords[0])] * k),
+        (t.reshape(-1, 1), np.repeat(coords, m), np.repeat(coords, m).tolist()),
+    ]
+    for a_values, j, per_row in blocks:
+        inv, b, eta = _python_draws(inst, len(per_row), rng)
+        stack = eliminate_rows(inst, inv, b, a_values, j)
+        b_ref, eta_ref, l1_ref, kappa_ref = _pairs_by_hand(inst, inv, b, eta, a_values, per_row)
+        assert stack.b_values.tolist() == b_ref
+        assert stack.eta_values.tolist() == eta_ref
+        assert stack.coeff_l1_values.tolist() == l1_ref
+        assert stack.kappa.tolist() == kappa_ref
+        assert stack.xi_prime.tolist() == [kappa * xi for kappa in kappa_ref]
 
 
 def test_elimination_stack_redraws_only_singular_rows(monkeypatch):

@@ -327,6 +327,26 @@ def test_controlled_stream_is_pinned(
     assert int(rng.integers(1 << 30)) == next_draw
 
 
+@pytest.mark.parametrize(
+    "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
+    [
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(35, 39), (87, 89), (87, 88)], 344095088),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(3, 5), (1, 3), (10, 13)], 764516082),
+    ],
+)
+def test_elimination_stream_is_pinned(
+    n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
+):
+    # As for the controlled stream: one changed draw of a sample matrix,
+    # a test input or a kernel shot moves a count or the next draw.
+    rng = derive_rng(702, seed)
+    inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
+    out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_ELIMINATION, rng, v_size=v_size)
+    assert out.outcome == outcome
+    assert [(st.shots, st.tests_used) for st in out.per_coordinate] == per_coordinate
+    assert int(rng.integers(1 << 30)) == next_draw
+
+
 def _recorded(refill):
     """A refill source that also keeps every row it hands out, in order,
     as (k_d, k*, its test pairs' t, their eta')."""
