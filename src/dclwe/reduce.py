@@ -17,11 +17,13 @@ Two ways to build a batch:
   checked in isolation from the elimination's amplification behavior.
 
 Both build k batches at once, one per row of a stack. invertible_draws
-draws a (k, n, n) block of samples, inverts it with one batched
-Gauss-Jordan and redraws only the singular matrices; eliminate_rows
-combines all rows in one vectorised step, each through the inverse row
-of its own coordinate, and validates the stack against each row's own
-measured bound with one check_rows call. elimination_batch is the two
+draws k sample matrices plus spares for the singular ones, inverts them
+with one batched Gauss-Jordan and keeps the first k invertible ones, so
+a second draw is rare; eliminate_rows combines all rows in one
+vectorised step, each through the inverse row of its own coordinate,
+summing each input's amplification over n contiguous planes, and
+validates the stack against each row's own measured bound with one
+check_rows call. elimination_batch is the two
 for one batch of one coordinate; make_test_sample runs the same
 combination for one input t over given samples, since a test pair is an
 elimination whose only input is t.
@@ -52,7 +54,7 @@ from .errors import (
 from .fq import PrimeField, mat_inverse, mat_inverse_stack
 from .instance import LweInstance, Sample, draw_samples, sample_errors, samples_to_arrays
 
-# Draws of one sample matrix before invertible_draws gives up on it.
+# Draws of sample matrices before invertible_draws gives up on a stack.
 MAX_REDRAWS = 64
 
 
@@ -244,26 +246,41 @@ def synth_reduced_batch(
     )
 
 
+def _draw_count(q: int, n: int, k: int) -> int:
+    """Matrices to draw for k invertible n x n ones: k plus spares.
+
+    A uniform matrix is singular with probability p = 1 - prod_{i=1..n}
+    (1 - q^-i); the singular draws before the k-th invertible one have
+    mean k p / (1 - p) and standard deviation sqrt(k p) / (1 - p), and
+    the spares cover that mean plus four deviations.
+    """
+    p = 1.0 - math.prod(1.0 - float(q) ** -i for i in range(1, n + 1))
+    return k + math.ceil((k * p + 4.0 * math.sqrt(k * p)) / (1.0 - p))
+
+
 def invertible_draws(
     instance: LweInstance, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """k fresh invertible n x n sample matrices: their (k, n, n) inverses
     and (k, n) outputs.
 
-    All k matrices are drawn and inverted at once; only the singular
-    ones are drawn again, and a matrix still singular after MAX_REDRAWS
-    draws raises SingularMatrix.
+    One draw of k matrices plus spares (_draw_count) is inverted at once
+    and its first k invertible matrices, in draw order, are kept: i.i.d.
+    draws conditioned on being invertible. A draw that still falls short
+    is followed by one for the shortfall, sized the same way, and a stack
+    still short after MAX_REDRAWS draws raises SingularMatrix.
     """
-    a, b, _ = draw_samples(instance, rng, (k, instance.n))
-    inv, invertible = mat_inverse_stack(a, instance.q)
-    draws = 1
-    while not invertible.all():
+    q, n = instance.q, instance.n
+    inv, b = np.empty((0, n, n), dtype=np.int64), np.empty((0, n), dtype=np.int64)
+    draws = 0
+    while inv.shape[0] < k:
         if draws >= MAX_REDRAWS:
-            raise SingularMatrix(f"no invertible sample matrix in {MAX_REDRAWS} draws")
-        bad = np.flatnonzero(~invertible)
-        a_bad, b_bad, _ = draw_samples(instance, rng, (bad.size, instance.n))
-        b[bad] = b_bad
-        inv[bad], invertible[bad] = mat_inverse_stack(a_bad, instance.q)
+            raise SingularMatrix(f"fewer than {k} invertible sample matrices in {MAX_REDRAWS} draws")
+        short = k - inv.shape[0]
+        a_draw, b_draw, _ = draw_samples(instance, rng, (_draw_count(q, n, short), n))
+        inv_draw, invertible = mat_inverse_stack(a_draw, q)
+        keep = np.flatnonzero(invertible)[:short]
+        inv, b = np.concatenate([inv, inv_draw[keep]]), np.concatenate([b, b_draw[keep]])
         draws += 1
     return inv, b
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dclwe import (
+    MODE_ELIMINATION,
     BoundTooLarge,
     DegenerateTest,
     DuplicateInput,
@@ -16,8 +17,10 @@ from dclwe import (
     ReducedBatch,
     derive_rng,
     SingularMatrix,
+    choose_parameters,
     elimination_batch,
     make_instance,
+    solve,
     synth_reduced_batch,
 )
 from dclwe.fq import is_prime, mat_inverse
@@ -27,9 +30,11 @@ from dclwe.reduce import (
     eliminate_rows,
     invertible_draws,
     kappa_observed,
+    _draw_count,
     make_test_sample,
 )
 import dclwe.reduce
+from dclwe import solver as solver_module
 
 
 def _noisy_instance(n, q, xi, seed, kind=UNIFORM):
@@ -355,49 +360,90 @@ def test_eliminate_rows_matches_a_per_pair_reference(q):
         assert stack.xi_prime.tolist() == [kappa * xi for kappa in kappa_ref]
 
 
-def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
-    # At q = 3 about 44% of 3 x 3 matrices are singular.
-    q, n, k = 3, 3, 24
-    inst, rng = _noisy_instance(n, q, 1, 71)
+def _spy_on_draws(monkeypatch):
+    """Record every block of samples invertible_draws draws, as (a, b)."""
     drawn = []
     real_draw = dclwe.reduce.draw_samples
 
     def spy(instance, rng, shape):
         out = real_draw(instance, rng, shape)
-        drawn.append(out[0])
+        drawn.append(out[:2])
         return out
 
     monkeypatch.setattr(dclwe.reduce, "draw_samples", spy)
-    ones = np.ones((k, 1), dtype=np.int64)
-    inv, b = invertible_draws(inst, k, rng)
-    stack = eliminate_rows(inst, inv, b, ones, 0)
-    assert drawn[0].shape == (k, n, n) and len(drawn) > 1
+    return drawn
 
-    def singular(mats):
-        out = []
-        for i, mat in enumerate(mats):
-            try:
-                mat_inverse(mat, q)
-            except SingularMatrix:
-                out.append(i)
-        return np.array(out, dtype=np.int64)
 
-    # Replay the redraws: each later draw replaces exactly the rows still singular.
-    final = drawn[0].copy()
-    pending = np.arange(k)[singular(drawn[0])]
-    for redraw in drawn[1:]:
-        assert redraw.shape[0] == pending.size > 0
-        final[pending] = redraw
-        pending = pending[singular(redraw)]
-    assert pending.size == 0
-    # With a' = 1 a row's combination is row 0 of its final matrix's inverse.
+def _replay_draws(drawn, k, q, n):
+    """The (matrix, outputs) pairs invertible_draws must keep: the first k
+    invertible matrices over its draws in order. Each draw is k plus spares,
+    or the shortfall plus spares, and comes only while the kept fall short."""
+    kept = []
+    for a, b in drawn:
+        short = k - len(kept)
+        assert short > 0 and a.shape == (_draw_count(q, n, short), n, n)
+        kept += [(mat, out) for mat, out in zip(a, b) if _inverse_mod(mat.tolist(), q)][:short]
+    assert len(kept) == k
+    return kept
+
+
+def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
+    # At q = 3 about 43% of 3 x 3 matrices are singular, and a draw's spares
+    # fall short of k a few times in a thousand; draw one-matrix stacks until
+    # one does.
+    q, n = 3, 3
+    inst, rng = _noisy_instance(n, q, 1, 71)
+    drawn = _spy_on_draws(monkeypatch)
+    assert _draw_count(q, n, 24) > 24
+    for call in range(3000):
+        k = 24 if call == 0 else 1
+        drawn.clear()
+        inv, b = invertible_draws(inst, k, rng)
+        kept = _replay_draws(drawn, k, q, n)
+        assert [_inverse_mod(mat.tolist(), q) for mat, _ in kept] == inv.tolist()
+        assert [out.tolist() for _, out in kept] == b.tolist()
+        if len(drawn) > 1:
+            break
+    assert len(drawn) > 1
+    # With a' = 1 a row's combination is row 0 of its kept matrix's inverse.
+    stack = eliminate_rows(inst, inv, b, np.ones((1, 1), dtype=np.int64), 0)
     field = PrimeField(q)
-    row_l1 = [sum(abs(field.centered(x)) for x in mat_inverse(m, q)[0]) for m in final]
+    row_l1 = [sum(abs(field.centered(x)) for x in row[0]) for row in inv.tolist()]
     assert stack.coeff_l1_values[:, 0].tolist() == row_l1
     assert not ((stack.b_values - int(inst.s[0]) - stack.eta_values) % q).any()
-    monkeypatch.setattr(dclwe.reduce, "MAX_REDRAWS", 1)
+    # A stack still short after MAX_REDRAWS draws is refused.
+    spy = dclwe.reduce.draw_samples
+
+    def all_singular(instance, rng, shape):
+        a, b, eta = spy(instance, rng, shape)
+        return 0 * a, b, eta
+
+    monkeypatch.setattr(dclwe.reduce, "draw_samples", all_singular)
+    drawn.clear()
     with pytest.raises(SingularMatrix):
-        invertible_draws(inst, k, rng)
+        invertible_draws(inst, 4, rng)
+    assert len(drawn) == dclwe.reduce.MAX_REDRAWS
+
+
+def test_elimination_refills_rarely_draw_twice(monkeypatch):
+    # About 1% of 3 x 3 matrices are singular at q = 101; without spares,
+    # 72% of these refills drew a second block for them.
+    drawn = _spy_on_draws(monkeypatch)
+    refills = []
+    real_draws = solver_module.invertible_draws
+
+    def counted(instance, k, rng):
+        refills.append(k)
+        return real_draws(instance, k, rng)
+
+    monkeypatch.setattr(solver_module, "invertible_draws", counted)
+    params = choose_parameters(3, 101, 1, 2.0, 0.2)
+    for i in range(200):
+        rng = derive_rng(4242, i)
+        inst = make_instance(3, 101, ErrorDistribution(UNIFORM, 1), rng)
+        solve(inst, params, MODE_ELIMINATION, rng)
+    assert len(refills) >= 1000
+    assert len(drawn) - len(refills) <= 0.01 * len(refills)
 
 
 def test_elimination_batch_identity_and_amplification():
