@@ -23,10 +23,10 @@ a second draw is rare; eliminate_rows combines all rows in one
 vectorised step, each through the inverse row of its own coordinate,
 summing each input's amplification over n contiguous planes, and
 validates the stack against each row's own measured bound with one
-check_rows call. elimination_batch is the two
-for one batch of one coordinate; make_test_sample runs the same
-combination for one input t over given samples, since a test pair is an
-elimination whose only input is t.
+check_rows call. elimination_batch is the two for one batch of one
+coordinate; make_test_sample runs the same combination for one input t
+over given samples, since a test pair is an elimination whose only
+input is t.
 synth_reduced_errors is the checked error draw of k controlled batches,
 which synth_reduced_batch adds to a' s_j and a controlled refill
 measures as s-free b'.
