@@ -52,7 +52,8 @@ from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_
 from .reduce import elimination_batch, kappa_observed, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
-    MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, choose_parameters, solve
+    MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
+    choose_parameters, solve,
 )
 
 _SWEEPABLE = ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size")
@@ -320,9 +321,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
     point's budget is derived before the first task runs."""
     if workers < 1:
         raise ConfigError("workers: must be at least 1")
-    if config.mode == MODE_CONTROLLED and any(s is not None for s in config.sigma):
-        # Controlled batches and test pairs draw from the noise kind at xi' alone.
-        raise ConfigError("sigma: has no effect in controlled mode")
     points = config.points()
     budgets = [point_budget(pi, point) for pi, point in enumerate(points)]
     tasks = [
@@ -396,7 +394,8 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
         rng = derive_rng(config.seed, 7, pi)
         q = point.q
         s_j = int(rng.integers(q))
-        chi_prime = ErrorDistribution(point.chi_kind, xi_prime, sigma=point.sigma)
+        chi = ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma)
+        chi_prime = amplified_law(chi, xi_prime)
         v = np.arange(q) if point.v_size in (None, q) else rng.choice(q, size=point.v_size, replace=False)
         batch = synth_reduced_batch(s_j, q, v, xi_prime, chi_prime, rng, xi=max(point.xi, 1))
         report = bound_report(batch, point.gamma)

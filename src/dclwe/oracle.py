@@ -26,7 +26,7 @@ from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import root_table
 from .reduce import ReducedBatch
-from .solver import Rows, SolveOutcome, amplified_bound, classify, controlled_pass
+from .solver import Rows, SolveOutcome, amplified_bound, amplified_law, classify, controlled_pass
 from .verify import FalseAcceptBound, false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
@@ -170,7 +170,7 @@ def classical_baseline_solve(
     xi_prime = amplified_bound(kappa, instance.xi)
     if 2 * xi_prime >= q:
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
-    chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
+    chi_prime = amplified_law(instance.chi, xi_prime)
 
     def refill(k: int) -> Rows:
         a_prime = rng.integers(1, q, size=k)

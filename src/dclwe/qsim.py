@@ -19,21 +19,27 @@ must agree (tests enforce it):
    marginal is exactly uniform, by Parseval over the D register) and
    then k_d from the conditional row. It measures a (k, m) stack of
    batches at once, one row per shot, with one batched length-q
-   transform. Every simulated shot comes from it: the solver calls it
-   directly, sample_bv_outcome is its one-row view and
-   sample_bv_outcomes its view of one batch repeated. A row whose
-   values span at most m/2 integers (an s-free error row, on k_d = 0
-   with probability f(k*) + (1 - f(k*))/q) draws that atom from its
-   phase sum dc, with mass |dc|^2 / (q m), and checks its mass
-   sum |x|^2 / m (Parseval) in place of the transform; rows with b'
-   spread over [0, q) hold about 1/q there and are all transformed.
+   transform. It runs in two stages. atom_stage draws k* and the
+   uniforms and builds the phase table; a row whose values span at
+   most m/2 integers (an s-free error row, on k_d = 0 with probability
+   f(k*) + (1 - f(k*))/q) draws that atom from its phase sum dc, with
+   mass |dc|^2 / (q m), and has its mass sum |x|^2 / m (Parseval)
+   checked in place of the transform. transform_stage then draws k_d
+   for the rows it is given, which on such a stack lie off the atom;
+   rows with b' spread over [0, q) hold about 1/q there and are all
+   transformed. Every simulated shot comes from these stages: the
+   controlled refill calls them itself, so as to transform only the
+   rows whose candidate value it reads, the elimination refill calls
+   sample_bv_stack, sample_bv_outcome is its one-row view and
+   sample_bv_outcomes its view of one batch repeated.
    The phases and their int64 indices go into two flat tables kept for
    the whole process, grown to its largest call: for a controlled solve
    max(CHUNK_ENTRIES, q) x 24 B, about 1.5 MiB. On the full field the
-   rows off the atom move to the front of the kept phase table, and the
-   transform, the squares and the cdf overwrite them there. So the
-   sampler is not re-entrant; `--workers` runs solves in processes,
-   each with its own tables.
+   transformed rows move to the front of the kept phase table, and the
+   transform, the squares and the cdf overwrite them there. So a
+   stage's result holds only until the next call, the sampler is not
+   re-entrant, and `--workers` runs solves in processes, each with its
+   own tables.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -190,40 +196,51 @@ def _check_mass(mass: np.ndarray) -> None:
         raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
 
 
-def sample_bv_stack(
+class AtomStage(NamedTuple):
+    """A stack's draws and phase table up to its k_d = 0 atom (atom_stage)."""
+
+    q: int
+    m: int
+    k_star: np.ndarray  # (k,) A-register outcomes
+    u: np.ndarray  # (k,) each row's uniform for its k_d
+    atom: np.ndarray  # (k,) bool, the rows drawn onto k_d = 0
+    decided: bool  # whether the atom was drawn; a spread stack has atom all False
+    x: np.ndarray  # (k, q) phases the transform reads: a kept table or a fresh one
+
+
+def atom_stage(
     q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One post-kernel measurement per row of a stack of batches.
+) -> AtomStage:
+    """First stage of sample_bv_stack: k*, the uniforms and, where the
+    stack's values span at most m/2 integers, each row's k_d = 0 atom.
 
     Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
     single row that every batch shares, and b_values may hold any
     representative of each b' mod q (an s-free row passes its errors
     eta' as they are). The A-register marginal is exactly uniform for
     any batch of unit-weight pairs with distinct a', so each k* is drawn
-    flat; each conditional over k_d is one length-q transform of that
-    row's pair phases x, all transformed rows in one batched call.
-    Phases w^{b' k*} come from root_table(q). When the stack's values
-    span at most m/2 integers, each row gets a table over that span
-    and every phase is one flat take from the k tables; otherwise each
-    phase is a direct lookup at b' k* mod q. Both read the same table
-    entry, and both write into the kept (k, m) tables. When every row's
-    inputs are 0..q-1 in order, the phases are the transform's input as
-    they are; otherwise they scatter into a fresh zero (k, q) table.
-    The k_d = 0 atom needs no transform: its mass is |dc|^2 / (q m) with
-    dc = sum_a x[i, a], so a row whose uniform u has |dc|^2 > u m q
-    draws k_d = 0, and only the other rows are transformed. Span-table
-    rows take the atom: they are s-free error rows, which land on
-    k_d = 0 with probability f(k*) + (1 - f(k*))/q. Direct-lookup rows
-    spread b' over [0, q), their atom holds about 1/q of the mass, and
-    they are all transformed. The transformed rows move to the front of
-    the phase table, which the transform and the cdf then overwrite; the
-    inputs are only read, so read-only or broadcast rows are fine.
-    Returns the (k_d, k*) arrays. A transformed row whose conditional
-    mass drifts from 1 raises InvariantViolation, and so does an atom
-    row whose sum_a |x[i, a]|^2 / m (its mass, by Parseval) drifts; both
-    read the row the transform would read, after the scatter, so a
-    repeated input raises either way. The stream per call: k bounded
-    integers for k*, then k uniform doubles for k_d.
+    flat. Phases w^{b' k*} come from root_table(q). When the stack's
+    values span at most m/2 integers, each row gets a table over that
+    span and every phase is one flat take from the k tables; otherwise
+    each phase is a direct lookup at b' k* mod q. Both read the same
+    table entry, and both write into the kept (k, m) tables. When every
+    row's inputs are 0..q-1 in order, the phases are the transform's
+    input as they are; otherwise they scatter into a fresh zero (k, q)
+    table.
+
+    Span-table rows are s-free error rows, which land on k_d = 0 with
+    probability f(k*) + (1 - f(k*))/q, so the stage decides their atom:
+    its mass is |dc|^2 / (q m) with dc = sum_a x[i, a], and a row whose
+    uniform u has |dc|^2 > u m q draws k_d = 0. It checks every such
+    row's mass sum_a |x[i, a]|^2 / m (Parseval) against NORM_TOL, so any
+    row the transform never reads has been checked; the sum reads the
+    row the transform would read, after the scatter, so a repeated input
+    raises InvariantViolation. Direct-lookup rows spread b' over [0, q)
+    and hold about 1/q on the atom, so none is decided. The stream per
+    call: k bounded integers for k*, then k uniform doubles.
+
+    The phase table lives in the kept tables, so a stage holds only
+    until the next call, and transform_stage may read it once.
     """
     k, m = b_values.shape
     k_star = rng.integers(q, size=k)
@@ -247,43 +264,77 @@ def sample_bv_stack(
         # Rows that are not the full field in order scatter into a zero table.
         phases, x = x, np.zeros((k, q), dtype=np.complex128)
         x[np.arange(k)[:, None], a_values] = phases
-    k_d = np.zeros(k, dtype=np.int64)
-    rows = np.arange(k)
+    atom = np.zeros(k, dtype=bool)
     if spanned:
         # k_d = 0 iff cdf[0] > u * total, i.e. |dc|^2 / q^2 > u m / q.
         dc = x.sum(axis=1)
         atom = dc.real**2 + dc.imag**2 > u * (m * q)
-        if atom.any():
-            # As (re, im) pairs, a row's sum of squares is sum |x|^2. Summing
-            # every row in place costs no more than copying the atom rows out.
-            pairs = x.view(np.float64)
-            _check_mass(np.vecdot(pairs, pairs)[atom] / m)
-            rows = np.flatnonzero(~atom)
-            u = u[rows]
-            # The rows off the atom move to the front of x, each to its rank
-            # among them, which is at most its index, so no block reads a row
-            # that an earlier block wrote. Each block is gathered through a
-            # copy of at most ceil(k / 8) rows, in at most eight steps.
-            first = int(atom.argmax())
-            step = -(-k // 8)
-            for dst in range(first, len(rows), step):
-                src = rows[dst : dst + step]
-                x[dst : dst + len(src)] = x[src]
-    if len(rows):
-        # Every step from here on overwrites x: no second (k, q) table.
-        g = x[: len(rows)]
-        np.fft.ifft(g, axis=1, out=g)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
-        pairs = g.view(np.float64)
-        np.square(pairs, out=pairs)
-        cdf = pairs[:, 0::2]
-        np.add(cdf, pairs[:, 1::2], out=cdf)
-        np.cumsum(cdf, axis=1, out=cdf)
-        # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
-        total = cdf[:, -1]
-        _check_mass(total * (q / m))
-        # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
-        k_d[rows] = np.minimum((cdf <= (u * total)[:, None]).sum(axis=1), q - 1)
-    return k_d, k_star
+        # As (re, im) pairs, a row's sum of squares is sum |x|^2.
+        pairs = x.view(np.float64)
+        _check_mass(np.vecdot(pairs, pairs) / m)
+    return AtomStage(q, m, k_star, u, atom, spanned, x)
+
+
+def transform_stage(stage: AtomStage, rows: np.ndarray) -> np.ndarray:
+    """Second stage of sample_bv_stack: k_d of the given rows of a stack,
+    each drawn with its own uniform from its conditional over k_d.
+
+    rows are ascending indices of rows off the atom. Each is one
+    length-q transform of that row's phases, all in one batched call.
+    On a stack whose atom was decided they draw k_d in [1, q - 1], the
+    conditional off the atom, even where rounding puts cdf[0] above
+    u * total; on a spread stack, k_d in [0, q - 1]. The rows move to
+    the front of the stage's phase table, which the transform and the
+    cdf then overwrite, so a stage is transformed at most once. A row
+    whose conditional mass drifts from 1 raises InvariantViolation.
+    """
+    q, m, x = stage.q, stage.m, stage.x
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    # Each row moves to its rank among the rows, which is at most its index,
+    # so no block reads a row that an earlier block wrote. Each block is
+    # gathered through a copy of at most ceil(k / 8) rows, in at most eight
+    # steps; the leading rows already in place stay.
+    first = int((rows == np.arange(len(rows))).sum())
+    step = -(-len(x) // 8)
+    for dst in range(first, len(rows), step):
+        src = rows[dst : dst + step]
+        x[dst : dst + len(src)] = x[src]
+    # Every step from here on overwrites x: no second (k, q) table.
+    g = x[: len(rows)]
+    np.fft.ifft(g, axis=1, out=g)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
+    pairs = g.view(np.float64)
+    np.square(pairs, out=pairs)
+    cdf = pairs[:, 0::2]
+    np.add(cdf, pairs[:, 1::2], out=cdf)
+    np.cumsum(cdf, axis=1, out=cdf)
+    # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
+    total = cdf[:, -1]
+    _check_mass(total * (q / m))
+    # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
+    k_d = (cdf <= (stage.u[rows] * total)[:, None]).sum(axis=1)
+    return np.clip(k_d, int(stage.decided), q - 1)
+
+
+def sample_bv_stack(
+    q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One post-kernel measurement per row of a stack of batches: the
+    (k_d, k*) arrays.
+
+    atom_stage draws k* and the uniforms and, on a span-table stack,
+    each row's k_d = 0 atom; transform_stage then draws k_d for every
+    other row, so only rows off the atom pay a transform. A stage's
+    result holds only until the next call, since its phases sit in the
+    kept tables; the (k_d, k*) returned here never share memory with
+    them. The inputs are only read, so read-only or broadcast rows are
+    fine.
+    """
+    stage = atom_stage(q, a_values, b_values, rng)
+    k_d = np.zeros(len(stage.k_star), dtype=np.int64)
+    rows = np.flatnonzero(~stage.atom)
+    k_d[rows] = transform_stage(stage, rows)
+    return k_d, stage.k_star
 
 
 def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:

@@ -25,12 +25,20 @@ where their rows come from and in what happens to the rows a settled
 coordinate leaves.
 
 controlled_refills measures s-free batches (a', eta'), at most
-CHUNK_ENTRIES // q per batched FFT. By the Fourier shift theorem the
+CHUNK_ENTRIES // q per refill. By the Fourier shift theorem the
 coordinate-j batch (a', a' s_j + eta') has the s-free outcome law moved
 along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*), so a row's c reads
 as s_j + c for every coordinate, with the same verdict. controlled_pass
 hands rows out in order; the rows a settled coordinate leaves go to the
-next one.
+next one. A row's c0 is right exactly when it lands on the k_d = 0
+atom, which qsim.atom_stage draws without a transform. Off the atom
+c0 != 0, and for t uniform on [1, q) the product t c0 is uniform on
+[1, q) and independent of c0, so such a row is judged on residuals
+eta' - t at the stand-in c0 = 1. Only a row that passes every trial is
+transformed (qsim.transform_stage) for its own c0, and it returns
+t c0^-1 as its test inputs, whose residuals row_verdicts reads as the
+same eta' - t. Shots, tests and verdicts keep their joint law, and c0
+is drawn exactly when it becomes the accepted s_j + c0.
 
 elimination_pass runs every open coordinate in lockstep: each refill
 gives coordinate j the next chunk of its own rows, eliminated through
@@ -57,7 +65,7 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import CHUNK_ENTRIES, sample_bv_stack
+from .qsim import CHUNK_ENTRIES, atom_stage, sample_bv_stack, transform_stage
 from .reduce import eliminate_rows, invertible_draws, synth_reduced_errors
 
 MODE_CONTROLLED = "controlled"
@@ -123,6 +131,17 @@ def amplified_bound(kappa: float, xi: int) -> int:
     return xi_prime
 
 
+def amplified_law(chi: ErrorDistribution, xi_prime: int) -> ErrorDistribution:
+    """chi' = the law of the errors at the amplified bound xi' = kappa xi:
+    chi's kind on [-xi', xi'], with gaussian width sigma' = kappa sigma,
+    the width of kappa eta before rounding. A sigma at its default xi/3
+    gives chi' at its default xi'/3, computed as such, and a window of
+    one value (xi or xi' = 0) has no width to scale."""
+    if chi.sigma is None or 0 in (chi.xi, xi_prime) or chi == ErrorDistribution(chi.kind, chi.xi):
+        return ErrorDistribution(chi.kind, xi_prime)
+    return ErrorDistribution(chi.kind, xi_prime, sigma=chi.sigma * xi_prime / chi.xi)
+
+
 def choose_parameters(
     n: int, q: int, xi: int, kappa: float, delta: float, gamma: float = 0.125
 ) -> SolveParameters:
@@ -182,24 +201,46 @@ def controlled_refills(
     """Refill source of one controlled solve: k -> (k_d, k*, t, eta') for k rows.
 
     Each call draws k s-free batches (a', eta') with synth_reduced_errors,
-    measures them with their errors eta' as their b' in one
-    sample_bv_stack call, then draws one (k, m) block of test pairs: t
-    uniform on [1, q) and eta' from the same law. Errors come from the
-    instance's noise kind rescaled to xi' (gaussian width defaults to
-    xi'/3). Nothing here depends on s.
+    runs atom_stage on them with their errors eta' as their b', then
+    draws one (k, m) block of test pairs: t uniform on [1, q) and eta'
+    from chi' = amplified_law(chi, xi'). A row off the atom faces its
+    trials at the stand-in c0 = 1, and only a non-null one that passes
+    them all is transformed: it returns its own k_d and t c0^-1 as its
+    test inputs, so row_verdicts reads the residuals it was judged on.
+    Any other row off the atom returns the stand-in k_d = -k*. A stack
+    whose errors span more than m/2 integers, which takes v_size below
+    2 (2 xi' + 1), has no atom decision: every row is transformed and
+    judged at its own c0. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
-    chi_prime = ErrorDistribution(instance.chi.kind, xi_prime)
+    chi_prime = amplified_law(instance.chi, xi_prime)
     inputs = _input_rows(q, v_size, rng)
+    field = PrimeField(q)
+    inverse = field.inverse_table()
 
     def refill(k: int) -> Rows:
         a_values = inputs(k)
         eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
-        k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
+        stage = atom_stage(q, a_values, eta_values, rng)
+        k_star = stage.k_star
         t = rng.integers(1, q, size=(k, m))
-        return k_d, k_star, t, sample_errors(chi_prime, rng, (k, m))
+        eta_t = sample_errors(chi_prime, rng, (k, m))
+        k_d = np.zeros(k, dtype=np.int64)
+        rows = ~stage.atom
+        if stage.decided:
+            # Rows off the atom stand in as c0 = 1 and face their trials there.
+            k_d[rows] = -k_star[rows] % q
+            passed = (np.abs(field.centered_array(eta_t - t)) <= xi_prime).all(axis=1)
+            rows &= (k_star != 0) & passed
+        rows = np.flatnonzero(rows)
+        k_d[rows] = transform_stage(stage, rows)
+        if stage.decided:
+            # (t c0^-1) c0 = t: row_verdicts reads the residuals these rows passed.
+            c0 = -k_d[rows] % q * inverse[k_star[rows]] % q
+            t[rows] = t[rows] * inverse[c0][:, None] % q
+        return k_d, k_star, t, eta_t
 
     return refill
 

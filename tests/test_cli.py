@@ -305,11 +305,9 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     # A non-integer kappa * xi is refused by every subcommand, bounds included.
     assert main(["bounds", "--q", "101", "--xi", "1", "--kappa", "1.5", "--trials", "1"]) == 2
     assert "kappa/xi: kappa * xi = 1.5" in capsys.readouterr().err
-    # Controlled batches ignore sigma, so setting it there is refused.
-    assert main(["sweep", "--sigma", "0.5", "--trials", "1"]) == 2
-    assert "sigma: has no effect in controlled mode" in capsys.readouterr().err
     # Uniform noise has no width, so sigma is refused with it in any mode.
     for argv in (
+        ["sweep", "--sigma", "0.5", "--trials", "1"],
         ["sweep", "--mode", "elimination", "--sigma", "0.5", "--trials", "1"],
         ["bounds", "--sigma", "0.5", "--trials", "1"],
     ):
@@ -325,7 +323,7 @@ def test_main_maps_config_errors_to_exit_2(capsys):
     mode=st.sampled_from(["controlled", "elimination"]),
     chi_kind=st.sampled_from(["uniform", "gaussian"]),
     v_size=st.one_of(st.none(), st.integers(1, 100)),
-    sigma=st.sampled_from([None, None, None, 0.4, 1.5]),  # a set sigma runs only in gaussian elimination
+    sigma=st.sampled_from([None, None, None, 0.4, 1.5]),  # a set sigma runs only with gaussian noise
     seed=st.integers(0, 1000),
 )
 def test_small_configs_run_or_exit_with_a_reason(command, n, q, mode, chi_kind, v_size, sigma, seed):
@@ -440,7 +438,7 @@ def test_non_finite_kappa_and_sigma_are_config_errors(capsys):
             for xi in ("0", "1"):  # at xi=0, kappa*xi is nan
                 assert main([command, "--trials", "1", "--kappa", kappa, "--xi", xi]) == 2, (command, kappa)
                 assert "configuration error: kappa:" in capsys.readouterr().err
-        # Controlled solves refuse any sigma; bounds takes no --mode.
+        # bounds takes no --mode.
         mode = [] if command == "bounds" else ["--mode", "elimination"]
         gaussian = [command, *mode, "--chi-kind", "gaussian", "--trials", "1"]
         for sigma in ("inf", "1e400", "nan"):

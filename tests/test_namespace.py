@@ -49,16 +49,16 @@ INTERNAL = {
         "sample_errors", "samples_to_arrays",
     ),
     "qsim": (
-        "NORM_TOL", "MeasurementOutcome", "extract_candidate", "extract_candidates",
-        "qft_matrix", "root_table", "sample_bv_outcome",
+        "NORM_TOL", "AtomStage", "MeasurementOutcome", "atom_stage", "extract_candidate",
+        "extract_candidates", "qft_matrix", "root_table", "sample_bv_outcome", "transform_stage",
     ),
     "reduce": (
         "EliminationStack", "ReducedPair", "check_rows", "eliminate_rows",
         "invertible_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (
-        "classify", "controlled_pass", "controlled_refills", "elimination_pass",
-        "elimination_refills",
+        "amplified_law", "classify", "controlled_pass", "controlled_refills",
+        "elimination_pass", "elimination_refills",
     ),
     "verify": ("TestVerdict", "delta", "m_trial_test"),
 }

@@ -616,6 +616,57 @@ def test_wide_span_rows_are_all_transformed(transformed_rows):
     assert atoms > 0
 
 
+@pytest.mark.parametrize("case", sorted(_s_free_cases()))
+def test_any_rows_off_the_atom_draw_what_the_whole_stack_draws(case):
+    # The controlled solver hands transform_stage only some rows off the
+    # atom; each must draw the k_d it draws in sample_bv_stack, where all
+    # rows off the atom are transformed, with the same stream.
+    q, a_values, eta = _s_free_cases()[case]
+    pick = derive_rng(83, 0)
+    for seed in range(4):
+        k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(84, seed))
+        stage = qsim.atom_stage(q, a_values, eta, derive_rng(84, seed))
+        assert stage.decided and np.array_equal(stage.k_star, k_star)
+        assert np.array_equal(stage.atom, k_d == 0)
+        off = np.flatnonzero(~stage.atom)
+        rows = np.sort(pick.choice(off, size=len(off) // 2, replace=False))
+        assert np.array_equal(qsim.transform_stage(stage, rows), k_d[rows])
+
+
+class _UniformsAt:
+    """A stub generator: k* = 1, 2, ... and every uniform equal to u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def integers(self, high, size):
+        return np.arange(1, size + 1) % high
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_rows_decided_off_the_atom_never_draw_it():
+    # Noiseless partial rows have dc = m, so their atom threshold is
+    # u = m^2 / (m q) = m / q; at the least u the atom test sends off the
+    # atom, cdf[0] and u * total are equal up to rounding, and about half
+    # the rows would count k_d = 0 without the clamp to [1, q - 1].
+    q, m, k = 101, 40, 64
+    rng = derive_rng(82, 0)
+    a_values = np.stack([rng.choice(q, size=m, replace=False) for _ in range(k)])
+    b_values = np.zeros((k, m), dtype=np.int64)
+    u = m / q
+    while m * m > u * (m * q):
+        u = np.nextafter(u, 1.0)
+    stage = qsim.atom_stage(q, a_values, b_values, _UniformsAt(u))
+    assert stage.decided and not stage.atom.any()
+    k_d, _ = sample_bv_stack(q, a_values, b_values, _UniformsAt(u))
+    assert (k_d >= 1).all()
+    # Just below the threshold every row takes the atom.
+    k_d, _ = sample_bv_stack(q, a_values, b_values, _UniformsAt(np.nextafter(m / q, 0.0)))
+    assert (k_d == 0).all()
+
+
 def test_root_table_is_bit_identical_to_elementwise_phases():
     for q in (7, 401, 4093):
         residues = np.outer(np.arange(q), np.arange(0, q, 97)) % q

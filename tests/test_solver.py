@@ -23,10 +23,12 @@ from dclwe import (
 from dclwe import solver as solver_module
 from dclwe.fq import mat_inverse
 from dclwe.instance import GAUSSIAN, UNIFORM, Sample
-from dclwe.qsim import extract_candidates
-from dclwe.reduce import ReducedPair, make_test_sample
+from dclwe.qsim import atom_stage, extract_candidates
+from dclwe.instance import sample_errors
+from dclwe.reduce import ReducedPair, make_test_sample, synth_reduced_errors
 from dclwe.solver import (
     amplified_bound,
+    amplified_law,
     controlled_pass,
     controlled_refills,
     elimination_pass,
@@ -229,15 +231,18 @@ def _check_elimination_chunks(n, q, budget, xi, xi_prime):
 
 
 def _spy_on_refills(monkeypatch):
-    """Record every stack the controlled pool measures: (a', b', c0 per row)."""
+    """Record every stack the controlled pool measures: (a', b', c0 per row)
+    as the atom stage leaves them: 0 on the atom, the stand-in 1 off it and
+    None for a null."""
     refills = []
 
     def spy(q, a_values, b_values, rng):
-        k_d, k_star = sample_bv_stack(q, a_values, b_values, rng)
-        refills.append((a_values, b_values, extract_candidates(k_d, k_star, q)))
-        return k_d, k_star
+        stage = atom_stage(q, a_values, b_values, rng)
+        k_d = np.where(stage.atom, 0, -stage.k_star % q)
+        refills.append((a_values, b_values, extract_candidates(k_d, stage.k_star, q)))
+        return stage
 
-    monkeypatch.setattr(solver_module, "sample_bv_stack", spy)
+    monkeypatch.setattr(solver_module, "atom_stage", spy)
     return refills
 
 
@@ -300,17 +305,140 @@ def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
     assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
 
 
+def test_two_sigmas_give_two_amplified_laws(monkeypatch):
+    # chi' keeps the instance's sigma, scaled by kappa, in the controlled
+    # refill and in the classical baseline alike.
+    from dclwe import classical_baseline_solve
+    from dclwe import oracle as oracle_module
+
+    seen = []
+    real = solver_module.sample_errors
+
+    def spy(chi, rng, shape):
+        seen.append(chi)
+        return real(chi, rng, shape)
+
+    monkeypatch.setattr(solver_module, "sample_errors", spy)
+    monkeypatch.setattr(oracle_module, "sample_errors", spy)
+    q, xi, kappa = 401, 3, 2.0
+    params = choose_parameters(3, q, xi, kappa, 0.2)
+    for sigma in (0.3, 5.0):
+        rng = derive_rng(125, 0)
+        inst = make_instance(3, q, ErrorDistribution(GAUSSIAN, xi, sigma=sigma), rng)
+        seen.clear()
+        solve(inst, params, MODE_CONTROLLED, rng)
+        classical_baseline_solve(inst, kappa, 2, 1, rng)
+        assert {(chi.kind, chi.xi) for chi in seen} == {(GAUSSIAN, 6)}
+        assert [chi.sigma for chi in seen] == pytest.approx([kappa * sigma] * len(seen))
+    # The default sigma xi/3 maps to xi'/3 exactly, so default streams stay put.
+    assert amplified_law(ErrorDistribution(GAUSSIAN, xi), 6) == ErrorDistribution(GAUSSIAN, 6)
+    assert amplified_law(ErrorDistribution(UNIFORM, xi), 6) == ErrorDistribution(UNIFORM, 6)
+
+
+def _every_row_refills(instance, xi_prime, m, rng):
+    """Reference: the full-field controlled refill that transforms every row
+    with sample_bv_stack and leaves row_verdicts to judge it at its own c0."""
+    q = instance.q
+    chi_prime = amplified_law(instance.chi, xi_prime)
+    a_values = np.arange(q)[None]
+
+    def refill(k):
+        eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
+        k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
+        t = rng.integers(1, q, size=(k, m))
+        return k_d, k_star, t, sample_errors(chi_prime, rng, (k, m))
+
+    return refill
+
+
+def _coordinate_law(refills, solves, seed):
+    """Shots and tests per coordinate, and the offsets of the wrong accepted
+    values, over `solves` n=3, q=101 solves at xi' = 2 and M = 1."""
+    q = 101
+    inst = _instance(3, q, 1, 121)
+    budget = choose_parameters(3, q, 1, 2.0, 0.2).L
+    rng = derive_rng(122, seed)
+    shots, tests, wrong = [], [], []
+    for _ in range(solves):
+        for st, s_j in zip(controlled_pass(inst.s, q, refills(inst, 2, 1, rng), budget, 2), inst.s):
+            assert st.true_rejections == 0
+            shots.append(st.shots)
+            tests.append(st.tests_used)
+            if st.accepted_value is not None and st.accepted_value != s_j:
+                wrong.append((st.accepted_value - s_j) % q)
+    return np.array(shots), np.array(tests), np.bincount(wrong, minlength=q)[1:]
+
+
+def _within_3_sigma(a, b):
+    return abs(a.mean() - b.mean()) <= 3 * math.sqrt(a.var() / a.size + b.var() / b.size)
+
+
+def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
+    # At xi' = 2 and M = 1 about 13.8% of coordinates accept a wrong value,
+    # which the deferred refill reads off transforms of accepted rows only.
+    solves = 5000
+    ref_shots, ref_tests, ref_wrong = _coordinate_law(_every_row_refills, solves, 0)
+    shots, tests, wrong = _coordinate_law(controlled_refills, solves, 1)
+    coordinates = 3 * solves
+    assert 0.12 < ref_wrong.sum() / coordinates < 0.16
+    share = ref_wrong.sum() / coordinates
+    # Three sigma of the difference of two independent shares.
+    assert abs(wrong.sum() / coordinates - share) <= math.sqrt(2) * binom_3sigma(share, coordinates)
+    assert _within_3_sigma(shots, ref_shots) and _within_3_sigma(tests, ref_tests)
+    # The wrong offsets over [1, q) must agree bin by bin (homogeneity chi-square).
+    both = (wrong + ref_wrong) > 0
+    a, b = wrong[both], ref_wrong[both]
+    scale = math.sqrt(b.sum() / a.sum())
+    stat = float((((a * scale - b / scale) ** 2) / (a + b)).sum())
+    dof = int(both.sum()) - 1
+    assert dof > 90 and stat <= dof + 4 * math.sqrt(2 * dof)
+
+
+def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
+    # Every refill's transformed rows are exactly its non-null rows off the
+    # atom that row_verdicts accepts; the others keep the stand-in c0 = 1.
+    stages, handed = [], []
+    real_atom, real_transform = solver_module.atom_stage, solver_module.transform_stage
+
+    def atom_spy(*args):
+        stages.append(real_atom(*args))
+        return stages[-1]
+
+    def transform_spy(stage, rows):
+        handed.append(rows.tolist())
+        return real_transform(stage, rows)
+
+    monkeypatch.setattr(solver_module, "atom_stage", atom_spy)
+    monkeypatch.setattr(solver_module, "transform_stage", transform_spy)
+    # With M = 1 a wrong candidate passes with probability 4/100, so some
+    # rows off the atom are accepted and transformed.
+    q = 101
+    inst = _instance(8, q, 1, 123)
+    refill = controlled_refills(inst, 2, 1, derive_rng(124, 0))
+    transformed = 0
+    for _ in range(20):
+        k_d, k_star, t, eta_t = refill(16)
+        stage = stages[-1]
+        assert stage.decided
+        c0, _, accepted = solver_module.row_verdicts(q, k_d, k_star, t, eta_t, 2)
+        off = ~stage.atom & (k_star != 0)
+        assert handed[-1] == np.flatnonzero(off & accepted).tolist()
+        assert (k_d[stage.atom] == 0).all()
+        assert (np.array(c0)[off & ~np.array(accepted)] == 1).all()  # the stand-in
+        assert ((1 <= t) & (t < q)).all()
+        transformed += len(handed[-1])
+    assert len(handed) == 20 and 0 < transformed < 40
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw",
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(1, 2), (5, 6), (5, 6), (9, 10), (3, 4), (11, 12), (3, 4), (6, 7)],
+            [(1, 2), (5, 6), (5, 6), (9, 11), (3, 4), (11, 12), (3, 4), (6, 7)],
             1052367934,
         ),
         # 21 rows over five coordinates: the first refill is cut to 16.
         (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (3, 4), (3, 4), (5, 6), (4, 5)], 940869534),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (8, 11), (9, 11)], 862592886),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (8, 10), (9, 11)], 862592886),
     ],
 )
 def test_controlled_stream_is_pinned(
