@@ -8,7 +8,11 @@ its own RNG stream from the master seed, so results are identical for
 any worker count and any scheduling order.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on invariant
-violations, 141 when the reader of stdout closes the pipe.
+violations, 141 when the reader of stdout closes the pipe. The library
+states every field rule: build_config refuses each point's ValueError,
+InvalidModulus or BoundTooLarge. InfeasibleParameters means only that no
+L or M fits a point: solve and sweep refuse it, bounds keeps its row.
+A refused run writes no file.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import (
     DclweError,
     EmptyResult,
     InfeasibleParameters,
-    InvalidModulus,
     InvariantViolation,
 )
 from .fq import PrimeField, is_prime
@@ -197,8 +200,7 @@ def build_config(file_values: dict[str, str] | None, cli_values: dict[str, str])
 
 
 def _validate_config(config: ExperimentConfig) -> None:
-    if config.chi_kind not in (UNIFORM, GAUSSIAN):
-        raise ConfigError(f"chi_kind: must be {UNIFORM!r} or {GAUSSIAN!r}, got {config.chi_kind!r}")
+    """The CLI's own fields, then every point; one that lacks only a budget is left to each command."""
     if config.mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ConfigError(
             f"mode: must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {config.mode!r}"
@@ -207,32 +209,9 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"trials: must be at least 1, got {config.trials}")
     if config.seed < 0:
         raise ConfigError(f"seed: must be non-negative, got {config.seed}")
-    for q in config.q:
-        try:
-            PrimeField(q)
-        except InvalidModulus as exc:
-            raise ConfigError(f"q: {exc}")
-    for field, ok, rule in (
-        ("n", lambda v: v >= 1, "must be at least 1"),
-        ("xi", lambda v: v >= 0, "must be non-negative"),
-        ("kappa", lambda v: 0 < v < np.inf, "must be positive and finite"),
-        ("sigma", lambda v: v is None or 0 < v < np.inf, "must be positive and finite"),
-        ("gamma", lambda v: 0 < v < 0.25, "must lie in (0, 1/4)"),
-        ("delta", lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        ("v_size", lambda v: v is None or v >= 1, "must be at least 1"),
-    ):
-        for value in getattr(config, field):
-            if not ok(value):
-                raise ConfigError(f"{field}: {rule}, got {value}")
-    for point in config.points():
-        try:
-            amplified_bound(point.kappa, point.xi)
-        except InfeasibleParameters as exc:
-            raise ConfigError(f"kappa/xi: {exc} (kappa={point.kappa}, xi={point.xi})")
-        if 2 * point.xi >= point.q:
-            raise ConfigError(f"xi: bound {point.xi} does not fit below q/2 for q={point.q}")
-        if point.v_size is not None and point.v_size > point.q:
-            raise ConfigError(f"v_size: {point.v_size} exceeds q={point.q}")
+    for pi, point in enumerate(config.points()):
+        with contextlib.suppress(InfeasibleParameters):
+            point_budget(pi, point)
 
 
 def _name(point_index: int, point: PointConfig) -> str:
@@ -245,33 +224,42 @@ Budget = tuple[ErrorDistribution, SolveParameters]
 def point_budget(point_index: int, point: PointConfig) -> Budget:
     """A sweep point's noise law and solve budget, derived once for all its trials.
 
-    Refuses a sigma with uniform noise, which has no width, and names
-    the point when no budget fits it.
+    A library refusal of a bad field becomes a ConfigError naming the point, and so does
+    v_size outside [1, q], which solve checks only after the instance draw. A point that
+    no L or M fits raises InfeasibleParameters, naming the point.
     """
-    if point.chi_kind == UNIFORM and point.sigma is not None:
-        raise ConfigError("sigma: has no effect with uniform noise")
     try:
+        if point.v_size is not None and not 1 <= point.v_size <= point.q:
+            raise ValueError(f"v_size: must lie in [1, q={point.q}], got {point.v_size}")
+        chi = ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma)
         params = choose_parameters(point.n, point.q, point.xi, point.kappa, point.delta, point.gamma)
     except InfeasibleParameters as exc:
         raise InfeasibleParameters(f"{_name(point_index, point)}: {exc}") from None
-    return ErrorDistribution(point.chi_kind, point.xi, sigma=point.sigma), params
+    except (ValueError, DclweError) as exc:
+        raise ConfigError(f"{exc} at {_name(point_index, point)}") from None
+    return chi, params
 
 
-def unreachable_points(config: ExperimentConfig) -> list[str]:
+def _budgets(config: ExperimentConfig, workers: int) -> list[Budget]:
+    """Every point's budget, derived before the first task; workers below 1 are refused first."""
+    if workers < 1:
+        raise ConfigError("workers: must be at least 1")
+    return [point_budget(pi, point) for pi, point in enumerate(config.points())]
+
+
+def unreachable_points(config: ExperimentConfig, budgets: list[Budget]) -> list[str]:
     """Elimination-mode points whose measured xi' exceeds the tested xi'.
 
-    Each point builds one probe batch on a stream no trial uses, after
-    every point's budget is derived. A batch whose measured
+    Each point builds one probe batch on a stream no trial uses, from
+    every point's budget (_budgets). A batch whose measured
     amplification pushes its bound past the xi' the residual tests use
     makes true candidates fail those tests, so the point cannot be
     expected to succeed.
     """
     if config.mode != MODE_ELIMINATION:
         return []
-    points = config.points()
-    budgets = [point_budget(pi, point) for pi, point in enumerate(points)]
     problems = []
-    for pi, (point, (chi, params)) in enumerate(zip(points, budgets)):
+    for pi, (point, (chi, params)) in enumerate(zip(config.points(), budgets)):
         # Trial streams take a (point, trial) path; a three-index path is none of them.
         rng = derive_rng(config.seed, pi, 0, 0)
         q = point.q
@@ -319,13 +307,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Experimen
     """All (point, trial) tasks in deterministic order, on at most
     `workers` processes and never more processes than tasks. Every
     point's budget is derived before the first task runs."""
-    if workers < 1:
-        raise ConfigError("workers: must be at least 1")
-    points = config.points()
-    budgets = [point_budget(pi, point) for pi, point in enumerate(points)]
+    budgets = _budgets(config, workers)
     tasks = [
         (point, budget, config.seed, pi, ti)
-        for pi, (point, budget) in enumerate(zip(points, budgets))
+        for pi, (point, budget) in enumerate(zip(config.points(), budgets))
         for ti in range(config.trials)
     ]
     # Under the fork start method a pool starts all its workers on the first submit.
@@ -367,6 +352,22 @@ def emit(rows: Sequence[dict], fmt: str, fh: TextIO) -> None:
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
 
 
+def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters | None]]:
+    """Each bounds row's xi' and budget (None if no L or M fits); refuses xi' = 0 and other modes."""
+    if config.mode != MODE_CONTROLLED:
+        raise ConfigError(f"mode: bounds draws controlled batches only, got {config.mode!r}")
+    budgets = []
+    for pi, point in enumerate(config.points()):
+        xi_prime = amplified_bound(point.kappa, point.xi)
+        if xi_prime < 1:
+            raise ConfigError(f"xi/kappa: {_name(pi, point)} has xi'={xi_prime}, outside [1, q/2)")
+        try:
+            budgets.append((xi_prime, point_budget(pi, point)[1]))
+        except InfeasibleParameters:
+            budgets.append((xi_prime, None))  # the row stays, with empty bound columns
+    return budgets
+
+
 def report_bounds(config: ExperimentConfig) -> list[dict]:
     """Exact ridge mass next to its analytic floor across the sweep grid.
 
@@ -377,20 +378,8 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     forms when the point admits a budget. A mode other than controlled,
     or a point whose xi' lies outside [1, q/2), is refused before any draw.
     """
-    if config.mode != MODE_CONTROLLED:
-        raise ConfigError(f"mode: bounds draws controlled batches only, got {config.mode!r}")
-    points = config.points()
-    budgets = []
-    for pi, point in enumerate(points):
-        xi_prime = amplified_bound(point.kappa, point.xi)
-        if xi_prime < 1 or 2 * xi_prime >= point.q:
-            raise ConfigError(f"xi/kappa: {_name(pi, point)} has xi'={xi_prime}, outside [1, q/2)")
-        try:
-            budgets.append((xi_prime, point_budget(pi, point)[1]))
-        except InfeasibleParameters:
-            budgets.append((xi_prime, None))  # the row stays, with empty bound columns
     rows = []
-    for pi, (point, (xi_prime, params)) in enumerate(zip(points, budgets)):
+    for pi, (point, (xi_prime, params)) in enumerate(zip(config.points(), _bound_points(config))):
         rng = derive_rng(config.seed, 7, pi)
         q = point.q
         s_j = int(rng.integers(q))
@@ -556,9 +545,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
-    """--out opened for appending, or stdout when it is unset. Commands open it
-    before their first draw, so a path that cannot be written costs no run;
-    _write empties it, so a run refused in between leaves its contents alone."""
+    """--out opened for appending, or stdout when it is unset. Commands open it after their
+    refusals and before their first draw, so a refused run creates no file and an unwritable
+    path costs no run; _write empties it, so a run failing in between leaves its contents alone."""
     if not args.out:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -574,21 +563,13 @@ def _write(rows: Sequence[dict], args: argparse.Namespace, fh: TextIO) -> None:
     emit(rows, args.format, fh)
 
 
-def _run(
-    config: ExperimentConfig, args: argparse.Namespace, refuse_unreachable: bool
-) -> list[ExperimentRecord]:
-    unreachable = unreachable_points(config)
-    if unreachable and refuse_unreachable:
-        raise InfeasibleParameters("; ".join(unreachable))
-    for warning in unreachable:
-        print(f"warning: {warning}", file=sys.stderr)
-    return run_experiment(config, workers=args.workers)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    unreachable = unreachable_points(config, _budgets(config, args.workers))
+    if unreachable:
+        raise InfeasibleParameters("; ".join(unreachable))
     with _output(args) as fh:
-        records = _run(config, args, refuse_unreachable=True)
+        records = run_experiment(config, workers=args.workers)
         for pi, group in itertools.groupby(records, key=lambda r: r.point_index):
             recs = list(group)
             tally = Counter(r.outcome for r in recs)
@@ -606,13 +587,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    for warning in unreachable_points(config, _budgets(config, args.workers)):
+        print(f"warning: {warning}", file=sys.stderr)
     with _output(args) as fh:
-        _write([r.to_dict() for r in _run(config, args, refuse_unreachable=False)], args, fh)
+        _write([r.to_dict() for r in run_experiment(config, workers=args.workers)], args, fh)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _bound_points(config)  # its refusals, before --out is opened
     with _output(args) as fh:
         rows = report_bounds(config)
         _write(rows, args, fh)

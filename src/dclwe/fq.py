@@ -60,9 +60,9 @@ def _check_modulus(q: int) -> None:
     """Raise InvalidModulus unless q is a supported odd prime. A raise is
     never cached, so a bad q fails on every call."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise InvalidModulus(f"q must be an odd prime, got {q}")
+        raise InvalidModulus(f"q: must be an odd prime, got {q}")
     if q > MODULUS_CEILING:
-        raise InvalidModulus(f"q={q} exceeds the supported ceiling {MODULUS_CEILING}")
+        raise InvalidModulus(f"q: must be at most {MODULUS_CEILING}, got {q}")
 
 
 class PrimeField:

@@ -35,18 +35,18 @@ class ErrorDistribution:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+            raise ValueError(f"chi_kind: must be {UNIFORM!r} or {GAUSSIAN!r}, got {self.kind!r}")
         if not isinstance(self.xi, (int, np.integer)):
-            raise ValueError(f"xi must be an integer, got {self.xi!r}")
+            raise ValueError(f"xi: must be an integer, got {self.xi!r}")
         if self.xi < 0:
-            raise ValueError(f"xi must be non-negative, got {self.xi}")
+            raise ValueError(f"xi: must be non-negative, got {self.xi}")
         if self.kind == UNIFORM and self.sigma is not None:
             raise ValueError("sigma: has no effect with uniform noise")
         if self.kind == GAUSSIAN:
             if self.sigma is None:
                 object.__setattr__(self, "sigma", self.xi / 3 if self.xi > 0 else 1.0)
             elif not 0 < self.sigma < np.inf:
-                raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+                raise ValueError(f"sigma: must be positive and finite, got {self.sigma}")
 
     def weights(self) -> np.ndarray:
         """Unnormalized weight of each eta in [-xi, xi], in window order."""

@@ -118,16 +118,16 @@ class SolveOutcome:
 
 
 def amplified_bound(kappa: float, xi: int) -> int:
-    """The amplified error bound xi' = kappa * xi, which must be an integer;
-    raises InfeasibleParameters otherwise, and ValueError for a kappa that
-    is not positive and finite or for xi < 0."""
+    """The amplified error bound xi' = kappa * xi. Raises ValueError, worded
+    "field: rule, got value", for a kappa that is not positive and finite,
+    for xi < 0 and for a kappa * xi that is not an integer."""
     if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        raise ValueError(f"kappa: must be positive and finite, got {kappa}")
     if xi < 0:
-        raise ValueError(f"xi must be non-negative, got {xi}")
+        raise ValueError(f"xi: must be non-negative, got {xi}")
     xi_prime = round(kappa * xi)
     if abs(kappa * xi - xi_prime) > 1e-9:
-        raise InfeasibleParameters(f"kappa * xi = {kappa * xi} is not an integer bound")
+        raise ValueError(f"kappa/xi: kappa * xi = {kappa * xi} is not an integer bound")
     return xi_prime
 
 
@@ -148,21 +148,22 @@ def choose_parameters(
     """Derive (L, M, xi', C) for the requested failure budget delta.
 
     At xi' = 0 only nulls (k* = 0, probability 1/q per shot) fail a
-    coordinate, so L is the least with q^-L <= delta/n. Raises
-    InfeasibleParameters when the amplified bound does not fit under
-    q/2, when the retry budget L would exceed q, or when no M <= 64
-    pushes the false-accept bound under delta/n.
+    coordinate, so L is the least with q^-L <= delta/n. A bad field raises ValueError,
+    InvalidModulus (q) or BoundTooLarge (2 max(xi, xi') >= q), worded "field: rule,
+    got value". InfeasibleParameters means only that no budget fits: L would exceed
+    q, or no M <= 64 pushes the false-accept bound under delta/n.
     """
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n: must be at least 1, got {n}")
     if not 0 < gamma < 0.25:
-        raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
+        raise ValueError(f"gamma: must lie in (0, 1/4), got {gamma}")
     if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        raise ValueError(f"delta: must lie in (0, 1), got {delta}")
     PrimeField(q)
     xi_prime = amplified_bound(kappa, xi)
-    if 2 * xi_prime >= q:
-        raise InfeasibleParameters(f"amplified bound xi'={xi_prime} does not fit below q/2")
+    for field, bound in (("xi", xi), ("kappa/xi", xi_prime)):
+        if 2 * bound >= q:
+            raise BoundTooLarge(f"{field}: bound must lie below q/2 = {q / 2:g}, got {bound}")
     c = gamma * math.cos(2 * math.pi * gamma) ** 2
     if xi_prime == 0:
         required = math.log(n / delta) / math.log(q)

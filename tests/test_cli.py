@@ -105,7 +105,7 @@ def test_none_literals_for_optional_fields():
     config = _config(sigma="none", v_size="none")
     assert config.sigma == (None,)
     assert config.v_size == (None,)
-    config = _config(sigma="1.5", v_size="50")
+    config = _config(sigma="1.5", v_size="50", chi_kind="gaussian")
     assert config.sigma == (1.5,)
     assert config.v_size == (50,)
 
@@ -422,6 +422,94 @@ def test_out_is_replaced_by_a_run_and_left_alone_by_a_refusal(tmp_path, capsys):
     for command, rows in (("solve", 2), ("sweep", 2), ("bounds", 1)):
         assert main([command, *argv]) == 0
         assert len(list(csv.DictReader(out.open()))) == rows, command
+
+
+def test_a_refused_run_creates_no_out_file(tmp_path, capsys):
+    out = tmp_path / "F"
+    for argv in (
+        ["sweep", "--n", "4", "--q", "101,11", "--kappa", "2", "--trials", "1"],  # no budget at q=11
+        ["bounds", "--n", "3", "--q", "101", "--xi", "0,1", "--kappa", "1"],  # xi'=0
+        ["solve", "--workers", "0"],
+        ["solve", "--mode", "elimination", "--n", "2", "--q", "101", "--seed", "3", "--trials", "2"],  # probe
+    ):
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists(), argv
+
+
+# The cases of test_validation_messages_name_the_field, as config-file lines, since
+# --mode and --chi-kind take only valid choices, plus 2 xi >= q at kappa < 1.
+_FIELD_REFUSALS = {
+    "q": "q = 8",
+    "xi": "xi = -1",
+    "kappa": "kappa = 0",
+    "kappa/xi": "kappa = 1.5",
+    "gamma": "gamma = 0.3",
+    "delta": "delta = 1.5",
+    "v_size": "v_size = 200",
+    "mode": "mode = sideways",
+    "chi_kind": "chi_kind = laplace",
+    "trials": "trials = 0",
+    "seed": "seed = -4",
+    "n": "n = 0",
+    "sigma": "sigma = -2",
+}
+
+
+def test_every_field_refusal_exits_2_from_every_command_before_any_draw(tmp_path, monkeypatch, capsys):
+    import dclwe.cli as cli_module
+
+    calls = []
+
+    def spy(name):
+        real = getattr(cli_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "synth_reduced_batch", "make_instance"):
+        monkeypatch.setattr(cli_module, name, spy(name))
+    cases = list(_FIELD_REFUSALS.items())
+    cases.append(("xi", "q = 7\nxi = 4\nkappa = 0.5"))  # xi' = 2 fits, xi = 4 does not
+    cfg = tmp_path / "run.cfg"
+    for command in ("solve", "sweep", "bounds"):
+        for field, lines in cases:
+            cfg.write_text(f"n = 2\ntrials = 1\n{lines}\n")
+            assert main([command, "--config", str(cfg)]) == 2, (command, field)
+            captured = capsys.readouterr()
+            assert f"configuration error: {field}:" in captured.err, (command, field, captured.err)
+            assert captured.out == ""
+            assert calls == [], (command, field)
+
+
+def test_bounds_and_solve_build_one_chi_prime_at_one_point(monkeypatch, capsys):
+    import dclwe.cli as cli_module
+    from dclwe import solver as solver_module
+    from dclwe.instance import GAUSSIAN, ErrorDistribution
+
+    laws = {}
+
+    def spy(module, key):
+        real = module.amplified_law
+
+        def wrapper(chi, xi_prime):
+            law = real(chi, xi_prime)
+            laws.setdefault(key, []).append(law)
+            return law
+
+        monkeypatch.setattr(module, "amplified_law", wrapper)
+
+    spy(cli_module, "bounds")
+    spy(solver_module, "solve")
+    point = ["--n", "2", "--q", "101", "--kappa", "2", "--chi-kind", "gaussian", "--sigma", "0.8"]
+    assert main(["bounds", *point, "--trials", "10"]) == 0
+    assert main(["solve", *point, "--trials", "1"]) == 0
+    capsys.readouterr()
+    expected = ErrorDistribution(GAUSSIAN, 2, sigma=1.6)
+    assert laws == {"bounds": [expected], "solve": [expected]}
 
 
 def test_bounds_refuses_a_point_without_a_usable_bound(capsys):

@@ -41,7 +41,7 @@ def test_error_distribution_validation():
 def test_error_distribution_takes_only_an_integer_bound():
     # A non-integer bound would give weights() points that sample_errors never draws.
     for kind, xi in ((UNIFORM, 1.5), (UNIFORM, 2.0), (UNIFORM, "2"), (GAUSSIAN, 1.5)):
-        with pytest.raises(ValueError, match="xi must be an integer"):
+        with pytest.raises(ValueError, match="xi: must be an integer"):
             ErrorDistribution(kind, xi)
     for xi in (2, np.int64(2), np.int32(2)):
         assert ErrorDistribution(UNIFORM, xi).weights().size == 5
@@ -50,7 +50,7 @@ def test_error_distribution_takes_only_an_integer_bound():
 def test_gaussian_sigma_must_be_finite():
     # An infinite width would flatten the gaussian into uniform noise.
     for sigma in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        with pytest.raises(ValueError, match="sigma: must be positive and finite"):
             ErrorDistribution(GAUSSIAN, 3, sigma=sigma)
 
 

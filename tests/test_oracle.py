@@ -298,7 +298,7 @@ def test_baseline_validation():
     for instance, kappa, m, budget, error in (
         (inst, 1.0, 2, 0, ValueError),  # no trial budget
         (inst, 1.0, 0, 1, ValueError),  # no test trials
-        (inst, 1.5, 2, 1, InfeasibleParameters),  # kappa * xi = 1.5
+        (inst, 1.5, 2, 1, ValueError),  # kappa * xi = 1.5
         (inst, -2.0, 2, 1, ValueError),  # kappa <= 0
         (inst, 0.0, 2, 1, ValueError),
         (small, 6.0, 2, 1, BoundTooLarge),  # a window of 13 covers F_11

@@ -82,9 +82,9 @@ def test_trial_count_is_minimal():
 def test_parameter_infeasibility():
     with pytest.raises(InfeasibleParameters):
         choose_parameters(4, 101, 1, 8.0, 0.2)  # L = 384 > q
-    with pytest.raises(InfeasibleParameters):
+    with pytest.raises(BoundTooLarge):
         choose_parameters(4, 101, 1, 51.0, 0.2)  # 2 xi' >= q
-    with pytest.raises(InfeasibleParameters):
+    with pytest.raises(ValueError):
         choose_parameters(4, 101, 2, 0.75, 0.2)  # kappa xi not integral
 
 
@@ -122,13 +122,23 @@ def test_parameter_validation():
 def test_parameter_refusals_name_the_argument():
     # Each is refused before any budget is computed; a negative kappa would
     # otherwise give xi' < 0 and a budget a solve can only run to failure.
-    with pytest.raises(ValueError, match="n must be at least 1"):
+    with pytest.raises(ValueError, match="n: must be at least 1"):
         choose_parameters(0, 101, 1, 1.0, 0.2)
     for kappa in (-2.0, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="kappa must be positive"):
+        with pytest.raises(ValueError, match="kappa: must be positive"):
             choose_parameters(3, 101, 1, kappa, 0.2)
-    with pytest.raises(ValueError, match="xi must be non-negative"):
+    with pytest.raises(ValueError, match="xi: must be non-negative"):
         choose_parameters(3, 101, -1, 1.0, 0.2)
+
+
+def test_a_bound_at_or_above_half_q_is_refused_whichever_side_of_kappa():
+    # kappa < 1 keeps xi' = 1 small, but make_instance refuses xi = 51 at q = 101,
+    # so no budget can be run; kappa > 1 overflows xi' instead.
+    with pytest.raises(BoundTooLarge, match="^xi: bound must lie below q/2 = 50.5, got 51$"):
+        choose_parameters(2, 101, 51, 1 / 51, 0.2)
+    with pytest.raises(BoundTooLarge, match="^kappa/xi: bound must lie below q/2 = 50.5, got 51$"):
+        choose_parameters(2, 101, 1, 51.0, 0.2)
+    assert choose_parameters(2, 101, 50, 1 / 50, 0.2).xi_prime == 1  # 2 * 50 < 101 still fits
 
 
 def test_noiseless_coordinate_settles_on_first_informative_shot():
@@ -656,7 +666,7 @@ def test_solve_refuses_a_negative_bound_or_budget_before_drawing():
 def test_amplified_bound_refuses_non_finite_kappa():
     for kappa in (math.inf, -math.inf, math.nan):
         for xi in (0, 1):
-            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            with pytest.raises(ValueError, match="kappa: must be positive and finite"):
                 amplified_bound(kappa, xi)
 
 
