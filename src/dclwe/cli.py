@@ -38,9 +38,10 @@ from .errors import (
     DclweError,
     EmptyResult,
     InfeasibleParameters,
+    InvalidLength,
     InvariantViolation,
 )
-from .fq import PrimeField, is_prime
+from .fq import PrimeField, check_dense_size, is_prime
 from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, make_instance
 from .oracle import (
     FORM_DIVIDED,
@@ -353,7 +354,8 @@ def emit(rows: Sequence[dict], fmt: str, fh: TextIO) -> None:
 
 
 def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters | None]]:
-    """Each bounds row's xi' and budget (None if no L or M fits); refuses xi' = 0 and other modes."""
+    """Each bounds row's xi' and budget (None if no L or M fits); refuses xi' = 0, other
+    modes and a point whose exact column may need a table over the dense limit."""
     if config.mode != MODE_CONTROLLED:
         raise ConfigError(f"mode: bounds draws controlled batches only, got {config.mode!r}")
     budgets = []
@@ -365,6 +367,12 @@ def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters |
             budgets.append((xi_prime, point_budget(pi, point)[1]))
         except InfeasibleParameters:
             budgets.append((xi_prime, None))  # the row stays, with empty bound columns
+        # The exact column's table: one row per error value the batch may hold, one per k*.
+        distinct = min(point.v_size or point.q, 2 * xi_prime + 1)
+        try:
+            check_dense_size(distinct, point.q, "exact_success_probability")
+        except InvalidLength as exc:
+            raise ConfigError(f"{exc} at {_name(pi, point)}") from None
     return budgets
 
 

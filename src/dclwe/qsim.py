@@ -22,16 +22,20 @@ must agree (tests enforce it):
    transform. It runs in two stages. atom_stage draws k* and the
    uniforms and builds the phase table; a row whose values span at
    most m/2 integers (an s-free error row, on k_d = 0 with probability
-   f(k*) + (1 - f(k*))/q) draws that atom from its phase sum dc, with
-   mass |dc|^2 / (q m), and has its mass sum |x|^2 / m (Parseval)
-   checked in place of the transform. transform_stage then draws k_d
-   for the rows it is given, which on such a stack lie off the atom;
-   rows with b' spread over [0, q) hold about 1/q there and are all
-   transformed. Every simulated shot comes from these stages: the
-   controlled refill calls them itself, so as to transform only the
-   rows whose candidate value it reads, the elimination refill calls
-   sample_bv_stack, sample_bv_outcome is its one-row view and
-   sample_bv_outcomes its view of one batch repeated.
+   f(k*) + (1 - f(k*))/q) draws that atom without a transform, and has
+   its mass sum |x|^2 / m (Parseval) checked in its place.
+   transform_stage then draws k_d for the rows it is given, which on
+   such a stack lie off the atom; rows with b' spread over [0, q) hold
+   about 1/q there and are all transformed. The atom has one formula,
+   atom_rows: an s-free row's phase sum dc, and so its atom mass
+   |dc|^2 / (q m), depends only on how many of its pairs carry each
+   error value, so atom_stage reads it off a per-row bincount. The
+   controlled refill draws those histograms itself and decides every
+   row's atom with atom_rows; it builds only the rows whose candidate
+   value it reads and hands them to transform_stage through
+   off_atom_stage. The elimination refill calls sample_bv_stack,
+   sample_bv_outcome is its one-row view and sample_bv_outcomes its
+   view of one batch repeated.
    The phases and their int64 indices go into two flat tables kept for
    the whole process, grown to its largest call: for a controlled solve
    max(CHUNK_ENTRIES, q) x 24 B, about 1.5 MiB. On the full field the
@@ -70,10 +74,11 @@ NORM_TOL = 1e-8
 # size of the kept phase and index tables, so 16 rows at q=4093 fill them
 # (1 MiB + 512 KiB). numpy plans a prime-length FFT (Bluestein) afresh on
 # every call, so rows measured together share that setup and its freshly
-# faulted buffers. A controlled n=8 solve at q=4093 makes 3.5 calls and takes
-# 694 minor page faults, nearly all in the transform and the error draws,
-# against 1,133 when each call built its own tables (300 solves, one thread
-# on a 2-core Xeon). 2^17 entries measured no faster, at 3% more memory.
+# faulted buffers. When the controlled refill still measured every row, an
+# n=8 solve at q=4093 made 3.5 calls and took 694 minor page faults, nearly
+# all in the transform and the error draws, against 1,133 when each call
+# built its own tables (300 solves, one thread on a 2-core Xeon). 2^17
+# entries measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -208,36 +213,70 @@ class AtomStage(NamedTuple):
     x: np.ndarray  # (k, q) phases the transform reads: a kept table or a fresh one
 
 
+def atom_rows(
+    q: int, counts: np.ndarray, values: np.ndarray, k_star: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Which rows of a stack of s-free error batches draw the k_d = 0 atom,
+    read off their error histograms.
+
+    counts[i, v] pairs of row i carry the error values[v], so its
+    m = sum_v counts[i, v] pairs have the phase sum
+    dc = sum_v counts[i, v] w^{values[v] k*_i}, whatever their inputs.
+    The atom holds |dc|^2 / (q m) of the row's mass (Parseval over the
+    D register), so the row whose uniform u has |dc|^2 > u m q draws
+    k_d = 0: the transform's cdf[0] > u * total, without the transform.
+    """
+    m = counts.sum(axis=1)
+    dc = (counts * root_table(q)[np.outer(k_star, values) % q]).sum(axis=1)
+    return dc.real**2 + dc.imag**2 > u * (m * q)
+
+
+def _phases(q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray) -> np.ndarray:
+    """Row i's phases w^{b' k*_i} at its inputs, as the transform reads them.
+
+    Each phase is a lookup in root_table(q) at b' k* mod q, written
+    into the kept (k, m) tables. When every row's inputs are 0..q-1 in
+    order, the phases are the transform's input as they are; otherwise
+    they scatter into a fresh zero (k, q) table.
+    """
+    k, m = b_values.shape
+    index, x = _kept_table(np.int64, k, m), _kept_table(np.complex128, k, m)
+    np.multiply(b_values, k_star[:, None], out=index)
+    np.remainder(index, q, out=index)
+    # Every index is in range by construction, and "clip" writes straight
+    # into x where the default mode would fill a buffer first.
+    root_table(q).take(index, out=x, mode="clip")
+    if m != q or not (a_values == np.arange(q)).all():
+        # Rows that are not the full field in order scatter into a zero table.
+        phases, x = x, np.zeros((k, q), dtype=np.complex128)
+        x[np.arange(k)[:, None], a_values] = phases
+    return x
+
+
 def atom_stage(
     q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
 ) -> AtomStage:
-    """First stage of sample_bv_stack: k*, the uniforms and, where the
-    stack's values span at most m/2 integers, each row's k_d = 0 atom.
+    """First stage of sample_bv_stack: k*, the uniforms, the phase table
+    and, where the stack's values span at most m/2 integers, each row's
+    k_d = 0 atom.
 
     Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
     single row that every batch shares, and b_values may hold any
     representative of each b' mod q (an s-free row passes its errors
     eta' as they are). The A-register marginal is exactly uniform for
     any batch of unit-weight pairs with distinct a', so each k* is drawn
-    flat. Phases w^{b' k*} come from root_table(q). When the stack's
-    values span at most m/2 integers, each row gets a table over that
-    span and every phase is one flat take from the k tables; otherwise
-    each phase is a direct lookup at b' k* mod q. Both read the same
-    table entry, and both write into the kept (k, m) tables. When every
-    row's inputs are 0..q-1 in order, the phases are the transform's
-    input as they are; otherwise they scatter into a fresh zero (k, q)
-    table.
+    flat. The phases come from _phases.
 
-    Span-table rows are s-free error rows, which land on k_d = 0 with
-    probability f(k*) + (1 - f(k*))/q, so the stage decides their atom:
-    its mass is |dc|^2 / (q m) with dc = sum_a x[i, a], and a row whose
-    uniform u has |dc|^2 > u m q draws k_d = 0. It checks every such
-    row's mass sum_a |x[i, a]|^2 / m (Parseval) against NORM_TOL, so any
-    row the transform never reads has been checked; the sum reads the
-    row the transform would read, after the scatter, so a repeated input
-    raises InvariantViolation. Direct-lookup rows spread b' over [0, q)
-    and hold about 1/q on the atom, so none is decided. The stream per
-    call: k bounded integers for k*, then k uniform doubles.
+    A stack whose values span at most m/2 integers holds s-free error
+    rows, which land on k_d = 0 with probability f(k*) + (1 - f(k*))/q,
+    so the stage decides their atom with atom_rows, from one bincount of
+    each row's values over the span. It checks every such row's mass
+    sum_a |x[i, a]|^2 / m (Parseval) against NORM_TOL, so any row the
+    transform never reads has been checked; the sum reads the row the
+    transform would read, after the scatter, so a repeated input raises
+    InvariantViolation. Rows spread wider hold about 1/q on the atom, so
+    none is decided. The stream per call: k bounded integers for k*,
+    then k uniform doubles.
 
     The phase table lives in the kept tables, so a stage holds only
     until the next call, and transform_stage may read it once.
@@ -247,32 +286,31 @@ def atom_stage(
     u = rng.random(k)
     lo, hi = int(b_values.min()), int(b_values.max())
     span = hi - lo + 1
-    spanned = 2 * span <= m
-    index, x = _kept_table(np.int64, k, m), _kept_table(np.complex128, k, m)
-    if spanned:
-        # Row i's table is root_table(q)[v k*_i mod q] for v in [lo, hi].
-        table = root_table(q)[np.outer(k_star, np.arange(lo, hi + 1)) % q]
-        np.add(b_values, (np.arange(k) * span - lo)[:, None], out=index)
-    else:
-        table = root_table(q)
-        np.multiply(b_values, k_star[:, None], out=index)
-        np.remainder(index, q, out=index)
-    # Every index is in range by construction, and "clip" writes straight
-    # into x where the default mode would fill a buffer first.
-    table.ravel().take(index, out=x, mode="clip")
-    if m != q or not (a_values == np.arange(q)).all():
-        # Rows that are not the full field in order scatter into a zero table.
-        phases, x = x, np.zeros((k, q), dtype=np.complex128)
-        x[np.arange(k)[:, None], a_values] = phases
+    decided = 2 * span <= m
+    x = _phases(q, a_values, b_values, k_star)
     atom = np.zeros(k, dtype=bool)
-    if spanned:
-        # k_d = 0 iff cdf[0] > u * total, i.e. |dc|^2 / q^2 > u m / q.
-        dc = x.sum(axis=1)
-        atom = dc.real**2 + dc.imag**2 > u * (m * q)
+    if decided:
+        # Row i counts its values in bins [i span, (i + 1) span), in the kept
+        # index table, which the phases no longer need.
+        keys = _kept_table(np.int64, k, m)
+        np.add(b_values, (np.arange(k) * span - lo)[:, None], out=keys)
+        counts = np.bincount(keys.ravel(), minlength=k * span).reshape(k, span)
+        atom = atom_rows(q, counts, np.arange(lo, hi + 1), k_star, u)
         # As (re, im) pairs, a row's sum of squares is sum |x|^2.
         pairs = x.view(np.float64)
         _check_mass(np.vecdot(pairs, pairs) / m)
-    return AtomStage(q, m, k_star, u, atom, spanned, x)
+    return AtomStage(q, m, k_star, u, atom, decided, x)
+
+
+def off_atom_stage(
+    q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray, u: np.ndarray
+) -> AtomStage:
+    """The stage of rows whose k* and uniform u were drawn, and whose
+    atom was decided off k_d = 0, elsewhere (by atom_rows): their phases
+    under _phases, for transform_stage to draw k_d in [1, q - 1]. No
+    draw is made."""
+    x = _phases(q, a_values, b_values, k_star)
+    return AtomStage(q, b_values.shape[1], k_star, u, np.zeros(len(k_star), dtype=bool), True, x)
 
 
 def transform_stage(stage: AtomStage, rows: np.ndarray) -> np.ndarray:
@@ -322,13 +360,13 @@ def sample_bv_stack(
     """One post-kernel measurement per row of a stack of batches: the
     (k_d, k*) arrays.
 
-    atom_stage draws k* and the uniforms and, on a span-table stack,
-    each row's k_d = 0 atom; transform_stage then draws k_d for every
-    other row, so only rows off the atom pay a transform. A stage's
-    result holds only until the next call, since its phases sit in the
-    kept tables; the (k_d, k*) returned here never share memory with
-    them. The inputs are only read, so read-only or broadcast rows are
-    fine.
+    atom_stage draws k* and the uniforms and, on a stack whose values
+    span at most m/2 integers, each row's k_d = 0 atom; transform_stage
+    then draws k_d for every other row, so only rows off the atom pay a
+    transform. A stage's result holds only until the next call, since
+    its phases sit in the kept tables; the (k_d, k*) returned here never
+    share memory with them. The inputs are only read, so read-only or
+    broadcast rows are fine.
     """
     stage = atom_stage(q, a_values, b_values, rng)
     k_d = np.zeros(len(stage.k_star), dtype=np.int64)

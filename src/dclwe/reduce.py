@@ -27,9 +27,10 @@ check_rows call. elimination_batch is the two for one batch of one
 coordinate; make_test_sample runs the same combination for one input t
 over given samples, since a test pair is an elimination whose only
 input is t.
-synth_reduced_errors is the checked error draw of k controlled batches,
-which synth_reduced_batch adds to a' s_j and a controlled refill
-measures as s-free b'.
+synth_reduced_batch draws one controlled batch's errors and adds them
+to a' s_j. A controlled refill draws each batch as its error histogram
+instead; check_window bounds the window it counts once per refill
+source, and check_histograms checks each histogram's counts.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -195,23 +196,21 @@ def make_test_sample(
     )
 
 
-def synth_reduced_errors(
-    q: int, a_values: np.ndarray, k: int, xi_prime: int, chi_prime, rng: np.random.Generator
-) -> np.ndarray:
-    """The (k, m) errors eta' of k controlled-mode batches, one per row of
-    a_values ((k, m), or one (1, m) row all k share), checked by
-    check_rows. For s_j = 0 they are the batches' outputs b' up to mod q.
-
-    Raises BoundTooLarge when xi' does not fit below q/2 or chi_prime's
-    bound exceeds xi'.
-    """
+def check_window(q: int, xi_prime: int, chi_prime) -> None:
+    """Raise BoundTooLarge unless the declared bound xi' fits below q/2 and
+    the controlled error law chi_prime draws within it."""
     if xi_prime < 0 or 2 * xi_prime >= q:
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
     if chi_prime.xi > xi_prime:
         raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
-    eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
-    check_rows(q, a_values, eta_values, xi_prime)
-    return eta_values
+
+
+def check_histograms(counts: np.ndarray, m: int) -> None:
+    """The structural check on batches drawn as error histograms, one per
+    row of counts: every count non-negative and each row's counts summing
+    to its m pairs. The values counted are a window check_window bounds."""
+    if int(counts.min()) < 0 or (counts.sum(axis=1) != m).any():
+        raise InvariantViolation(f"error histograms must count m={m} pairs each")
 
 
 def synth_reduced_batch(
@@ -224,14 +223,16 @@ def synth_reduced_batch(
     *,
     xi: int = 1,
 ) -> ReducedBatch:
-    """Controlled-mode batch over inputs v (a' s_j + eta', with eta' from
-    synth_reduced_errors).
+    """Controlled-mode batch over inputs v: a' s_j + eta', with eta' drawn
+    from chi_prime and checked by check_rows as the batch is built.
 
-    Every error honors |eta'| <= xi_prime by construction; the recorded
+    Raises BoundTooLarge, before the draw, when xi' does not fit below
+    q/2 or chi_prime's bound exceeds xi' (check_window). The recorded
     amplification is the ratio of xi_prime to the reference bound xi.
     """
     a_values = _input_array(v, q)
-    eta_values = synth_reduced_errors(q, a_values[None], 1, xi_prime, chi_prime, rng)[0]
+    check_window(q, xi_prime, chi_prime)
+    eta_values = sample_errors(chi_prime, rng, a_values.size)
     kappa = xi_prime / xi if xi > 0 else 1.0
     coeff = math.ceil(kappa) if xi > 0 else 0
     return ReducedBatch(

@@ -31,14 +31,19 @@ along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*), so a row's c reads
 as s_j + c for every coordinate, with the same verdict. controlled_pass
 hands rows out in order; the rows a settled coordinate leaves go to the
 next one. A row's c0 is right exactly when it lands on the k_d = 0
-atom, which qsim.atom_stage draws without a transform. Off the atom
-c0 != 0, and for t uniform on [1, q) the product t c0 is uniform on
-[1, q) and independent of c0, so such a row is judged on residuals
-eta' - t at the stand-in c0 = 1. Only a row that passes every trial is
-transformed (qsim.transform_stage) for its own c0, and it returns
-t c0^-1 as its test inputs, whose residuals row_verdicts reads as the
-same eta' - t. Shots, tests and verdicts keep their joint law, and c0
-is drawn exactly when it becomes the accepted s_j + c0.
+atom, whose mass depends only on the row's error histogram (how many
+inputs carry each error value), so a refill draws the histograms, one
+multinomial row each, and qsim.atom_rows decides the atom from them. Off
+the atom c0 != 0, and for t uniform on [1, q) the product t c0 is
+uniform on [1, q) and independent of c0, so such a row is judged on
+residuals eta' - t at the stand-in c0 = 1. Only a row that passes every
+trial is built, as a uniform arrangement of its histogram over its
+inputs, and transformed (qsim.transform_stage) for its own c0; it
+returns t c0^-1 as its test inputs, whose residuals row_verdicts reads
+as the same eta' - t. i.i.d. errors are exactly a multinomial histogram
+plus a uniform arrangement, so shots, tests and verdicts keep their
+joint law, and c0 is drawn exactly when it becomes the accepted
+s_j + c0.
 
 elimination_pass runs every open coordinate in lockstep: each refill
 gives coordinate j the next chunk of its own rows, eliminated through
@@ -65,8 +70,14 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import CHUNK_ENTRIES, atom_stage, sample_bv_stack, transform_stage
-from .reduce import eliminate_rows, invertible_draws, synth_reduced_errors
+from .qsim import CHUNK_ENTRIES, atom_rows, off_atom_stage, sample_bv_stack, transform_stage
+from .reduce import (
+    check_histograms,
+    check_rows,
+    check_window,
+    eliminate_rows,
+    invertible_draws,
+)
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -120,7 +131,8 @@ class SolveOutcome:
 def amplified_bound(kappa: float, xi: int) -> int:
     """The amplified error bound xi' = kappa * xi. Raises ValueError, worded
     "field: rule, got value", for a kappa that is not positive and finite,
-    for xi < 0 and for a kappa * xi that is not an integer."""
+    for xi < 0, for a kappa * xi that is not an integer and for a positive
+    kappa * xi that rounds to xi' = 0; the rounding forgives float error only."""
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa: must be positive and finite, got {kappa}")
     if xi < 0:
@@ -128,6 +140,8 @@ def amplified_bound(kappa: float, xi: int) -> int:
     xi_prime = round(kappa * xi)
     if abs(kappa * xi - xi_prime) > 1e-9:
         raise ValueError(f"kappa/xi: kappa * xi = {kappa * xi} is not an integer bound")
+    if xi_prime == 0 < kappa * xi:
+        raise ValueError(f"kappa/xi: a positive kappa * xi must be at least 1, got {kappa * xi}")
     return xi_prime
 
 
@@ -201,43 +215,52 @@ def controlled_refills(
 ) -> Refill:
     """Refill source of one controlled solve: k -> (k_d, k*, t, eta') for k rows.
 
-    Each call draws k s-free batches (a', eta') with synth_reduced_errors,
-    runs atom_stage on them with their errors eta' as their b', then
-    draws one (k, m) block of test pairs: t uniform on [1, q) and eta'
-    from chi' = amplified_law(chi, xi'). A row off the atom faces its
-    trials at the stand-in c0 = 1, and only a non-null one that passes
-    them all is transformed: it returns its own k_d and t c0^-1 as its
-    test inputs, so row_verdicts reads the residuals it was judged on.
-    Any other row off the atom returns the stand-in k_d = -k*. A stack
-    whose errors span more than m/2 integers, which takes v_size below
-    2 (2 xi' + 1), has no atom decision: every row is transformed and
-    judged at its own c0. Nothing here depends on s.
+    Each call draws k s-free batches as error histograms, one
+    rng.multinomial call over the values of chi' = amplified_law(chi, xi'),
+    then k* and the uniforms as atom_stage draws them, and decides every
+    row's atom with atom_rows; then one (k, m) block of test pairs: t
+    uniform on [1, q) and eta' from chi'. A row off the atom faces its
+    trials at the stand-in c0 = 1 and returns k_d = -k*, unless it is
+    non-null and passes them all: then its errors are arranged (and, for
+    v_size below q, its inputs drawn), checked by check_rows and
+    transformed, and it returns its own k_d and t c0^-1 as its test
+    inputs, so row_verdicts reads the residuals it was judged on. The
+    window and the shared full-field input row are checked once, here,
+    and each histogram by check_histograms. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
+    check_window(q, xi_prime, chi_prime)
+    values = np.arange(-chi_prime.xi, chi_prime.xi + 1, dtype=np.int64)
+    weights = chi_prime.weights()
+    pvals = weights / weights.sum()
+    size = q if v_size is None else v_size
     inputs = _input_rows(q, v_size, rng)
+    if size == q:
+        check_rows(q, inputs(1), values[None], xi_prime)  # the row every batch shares
     field = PrimeField(q)
     inverse = field.inverse_table()
 
     def refill(k: int) -> Rows:
-        a_values = inputs(k)
-        eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
-        stage = atom_stage(q, a_values, eta_values, rng)
-        k_star = stage.k_star
+        counts = rng.multinomial(size, pvals, size=k)
+        check_histograms(counts, size)
+        k_star = rng.integers(q, size=k)
+        u = rng.random(k)
+        atom = atom_rows(q, counts, values, k_star, u)
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
-        k_d = np.zeros(k, dtype=np.int64)
-        rows = ~stage.atom
-        if stage.decided:
-            # Rows off the atom stand in as c0 = 1 and face their trials there.
-            k_d[rows] = -k_star[rows] % q
-            passed = (np.abs(field.centered_array(eta_t - t)) <= xi_prime).all(axis=1)
-            rows &= (k_star != 0) & passed
-        rows = np.flatnonzero(rows)
-        k_d[rows] = transform_stage(stage, rows)
-        if stage.decided:
+        # Rows off the atom stand in as c0 = 1 and face their trials there.
+        k_d = np.where(atom, 0, -k_star % q)
+        passed = (np.abs(field.centered_array(eta_t - t)) <= xi_prime).all(axis=1)
+        rows = np.flatnonzero(~atom & (k_star != 0) & passed)
+        if rows.size:
+            a_values = inputs(rows.size)
+            eta_values = np.stack([rng.permutation(np.repeat(values, c)) for c in counts[rows]])
+            check_rows(q, a_values, eta_values, xi_prime)
+            stage = off_atom_stage(q, a_values, eta_values, k_star[rows], u[rows])
+            k_d[rows] = transform_stage(stage, np.arange(rows.size))
             # (t c0^-1) c0 = t: row_verdicts reads the residuals these rows passed.
             c0 = -k_d[rows] % q * inverse[k_star[rows]] % q
             t[rows] = t[rows] * inverse[c0][:, None] % q

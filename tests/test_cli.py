@@ -437,6 +437,31 @@ def test_a_refused_run_creates_no_out_file(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_bounds_refuses_a_point_over_the_dense_limit_before_any_draw(tmp_path, monkeypatch, capsys):
+    # The exact column at q = 65537 and xi' = 200 needs a 401 x 65537 table;
+    # the point is refused with its name before --out is opened or the first
+    # point's batch is drawn.
+    import dclwe.cli as cli_module
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(cli_module, "synth_reduced_batch", no_draw)
+    out = tmp_path / "F"
+    argv = ["bounds", "--q", "4093,65537", "--kappa", "200", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "dense limit" in err
+    assert "point 1 (n=4, q=65537, xi=1, kappa=200)" in err
+    assert not out.exists()
+
+
+def test_a_positive_kappa_xi_that_rounds_to_zero_is_refused(capsys):
+    assert main(["solve", "--kappa", "1e-10", "--xi", "1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: kappa/xi: ") and not captured.out
+
+
 # The cases of test_validation_messages_name_the_field, as config-file lines, since
 # --mode and --chi-kind take only valid choices, plus 2 xi >= q at kappa < 1.
 _FIELD_REFUSALS = {

@@ -49,12 +49,13 @@ INTERNAL = {
         "sample_errors", "samples_to_arrays",
     ),
     "qsim": (
-        "NORM_TOL", "AtomStage", "MeasurementOutcome", "atom_stage", "extract_candidate",
-        "extract_candidates", "qft_matrix", "root_table", "sample_bv_outcome", "transform_stage",
+        "NORM_TOL", "AtomStage", "MeasurementOutcome", "atom_rows", "atom_stage",
+        "extract_candidate", "extract_candidates", "off_atom_stage", "qft_matrix", "root_table",
+        "sample_bv_outcome", "transform_stage",
     ),
     "reduce": (
-        "EliminationStack", "ReducedPair", "check_rows", "eliminate_rows",
-        "invertible_draws", "kappa_observed", "make_test_sample",
+        "EliminationStack", "ReducedPair", "check_histograms", "check_rows", "check_window",
+        "eliminate_rows", "invertible_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (
         "amplified_law", "classify", "controlled_pass", "controlled_refills",

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from dclwe import (
 from dclwe import solver as solver_module
 from dclwe.fq import mat_inverse
 from dclwe.instance import GAUSSIAN, UNIFORM, Sample
-from dclwe.qsim import atom_stage, extract_candidates
+from dclwe.qsim import atom_rows, extract_candidates
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedPair, make_test_sample, synth_reduced_errors
+from dclwe.reduce import ReducedPair, check_rows, make_test_sample
 from dclwe.solver import (
     amplified_bound,
     amplified_law,
@@ -241,18 +242,18 @@ def _check_elimination_chunks(n, q, budget, xi, xi_prime):
 
 
 def _spy_on_refills(monkeypatch):
-    """Record every stack the controlled pool measures: (a', b', c0 per row)
-    as the atom stage leaves them: 0 on the atom, the stand-in 1 off it and
-    None for a null."""
+    """Record every stack the controlled pool measures: (error values, each
+    row's histogram over them, c0 per row) as atom_rows leaves them: 0 on
+    the atom, the stand-in 1 off it and None for a null."""
     refills = []
 
-    def spy(q, a_values, b_values, rng):
-        stage = atom_stage(q, a_values, b_values, rng)
-        k_d = np.where(stage.atom, 0, -stage.k_star % q)
-        refills.append((a_values, b_values, extract_candidates(k_d, stage.k_star, q)))
-        return stage
+    def spy(q, counts, values, k_star, u):
+        atom = atom_rows(q, counts, values, k_star, u)
+        k_d = np.where(atom, 0, -k_star % q)
+        refills.append((values, counts, extract_candidates(k_d, k_star, q)))
+        return atom
 
-    monkeypatch.setattr(solver_module, "atom_stage", spy)
+    monkeypatch.setattr(solver_module, "atom_rows", spy)
     return refills
 
 
@@ -286,24 +287,26 @@ def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monk
     # FIRST_CHUNK rows per coordinate not yet run; what a coordinate
     # leaves opens the next one.
     assert [len(c0) for _, _, c0 in refills] == [16, 16, 12, 8, 8, 4, 4, 4, 4, 4]
-    for a_values, b_values, _ in refills:
-        assert a_values.tolist() == [list(range(101))]
-        eta = (b_values + 50) % 101 - 50  # b' = eta' for an s-free row
-        assert np.abs(eta).max() <= 2
+    for values, counts, _ in refills:
+        # Every batch holds all 101 inputs of the field, so its 101 pairs.
+        assert (counts.sum(axis=1) == 101).all()
+        assert np.abs(values[counts.any(axis=0)]).max() <= 2  # b' = eta' for an s-free row
 
 
 def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
+    # Both are refused when the refill source is built, before any draw.
     inst = _instance(2, 101, 1, 109)
-    refill = controlled_refills(inst, 51, 1, derive_rng(110, 0))  # 2 * 51 >= 101
+    rng = derive_rng(110, 0)
+    state = rng.bit_generator.state
     with pytest.raises(BoundTooLarge):
-        controlled_pass(inst.s, 101, refill, 10, 51)
+        controlled_refills(inst, 51, 1, rng)  # 2 * 51 >= 101
     # An error law wider than the declared xi' is refused, not measured.
     monkeypatch.setattr(
         solver_module, "ErrorDistribution", lambda kind, xi: ErrorDistribution(kind, xi + 1)
     )
-    refill = controlled_refills(inst, 2, 1, derive_rng(110, 1))
     with pytest.raises(BoundTooLarge):
-        controlled_pass(inst.s, 101, refill, 10, 2)
+        controlled_refills(inst, 2, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
@@ -345,15 +348,20 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
     assert amplified_law(ErrorDistribution(UNIFORM, xi), 6) == ErrorDistribution(UNIFORM, 6)
 
 
-def _every_row_refills(instance, xi_prime, m, rng):
-    """Reference: the full-field controlled refill that transforms every row
-    with sample_bv_stack and leaves row_verdicts to judge it at its own c0."""
+def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
+    """Reference: the controlled refill that draws every row's inputs and
+    i.i.d. errors, transforms every row with sample_bv_stack and leaves
+    row_verdicts to judge it at its own c0."""
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
-    a_values = np.arange(q)[None]
 
     def refill(k):
-        eta_values = synth_reduced_errors(q, a_values, k, xi_prime, chi_prime, rng)
+        if v_size is None:
+            a_values = np.arange(q)[None]
+        else:
+            a_values = np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
+        eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
+        check_rows(q, a_values, eta_values, xi_prime)
         k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
         t = rng.integers(1, q, size=(k, m))
         return k_d, k_star, t, sample_errors(chi_prime, rng, (k, m))
@@ -361,16 +369,17 @@ def _every_row_refills(instance, xi_prime, m, rng):
     return refill
 
 
-def _coordinate_law(refills, solves, seed):
+def _coordinate_law(refills, solves, seed, kind=UNIFORM, v_size=None):
     """Shots and tests per coordinate, and the offsets of the wrong accepted
-    values, over `solves` n=3, q=101 solves at xi' = 2 and M = 1."""
+    values, over `solves` n=3, q=101 solves at xi = 1, xi' = 2 and M = 1."""
     q = 101
-    inst = _instance(3, q, 1, 121)
+    inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(121, 300))
     budget = choose_parameters(3, q, 1, 2.0, 0.2).L
     rng = derive_rng(122, seed)
     shots, tests, wrong = [], [], []
     for _ in range(solves):
-        for st, s_j in zip(controlled_pass(inst.s, q, refills(inst, 2, 1, rng), budget, 2), inst.s):
+        refill = refills(inst, 2, 1, rng, v_size)
+        for st, s_j in zip(controlled_pass(inst.s, q, refill, budget, 2), inst.s):
             assert st.true_rejections == 0
             shots.append(st.shots)
             tests.append(st.tests_used)
@@ -383,14 +392,15 @@ def _within_3_sigma(a, b):
     return abs(a.mean() - b.mean()) <= 3 * math.sqrt(a.var() / a.size + b.var() / b.size)
 
 
-def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
-    # At xi' = 2 and M = 1 about 13.8% of coordinates accept a wrong value,
-    # which the deferred refill reads off transforms of accepted rows only.
-    solves = 5000
-    ref_shots, ref_tests, ref_wrong = _coordinate_law(_every_row_refills, solves, 0)
-    shots, tests, wrong = _coordinate_law(controlled_refills, solves, 1)
+def _check_same_law(solves, wrong_share, kind=UNIFORM, v_size=None):
+    """The histogram refill against the every-row reference at xi' = 2 and
+    M = 1, where a sizable share of coordinates accept a wrong value: the
+    wrong share, shots and tests per coordinate within 3 sigma, and the
+    wrong offsets bin by bin."""
+    ref_shots, ref_tests, ref_wrong = _coordinate_law(_every_row_refills, solves, 0, kind, v_size)
+    shots, tests, wrong = _coordinate_law(controlled_refills, solves, 1, kind, v_size)
     coordinates = 3 * solves
-    assert 0.12 < ref_wrong.sum() / coordinates < 0.16
+    assert wrong_share[0] < ref_wrong.sum() / coordinates < wrong_share[1]
     share = ref_wrong.sum() / coordinates
     # Three sigma of the difference of two independent shares.
     assert abs(wrong.sum() / coordinates - share) <= math.sqrt(2) * binom_3sigma(share, coordinates)
@@ -404,21 +414,41 @@ def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
     assert dof > 90 and stat <= dof + 4 * math.sqrt(2 * dof)
 
 
+def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
+    # About 13.8% of coordinates accept a wrong value, which the histogram
+    # refill reads off transforms of accepted rows only.
+    _check_same_law(5000, (0.12, 0.16))
+
+
+@pytest.mark.parametrize(
+    "kind, v_size, solves, wrong_share",
+    [
+        (GAUSSIAN, 40, 2000, (0.13, 0.18)),
+        # Batches of five span all 2 xi' + 1 = 5 values: no atom decision
+        # before histograms, and most coordinates accept a wrong value.
+        (UNIFORM, 5, 800, (0.64, 0.72)),
+    ],
+)
+def test_partial_batches_keep_the_law_of_the_every_row_refill(kind, v_size, solves, wrong_share):
+    _check_same_law(solves, wrong_share, kind, v_size)
+
+
 def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
     # Every refill's transformed rows are exactly its non-null rows off the
     # atom that row_verdicts accepts; the others keep the stand-in c0 = 1.
-    stages, handed = [], []
-    real_atom, real_transform = solver_module.atom_stage, solver_module.transform_stage
+    atoms, handed = [], []
+    real_atom, real_transform = solver_module.atom_rows, solver_module.transform_stage
 
     def atom_spy(*args):
-        stages.append(real_atom(*args))
-        return stages[-1]
+        atoms.append(real_atom(*args))
+        return atoms[-1]
 
     def transform_spy(stage, rows):
-        handed.append(rows.tolist())
+        assert stage.decided and not stage.atom.any()
+        handed[-1].extend(stage.k_star[rows].tolist())
         return real_transform(stage, rows)
 
-    monkeypatch.setattr(solver_module, "atom_stage", atom_spy)
+    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
     monkeypatch.setattr(solver_module, "transform_stage", transform_spy)
     # With M = 1 a wrong candidate passes with probability 4/100, so some
     # rows off the atom are accepted and transformed.
@@ -427,28 +457,85 @@ def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
     refill = controlled_refills(inst, 2, 1, derive_rng(124, 0))
     transformed = 0
     for _ in range(20):
+        handed.append([])
         k_d, k_star, t, eta_t = refill(16)
-        stage = stages[-1]
-        assert stage.decided
+        atom = atoms[-1]
         c0, _, accepted = solver_module.row_verdicts(q, k_d, k_star, t, eta_t, 2)
-        off = ~stage.atom & (k_star != 0)
-        assert handed[-1] == np.flatnonzero(off & accepted).tolist()
-        assert (k_d[stage.atom] == 0).all()
+        off = ~atom & (k_star != 0)
+        assert handed[-1] == k_star[off & accepted].tolist()
+        assert (k_d[atom] == 0).all()
         assert (np.array(c0)[off & ~np.array(accepted)] == 1).all()  # the stand-in
         assert ((1 <= t) & (t < q)).all()
         transformed += len(handed[-1])
-    assert len(handed) == 20 and 0 < transformed < 40
+    assert len(atoms) == 20 and 0 < transformed < 40
+
+
+class _CountingRng:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("v_size", [None, 25])
+def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v_size):
+    # A refill draws every row's error histogram, but only the rows it hands
+    # to transform_stage get their errors arranged (one permutation each of
+    # their own histogram) and, below the full field, their inputs drawn
+    # (one choice each).
+    built = []
+    real_stage = solver_module.off_atom_stage
+
+    def stage_spy(q, a_values, b_values, k_star, u):
+        built.append((a_values, b_values))
+        return real_stage(q, a_values, b_values, k_star, u)
+
+    monkeypatch.setattr(solver_module, "off_atom_stage", stage_spy)
+    refills = _spy_on_refills(monkeypatch)
+    q = 101
+    rng = _CountingRng(derive_rng(126, 0))
+    refill = controlled_refills(_instance(8, q, 1, 125), 2, 1, rng, v_size)
+    transformed = 0
+    for _ in range(20):
+        built.clear()
+        rng.calls.clear()
+        k_d, k_star, t, eta_t = refill(16)
+        values, counts, c0 = refills[-1]
+        _, _, accepted = solver_module.row_verdicts(q, k_d, k_star, t, eta_t, 2)
+        rows = np.flatnonzero((np.array(c0) == 1) & np.array(accepted))  # off the atom
+        assert rng.calls["permutation"] == len(rows)
+        assert rng.calls["choice"] == (len(rows) if v_size else 0)
+        if not len(rows):
+            assert built == []
+            continue
+        [(a_values, eta_values)] = built
+        assert eta_values.shape == (len(rows), v_size or q)
+        for row, eta in zip(rows, eta_values):
+            assert np.array_equal(np.bincount(eta - values[0], minlength=values.size), counts[row])
+        if v_size:
+            assert a_values.shape == (len(rows), v_size)
+            assert all(np.unique(row).size == v_size for row in a_values)
+        else:
+            assert a_values.tolist() == [list(range(q))]
+        transformed += len(rows)
+    assert transformed > 0
+
+
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw",
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(1, 2), (5, 6), (5, 6), (9, 11), (3, 4), (11, 12), (3, 4), (6, 7)],
-            1052367934,
+            [(6, 7), (2, 3), (1, 2), (1, 2), (1, 2), (26, 27), (7, 8), (5, 6)],
+            716670544,
         ),
-        # 21 rows over five coordinates: the first refill is cut to 16.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (3, 4), (3, 4), (5, 6), (4, 5)], 940869534),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (8, 10), (9, 11)], 862592886),
+        # 36 rows over five coordinates: the first refill is cut to 16.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(4, 5), (2, 4), (14, 15), (2, 3), (14, 15)], 309642042),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (13, 14), (5, 8)], 18941742),
     ],
 )
 def test_controlled_stream_is_pinned(
@@ -670,6 +757,16 @@ def test_amplified_bound_refuses_non_finite_kappa():
                 amplified_bound(kappa, xi)
 
 
+def test_amplified_bound_refuses_a_noisy_bound_rounded_to_zero():
+    # The tolerance forgives float error such as 0.1 * 30, not a kappa
+    # that turns a noisy xi = 1 into xi' = 0.
+    for kappa, xi in ((1e-10, 1), (1e-12, 5)):
+        with pytest.raises(ValueError, match="kappa/xi: a positive kappa \\* xi must be at least 1"):
+            amplified_bound(kappa, xi)
+    assert amplified_bound(1e-10, 0) == 0
+    assert amplified_bound(0.1, 30) == 3
+
+
 def test_single_shot_budget_mostly_fails():
     # With L = 1 a noisy coordinate usually yields no accepted value.
     inst = _instance(2, 11, 1, 94)
@@ -704,15 +801,15 @@ def test_controlled_sources_honor_v_size(monkeypatch):
     rng = derive_rng(98, 0)
     refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
     controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
-    a_values, b_values, _ = refills[0]
-    assert a_values.shape == b_values.shape == (8, 25)
-    assert all(np.unique(row).size == 25 for row in a_values)
+    # Eight histograms of 25 pairs each; test_errors_and_inputs_are_arranged_
+    # only_for_transformed_rows checks the inputs of the rows transformed.
+    values, counts, _ = refills[0]
+    assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 25).all()
     refills.clear()
     refill = controlled_refills(inst, params.xi_prime, params.M, rng)
     controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
-    a_values, b_values, _ = refills[0]
-    assert a_values.tolist() == [list(range(101))]
-    assert b_values.shape == (8, 101)
+    values, counts, _ = refills[0]
+    assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 101).all()
 
 
 def test_elimination_mode_recovers_noiseless_secret():
