@@ -26,7 +26,15 @@ from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import root_table
 from .reduce import ReducedBatch
-from .solver import Rows, SolveOutcome, amplified_bound, amplified_law, classify, controlled_pass
+from .solver import (
+    SolveOutcome,
+    Verdicts,
+    amplified_bound,
+    amplified_law,
+    classify,
+    controlled_pass,
+    row_verdicts,
+)
 from .verify import FalseAcceptBound, false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
@@ -172,13 +180,14 @@ def classical_baseline_solve(
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
     chi_prime = amplified_law(instance.chi, xi_prime)
 
-    def refill(k: int) -> Rows:
+    def refill(k: int) -> Verdicts:
         a_prime = rng.integers(1, q, size=k)
         eta = sample_errors(chi_prime, rng, k)
         t = rng.integers(1, q, size=(k, m))
-        return -eta % q, a_prime, t, sample_errors(chi_prime, rng, (k, m))
+        eta_t = sample_errors(chi_prime, rng, (k, m))
+        return row_verdicts(q, -eta % q, a_prime, t, eta_t, xi_prime)
 
-    per_coordinate = controlled_pass(instance.s, q, refill, trial_budget, xi_prime)
+    per_coordinate = controlled_pass(instance.s, q, refill, trial_budget)
     return classify(instance, per_coordinate, quantum_samples=0)  # no kernel shots
 
 

@@ -18,32 +18,22 @@ must agree (tests enforce it):
 3. sample_bv_stack, a factored sampler that draws k* first (its
    marginal is exactly uniform, by Parseval over the D register) and
    then k_d from the conditional row. It measures a (k, m) stack of
-   batches at once, one row per shot, with one batched length-q
-   transform. It runs in two stages. atom_stage draws k* and the
-   uniforms and builds the phase table; a row whose values span at
-   most m/2 integers (an s-free error row, on k_d = 0 with probability
-   f(k*) + (1 - f(k*))/q) draws that atom without a transform, and has
-   its mass sum |x|^2 / m (Parseval) checked in its place.
-   transform_stage then draws k_d for the rows it is given, which on
-   such a stack lie off the atom; rows with b' spread over [0, q) hold
-   about 1/q there and are all transformed. The atom has one formula,
-   atom_rows: an s-free row's phase sum dc, and so its atom mass
-   |dc|^2 / (q m), depends only on how many of its pairs carry each
-   error value, so atom_stage reads it off a per-row bincount. The
-   controlled refill draws those histograms itself and decides every
-   row's atom with atom_rows; it builds only the rows whose candidate
-   value it reads and hands them to transform_stage through
-   off_atom_stage. The elimination refill calls sample_bv_stack,
+   batches at once, one row per shot: it draws every row's k* and
+   uniform, then transform_rows draws every row's k_d with one batched
+   length-q transform. The elimination refill calls it,
    sample_bv_outcome is its one-row view and sample_bv_outcomes its
-   view of one batch repeated.
+   view of one batch repeated. The controlled refill draws k* and the
+   uniforms itself and calls transform_rows only for the rows whose
+   candidate value it reads: an s-free row's k_d = 0 atom holds
+   |dc|^2 / (q m) of its mass, where the phase sum dc depends only on
+   how many of its pairs carry each error value, so the refill decides
+   every row's atom from its error histogram with atom_rows.
    The phases and their int64 indices go into two flat tables kept for
    the whole process, grown to its largest call: for a controlled solve
    max(CHUNK_ENTRIES, q) x 24 B, about 1.5 MiB. On the full field the
-   transformed rows move to the front of the kept phase table, and the
-   transform, the squares and the cdf overwrite them there. So a
-   stage's result holds only until the next call, the sampler is not
-   re-entrant, and `--workers` runs solves in processes, each with its
-   own tables.
+   transform, the squares and the cdf overwrite the kept phase table.
+   So the sampler is not re-entrant, and `--workers` runs solves in
+   processes, each with its own tables.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -73,12 +63,8 @@ NORM_TOL = 1e-8
 # Rows per sample_bv_stack call: at most CHUNK_ENTRIES // q, and the least
 # size of the kept phase and index tables, so 16 rows at q=4093 fill them
 # (1 MiB + 512 KiB). numpy plans a prime-length FFT (Bluestein) afresh on
-# every call, so rows measured together share that setup and its freshly
-# faulted buffers. When the controlled refill still measured every row, an
-# n=8 solve at q=4093 made 3.5 calls and took 694 minor page faults, nearly
-# all in the transform and the error draws, against 1,133 when each call
-# built its own tables (300 solves, one thread on a 2-core Xeon). 2^17
-# entries measured no faster, at 3% more memory.
+# every call, so rows measured together share that setup. 2^17 entries
+# measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -194,25 +180,6 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def _check_mass(mass: np.ndarray) -> None:
-    """Raise InvariantViolation when any row's conditional mass drifts from 1."""
-    drift = float(np.abs(mass - 1.0).max())
-    if drift > NORM_TOL:
-        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
-
-
-class AtomStage(NamedTuple):
-    """A stack's draws and phase table up to its k_d = 0 atom (atom_stage)."""
-
-    q: int
-    m: int
-    k_star: np.ndarray  # (k,) A-register outcomes
-    u: np.ndarray  # (k,) each row's uniform for its k_d
-    atom: np.ndarray  # (k,) bool, the rows drawn onto k_d = 0
-    decided: bool  # whether the atom was drawn; a spread stack has atom all False
-    x: np.ndarray  # (k, q) phases the transform reads: a kept table or a fresh one
-
-
 def atom_rows(
     q: int, counts: np.ndarray, values: np.ndarray, k_star: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -253,105 +220,37 @@ def _phases(q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarr
     return x
 
 
-def atom_stage(
-    q: int, a_values: np.ndarray, b_values: np.ndarray, rng: np.random.Generator
-) -> AtomStage:
-    """First stage of sample_bv_stack: k*, the uniforms, the phase table
-    and, where the stack's values span at most m/2 integers, each row's
-    k_d = 0 atom.
+def transform_rows(
+    q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """k_d in [0, q - 1] of every row of a stack, each drawn with its own
+    uniform u from its conditional over k_d given its k*.
 
     Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
     single row that every batch shares, and b_values may hold any
     representative of each b' mod q (an s-free row passes its errors
-    eta' as they are). The A-register marginal is exactly uniform for
-    any batch of unit-weight pairs with distinct a', so each k* is drawn
-    flat. The phases come from _phases.
-
-    A stack whose values span at most m/2 integers holds s-free error
-    rows, which land on k_d = 0 with probability f(k*) + (1 - f(k*))/q,
-    so the stage decides their atom with atom_rows, from one bincount of
-    each row's values over the span. It checks every such row's mass
-    sum_a |x[i, a]|^2 / m (Parseval) against NORM_TOL, so any row the
-    transform never reads has been checked; the sum reads the row the
-    transform would read, after the scatter, so a repeated input raises
-    InvariantViolation. Rows spread wider hold about 1/q on the atom, so
-    none is decided. The stream per call: k bounded integers for k*,
-    then k uniform doubles.
-
-    The phase table lives in the kept tables, so a stage holds only
-    until the next call, and transform_stage may read it once.
+    eta' as they are). Its phases come from _phases, and all rows go
+    through one batched length-q transform, which with the squares and
+    the cdf overwrites the phase table: no second (k, q) table. A row
+    whose conditional mass sum |x|^2 / m drifts from 1 (Parseval; a
+    repeated input loses a phase) raises InvariantViolation.
     """
-    k, m = b_values.shape
-    k_star = rng.integers(q, size=k)
-    u = rng.random(k)
-    lo, hi = int(b_values.min()), int(b_values.max())
-    span = hi - lo + 1
-    decided = 2 * span <= m
+    m = b_values.shape[1]
     x = _phases(q, a_values, b_values, k_star)
-    atom = np.zeros(k, dtype=bool)
-    if decided:
-        # Row i counts its values in bins [i span, (i + 1) span), in the kept
-        # index table, which the phases no longer need.
-        keys = _kept_table(np.int64, k, m)
-        np.add(b_values, (np.arange(k) * span - lo)[:, None], out=keys)
-        counts = np.bincount(keys.ravel(), minlength=k * span).reshape(k, span)
-        atom = atom_rows(q, counts, np.arange(lo, hi + 1), k_star, u)
-        # As (re, im) pairs, a row's sum of squares is sum |x|^2.
-        pairs = x.view(np.float64)
-        _check_mass(np.vecdot(pairs, pairs) / m)
-    return AtomStage(q, m, k_star, u, atom, decided, x)
-
-
-def off_atom_stage(
-    q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray, u: np.ndarray
-) -> AtomStage:
-    """The stage of rows whose k* and uniform u were drawn, and whose
-    atom was decided off k_d = 0, elsewhere (by atom_rows): their phases
-    under _phases, for transform_stage to draw k_d in [1, q - 1]. No
-    draw is made."""
-    x = _phases(q, a_values, b_values, k_star)
-    return AtomStage(q, b_values.shape[1], k_star, u, np.zeros(len(k_star), dtype=bool), True, x)
-
-
-def transform_stage(stage: AtomStage, rows: np.ndarray) -> np.ndarray:
-    """Second stage of sample_bv_stack: k_d of the given rows of a stack,
-    each drawn with its own uniform from its conditional over k_d.
-
-    rows are ascending indices of rows off the atom. Each is one
-    length-q transform of that row's phases, all in one batched call.
-    On a stack whose atom was decided they draw k_d in [1, q - 1], the
-    conditional off the atom, even where rounding puts cdf[0] above
-    u * total; on a spread stack, k_d in [0, q - 1]. The rows move to
-    the front of the stage's phase table, which the transform and the
-    cdf then overwrite, so a stage is transformed at most once. A row
-    whose conditional mass drifts from 1 raises InvariantViolation.
-    """
-    q, m, x = stage.q, stage.m, stage.x
-    if not len(rows):
-        return np.zeros(0, dtype=np.int64)
-    # Each row moves to its rank among the rows, which is at most its index,
-    # so no block reads a row that an earlier block wrote. Each block is
-    # gathered through a copy of at most ceil(k / 8) rows, in at most eight
-    # steps; the leading rows already in place stay.
-    first = int((rows == np.arange(len(rows))).sum())
-    step = -(-len(x) // 8)
-    for dst in range(first, len(rows), step):
-        src = rows[dst : dst + step]
-        x[dst : dst + len(src)] = x[src]
-    # Every step from here on overwrites x: no second (k, q) table.
-    g = x[: len(rows)]
-    np.fft.ifft(g, axis=1, out=g)  # g[i, k] = (1/q) sum_a x[i, a] w^{a k}
-    pairs = g.view(np.float64)
+    np.fft.ifft(x, axis=1, out=x)  # x[i, k] = (1/q) sum_a phases[i, a] w^{a k}
+    pairs = x.view(np.float64)
     np.square(pairs, out=pairs)
     cdf = pairs[:, 0::2]
     np.add(cdf, pairs[:, 1::2], out=cdf)
     np.cumsum(cdf, axis=1, out=cdf)
     # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
     total = cdf[:, -1]
-    _check_mass(total * (q / m))
+    drift = float(np.abs(total * (q / m) - 1.0).max())
+    if drift > NORM_TOL:
+        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
     # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
-    k_d = (cdf <= (stage.u[rows] * total)[:, None]).sum(axis=1)
-    return np.clip(k_d, int(stage.decided), q - 1)
+    k_d = (cdf <= (u * total)[:, None]).sum(axis=1)
+    return np.minimum(k_d, q - 1)
 
 
 def sample_bv_stack(
@@ -360,19 +259,17 @@ def sample_bv_stack(
     """One post-kernel measurement per row of a stack of batches: the
     (k_d, k*) arrays.
 
-    atom_stage draws k* and the uniforms and, on a stack whose values
-    span at most m/2 integers, each row's k_d = 0 atom; transform_stage
-    then draws k_d for every other row, so only rows off the atom pay a
-    transform. A stage's result holds only until the next call, since
-    its phases sit in the kept tables; the (k_d, k*) returned here never
-    share memory with them. The inputs are only read, so read-only or
-    broadcast rows are fine.
+    The A-register marginal is exactly uniform for any batch of
+    unit-weight pairs with distinct a', so each k* is drawn flat; then
+    transform_rows draws every row's k_d. The stream per call: k bounded
+    integers for k*, then k uniform doubles. The draws returned never
+    share memory with the kept tables, and the inputs are only read, so
+    read-only or broadcast rows are fine.
     """
-    stage = atom_stage(q, a_values, b_values, rng)
-    k_d = np.zeros(len(stage.k_star), dtype=np.int64)
-    rows = np.flatnonzero(~stage.atom)
-    k_d[rows] = transform_stage(stage, rows)
-    return k_d, stage.k_star
+    k = len(b_values)
+    k_star = rng.integers(q, size=k)
+    u = rng.random(k)
+    return transform_rows(q, a_values, b_values, k_star, u), k_star
 
 
 def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> MeasurementOutcome:

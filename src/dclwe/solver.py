@@ -17,46 +17,46 @@ the least with q^-L <= delta/n. M is the least trial count pushing the false-acc
 under delta/n.
 
 Both modes run as array passes over refills drawn from the solve's one
-stream. Each row carries its own block of M test pairs (t, b'), and
-row_verdicts judges a whole refill at once: a row's candidate is
-c = -k_d / k* mod q, with residuals b' - t c. _take_row turns a judged
-row into a coordinate's CoordinateStats, so the passes differ only in
-where their rows come from and in what happens to the rows a settled
+stream. Each row carries its own block of M test pairs (t, b'): its
+candidate c faces residuals b' - t c, and one rule (_verdicts) counts
+the trials it uses and gives its verdict. _take_row turns a judged row
+into a coordinate's CoordinateStats, so the passes differ only in where
+their rows come from and in what happens to the rows a settled
 coordinate leaves.
 
 controlled_refills measures s-free batches (a', eta'), at most
-CHUNK_ENTRIES // q per refill. By the Fourier shift theorem the
-coordinate-j batch (a', a' s_j + eta') has the s-free outcome law moved
-along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*), so a row's c reads
-as s_j + c for every coordinate, with the same verdict. controlled_pass
-hands rows out in order; the rows a settled coordinate leaves go to the
-next one. A row's c0 is right exactly when it lands on the k_d = 0
-atom, whose mass depends only on the row's error histogram (how many
-inputs carry each error value), so a refill draws the histograms, one
-multinomial row each, and qsim.atom_rows decides the atom from them. Off
-the atom c0 != 0, and for t uniform on [1, q) the product t c0 is
-uniform on [1, q) and independent of c0, so such a row is judged on
-residuals eta' - t at the stand-in c0 = 1. Only a row that passes every
-trial is built, as a uniform arrangement of its histogram over its
-inputs, and transformed (qsim.transform_stage) for its own c0; it
-returns t c0^-1 as its test inputs, whose residuals row_verdicts reads
-as the same eta' - t. i.i.d. errors are exactly a multinomial histogram
-plus a uniform arrangement, so shots, tests and verdicts keep their
-joint law, and c0 is drawn exactly when it becomes the accepted
-s_j + c0.
+CHUNK_ENTRIES // q per refill, and judges each row once. By the Fourier
+shift theorem the coordinate-j batch (a', a' s_j + eta') has the s-free
+outcome law moved along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*),
+so a row's offset c0 = -k_d / k* reads as s_j + c0 for every
+coordinate, with the same verdict. controlled_pass hands rows out in
+order; the rows a settled coordinate leaves go to the next one. A row's
+c0 is right exactly when it lands on the k_d = 0 atom, whose mass
+depends only on the row's error histogram (how many inputs carry each
+error value), so a refill draws the histograms, one multinomial row
+each, and qsim.atom_rows decides the atom from them. An atom row has
+c0 = 0 and residuals eta'. Off the atom c0 != 0, and for t uniform on
+[1, q) the product t c0 is uniform on [1, q) and independent of c0, so
+such a row is judged on residuals eta' - t at the stand-in c0 = 1. Only
+a row that passes every trial is built, as a uniform arrangement of its
+histogram over its inputs, and transformed (qsim.transform_rows) for
+its own c0. i.i.d. errors are exactly a multinomial histogram plus a
+uniform arrangement, so shots, tests and verdicts keep their joint law,
+and c0 is drawn exactly when it becomes the accepted s_j + c0.
 
 elimination_pass runs every open coordinate in lockstep: each refill
 gives coordinate j the next chunk of its own rows, eliminated through
 row j of their own sample matrices' inverses (elimination_refills: one
 draw and one batched inversion for the batches and their test pairs,
-one sample_bv_stack call). Coordinate j accepts c, and the rows after
-its accepted one are discarded.
+one sample_bv_stack call), and row_verdicts judges them at their own
+c = -k_d / k*. Coordinate j accepts c, and the rows after its accepted
+one are discarded.
 
 oracle.classical_baseline_solve runs controlled_pass too, over s-free
-direct pairs that no kernel measures. classify turns the per-coordinate records of
-any run into a SolveOutcome. In every mode the first accepted candidate
-is the one a shot-by-shot loop would accept, and no coordinate takes
-more than L shots.
+direct pairs that no kernel measures, judged by row_verdicts. classify
+turns the per-coordinate records of any run into a SolveOutcome. In
+every mode the first accepted candidate is the one a shot-by-shot loop
+would accept, and no coordinate takes more than L shots.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import CHUNK_ENTRIES, atom_rows, off_atom_stage, sample_bv_stack, transform_stage
+from .qsim import CHUNK_ENTRIES, atom_rows, sample_bv_stack, transform_rows
 from .reduce import (
     check_histograms,
     check_rows,
@@ -93,8 +93,10 @@ _MAX_M = 64
 FIRST_CHUNK = 4
 
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# k -> (k_d, k*) of k s-free rows and their (k, M) test pairs (t, eta')
-Refill = Callable[[int], Rows]
+# Per row of a refill: its candidate offset c0, the tests it uses and its verdict
+Verdicts = tuple[list[int], list[int], list[bool]]
+# k -> the verdicts of k s-free rows
+Refill = Callable[[int], Verdicts]
 # coordinate of each row -> (k_d, k*) of its measured batch and its (k, M) test pairs (t, b')
 EliminationRefill = Callable[[np.ndarray], Rows]
 
@@ -213,20 +215,19 @@ def controlled_refills(
     rng: np.random.Generator,
     v_size: int | None = None,
 ) -> Refill:
-    """Refill source of one controlled solve: k -> (k_d, k*, t, eta') for k rows.
+    """Refill source of one controlled solve: k -> (c0, tests, accepted) for k rows.
 
     Each call draws k s-free batches as error histograms, one
     rng.multinomial call over the values of chi' = amplified_law(chi, xi'),
-    then k* and the uniforms as atom_stage draws them, and decides every
-    row's atom with atom_rows; then one (k, m) block of test pairs: t
-    uniform on [1, q) and eta' from chi'. A row off the atom faces its
-    trials at the stand-in c0 = 1 and returns k_d = -k*, unless it is
-    non-null and passes them all: then its errors are arranged (and, for
-    v_size below q, its inputs drawn), checked by check_rows and
-    transformed, and it returns its own k_d and t c0^-1 as its test
-    inputs, so row_verdicts reads the residuals it was judged on. The
-    window and the shared full-field input row are checked once, here,
-    and each histogram by check_histograms. Nothing here depends on s.
+    then k* and the uniforms as sample_bv_stack draws them, and decides
+    every row's atom with atom_rows; then one (k, m) block of test pairs:
+    t uniform on [1, q) and eta' from chi'. Each row is judged once, by
+    _verdicts: an atom row at c0 = 0, a row off it at the stand-in
+    c0 = 1. A non-null row off the atom that passes every trial has its
+    errors arranged (and, for v_size below q, its inputs drawn), checked
+    by check_rows and transformed, and returns its own c0. The window and
+    the shared full-field input row are checked once, here, and each
+    histogram by check_histograms. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
@@ -243,7 +244,7 @@ def controlled_refills(
     field = PrimeField(q)
     inverse = field.inverse_table()
 
-    def refill(k: int) -> Rows:
+    def refill(k: int) -> Verdicts:
         counts = rng.multinomial(size, pvals, size=k)
         check_histograms(counts, size)
         k_star = rng.integers(q, size=k)
@@ -251,20 +252,18 @@ def controlled_refills(
         atom = atom_rows(q, counts, values, k_star, u)
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
-        # Rows off the atom stand in as c0 = 1 and face their trials there.
-        k_d = np.where(atom, 0, -k_star % q)
-        passed = (np.abs(field.centered_array(eta_t - t)) <= xi_prime).all(axis=1)
-        rows = np.flatnonzero(~atom & (k_star != 0) & passed)
+        c0 = np.where(atom, 0, 1)  # off the atom, the stand-in c0 = 1
+        tests, accepted = _verdicts(field, c0, t, eta_t, xi_prime, k_star == 0)
+        rows = np.flatnonzero(accepted & ~atom)
         if rows.size:
             a_values = inputs(rows.size)
             eta_values = np.stack([rng.permutation(np.repeat(values, c)) for c in counts[rows]])
             check_rows(q, a_values, eta_values, xi_prime)
-            stage = off_atom_stage(q, a_values, eta_values, k_star[rows], u[rows])
-            k_d[rows] = transform_stage(stage, np.arange(rows.size))
-            # (t c0^-1) c0 = t: row_verdicts reads the residuals these rows passed.
-            c0 = -k_d[rows] % q * inverse[k_star[rows]] % q
-            t[rows] = t[rows] * inverse[c0][:, None] % q
-        return k_d, k_star, t, eta_t
+            k_d = transform_rows(q, a_values, eta_values, k_star[rows], u[rows])
+            # atom_rows put these rows off k_d = 0, even where rounding puts
+            # the transform's cdf[0] above u * total.
+            c0[rows] = -np.maximum(k_d, 1) % q * inverse[k_star[rows]] % q
+        return c0.tolist(), tests.tolist(), accepted.tolist()
 
     return refill
 
@@ -298,26 +297,30 @@ def elimination_refills(
     return refill
 
 
-def row_verdicts(
-    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int
-) -> tuple[list[int], list[int], list[bool]]:
-    """Per row of a refill: its candidate c, the tests it uses and its verdict.
-
-    c = -k_d / k* mod q, and the row's own (t, b') pairs leave the
-    residuals b' - t c: accepted iff every centered residual is at most
-    xi'. A candidate uses trials up to its first failing one, or all M;
-    a null (k* = 0) uses none, so the tests used are 0 exactly for
-    nulls. An s-free controlled row passes its errors eta' as b', and its
-    c is the offset c0 of every coordinate's candidate s_j + c0.
-    """
-    field = PrimeField(q)
-    null = k_star == 0
-    c = (-k_d) % q * field.inverse_table()[k_star] % q
+def _verdicts(
+    field: PrimeField, c: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int, null: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tests each row uses and its verdict: candidate c against the
+    row's own (t, b') pairs, whose residuals b' - t c pass when centered
+    within xi'. Trials run up to the first failing one, or all M; a null
+    uses none and is never accepted."""
     fail = np.abs(field.centered_array(b - t * c[:, None])) > xi_prime
     rejected = fail.any(axis=1)
     tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
     tests[null] = 0
-    return c.tolist(), tests.tolist(), (~rejected & ~null).tolist()
+    return tests, ~rejected & ~null
+
+
+def row_verdicts(
+    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int
+) -> Verdicts:
+    """Per row of an elimination or baseline refill: its candidate
+    c = -k_d / k* mod q, the tests it uses and its verdict (_verdicts). A
+    null (k* = 0) uses no tests, so the tests used are 0 exactly for nulls."""
+    field = PrimeField(q)
+    c = (-k_d) % q * field.inverse_table()[k_star] % q
+    tests, accepted = _verdicts(field, c, t, b, xi_prime, k_star == 0)
+    return c.tolist(), tests.tolist(), accepted.tolist()
 
 
 def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_j: int) -> bool:
@@ -338,17 +341,14 @@ def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_
     return False
 
 
-def controlled_pass(
-    s: np.ndarray, q: int, refill: Refill, budget: int, xi_prime: int
-) -> list[CoordinateStats]:
+def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
     """Every coordinate of one controlled or baseline solve from one stream of refills.
 
-    A refill holds min(CHUNK_ENTRIES // q, FIRST_CHUNK * coordinates not
-    yet run, shots the solve may still take) rows, judged at once by
-    row_verdicts. Coordinate j takes rows in order up to its first
-    accepted one or `budget` rows and accepts s_j + c0; the rows it
-    leaves go to the next coordinate with their verdicts, which do not
-    depend on s.
+    A refill judges min(CHUNK_ENTRIES // q, FIRST_CHUNK * coordinates not
+    yet run, shots the solve may still take) rows at once. Coordinate j
+    takes rows in order up to its first accepted one or `budget` rows and
+    accepts s_j + c0; the rows it leaves go to the next coordinate with
+    their verdicts, which do not depend on s.
     """
     n = len(s)
     c0s: list[int] = []
@@ -363,7 +363,7 @@ def controlled_pass(
         while stats.shots < budget:
             if row == len(c0s):
                 k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - stats.shots)
-                c0s, tests, accepted = row_verdicts(q, *refill(k), xi_prime)
+                c0s, tests, accepted = refill(k)
                 row = 0
             i = row
             row += 1
@@ -447,7 +447,7 @@ def solve(
         raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")
     if mode == MODE_CONTROLLED:
         refill = controlled_refills(instance, params.xi_prime, params.M, rng, v_size)
-        per_coordinate = controlled_pass(instance.s, q, refill, params.L, params.xi_prime)
+        per_coordinate = controlled_pass(instance.s, q, refill, params.L)
     else:
         refill = elimination_refills(instance, params.M, rng, v_size)
         per_coordinate = elimination_pass(instance.s, q, refill, params.L, params.xi_prime)

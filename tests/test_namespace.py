@@ -49,9 +49,8 @@ INTERNAL = {
         "sample_errors", "samples_to_arrays",
     ),
     "qsim": (
-        "NORM_TOL", "AtomStage", "MeasurementOutcome", "atom_rows", "atom_stage",
-        "extract_candidate", "extract_candidates", "off_atom_stage", "qft_matrix", "root_table",
-        "sample_bv_outcome", "transform_stage",
+        "NORM_TOL", "MeasurementOutcome", "atom_rows", "extract_candidate", "extract_candidates",
+        "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
     ),
     "reduce": (
         "EliminationStack", "ReducedPair", "check_histograms", "check_rows", "check_window",

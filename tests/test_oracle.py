@@ -36,7 +36,6 @@ from dclwe import (
 )
 from dclwe import oracle as oracle_module
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
-from dclwe.solver import row_verdicts
 
 from _stats import binom_3sigma
 
@@ -309,27 +308,25 @@ def test_baseline_validation():
 
 
 def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
-    # The refill's rows, against the pairs (a', eta') its stream draws:
-    # k* = a' and the read candidate s_j + c is b' a'^-1 for every s_j.
+    # The refill's verdicts, against the pairs (a', eta') its stream draws:
+    # no row is a null, and the read candidate s_j + c is b' a'^-1 for every s_j.
     q, xi_prime, m = 101, 2, 3
     rng = derive_rng(14, 0)
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), rng)
     seen = {}
 
-    def pass_spy(s, q, refill, budget, xi):
+    def pass_spy(s, q, refill, budget):
         twin = copy.deepcopy(rng)
-        seen["rows"] = refill(200)
+        seen["verdicts"] = refill(200)
         seen["a"] = twin.integers(1, q, size=200)
         seen["eta"] = sample_errors(ErrorDistribution(UNIFORM, xi_prime), twin, 200)
         return [CoordinateStats(j=j) for j in range(len(s))]
 
     monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)
     classical_baseline_solve(inst, 2.0, m, 1, rng)
-    k_d, k_star, t, eta_t = seen["rows"]
+    c, tests, _ = seen["verdicts"]
     a, eta = seen["a"], seen["eta"]
-    assert (k_star >= 1).all() and np.array_equal(k_star, a)
-    assert t.shape == eta_t.shape == (200, m)
-    c, _, _ = row_verdicts(q, k_d, k_star, t, eta_t, xi_prime)
+    assert len(c) == 200 and all(1 <= used <= m for used in tests)
     for s_j in inst.s:
         direct = (a * s_j + eta) % q * np.array([pow(int(x), -1, q) for x in a]) % q
         assert np.array_equal((s_j + np.array(c)) % q, direct)

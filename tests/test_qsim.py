@@ -15,12 +15,14 @@ from dclwe import (
     bv_kernel,
     derive_rng,
     kernel_distribution,
+    make_instance,
     prepare_sample_state,
     sample_bv_outcomes,
     sample_bv_stack,
     synth_reduced_batch,
 )
-from dclwe import qsim
+from dclwe import qsim, solver
+from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 from dclwe.qsim import (
     NORM_TOL,
@@ -360,10 +362,10 @@ def test_stacked_sampler_checks_every_row_norm():
     b_values = np.array([[1, 2, 3], [1, 2, 3]])
     with pytest.raises(InvariantViolation):
         sample_bv_stack(q, a_values, b_values, derive_rng(60, 0))
-    # On a span-table stack with a constant b' the scatter keeps 5 of the
-    # second row's 6 phases, so |dc| = 5 and that row takes the k_d = 0 atom
-    # when its uniform (the second double after the k* draws) is below
-    # 5^2 / (6 q). It must raise whether or not it does.
+    # With a constant b' the scatter keeps 5 of the second row's 6 phases,
+    # so |dc| = 5 and that row's cdf puts it on the k_d = 0 atom when its
+    # uniform (the second double after the k* draws) is below 5^2 / (6 q).
+    # It must raise whether or not it lands there.
     a_values = np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4]])
     b_values = np.full(a_values.shape, 2)
     atom_below = 25 / (6 * q)
@@ -378,7 +380,8 @@ def test_stacked_sampler_checks_every_row_norm():
 
 
 def _every_row_sampler(q, a_values, b_values, rng):
-    """Reference: sample_bv_stack with every row through the transform."""
+    """Reference: sample_bv_stack with its phases read from a span table
+    where the values span fewer than m integers, and its own cdf."""
     k, m = b_values.shape
     k_star = rng.integers(q, size=k)
     lo, hi = int(b_values.min()), int(b_values.max())
@@ -452,19 +455,13 @@ def _sixteen_row_cases():
 
 @pytest.mark.parametrize("case", sorted(_sixteen_row_cases()))
 def test_sixteen_row_stacks_at_q4093_match_the_every_row_reference(case):
-    # An atom row with transformed rows after it makes those rows move
-    # forward in the table before the transform.
     q, a_values, eta = _sixteen_row_cases()[case]
-    mid_stack = 0
     for seed in range(6):
         ref_rng, rng = derive_rng(74, seed), derive_rng(74, seed)
         k_d, k_star = sample_bv_stack(q, a_values, eta, rng)
         ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
         assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
         assert rng.random() == ref_rng.random()
-        atom = k_d == 0
-        mid_stack += bool(atom.any() and not atom[atom.argmax() :].all())
-    assert mid_stack > 0
 
 
 @pytest.mark.parametrize("case", sorted(_reference_cases()))
@@ -492,8 +489,7 @@ def test_sixteen_row_call_at_q4093_holds_one_table(case):
 @pytest.mark.parametrize("case", ["full field gaussian", "full field uniform"])
 def test_sixteen_row_call_at_q4093_allocates_no_table(case):
     # Once the kept tables have grown, a full-field call holds only small
-    # pieces of its own: the (k, span) tables, the copies that move rows
-    # off the atom and the threshold count's booleans.
+    # pieces of its own: the threshold count's booleans and the draws.
     for peak in _traced_peaks(*_sixteen_row_cases()[case]):
         assert peak < 0.25 * 16 * 16 * 4093
 
@@ -571,100 +567,96 @@ def _phase_rows(q, a_values, b_values, k_star):
     return x
 
 
-def test_noiseless_s_free_rows_need_no_transform(transformed_rows):
+def test_noiseless_s_free_rows_draw_only_the_atom(transformed_rows):
+    # Every row is transformed, and each one's conditional sits on k_d = 0.
     q = 401
     b_values = np.zeros((16, q), dtype=np.int64)
     k_d, k_star = sample_bv_stack(q, np.arange(q)[None], b_values, derive_rng(71, 0))
-    assert transformed_rows == []
+    [handed] = transformed_rows
+    assert np.array_equal(handed, _phase_rows(q, np.arange(q)[None], b_values, k_star))
     assert (k_d == 0).all() and len(set(k_star.tolist())) > 1
 
 
-@pytest.mark.parametrize("case", sorted(_reference_cases()))
-def test_only_rows_off_the_atom_are_transformed(case, transformed_rows):
-    # Span-table rows that draw k_d = 0 skip the transform; direct-lookup
-    # rows are all transformed.
-    q, a_values, eta = _reference_cases()[case]
-    span_table = 2 * (np.ptp(eta) + 1) <= eta.shape[1]
-    for seed in range(4):
-        transformed_rows.clear()
-        k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(72, seed))
-        expect = _phase_rows(q, a_values, eta, k_star)
-        if span_table:
-            expect = expect[k_d != 0]
-        handed = np.concatenate(transformed_rows) if transformed_rows else np.zeros((0, q))
-        assert np.array_equal(handed, expect)
+def _transform_cases():
+    """The reference stacks, and a full-field s_j = 37 batch whose b'
+    spans 100 of its 101 values."""
+    wide = _batch(37, 101, range(101), 1, 50)
+    b_rows = np.broadcast_to(wide.b_values, (16, 101))
+    return {**_reference_cases(), "wide span s_j = 37": (101, wide.a_values[None], b_rows)}
 
 
-def test_wide_span_rows_are_all_transformed(transformed_rows):
-    # A full-field s_j = 37 batch spans 100 of its 101 values. A span table
-    # that wide costs as much as the direct lookup, so the stack takes the
-    # lookup, and every row goes through the transform, atom rows included.
-    q = 101
-    batch = _batch(37, q, range(q), 1, 50)
-    assert q / 2 < np.ptp(batch.b_values) + 1 < q
-    b_rows = np.broadcast_to(batch.b_values, (16, q))
+@pytest.mark.parametrize("case", sorted(_transform_cases()))
+def test_every_row_is_transformed(case, transformed_rows):
+    # One batched transform per call, of every row's phases, the rows that
+    # draw the k_d = 0 atom included.
+    q, a_values, eta = _transform_cases()[case]
     atoms = 0
     for seed in range(8):
         transformed_rows.clear()
-        ref_rng, rng = derive_rng(78, seed), derive_rng(78, seed)
-        k_d, k_star = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
-        expect = _phase_rows(q, batch.a_values[None], b_rows, k_star)
-        assert np.array_equal(np.concatenate(transformed_rows), expect)
-        ref_k_d, ref_k_star = _every_row_sampler(q, batch.a_values[None], b_rows, ref_rng)
-        assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+        k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(72, seed))
+        [handed] = transformed_rows
+        assert np.array_equal(handed, _phase_rows(q, a_values, eta, k_star))
         atoms += int((k_d == 0).sum())
     assert atoms > 0
 
 
 @pytest.mark.parametrize("case", sorted(_s_free_cases()))
 def test_any_rows_off_the_atom_draw_what_the_whole_stack_draws(case):
-    # The controlled solver hands transform_stage only some rows off the
-    # atom; each must draw the k_d it draws in sample_bv_stack, where all
-    # rows off the atom are transformed, with the same stream.
+    # The controlled refill hands transform_rows only some rows off the
+    # atom, with their own k* and uniforms; each draws the k_d it draws in
+    # sample_bv_stack, whose stream replays as k* then the uniforms.
     q, a_values, eta = _s_free_cases()[case]
-    pick = derive_rng(83, 0)
+    k = len(eta)
+    atoms = 0
     for seed in range(4):
         k_d, k_star = sample_bv_stack(q, a_values, eta, derive_rng(84, seed))
-        stage = qsim.atom_stage(q, a_values, eta, derive_rng(84, seed))
-        assert stage.decided and np.array_equal(stage.k_star, k_star)
-        assert np.array_equal(stage.atom, k_d == 0)
-        off = np.flatnonzero(~stage.atom)
-        rows = np.sort(pick.choice(off, size=len(off) // 2, replace=False))
-        assert np.array_equal(qsim.transform_stage(stage, rows), k_d[rows])
+        replay = derive_rng(84, seed)
+        assert np.array_equal(replay.integers(q, size=k), k_star)
+        u = replay.random(k)
+        off = np.flatnonzero(k_d != 0)
+        rows_a = a_values if len(a_values) == 1 else a_values[off]
+        assert np.array_equal(qsim.transform_rows(q, rows_a, eta[off], k_star[off], u[off]), k_d[off])
+        atoms += k - len(off)
+    assert atoms > 0
 
 
-class _UniformsAt:
-    """A stub generator: k* = 1, 2, ... and every uniform equal to u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def integers(self, high, size):
-        return np.arange(1, size + 1) % high
-
-    def random(self, size):
-        return np.full(size, self.u)
-
-
-def test_rows_decided_off_the_atom_never_draw_it():
+def test_rows_decided_off_the_atom_never_draw_it(monkeypatch):
     # Noiseless partial rows have dc = m, so their atom threshold is
-    # u = m^2 / (m q) = m / q; at the least u the atom test sends off the
-    # atom, cdf[0] and u * total are equal up to rounding, and about half
-    # the rows would count k_d = 0 without the clamp to [1, q - 1].
+    # u = m^2 / (m q) = m / q. At the least u that atom_rows sends off the
+    # atom, cdf[0] and u * total are equal up to rounding, and the
+    # transform alone draws k_d = 0 for some rows.
     q, m, k = 101, 40, 64
     rng = derive_rng(82, 0)
     a_values = np.stack([rng.choice(q, size=m, replace=False) for _ in range(k)])
     b_values = np.zeros((k, m), dtype=np.int64)
-    u = m / q
-    while m * m > u * (m * q):
-        u = np.nextafter(u, 1.0)
-    stage = qsim.atom_stage(q, a_values, b_values, _UniformsAt(u))
-    assert stage.decided and not stage.atom.any()
-    k_d, _ = sample_bv_stack(q, a_values, b_values, _UniformsAt(u))
-    assert (k_d >= 1).all()
-    # Just below the threshold every row takes the atom.
-    k_d, _ = sample_bv_stack(q, a_values, b_values, _UniformsAt(np.nextafter(m / q, 0.0)))
-    assert (k_d == 0).all()
+    k_star = np.arange(1, k + 1)
+    u = np.full(k, m / q)
+    while m * m > u[0] * (m * q):
+        u[:] = np.nextafter(u[0], 1.0)
+    counts = np.full((k, 1), m)
+    assert not qsim.atom_rows(q, counts, np.zeros(1, dtype=np.int64), k_star, u).any()
+    assert (qsim.transform_rows(q, a_values, b_values, k_star, u) == 0).any()
+    # So the controlled refill, whose atom_rows decided these rows off the
+    # atom, reads a transformed row's k_d = 0 as 1: its c0 is -1 / k*.
+    handed = []
+
+    def zeros(q, a_values, b_values, k_star, u):
+        handed.append(k_star)
+        return np.zeros(len(k_star), dtype=np.int64)
+
+    monkeypatch.setattr(solver, "transform_rows", zeros)
+    inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), derive_rng(82, 1))
+    refill = solver.controlled_refills(inst, 2, 1, derive_rng(82, 2))
+    inverse = PrimeField(q).inverse_table()
+    transformed = 0
+    for _ in range(20):
+        handed.clear()
+        c0, _, accepted = refill(16)
+        k_star = np.concatenate(handed or [np.zeros(0, dtype=np.int64)])
+        off_atom = [c for c, ok in zip(c0, accepted) if ok and c != 0]
+        assert off_atom == (-inverse[k_star] % q).tolist()
+        transformed += len(k_star)
+    assert transformed > 0
 
 
 def test_root_table_is_bit_identical_to_elementwise_phases():

@@ -22,12 +22,13 @@ from dclwe import (
     solve,
 )
 from dclwe import solver as solver_module
-from dclwe.fq import mat_inverse
+from dclwe.fq import PrimeField, mat_inverse
 from dclwe.instance import GAUSSIAN, UNIFORM, Sample
 from dclwe.qsim import atom_rows, extract_candidates
 from dclwe.instance import sample_errors
 from dclwe.reduce import ReducedPair, check_rows, make_test_sample
 from dclwe.solver import (
+    _verdicts,
     amplified_bound,
     amplified_law,
     controlled_pass,
@@ -152,7 +153,7 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     rng = derive_rng(81, 0)
     for _ in range(2000):
         refill = controlled_refills(inst, params.xi_prime, params.M, rng)
-        [stats] = controlled_pass(inst.s, q, refill, params.L, params.xi_prime)
+        [stats] = controlled_pass(inst.s, q, refill, params.L)
         assert stats.accepted_value == int(inst.s[0]) % q
         assert stats.null_count == stats.shots - 1
         shots.append(stats.shots)
@@ -171,7 +172,7 @@ def test_zero_budget_consumes_nothing():
         requested.append(k)
         return refill(k)
 
-    [stats] = controlled_pass(inst.s, 31, spy, params.L, params.xi_prime)
+    [stats] = controlled_pass(inst.s, 31, spy, params.L)
     assert stats.accepted_value is None
     assert stats.shots == 0 and stats.tests_used == 0
     assert requested == []
@@ -257,15 +258,26 @@ def _spy_on_refills(monkeypatch):
     return refills
 
 
+def _rejecting(refill):
+    """The refill with every candidate rejected at its first trial, as
+    under a test bound no residual meets; nulls keep using no tests."""
+
+    def rejecting(k):
+        c0, tests, _ = refill(k)
+        return c0, [min(used, 1) for used in tests], [False] * len(c0)
+
+    return rejecting
+
+
 def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
-    # A test bound no residual meets rejects every candidate, so every
-    # coordinate spends its whole budget L on the next L rows.
+    # Every candidate is rejected, so every coordinate spends its whole
+    # budget L on the next L rows.
     refills = _spy_on_refills(monkeypatch)
     for n, q, budget in ((8, 401, 119), (3, 4093, 30), (4, 101, 3), (5, 31, 6)):
         refills.clear()
         inst = _instance(n, q, 1, 105)
         refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
-        per_coordinate = controlled_pass(inst.s, q, refill, budget, -1)
+        per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
         sizes = [len(c0) for _, _, c0 in refills]
         assert all(k * q <= solver_module.CHUNK_ENTRIES for k in sizes)
         drawn = [c0 for _, _, rows in refills for c0 in rows]
@@ -283,7 +295,7 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
 def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(4, 101, 1, 107)
-    controlled_pass(inst.s, 101, controlled_refills(inst, 2, 1, derive_rng(108, 0)), 20, -1)
+    controlled_pass(inst.s, 101, _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))), 20)
     # FIRST_CHUNK rows per coordinate not yet run; what a coordinate
     # leaves opens the next one.
     assert [len(c0) for _, _, c0 in refills] == [16, 16, 12, 8, 8, 4, 4, 4, 4, 4]
@@ -314,7 +326,8 @@ def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
     # the first refill to CHUNK_ENTRIES // 4093 = 16.
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(5, 4093, 1, 111)
-    controlled_pass(inst.s, 4093, controlled_refills(inst, 2, 1, derive_rng(112, 0)), 30, -1)
+    refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0)))
+    controlled_pass(inst.s, 4093, refill, 30)
     assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
 
 
@@ -350,8 +363,8 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
 
 def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
     """Reference: the controlled refill that draws every row's inputs and
-    i.i.d. errors, transforms every row with sample_bv_stack and leaves
-    row_verdicts to judge it at its own c0."""
+    i.i.d. errors, transforms every row with sample_bv_stack and returns
+    row_verdicts of its rows, each judged at its own c0."""
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
 
@@ -364,7 +377,8 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
         check_rows(q, a_values, eta_values, xi_prime)
         k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
         t = rng.integers(1, q, size=(k, m))
-        return k_d, k_star, t, sample_errors(chi_prime, rng, (k, m))
+        eta_t = sample_errors(chi_prime, rng, (k, m))
+        return solver_module.row_verdicts(q, k_d, k_star, t, eta_t, xi_prime)
 
     return refill
 
@@ -379,7 +393,7 @@ def _coordinate_law(refills, solves, seed, kind=UNIFORM, v_size=None):
     shots, tests, wrong = [], [], []
     for _ in range(solves):
         refill = refills(inst, 2, 1, rng, v_size)
-        for st, s_j in zip(controlled_pass(inst.s, q, refill, budget, 2), inst.s):
+        for st, s_j in zip(controlled_pass(inst.s, q, refill, budget), inst.s):
             assert st.true_rejections == 0
             shots.append(st.shots)
             tests.append(st.tests_used)
@@ -435,21 +449,21 @@ def test_partial_batches_keep_the_law_of_the_every_row_refill(kind, v_size, solv
 
 def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
     # Every refill's transformed rows are exactly its non-null rows off the
-    # atom that row_verdicts accepts; the others keep the stand-in c0 = 1.
+    # atom that pass every trial at the stand-in c0 = 1; the others keep
+    # it, and atom rows read c0 = 0.
     atoms, handed = [], []
-    real_atom, real_transform = solver_module.atom_rows, solver_module.transform_stage
+    real_atom, real_transform = solver_module.atom_rows, solver_module.transform_rows
 
-    def atom_spy(*args):
-        atoms.append(real_atom(*args))
-        return atoms[-1]
+    def atom_spy(q, counts, values, k_star, u):
+        atoms.append((real_atom(q, counts, values, k_star, u), k_star))
+        return atoms[-1][0]
 
-    def transform_spy(stage, rows):
-        assert stage.decided and not stage.atom.any()
-        handed[-1].extend(stage.k_star[rows].tolist())
-        return real_transform(stage, rows)
+    def transform_spy(q, a_values, b_values, k_star, u):
+        handed[-1].extend(k_star.tolist())
+        return real_transform(q, a_values, b_values, k_star, u)
 
     monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
-    monkeypatch.setattr(solver_module, "transform_stage", transform_spy)
+    monkeypatch.setattr(solver_module, "transform_rows", transform_spy)
     # With M = 1 a wrong candidate passes with probability 4/100, so some
     # rows off the atom are accepted and transformed.
     q = 101
@@ -458,14 +472,13 @@ def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
     transformed = 0
     for _ in range(20):
         handed.append([])
-        k_d, k_star, t, eta_t = refill(16)
-        atom = atoms[-1]
-        c0, _, accepted = solver_module.row_verdicts(q, k_d, k_star, t, eta_t, 2)
+        c0, tests, accepted = (np.array(v) for v in refill(16))
+        atom, k_star = atoms[-1]
         off = ~atom & (k_star != 0)
         assert handed[-1] == k_star[off & accepted].tolist()
-        assert (k_d[atom] == 0).all()
-        assert (np.array(c0)[off & ~np.array(accepted)] == 1).all()  # the stand-in
-        assert ((1 <= t) & (t < q)).all()
+        assert (c0[atom] == 0).all() and (c0[off & accepted] != 0).all()
+        assert (c0[off & ~accepted] == 1).all()  # the stand-in
+        assert ((tests == 0) == (k_star == 0)).all()
         transformed += len(handed[-1])
     assert len(atoms) == 20 and 0 < transformed < 40
 
@@ -484,17 +497,17 @@ class _CountingRng:
 @pytest.mark.parametrize("v_size", [None, 25])
 def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v_size):
     # A refill draws every row's error histogram, but only the rows it hands
-    # to transform_stage get their errors arranged (one permutation each of
+    # to transform_rows get their errors arranged (one permutation each of
     # their own histogram) and, below the full field, their inputs drawn
     # (one choice each).
     built = []
-    real_stage = solver_module.off_atom_stage
+    real_transform = solver_module.transform_rows
 
-    def stage_spy(q, a_values, b_values, k_star, u):
+    def transform_spy(q, a_values, b_values, k_star, u):
         built.append((a_values, b_values))
-        return real_stage(q, a_values, b_values, k_star, u)
+        return real_transform(q, a_values, b_values, k_star, u)
 
-    monkeypatch.setattr(solver_module, "off_atom_stage", stage_spy)
+    monkeypatch.setattr(solver_module, "transform_rows", transform_spy)
     refills = _spy_on_refills(monkeypatch)
     q = 101
     rng = _CountingRng(derive_rng(126, 0))
@@ -503,9 +516,8 @@ def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v
     for _ in range(20):
         built.clear()
         rng.calls.clear()
-        k_d, k_star, t, eta_t = refill(16)
+        _, _, accepted = refill(16)
         values, counts, c0 = refills[-1]
-        _, _, accepted = solver_module.row_verdicts(q, k_d, k_star, t, eta_t, 2)
         rows = np.flatnonzero((np.array(c0) == 1) & np.array(accepted))  # off the atom
         assert rng.calls["permutation"] == len(rows)
         assert rng.calls["choice"] == (len(rows) if v_size else 0)
@@ -572,22 +584,12 @@ def test_elimination_stream_is_pinned(
     assert int(rng.integers(1 << 30)) == next_draw
 
 
-def _recorded(refill):
-    """A refill source that also keeps every row it hands out, in order,
-    as (k_d, k*, its test pairs' t, their eta')."""
+def _recorded_synthetic(q, m, xi_prime, rng):
+    """A refill of synthetic rows, judged by row_verdicts, and the rows it
+    hands out, in order, as (c0 or None for a null, test inputs, errors):
+    rows rich in nulls, true candidates (c0 = 0) and c0 = 1, with errors
+    one wider than xi' so that true candidates can fail too."""
     rows = []
-
-    def recorded(k):
-        out = refill(k)
-        rows.extend(zip(*(column.tolist() for column in out)))
-        return out
-
-    return recorded, rows
-
-
-def _synthetic_refill(q, m, xi_prime, rng):
-    """Rows rich in nulls, true candidates (c0 = 0) and c0 = 1, with
-    errors one wider than xi' so that true candidates can fail too."""
 
     def refill(k):
         k_star = rng.integers(q, size=k)
@@ -598,9 +600,43 @@ def _synthetic_refill(q, m, xi_prime, rng):
         k_d[pick > 0.8] = (-k_star[pick > 0.8]) % q  # c0 = 1
         t = rng.integers(1, q, size=(k, m))
         eta = rng.integers(-xi_prime - 1, xi_prime + 2, size=(k, m))
-        return k_d, k_star, t, eta
+        c0s = extract_candidates(k_d, k_star, q)
+        rows.extend(zip(c0s, t.tolist(), eta.tolist()))
+        return solver_module.row_verdicts(q, k_d, k_star, t, eta, xi_prime)
 
-    return refill
+    return refill, rows
+
+
+def _recorded_controlled(monkeypatch, refill, q):
+    """The controlled refill and the rows it hands out, in order, as
+    (c0 or None for a null, test inputs, errors), rebuilt from each row's
+    c0, its k* (as atom_rows gets it) and its test pairs (t, eta') (as
+    _verdicts gets them). An atom row keeps its inputs t, for residuals
+    eta'; a row off it takes t c0^-1, for residuals eta' - t whatever its
+    c0, as the refill judged it."""
+    rows, k_stars, pairs = [], [], []
+    inverse = PrimeField(q).inverse_table()
+
+    def atom_spy(q, counts, values, k_star, u):
+        k_stars.append(k_star)
+        return atom_rows(q, counts, values, k_star, u)
+
+    def verdicts_spy(field, c, t, b, xi_prime, null):
+        pairs.append((t, b))
+        return _verdicts(field, c, t, b, xi_prime, null)
+
+    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
+    monkeypatch.setattr(solver_module, "_verdicts", verdicts_spy)
+
+    def recorded(k):
+        c0s, tests, accepted = refill(k)
+        (t, eta), k_star = pairs[-1], k_stars[-1]
+        for c0, null, t_row, eta_row in zip(c0s, k_star == 0, t, eta):
+            inputs = t_row * inverse[c0] % q if c0 else t_row
+            rows.append((None if null else c0, inputs.tolist(), eta_row.tolist()))
+        return c0s, tests, accepted
+
+    return recorded, rows
 
 
 def solve_coordinate(j, shot, test_source, budget, m, xi_prime, *, s_true=None):
@@ -631,7 +667,7 @@ def solve_coordinate(j, shot, test_source, budget, m, xi_prime, *, s_true=None):
 def _scalar_reference(s, q, rows, budget, m, xi_prime):
     """solve_coordinate and m_trial_test over `rows` in order: coordinate j
     reads a row's candidate as s_j + c0 and tests it on that row's own
-    block of pairs (t, t s_j + eta')."""
+    block of pairs (a, a s_j + e)."""
     rows = iter(rows)
     per_coordinate = []
     for j in range(len(s)):
@@ -639,9 +675,9 @@ def _scalar_reference(s, q, rows, budget, m, xi_prime):
         block = []  # the current candidate's test pairs, next one last
 
         def shot():
-            k_d, k_star, t, eta = next(rows)
-            block[:] = [ReducedPair(a, (a * s_j + e) % q, e, 0, q) for a, e in zip(t, eta)][::-1]
-            [c0] = extract_candidates(np.array([k_d]), np.array([k_star]), q)
+            c0, inputs, errors = next(rows)
+            block[:] = [ReducedPair(a, (a * s_j + e) % q, e, 0, q) for a, e in zip(inputs, errors)]
+            block.reverse()
             return None if c0 is None else (s_j + c0) % q
 
         _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=s_j)
@@ -660,17 +696,17 @@ def _scalar_reference(s, q, rows, budget, m, xi_prime):
         (3, 11, 4, 1, 1, None),
     ],
 )
-def test_controlled_pass_matches_the_scalar_loop(n, q, budget, m, xi_prime, v_size):
+def test_controlled_pass_matches_the_scalar_loop(monkeypatch, n, q, budget, m, xi_prime, v_size):
     totals = dict.fromkeys(("accepted", "nulls", "rejected", "true_rejections"), 0)
     for seed in range(25):
         inst = _instance(n, q, 1, 1200 + seed)
         rng = derive_rng(1201, n, q, seed)
         if v_size is None and q < 400:
-            refill = _synthetic_refill(q, m, xi_prime, rng)
+            refill, rows = _recorded_synthetic(q, m, xi_prime, rng)
         else:
             refill = controlled_refills(inst, xi_prime, m, rng, v_size)
-        refill, rows = _recorded(refill)
-        per_coordinate = controlled_pass(inst.s, q, refill, budget, xi_prime)
+            refill, rows = _recorded_controlled(monkeypatch, refill, q)
+        per_coordinate = controlled_pass(inst.s, q, refill, budget)
         assert per_coordinate == _scalar_reference(inst.s, q, rows, budget, m, xi_prime)
         for st in per_coordinate:
             totals["accepted"] += st.accepted_value is not None
@@ -800,14 +836,14 @@ def test_controlled_sources_honor_v_size(monkeypatch):
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
     rng = derive_rng(98, 0)
     refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
-    controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
+    controlled_pass(inst.s, 101, refill, params.L)
     # Eight histograms of 25 pairs each; test_errors_and_inputs_are_arranged_
     # only_for_transformed_rows checks the inputs of the rows transformed.
     values, counts, _ = refills[0]
     assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 25).all()
     refills.clear()
     refill = controlled_refills(inst, params.xi_prime, params.M, rng)
-    controlled_pass(inst.s, 101, refill, params.L, params.xi_prime)
+    controlled_pass(inst.s, 101, refill, params.L)
     values, counts, _ = refills[0]
     assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 101).all()
 
