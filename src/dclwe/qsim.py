@@ -19,18 +19,18 @@ must agree (tests enforce it):
    marginal is exactly uniform, by Parseval over the D register) and
    then k_d from the conditional row. It measures a (k, m) stack of
    batches at once, one row per shot: it draws every row's k* and
-   uniform, then transform_rows draws every row's k_d with one batched
-   length-q transform. The elimination refill calls it,
-   sample_bv_outcome is its one-row view and sample_bv_outcomes its
-   view of one batch repeated. The controlled refill draws k* and the
-   uniforms itself and calls transform_rows only for the rows whose
-   candidate value it reads: an s-free row's k_d = 0 atom holds
-   |dc|^2 / (q m) of its mass, where the phase sum dc depends only on
-   how many of its pairs carry each error value, so the refill decides
-   every row's atom from its error histogram with atom_rows.
-   The phases and their int64 indices go into two flat tables kept for
-   the whole process, grown to its largest call: for a controlled solve
-   max(CHUNK_ENTRIES, q) x 24 B, about 1.5 MiB. On the full field the
+   uniform, then transform_rows draws every row's k_d, one batched
+   length-q transform per block of max(1, CHUNK_ENTRIES // q) rows. The
+   elimination refill calls it, sample_bv_outcome is its one-row view
+   and sample_bv_outcomes its view of one batch repeated. The controlled
+   refill draws k* and the uniforms itself and calls transform_rows only
+   for the rows whose candidate value it reads: an s-free row's k_d = 0
+   atom holds |dc|^2 / (q m) of its mass, where the phase sum dc depends
+   only on how many of its pairs carry each error value, so the refill
+   decides every row's atom from its error histogram with atom_rows.
+   A block's phases and int64 indices go into two flat tables kept for
+   the whole process, at most max(CHUNK_ENTRIES, q) x 24 B for any
+   caller, about 1.5 MiB up to q = 65536. On the full field the
    transform, the squares and the cdf overwrite the kept phase table.
    So the sampler is not re-entrant, and `--workers` runs solves in
    processes, each with its own tables.
@@ -60,11 +60,11 @@ from .reduce import ReducedBatch
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
 
-# Rows per sample_bv_stack call: at most CHUNK_ENTRIES // q, and the least
-# size of the kept phase and index tables, so 16 rows at q=4093 fill them
-# (1 MiB + 512 KiB). numpy plans a prime-length FFT (Bluestein) afresh on
-# every call, so rows measured together share that setup. 2^17 entries
-# measured no faster, at 3% more memory.
+# Rows per transform_rows block: at most max(1, CHUNK_ENTRIES // q), so the
+# kept phase and index tables never outgrow max(CHUNK_ENTRIES, q) entries;
+# 16 rows at q=4093 fill them (1 MiB + 512 KiB). numpy plans a prime-length
+# FFT (Bluestein) afresh on every call, so the rows of a block share that
+# setup. 2^17 entries measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -229,27 +229,33 @@ def transform_rows(
     Row i holds the pairs (a_values[i], b_values[i]); a_values may be a
     single row that every batch shares, and b_values may hold any
     representative of each b' mod q (an s-free row passes its errors
-    eta' as they are). Its phases come from _phases, and all rows go
-    through one batched length-q transform, which with the squares and
-    the cdf overwrites the phase table: no second (k, q) table. A row
+    eta' as they are). The rows go through one batched length-q
+    transform per block of max(1, CHUNK_ENTRIES // q) rows, and a row
+    draws the same k_d in any block. The transform, the squares and the
+    cdf overwrite the block's phases (_phases): no second table. A row
     whose conditional mass sum |x|^2 / m drifts from 1 (Parseval; a
     repeated input loses a phase) raises InvariantViolation.
     """
     m = b_values.shape[1]
-    x = _phases(q, a_values, b_values, k_star)
-    np.fft.ifft(x, axis=1, out=x)  # x[i, k] = (1/q) sum_a phases[i, a] w^{a k}
-    pairs = x.view(np.float64)
-    np.square(pairs, out=pairs)
-    cdf = pairs[:, 0::2]
-    np.add(cdf, pairs[:, 1::2], out=cdf)
-    np.cumsum(cdf, axis=1, out=cdf)
-    # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
-    total = cdf[:, -1]
-    drift = float(np.abs(total * (q / m) - 1.0).max())
-    if drift > NORM_TOL:
-        raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
-    # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
-    k_d = (cdf <= (u * total)[:, None]).sum(axis=1)
+    rows = max(1, CHUNK_ENTRIES // q)
+    k_d = np.empty(len(b_values), dtype=np.int64)
+    for start in range(0, len(k_d), rows):
+        block = slice(start, start + rows)
+        a_block = a_values if len(a_values) == 1 else a_values[block]
+        x = _phases(q, a_block, b_values[block], k_star[block])
+        np.fft.ifft(x, axis=1, out=x)  # x[i, k] = (1/q) sum_a phases[i, a] w^{a k}
+        pairs = x.view(np.float64)
+        np.square(pairs, out=pairs)
+        cdf = pairs[:, 0::2]
+        np.add(cdf, pairs[:, 1::2], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
+        total = cdf[:, -1]
+        drift = float(np.abs(total * (q / m) - 1.0).max())
+        if drift > NORM_TOL:
+            raise InvariantViolation(f"conditional mass drifted from 1 by {drift:.3e}")
+        # k_d is the count of cdf <= u * total, i.e. searchsorted(side="right").
+        k_d[block] = (cdf <= (u[block] * total)[:, None]).sum(axis=1)
     return np.minimum(k_d, q - 1)
 
 
@@ -282,13 +288,6 @@ def sample_bv_outcome(batch: ReducedBatch, rng: np.random.Generator) -> Measurem
 
 def sample_bv_outcomes(batch: ReducedBatch, rng: np.random.Generator, shots: int) -> np.ndarray:
     """`shots` post-kernel measurements of one batch, as (k_d, k*) rows of a
-    (shots, 2) array: sample_bv_stack on the batch's row repeated, in calls
-    of max(1, CHUNK_ENTRIES // q) rows. No q x q table is built."""
-    q = batch.q
-    out = np.empty((shots, 2), dtype=np.int64)
-    rows = max(1, CHUNK_ENTRIES // q)
-    for start in range(0, shots, rows):
-        chunk = out[start : start + rows]
-        b_rows = np.broadcast_to(batch.b_values, (len(chunk), batch.size))
-        chunk[:, 0], chunk[:, 1] = sample_bv_stack(q, batch.a_values[None], b_rows, rng)
-    return out
+    (shots, 2) array: sample_bv_stack on the batch's row repeated, no q x q table."""
+    b_rows = np.broadcast_to(batch.b_values, (shots, batch.size))
+    return np.column_stack(sample_bv_stack(batch.q, batch.a_values[None], b_rows, rng))

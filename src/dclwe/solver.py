@@ -24,8 +24,8 @@ into a coordinate's CoordinateStats, so the passes differ only in where
 their rows come from and in what happens to the rows a settled
 coordinate leaves.
 
-controlled_refills measures s-free batches (a', eta'), at most
-CHUNK_ENTRIES // q per refill, and judges each row once. By the Fourier
+controlled_refills measures s-free batches (a', eta'), as many as its
+coordinates ask for, and judges each row once. By the Fourier
 shift theorem the coordinate-j batch (a', a' s_j + eta') has the s-free
 outcome law moved along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*),
 so a row's offset c0 = -k_d / k* reads as s_j + c0 for every
@@ -88,8 +88,8 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Refill sizes of both passes: the first refill per coordinate, then at most
-# qsim.CHUNK_ENTRIES // q rows per sampler call.
+# Rows per coordinate in a refill: FIRST_CHUNK for each controlled coordinate
+# not yet run; an open elimination coordinate starts at FIRST_CHUNK and doubles.
 FIRST_CHUNK = 4
 
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -344,11 +344,11 @@ def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
     """Every coordinate of one controlled or baseline solve from one stream of refills.
 
-    A refill judges min(CHUNK_ENTRIES // q, FIRST_CHUNK * coordinates not
-    yet run, shots the solve may still take) rows at once. Coordinate j
-    takes rows in order up to its first accepted one or `budget` rows and
-    accepts s_j + c0; the rows it leaves go to the next coordinate with
-    their verdicts, which do not depend on s.
+    A refill judges min(FIRST_CHUNK * coordinates not yet run, shots the
+    solve may still take) rows at once. Coordinate j takes rows in order
+    up to its first accepted one or `budget` rows and accepts s_j + c0;
+    the rows it leaves go to the next coordinate with their verdicts,
+    which do not depend on s.
     """
     n = len(s)
     c0s: list[int] = []
@@ -362,7 +362,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
         s_j = int(s[j]) % q
         while stats.shots < budget:
             if row == len(c0s):
-                k = min(max(1, CHUNK_ENTRIES // q), FIRST_CHUNK * left, left * budget - stats.shots)
+                k = min(FIRST_CHUNK * left, left * budget - stats.shots)
                 c0s, tests, accepted = refill(k)
                 row = 0
             i = row
@@ -381,9 +381,9 @@ def elimination_pass(
     A refill serves every open coordinate, one neither settled nor out
     of budget. Coordinate j gets min(max(rows drawn, FIRST_CHUNK),
     budget - rows drawn, max(1, CHUNK_ENTRIES // (q * open coordinates)))
-    rows of its own, judged with the rest by row_verdicts. It scans them
-    up to its first accepted one and accepts c; the rows it leaves are
-    discarded, never carried to another coordinate.
+    rows of its own, judged with the rest by row_verdicts; the cap bounds
+    the (K, n, m) arrays the refill builds in reduce. It scans them up to
+    its first accepted one and accepts c, and discards the rest.
     """
     per_coordinate = [CoordinateStats(j=j) for j in range(len(s))]
     open_coords = list(range(len(s))) if budget > 0 else []

@@ -11,13 +11,11 @@ from dclwe import (
     FORM_FULL,
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
-    OUTCOME_WRONG_ACCEPT,
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
     BoundTooLarge,
     CoordinateStats,
     ErrorDistribution,
-    InfeasibleParameters,
     InvalidLength,
     ReducedBatch,
     baseline_coordinate_rate,

@@ -440,7 +440,7 @@ def test_stacked_sampler_matches_the_every_row_reference(case):
 
 
 def _sixteen_row_cases():
-    """16-row s-free stacks at q=4093, a full refill of the controlled solver."""
+    """16-row s-free stacks at q=4093, one full block of transform_rows."""
     rng = derive_rng(73, 0)
     q = 4093
     cases = {}
@@ -462,6 +462,35 @@ def test_sixteen_row_stacks_at_q4093_match_the_every_row_reference(case):
         ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
         assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
         assert rng.random() == ref_rng.random()
+
+
+def _long_stack_cases():
+    """Stacks at q=1031 longer than one block of CHUNK_ENTRIES // q = 63 rows."""
+    rng = derive_rng(85, 0)
+    q = 1031
+    eta = sample_errors(ErrorDistribution(GAUSSIAN, 2), rng, (200, q))
+    inputs = np.stack([rng.choice(q, size=300, replace=False) for _ in range(250)])
+    return {
+        "full field": (q, np.arange(q)[None], eta),
+        "partial rows": (q, inputs, sample_errors(ErrorDistribution(UNIFORM, 2), rng, (250, 300))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_long_stack_cases()))
+def test_long_stack_draws_the_every_row_reference_in_bounded_tables(case, monkeypatch):
+    # One call on more rows than a block: the same draws as one transform
+    # of every row, and no kept table beyond max(CHUNK_ENTRIES, q) entries.
+    monkeypatch.setattr(qsim, "_kept", {})
+    q, a_values, eta = _long_stack_cases()[case]
+    assert len(eta) > qsim.CHUNK_ENTRIES // q
+    for seed in range(2):
+        ref_rng, rng = derive_rng(86, seed), derive_rng(86, seed)
+        k_d, k_star = sample_bv_stack(q, a_values, eta, rng)
+        ref_k_d, ref_k_star = _every_row_sampler(q, a_values, eta, ref_rng)
+        assert np.array_equal(k_d, ref_k_d) and np.array_equal(k_star, ref_k_star)
+        assert rng.random() == ref_rng.random()
+    assert qsim._kept
+    assert all(table.size <= max(qsim.CHUNK_ENTRIES, q) for table in qsim._kept.values())
 
 
 @pytest.mark.parametrize("case", sorted(_reference_cases()))
@@ -694,8 +723,9 @@ def test_vectorized_sampler_agrees_with_the_grid():
 
 
 def test_repeated_batch_draws_stay_in_small_tables():
-    # The draws go through sample_bv_stack a few rows at a time, never
-    # through a q x q grid (17 MiB of complex values at q = 1031).
+    # The draws go through one sample_bv_stack call, transformed a block of
+    # rows at a time, never through a q x q grid (17 MiB of complex values
+    # at q = 1031).
     batch = _batch(5, 1031, range(1031), 2, 55)
     tracemalloc.start()
     try:

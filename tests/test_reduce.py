@@ -12,7 +12,6 @@ from dclwe import (
     InvalidLength,
     InvariantViolation,
     MODULUS_CEILING,
-    LweInstance,
     PrimeField,
     ReducedBatch,
     derive_rng,
@@ -23,7 +22,7 @@ from dclwe import (
     solve,
     synth_reduced_batch,
 )
-from dclwe.fq import is_prime, mat_inverse
+from dclwe.fq import is_prime
 from dclwe.instance import UNIFORM, Sample, draw_samples, gen_samples, samples_to_arrays
 from dclwe.reduce import (
     check_rows,

@@ -24,7 +24,7 @@ from dclwe import (
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField, mat_inverse
 from dclwe.instance import GAUSSIAN, UNIFORM, Sample
-from dclwe.qsim import atom_rows, extract_candidates
+from dclwe.qsim import CHUNK_ENTRIES, atom_rows, extract_candidates
 from dclwe.instance import sample_errors
 from dclwe.reduce import ReducedPair, check_rows, make_test_sample
 from dclwe.solver import (
@@ -278,8 +278,12 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
         inst = _instance(n, q, 1, 105)
         refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
         per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
-        sizes = [len(c0) for _, _, c0 in refills]
-        assert all(k * q <= solver_module.CHUNK_ENTRIES for k in sizes)
+        # A refill opened at the solve's row r, inside coordinate r // budget,
+        # holds FIRST_CHUNK = 4 rows per coordinate left, within the budget.
+        r = 0
+        for k in [len(c0) for _, _, c0 in refills]:
+            assert k == min(4 * (n - r // budget), n * budget - r)
+            r += k
         drawn = [c0 for _, _, rows in refills for c0 in rows]
         assert n * budget <= len(drawn) < n * budget + 4
         for j, stats in enumerate(per_coordinate):
@@ -321,14 +325,15 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
     assert rng.bit_generator.state == state
 
 
-def test_controlled_refill_at_q4093_holds_sixteen_rows(monkeypatch):
-    # Five coordinates ask for FIRST_CHUNK * 5 = 20 rows; the table cap cuts
-    # the first refill to CHUNK_ENTRIES // 4093 = 16.
+def test_controlled_refill_at_q4093_is_sized_by_its_coordinates(monkeypatch):
+    # Five coordinates ask for FIRST_CHUNK * 5 = 20 rows, more than
+    # CHUNK_ENTRIES // 4093 = 16: the refill judges all 20, and only
+    # transform_rows bounds its tables.
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(5, 4093, 1, 111)
     refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0)))
     controlled_pass(inst.s, 4093, refill, 30)
-    assert len(refills[0][2]) == 16 == solver_module.CHUNK_ENTRIES // 4093
+    assert len(refills[0][2]) == 20 > CHUNK_ENTRIES // 4093
 
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
@@ -545,8 +550,8 @@ def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v
             [(6, 7), (2, 3), (1, 2), (1, 2), (1, 2), (26, 27), (7, 8), (5, 6)],
             716670544,
         ),
-        # 36 rows over five coordinates: the first refill is cut to 16.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(4, 5), (2, 4), (14, 15), (2, 3), (14, 15)], 309642042),
+        # 17 rows over five coordinates, all from the first refill of 20.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (4, 5), (4, 5), (2, 3), (1, 2)], 565013089),
         (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (13, 14), (5, 8)], 18941742),
     ],
 )
