@@ -41,8 +41,8 @@ from .errors import (
     InvalidLength,
     InvariantViolation,
 )
-from .fq import PrimeField, check_dense_size, is_prime
-from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, make_instance
+from .fq import PrimeField, check_dense_size, is_prime, mat_inverse_stack
+from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance
 from .oracle import (
     FORM_DIVIDED,
     FORM_FULL,
@@ -53,7 +53,7 @@ from .oracle import (
     qram_cost,
 )
 from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_state, sample_bv_outcomes
-from .reduce import elimination_batch, kappa_observed, synth_reduced_batch
+from .reduce import eliminate_rows, elimination_batch, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
     MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
@@ -455,22 +455,27 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
             worst = max(worst, abs(out.norm_squared() - 1.0))
     check("kernel unitarity on 1e3 random states", worst < 1e-10, f"max drift {worst:.2e}")
 
-    # Elimination identity: b' = a' s_j + eta' and the L1 bound on eta'.
-    ok = True
+    # Elimination on real samples: for each invertible sample matrix A, the
+    # inverse row r for j has r A = e_j, and eliminate_rows on r and A's
+    # errors gives b' = a' (r . b) = a' s_j + eta' within the L1 bound.
+    ok, matrices = True, 0
     for _ in range(40):
         n = int(rng.integers(2, 6))
         q = int(rng.choice([11, 31, 101]))
         xi = int(rng.integers(0, 4))
-        chi = ErrorDistribution(UNIFORM, xi)
-        inst = make_instance(n, q, chi, rng)
+        inst = make_instance(n, q, ErrorDistribution(UNIFORM, xi), rng)
         j = int(rng.integers(n))
-        batch = elimination_batch(inst, j, rng.choice(q, size=min(q, 17), replace=False), rng)
-        lhs = batch.b_values % q
-        rhs = (batch.a_values * int(inst.s[j]) + batch.eta_values) % q
-        ok &= np.array_equal(lhs, rhs)
-        ok &= bool((np.abs(batch.eta_values) <= batch.coeff_l1_values * max(xi, 0)).all() or xi == 0)
-        ok &= kappa_observed(batch) == int(batch.coeff_l1_values.max())
-    check("elimination identity and amplification bound", ok)
+        a, b, e = draw_samples(inst, rng, (4, n))
+        inv, invertible = mat_inverse_stack(a, q)
+        a, b, e, r = a[invertible], b[invertible], e[invertible], inv[invertible, j]
+        a_values = rng.choice(q, size=min(q, 17), replace=False)[None]
+        stack = eliminate_rows(inst, r, e, a_values, j)
+        ok &= not (((r[:, :, None] * a).sum(axis=1) - np.eye(n, dtype=np.int64)[j]) % q).any()
+        ok &= np.array_equal(stack.b_values, a_values * ((r * b).sum(axis=1) % q)[:, None] % q)
+        ok &= not ((stack.b_values - a_values * int(inst.s[j]) - stack.eta_values) % q).any()
+        ok &= bool((np.abs(stack.eta_values) <= stack.coeff_l1_values * xi).all())
+        matrices += r.shape[0]
+    check("elimination identity and amplification bound", ok, f"{matrices} sample matrices")
 
     # The solver's stacked sampler agrees with the exact grid (chi-square, 4 sigma).
     q = 31

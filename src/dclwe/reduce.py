@@ -9,24 +9,24 @@ worst case over their pairs.
 
 Two ways to build a batch:
 
-- elimination: invert a matrix of n real samples and combine them;
-  the amplification is whatever the elimination produced, and it is
-  measured, never assumed.
+- elimination: combine n samples through row j of their matrix's
+  inverse; the amplification is whatever the elimination produced,
+  and it is measured, never assumed.
 - controlled: synthesize pairs whose errors are drawn directly within a
   declared bound xi', so probability statements downstream can be
   checked in isolation from the elimination's amplification behavior.
 
-Both build k batches at once, one per row of a stack. invertible_draws
-draws k sample matrices plus spares for the singular ones, inverts them
-with one batched Gauss-Jordan and keeps the first k invertible ones, so
-a second draw is rare; eliminate_rows combines all rows in one
-vectorised step, each through the inverse row of its own coordinate,
-summing each input's amplification over n contiguous planes, and
-validates the stack against each row's own measured bound with one
-check_rows call. elimination_batch is the two for one batch of one
-coordinate; make_test_sample runs the same combination for one input t
-over given samples, since a test pair is an elimination whose only
-input is t.
+Both build k batches at once, one per row of a stack. An elimination
+row uses only r, row j of its sample matrix's inverse, and r . b =
+s_j + r . e, e the matrix's n hidden errors. inverse_row_draws draws
+(r, e) directly, with the law of an invertible sample matrix, so no
+sample matrix is drawn or inverted; eliminate_rows combines all rows in
+one vectorised step, summing each input's amplification over n
+contiguous planes, and validates the stack against each row's own
+measured bound with one check_rows call.
+elimination_batch is the two for one batch of one coordinate;
+make_test_sample runs the same combination for one input t over given
+samples, since a test pair is an elimination whose only input is t.
 synth_reduced_batch draws one controlled batch's errors and adds them
 to a' s_j. A controlled refill draws each batch as its error histogram
 instead; check_window bounds the window it counts once per refill
@@ -50,13 +50,9 @@ from .errors import (
     DuplicateInput,
     InvalidLength,
     InvariantViolation,
-    SingularMatrix,
 )
-from .fq import PrimeField, mat_inverse, mat_inverse_stack
-from .instance import LweInstance, Sample, draw_samples, sample_errors, samples_to_arrays
-
-# Draws of sample matrices before invertible_draws gives up on a stack.
-MAX_REDRAWS = 64
+from .fq import PrimeField, mat_inverse
+from .instance import LweInstance, Sample, sample_errors, samples_to_arrays
 
 
 @dataclass(frozen=True)
@@ -137,14 +133,14 @@ class EliminationStack(NamedTuple):
 
 
 def _combine(
-    inv_rows: np.ndarray, b: np.ndarray, a_values: np.ndarray, s_j: int | np.ndarray, q: int
+    r: np.ndarray, rb: np.ndarray, a_values: np.ndarray, s_j: int | np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push each input a' of row i through row i's inverse row.
 
-    inv_rows and b are (k, n): row j(i) of each sample matrix's inverse
-    and the matching sample outputs. a_values is (k, m) or one shared
-    (1, m) row. The combination of a' is a' * inv_rows[i], linear in a',
-    so b' = a' * (inv_rows[i] . b[i]) = a' * s_j + eta' with eta' that
+    r is (k, n), row j(i) of each sample matrix's inverse, and rb the
+    (k,) column r[i] . b[i] mod q of the matching sample outputs. a_values
+    is (k, m) or one shared (1, m) row. The combination of a' is a' * r[i],
+    linear in a', so b' = a' * rb[i] = a' * s_j + eta' with eta' that
     combination of the hidden errors, recovered from the ground-truth s_j
     (one value or a (k, 1) column). Returns (b', eta', coeff_l1), each (k, m).
 
@@ -153,11 +149,11 @@ def _combine(
     step runs over whole contiguous rows of m.
     """
     field = PrimeField(q)
-    combos = inv_rows[:, :, None] * a_values[:, None, :]  # (k, n, m), below q^2
+    combos = r[:, :, None] * a_values[:, None, :]  # (k, n, m), below q^2
     np.remainder(combos, q, out=combos)
     np.minimum(combos, q - combos, out=combos)  # |centered combos|
     coeff_l1_values = combos.sum(axis=1)
-    b_values = a_values * ((inv_rows * b).sum(axis=1) % q)[:, None] % q
+    b_values = a_values * rb[:, None] % q
     eta_values = field.centered_array(b_values - a_values * s_j)
     return b_values, eta_values, coeff_l1_values
 
@@ -184,8 +180,9 @@ def make_test_sample(
     if not 0 <= j < n:
         raise InvalidLength(f"coordinate {j} out of range for n={n}")
     row = mat_inverse(a, q)[j]
+    rb = (row * b).sum(keepdims=True) % q
     b_prime, eta_prime, coeff_l1 = _combine(
-        row[None], b[None], np.array([[target]], dtype=np.int64), int(secret[j]), q
+        row[None], rb, np.array([[target]], dtype=np.int64), int(secret[j]), q
     )
     return ReducedPair(
         a_prime=target,
@@ -247,77 +244,66 @@ def synth_reduced_batch(
     )
 
 
-def _draw_count(q: int, n: int, k: int) -> int:
-    """Matrices to draw for k invertible n x n ones: k plus spares.
-
-    A uniform matrix is singular with probability p = 1 - prod_{i=1..n}
-    (1 - q^-i); the singular draws before the k-th invertible one have
-    mean k p / (1 - p) and standard deviation sqrt(k p) / (1 - p), and
-    the spares cover that mean plus four deviations.
-    """
-    p = 1.0 - math.prod(1.0 - float(q) ** -i for i in range(1, n + 1))
-    return k + math.ceil((k * p + 4.0 * math.sqrt(k * p)) / (1.0 - p))
-
-
-def invertible_draws(
+def inverse_row_draws(
     instance: LweInstance, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k fresh invertible n x n sample matrices: their (k, n, n) inverses
-    and (k, n) outputs.
+    """k elimination rows: their (k, n) inverse rows r and (k, n) hidden errors e.
 
-    One draw of k matrices plus spares (_draw_count) is inverted at once
-    and its first k invertible matrices, in draw order, are kept: i.i.d.
-    draws conditioned on being invertible. A draw that still falls short
-    is followed by one for the shortfall, sized the same way, and a stack
-    still short after MAX_REDRAWS draws raises SingularMatrix.
+    An elimination row reads only r, row j of the inverse of its n x n
+    sample matrix A, and r . b = s_j + r . e, where b = A s + e. For A
+    uniform on GL_n(F_q), A^-1 is uniform on GL_n(F_q) too, and GL_n acts
+    transitively on nonzero vectors, so r is uniform on F_q^n minus 0, for
+    every j; A is drawn independently of e, so r is too. This draws r
+    uniform on [0, q)^n, redrawing only the all-zero rows until none is
+    left, then e from chi: the law of the rows an invertible draw of
+    sample matrices gives, with no sample matrix drawn or inverted.
+    eliminate_rows forms r . b from the ground-truth s_j and e, so the
+    refills simulate the reduction's output law and materialise no
+    samples; make_test_sample and the selftest check the identity on
+    real samples.
     """
-    q, n = instance.q, instance.n
-    inv, b = np.empty((0, n, n), dtype=np.int64), np.empty((0, n), dtype=np.int64)
-    draws = 0
-    while inv.shape[0] < k:
-        if draws >= MAX_REDRAWS:
-            raise SingularMatrix(f"fewer than {k} invertible sample matrices in {MAX_REDRAWS} draws")
-        short = k - inv.shape[0]
-        a_draw, b_draw, _ = draw_samples(instance, rng, (_draw_count(q, n, short), n))
-        inv_draw, invertible = mat_inverse_stack(a_draw, q)
-        keep = np.flatnonzero(invertible)[:short]
-        inv, b = np.concatenate([inv, inv_draw[keep]]), np.concatenate([b, b_draw[keep]])
-        draws += 1
-    return inv, b
+    r = rng.integers(0, instance.q, size=(k, instance.n), dtype=np.int64)
+    zero = np.flatnonzero(~r.any(axis=1))
+    while zero.size:
+        r[zero] = rng.integers(0, instance.q, size=(zero.size, instance.n), dtype=np.int64)
+        zero = zero[~r[zero].any(axis=1)]
+    return r, sample_errors(instance.chi, rng, (k, instance.n))
 
 
 def eliminate_rows(
-    instance: LweInstance, inv: np.ndarray, b: np.ndarray, a_values: np.ndarray, j: int | np.ndarray
+    instance: LweInstance, r: np.ndarray, e: np.ndarray, a_values: np.ndarray, j: int | np.ndarray
 ) -> EliminationStack:
     """Batches by elimination, one per row of the (k, m) inputs: row i
-    pushes every input a' through row j(i) of inverse i.
+    pushes every input a' through its inverse row r[i] for coordinate j(i),
+    with r[i] . b = (s_j + r[i] . e[i]) mod q from its hidden errors e[i].
 
     j is one coordinate for every row or a (k,) array of them. Each
     row's bound xi' is its measured worst-case amplification times the
     instance bound, and one check_rows call validates the stack against
     those bounds.
     """
-    inv_rows = inv[np.arange(inv.shape[0]), j]
+    q = instance.q
     s_j = np.reshape(instance.s[j], (-1, 1))
-    b_values, eta_values, coeff_l1_values = _combine(inv_rows, b, a_values, s_j, instance.q)
+    rb = (s_j[:, 0] + (r * e).sum(axis=1)) % q
+    b_values, eta_values, coeff_l1_values = _combine(r, rb, a_values, s_j, q)
     kappa = coeff_l1_values.max(axis=1)
     xi_prime = kappa * instance.xi
-    check_rows(instance.q, a_values, eta_values, xi_prime)
+    check_rows(q, a_values, eta_values, xi_prime)
     return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
 
 
 def elimination_batch(
     instance: LweInstance, j: int, v: Iterable[int], rng: np.random.Generator
 ) -> ReducedBatch:
-    """Batch for coordinate j over inputs v from n fresh samples:
-    invertible_draws, then eliminate_rows, as a one-row stack.
+    """Batch for coordinate j over inputs v: one inverse_row_draws row,
+    then eliminate_rows, as a one-row stack.
 
-    One invertible sample matrix serves the whole batch, so each input's
-    error is that row's combined noise scaled by a'.
+    One elimination row serves the whole batch, so each input's error is
+    that row's combined noise scaled by a'.
     """
     a_values = _input_array(v, instance.q)
-    inv, b = invertible_draws(instance, 1, rng)
-    stack = eliminate_rows(instance, inv, b, a_values[None], j)
+    r, e = inverse_row_draws(instance, 1, rng)
+    stack = eliminate_rows(instance, r, e, a_values[None], j)
     return ReducedBatch(
         j=j,
         q=instance.q,

@@ -45,10 +45,11 @@ uniform arrangement, so shots, tests and verdicts keep their joint law,
 and c0 is drawn exactly when it becomes the accepted s_j + c0.
 
 elimination_pass runs every open coordinate in lockstep: each refill
-gives coordinate j the next chunk of its own rows, eliminated through
-row j of their own sample matrices' inverses (elimination_refills: one
-draw and one batched inversion for the batches and their test pairs,
-one sample_bv_stack call), and row_verdicts judges them at their own
+gives coordinate j the next chunk of its own rows, each eliminated
+through an inverse row r drawn by its law, with r . b formed from the
+ground-truth s_j and the row's hidden errors (elimination_refills: one
+inverse_row_draws call for the batches and their test pairs, one
+sample_bv_stack call), and row_verdicts judges them at their own
 c = -k_d / k*. Coordinate j accepts c, and the rows after its accepted
 one are discarded.
 
@@ -76,7 +77,7 @@ from .reduce import (
     check_rows,
     check_window,
     eliminate_rows,
-    invertible_draws,
+    inverse_row_draws,
 )
 
 MODE_CONTROLLED = "controlled"
@@ -274,10 +275,11 @@ def elimination_refills(
     """Refill source of one elimination solve: coordinate per row -> (k_d, k*, t, b').
 
     Each call draws the K rows' inputs, a (K, m) block of test inputs t
-    uniform on [1, q) and K * (1 + m) invertible sample matrices: the
-    first K make the batches, the rest the test pairs, m per row in row
-    order, each eliminated for its row's coordinate and checked against
-    its measured bound. One sample_bv_stack call measures the batches.
+    uniform on [1, q) and, in one inverse_row_draws call, K * (1 + m)
+    elimination rows: the first K make the batches, the rest the test
+    pairs, m per row in row order, each eliminated for its row's
+    coordinate and checked against its measured bound. One
+    sample_bv_stack call measures the batches.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
@@ -288,9 +290,9 @@ def elimination_refills(
         k = coords.size
         a_values = inputs(k)
         t = rng.integers(1, q, size=(k, m))
-        inv, b = invertible_draws(instance, k * (1 + m), rng)
-        batches = eliminate_rows(instance, inv[:k], b[:k], a_values, coords)
-        tests = eliminate_rows(instance, inv[k:], b[k:], t.reshape(-1, 1), np.repeat(coords, m))
+        r, e = inverse_row_draws(instance, k * (1 + m), rng)
+        batches = eliminate_rows(instance, r[:k], e[:k], a_values, coords)
+        tests = eliminate_rows(instance, r[k:], e[k:], t.reshape(-1, 1), np.repeat(coords, m))
         k_d, k_star = sample_bv_stack(q, a_values, batches.b_values, rng)
         return k_d, k_star, t, tests.b_values.reshape(k, m)
 

@@ -54,7 +54,7 @@ INTERNAL = {
     ),
     "reduce": (
         "EliminationStack", "ReducedPair", "check_histograms", "check_rows", "check_window",
-        "eliminate_rows", "invertible_draws", "kappa_observed", "make_test_sample",
+        "eliminate_rows", "inverse_row_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (
         "amplified_law", "classify", "controlled_pass", "controlled_refills",

@@ -1,10 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from dclwe import (
-    MODE_ELIMINATION,
     BoundTooLarge,
     DegenerateTest,
     DuplicateInput,
@@ -15,25 +15,19 @@ from dclwe import (
     PrimeField,
     ReducedBatch,
     derive_rng,
-    SingularMatrix,
-    choose_parameters,
     elimination_batch,
     make_instance,
-    solve,
     synth_reduced_batch,
 )
-from dclwe.fq import is_prime
+from dclwe.fq import is_prime, mat_inverse_stack
 from dclwe.instance import UNIFORM, Sample, draw_samples, gen_samples, samples_to_arrays
 from dclwe.reduce import (
     check_rows,
     eliminate_rows,
-    invertible_draws,
+    inverse_row_draws,
     kappa_observed,
-    _draw_count,
     make_test_sample,
 )
-import dclwe.reduce
-from dclwe import solver as solver_module
 
 
 def _noisy_instance(n, q, xi, seed, kind=UNIFORM):
@@ -259,19 +253,25 @@ def test_elimination_stack_rows_satisfy_their_own_identity():
     q, xi = 101, 2
     inst, rng = _noisy_instance(3, q, xi, 70)
     a_values = np.broadcast_to(np.arange(q), (12, q))
-    inv, b = invertible_draws(inst, 12, rng)
-    stack = eliminate_rows(inst, inv, b, a_values, 2)
+    r, e = inverse_row_draws(inst, 12, rng)
+    assert r.shape == e.shape == (12, 3) and r.any(axis=1).all()
+    assert ((0 <= r) & (r < q)).all() and (np.abs(e) <= xi).all()
+    stack = eliminate_rows(inst, r, e, a_values, 2)
     s_j = int(inst.s[2])
     assert stack.b_values.shape == stack.eta_values.shape == (12, q)
     assert not ((stack.b_values - a_values * s_j - stack.eta_values) % q).any()
     assert np.array_equal(stack.kappa, stack.coeff_l1_values.max(axis=1))
     assert np.array_equal(stack.xi_prime, stack.kappa * xi)
     assert (np.abs(stack.eta_values).max(axis=1) <= stack.xi_prime).all()
-    # Within a row eta'(a') = a' * r, r the row's combined noise (its a' = 1 error).
-    r = stack.eta_values[:, 1]
-    assert not ((stack.eta_values - a_values * r[:, None]) % q).any()
-    # Each row eliminates its own sample matrix, so r varies across the stack.
-    assert np.unique(r).size > 1
+    # Within a row eta'(a') = a' * (r . e), the row's combined noise (its a' = 1 error).
+    noise = stack.eta_values[:, 1]
+    assert not ((noise - (r * e).sum(axis=1)) % q).any()
+    assert not ((stack.eta_values - a_values * noise[:, None]) % q).any()
+    # The amplification of a' is the L1 norm of the centered a' * r.
+    l1 = np.abs(PrimeField(q).centered_array(a_values[:, None, :] * r[:, :, None])).sum(axis=1)
+    assert np.array_equal(stack.coeff_l1_values, l1)
+    # Each row has its own inverse row, so the noise varies across the stack.
+    assert np.unique(noise).size > 1
 
 
 def _inverse_mod(a, q):
@@ -350,7 +350,9 @@ def test_eliminate_rows_matches_a_per_pair_reference(q):
     ]
     for a_values, j, per_row in blocks:
         inv, b, eta = _python_draws(inst, len(per_row), rng)
-        stack = eliminate_rows(inst, inv, b, a_values, j)
+        # eliminate_rows sees only row j of each inverse and the hidden errors;
+        # the reference combines the real outputs b.
+        stack = eliminate_rows(inst, inv[np.arange(len(per_row)), per_row], eta, a_values, j)
         b_ref, eta_ref, l1_ref, kappa_ref = _pairs_by_hand(inst, inv, b, eta, a_values, per_row)
         assert stack.b_values.tolist() == b_ref
         assert stack.eta_values.tolist() == eta_ref
@@ -359,90 +361,46 @@ def test_eliminate_rows_matches_a_per_pair_reference(q):
         assert stack.xi_prime.tolist() == [kappa * xi for kappa in kappa_ref]
 
 
-def _spy_on_draws(monkeypatch):
-    """Record every block of samples invertible_draws draws, as (a, b)."""
-    drawn = []
-    real_draw = dclwe.reduce.draw_samples
-
-    def spy(instance, rng, shape):
-        out = real_draw(instance, rng, shape)
-        drawn.append(out[:2])
-        return out
-
-    monkeypatch.setattr(dclwe.reduce, "draw_samples", spy)
-    return drawn
-
-
-def _replay_draws(drawn, k, q, n):
-    """The (matrix, outputs) pairs invertible_draws must keep: the first k
-    invertible matrices over its draws in order. Each draw is k plus spares,
-    or the shortfall plus spares, and comes only while the kept fall short."""
-    kept = []
-    for a, b in drawn:
-        short = k - len(kept)
-        assert short > 0 and a.shape == (_draw_count(q, n, short), n, n)
-        kept += [(mat, out) for mat, out in zip(a, b) if _inverse_mod(mat.tolist(), q)][:short]
-    assert len(kept) == k
-    return kept
+@pytest.mark.parametrize("q, n", [(3, 3), (5, 2)])
+def test_inverse_rows_of_every_invertible_matrix_cover_the_nonzero_vectors_evenly(q, n):
+    # The law inverse_row_draws draws, checked exactly: over all of GL_n(F_q),
+    # row j of the inverse takes every nonzero vector |GL_n| / (q^n - 1) times.
+    a = np.array(list(itertools.product(range(q), repeat=n * n)), dtype=np.int64)
+    inv, invertible = mat_inverse_stack(a.reshape(-1, n, n), q)
+    order = math.prod(q**n - q**i for i in range(n))
+    assert int(invertible.sum()) == order  # 11232 of 19683 at q = 3, n = 3
+    powers = q ** np.arange(n)
+    for j in range(n):
+        hits = np.bincount(inv[invertible, j] @ powers, minlength=q**n)
+        assert hits[0] == 0
+        assert (hits[1:] == order // (q**n - 1)).all()
 
 
-def test_elimination_stack_redraws_only_singular_rows(monkeypatch):
-    # At q = 3 about 43% of 3 x 3 matrices are singular, and a draw's spares
-    # fall short of k a few times in a thousand; draw one-matrix stacks until
-    # one does.
-    q, n = 3, 3
-    inst, rng = _noisy_instance(n, q, 1, 71)
-    drawn = _spy_on_draws(monkeypatch)
-    assert _draw_count(q, n, 24) > 24
-    for call in range(3000):
-        k = 24 if call == 0 else 1
-        drawn.clear()
-        inv, b = invertible_draws(inst, k, rng)
-        kept = _replay_draws(drawn, k, q, n)
-        assert [_inverse_mod(mat.tolist(), q) for mat, _ in kept] == inv.tolist()
-        assert [out.tolist() for _, out in kept] == b.tolist()
-        if len(drawn) > 1:
-            break
-    assert len(drawn) > 1
-    # With a' = 1 a row's combination is row 0 of its kept matrix's inverse.
-    stack = eliminate_rows(inst, inv, b, np.ones((1, 1), dtype=np.int64), 0)
-    field = PrimeField(q)
-    row_l1 = [sum(abs(field.centered(x)) for x in row[0]) for row in inv.tolist()]
-    assert stack.coeff_l1_values[:, 0].tolist() == row_l1
-    assert not ((stack.b_values - int(inst.s[0]) - stack.eta_values) % q).any()
-    # A stack still short after MAX_REDRAWS draws is refused.
-    spy = dclwe.reduce.draw_samples
+class _ScriptedRng:
+    """A generator whose integer draws of shape (k, n) come from a script,
+    recording every size asked for; other draws go to a real generator."""
 
-    def all_singular(instance, rng, shape):
-        a, b, eta = spy(instance, rng, shape)
-        return 0 * a, b, eta
+    def __init__(self, script, rng):
+        self.script, self.rng, self.sizes = list(script), rng, []
 
-    monkeypatch.setattr(dclwe.reduce, "draw_samples", all_singular)
-    drawn.clear()
-    with pytest.raises(SingularMatrix):
-        invertible_draws(inst, 4, rng)
-    assert len(drawn) == dclwe.reduce.MAX_REDRAWS
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        self.sizes.append(size)
+        if self.script:
+            out = np.array(self.script.pop(0), dtype=dtype).reshape(size)
+            assert ((low <= out) & (out < high)).all()
+            return out
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
-def test_elimination_refills_rarely_draw_twice(monkeypatch):
-    # About 1% of 3 x 3 matrices are singular at q = 101; without spares,
-    # 72% of these refills drew a second block for them.
-    drawn = _spy_on_draws(monkeypatch)
-    refills = []
-    real_draws = solver_module.invertible_draws
-
-    def counted(instance, k, rng):
-        refills.append(k)
-        return real_draws(instance, k, rng)
-
-    monkeypatch.setattr(solver_module, "invertible_draws", counted)
-    params = choose_parameters(3, 101, 1, 2.0, 0.2)
-    for i in range(200):
-        rng = derive_rng(4242, i)
-        inst = make_instance(3, 101, ErrorDistribution(UNIFORM, 1), rng)
-        solve(inst, params, MODE_ELIMINATION, rng)
-    assert len(refills) >= 1000
-    assert len(drawn) - len(refills) <= 0.01 * len(refills)
+def test_inverse_row_draws_redraw_only_the_zero_rows():
+    # At q = 3, n = 1 a third of the rows are zero. Rows 0, 2 and 4 draw 0;
+    # the redraw of those three gives 0, 1, 0, and rows 0 and 4 draw again.
+    inst, rng = _noisy_instance(1, 3, 1, 73)
+    stub = _ScriptedRng([[0, 2, 0, 1, 0], [0, 1, 0], [2, 1]], rng)
+    r, e = inverse_row_draws(inst, 5, stub)
+    assert r.ravel().tolist() == [2, 2, 1, 1, 1]
+    assert stub.sizes == [(5, 1), (3, 1), (2, 1), (5, 1)]  # the last draws the errors
+    assert e.shape == (5, 1) and (np.abs(e) <= 1).all()
 
 
 def test_elimination_batch_identity_and_amplification():

@@ -22,11 +22,11 @@ from dclwe import (
     solve,
 )
 from dclwe import solver as solver_module
-from dclwe.fq import PrimeField, mat_inverse
-from dclwe.instance import GAUSSIAN, UNIFORM, Sample
+from dclwe.fq import PrimeField
+from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.qsim import CHUNK_ENTRIES, atom_rows, extract_candidates
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedPair, check_rows, make_test_sample
+from dclwe.reduce import ReducedPair, check_rows
 from dclwe.solver import (
     _verdicts,
     amplified_bound,
@@ -572,14 +572,14 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 93), (87, 91), (87, 93)], 671658735),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (3, 5)], 293069126),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 90), (87, 92)], 305988543),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(8, 11), (3, 5), (2, 4)], 746146400),
     ],
 )
 def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
 ):
-    # As for the controlled stream: one changed draw of a sample matrix,
+    # As for the controlled stream: one changed draw of an elimination row,
     # a test input or a kernel shot moves a count or the next draw.
     rng = derive_rng(702, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
@@ -866,8 +866,8 @@ def _spy_on_eliminations(monkeypatch):
     blocks = []
     real = solver_module.eliminate_rows
 
-    def spy(instance, inv, b, a_values, coords):
-        stack = real(instance, inv, b, a_values, coords)
+    def spy(instance, r, e, a_values, coords):
+        stack = real(instance, r, e, a_values, coords)
         blocks.append((a_values, coords, stack))
         return stack
 
@@ -943,15 +943,15 @@ def test_solve_refuses_a_bound_that_does_not_fit_below_half_q_before_drawing(mod
 
 def _recorded_eliminations(monkeypatch, refill):
     """Wrap an elimination refill and record, per call, the rows' coordinates,
-    the final sample draws (inverses, outputs), the measured batches
-    (a', b') and the refill's output."""
+    the elimination rows drawn (inverse rows r, hidden errors e), the measured
+    batches (a', b') and the refill's output."""
     calls = []
     current = {}
-    real_draws, real_measure = solver_module.invertible_draws, solver_module.sample_bv_stack
+    real_draws, real_measure = solver_module.inverse_row_draws, solver_module.sample_bv_stack
 
     def draws(instance, k, rng):
-        current["inv"], current["b"] = real_draws(instance, k, rng)
-        return current["inv"], current["b"]
+        current["r"], current["e"] = real_draws(instance, k, rng)
+        return current["r"], current["e"]
 
     def measure(q, a_values, b_values, rng):
         current["a_values"], current["b_values"] = a_values, b_values
@@ -962,24 +962,23 @@ def _recorded_eliminations(monkeypatch, refill):
         calls.append(dict(current, coords=coords.tolist(), out=out))
         return out
 
-    monkeypatch.setattr(solver_module, "invertible_draws", draws)
+    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
     monkeypatch.setattr(solver_module, "sample_bv_stack", measure)
     return recorded, calls
 
 
-def _samples(inst, inv, b):
-    """The n samples behind one recorded draw: its matrix is the inverse of inv."""
-    a = mat_inverse(inv, inst.q)
-    eta = (b - a @ inst.s + inst.q // 2) % inst.q - inst.q // 2
-    return [Sample(a=row, b=int(bi), eta=int(e)) for row, bi, e in zip(a, b, eta)]
+def _pair_by_hand(inst, r, e, j, a):
+    """The pair (a, a (r . b)) for coordinate j in Python ints, r . b = s_j + r . e."""
+    q, h = inst.q, inst.q // 2
+    noise = sum(int(x) * int(y) for x, y in zip(r, e))
+    return ReducedPair(a, a * (int(inst.s[j]) + noise) % q, (a * noise + h) % q - h, 0, q)
 
 
 def _scalar_elimination(inst, calls, budget, m, xi_prime):
     """solve_coordinate and m_trial_test on the recorded draws: coordinate j
-    takes its own rows in order, checks each measured batch against the
-    one-input elimination of that row's samples for j, and tests each
-    candidate on pairs it eliminates itself from the row's own m test
-    draws with make_test_sample."""
+    takes its own rows in order, checks each measured batch against its
+    row's (r, e) combined by hand, and tests each candidate on pairs it
+    forms by hand from the row's own m test draws."""
     q = inst.q
     per_coordinate = []
     for j in range(inst.n):
@@ -991,24 +990,17 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
 
         def shot():
             call, i = next(rows)
-            k = len(call["coords"])
-            samples = _samples(inst, call["inv"][i], call["b"][i])
-            # A row's combination of a' is a' times its combination of 1.
-            unit = make_test_sample(samples, j, 1, inst.s, q).b_prime
-            a_row = call["a_values"][i if call["a_values"].shape[0] > 1 else 0]
-            assert call["b_values"][i].tolist() == (a_row * unit % q).tolist()
+            k, r, e = len(call["coords"]), call["r"], call["e"]
+            a_row = call["a_values"][i if call["a_values"].shape[0] > 1 else 0].tolist()
+            by_hand = [_pair_by_hand(inst, r[i], e[i], j, a).b_prime for a in a_row]
+            assert call["b_values"][i].tolist() == by_hand
             t = call["out"][2][i].tolist()
-            draws = [(call["inv"][k + i * m + r], call["b"][k + i * m + r]) for r in range(m)]
-            block[:] = [
-                lambda t_r=t_r, d=d: make_test_sample(_samples(inst, *d), j, t_r, inst.s, q)
-                for t_r, d in zip(t, draws)
-            ][::-1]
+            tests = [k + i * m + d for d in range(m)]
+            block[:] = [_pair_by_hand(inst, r[d], e[d], j, t_d) for t_d, d in zip(t, tests)][::-1]
             k_d, k_star = call["out"][0][i], call["out"][1][i]
             return extract_candidates(np.array([k_d]), np.array([k_star]), q)[0]
 
-        _, stats = solve_coordinate(
-            j, shot, lambda: block.pop()(), budget, m, xi_prime, s_true=s_j
-        )
+        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=s_j)
         per_coordinate.append(stats)
     return per_coordinate
 
