@@ -20,14 +20,17 @@ must agree (tests enforce it):
    then k_d from the conditional row. It measures a (k, m) stack of
    batches at once, one row per shot: it draws every row's k* and
    uniform, then transform_rows draws every row's k_d, one batched
-   length-q transform per block of max(1, CHUNK_ENTRIES // q) rows. The
-   elimination refill calls it, sample_bv_outcome is its one-row view
-   and sample_bv_outcomes its view of one batch repeated. The controlled
-   refill draws k* and the uniforms itself and calls transform_rows only
-   for the rows whose candidate value it reads: an s-free row's k_d = 0
-   atom holds |dc|^2 / (q m) of its mass, where the phase sum dc depends
-   only on how many of its pairs carry each error value, so the refill
-   decides every row's atom from its error histogram with atom_rows.
+   length-q transform per block of max(1, CHUNK_ENTRIES // q) rows.
+   sample_bv_outcome is its one-row view and sample_bv_outcomes its view
+   of one batch repeated. The solver's refills draw k* and the uniforms
+   themselves and decide every row's k_d = 0 atom with atom_rows: an
+   s-free row's atom holds |dc|^2 / (q m) of its mass, where the phase
+   sum dc depends only on how many of its pairs carry each error value.
+   The controlled refill transforms only the rows whose candidate value
+   it reads. The elimination refill measures each batch b' = a' sigma
+   as its s-free row (a', 0) moved by sigma (the shift identity below),
+   whose atom holds m / q: a full-field row is on it, and only partial
+   rows off it are transformed.
    A block's phases and int64 indices go into two flat tables kept for
    the whole process, at most max(CHUNK_ENTRIES, q) x 24 B for any
    caller, about 1.5 MiB up to q = 65536. On the full field the

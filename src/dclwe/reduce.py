@@ -123,13 +123,14 @@ def _input_array(v: Iterable[int], q: int) -> np.ndarray:
 
 class EliminationStack(NamedTuple):
     """k eliminated batches, one per row, each for its row's coordinate; every
-    array is (k, m) except the per-row measured amplification and bound."""
+    array is (k, m) except the per-row ones marked (k,)."""
 
     b_values: np.ndarray
     eta_values: np.ndarray  # ground truth, harness only
     coeff_l1_values: np.ndarray
     kappa: np.ndarray  # (k,) worst coeff_l1 of each row
     xi_prime: np.ndarray  # (k,) kappa * xi
+    rb: np.ndarray  # (k,) r . b = s_j + r . e mod q, so each b' = a' rb
 
 
 def _combine(
@@ -289,7 +290,7 @@ def eliminate_rows(
     kappa = coeff_l1_values.max(axis=1)
     xi_prime = kappa * instance.xi
     check_rows(q, a_values, eta_values, xi_prime)
-    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
+    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime, rb)
 
 
 def elimination_batch(

@@ -48,10 +48,13 @@ elimination_pass runs every open coordinate in lockstep: each refill
 gives coordinate j the next chunk of its own rows, each eliminated
 through an inverse row r drawn by its law, with r . b formed from the
 ground-truth s_j and the row's hidden errors (elimination_refills: one
-inverse_row_draws call for the batches and their test pairs, one
-sample_bv_stack call), and row_verdicts judges them at their own
-c = -k_d / k*. Coordinate j accepts c, and the rows after its accepted
-one are discarded.
+inverse_row_draws call for the batches and their test pairs), and
+row_verdicts judges them at their own c = -k_d / k*. Every batch is
+noiseless at the moved secret sigma = r . b, b' = a' sigma, so it is
+measured as its s-free row moved by sigma: atom_rows decides the
+s-free row's k_d = 0 atom, a row on it reads c = sigma, and only a
+partial row off it is transformed. Coordinate j accepts c, and the rows
+after its accepted one are discarded.
 
 oracle.classical_baseline_solve runs controlled_pass too, over s-free
 direct pairs that no kernel measures, judged by row_verdicts. classify
@@ -71,7 +74,7 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import CHUNK_ENTRIES, atom_rows, sample_bv_stack, transform_rows
+from .qsim import CHUNK_ENTRIES, atom_rows, transform_rows
 from .reduce import (
     check_histograms,
     check_rows,
@@ -278,13 +281,20 @@ def elimination_refills(
     uniform on [1, q) and, in one inverse_row_draws call, K * (1 + m)
     elimination rows: the first K make the batches, the rest the test
     pairs, m per row in row order, each eliminated for its row's
-    coordinate and checked against its measured bound. One
-    sample_bv_stack call measures the batches.
+    coordinate and checked against its measured bound. Then k* and the
+    uniforms, as sample_bv_stack draws them. A batch b' = a' sigma, with
+    sigma = r . b its row's EliminationStack.rb, is its noiseless s-free
+    row (a', 0) moved by sigma (qsim's shift identity), so its
+    k_d = k_d0 - sigma k* with k_d0 drawn from that row, whose k_d0 = 0
+    atom holds v_size / q: atom_rows decides it. A full-field row is on
+    it and reads k_d = -sigma k*; only partial rows off it are
+    transformed, with k_d0 clamped to at least 1 as in controlled_refills.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
     inputs = _input_rows(q, v_size, rng)
+    error_free = np.zeros(1, dtype=np.int64)  # the one value of an s-free row's histogram
 
     def refill(coords: np.ndarray) -> Rows:
         k = coords.size
@@ -293,8 +303,12 @@ def elimination_refills(
         r, e = inverse_row_draws(instance, k * (1 + m), rng)
         batches = eliminate_rows(instance, r[:k], e[:k], a_values, coords)
         tests = eliminate_rows(instance, r[k:], e[k:], t.reshape(-1, 1), np.repeat(coords, m))
-        k_d, k_star = sample_bv_stack(q, a_values, batches.b_values, rng)
-        return k_d, k_star, t, tests.b_values.reshape(k, m)
+        k_star = rng.integers(q, size=k)
+        u = rng.random(k)
+        off = np.flatnonzero(~atom_rows(q, np.full((k, 1), a_values.shape[1]), error_free, k_star, u))
+        a_off, k_d0 = a_values[off], np.zeros(k, dtype=np.int64)
+        k_d0[off] = np.maximum(transform_rows(q, a_off, np.zeros_like(a_off), k_star[off], u[off]), 1)
+        return (k_d0 - batches.rb * k_star) % q, k_star, t, tests.b_values.reshape(k, m)
 
     return refill
 

@@ -688,6 +688,40 @@ def test_rows_decided_off_the_atom_never_draw_it(monkeypatch):
     assert transformed > 0
 
 
+@pytest.mark.parametrize("q", [7, 101, 4093])
+def test_full_field_rows_at_a_moved_secret_draw_only_their_point(q):
+    # b' = a' sigma is the noiseless s-free row moved by sigma, whose law on
+    # the full field is the one point k_d = -sigma k*: the elimination
+    # refill reads it without a transform, and the transform draws it too.
+    # At u = 0 the transform's rounding below the point gives k_d = 0.
+    rng = derive_rng(86, q)
+    k = 48
+    sigma, k_star, u = rng.integers(q, size=k), rng.integers(q, size=k), rng.random(k)
+    u[:2] = 1e-12, np.nextafter(1.0, 0.0)
+    assert (u > 0).all()
+    a_values = np.arange(q)[None]
+    k_d = qsim.transform_rows(q, a_values, a_values * sigma[:, None] % q, k_star, u)
+    assert np.array_equal(k_d, -sigma * k_star % q)
+
+
+@pytest.mark.parametrize("q", [7, 101, 4093])
+def test_a_one_bin_histogram_at_error_0_draws_the_atom_exactly_below_m_over_q(q):
+    # All m pairs at error 0 give dc = m for every k*, k* = 0 included, so
+    # the atom holds m / q of the mass and the row draws it when u q < m.
+    for m in sorted({1, 2, 5, q // 2, q - 1}):
+        u = np.full(7, m / q)
+        for i in range(3):  # the three doubles either side of m / q
+            u[2 - i] = np.nextafter(u[3 - i], 0.0)
+            u[4 + i] = np.nextafter(u[3 + i], 1.0)
+        expected = u * q < m
+        assert expected[0] and not expected[-1]
+        for k_star in (0, 1, q - 1):
+            ks = np.full(u.size, k_star)
+            counts = np.full((u.size, 1), m)
+            got = qsim.atom_rows(q, counts, np.zeros(1, dtype=np.int64), ks, u)
+            assert np.array_equal(got, expected)
+
+
 def test_root_table_is_bit_identical_to_elementwise_phases():
     for q in (7, 401, 4093):
         residues = np.outer(np.arange(q), np.arange(0, q, 97)) % q

@@ -24,9 +24,9 @@ from dclwe import (
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.qsim import CHUNK_ENTRIES, atom_rows, extract_candidates
+from dclwe.qsim import CHUNK_ENTRIES, atom_rows, extract_candidates, kernel_distribution
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedPair, check_rows
+from dclwe.reduce import ReducedBatch, ReducedPair, check_rows
 from dclwe.solver import (
     _verdicts,
     amplified_bound,
@@ -38,7 +38,7 @@ from dclwe.solver import (
 )
 from dclwe.verify import m_trial_test
 
-from _stats import binom_3sigma
+from _stats import binom_3sigma, chi_square_ok
 
 
 def _instance(n, q, xi, seed):
@@ -573,7 +573,7 @@ def test_controlled_stream_is_pinned(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
         (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 90), (87, 92)], 305988543),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(8, 11), (3, 5), (2, 4)], 746146400),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(5, 7), (4, 8), (1, 3)], 746146400),
     ],
 )
 def test_elimination_stream_is_pinned(
@@ -907,6 +907,61 @@ def test_elimination_mode_with_noise_stays_classified(monkeypatch):
     assert out.quantum_samples == sum(st.shots for st in out.per_coordinate) <= n * params.L
 
 
+@pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
+def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind, v_size):
+    # Each row's k_d, given its sigma = r . b and k*, against the closed-form
+    # grid of its own batch b' = a' sigma. Every row ranks its k_d values
+    # from most to least likely, and the ranks drawn are pooled over rows
+    # against the mean ranked law (chi-square).
+    q, k = 101, 1000
+    blocks = _spy_on_eliminations(monkeypatch)
+    inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
+    k_d, k_star, _, _ = elimination_refills(inst, 1, derive_rng(131, 1), v_size)(np.arange(k) % 3)
+    (a_values, _, batches), _ = blocks
+    expected, ranks = np.zeros(q), []
+    zeros = np.zeros(v_size, dtype=np.int64)
+    for a, sigma, ks, kd in zip(a_values, batches.rb, k_star, k_d):
+        law = kernel_distribution(ReducedBatch(0, q, a, a * sigma % q, zeros, zeros, 0, 1.0))[:, ks]
+        order = np.argsort(-law, kind="stable")
+        expected += law[order] * q
+        ranks.append(int(np.flatnonzero(order == kd)[0]))
+    assert chi_square_ok(np.bincount(ranks, minlength=q), expected / k, k)
+    on_atom = k_d == -batches.rb * k_star % q
+    assert 0 < on_atom.sum() < k  # rows on the atom and rows off it
+
+
+def test_elimination_rows_off_the_atom_are_transformed_as_their_s_free_rows(monkeypatch):
+    # Only partial rows that atom_rows puts off the atom reach the transform,
+    # each as its own inputs at error 0, and a k_d0 = 0 from it reads as 1:
+    # k_d = 1 - sigma k*. Every other row reads k_d = -sigma k*.
+    q = 101
+    blocks, decided, handed = _spy_on_eliminations(monkeypatch), [], []
+    real_atom = solver_module.atom_rows
+
+    def atom_spy(q, counts, values, k_star, u):
+        decided.append(real_atom(q, counts, values, k_star, u))
+        return decided[-1]
+
+    def zeros(q, a_values, b_values, k_star, u):
+        handed.append((a_values, b_values, k_star))
+        return np.zeros(len(k_star), dtype=np.int64)
+
+    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
+    monkeypatch.setattr(solver_module, "transform_rows", zeros)
+    inst = _instance(3, q, 1, 132)
+    for v_size in (40, None):
+        del blocks[:], decided[:], handed[:]
+        k_d, k_star, _, _ = elimination_refills(inst, 2, derive_rng(132, 0), v_size)(np.arange(64) % 3)
+        [atom] = decided
+        (a_values, _, batches), _ = blocks
+        [(a_off, b_off, k_star_off)] = handed
+        off = ~atom
+        assert np.array_equal(a_off, a_values[np.flatnonzero(off)]) and not b_off.any()
+        assert np.array_equal(k_star_off, k_star[off])
+        assert np.array_equal(k_d, (off - batches.rb * k_star) % q)
+        assert off.any() if v_size else not off.any()
+
+
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
 def test_solve_refuses_a_v_size_outside_the_field(mode):
     q = 101
@@ -944,26 +999,29 @@ def test_solve_refuses_a_bound_that_does_not_fit_below_half_q_before_drawing(mod
 def _recorded_eliminations(monkeypatch, refill):
     """Wrap an elimination refill and record, per call, the rows' coordinates,
     the elimination rows drawn (inverse rows r, hidden errors e), the measured
-    batches (a', b') and the refill's output."""
+    batches (a', b') from its first eliminate_rows call, and its output."""
     calls = []
     current = {}
-    real_draws, real_measure = solver_module.inverse_row_draws, solver_module.sample_bv_stack
+    real_draws, real_eliminate = solver_module.inverse_row_draws, solver_module.eliminate_rows
 
     def draws(instance, k, rng):
         current["r"], current["e"] = real_draws(instance, k, rng)
         return current["r"], current["e"]
 
-    def measure(q, a_values, b_values, rng):
-        current["a_values"], current["b_values"] = a_values, b_values
-        return real_measure(q, a_values, b_values, rng)
+    def eliminate(instance, r, e, a_values, coords):
+        stack = real_eliminate(instance, r, e, a_values, coords)
+        current.setdefault("a_values", a_values)  # the batches; their test pairs come next
+        current.setdefault("b_values", stack.b_values)
+        return stack
 
     def recorded(coords):
+        current.clear()
         out = refill(coords)
         calls.append(dict(current, coords=coords.tolist(), out=out))
         return out
 
     monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
-    monkeypatch.setattr(solver_module, "sample_bv_stack", measure)
+    monkeypatch.setattr(solver_module, "eliminate_rows", eliminate)
     return recorded, calls
 
 
