@@ -28,9 +28,9 @@ must agree (tests enforce it):
    sum dc depends only on how many of its pairs carry each error value.
    The controlled refill transforms only the rows whose candidate value
    it reads. The elimination refill measures each batch b' = a' sigma
-   as its s-free row (a', 0) moved by sigma (the shift identity below),
-   whose atom holds m / q: a full-field row is on it, and only partial
-   rows off it are transformed.
+   as its s-free row (a', 0) moved by sigma (the shift identity below)
+   and reads only the s-free row's k_d0: that row's atom holds m / q, a
+   full-field row is on it, and only partial rows off it are transformed.
    A block's phases and int64 indices go into two flat tables kept for
    the whole process, at most max(CHUNK_ENTRIES, q) x 24 B for any
    caller, about 1.5 MiB up to q = 65536. On the full field the

@@ -16,21 +16,24 @@ Two ways to build a batch:
   declared bound xi', so probability statements downstream can be
   checked in isolation from the elimination's amplification behavior.
 
-Both build k batches at once, one per row of a stack. An elimination
-row uses only r, row j of its sample matrix's inverse, and r . b =
-s_j + r . e, e the matrix's n hidden errors. inverse_row_draws draws
-(r, e) directly, with the law of an invertible sample matrix, so no
-sample matrix is drawn or inverted; eliminate_rows combines all rows in
-one vectorised step, summing each input's amplification over n
-contiguous planes, and validates the stack against each row's own
-measured bound with one check_rows call.
-elimination_batch is the two for one batch of one coordinate;
-make_test_sample runs the same combination for one input t over given
-samples, since a test pair is an elimination whose only input is t.
-synth_reduced_batch draws one controlled batch's errors and adds them
-to a' s_j. A controlled refill draws each batch as its error histogram
-instead; check_window bounds the window it counts once per refill
-source, and check_histograms checks each histogram's counts.
+An elimination row uses only r, row j of its sample matrix's inverse,
+and r . b = s_j + r . e, e the matrix's n hidden errors.
+inverse_row_draws draws (r, e) directly, with the law of an invertible
+sample matrix, so no sample matrix is drawn or inverted. The solver's
+elimination refill reads only r . e from them: its offsets and test
+residuals are s-free, and r . b = s_j + r . e is the identity they rest
+on. eliminate_rows builds whole batches from such rows for one
+coordinate, summing each input's amplification over n contiguous
+planes, and validates them against each row's own measured bound with
+one check_rows call; it serves elimination_batch (one batch, which the
+CLI's probe measures) and the selftest, which checks the identity on
+real sample matrices. make_test_sample runs the same combination for
+one input t over given samples, since a test pair is an elimination
+whose only input is t. synth_reduced_batch draws one controlled batch's
+errors and adds them to a' s_j. A controlled refill draws each batch as
+its error histogram instead; check_window bounds the window it counts
+once per refill source, and check_histograms checks each histogram's
+counts.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -122,7 +125,7 @@ def _input_array(v: Iterable[int], q: int) -> np.ndarray:
 
 
 class EliminationStack(NamedTuple):
-    """k eliminated batches, one per row, each for its row's coordinate; every
+    """k eliminated batches, one per row, all for one coordinate; every
     array is (k, m) except the per-row ones marked (k,)."""
 
     b_values: np.ndarray
@@ -130,11 +133,10 @@ class EliminationStack(NamedTuple):
     coeff_l1_values: np.ndarray
     kappa: np.ndarray  # (k,) worst coeff_l1 of each row
     xi_prime: np.ndarray  # (k,) kappa * xi
-    rb: np.ndarray  # (k,) r . b = s_j + r . e mod q, so each b' = a' rb
 
 
 def _combine(
-    r: np.ndarray, rb: np.ndarray, a_values: np.ndarray, s_j: int | np.ndarray, q: int
+    r: np.ndarray, rb: np.ndarray, a_values: np.ndarray, s_j: int, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Push each input a' of row i through row i's inverse row.
 
@@ -142,8 +144,8 @@ def _combine(
     (k,) column r[i] . b[i] mod q of the matching sample outputs. a_values
     is (k, m) or one shared (1, m) row. The combination of a' is a' * r[i],
     linear in a', so b' = a' * rb[i] = a' * s_j + eta' with eta' that
-    combination of the hidden errors, recovered from the ground-truth s_j
-    (one value or a (k, 1) column). Returns (b', eta', coeff_l1), each (k, m).
+    combination of the hidden errors, recovered from the ground-truth s_j.
+    Returns (b', eta', coeff_l1), each (k, m).
 
     The coefficients are formed as n planes of (k, m) per row, (k, n, m),
     reduced and centered in place, and summed plane by plane, so every
@@ -258,8 +260,8 @@ def inverse_row_draws(
     uniform on [0, q)^n, redrawing only the all-zero rows until none is
     left, then e from chi: the law of the rows an invertible draw of
     sample matrices gives, with no sample matrix drawn or inverted.
-    eliminate_rows forms r . b from the ground-truth s_j and e, so the
-    refills simulate the reduction's output law and materialise no
+    The solver's elimination refill reads r . e, and eliminate_rows forms
+    r . b from the ground-truth s_j and e, so neither materialises
     samples; make_test_sample and the selftest check the identity on
     real samples.
     """
@@ -272,25 +274,24 @@ def inverse_row_draws(
 
 
 def eliminate_rows(
-    instance: LweInstance, r: np.ndarray, e: np.ndarray, a_values: np.ndarray, j: int | np.ndarray
+    instance: LweInstance, r: np.ndarray, e: np.ndarray, a_values: np.ndarray, j: int
 ) -> EliminationStack:
-    """Batches by elimination, one per row of the (k, m) inputs: row i
-    pushes every input a' through its inverse row r[i] for coordinate j(i),
+    """Batches by elimination for coordinate j, one per row of the (k, m)
+    inputs: row i pushes every input a' through its inverse row r[i],
     with r[i] . b = (s_j + r[i] . e[i]) mod q from its hidden errors e[i].
 
-    j is one coordinate for every row or a (k,) array of them. Each
-    row's bound xi' is its measured worst-case amplification times the
-    instance bound, and one check_rows call validates the stack against
-    those bounds.
+    Each row's bound xi' is its measured worst-case amplification times
+    the instance bound, and one check_rows call validates the stack
+    against those bounds.
     """
     q = instance.q
-    s_j = np.reshape(instance.s[j], (-1, 1))
-    rb = (s_j[:, 0] + (r * e).sum(axis=1)) % q
+    s_j = int(instance.s[j])
+    rb = (s_j + (r * e).sum(axis=1)) % q
     b_values, eta_values, coeff_l1_values = _combine(r, rb, a_values, s_j, q)
     kappa = coeff_l1_values.max(axis=1)
     xi_prime = kappa * instance.xi
     check_rows(q, a_values, eta_values, xi_prime)
-    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime, rb)
+    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
 
 
 def elimination_batch(

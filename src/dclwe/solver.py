@@ -16,51 +16,50 @@ term is 0 and only nulls fail a coordinate, so L = ceil(ln(n/delta) / ln q),
 the least with q^-L <= delta/n. M is the least trial count pushing the false-accept union bound L*((2*xi'+1)/q)^M
 under delta/n.
 
-Both modes run as array passes over refills drawn from the solve's one
-stream. Each row carries its own block of M test pairs (t, b'): its
-candidate c faces residuals b' - t c, and one rule (_verdicts) counts
-the trials it uses and gives its verdict. _take_row turns a judged row
-into a coordinate's CoordinateStats, so the passes differ only in where
-their rows come from and in what happens to the rows a settled
-coordinate leaves.
+Every solve, controlled, elimination or the classical baseline, is one
+controlled_pass over refills drawn from the solve's one stream. A refill
+judges k s-free rows at once: each row carries its candidate offset c0
+and its own block of M test pairs (t, b'), whose residuals b' - t c0
+one rule (_verdicts) counts the trials of and gives its verdict.
+Coordinate j reads a row's candidate as s_j + c0 with that verdict,
+which does not depend on s, so the pass hands rows out in order and the
+rows a settled coordinate leaves go to the next one. _take_row turns a
+judged row into a coordinate's CoordinateStats. One rule sizes every
+refill (controlled_pass), so a coordinate that never settles costs
+O(log L) refills.
 
-controlled_refills measures s-free batches (a', eta'), as many as its
-coordinates ask for, and judges each row once. By the Fourier
+controlled_refills measures s-free batches (a', eta'). By the Fourier
 shift theorem the coordinate-j batch (a', a' s_j + eta') has the s-free
 outcome law moved along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*),
 so a row's offset c0 = -k_d / k* reads as s_j + c0 for every
-coordinate, with the same verdict. controlled_pass hands rows out in
-order; the rows a settled coordinate leaves go to the next one. A row's
-c0 is right exactly when it lands on the k_d = 0 atom, whose mass
-depends only on the row's error histogram (how many inputs carry each
-error value), so a refill draws the histograms, one multinomial row
-each, and qsim.atom_rows decides the atom from them. An atom row has
-c0 = 0 and residuals eta'. Off the atom c0 != 0, and for t uniform on
-[1, q) the product t c0 is uniform on [1, q) and independent of c0, so
-such a row is judged on residuals eta' - t at the stand-in c0 = 1. Only
-a row that passes every trial is built, as a uniform arrangement of its
-histogram over its inputs, and transformed (qsim.transform_rows) for
-its own c0. i.i.d. errors are exactly a multinomial histogram plus a
-uniform arrangement, so shots, tests and verdicts keep their joint law,
-and c0 is drawn exactly when it becomes the accepted s_j + c0.
+coordinate, with the same verdict. A row's c0 is right exactly when it
+lands on the k_d = 0 atom, whose mass depends only on the row's error
+histogram (how many inputs carry each error value), so a refill draws
+the histograms, one multinomial row each, and qsim.atom_rows decides the
+atom from them. An atom row has c0 = 0 and residuals eta'. Off the atom
+c0 != 0, and for t uniform on [1, q) the product t c0 is uniform on
+[1, q) and independent of c0, so such a row is judged on residuals
+eta' - t at the stand-in c0 = 1. Only a row that passes every trial is
+built, as a uniform arrangement of its histogram over its inputs, and
+transformed (qsim.transform_rows) for its own c0. i.i.d. errors are
+exactly a multinomial histogram plus a uniform arrangement, so shots,
+tests and verdicts keep their joint law, and c0 is drawn exactly when
+it becomes the accepted s_j + c0.
 
-elimination_pass runs every open coordinate in lockstep: each refill
-gives coordinate j the next chunk of its own rows, each eliminated
-through an inverse row r drawn by its law, with r . b formed from the
-ground-truth s_j and the row's hidden errors (elimination_refills: one
-inverse_row_draws call for the batches and their test pairs), and
-row_verdicts judges them at their own c = -k_d / k*. Every batch is
-noiseless at the moved secret sigma = r . b, b' = a' sigma, so it is
-measured as its s-free row moved by sigma: atom_rows decides the
-s-free row's k_d = 0 atom, a row on it reads c = sigma, and only a
-partial row off it is transformed. Coordinate j accepts c, and the rows
-after its accepted one are discarded.
+elimination_refills eliminates each row through an inverse row r drawn
+by its law (reduce.inverse_row_draws), with r . b = s_j + r . e for its
+hidden errors e. Its batch b' = a' (r . b) is noiseless at that moved
+secret, so it is measured as its s-free row (a', 0) moved by r . b:
+atom_rows decides the s-free row's k_d0 = 0 atom, and only a partial
+row off it is transformed. Its candidate is s_j + c0 with
+c0 = r . e - k_d0 / k*, and a test pair (t, t (s_j + r' . e')) leaves
+the residual t (r' . e' - c0): both are s-free, as in controlled mode.
 
-oracle.classical_baseline_solve runs controlled_pass too, over s-free
-direct pairs that no kernel measures, judged by row_verdicts. classify
-turns the per-coordinate records of any run into a SolveOutcome. In
-every mode the first accepted candidate is the one a shot-by-shot loop
-would accept, and no coordinate takes more than L shots.
+oracle.classical_baseline_solve draws s-free direct pairs that no
+kernel measures, judged by row_verdicts. classify turns the
+per-coordinate records of any run into a SolveOutcome. In every mode
+the first accepted candidate is the one a shot-by-shot loop would
+accept, and no coordinate takes more than L shots.
 """
 
 from __future__ import annotations
@@ -75,13 +74,7 @@ from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
 from .qsim import CHUNK_ENTRIES, atom_rows, transform_rows
-from .reduce import (
-    check_histograms,
-    check_rows,
-    check_window,
-    eliminate_rows,
-    inverse_row_draws,
-)
+from .reduce import check_histograms, check_rows, check_window, inverse_row_draws
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -92,17 +85,14 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Rows per coordinate in a refill: FIRST_CHUNK for each controlled coordinate
-# not yet run; an open elimination coordinate starts at FIRST_CHUNK and doubles.
+# Rows a refill holds for each coordinate not yet run, until the rows drawn
+# in the solve outgrow it (controlled_pass).
 FIRST_CHUNK = 4
 
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # Per row of a refill: its candidate offset c0, the tests it uses and its verdict
 Verdicts = tuple[list[int], list[int], list[bool]]
 # k -> the verdicts of k s-free rows
 Refill = Callable[[int], Verdicts]
-# coordinate of each row -> (k_d, k*) of its measured batch and its (k, M) test pairs (t, b')
-EliminationRefill = Callable[[np.ndarray], Rows]
 
 
 @dataclass(frozen=True)
@@ -273,42 +263,59 @@ def controlled_refills(
 
 
 def elimination_refills(
-    instance: LweInstance, m: int, rng: np.random.Generator, v_size: int | None = None
-) -> EliminationRefill:
-    """Refill source of one elimination solve: coordinate per row -> (k_d, k*, t, b').
+    instance: LweInstance,
+    xi_prime: int,
+    m: int,
+    rng: np.random.Generator,
+    v_size: int | None = None,
+) -> Refill:
+    """Refill source of one elimination solve: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws the K rows' inputs, a (K, m) block of test inputs t
-    uniform on [1, q) and, in one inverse_row_draws call, K * (1 + m)
-    elimination rows: the first K make the batches, the rest the test
-    pairs, m per row in row order, each eliminated for its row's
-    coordinate and checked against its measured bound. Then k* and the
-    uniforms, as sample_bv_stack draws them. A batch b' = a' sigma, with
-    sigma = r . b its row's EliminationStack.rb, is its noiseless s-free
-    row (a', 0) moved by sigma (qsim's shift identity), so its
-    k_d = k_d0 - sigma k* with k_d0 drawn from that row, whose k_d0 = 0
-    atom holds v_size / q: atom_rows decides it. A full-field row is on
-    it and reads k_d = -sigma k*; only partial rows off it are
-    transformed, with k_d0 clamped to at least 1 as in controlled_refills.
+    Each call draws the k rows' inputs, a (k, m) block of test inputs t
+    uniform on [1, q) and, in one inverse_row_draws call, k * (1 + m)
+    elimination rows (r, e): the first k make the batches, the rest the
+    test pairs, m per row in row order. Then k* and the uniforms, as
+    sample_bv_stack draws them. A batch b' = a' (s_j + r . e) is its
+    noiseless s-free row (a', 0) moved by s_j + r . e (qsim's shift
+    identity), so its candidate is s_j + c0 with c0 = r . e - k_d0 / k*,
+    where k_d0 is drawn from the s-free row, whose k_d0 = 0 atom holds
+    v_size / q: atom_rows decides it. A full-field row is on it; only a
+    non-null partial row off it is checked by check_rows and transformed,
+    with k_d0 clamped to at least 1 as in controlled_refills. A test pair
+    (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0), so each
+    row is judged by _verdicts on b' = t (r' . e'). The shared full-field
+    input row is checked once, here. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
+    size = q if v_size is None else v_size
     inputs = _input_rows(q, v_size, rng)
+    if size == q:
+        check_rows(q, inputs(1), np.zeros((1, q), dtype=np.int64), 0)  # the row every batch shares
+    field = PrimeField(q)
+    inverse = field.inverse_table()
     error_free = np.zeros(1, dtype=np.int64)  # the one value of an s-free row's histogram
 
-    def refill(coords: np.ndarray) -> Rows:
-        k = coords.size
+    def refill(k: int) -> Verdicts:
         a_values = inputs(k)
         t = rng.integers(1, q, size=(k, m))
         r, e = inverse_row_draws(instance, k * (1 + m), rng)
-        batches = eliminate_rows(instance, r[:k], e[:k], a_values, coords)
-        tests = eliminate_rows(instance, r[k:], e[k:], t.reshape(-1, 1), np.repeat(coords, m))
+        noise = (r * e).sum(axis=1) % q  # r . e of every elimination row
         k_star = rng.integers(q, size=k)
         u = rng.random(k)
-        off = np.flatnonzero(~atom_rows(q, np.full((k, 1), a_values.shape[1]), error_free, k_star, u))
-        a_off, k_d0 = a_values[off], np.zeros(k, dtype=np.int64)
-        k_d0[off] = np.maximum(transform_rows(q, a_off, np.zeros_like(a_off), k_star[off], u[off]), 1)
-        return (k_d0 - batches.rb * k_star) % q, k_star, t, tests.b_values.reshape(k, m)
+        atom = atom_rows(q, np.full((k, 1), size), error_free, k_star, u)
+        k_d0 = np.zeros(k, dtype=np.int64)
+        off = np.flatnonzero(~atom & (k_star != 0))
+        if off.size:
+            a_off = a_values[off]
+            b_off = np.zeros_like(a_off)
+            check_rows(q, a_off, b_off, 0)
+            k_d0[off] = np.maximum(transform_rows(q, a_off, b_off, k_star[off], u[off]), 1)
+        c0 = (noise[:k] - k_d0 * inverse[k_star]) % q
+        b = t * noise[k:].reshape(k, m)
+        tests, accepted = _verdicts(field, c0, t, b, xi_prime, k_star == 0)
+        return c0.tolist(), tests.tolist(), accepted.tolist()
 
     return refill
 
@@ -330,7 +337,7 @@ def _verdicts(
 def row_verdicts(
     q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int
 ) -> Verdicts:
-    """Per row of an elimination or baseline refill: its candidate
+    """Per row of a baseline refill: its candidate
     c = -k_d / k* mod q, the tests it uses and its verdict (_verdicts). A
     null (k* = 0) uses no tests, so the tests used are 0 exactly for nulls."""
     field = PrimeField(q)
@@ -358,19 +365,25 @@ def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_
 
 
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
-    """Every coordinate of one controlled or baseline solve from one stream of refills.
+    """Every coordinate of one solve, in any mode, from one stream of refills.
 
-    A refill judges min(FIRST_CHUNK * coordinates not yet run, shots the
-    solve may still take) rows at once. Coordinate j takes rows in order
-    up to its first accepted one or `budget` rows and accepts s_j + c0;
-    the rows it leaves go to the next coordinate with their verdicts,
-    which do not depend on s.
+    A refill judges k = min(max(FIRST_CHUNK * left, min(drawn,
+    CHUNK_ENTRIES // q)), left * budget - shots) rows at once, where
+    left counts the coordinates not yet run, drawn the rows drawn so far
+    in this solve and shots those of the current coordinate. Refills
+    double with the rows drawn, up to CHUNK_ENTRIES // q rows, so a
+    coordinate that never settles costs O(log L) of them, and no refill
+    holds more rows than the solve may still take. Coordinate j takes
+    rows in order up to its first accepted one or `budget` rows and
+    accepts s_j + c0; the rows it leaves go to the next coordinate with
+    their verdicts, which do not depend on s.
     """
     n = len(s)
     c0s: list[int] = []
     tests: list[int] = []
     accepted: list[bool] = []
     row = 0  # next unused row of the current refill
+    drawn = 0  # rows drawn so far in this solve
     per_coordinate = []
     for j in range(n):
         left = n - j  # coordinates not yet run, this one included
@@ -378,46 +391,16 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
         s_j = int(s[j]) % q
         while stats.shots < budget:
             if row == len(c0s):
-                k = min(FIRST_CHUNK * left, left * budget - stats.shots)
+                grown = max(FIRST_CHUNK * left, min(drawn, CHUNK_ENTRIES // q))
+                k = min(grown, left * budget - stats.shots)
                 c0s, tests, accepted = refill(k)
+                drawn += k
                 row = 0
             i = row
             row += 1
             if _take_row(stats, (s_j + c0s[i]) % q, tests[i], accepted[i], s_j):
                 break
         per_coordinate.append(stats)
-    return per_coordinate
-
-
-def elimination_pass(
-    s: np.ndarray, q: int, refill: EliminationRefill, budget: int, xi_prime: int
-) -> list[CoordinateStats]:
-    """Every coordinate of one elimination solve, in lockstep refills.
-
-    A refill serves every open coordinate, one neither settled nor out
-    of budget. Coordinate j gets min(max(rows drawn, FIRST_CHUNK),
-    budget - rows drawn, max(1, CHUNK_ENTRIES // (q * open coordinates)))
-    rows of its own, judged with the rest by row_verdicts; the cap bounds
-    the (K, n, m) arrays the refill builds in reduce. It scans them up to
-    its first accepted one and accepts c, and discards the rest.
-    """
-    per_coordinate = [CoordinateStats(j=j) for j in range(len(s))]
-    open_coords = list(range(len(s))) if budget > 0 else []
-    while open_coords:
-        cap = max(1, CHUNK_ENTRIES // (q * len(open_coords)))
-        drawn = [per_coordinate[j].shots for j in open_coords]  # an open one scanned them all
-        sizes = [min(max(d, FIRST_CHUNK), budget - d, cap) for d in drawn]
-        cs, tests, accepted = row_verdicts(q, *refill(np.repeat(open_coords, sizes)), xi_prime)
-        still_open = []
-        row = 0  # first row of coordinate j in this refill
-        for j, k in zip(open_coords, sizes):
-            stats, s_j = per_coordinate[j], int(s[j]) % q
-            rows = range(row, row + k)
-            settled = any(_take_row(stats, cs[i], tests[i], accepted[i], s_j) for i in rows)
-            if not settled and stats.shots < budget:
-                still_open.append(j)
-            row += k
-        open_coords = still_open
     return per_coordinate
 
 
@@ -445,11 +428,11 @@ def solve(
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
-    Either mode is one array pass over refills drawn from `rng`:
-    controlled_pass or elimination_pass. Before the first draw, v_size (inputs
-    per batch, the full field when None) must lie in [1, q], xi' and L must be
-    non-negative, and 2 xi' must lie below q (BoundTooLarge). Quantum samples
-    are checked against the n * L budget.
+    Either mode is one controlled_pass over its refills, controlled_refills
+    or elimination_refills, drawn from `rng`. Before the first draw, v_size
+    (inputs per batch, the full field when None) must lie in [1, q], xi' and
+    L must be non-negative, and 2 xi' must lie below q (BoundTooLarge).
+    Quantum samples are checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
@@ -461,12 +444,9 @@ def solve(
         raise BoundTooLarge(f"xi'={params.xi_prime} does not fit below q/2 for q={q}")
     if v_size is not None and not 1 <= v_size <= q:
         raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")
-    if mode == MODE_CONTROLLED:
-        refill = controlled_refills(instance, params.xi_prime, params.M, rng, v_size)
-        per_coordinate = controlled_pass(instance.s, q, refill, params.L)
-    else:
-        refill = elimination_refills(instance, params.M, rng, v_size)
-        per_coordinate = elimination_pass(instance.s, q, refill, params.L, params.xi_prime)
+    refills = controlled_refills if mode == MODE_CONTROLLED else elimination_refills
+    refill = refills(instance, params.xi_prime, params.M, rng, v_size)
+    per_coordinate = controlled_pass(instance.s, q, refill, params.L)
     quantum_samples = sum(st.shots for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(

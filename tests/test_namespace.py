@@ -58,7 +58,7 @@ INTERNAL = {
     ),
     "solver": (
         "amplified_law", "classify", "controlled_pass", "controlled_refills",
-        "elimination_pass", "elimination_refills",
+        "elimination_refills",
     ),
     "verify": ("TestVerdict", "delta", "m_trial_test"),
 }

@@ -343,10 +343,10 @@ def test_eliminate_rows_matches_a_per_pair_reference(q):
     else:
         shared = np.unique(np.r_[1, q - 1, q // 2, rng.integers(1, q, size=61)])[None]
     t = rng.integers(1, q, size=(k, m))
-    coords = rng.integers(0, inst.n, size=k)
+    coords = rng.integers(0, inst.n, size=2)
     blocks = [
         (shared, int(coords[0]), [int(coords[0])] * k),
-        (t.reshape(-1, 1), np.repeat(coords, m), np.repeat(coords, m).tolist()),
+        (t.reshape(-1, 1), int(coords[1]), [int(coords[1])] * (k * m)),
     ]
     for a_values, j, per_row in blocks:
         inv, b, eta = _python_draws(inst, len(per_row), rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -24,16 +25,22 @@ from dclwe import (
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.qsim import CHUNK_ENTRIES, atom_rows, extract_candidates, kernel_distribution
+from dclwe.qsim import (
+    CHUNK_ENTRIES,
+    atom_rows,
+    extract_candidates,
+    kernel_distribution,
+    transform_rows,
+)
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedBatch, ReducedPair, check_rows
+from dclwe.reduce import ReducedBatch, ReducedPair, check_rows, inverse_row_draws
 from dclwe.solver import (
+    _input_rows,
     _verdicts,
     amplified_bound,
     amplified_law,
     controlled_pass,
     controlled_refills,
-    elimination_pass,
     elimination_refills,
 )
 from dclwe.verify import m_trial_test
@@ -178,22 +185,11 @@ def test_zero_budget_consumes_nothing():
     assert requested == []
 
 
-def _recorded_coords(refill):
-    """An elimination refill source that also keeps each call's row coordinates."""
-    calls = []
-
-    def recorded(coords):
-        calls.append(coords.tolist())
-        return refill(coords)
-
-    return recorded, calls
-
-
 _CHUNK_CASES = (  # n, q, budget, xi, xi'
     (1, 401, 119, 1, -1),
     (1, 4093, 30, 1, -1),
     (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # a cap of 5 rows per coordinate while all three are open
+    (3, 4093, 30, 1, -1),  # refills grow to CHUNK_ENTRIES // q = 16 rows and stay there
     (3, 101, 87, 1, 2),
     # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
     # 0.1 here, so coordinates settle at different refills by construction.
@@ -202,44 +198,41 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
-    # Elimination mode's lockstep refills. At xi' = -1 no residual meets
-    # the bound, so every coordinate spends its whole budget; at xi' >= 2
-    # with one trial, coordinates settle at different refills.
+    # One rule sizes every refill. At xi' = -1 no residual meets the bound,
+    # so every coordinate spends its whole budget; at xi' >= 2 with one
+    # trial, coordinates settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
-        _check_elimination_chunks(n, q, budget, xi, xi_prime)
+        _check_chunks(n, q, budget, xi, xi_prime)
 
 
-def _check_elimination_chunks(n, q, budget, xi, xi_prime):
+def _check_chunks(n, q, budget, xi, xi_prime):
     inst = _instance(n, q, xi, 103)
-    refill, calls = _recorded_coords(elimination_refills(inst, 1, derive_rng(104, n, q)))
-    per_coordinate = elimination_pass(inst.s, q, refill, budget, xi_prime)
-    drawn = [0] * n
-    closed = {}  # coordinate -> the refill after which it is settled or spent
-    for r, coords in enumerate(calls):
-        open_coords = sorted(set(coords))
-        assert closed.keys().isdisjoint(open_coords)  # closed coordinates leave
-        assert len(coords) * q <= solver_module.CHUNK_ENTRIES
-        cap = max(1, solver_module.CHUNK_ENTRIES // (q * len(open_coords)))
-        for j in open_coords:
-            k = coords.count(j)
-            assert k == min(max(drawn[j], 4), budget - drawn[j], cap)  # per-coordinate doubling
-            drawn[j] += k
-            stats = per_coordinate[j]
-            if stats.accepted_value is not None and stats.shots <= drawn[j] or drawn[j] == budget:
-                closed[j] = r
-    assert sorted(closed) == list(range(n))
-    for j, stats in enumerate(per_coordinate):
-        assert stats.shots <= drawn[j] <= budget
-        if stats.accepted_value is None:
-            assert stats.shots == drawn[j] == budget
-        else:
-            # The accepted row lies in the coordinate's last chunk.
-            assert drawn[j] - stats.shots < [c.count(j) for c in calls if j in c][-1]
+    refill = elimination_refills(inst, xi_prime, 1, derive_rng(104, n, q))
+    sizes = []
+
+    def recorded(k):
+        sizes.append(k)
+        return refill(k)
+
+    per_coordinate = controlled_pass(inst.s, q, recorded, budget)
+    first = np.cumsum([0] + [st.shots for st in per_coordinate])  # each coordinate's first row
+    opened = 0  # the solve's row at which the refill opens
+    for k in sizes:
+        # The coordinate that asked: its rows run from first[j] up to first[j + 1].
+        j = int(np.searchsorted(first, opened, side="right")) - 1
+        left, shots = n - j, opened - first[j]
+        assert 0 <= shots < per_coordinate[j].shots
+        assert k == min(max(4 * left, min(opened, CHUNK_ENTRIES // q)), left * budget - shots)
+        assert k <= max(4 * n, CHUNK_ENTRIES // q)
+        opened += k
+    # Only the last refill leaves rows unused, and growth keeps refills few.
+    assert first[-1] <= opened < first[-1] + sizes[-1]
+    assert len(sizes) <= n + math.log2(n * budget)
     if xi_prime < 0:
-        assert all(st.shots == budget for st in per_coordinate)
+        assert all(st.shots == budget and st.accepted_value is None for st in per_coordinate)
     elif n > 1:
         assert any(st.accepted_value is not None for st in per_coordinate)
-        assert len(set(closed.values())) > 1
+        assert len({st.shots for st in per_coordinate}) > 1
 
 
 def _spy_on_refills(monkeypatch):
@@ -279,13 +272,14 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
         refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
         per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
         # A refill opened at the solve's row r, inside coordinate r // budget,
-        # holds FIRST_CHUNK = 4 rows per coordinate left, within the budget.
+        # holds FIRST_CHUNK = 4 rows per coordinate left, or the r rows drawn
+        # so far up to CHUNK_ENTRIES // q, within the budget.
         r = 0
         for k in [len(c0) for _, _, c0 in refills]:
-            assert k == min(4 * (n - r // budget), n * budget - r)
+            assert k == min(max(4 * (n - r // budget), min(r, CHUNK_ENTRIES // q)), n * budget - r)
             r += k
         drawn = [c0 for _, _, rows in refills for c0 in rows]
-        assert n * budget <= len(drawn) < n * budget + 4
+        assert len(drawn) == n * budget
         for j, stats in enumerate(per_coordinate):
             rows = drawn[j * budget : (j + 1) * budget]
             nulls = rows.count(None)
@@ -300,9 +294,9 @@ def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monk
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(4, 101, 1, 107)
     controlled_pass(inst.s, 101, _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))), 20)
-    # FIRST_CHUNK rows per coordinate not yet run; what a coordinate
-    # leaves opens the next one.
-    assert [len(c0) for _, _, c0 in refills] == [16, 16, 12, 8, 8, 4, 4, 4, 4, 4]
+    # FIRST_CHUNK rows per coordinate not yet run, until the rows drawn
+    # outgrow them; what a coordinate leaves opens the next one.
+    assert [len(c0) for _, _, c0 in refills] == [16, 16, 32, 16]
     for values, counts, _ in refills:
         # Every batch holds all 101 inputs of the field, so its 101 pairs.
         assert (counts.sum(axis=1) == 101).all()
@@ -547,12 +541,12 @@ def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(6, 7), (2, 3), (1, 2), (1, 2), (1, 2), (26, 27), (7, 8), (5, 6)],
-            716670544,
+            [(6, 7), (2, 3), (1, 2), (1, 2), (1, 2), (43, 44), (3, 4), (2, 3)],
+            130143269,
         ),
         # 17 rows over five coordinates, all from the first refill of 20.
         (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (4, 5), (4, 5), (2, 3), (1, 2)], 565013089),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (13, 14), (5, 8)], 18941742),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (12, 14), (9, 11)], 871455808),
     ],
 )
 def test_controlled_stream_is_pinned(
@@ -572,8 +566,14 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 90), (87, 92)], 305988543),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(5, 7), (4, 8), (1, 3)], 746146400),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 92), (87, 90)], 305988543),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(8, 12), (1, 3), (3, 5)], 581158497),
+        # Refills of 12, 12, 16 and 16 rows: the CHUNK_ENTRIES // q = 16 bound
+        # binds, and partial rows off the atom are transformed.
+        (
+            3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
+            [(18, 19), (33, 34), (4, 5)], 20306372,
+        ),
     ],
 )
 def test_elimination_stream_is_pinned(
@@ -861,45 +861,89 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def _spy_on_eliminations(monkeypatch):
-    """Record every block an elimination refill builds: (a', coordinate per row, stack)."""
-    blocks = []
-    real = solver_module.eliminate_rows
+def _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size=None, transform=None):
+    """An elimination refill for inst, built with spies in place, and the
+    draws of each of its calls, as a dict: the rows' inputs a', elimination
+    rows (r, e), k*, atom decisions, k_d0 (0 unless transformed; a
+    transformed row's draw clamped to at least 1, as the refill reads it),
+    the rows handed to the transform, the test inputs t and the output
+    (c0, tests, accepted). `transform` stands in for transform_rows."""
+    calls, current = [], {}
+    transform = transform or transform_rows
 
-    def spy(instance, r, e, a_values, coords):
-        stack = real(instance, r, e, a_values, coords)
-        blocks.append((a_values, coords, stack))
-        return stack
+    def input_rows(q, v_size, rng):
+        inputs = _input_rows(q, v_size, rng)
 
-    monkeypatch.setattr(solver_module, "eliminate_rows", spy)
-    return blocks
+        def recorded(k):
+            current["a"] = inputs(k)
+            return current["a"]
+
+        return recorded
+
+    def draws(instance, k, rng):
+        current["r"], current["e"] = inverse_row_draws(instance, k, rng)
+        return current["r"], current["e"]
+
+    def atom_spy(q, counts, values, k_star, u):
+        current["k_star"], current["k_d0"], current["handed"] = k_star, np.zeros_like(k_star), None
+        current["atom"] = atom_rows(q, counts, values, k_star, u)
+        return current["atom"]
+
+    def transform_spy(q, a_values, b_values, k_star, u):
+        current["handed"] = (a_values, b_values, k_star)
+        k_d0 = transform(q, a_values, b_values, k_star, u)
+        current["k_d0"][~current["atom"] & (current["k_star"] != 0)] = np.maximum(k_d0, 1)
+        return k_d0
+
+    def verdicts_spy(field, c, t, b, xi_prime, null):
+        current["t"] = t
+        return _verdicts(field, c, t, b, xi_prime, null)
+
+    for name, spy in (
+        ("_input_rows", input_rows), ("inverse_row_draws", draws), ("atom_rows", atom_spy),
+        ("transform_rows", transform_spy), ("_verdicts", verdicts_spy),
+    ):
+        monkeypatch.setattr(solver_module, name, spy)
+    refill = elimination_refills(inst, xi_prime, m, rng, v_size)
+
+    def recorded(k):
+        current.clear()
+        out = refill(k)
+        calls.append(dict(current, out=out))
+        return out
+
+    return recorded, calls
+
+
+def _pair_by_hand(inst, r, e, j, a):
+    """The pair (a, a (r . b)) for coordinate j in Python ints, r . b = s_j + r . e."""
+    q, h = inst.q, inst.q // 2
+    noise = sum(int(x) * int(y) for x, y in zip(r, e))
+    return ReducedPair(a, a * (int(inst.s[j]) + noise) % q, (a * noise + h) % q - h, 0, q)
 
 
 def test_elimination_mode_with_noise_stays_classified(monkeypatch):
-    # Amplification is measured per row here, so each row and each test
-    # pair carries its own bound; check every one against its own
-    # coordinate, and confirm a whole solve completes with a legal
+    # Every row's verdict, judged s-free in the refill, is the verdict its
+    # candidate s_j + c0 gets on its own pairs (t, t (r' . b')) formed by
+    # hand for each coordinate j; and a whole solve completes with a legal
     # classification.
-    q, n = 101, 3
-    blocks = _spy_on_eliminations(monkeypatch)
+    q, n, m = 101, 3, 2
     inst = _instance(n, q, 1, 101)
-    refill = elimination_refills(inst, 2, derive_rng(102, 0), v_size=40)
-    coords = np.array([0, 0, 1, 2, 2, 2, 1])
-    k_d, k_star, t, b_t = refill(coords)
-    assert k_d.shape == k_star.shape == (7,) and t.shape == b_t.shape == (7, 2)
-    (a_values, batch_coords, batches), (t_values, test_coords, tests) = blocks
-    assert a_values.shape == batches.b_values.shape == (7, 40)
-    assert all(np.unique(row).size == 40 for row in a_values)
-    assert batch_coords.tolist() == coords.tolist()
-    assert t_values[:, 0].tolist() == t.ravel().tolist()
-    assert test_coords.tolist() == np.repeat(coords, 2).tolist()
-    assert tests.b_values.reshape(7, 2).tolist() == b_t.tolist()
-    for a, j, stack in blocks:
-        s_j = inst.s[j][:, None]
-        assert not ((stack.b_values - a * s_j - stack.eta_values) % q).any()
-        assert np.array_equal(stack.kappa, stack.coeff_l1_values.max(axis=1))
-        assert (np.abs(stack.eta_values).max(axis=1) <= stack.kappa * inst.xi).all()
-        assert (np.abs(stack.eta_values) <= stack.coeff_l1_values * inst.xi).all()
+    refill, calls = _recorded_eliminations(monkeypatch, inst, 2, m, derive_rng(102, 0), 40)
+    c0, tests, accepted = refill(7)
+    [call] = calls
+    r, e, t, k_star = call["r"], call["e"], call["t"], call["k_star"]
+    assert len(c0) == len(tests) == len(accepted) == 7 and t.shape == (7, m)
+    assert r.shape == e.shape == (7 * (1 + m), n)
+    assert call["a"].shape == (7, 40) and all(np.unique(row).size == 40 for row in call["a"])
+    for i in np.flatnonzero(k_star):
+        assert c0[i] == (int(r[i] @ e[i]) - call["k_d0"][i] * pow(int(k_star[i]), -1, q)) % q
+        for j in range(n):
+            d = range(7 + i * m, 7 + (i + 1) * m)  # row i's test pairs
+            pairs = iter([_pair_by_hand(inst, r[x], e[x], j, int(t_x)) for t_x, x in zip(t[i], d)])
+            verdict = m_trial_test((int(inst.s[j]) + c0[i]) % q, m, 2, pairs.__next__)
+            assert (tests[i], accepted[i]) == (verdict.trials_used, verdict.accepted)
+    assert all(tests[i] == 0 and not accepted[i] for i in np.flatnonzero(k_star == 0))
     assert ((1 <= t) & (t < q)).all() and np.unique(t).size > 1
     params = choose_parameters(n, q, 1, 2.0, 0.2)
     out = solve(inst, params, MODE_ELIMINATION, derive_rng(102, 1), v_size=40)
@@ -907,59 +951,73 @@ def test_elimination_mode_with_noise_stays_classified(monkeypatch):
     assert out.quantum_samples == sum(st.shots for st in out.per_coordinate) <= n * params.L
 
 
+def test_elimination_refill_is_s_free():
+    # Two secrets, one stream: the same offsets, tests and verdicts.
+    for v_size in (None, 40):
+        inst = make_instance(3, 101, ErrorDistribution(GAUSSIAN, 1), derive_rng(133, 0))
+        other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77])) % 101)
+        a, b = (elimination_refills(i, 2, 2, derive_rng(133, 1), v_size)(64) for i in (inst, other))
+        assert a == b
+
+
 @pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
 def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind, v_size):
-    # Each row's k_d, given its sigma = r . b and k*, against the closed-form
-    # grid of its own batch b' = a' sigma. Every row ranks its k_d values
+    # Each non-null row's k_d, given its sigma = s_j + r . e and k*, against
+    # the closed-form grid of its own batch b' = a' sigma, for coordinate
+    # j = row mod 3: k_d = -(s_j + c0) k*. Every row ranks its k_d values
     # from most to least likely, and the ranks drawn are pooled over rows
     # against the mean ranked law (chi-square).
     q, k = 101, 1000
-    blocks = _spy_on_eliminations(monkeypatch)
     inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
-    k_d, k_star, _, _ = elimination_refills(inst, 1, derive_rng(131, 1), v_size)(np.arange(k) % 3)
-    (a_values, _, batches), _ = blocks
+    refill, calls = _recorded_eliminations(monkeypatch, inst, 2, 1, derive_rng(131, 1), v_size)
+    c0 = np.array(refill(k)[0])
+    [call] = calls
+    s_j = inst.s[np.arange(k) % 3]
+    sigma = (s_j + (call["r"][:k] * call["e"][:k]).sum(axis=1)) % q
+    k_star = call["k_star"]
+    k_d = -(s_j + c0) * k_star % q
     expected, ranks = np.zeros(q), []
     zeros = np.zeros(v_size, dtype=np.int64)
-    for a, sigma, ks, kd in zip(a_values, batches.rb, k_star, k_d):
-        law = kernel_distribution(ReducedBatch(0, q, a, a * sigma % q, zeros, zeros, 0, 1.0))[:, ks]
+    live = np.flatnonzero(k_star)
+    for a, sig, ks, kd in zip(call["a"][live], sigma[live], k_star[live], k_d[live]):
+        law = kernel_distribution(ReducedBatch(0, q, a, a * sig % q, zeros, zeros, 0, 1.0))[:, ks]
         order = np.argsort(-law, kind="stable")
         expected += law[order] * q
         ranks.append(int(np.flatnonzero(order == kd)[0]))
-    assert chi_square_ok(np.bincount(ranks, minlength=q), expected / k, k)
-    on_atom = k_d == -batches.rb * k_star % q
-    assert 0 < on_atom.sum() < k  # rows on the atom and rows off it
+    assert chi_square_ok(np.bincount(ranks, minlength=q), expected / live.size, live.size)
+    on_atom = (k_d == -sigma * k_star % q)[live]
+    assert 0 < on_atom.sum() < live.size  # rows on the atom and rows off it
 
 
 def test_elimination_rows_off_the_atom_are_transformed_as_their_s_free_rows(monkeypatch):
-    # Only partial rows that atom_rows puts off the atom reach the transform,
-    # each as its own inputs at error 0, and a k_d0 = 0 from it reads as 1:
-    # k_d = 1 - sigma k*. Every other row reads k_d = -sigma k*.
+    # Only non-null partial rows that atom_rows puts off the atom reach the
+    # transform, each as its own inputs at error 0, and a k_d0 = 0 from it
+    # reads as 1: c0 = r . e - 1 / k*. Every other row reads c0 = r . e.
     q = 101
-    blocks, decided, handed = _spy_on_eliminations(monkeypatch), [], []
-    real_atom = solver_module.atom_rows
-
-    def atom_spy(q, counts, values, k_star, u):
-        decided.append(real_atom(q, counts, values, k_star, u))
-        return decided[-1]
 
     def zeros(q, a_values, b_values, k_star, u):
-        handed.append((a_values, b_values, k_star))
         return np.zeros(len(k_star), dtype=np.int64)
 
-    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
-    monkeypatch.setattr(solver_module, "transform_rows", zeros)
     inst = _instance(3, q, 1, 132)
     for v_size in (40, None):
-        del blocks[:], decided[:], handed[:]
-        k_d, k_star, _, _ = elimination_refills(inst, 2, derive_rng(132, 0), v_size)(np.arange(64) % 3)
-        [atom] = decided
-        (a_values, _, batches), _ = blocks
-        [(a_off, b_off, k_star_off)] = handed
-        off = ~atom
-        assert np.array_equal(a_off, a_values[np.flatnonzero(off)]) and not b_off.any()
-        assert np.array_equal(k_star_off, k_star[off])
-        assert np.array_equal(k_d, (off - batches.rb * k_star) % q)
-        assert off.any() if v_size else not off.any()
+        monkeypatch.undo()
+        refill, calls = _recorded_eliminations(
+            monkeypatch, inst, 2, 2, derive_rng(132, 0), v_size, transform=zeros
+        )
+        c0 = np.array(refill(64)[0])
+        [call] = calls
+        k_star = call["k_star"]
+        off = ~call["atom"] & (k_star != 0)
+        noise = (call["r"][:64] * call["e"][:64]).sum(axis=1)
+        inverse = PrimeField(q).inverse_table()
+        assert np.array_equal(c0, (noise - off * inverse[k_star]) % q)
+        if v_size:
+            a_off, b_off, k_star_off = call["handed"]
+            assert np.array_equal(a_off, call["a"][off]) and not b_off.any()
+            assert np.array_equal(k_star_off, k_star[off])
+            assert off.any()
+        else:
+            assert call["handed"] is None and not off.any()
 
 
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
@@ -996,69 +1054,29 @@ def test_solve_refuses_a_bound_that_does_not_fit_below_half_q_before_drawing(mod
     assert out.quantum_samples > 0  # 2 * 50 < 101 still runs
 
 
-def _recorded_eliminations(monkeypatch, refill):
-    """Wrap an elimination refill and record, per call, the rows' coordinates,
-    the elimination rows drawn (inverse rows r, hidden errors e), the measured
-    batches (a', b') from its first eliminate_rows call, and its output."""
-    calls = []
-    current = {}
-    real_draws, real_eliminate = solver_module.inverse_row_draws, solver_module.eliminate_rows
-
-    def draws(instance, k, rng):
-        current["r"], current["e"] = real_draws(instance, k, rng)
-        return current["r"], current["e"]
-
-    def eliminate(instance, r, e, a_values, coords):
-        stack = real_eliminate(instance, r, e, a_values, coords)
-        current.setdefault("a_values", a_values)  # the batches; their test pairs come next
-        current.setdefault("b_values", stack.b_values)
-        return stack
-
-    def recorded(coords):
-        current.clear()
-        out = refill(coords)
-        calls.append(dict(current, coords=coords.tolist(), out=out))
-        return out
-
-    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
-    monkeypatch.setattr(solver_module, "eliminate_rows", eliminate)
-    return recorded, calls
-
-
-def _pair_by_hand(inst, r, e, j, a):
-    """The pair (a, a (r . b)) for coordinate j in Python ints, r . b = s_j + r . e."""
-    q, h = inst.q, inst.q // 2
-    noise = sum(int(x) * int(y) for x, y in zip(r, e))
-    return ReducedPair(a, a * (int(inst.s[j]) + noise) % q, (a * noise + h) % q - h, 0, q)
-
-
 def _scalar_elimination(inst, calls, budget, m, xi_prime):
-    """solve_coordinate and m_trial_test on the recorded draws: coordinate j
-    takes its own rows in order, checks each measured batch against its
-    row's (r, e) combined by hand, and tests each candidate on pairs it
+    """solve_coordinate and m_trial_test on the recorded draws: the rows go
+    to the coordinates in order, and coordinate j measures each row's batch
+    at its moved secret sigma = s_j + r . e combined by hand, reads its
+    candidate -k_d / k* off k_d = k_d0 - sigma k*, and tests it on pairs it
     forms by hand from the row's own m test draws."""
     q = inst.q
+    rows = iter((call, i) for call in calls for i in range(len(call["out"][0])))
     per_coordinate = []
     for j in range(inst.n):
-        s_j = int(inst.s[j])
-        rows = iter(
-            (call, i) for call in calls for i, c in enumerate(call["coords"]) if c == j
-        )
         block = []  # the current candidate's test pairs, next one last
 
         def shot():
             call, i = next(rows)
-            k, r, e = len(call["coords"]), call["r"], call["e"]
-            a_row = call["a_values"][i if call["a_values"].shape[0] > 1 else 0].tolist()
-            by_hand = [_pair_by_hand(inst, r[i], e[i], j, a).b_prime for a in a_row]
-            assert call["b_values"][i].tolist() == by_hand
-            t = call["out"][2][i].tolist()
+            k, r, e = len(call["out"][0]), call["r"], call["e"]
+            sigma = _pair_by_hand(inst, r[i], e[i], j, 1).b_prime
             tests = [k + i * m + d for d in range(m)]
-            block[:] = [_pair_by_hand(inst, r[d], e[d], j, t_d) for t_d, d in zip(t, tests)][::-1]
-            k_d, k_star = call["out"][0][i], call["out"][1][i]
+            block[:] = [_pair_by_hand(inst, r[d], e[d], j, int(t_d)) for t_d, d in zip(call["t"][i], tests)][::-1]
+            k_star = int(call["k_star"][i])
+            k_d = (int(call["k_d0"][i]) - sigma * k_star) % q
             return extract_candidates(np.array([k_d]), np.array([k_star]), q)[0]
 
-        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=s_j)
+        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=int(inst.s[j]) % q)
         per_coordinate.append(stats)
     return per_coordinate
 
@@ -1080,9 +1098,9 @@ def test_elimination_pass_matches_the_scalar_loop(
     totals = dict.fromkeys(("accepted", "rejected", "true_rejections"), 0)
     for seed in range(seeds):
         inst = _instance(n, q, xi, 1300 + seed)
-        refill = elimination_refills(inst, m, derive_rng(1301, n, q, seed), v_size)
-        refill, calls = _recorded_eliminations(monkeypatch, refill)
-        per_coordinate = elimination_pass(inst.s, q, refill, budget, xi_prime)
+        rng = derive_rng(1301, n, q, seed)
+        refill, calls = _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size)
+        per_coordinate = controlled_pass(inst.s, q, refill, budget)
         assert per_coordinate == _scalar_elimination(inst, calls, budget, m, xi_prime)
         for st in per_coordinate:
             totals["accepted"] += st.accepted_value is not None
