@@ -4,14 +4,13 @@ Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
 bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. The baseline runs through
-solver.controlled_pass: its direct candidates are s-free offsets read
-from pairs drawn on the solve's one stream. Keeping these routes
-separate from the statevector path is the point; tests compare them,
-they never feed each other. The one thing shared is qsim.root_table,
+table for the four memory layouts. Keeping these routes separate from
+the statevector path is the point; tests compare them with it. The
+closed forms share one thing with the simulator, qsim.root_table,
 the cached phases w^r: the same values np.exp gives element by element,
 and within 1e-15 of np.cos for the real parts restricted_ridge_sum
-reads.
+reads. The baseline alone runs the solver's loop: solver.baseline_refills
+through solver.controlled_pass, on pairs drawn from the solve's one stream.
 """
 
 from __future__ import annotations
@@ -23,18 +22,10 @@ import numpy as np
 
 from .errors import BoundTooLarge, InvalidLength
 from .fq import check_dense_size
-from .instance import ErrorDistribution, LweInstance, sample_errors
+from .instance import ErrorDistribution, LweInstance
 from .qsim import root_table
 from .reduce import ReducedBatch
-from .solver import (
-    SolveOutcome,
-    Verdicts,
-    amplified_bound,
-    amplified_law,
-    classify,
-    controlled_pass,
-    row_verdicts,
-)
+from .solver import SolveOutcome, amplified_bound, baseline_refills, classify, controlled_pass
 from .verify import FalseAcceptBound, false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
@@ -161,14 +152,12 @@ def classical_baseline_solve(
 
     Coordinate j's pair (a', a' s_j + eta'), with eta' at the amplified
     bound xi' = kappa * xi, gives s~ = b' * a'^-1 = s_j + c0 with the
-    s-free offset c0 = eta' * a'^-1. controlled_pass reads c0 from the
-    row k* = a', k_d = -eta', so no row is a null; each refill draws k
-    pairs (a' uniform on [1, q), eta') and a (k, m) block of test pairs
-    (t, eta'). The candidate is correct only when eta' vanished, so with
-    uniform errors the per-coordinate rate is 1/(2 xi' + 1) and the
-    full-solve rate decays geometrically in n. Refuses trial_budget or m
-    below 1, kappa <= 0, a non-integer kappa * xi and 2 xi' >= q before
-    any draw.
+    s-free offset c0 = eta' * a'^-1, run as controlled_pass over
+    solver.baseline_refills. The candidate is correct only when eta'
+    vanished, so with uniform errors the per-coordinate rate is
+    1/(2 xi' + 1) and the full-solve rate decays geometrically in n.
+    Refuses trial_budget or m below 1, kappa <= 0, a non-integer
+    kappa * xi and 2 xi' >= q before any draw.
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
@@ -178,15 +167,7 @@ def classical_baseline_solve(
     xi_prime = amplified_bound(kappa, instance.xi)
     if 2 * xi_prime >= q:
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
-    chi_prime = amplified_law(instance.chi, xi_prime)
-
-    def refill(k: int) -> Verdicts:
-        a_prime = rng.integers(1, q, size=k)
-        eta = sample_errors(chi_prime, rng, k)
-        t = rng.integers(1, q, size=(k, m))
-        eta_t = sample_errors(chi_prime, rng, (k, m))
-        return row_verdicts(q, -eta % q, a_prime, t, eta_t, xi_prime)
-
+    refill = baseline_refills(instance, xi_prime, m, rng)
     per_coordinate = controlled_pass(instance.s, q, refill, trial_budget)
     return classify(instance, per_coordinate, quantum_samples=0)  # no kernel shots
 

@@ -22,21 +22,22 @@ must agree (tests enforce it):
    uniform, then transform_rows draws every row's k_d, one batched
    length-q transform per block of max(1, CHUNK_ENTRIES // q) rows.
    sample_bv_outcome is its one-row view and sample_bv_outcomes its view
-   of one batch repeated. The solver's refills draw k* and the uniforms
-   themselves and decide every row's k_d = 0 atom with atom_rows: an
-   s-free row's atom holds |dc|^2 / (q m) of its mass, where the phase
-   sum dc depends only on how many of its pairs carry each error value.
-   The controlled refill transforms only the rows whose candidate value
-   it reads. The elimination refill measures each batch b' = a' sigma
-   as its s-free row (a', 0) moved by sigma (the shift identity below)
-   and reads only the s-free row's k_d0: that row's atom holds m / q, a
-   full-field row is on it, and only partial rows off it are transformed.
-   A block's phases and int64 indices go into two flat tables kept for
-   the whole process, at most max(CHUNK_ENTRIES, q) x 24 B for any
-   caller, about 1.5 MiB up to q = 65536. On the full field the
-   transform, the squares and the cdf overwrite the kept phase table.
-   So the sampler is not re-entrant, and `--workers` runs solves in
-   processes, each with its own tables.
+   of one batch repeated. A block's phases and int64 indices go into two
+   flat tables kept for the whole process, at most
+   max(CHUNK_ENTRIES, q) x 24 B for any caller, about 1.5 MiB up to
+   q = 65536. On the full field the transform, the squares and the cdf
+   overwrite the kept phase table. So the sampler is not re-entrant, and
+   `--workers` runs solves in processes, each with its own tables.
+
+No solve runs the transform. The solver's refills draw k* and the
+uniforms as the sampler does and decide each row's k_d = 0 atom with
+atom_rows: an s-free row's atom holds |dc|^2 / (q m), where the phase
+sum dc depends only on the row's error histogram. Off the atom, averaged
+over the inputs and error arrangement that no refill reads, k_d is
+exactly uniform on [1, q); the tests check both laws against
+kernel_distribution by enumeration at small q. transform_rows serves
+sample_bv_stack only: the `bounds` Monte Carlo column, the selftest and
+the one-row form.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -45,8 +46,8 @@ Shift identity: a batch b'(a') = a' s + eta'(a') has amplitude
 amp_s[k_d, k*] = amp_0[k_d + s k* mod q, k*], where amp_0 belongs to the
 s-free batch (a', eta'), so its outcome law is the s-free law with each
 column k* moved by s k* along k_d, and the candidate -k_d / k* moves by
-+s. The controlled solver measures s-free batches only, in one pool per
-solve, and reads coordinate j's candidate as s_j + c0.
++s. So the solver draws s-free rows only, in one pool per solve, and
+reads coordinate j's candidate as s_j + c0.
 """
 
 from __future__ import annotations

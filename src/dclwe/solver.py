@@ -1,13 +1,12 @@
 """Coordinate-by-coordinate secret recovery with retry and test budgets.
 
-Each coordinate j gets up to L shots. A shot draws a fresh reduced
-batch, pushes it through the transform kernel, measures, and extracts a
-candidate; a null outcome (k* = 0) consumes the shot. Candidates face
-an M-trial residual test and the first accepted one settles the
-coordinate. A run is classified against the ground-truth secret as
-success (all coordinates correct), failure (some coordinate never
-accepted a candidate), or wrong_accept (a full vector was returned but
-some coordinate is wrong).
+Each coordinate j gets up to L shots. A shot measures a fresh reduced
+batch after the transform kernel and gives a candidate; a null outcome
+(k* = 0) consumes the shot. Candidates face an M-trial residual test and
+the first accepted one settles the coordinate. A run is classified
+against the ground-truth secret as success (all coordinates correct),
+failure (some coordinate never accepted a candidate), or wrong_accept
+(a full vector was returned but some coordinate is wrong).
 
 Budgets follow the retry calculus: with per-shot success probability at
 least C/xi' (C = gamma * cos^2(2*pi*gamma)) the coordinate-failure rate
@@ -28,38 +27,35 @@ judged row into a coordinate's CoordinateStats. One rule sizes every
 refill (controlled_pass), so a coordinate that never settles costs
 O(log L) refills.
 
-controlled_refills measures s-free batches (a', eta'). By the Fourier
-shift theorem the coordinate-j batch (a', a' s_j + eta') has the s-free
-outcome law moved along k_d, P_s(k_d, k*) = P_0(k_d + s_j k* mod q, k*),
-so a row's offset c0 = -k_d / k* reads as s_j + c0 for every
-coordinate, with the same verdict. A row's c0 is right exactly when it
-lands on the k_d = 0 atom, whose mass depends only on the row's error
-histogram (how many inputs carry each error value), so a refill draws
-the histograms, one multinomial row each, and qsim.atom_rows decides the
-atom from them. An atom row has c0 = 0 and residuals eta'. Off the atom
-c0 != 0, and for t uniform on [1, q) the product t c0 is uniform on
-[1, q) and independent of c0, so such a row is judged on residuals
-eta' - t at the stand-in c0 = 1. Only a row that passes every trial is
-built, as a uniform arrangement of its histogram over its inputs, and
-transformed (qsim.transform_rows) for its own c0. i.i.d. errors are
-exactly a multinomial histogram plus a uniform arrangement, so shots,
-tests and verdicts keep their joint law, and c0 is drawn exactly when
-it becomes the accepted s_j + c0.
+Every refill is one body, _refills, fed by its mode's draw of k rows:
+their k*, the non-null rows off the k_d = 0 atom, each row's offset rho
+and its test block (t, b'). A row reads c0 = rho on the atom and
+c0 = rho + U off it, with U uniform on [1, q), so no solve runs a
+transform: given a row's error histogram, and averaged over its inputs
+V and the arrangement of its errors over them, which no refill reads
+anywhere else, its k_d off the atom is exactly uniform on [1, q)
+(exchangeability), and so is -k_d / k*.
 
-elimination_refills eliminates each row through an inverse row r drawn
-by its law (reduce.inverse_row_draws), with r . b = s_j + r . e for its
-hidden errors e. Its batch b' = a' (r . b) is noiseless at that moved
-secret, so it is measured as its s-free row (a', 0) moved by r . b:
-atom_rows decides the s-free row's k_d0 = 0 atom, and only a partial
-row off it is transformed. Its candidate is s_j + c0 with
-c0 = r . e - k_d0 / k*, and a test pair (t, t (s_j + r' . e')) leaves
-the residual t (r' . e' - c0): both are s-free, as in controlled mode.
+- controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
+  shift theorem the coordinate-j batch (a', a' s_j + eta') has the
+  s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
+  s_j + c0 for every coordinate, with the same verdict. The atom's mass
+  depends only on the row's error histogram, so the draw takes one
+  multinomial histogram per row and qsim.atom_rows decides the atom.
+- elimination_refills: each row's inverse row r and hidden errors e
+  (reduce.inverse_row_draws), with r . b = s_j + r . e. Its batch
+  b' = a' (r . b) is the noiseless s-free row (a', 0) moved by r . b, so
+  rho = r . e and the atom holds v_size / q. A test pair
+  (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0).
+- baseline_refills: the classical baseline's direct pairs
+  (a', a' s_j + eta'), with no kernel: rho = eta' a'^-1 and k* = a', so
+  no row is a null or off its atom. oracle.classical_baseline_solve
+  runs them.
 
-oracle.classical_baseline_solve draws s-free direct pairs that no
-kernel measures, judged by row_verdicts. classify turns the
-per-coordinate records of any run into a SolveOutcome. In every mode
-the first accepted candidate is the one a shot-by-shot loop would
-accept, and no coordinate takes more than L shots.
+classify turns the per-coordinate records of any run into a
+SolveOutcome. In every mode the first accepted candidate is the one a
+shot-by-shot loop would accept, and no coordinate takes more than L
+shots.
 """
 
 from __future__ import annotations
@@ -73,8 +69,8 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import CHUNK_ENTRIES, atom_rows, transform_rows
-from .reduce import check_histograms, check_rows, check_window, inverse_row_draws
+from .qsim import atom_rows
+from .reduce import check_histograms, check_window, inverse_row_draws
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -89,10 +85,18 @@ _MAX_M = 64
 # in the solve outgrow it (controlled_pass).
 FIRST_CHUNK = 4
 
+# Refills stop growing at REFILL_ENTRIES // q rows (controlled_pass), 16 at
+# q=4093. A refill holds no q-wide table, so the cap only bounds the rows a
+# solve's last refill draws and leaves unused.
+REFILL_ENTRIES = 1 << 16
+
 # Per row of a refill: its candidate offset c0, the tests it uses and its verdict
 Verdicts = tuple[list[int], list[int], list[bool]]
 # k -> the verdicts of k s-free rows
 Refill = Callable[[int], Verdicts]
+# k -> k rows' k*, the indices of the non-null rows off the atom, each
+# row's offset rho, and the (k, M) test block (t, b')
+Draw = Callable[[int], tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,19 @@ def choose_parameters(
     return SolveParameters(gamma=gamma, L=l_budget, M=m, xi_prime=xi_prime, C=c)
 
 
-def _input_rows(q: int, v_size: int | None, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
-    """Inputs for k batches: one full-field row they all share, or k fresh v_size subsets."""
-    if v_size is None or v_size >= q:
-        all_inputs = np.arange(q, dtype=np.int64)[None, :]
-        return lambda k: all_inputs
-    return lambda k: np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
+def _refills(q: int, xi_prime: int, draw: Draw, rng: np.random.Generator) -> Refill:
+    """k -> (c0, tests, accepted) for k rows of `draw`: c0 = rho, plus U
+    uniform on [1, q) drawn after them for the rows off the atom."""
+    field = PrimeField(q)
+
+    def refill(k: int) -> Verdicts:
+        k_star, off, c0, t, b = draw(k)
+        if off.size:
+            c0[off] = (c0[off] + rng.integers(1, q, size=off.size)) % q
+        tests, accepted = _verdicts(field, c0, t, b, xi_prime, k_star == 0)
+        return c0.tolist(), tests.tolist(), accepted.tolist()
+
+    return refill
 
 
 def controlled_refills(
@@ -211,17 +222,11 @@ def controlled_refills(
 ) -> Refill:
     """Refill source of one controlled solve: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws k s-free batches as error histograms, one
-    rng.multinomial call over the values of chi' = amplified_law(chi, xi'),
-    then k* and the uniforms as sample_bv_stack draws them, and decides
-    every row's atom with atom_rows; then one (k, m) block of test pairs:
-    t uniform on [1, q) and eta' from chi'. Each row is judged once, by
-    _verdicts: an atom row at c0 = 0, a row off it at the stand-in
-    c0 = 1. A non-null row off the atom that passes every trial has its
-    errors arranged (and, for v_size below q, its inputs drawn), checked
-    by check_rows and transformed, and returns its own c0. The window and
-    the shared full-field input row are checked once, here, and each
-    histogram by check_histograms. Nothing here depends on s.
+    Each call draws k error histograms, one rng.multinomial call over the
+    values of chi' = amplified_law(chi, xi'), then k* and the uniforms as
+    sample_bv_stack draws them, for atom_rows; then one (k, m) block of
+    test pairs: t uniform on [1, q) and eta' from chi'. rho is 0. The
+    window is checked once, here. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
@@ -232,34 +237,17 @@ def controlled_refills(
     weights = chi_prime.weights()
     pvals = weights / weights.sum()
     size = q if v_size is None else v_size
-    inputs = _input_rows(q, v_size, rng)
-    if size == q:
-        check_rows(q, inputs(1), values[None], xi_prime)  # the row every batch shares
-    field = PrimeField(q)
-    inverse = field.inverse_table()
 
-    def refill(k: int) -> Verdicts:
+    def draw(k: int):
         counts = rng.multinomial(size, pvals, size=k)
         check_histograms(counts, size)
         k_star = rng.integers(q, size=k)
-        u = rng.random(k)
-        atom = atom_rows(q, counts, values, k_star, u)
+        atom = atom_rows(q, counts, values, k_star, rng.random(k))
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
-        c0 = np.where(atom, 0, 1)  # off the atom, the stand-in c0 = 1
-        tests, accepted = _verdicts(field, c0, t, eta_t, xi_prime, k_star == 0)
-        rows = np.flatnonzero(accepted & ~atom)
-        if rows.size:
-            a_values = inputs(rows.size)
-            eta_values = np.stack([rng.permutation(np.repeat(values, c)) for c in counts[rows]])
-            check_rows(q, a_values, eta_values, xi_prime)
-            k_d = transform_rows(q, a_values, eta_values, k_star[rows], u[rows])
-            # atom_rows put these rows off k_d = 0, even where rounding puts
-            # the transform's cdf[0] above u * total.
-            c0[rows] = -np.maximum(k_d, 1) % q * inverse[k_star[rows]] % q
-        return c0.tolist(), tests.tolist(), accepted.tolist()
+        return k_star, np.flatnonzero(~atom & (k_star != 0)), np.zeros(k, dtype=np.int64), t, eta_t
 
-    return refill
+    return _refills(q, xi_prime, draw, rng)
 
 
 def elimination_refills(
@@ -271,53 +259,54 @@ def elimination_refills(
 ) -> Refill:
     """Refill source of one elimination solve: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws the k rows' inputs, a (k, m) block of test inputs t
-    uniform on [1, q) and, in one inverse_row_draws call, k * (1 + m)
-    elimination rows (r, e): the first k make the batches, the rest the
-    test pairs, m per row in row order. Then k* and the uniforms, as
-    sample_bv_stack draws them. A batch b' = a' (s_j + r . e) is its
-    noiseless s-free row (a', 0) moved by s_j + r . e (qsim's shift
-    identity), so its candidate is s_j + c0 with c0 = r . e - k_d0 / k*,
-    where k_d0 is drawn from the s-free row, whose k_d0 = 0 atom holds
-    v_size / q: atom_rows decides it. A full-field row is on it; only a
-    non-null partial row off it is checked by check_rows and transformed,
-    with k_d0 clamped to at least 1 as in controlled_refills. A test pair
-    (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0), so each
-    row is judged by _verdicts on b' = t (r' . e'). The shared full-field
-    input row is checked once, here. Nothing here depends on s.
+    Each call draws a (k, m) block of test inputs t uniform on [1, q)
+    and, in one inverse_row_draws call, k * (1 + m) elimination rows
+    (r, e): the first k make the batches, with rho = r . e, the rest the
+    test pairs, m per row in row order, with b' = t (r' . e'). Then k*
+    and the uniforms, for atom_rows on the s-free row (a', 0), whose
+    atom holds v_size / q: every full-field row is on it. Nothing here
+    depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
     size = q if v_size is None else v_size
-    inputs = _input_rows(q, v_size, rng)
-    if size == q:
-        check_rows(q, inputs(1), np.zeros((1, q), dtype=np.int64), 0)  # the row every batch shares
-    field = PrimeField(q)
-    inverse = field.inverse_table()
     error_free = np.zeros(1, dtype=np.int64)  # the one value of an s-free row's histogram
 
-    def refill(k: int) -> Verdicts:
-        a_values = inputs(k)
+    def draw(k: int):
         t = rng.integers(1, q, size=(k, m))
         r, e = inverse_row_draws(instance, k * (1 + m), rng)
         noise = (r * e).sum(axis=1) % q  # r . e of every elimination row
         k_star = rng.integers(q, size=k)
-        u = rng.random(k)
-        atom = atom_rows(q, np.full((k, 1), size), error_free, k_star, u)
-        k_d0 = np.zeros(k, dtype=np.int64)
+        atom = atom_rows(q, np.full((k, 1), size), error_free, k_star, rng.random(k))
         off = np.flatnonzero(~atom & (k_star != 0))
-        if off.size:
-            a_off = a_values[off]
-            b_off = np.zeros_like(a_off)
-            check_rows(q, a_off, b_off, 0)
-            k_d0[off] = np.maximum(transform_rows(q, a_off, b_off, k_star[off], u[off]), 1)
-        c0 = (noise[:k] - k_d0 * inverse[k_star]) % q
-        b = t * noise[k:].reshape(k, m)
-        tests, accepted = _verdicts(field, c0, t, b, xi_prime, k_star == 0)
-        return c0.tolist(), tests.tolist(), accepted.tolist()
+        return k_star, off, noise[:k], t, t * noise[k:].reshape(k, m)
 
-    return refill
+    return _refills(q, xi_prime, draw, rng)
+
+
+def baseline_refills(
+    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator
+) -> Refill:
+    """Refill source of the classical baseline: k -> (c0, tests, accepted) for k rows.
+
+    Each call draws k direct pairs, a' uniform on [1, q) and eta' from
+    chi' = amplified_law(chi, xi'), then a (k, m) block of test pairs
+    (t, eta'). Each row is on its atom (k* = a'), with rho = eta' a'^-1.
+    """
+    q = instance.q
+    chi_prime = amplified_law(instance.chi, xi_prime)
+    inverse = PrimeField(q).inverse_table()
+    none_off = np.zeros(0, dtype=np.int64)
+
+    def draw(k: int):
+        a_prime = rng.integers(1, q, size=k)
+        eta = sample_errors(chi_prime, rng, k)
+        t = rng.integers(1, q, size=(k, m))
+        eta_t = sample_errors(chi_prime, rng, (k, m))
+        return a_prime, none_off, eta % q * inverse[a_prime] % q, t, eta_t
+
+    return _refills(q, xi_prime, draw, rng)
 
 
 def _verdicts(
@@ -332,18 +321,6 @@ def _verdicts(
     tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
     tests[null] = 0
     return tests, ~rejected & ~null
-
-
-def row_verdicts(
-    q: int, k_d: np.ndarray, k_star: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int
-) -> Verdicts:
-    """Per row of a baseline refill: its candidate
-    c = -k_d / k* mod q, the tests it uses and its verdict (_verdicts). A
-    null (k* = 0) uses no tests, so the tests used are 0 exactly for nulls."""
-    field = PrimeField(q)
-    c = (-k_d) % q * field.inverse_table()[k_star] % q
-    tests, accepted = _verdicts(field, c, t, b, xi_prime, k_star == 0)
-    return c.tolist(), tests.tolist(), accepted.tolist()
 
 
 def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_j: int) -> bool:
@@ -368,10 +345,10 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     """Every coordinate of one solve, in any mode, from one stream of refills.
 
     A refill judges k = min(max(FIRST_CHUNK * left, min(drawn,
-    CHUNK_ENTRIES // q)), left * budget - shots) rows at once, where
+    REFILL_ENTRIES // q)), left * budget - shots) rows at once, where
     left counts the coordinates not yet run, drawn the rows drawn so far
     in this solve and shots those of the current coordinate. Refills
-    double with the rows drawn, up to CHUNK_ENTRIES // q rows, so a
+    double with the rows drawn, up to REFILL_ENTRIES // q rows, so a
     coordinate that never settles costs O(log L) of them, and no refill
     holds more rows than the solve may still take. Coordinate j takes
     rows in order up to its first accepted one or `budget` rows and
@@ -391,7 +368,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
         s_j = int(s[j]) % q
         while stats.shots < budget:
             if row == len(c0s):
-                grown = max(FIRST_CHUNK * left, min(drawn, CHUNK_ENTRIES // q))
+                grown = max(FIRST_CHUNK * left, min(drawn, REFILL_ENTRIES // q))
                 k = min(grown, left * budget - stats.shots)
                 c0s, tests, accepted = refill(k)
                 drawn += k

@@ -57,8 +57,8 @@ INTERNAL = {
         "eliminate_rows", "inverse_row_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (
-        "amplified_law", "classify", "controlled_pass", "controlled_refills",
-        "elimination_refills",
+        "amplified_law", "baseline_refills", "classify", "controlled_pass",
+        "controlled_refills", "elimination_refills",
     ),
     "verify": ("TestVerdict", "delta", "m_trial_test"),
 }

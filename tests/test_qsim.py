@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -22,7 +23,6 @@ from dclwe import (
     synth_reduced_batch,
 )
 from dclwe import qsim, solver
-from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 from dclwe.qsim import (
     NORM_TOL,
@@ -407,7 +407,7 @@ def _every_row_sampler(q, a_values, b_values, rng):
 
 
 def _s_free_cases():
-    """(q, a_values, eta' rows) of s-free stacks as the controlled solver draws them."""
+    """(q, a_values, eta' rows) of s-free stacks: the batches a controlled shot measures."""
     rng = derive_rng(69, 0)
     cases = {}
     for q, k in [(101, 24), (401, 16), (4093, 6)]:
@@ -631,9 +631,9 @@ def test_every_row_is_transformed(case, transformed_rows):
 
 @pytest.mark.parametrize("case", sorted(_s_free_cases()))
 def test_any_rows_off_the_atom_draw_what_the_whole_stack_draws(case):
-    # The controlled refill hands transform_rows only some rows off the
-    # atom, with their own k* and uniforms; each draws the k_d it draws in
-    # sample_bv_stack, whose stream replays as k* then the uniforms.
+    # transform_rows handed only some rows off the atom, with their own k*
+    # and uniforms, draws for each the k_d it draws in sample_bv_stack,
+    # whose stream replays as k* then the uniforms.
     q, a_values, eta = _s_free_cases()[case]
     k = len(eta)
     atoms = 0
@@ -665,27 +665,77 @@ def test_rows_decided_off_the_atom_never_draw_it(monkeypatch):
     counts = np.full((k, 1), m)
     assert not qsim.atom_rows(q, counts, np.zeros(1, dtype=np.int64), k_star, u).any()
     assert (qsim.transform_rows(q, a_values, b_values, k_star, u) == 0).any()
-    # So the controlled refill, whose atom_rows decided these rows off the
-    # atom, reads a transformed row's k_d = 0 as 1: its c0 is -1 / k*.
-    handed = []
+    # The controlled refill reads no transform: atom_rows alone decides the
+    # atom, and a non-null row it puts off the atom never reads c0 = 0.
+    decided = []
 
-    def zeros(q, a_values, b_values, k_star, u):
-        handed.append(k_star)
-        return np.zeros(len(k_star), dtype=np.int64)
+    def atom_spy(q, counts, values, k_star, u):
+        decided.append((qsim.atom_rows(q, counts, values, k_star, u), k_star))
+        return decided[-1][0]
 
-    monkeypatch.setattr(solver, "transform_rows", zeros)
+    monkeypatch.setattr(solver, "atom_rows", atom_spy)
     inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), derive_rng(82, 1))
     refill = solver.controlled_refills(inst, 2, 1, derive_rng(82, 2))
-    inverse = PrimeField(q).inverse_table()
-    transformed = 0
+    off_atom = 0
     for _ in range(20):
-        handed.clear()
-        c0, _, accepted = refill(16)
-        k_star = np.concatenate(handed or [np.zeros(0, dtype=np.int64)])
-        off_atom = [c for c, ok in zip(c0, accepted) if ok and c != 0]
-        assert off_atom == (-inverse[k_star] % q).tolist()
-        transformed += len(k_star)
-    assert transformed > 0
+        c0 = np.array(refill(200)[0])
+        atom, k_star = decided[-1]
+        assert ((c0 == 0) == (atom | (k_star == 0))).all()
+        off_atom += int((~atom & (k_star != 0)).sum())
+    assert off_atom > 2000
+
+
+def _averaged_grid(q, m, values, counts):
+    """kernel_distribution of s-free batches (a', eta'), averaged with equal
+    weights over every input set V of m inputs and every arrangement over
+    V of the errors whose histogram over `values` is `counts`."""
+    errors = np.repeat(values, counts)
+    arrangements = sorted(set(itertools.permutations(errors.tolist())))
+    xi_prime, zeros = int(np.abs(values).max()), np.zeros(m, dtype=np.int64)
+    total = np.zeros((q, q))
+    batches = 0
+    for inputs in itertools.combinations(range(q), m):
+        a_values = np.array(inputs, dtype=np.int64)
+        for eta in arrangements:
+            eta = np.array(eta, dtype=np.int64)
+            batch = ReducedBatch(0, q, a_values, eta % q, eta, zeros, xi_prime, 1.0)
+            total += kernel_distribution(batch)
+            batches += 1
+    return total / batches
+
+
+@pytest.mark.parametrize(
+    "q, m, values, counts",
+    [
+        # Elimination rows: noiseless s-free rows, one bin at error 0.
+        (7, 3, [0], [3]),
+        (11, 4, [0], [4]),
+        (13, 6, [0], [6]),
+        # Controlled rows at xi' = 1: the full field, and partial batches.
+        (7, 7, [-1, 0, 1], [2, 3, 2]),
+        (7, 7, [-1, 0, 1], [1, 5, 1]),
+        (7, 3, [-1, 0, 1], [1, 1, 1]),
+        (11, 4, [-1, 0, 1], [2, 1, 1]),
+    ],
+)
+def test_off_the_atom_k_d_is_uniform_over_inputs_and_arrangements(q, m, values, counts):
+    # Given a histogram and k* != 0, the k_d = 0 atom holds |dc|^2 / (q m),
+    # the mass atom_rows thresholds, and the rest, averaged over V and the
+    # arrangement, is exactly uniform on [1, q). So a refill that draws an
+    # off-atom offset uniformly keeps the kernel's law, with no transform.
+    values = np.array(values, dtype=np.int64)
+    counts = np.array([counts], dtype=np.int64)
+    grid = _averaged_grid(q, m, values, counts[0])
+    for k_star in range(1, q):
+        law = grid[:, k_star] * q  # k* is uniform, so this is the law given k*
+        assert abs(law.sum() - 1) < 1e-12
+        off = law[1:] / (1 - law[0])
+        assert np.abs(off - 1 / (q - 1)).max() < 1e-12
+        dc = (counts[0] * root_table(q)[values * k_star % q]).sum()
+        assert abs(law[0] - abs(dc) ** 2 / (q * m)) < 1e-12
+        u = np.array([law[0] * (1 - 1e-9), law[0] * (1 + 1e-9)])
+        atom = qsim.atom_rows(q, np.repeat(counts, 2, axis=0), values, np.full(2, k_star), u)
+        assert atom.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("q", [7, 101, 4093])

@@ -22,20 +22,15 @@ from dclwe import (
     sample_bv_stack,
     solve,
 )
+from dclwe import qsim
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.qsim import (
-    CHUNK_ENTRIES,
-    atom_rows,
-    extract_candidates,
-    kernel_distribution,
-    transform_rows,
-)
+from dclwe.qsim import atom_rows, extract_candidates
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedBatch, ReducedPair, check_rows, inverse_row_draws
+from dclwe.reduce import ReducedPair, check_rows, inverse_row_draws
 from dclwe.solver import (
-    _input_rows,
+    REFILL_ENTRIES,
     _verdicts,
     amplified_bound,
     amplified_law,
@@ -189,7 +184,7 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
     (1, 401, 119, 1, -1),
     (1, 4093, 30, 1, -1),
     (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # refills grow to CHUNK_ENTRIES // q = 16 rows and stay there
+    (3, 4093, 30, 1, -1),  # refills grow to REFILL_ENTRIES // q = 16 rows and stay there
     (3, 101, 87, 1, 2),
     # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
     # 0.1 here, so coordinates settle at different refills by construction.
@@ -198,9 +193,10 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
-    # One rule sizes every refill. At xi' = -1 no residual meets the bound,
-    # so every coordinate spends its whole budget; at xi' >= 2 with one
-    # trial, coordinates settle at different refills.
+    # One rule sizes every refill, its growth capped at REFILL_ENTRIES // q
+    # rows. At xi' = -1 no residual meets the bound, so every coordinate
+    # spends its whole budget; at xi' >= 2 with one trial, coordinates
+    # settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
         _check_chunks(n, q, budget, xi, xi_prime)
 
@@ -222,8 +218,8 @@ def _check_chunks(n, q, budget, xi, xi_prime):
         j = int(np.searchsorted(first, opened, side="right")) - 1
         left, shots = n - j, opened - first[j]
         assert 0 <= shots < per_coordinate[j].shots
-        assert k == min(max(4 * left, min(opened, CHUNK_ENTRIES // q)), left * budget - shots)
-        assert k <= max(4 * n, CHUNK_ENTRIES // q)
+        assert k == min(max(4 * left, min(opened, REFILL_ENTRIES // q)), left * budget - shots)
+        assert k <= max(4 * n, REFILL_ENTRIES // q)
         opened += k
     # Only the last refill leaves rows unused, and growth keeps refills few.
     assert first[-1] <= opened < first[-1] + sizes[-1]
@@ -237,14 +233,14 @@ def _check_chunks(n, q, budget, xi, xi_prime):
 
 def _spy_on_refills(monkeypatch):
     """Record every stack the controlled pool measures: (error values, each
-    row's histogram over them, c0 per row) as atom_rows leaves them: 0 on
-    the atom, the stand-in 1 off it and None for a null."""
+    row's histogram over them, a mark per row): None for a null, True on
+    the atom, where c0 = 0, and False off it."""
     refills = []
 
     def spy(q, counts, values, k_star, u):
         atom = atom_rows(q, counts, values, k_star, u)
-        k_d = np.where(atom, 0, -k_star % q)
-        refills.append((values, counts, extract_candidates(k_d, k_star, q)))
+        marks = [None if ks == 0 else bool(a) for a, ks in zip(atom, k_star)]
+        refills.append((values, counts, marks))
         return atom
 
     monkeypatch.setattr(solver_module, "atom_rows", spy)
@@ -273,12 +269,12 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
         per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
         # A refill opened at the solve's row r, inside coordinate r // budget,
         # holds FIRST_CHUNK = 4 rows per coordinate left, or the r rows drawn
-        # so far up to CHUNK_ENTRIES // q, within the budget.
+        # so far up to REFILL_ENTRIES // q, within the budget.
         r = 0
-        for k in [len(c0) for _, _, c0 in refills]:
-            assert k == min(max(4 * (n - r // budget), min(r, CHUNK_ENTRIES // q)), n * budget - r)
+        for k in [len(marks) for _, _, marks in refills]:
+            assert k == min(max(4 * (n - r // budget), min(r, REFILL_ENTRIES // q)), n * budget - r)
             r += k
-        drawn = [c0 for _, _, rows in refills for c0 in rows]
+        drawn = [mark for _, _, marks in refills for mark in marks]
         assert len(drawn) == n * budget
         for j, stats in enumerate(per_coordinate):
             rows = drawn[j * budget : (j + 1) * budget]
@@ -286,8 +282,9 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
             assert stats.accepted_value is None and stats.shots == budget
             assert stats.null_count == nulls
             assert stats.candidates_tried == stats.tests_used == budget - nulls
-            # Row c0 = 0 is coordinate j's true value s_j + 0, rejected here.
-            assert stats.true_rejections == rows.count(0)
+            # An atom row's c0 = 0 is coordinate j's true value s_j + 0,
+            # rejected here; a row off it has c0 != 0.
+            assert stats.true_rejections == rows.count(True)
 
 
 def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
@@ -296,7 +293,7 @@ def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monk
     controlled_pass(inst.s, 101, _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))), 20)
     # FIRST_CHUNK rows per coordinate not yet run, until the rows drawn
     # outgrow them; what a coordinate leaves opens the next one.
-    assert [len(c0) for _, _, c0 in refills] == [16, 16, 32, 16]
+    assert [len(marks) for _, _, marks in refills] == [16, 16, 32, 16]
     for values, counts, _ in refills:
         # Every batch holds all 101 inputs of the field, so its 101 pairs.
         assert (counts.sum(axis=1) == 101).all()
@@ -321,20 +318,19 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
 
 def test_controlled_refill_at_q4093_is_sized_by_its_coordinates(monkeypatch):
     # Five coordinates ask for FIRST_CHUNK * 5 = 20 rows, more than
-    # CHUNK_ENTRIES // 4093 = 16: the refill judges all 20, and only
-    # transform_rows bounds its tables.
+    # REFILL_ENTRIES // 4093 = 16: the cap bounds growth only, so the
+    # refill judges all 20.
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(5, 4093, 1, 111)
     refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0)))
     controlled_pass(inst.s, 4093, refill, 30)
-    assert len(refills[0][2]) == 20 > CHUNK_ENTRIES // 4093
+    assert len(refills[0][2]) == 20 > REFILL_ENTRIES // 4093
 
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
     # chi' keeps the instance's sigma, scaled by kappa, in the controlled
     # refill and in the classical baseline alike.
     from dclwe import classical_baseline_solve
-    from dclwe import oracle as oracle_module
 
     seen = []
     real = solver_module.sample_errors
@@ -344,7 +340,6 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
         return real(chi, rng, shape)
 
     monkeypatch.setattr(solver_module, "sample_errors", spy)
-    monkeypatch.setattr(oracle_module, "sample_errors", spy)
     q, xi, kappa = 401, 3, 2.0
     params = choose_parameters(3, q, xi, kappa, 0.2)
     for sigma in (0.3, 5.0):
@@ -362,10 +357,12 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
 
 def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
     """Reference: the controlled refill that draws every row's inputs and
-    i.i.d. errors, transforms every row with sample_bv_stack and returns
-    row_verdicts of its rows, each judged at its own c0."""
+    i.i.d. errors, transforms every row with sample_bv_stack and judges
+    each row at its own candidate c0 = -k_d / k*, trial by trial up to the
+    first residual eta' - t c0 outside the bound."""
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
+    inverse = PrimeField(q).inverse_table()
 
     def refill(k):
         if v_size is None:
@@ -377,7 +374,13 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
         k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
-        return solver_module.row_verdicts(q, k_d, k_star, t, eta_t, xi_prime)
+        c0 = (-k_d) % q * inverse[k_star] % q
+        residual = (eta_t - t * c0[:, None]) % q
+        fail = np.minimum(residual, q - residual) > xi_prime
+        rejected = fail.any(axis=1)
+        tests = np.where(rejected, fail.argmax(axis=1) + 1, m)
+        tests[k_star == 0] = 0
+        return c0.tolist(), tests.tolist(), (~rejected & (k_star != 0)).tolist()
 
     return refill
 
@@ -429,7 +432,7 @@ def _check_same_law(solves, wrong_share, kind=UNIFORM, v_size=None):
 
 def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
     # About 13.8% of coordinates accept a wrong value, which the histogram
-    # refill reads off transforms of accepted rows only.
+    # refill reads off the uniform offsets of its rows off the atom.
     _check_same_law(5000, (0.12, 0.16))
 
 
@@ -446,42 +449,6 @@ def test_partial_batches_keep_the_law_of_the_every_row_refill(kind, v_size, solv
     _check_same_law(solves, wrong_share, kind, v_size)
 
 
-def test_only_accepted_rows_off_the_atom_are_transformed(monkeypatch):
-    # Every refill's transformed rows are exactly its non-null rows off the
-    # atom that pass every trial at the stand-in c0 = 1; the others keep
-    # it, and atom rows read c0 = 0.
-    atoms, handed = [], []
-    real_atom, real_transform = solver_module.atom_rows, solver_module.transform_rows
-
-    def atom_spy(q, counts, values, k_star, u):
-        atoms.append((real_atom(q, counts, values, k_star, u), k_star))
-        return atoms[-1][0]
-
-    def transform_spy(q, a_values, b_values, k_star, u):
-        handed[-1].extend(k_star.tolist())
-        return real_transform(q, a_values, b_values, k_star, u)
-
-    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
-    monkeypatch.setattr(solver_module, "transform_rows", transform_spy)
-    # With M = 1 a wrong candidate passes with probability 4/100, so some
-    # rows off the atom are accepted and transformed.
-    q = 101
-    inst = _instance(8, q, 1, 123)
-    refill = controlled_refills(inst, 2, 1, derive_rng(124, 0))
-    transformed = 0
-    for _ in range(20):
-        handed.append([])
-        c0, tests, accepted = (np.array(v) for v in refill(16))
-        atom, k_star = atoms[-1]
-        off = ~atom & (k_star != 0)
-        assert handed[-1] == k_star[off & accepted].tolist()
-        assert (c0[atom] == 0).all() and (c0[off & accepted] != 0).all()
-        assert (c0[off & ~accepted] == 1).all()  # the stand-in
-        assert ((tests == 0) == (k_star == 0)).all()
-        transformed += len(handed[-1])
-    assert len(atoms) == 20 and 0 < transformed < 40
-
-
 class _CountingRng:
     """A generator that counts the calls of each of its methods."""
 
@@ -494,46 +461,70 @@ class _CountingRng:
 
 
 @pytest.mark.parametrize("v_size", [None, 25])
-def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v_size):
-    # A refill draws every row's error histogram, but only the rows it hands
-    # to transform_rows get their errors arranged (one permutation each of
-    # their own histogram) and, below the full field, their inputs drawn
-    # (one choice each).
-    built = []
-    real_transform = solver_module.transform_rows
+def test_no_solve_runs_a_transform(monkeypatch, v_size):
+    # Controlled and elimination solves, and the baseline, draw every row's
+    # offset by its law: no transform, no FFT, and no inputs or error
+    # arrangement drawn, below the full field too.
+    from dclwe import classical_baseline_solve
 
-    def transform_spy(q, a_values, b_values, k_star, u):
-        built.append((a_values, b_values))
-        return real_transform(q, a_values, b_values, k_star, u)
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(solver_module, "transform_rows", transform_spy)
-    refills = _spy_on_refills(monkeypatch)
-    q = 101
-    rng = _CountingRng(derive_rng(126, 0))
-    refill = controlled_refills(_instance(8, q, 1, 125), 2, 1, rng, v_size)
-    transformed = 0
-    for _ in range(20):
-        built.clear()
-        rng.calls.clear()
-        _, _, accepted = refill(16)
-        values, counts, c0 = refills[-1]
-        rows = np.flatnonzero((np.array(c0) == 1) & np.array(accepted))  # off the atom
-        assert rng.calls["permutation"] == len(rows)
-        assert rng.calls["choice"] == (len(rows) if v_size else 0)
-        if not len(rows):
-            assert built == []
-            continue
-        [(a_values, eta_values)] = built
-        assert eta_values.shape == (len(rows), v_size or q)
-        for row, eta in zip(rows, eta_values):
-            assert np.array_equal(np.bincount(eta - values[0], minlength=values.size), counts[row])
-        if v_size:
-            assert a_values.shape == (len(rows), v_size)
-            assert all(np.unique(row).size == v_size for row in a_values)
-        else:
-            assert a_values.tolist() == [list(range(q))]
-        transformed += len(rows)
-    assert transformed > 0
+        return spy
+
+    monkeypatch.setattr(qsim, "transform_rows", refuse("transform_rows"))
+    monkeypatch.setattr(np.fft, "ifft", refuse("ifft"))
+    q, n = 101, 4
+    inst = _instance(n, q, 1, 127)
+    params = choose_parameters(n, q, 1, 2.0, 0.2)
+    rng = _CountingRng(derive_rng(128, 0))
+    rows = 0
+    for mode in (MODE_CONTROLLED, MODE_ELIMINATION):
+        for _ in range(20):
+            rows += solve(inst, params, mode, rng, v_size=v_size).quantum_samples
+    classical_baseline_solve(inst, 2.0, params.M, 3, rng)
+    assert rows > 200
+    assert rng.calls["permutation"] == rng.calls["choice"] == 0
+
+
+def _offsets(monkeypatch, refills, inst, xi_prime, m, rng, v_size, k):
+    """One k-row refill's c0, atom decisions, k* and offsets rho: r . e of
+    its first k elimination rows, or 0 for a controlled refill."""
+    seen = {}
+
+    def atom_spy(q, counts, values, k_star, u):
+        seen["atom"], seen["k_star"] = atom_rows(q, counts, values, k_star, u), k_star
+        return seen["atom"]
+
+    def draws(instance, count, rng):
+        seen["r"], seen["e"] = inverse_row_draws(instance, count, rng)
+        return seen["r"], seen["e"]
+
+    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
+    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
+    c0 = np.array(refills(inst, xi_prime, m, rng, v_size)(k)[0])
+    rho = (seen["r"][:k] * seen["e"][:k]).sum(axis=1) % inst.q if "r" in seen else np.zeros(k, int)
+    return c0, seen["atom"], seen["k_star"], rho
+
+
+@pytest.mark.parametrize(
+    "refills, v_size",
+    [(controlled_refills, None), (controlled_refills, 25), (elimination_refills, 5)],
+    ids=["controlled-full", "controlled-25", "elimination-5"],
+)
+def test_rows_off_the_atom_add_a_uniform_offset(monkeypatch, refills, v_size):
+    # A row on its atom, or a null, reads c0 = rho; a non-null row off the
+    # atom reads c0 = rho + U with U uniform on [1, q), never 0 (chi-square).
+    q, k = 101, 4000
+    inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
+    rng = derive_rng(134, 1)
+    c0, atom, k_star, rho = _offsets(monkeypatch, refills, inst, 2, 2, rng, v_size, k)
+    off = ~atom & (k_star != 0)
+    assert np.array_equal(c0[~off], rho[~off])
+    u = (c0[off] - rho[off]) % q
+    assert off.sum() > 2000 and u.min() >= 1
+    assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
 
 
 @pytest.mark.parametrize(
@@ -541,20 +532,20 @@ def test_errors_and_inputs_are_arranged_only_for_transformed_rows(monkeypatch, v
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(6, 7), (2, 3), (1, 2), (1, 2), (1, 2), (43, 44), (3, 4), (2, 3)],
-            130143269,
+            [(6, 8), (2, 3), (1, 2), (1, 2), (1, 2), (29, 30), (8, 9), (1, 2)],
+            9749400,
         ),
         # 17 rows over five coordinates, all from the first refill of 20.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (4, 5), (4, 5), (2, 3), (1, 2)], 565013089),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (12, 14), (9, 11)], 871455808),
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (4, 5), (4, 5), (2, 3), (1, 2)], 939985261),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (15, 17), (1, 3)], 455810357),
     ],
 )
 def test_controlled_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw
 ):
     # Frozen per-coordinate (shots, tests) and the next draw of the stream:
-    # one changed draw anywhere in a refill, or in the sampler's tables,
-    # moves a count or the next draw.
+    # one changed draw anywhere in a refill, such as an offset drawn off the
+    # atom, moves a count or the next draw.
     rng = derive_rng(701, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_CONTROLLED, rng, v_size=v_size)
@@ -567,12 +558,11 @@ def test_controlled_stream_is_pinned(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
         (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 92), (87, 90)], 305988543),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(8, 12), (1, 3), (3, 5)], 581158497),
-        # Refills of 12, 12, 16 and 16 rows: the CHUNK_ENTRIES // q = 16 bound
-        # binds, and partial rows off the atom are transformed.
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(3, 5), (4, 6), (1, 3)], 70910907),
+        # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(18, 19), (33, 34), (4, 5)], 20306372,
+            [(3, 4), (2, 3), (3, 4)], 600679659,
         ),
     ],
 )
@@ -580,7 +570,7 @@ def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
 ):
     # As for the controlled stream: one changed draw of an elimination row,
-    # a test input or a kernel shot moves a count or the next draw.
+    # a test input, a kernel shot or an offset moves a count or the next draw.
     rng = derive_rng(702, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_ELIMINATION, rng, v_size=v_size)
@@ -590,7 +580,7 @@ def test_elimination_stream_is_pinned(
 
 
 def _recorded_synthetic(q, m, xi_prime, rng):
-    """A refill of synthetic rows, judged by row_verdicts, and the rows it
+    """A refill of synthetic rows, judged by _verdicts, and the rows it
     hands out, in order, as (c0 or None for a null, test inputs, errors):
     rows rich in nulls, true candidates (c0 = 0) and c0 = 1, with errors
     one wider than xi' so that true candidates can fail too."""
@@ -605,41 +595,31 @@ def _recorded_synthetic(q, m, xi_prime, rng):
         k_d[pick > 0.8] = (-k_star[pick > 0.8]) % q  # c0 = 1
         t = rng.integers(1, q, size=(k, m))
         eta = rng.integers(-xi_prime - 1, xi_prime + 2, size=(k, m))
-        c0s = extract_candidates(k_d, k_star, q)
-        rows.extend(zip(c0s, t.tolist(), eta.tolist()))
-        return solver_module.row_verdicts(q, k_d, k_star, t, eta, xi_prime)
+        rows.extend(zip(extract_candidates(k_d, k_star, q), t.tolist(), eta.tolist()))
+        c0 = (-k_d) % q * PrimeField(q).inverse_table()[k_star] % q
+        tests, accepted = _verdicts(PrimeField(q), c0, t, eta, xi_prime, k_star == 0)
+        return c0.tolist(), tests.tolist(), accepted.tolist()
 
     return refill, rows
 
 
-def _recorded_controlled(monkeypatch, refill, q):
+def _recorded_controlled(monkeypatch, refill):
     """The controlled refill and the rows it hands out, in order, as
-    (c0 or None for a null, test inputs, errors), rebuilt from each row's
-    c0, its k* (as atom_rows gets it) and its test pairs (t, eta') (as
-    _verdicts gets them). An atom row keeps its inputs t, for residuals
-    eta'; a row off it takes t c0^-1, for residuals eta' - t whatever its
-    c0, as the refill judged it."""
-    rows, k_stars, pairs = [], [], []
-    inverse = PrimeField(q).inverse_table()
-
-    def atom_spy(q, counts, values, k_star, u):
-        k_stars.append(k_star)
-        return atom_rows(q, counts, values, k_star, u)
+    (c0 or None for a null, test inputs, errors), as _verdicts gets them:
+    each row's c0 and its test pairs (t, eta')."""
+    rows, judged = [], []
 
     def verdicts_spy(field, c, t, b, xi_prime, null):
-        pairs.append((t, b))
+        judged.append((c, t, b, null))
         return _verdicts(field, c, t, b, xi_prime, null)
 
-    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
     monkeypatch.setattr(solver_module, "_verdicts", verdicts_spy)
 
     def recorded(k):
-        c0s, tests, accepted = refill(k)
-        (t, eta), k_star = pairs[-1], k_stars[-1]
-        for c0, null, t_row, eta_row in zip(c0s, k_star == 0, t, eta):
-            inputs = t_row * inverse[c0] % q if c0 else t_row
-            rows.append((None if null else c0, inputs.tolist(), eta_row.tolist()))
-        return c0s, tests, accepted
+        out = refill(k)
+        for c0, t_row, eta_row, null in zip(*judged[-1]):
+            rows.append((None if null else int(c0), t_row.tolist(), eta_row.tolist()))
+        return out
 
     return recorded, rows
 
@@ -710,7 +690,7 @@ def test_controlled_pass_matches_the_scalar_loop(monkeypatch, n, q, budget, m, x
             refill, rows = _recorded_synthetic(q, m, xi_prime, rng)
         else:
             refill = controlled_refills(inst, xi_prime, m, rng, v_size)
-            refill, rows = _recorded_controlled(monkeypatch, refill, q)
+            refill, rows = _recorded_controlled(monkeypatch, refill)
         per_coordinate = controlled_pass(inst.s, q, refill, budget)
         assert per_coordinate == _scalar_reference(inst.s, q, rows, budget, m, xi_prime)
         for st in per_coordinate:
@@ -842,8 +822,8 @@ def test_controlled_sources_honor_v_size(monkeypatch):
     rng = derive_rng(98, 0)
     refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
     controlled_pass(inst.s, 101, refill, params.L)
-    # Eight histograms of 25 pairs each; test_errors_and_inputs_are_arranged_
-    # only_for_transformed_rows checks the inputs of the rows transformed.
+    # Eight histograms of 25 pairs each, and no inputs drawn
+    # (test_no_solve_runs_a_transform).
     values, counts, _ = refills[0]
     assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 25).all()
     refills.clear()
@@ -861,47 +841,28 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size=None, transform=None):
+def _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size=None):
     """An elimination refill for inst, built with spies in place, and the
-    draws of each of its calls, as a dict: the rows' inputs a', elimination
-    rows (r, e), k*, atom decisions, k_d0 (0 unless transformed; a
-    transformed row's draw clamped to at least 1, as the refill reads it),
-    the rows handed to the transform, the test inputs t and the output
-    (c0, tests, accepted). `transform` stands in for transform_rows."""
+    draws of each of its calls, as a dict: the elimination rows (r, e),
+    k*, atom decisions, the test inputs t and the output (c0, tests,
+    accepted)."""
     calls, current = [], {}
-    transform = transform or transform_rows
-
-    def input_rows(q, v_size, rng):
-        inputs = _input_rows(q, v_size, rng)
-
-        def recorded(k):
-            current["a"] = inputs(k)
-            return current["a"]
-
-        return recorded
 
     def draws(instance, k, rng):
         current["r"], current["e"] = inverse_row_draws(instance, k, rng)
         return current["r"], current["e"]
 
     def atom_spy(q, counts, values, k_star, u):
-        current["k_star"], current["k_d0"], current["handed"] = k_star, np.zeros_like(k_star), None
+        current["k_star"] = k_star
         current["atom"] = atom_rows(q, counts, values, k_star, u)
         return current["atom"]
-
-    def transform_spy(q, a_values, b_values, k_star, u):
-        current["handed"] = (a_values, b_values, k_star)
-        k_d0 = transform(q, a_values, b_values, k_star, u)
-        current["k_d0"][~current["atom"] & (current["k_star"] != 0)] = np.maximum(k_d0, 1)
-        return k_d0
 
     def verdicts_spy(field, c, t, b, xi_prime, null):
         current["t"] = t
         return _verdicts(field, c, t, b, xi_prime, null)
 
     for name, spy in (
-        ("_input_rows", input_rows), ("inverse_row_draws", draws), ("atom_rows", atom_spy),
-        ("transform_rows", transform_spy), ("_verdicts", verdicts_spy),
+        ("inverse_row_draws", draws), ("atom_rows", atom_spy), ("_verdicts", verdicts_spy),
     ):
         monkeypatch.setattr(solver_module, name, spy)
     refill = elimination_refills(inst, xi_prime, m, rng, v_size)
@@ -935,9 +896,9 @@ def test_elimination_mode_with_noise_stays_classified(monkeypatch):
     r, e, t, k_star = call["r"], call["e"], call["t"], call["k_star"]
     assert len(c0) == len(tests) == len(accepted) == 7 and t.shape == (7, m)
     assert r.shape == e.shape == (7 * (1 + m), n)
-    assert call["a"].shape == (7, 40) and all(np.unique(row).size == 40 for row in call["a"])
     for i in np.flatnonzero(k_star):
-        assert c0[i] == (int(r[i] @ e[i]) - call["k_d0"][i] * pow(int(k_star[i]), -1, q)) % q
+        # c0 = r . e on the atom, and r . e plus a nonzero offset off it.
+        assert ((c0[i] - int(r[i] @ e[i])) % q == 0) == call["atom"][i]
         for j in range(n):
             d = range(7 + i * m, 7 + (i + 1) * m)  # row i's test pairs
             pairs = iter([_pair_by_hand(inst, r[x], e[x], j, int(t_x)) for t_x, x in zip(t[i], d)])
@@ -962,62 +923,23 @@ def test_elimination_refill_is_s_free():
 
 @pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
 def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind, v_size):
-    # Each non-null row's k_d, given its sigma = s_j + r . e and k*, against
-    # the closed-form grid of its own batch b' = a' sigma, for coordinate
-    # j = row mod 3: k_d = -(s_j + c0) k*. Every row ranks its k_d values
-    # from most to least likely, and the ranks drawn are pooled over rows
-    # against the mean ranked law (chi-square).
-    q, k = 101, 1000
+    # Each non-null row's k_d0 = (r . e - c0) k*, the s-free row's k_d that
+    # its batch b' = a' sigma is measured at, moved by sigma = s_j + r . e,
+    # against the law of a noiseless batch of v_size inputs drawn
+    # uniformly: the atom k_d0 = 0 holds v_size / q and the rest is
+    # uniform on [1, q) (qsim's exact enumeration tests), by chi-square.
+    q, k = 101, 4000
     inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
     refill, calls = _recorded_eliminations(monkeypatch, inst, 2, 1, derive_rng(131, 1), v_size)
     c0 = np.array(refill(k)[0])
     [call] = calls
-    s_j = inst.s[np.arange(k) % 3]
-    sigma = (s_j + (call["r"][:k] * call["e"][:k]).sum(axis=1)) % q
-    k_star = call["k_star"]
-    k_d = -(s_j + c0) * k_star % q
-    expected, ranks = np.zeros(q), []
-    zeros = np.zeros(v_size, dtype=np.int64)
-    live = np.flatnonzero(k_star)
-    for a, sig, ks, kd in zip(call["a"][live], sigma[live], k_star[live], k_d[live]):
-        law = kernel_distribution(ReducedBatch(0, q, a, a * sig % q, zeros, zeros, 0, 1.0))[:, ks]
-        order = np.argsort(-law, kind="stable")
-        expected += law[order] * q
-        ranks.append(int(np.flatnonzero(order == kd)[0]))
-    assert chi_square_ok(np.bincount(ranks, minlength=q), expected / live.size, live.size)
-    on_atom = (k_d == -sigma * k_star % q)[live]
-    assert 0 < on_atom.sum() < live.size  # rows on the atom and rows off it
-
-
-def test_elimination_rows_off_the_atom_are_transformed_as_their_s_free_rows(monkeypatch):
-    # Only non-null partial rows that atom_rows puts off the atom reach the
-    # transform, each as its own inputs at error 0, and a k_d0 = 0 from it
-    # reads as 1: c0 = r . e - 1 / k*. Every other row reads c0 = r . e.
-    q = 101
-
-    def zeros(q, a_values, b_values, k_star, u):
-        return np.zeros(len(k_star), dtype=np.int64)
-
-    inst = _instance(3, q, 1, 132)
-    for v_size in (40, None):
-        monkeypatch.undo()
-        refill, calls = _recorded_eliminations(
-            monkeypatch, inst, 2, 2, derive_rng(132, 0), v_size, transform=zeros
-        )
-        c0 = np.array(refill(64)[0])
-        [call] = calls
-        k_star = call["k_star"]
-        off = ~call["atom"] & (k_star != 0)
-        noise = (call["r"][:64] * call["e"][:64]).sum(axis=1)
-        inverse = PrimeField(q).inverse_table()
-        assert np.array_equal(c0, (noise - off * inverse[k_star]) % q)
-        if v_size:
-            a_off, b_off, k_star_off = call["handed"]
-            assert np.array_equal(a_off, call["a"][off]) and not b_off.any()
-            assert np.array_equal(k_star_off, k_star[off])
-            assert off.any()
-        else:
-            assert call["handed"] is None and not off.any()
+    rho = (call["r"][:k] * call["e"][:k]).sum(axis=1)
+    live = np.flatnonzero(call["k_star"])
+    k_d0 = (rho - c0)[live] * call["k_star"][live] % q
+    law = np.full(q, (1 - v_size / q) / (q - 1))
+    law[0] = v_size / q
+    assert chi_square_ok(np.bincount(k_d0, minlength=q), law, live.size)
+    assert 0 < (k_d0 == 0).sum() < live.size  # rows on the atom and rows off it
 
 
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
@@ -1059,7 +981,8 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
     to the coordinates in order, and coordinate j measures each row's batch
     at its moved secret sigma = s_j + r . e combined by hand, reads its
     candidate -k_d / k* off k_d = k_d0 - sigma k*, and tests it on pairs it
-    forms by hand from the row's own m test draws."""
+    forms by hand from the row's own m test draws. k_d0 is 0 on the atom,
+    and off it -U k* for the offset U = c0 - r . e the refill drew."""
     q = inst.q
     rows = iter((call, i) for call in calls for i in range(len(call["out"][0])))
     per_coordinate = []
@@ -1073,7 +996,8 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
             tests = [k + i * m + d for d in range(m)]
             block[:] = [_pair_by_hand(inst, r[d], e[d], j, int(t_d)) for t_d, d in zip(call["t"][i], tests)][::-1]
             k_star = int(call["k_star"][i])
-            k_d = (int(call["k_d0"][i]) - sigma * k_star) % q
+            u = call["out"][0][i] - int(r[i] @ e[i])
+            k_d = (-u * k_star - sigma * k_star) % q
             return extract_candidates(np.array([k_d]), np.array([k_star]), q)[0]
 
         _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=int(inst.s[j]) % q)
