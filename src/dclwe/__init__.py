@@ -62,7 +62,6 @@ from .qsim import (
 )
 from .reduce import (
     ReducedBatch,
-    elimination_batch,
     synth_reduced_batch,
 )
 from .rng import derive_rng

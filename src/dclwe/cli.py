@@ -49,11 +49,13 @@ from .oracle import (
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
     bound_report,
+    coordinate_law,
+    elimination_law,
     prob_iii_bound,
     qram_cost,
 )
 from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_state, sample_bv_outcomes
-from .reduce import eliminate_rows, elimination_batch, synth_reduced_batch
+from .reduce import eliminate_row, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
     MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
@@ -249,29 +251,24 @@ def _budgets(config: ExperimentConfig, workers: int) -> list[Budget]:
 
 
 def unreachable_points(config: ExperimentConfig, budgets: list[Budget]) -> list[str]:
-    """Elimination-mode points whose measured xi' exceeds the tested xi'.
+    """Elimination-mode points whose predicted success falls below 1 - delta.
 
-    Each point builds one probe batch on a stream no trial uses, from
-    every point's budget (_budgets). A batch whose measured
-    amplification pushes its bound past the xi' the residual tests use
-    makes true candidates fail those tests, so the point cannot be
-    expected to succeed.
+    oracle.elimination_law gives the law of a point's rows from every
+    point's budget (_budgets), and oracle.coordinate_law a coordinate's
+    success and shots under it; a solve is n independent coordinates.
+    Nothing is drawn.
     """
     if config.mode != MODE_ELIMINATION:
         return []
     problems = []
     for pi, (point, (chi, params)) in enumerate(zip(config.points(), budgets)):
-        # Trial streams take a (point, trial) path; a three-index path is none of them.
-        rng = derive_rng(config.seed, pi, 0, 0)
-        q = point.q
-        instance = make_instance(point.n, q, chi, rng)
-        v = np.arange(q) if point.v_size in (None, q) else rng.choice(q, size=point.v_size, replace=False)
-        batch = elimination_batch(instance, 0, v, rng)
-        if batch.xi_prime > params.xi_prime:
+        rows = elimination_law(point.n, point.q, chi, params.xi_prime, point.v_size or point.q)
+        success, shots, _ = coordinate_law(*rows, params.L, params.M)
+        if success**point.n < 1 - point.delta:
             problems.append(
-                f"{_name(pi, point)}: elimination measured xi'={batch.xi_prime}"
-                f" (kappa={batch.kappa:g}) on a probe batch, above the tested"
-                f" xi'={params.xi_prime}; true candidates would fail their tests"
+                f"{_name(pi, point)}: elimination's predicted success {success**point.n:.4g}"
+                f" lies below 1 - delta = {1 - point.delta:g}"
+                f" ({point.n * shots:.1f} shots per solve)"
             )
     return problems
 
@@ -456,8 +453,9 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     check("kernel unitarity on 1e3 random states", worst < 1e-10, f"max drift {worst:.2e}")
 
     # Elimination on real samples: for each invertible sample matrix A, the
-    # inverse row r for j has r A = e_j, and eliminate_rows on r and A's
-    # errors gives b' = a' (r . b) = a' s_j + eta' within the L1 bound.
+    # inverse row r for j has r A = e_j, and eliminate_row on r and A's
+    # outputs b gives b' = a' (r . b) = a' (s_j + r . e), with eta' within
+    # the L1 bound.
     ok, matrices = True, 0
     for _ in range(40):
         n = int(rng.integers(2, 6))
@@ -468,12 +466,12 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
         a, b, e = draw_samples(inst, rng, (4, n))
         inv, invertible = mat_inverse_stack(a, q)
         a, b, e, r = a[invertible], b[invertible], e[invertible], inv[invertible, j]
-        a_values = rng.choice(q, size=min(q, 17), replace=False)[None]
-        stack = eliminate_rows(inst, r, e, a_values, j)
+        a_values = rng.choice(q, size=min(q, 17), replace=False)
         ok &= not (((r[:, :, None] * a).sum(axis=1) - np.eye(n, dtype=np.int64)[j]) % q).any()
-        ok &= np.array_equal(stack.b_values, a_values * ((r * b).sum(axis=1) % q)[:, None] % q)
-        ok &= not ((stack.b_values - a_values * int(inst.s[j]) - stack.eta_values) % q).any()
-        ok &= bool((np.abs(stack.eta_values) <= stack.coeff_l1_values * xi).all())
+        for row, b_row, e_row in zip(r, b, e):
+            _, eta, l1 = eliminate_row(row, int(row @ b_row % q), a_values, int(inst.s[j]), q)
+            ok &= not ((eta - a_values * int(row @ e_row)) % q).any()
+            ok &= bool((np.abs(eta) <= l1 * xi).all())
         matrices += r.shape[0]
     check("elimination identity and amplification bound", ok, f"{matrices} sample matrices")
 

@@ -3,13 +3,14 @@
 Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept and overall-success
-bounds, the classical direct-candidate baseline, and the query-cost
-table for the four memory layouts. Keeping these routes separate from
-the statevector path is the point; tests compare them with it. The
-closed forms share one thing with the simulator, qsim.root_table,
-the cached phases w^r: the same values np.exp gives element by element,
-and within 1e-15 of np.cos for the real parts restricted_ridge_sum
-reads. The baseline alone runs the solver's loop: solver.baseline_refills
+bounds, the classical direct-candidate baseline, the law of an
+elimination row and a coordinate's success, shots and tests under such
+a law, and the query-cost table for the four memory layouts. Keeping
+these routes separate from the statevector path is the point; tests
+compare them with it. The closed forms share one thing with the
+simulator, qsim.root_table, the cached phases w^r: the same values
+np.exp gives element by element, and within 1e-15 of np.cos for the
+real parts restricted_ridge_sum reads. The baseline alone runs the solver's loop: solver.baseline_refills
 through solver.controlled_pass, on pairs drawn from the solve's one stream.
 """
 
@@ -139,6 +140,47 @@ def baseline_coordinate_rate(chi_prime: ErrorDistribution) -> float:
     """Exact single-draw success rate of the direct candidate: P(eta' = 0)."""
     weights = chi_prime.weights()
     return float(weights[chi_prime.xi] / weights.sum())
+
+
+def elimination_law(
+    n: int, q: int, chi: ErrorDistribution, xi_prime: int, m: int
+) -> tuple[float, float, float, float]:
+    """(nu, p_c, pi_c, pi_w) of an elimination row over m inputs, for coordinate_law.
+
+    rho = r . e, r uniform on F_q^n minus 0 and e from chi^n, is 0 when
+    e = 0 (P0 = chi(0)^n); any other e meets 0 at q^(n-1) - 1 of the
+    q^n - 1 rows r and each x != 0 at q^(n-1). A shot is a null with
+    nu = 1/q; else c0 = rho on its atom (m/q) and rho + U off it, U
+    uniform on [1, q). A trial against c0 passes when its test row has
+    rho' = c0, or else with 2 xi' / (q - 1), t uniform on [1, q).
+    """
+    p0 = baseline_coordinate_rate(chi) ** n
+    rows = q**n - 1
+    on = p0 + (1 - p0) * ((q ** (n - 1) - 1) / rows)  # P(rho = 0)
+    off = (1 - p0) * (q ** (n - 1) / rows)  # P(rho = x) for each x != 0
+    p_c = m / q * on + (1 - m / q) * (1 - on) / (q - 1)
+    slip = 2 * xi_prime / (q - 1)
+    return 1 / q, p_c, on + (1 - on) * slip, off + (1 - off) * slip
+
+
+def coordinate_law(
+    nu: float, p_c: float, pi_c: float, pi_w: float, l_budget: int, m: int
+) -> tuple[float, float, float]:
+    """(P(success), E[shots], E[tests]) of a coordinate of at most L i.i.d.
+    shots: a null with nu, else a candidate, correct with p_c, whose M
+    trials each pass with pi_c if correct and pi_w if wrong, up to the
+    first failing one. A shot settles it with A = A_c + A_w, A_c =
+    (1 - nu) p_c pi_c^M and A_w = (1 - nu)(1 - p_c) pi_w^M; E[tests]
+    follows from E[shots] by Wald's identity.
+    """
+    if l_budget < 1 or m < 1:
+        raise ValueError(f"L and M must be at least 1, got L={l_budget}, M={m}")
+    a_c = (1 - nu) * p_c * pi_c**m
+    a = a_c + (1 - nu) * (1 - p_c) * pi_w**m
+    settled = -math.expm1(l_budget * math.log1p(-a)) if a < 1 else 1.0
+    shots = settled / a if a > 0 else float(l_budget)
+    trials = sum(p_c * pi_c**i + (1 - p_c) * pi_w**i for i in range(m))
+    return (a_c / a * settled if a > 0 else 0.0), shots, shots * (1 - nu) * trials
 
 
 def classical_baseline_solve(

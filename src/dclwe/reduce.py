@@ -22,14 +22,12 @@ inverse_row_draws draws (r, e) directly, with the law of an invertible
 sample matrix, so no sample matrix is drawn or inverted. The solver's
 elimination refill reads only r . e from them: its offsets and test
 residuals are s-free, and r . b = s_j + r . e is the identity they rest
-on. eliminate_rows builds whole batches from such rows for one
-coordinate, summing each input's amplification over n contiguous
-planes, and validates them against each row's own measured bound with
-one check_rows call; it serves elimination_batch (one batch, which the
-CLI's probe measures) and the selftest, which checks the identity on
-real sample matrices. make_test_sample runs the same combination for
-one input t over given samples, since a test pair is an elimination
-whose only input is t. synth_reduced_batch draws one controlled batch's
+on. eliminate_row pushes a batch's inputs through one such row and
+measures each input's amplification; the selftest runs it on real
+sample matrices to check that identity, elimination_batch on one drawn
+row, and make_test_sample on one input t over given samples, since a
+test pair is an elimination whose only input is t. No solve calls
+these three. synth_reduced_batch draws one controlled batch's
 errors and adds them to a' s_j. A controlled refill draws each batch as
 its error histogram instead; check_window bounds the window it counts
 once per refill source, and check_histograms checks each histogram's
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,40 +122,22 @@ def _input_array(v: Iterable[int], q: int) -> np.ndarray:
     return arr
 
 
-class EliminationStack(NamedTuple):
-    """k eliminated batches, one per row, all for one coordinate; every
-    array is (k, m) except the per-row ones marked (k,)."""
-
-    b_values: np.ndarray
-    eta_values: np.ndarray  # ground truth, harness only
-    coeff_l1_values: np.ndarray
-    kappa: np.ndarray  # (k,) worst coeff_l1 of each row
-    xi_prime: np.ndarray  # (k,) kappa * xi
-
-
-def _combine(
-    r: np.ndarray, rb: np.ndarray, a_values: np.ndarray, s_j: int, q: int
+def eliminate_row(
+    r: np.ndarray, rb: int, a_values: np.ndarray, s_j: int, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push each input a' of row i through row i's inverse row.
+    """Push each input a' of a batch through one inverse row r.
 
-    r is (k, n), row j(i) of each sample matrix's inverse, and rb the
-    (k,) column r[i] . b[i] mod q of the matching sample outputs. a_values
-    is (k, m) or one shared (1, m) row. The combination of a' is a' * r[i],
-    linear in a', so b' = a' * rb[i] = a' * s_j + eta' with eta' that
-    combination of the hidden errors, recovered from the ground-truth s_j.
-    Returns (b', eta', coeff_l1), each (k, m).
-
-    The coefficients are formed as n planes of (k, m) per row, (k, n, m),
-    reduced and centered in place, and summed plane by plane, so every
-    step runs over whole contiguous rows of m.
+    r is (n,), row j of a sample matrix's inverse, and rb = r . b mod q
+    for the matching sample outputs b. The combination of a' is a' * r,
+    linear in a', so b' = a' * rb = a' * s_j + eta' with eta' that
+    combination of the hidden errors, recovered from the ground-truth
+    s_j. Returns (b', eta', coeff_l1) over a_values, coeff_l1 the L1 norm
+    of the centered a' * r.
     """
-    field = PrimeField(q)
-    combos = r[:, :, None] * a_values[:, None, :]  # (k, n, m), below q^2
-    np.remainder(combos, q, out=combos)
-    np.minimum(combos, q - combos, out=combos)  # |centered combos|
-    coeff_l1_values = combos.sum(axis=1)
-    b_values = a_values * rb[:, None] % q
-    eta_values = field.centered_array(b_values - a_values * s_j)
+    combos = np.multiply.outer(r, a_values) % q  # (n, m), below q^2 before reduction
+    coeff_l1_values = np.minimum(combos, q - combos).sum(axis=0)
+    b_values = a_values * rb % q
+    eta_values = PrimeField(q).centered_array(b_values - a_values * s_j)
     return b_values, eta_values, coeff_l1_values
 
 
@@ -165,7 +145,7 @@ def make_test_sample(
     samples: Sequence[Sample], j: int, t_target: int, secret: np.ndarray, q: int
 ) -> ReducedPair:
     """Test pair (t, t * s_j + eta') for coordinate j from n given samples:
-    the one-row, one-input case of the stacked elimination.
+    eliminate_row on the one input t.
 
     The combination is t times row j of the inverse sample matrix, so
     eta' is the same combination applied to the hidden errors; the
@@ -183,17 +163,8 @@ def make_test_sample(
     if not 0 <= j < n:
         raise InvalidLength(f"coordinate {j} out of range for n={n}")
     row = mat_inverse(a, q)[j]
-    rb = (row * b).sum(keepdims=True) % q
-    b_prime, eta_prime, coeff_l1 = _combine(
-        row[None], rb, np.array([[target]], dtype=np.int64), int(secret[j]), q
-    )
-    return ReducedPair(
-        a_prime=target,
-        b_prime=int(b_prime[0, 0]),
-        eta_prime=int(eta_prime[0, 0]),
-        coeff_l1=int(coeff_l1[0, 0]),
-        q=q,
-    )
+    pair = eliminate_row(row, int(row @ b % q), np.array([target], dtype=np.int64), int(secret[j]), q)
+    return ReducedPair(target, *(int(x[0]) for x in pair), q)
 
 
 def check_window(q: int, xi_prime: int, chi_prime) -> None:
@@ -260,8 +231,8 @@ def inverse_row_draws(
     uniform on [0, q)^n, redrawing only the all-zero rows until none is
     left, then e from chi: the law of the rows an invertible draw of
     sample matrices gives, with no sample matrix drawn or inverted.
-    The solver's elimination refill reads r . e, and eliminate_rows forms
-    r . b from the ground-truth s_j and e, so neither materialises
+    The solver's elimination refill reads r . e, and elimination_batch
+    forms r . b from the ground-truth s_j and e, so neither materialises
     samples; make_test_sample and the selftest check the identity on
     real samples.
     """
@@ -273,51 +244,26 @@ def inverse_row_draws(
     return r, sample_errors(instance.chi, rng, (k, instance.n))
 
 
-def eliminate_rows(
-    instance: LweInstance, r: np.ndarray, e: np.ndarray, a_values: np.ndarray, j: int
-) -> EliminationStack:
-    """Batches by elimination for coordinate j, one per row of the (k, m)
-    inputs: row i pushes every input a' through its inverse row r[i],
-    with r[i] . b = (s_j + r[i] . e[i]) mod q from its hidden errors e[i].
-
-    Each row's bound xi' is its measured worst-case amplification times
-    the instance bound, and one check_rows call validates the stack
-    against those bounds.
-    """
-    q = instance.q
-    s_j = int(instance.s[j])
-    rb = (s_j + (r * e).sum(axis=1)) % q
-    b_values, eta_values, coeff_l1_values = _combine(r, rb, a_values, s_j, q)
-    kappa = coeff_l1_values.max(axis=1)
-    xi_prime = kappa * instance.xi
-    check_rows(q, a_values, eta_values, xi_prime)
-    return EliminationStack(b_values, eta_values, coeff_l1_values, kappa, xi_prime)
-
-
 def elimination_batch(
     instance: LweInstance, j: int, v: Iterable[int], rng: np.random.Generator
 ) -> ReducedBatch:
-    """Batch for coordinate j over inputs v: one inverse_row_draws row,
-    then eliminate_rows, as a one-row stack.
+    """Batch for coordinate j over inputs v: one inverse_row_draws row
+    (r, e), with r . b = s_j + r . e, through eliminate_row. Its bound xi'
+    is its measured worst-case amplification times the instance bound.
 
     One elimination row serves the whole batch, so each input's error is
-    that row's combined noise scaled by a'.
+    that row's combined noise scaled by a'. It stays only for
+    bench/layers.py and the tests, until ROADMAP item 3.
     """
-    a_values = _input_array(v, instance.q)
-    r, e = inverse_row_draws(instance, 1, rng)
-    stack = eliminate_rows(instance, r, e, a_values[None], j)
-    return ReducedBatch(
-        j=j,
-        q=instance.q,
-        a_values=a_values,
-        b_values=stack.b_values[0],
-        eta_values=stack.eta_values[0],
-        coeff_l1_values=stack.coeff_l1_values[0],
-        xi_prime=int(stack.xi_prime[0]),
-        kappa=float(stack.kappa[0]),
-    )
+    q, s_j = instance.q, int(instance.s[j])
+    a_values = _input_array(v, q)
+    (r,), (e,) = inverse_row_draws(instance, 1, rng)
+    b_values, eta_values, l1 = eliminate_row(r, (s_j + int(r @ e)) % q, a_values, s_j, q)
+    kappa = int(l1.max())
+    return ReducedBatch(j, q, a_values, b_values, eta_values, l1, kappa * instance.xi, float(kappa))
 
 
 def kappa_observed(batch: ReducedBatch) -> int:
-    """Worst-case measured amplification across the batch."""
+    """Worst-case measured amplification across the batch. It stays only
+    for bench/layers.py and the tests, until ROADMAP item 3."""
     return int(batch.coeff_l1_values.max())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dclwe import ConfigError, EmptyResult
+from dclwe import ConfigError, EmptyResult, ErrorDistribution, choose_parameters
 from dclwe.cli import (
     ExperimentConfig,
     build_config,
@@ -23,6 +23,7 @@ from dclwe.cli import (
     run_experiment,
     run_point_trial,
 )
+from dclwe.oracle import coordinate_law, elimination_law
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -338,19 +339,59 @@ def test_small_configs_run_or_exit_with_a_reason(command, n, q, mode, chi_kind, 
 
 
 def test_elimination_runs_that_cannot_succeed_are_refused(capsys):
-    # Elimination amplifies the noise far past the tested xi' = 1.
+    # At xi' = 1 a noisy row's offset r . e is nearly uniform, so a true
+    # candidate fails its own trials about as often as a wrong one passes:
+    # the law predicts success far below 1 - delta.
     argv = ["--mode", "elimination", "--n", "2", "--q", "101", "--seed", "3", "--trials", "2"]
+    params = choose_parameters(2, 101, 1, 1.0, 0.2)
+    success, shots, _ = coordinate_law(
+        *elimination_law(2, 101, ErrorDistribution("uniform", 1), 1, 101), params.L, params.M
+    )
+    message = (
+        f"point 0 (n=2, q=101, xi=1, kappa=1): elimination's predicted success {success**2:.4g}"
+        f" lies below 1 - delta = 0.8 ({2 * shots:.1f} shots per solve)"
+    )
     assert main(["solve", *argv]) == 2
-    err = capsys.readouterr().err
-    assert "tested xi'=1" in err and "measured xi'=" in err
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     # A sweep runs anyway and warns.
     assert main(["sweep", *argv]) == 0
     captured = capsys.readouterr()
-    assert "warning:" in captured.err and "tested xi'=1" in captured.err
+    assert captured.err == f"warning: {message}\n"
     assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 2
-    # Without noise nothing is amplified, so the run goes ahead.
+    # Without noise every full-field row is correct, so the run goes ahead.
     assert main(["solve", *argv, "--xi", "0"]) == 0
     assert "success=1.000" in capsys.readouterr().out
+
+
+def test_a_refused_elimination_solve_draws_nothing(monkeypatch, capsys):
+    import dclwe.cli as cli_module
+    import dclwe.reduce as reduce_module
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance or an elimination row was drawn")
+
+    monkeypatch.setattr(cli_module, "make_instance", no_draw)
+    monkeypatch.setattr(reduce_module, "inverse_row_draws", no_draw)
+    for extra in (
+        ["--kappa", "2"],  # noisy full field: every true candidate fails its trials
+        ["--xi", "0", "--v-size", "1", "--trials", "5", "--seed", "1"],  # one input: 1/q on the atom
+    ):
+        assert main(["solve", "--mode", "elimination", "--n", "3", "--q", "101", *extra]) == 2, extra
+        captured = capsys.readouterr()
+        assert "elimination's predicted success" in captured.err and "below 1 - delta = 0.8" in captured.err
+        assert captured.out == ""
+
+
+def test_an_elimination_point_that_can_succeed_runs_without_a_warning(capsys):
+    # Gaussian noise at sigma = xi/3 draws e = 0 in most rows, so r . e = 0:
+    # the law predicts 0.9996, whatever the worst-case amplification.
+    argv = ["--mode", "elimination", "--n", "3", "--q", "101", "--kappa", "2", "--v-size", "40"]
+    argv += ["--chi-kind", "gaussian", "--trials", "20", "--seed", "1"]
+    assert main(["solve", *argv]) == 0
+    captured = capsys.readouterr()
+    assert "success=1.000" in captured.out and captured.err == ""
+    assert main(["sweep", *argv, "--trials", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_an_infeasible_later_point_is_refused_before_any_solve(monkeypatch, capsys):
@@ -430,7 +471,7 @@ def test_a_refused_run_creates_no_out_file(tmp_path, capsys):
         ["sweep", "--n", "4", "--q", "101,11", "--kappa", "2", "--trials", "1"],  # no budget at q=11
         ["bounds", "--n", "3", "--q", "101", "--xi", "0,1", "--kappa", "1"],  # xi'=0
         ["solve", "--workers", "0"],
-        ["solve", "--mode", "elimination", "--n", "2", "--q", "101", "--seed", "3", "--trials", "2"],  # probe
+        ["solve", "--mode", "elimination", "--n", "2", "--q", "101", "--seed", "3", "--trials", "2"],  # law
     ):
         assert main([*argv, "--out", str(out)]) == 2, argv
         assert "configuration error" in capsys.readouterr().err

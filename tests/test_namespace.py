@@ -33,7 +33,7 @@ PUBLIC = {
     "TwoQuditState", "bv_kernel", "prepare_sample_state", "kernel_distribution",
     "sample_bv_outcomes", "sample_bv_stack",
     # reduce
-    "ReducedBatch", "elimination_batch", "synth_reduced_batch",
+    "ReducedBatch", "synth_reduced_batch",
     # solver
     "MODE_CONTROLLED", "MODE_ELIMINATION", "OUTCOME_FAILURE", "OUTCOME_SUCCESS",
     "OUTCOME_WRONG_ACCEPT", "CoordinateStats", "SolveOutcome", "SolveParameters",
@@ -48,13 +48,14 @@ INTERNAL = {
         "Sample", "draw_samples", "gen_samples", "gen_secret", "sample_error",
         "sample_errors", "samples_to_arrays",
     ),
+    "oracle": ("coordinate_law", "elimination_law"),
     "qsim": (
         "NORM_TOL", "MeasurementOutcome", "atom_rows", "extract_candidate", "extract_candidates",
         "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
     ),
     "reduce": (
-        "EliminationStack", "ReducedPair", "check_histograms", "check_rows", "check_window",
-        "eliminate_rows", "inverse_row_draws", "kappa_observed", "make_test_sample",
+        "ReducedPair", "check_histograms", "check_rows", "check_window", "eliminate_row",
+        "elimination_batch", "inverse_row_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (
         "amplified_law", "baseline_refills", "classify", "controlled_pass",

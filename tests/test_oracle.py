@@ -1,5 +1,6 @@
 import cmath
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -15,11 +16,13 @@ from dclwe import (
     SCHEME_PRIMITIVE,
     BoundTooLarge,
     CoordinateStats,
+    MODE_ELIMINATION,
     ErrorDistribution,
     InvalidLength,
     ReducedBatch,
     baseline_coordinate_rate,
     bound_report,
+    choose_parameters,
     classical_baseline_solve,
     derive_rng,
     exact_success_probability,
@@ -30,9 +33,11 @@ from dclwe import (
     prob_iii_bound,
     qram_cost,
     restricted_ridge_sum,
+    solve,
     synth_reduced_batch,
 )
 from dclwe import oracle as oracle_module
+from dclwe.oracle import coordinate_law, elimination_law
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 
 from _stats import binom_3sigma
@@ -328,6 +333,106 @@ def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
     for s_j in inst.s:
         direct = (a * s_j + eta) % q * np.array([pow(int(x), -1, q) for x in a]) % q
         assert np.array_equal((s_j + np.array(c)) % q, direct)
+
+
+def _every_shot_sequence(nu, p_c, pi_c, pi_w, budget, m):
+    """(P(success), E[shots], E[tests]) of one coordinate, summed over every
+    sequence of at most `budget` shots, each a null, a candidate rejected
+    at trial i + 1 <= M, or one that passes all M trials and settles it."""
+    outcomes = [(nu, 0, None)]  # (probability, tests, accepted value is correct)
+    for p, pi, correct in ((p_c, pi_c, True), (1 - p_c, pi_w, False)):
+        outcomes.append(((1 - nu) * p * pi**m, m, correct))
+        outcomes += [((1 - nu) * p * pi**i * (1 - pi), i + 1, None) for i in range(m)]
+    total = np.zeros(4)  # probability mass, success, shots, tests
+
+    def walk(shots, weight, tests):
+        if shots == budget:
+            total[:] += weight * np.array([1, 0, shots, tests])
+            return
+        for p, used, correct in outcomes:
+            if correct is None:
+                walk(shots + 1, weight * p, tests + used)
+            else:
+                total[:] += weight * p * np.array([1, correct, shots + 1, tests + used])
+
+    walk(0, 1.0, 0)
+    assert abs(total[0] - 1) < 1e-12
+    return tuple(total[1:])
+
+
+def test_coordinate_law_matches_every_shot_sequence():
+    rng = derive_rng(30, 0)
+    laws = [rng.random(4) for _ in range(6)]
+    laws += [np.array(law) for law in ([0, 1, 1, 0], [0.5, 0.2, 1, 1], [0, 0, 0.3, 0.7], [0.3, 1, 0, 0])]
+    for law in laws:
+        for budget, m in itertools.product((1, 2, 3), (1, 2)):
+            got = coordinate_law(*law, budget, m)
+            want = _every_shot_sequence(*law, budget, m)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (law, budget, m)
+    with pytest.raises(ValueError):
+        coordinate_law(0.1, 0.5, 1, 0.1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "q, n, chi",
+    [(5, 2, ErrorDistribution(UNIFORM, 1)), (5, 2, ErrorDistribution(GAUSSIAN, 2)),
+     (3, 3, ErrorDistribution(UNIFORM, 1))],
+    ids=["q5-n2-uniform", "q5-n2-gaussian", "q3-n3-uniform"],
+)
+def test_elimination_law_matches_every_inverse_row_and_error(q, n, chi):
+    # rho = r . e over every r != 0 and every e in the window, with its chi weight.
+    weights = chi.weights() / chi.weights().sum()
+    window = range(-chi.xi, chi.xi + 1)
+    rows = [r for r in itertools.product(range(q), repeat=n) if any(r)]
+    rho = np.zeros(q)
+    for e in itertools.product(window, repeat=n):
+        weight = math.prod(weights[x + chi.xi] for x in e) / len(rows)
+        for r in rows:
+            rho[sum(a * b for a, b in zip(r, e)) % q] += weight
+    # At xi' = 0 a trial passes only on rho' = c0, so pi_c = P(rho = 0) and
+    # pi_w = P(rho = x); over the full field every row is on its atom.
+    nu, p_c, pi_c, pi_w = elimination_law(n, q, chi, 0, q)
+    assert nu == 1 / q and abs(p_c - rho[0]) < 1e-12 and abs(pi_c - rho[0]) < 1e-12
+    assert np.abs(rho[1:] - pi_w).max() < 1e-12
+    # Off the atom c0 = rho + U, U uniform on [1, q); a trial against c0 has
+    # residual t (rho' - c0), t uniform on [1, q), within xi' = 1.
+    passing = np.zeros(q)  # P(trial passes) against each c0
+    for c, x, t in itertools.product(range(q), range(q), range(1, q)):
+        passing[c] += rho[x] * (abs((t * (x - c) + q // 2) % q - q // 2) <= 1) / (q - 1)
+    for m in range(1, q + 1):
+        _, p_c, pi_c, pi_w = elimination_law(n, q, chi, 1, m)
+        assert abs(p_c - (m / q * rho[0] + (1 - m / q) * rho[1:].sum() / (q - 1))) < 1e-12
+        assert abs(pi_c - passing[0]) < 1e-12 and np.abs(passing[1:] - pi_w).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, sigma, v_size, solves",
+    [(UNIFORM, None, None, 1000), (GAUSSIAN, None, 40, 2000), (GAUSSIAN, 0.6, None, 2000),
+     (GAUSSIAN, 0.8, 40, 1000)],
+    ids=["uniform-full", "gaussian-40", "gaussian-0.6-full", "gaussian-0.8-40"],
+)
+def test_elimination_solves_follow_their_law(kind, sigma, v_size, solves):
+    # n=3, q=101, kappa=2: L=87, M=3. Success per solve within binomial 3 sigma
+    # of the law's coordinate success cubed; shots and tests per solve within
+    # 3 sigma of n times the law's.
+    n, q = 3, 101
+    chi = ErrorDistribution(kind, 1, sigma=sigma)
+    params = choose_parameters(n, q, 1, 2.0, 0.2)
+    assert (params.L, params.M, params.xi_prime) == (87, 3, 2)
+    success, shots, tests = coordinate_law(*elimination_law(n, q, chi, 2, v_size or q), params.L, params.M)
+    rng = derive_rng(31, solves)
+    outs = [
+        solve(make_instance(n, q, chi, rng), params, MODE_ELIMINATION, rng, v_size=v_size)
+        for _ in range(solves)
+    ]
+    wins = sum(out.outcome == OUTCOME_SUCCESS for out in outs) / solves
+    assert abs(wins - success**n) <= binom_3sigma(success**n, solves)
+    for measured, law in (
+        ([out.quantum_samples for out in outs], n * shots),
+        ([out.test_samples for out in outs], n * tests),
+    ):
+        measured = np.array(measured)
+        assert abs(measured.mean() - law) <= 3 * measured.std() / math.sqrt(solves)
 
 
 def test_qram_cost_examples():

@@ -15,7 +15,6 @@ from dclwe import (
     PrimeField,
     ReducedBatch,
     derive_rng,
-    elimination_batch,
     make_instance,
     synth_reduced_batch,
 )
@@ -23,7 +22,8 @@ from dclwe.fq import is_prime, mat_inverse_stack
 from dclwe.instance import UNIFORM, Sample, draw_samples, gen_samples, samples_to_arrays
 from dclwe.reduce import (
     check_rows,
-    eliminate_rows,
+    eliminate_row,
+    elimination_batch,
     inverse_row_draws,
     kappa_observed,
     make_test_sample,
@@ -250,28 +250,29 @@ def test_row_check_takes_a_bound_per_row():
 
 
 def test_elimination_stack_rows_satisfy_their_own_identity():
+    # The rows of one inverse_row_draws stack, each through eliminate_row
+    # with r . b = s_j + r . e from its own hidden errors.
     q, xi = 101, 2
     inst, rng = _noisy_instance(3, q, xi, 70)
-    a_values = np.broadcast_to(np.arange(q), (12, q))
+    a_values = np.arange(q)
     r, e = inverse_row_draws(inst, 12, rng)
     assert r.shape == e.shape == (12, 3) and r.any(axis=1).all()
     assert ((0 <= r) & (r < q)).all() and (np.abs(e) <= xi).all()
-    stack = eliminate_rows(inst, r, e, a_values, 2)
     s_j = int(inst.s[2])
-    assert stack.b_values.shape == stack.eta_values.shape == (12, q)
-    assert not ((stack.b_values - a_values * s_j - stack.eta_values) % q).any()
-    assert np.array_equal(stack.kappa, stack.coeff_l1_values.max(axis=1))
-    assert np.array_equal(stack.xi_prime, stack.kappa * xi)
-    assert (np.abs(stack.eta_values).max(axis=1) <= stack.xi_prime).all()
-    # Within a row eta'(a') = a' * (r . e), the row's combined noise (its a' = 1 error).
-    noise = stack.eta_values[:, 1]
-    assert not ((noise - (r * e).sum(axis=1)) % q).any()
-    assert not ((stack.eta_values - a_values * noise[:, None]) % q).any()
-    # The amplification of a' is the L1 norm of the centered a' * r.
-    l1 = np.abs(PrimeField(q).centered_array(a_values[:, None, :] * r[:, :, None])).sum(axis=1)
-    assert np.array_equal(stack.coeff_l1_values, l1)
+    noise = []
+    for row, errors in zip(r, e):
+        b_values, eta_values, l1 = eliminate_row(row, (s_j + int(row @ errors)) % q, a_values, s_j, q)
+        assert b_values.shape == eta_values.shape == l1.shape == (q,)
+        assert not ((b_values - a_values * s_j - eta_values) % q).any()
+        assert (np.abs(eta_values) <= l1 * xi).all()
+        # eta'(a') = a' * (r . e), the row's combined noise (its a' = 1 error).
+        assert not ((eta_values[1] - row @ errors) % q).any()
+        assert not ((eta_values - a_values * eta_values[1]) % q).any()
+        # The amplification of a' is the L1 norm of the centered a' * r.
+        assert np.array_equal(l1, np.abs(PrimeField(q).centered_array(np.outer(a_values, row))).sum(axis=1))
+        noise.append(int(eta_values[1]))
     # Each row has its own inverse row, so the noise varies across the stack.
-    assert np.unique(noise).size > 1
+    assert len(set(noise)) > 1
 
 
 def _inverse_mod(a, q):
@@ -307,9 +308,9 @@ def _python_draws(inst, k, rng):
 
 
 def _pairs_by_hand(inst, inv, b, eta, a_values, coords):
-    """b', eta' and coeff_l1 pair by pair in Python ints, and each row's kappa:
-    row i pushes its inputs a' through row coords[i] of its inverse, and
-    eta' must also be that combination of the row's hidden errors."""
+    """b', eta' and coeff_l1 pair by pair in Python ints: row i pushes its
+    inputs a' through row coords[i] of its inverse, and eta' must also be
+    that combination of the row's hidden errors."""
     q, h = inst.q, inst.q // 2
 
     def centered(x):
@@ -326,11 +327,11 @@ def _pairs_by_hand(inst, inv, b, eta, a_values, coords):
         eta_out.append([centered(a * r - a * s_j) for a in a_row])
         assert eta_out[-1] == [centered(a * noise) for a in a_row]
         l1_out.append([sum(abs(centered(a * x)) for x in row) for a in a_row])
-    return b_out, eta_out, l1_out, [max(row) for row in l1_out]
+    return b_out, eta_out, l1_out
 
 
 @pytest.mark.parametrize("q", [3, 101, 4093, 33554393])
-def test_eliminate_rows_matches_a_per_pair_reference(q):
+def test_eliminate_row_matches_a_per_pair_reference(q):
     # 33554393 is the largest prime below MODULUS_CEILING: a' * r and a' * inv
     # reach q^2 ~ 2^50, which int64 must hold without wrapping. A full-field
     # row there would have 2^25 pairs, so its shared row is a spread of inputs
@@ -350,15 +351,17 @@ def test_eliminate_rows_matches_a_per_pair_reference(q):
     ]
     for a_values, j, per_row in blocks:
         inv, b, eta = _python_draws(inst, len(per_row), rng)
-        # eliminate_rows sees only row j of each inverse and the hidden errors;
-        # the reference combines the real outputs b.
-        stack = eliminate_rows(inst, inv[np.arange(len(per_row)), per_row], eta, a_values, j)
-        b_ref, eta_ref, l1_ref, kappa_ref = _pairs_by_hand(inst, inv, b, eta, a_values, per_row)
-        assert stack.b_values.tolist() == b_ref
-        assert stack.eta_values.tolist() == eta_ref
-        assert stack.coeff_l1_values.tolist() == l1_ref
-        assert stack.kappa.tolist() == kappa_ref
-        assert stack.xi_prime.tolist() == [kappa * xi for kappa in kappa_ref]
+        # eliminate_row sees only row j of each inverse and r . b = s_j + r . e
+        # from the hidden errors; the reference combines the real outputs b.
+        s_j = int(inst.s[j])
+        got = [
+            eliminate_row(row, (s_j + int(row @ e)) % q, a_values[i % len(a_values)], s_j, q)
+            for i, (row, e) in enumerate(zip(inv[np.arange(len(per_row)), per_row], eta))
+        ]
+        b_ref, eta_ref, l1_ref = _pairs_by_hand(inst, inv, b, eta, a_values, per_row)
+        assert [g[0].tolist() for g in got] == b_ref
+        assert [g[1].tolist() for g in got] == eta_ref
+        assert [g[2].tolist() for g in got] == l1_ref
 
 
 @pytest.mark.parametrize("q, n", [(3, 3), (5, 2)])
