@@ -264,9 +264,10 @@ def unreachable_points(config: ExperimentConfig, budgets: list[Budget]) -> list[
     for pi, (point, (chi, params)) in enumerate(zip(config.points(), budgets)):
         rows = elimination_law(point.n, point.q, chi, params.xi_prime, point.v_size or point.q)
         success, shots, _ = coordinate_law(*rows, params.L, params.M)
-        if success**point.n < 1 - point.delta:
+        success **= point.n
+        if success < 1 - point.delta:
             problems.append(
-                f"{_name(pi, point)}: elimination's predicted success {success**point.n:.4g}"
+                f"{_name(pi, point)}: elimination's predicted success {success:.4g}"
                 f" lies below 1 - delta = {1 - point.delta:g}"
                 f" ({point.n * shots:.1f} shots per solve)"
             )
