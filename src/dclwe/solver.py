@@ -24,8 +24,9 @@ Coordinate j reads a row's candidate as s_j + c0 with that verdict,
 which does not depend on s, so the pass hands rows out in order and the
 rows a settled coordinate leaves go to the next one. _take_row turns a
 judged row into a coordinate's CoordinateStats. One rule sizes every
-refill (controlled_pass), so a coordinate that never settles costs
-O(log L) refills.
+refill by the rows the solve has used (controlled_pass), since a
+refill's fixed cost far outweighs its rows': a solve opens few refills,
+and a coordinate that never settles costs O(log L) of them.
 
 Every refill is one body, _refills, fed by its mode's draw of k rows:
 their k*, the non-null rows off the k_d = 0 atom, each row's offset rho
@@ -81,13 +82,13 @@ OUTCOME_WRONG_ACCEPT = "wrong_accept"
 
 _MAX_M = 64
 
-# Rows a refill holds for each coordinate not yet run, until the rows drawn
-# in the solve outgrow it (controlled_pass).
-FIRST_CHUNK = 4
+# Rows a refill holds at least for each coordinate not yet run, within the
+# budget (controlled_pass).
+FIRST_CHUNK = 8
 
-# Refills stop growing at REFILL_ENTRIES // q rows (controlled_pass), 16 at
-# q=4093. A refill holds no q-wide table, so the cap only bounds the rows a
-# solve's last refill draws and leaves unused.
+# The rate term of a refill stops at REFILL_ENTRIES // q rows (controlled_pass),
+# 16 at q=4093: it caps how far that term may run ahead of its evidence, the
+# rows the coordinates run so far have used. A refill holds no q-wide table.
 REFILL_ENTRIES = 1 << 16
 
 # Per row of a refill: its candidate offset c0, the tests it uses and its verdict
@@ -344,16 +345,24 @@ def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
     """Every coordinate of one solve, in any mode, from one stream of refills.
 
-    A refill judges k = min(max(FIRST_CHUNK * left, min(drawn,
-    REFILL_ENTRIES // q)), left * budget - shots) rows at once, where
-    left counts the coordinates not yet run, drawn the rows drawn so far
-    in this solve and shots those of the current coordinate. Refills
-    double with the rows drawn, up to REFILL_ENTRIES // q rows, so a
-    coordinate that never settles costs O(log L) of them, and no refill
-    holds more rows than the solve may still take. Coordinate j takes
-    rows in order up to its first accepted one or `budget` rows and
-    accepts s_j + c0; the rows it leaves go to the next coordinate with
-    their verdicts, which do not depend on s.
+    A refill opened by coordinate j judges k = min(max(FIRST_CHUNK * left,
+    shots, min(2 * left * drawn // (j + 1), REFILL_ENTRIES // q)),
+    left * budget - shots) rows at once, where left counts the coordinates
+    not yet run, this one included, drawn the rows drawn so far in this
+    solve and shots those of coordinate j. A refill opens only when every
+    row drawn has been used, so drawn / (j + 1) is the mean rows used by
+    each coordinate reached, and the refill holds twice that for each
+    coordinate left, up to REFILL_ENTRIES // q rows. A refill's numpy
+    calls cost 50-100 us whatever its size, a row under 1 us (2-core
+    Xeon, numpy 2.4), so sizing by the rows used halves the refills of a
+    solve, for a few rows drawn and left unused. The shots term at least
+    doubles the rows of a coordinate that never settles, so it costs
+    O(log L) refills wherever it sits, and no refill holds more rows than
+    the solve may still take. Coordinate j takes rows in order up to its
+    first accepted one or `budget` rows and accepts s_j + c0; the rows it
+    leaves go to the next coordinate with their verdicts, which do not
+    depend on s, so the size of a refill moves the stream but not the law
+    of a solve.
     """
     n = len(s)
     c0s: list[int] = []
@@ -368,8 +377,8 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
         s_j = int(s[j]) % q
         while stats.shots < budget:
             if row == len(c0s):
-                grown = max(FIRST_CHUNK * left, min(drawn, REFILL_ENTRIES // q))
-                k = min(grown, left * budget - stats.shots)
+                rate = min(2 * left * drawn // (j + 1), REFILL_ENTRIES // q)
+                k = min(max(FIRST_CHUNK * left, stats.shots, rate), left * budget - stats.shots)
                 c0s, tests, accepted = refill(k)
                 drawn += k
                 row = 0

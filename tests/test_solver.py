@@ -30,6 +30,7 @@ from dclwe.qsim import atom_rows, extract_candidates
 from dclwe.instance import sample_errors
 from dclwe.reduce import ReducedPair, check_rows, inverse_row_draws
 from dclwe.solver import (
+    FIRST_CHUNK,
     REFILL_ENTRIES,
     _verdicts,
     amplified_bound,
@@ -184,19 +185,19 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
     (1, 401, 119, 1, -1),
     (1, 4093, 30, 1, -1),
     (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # refills grow to REFILL_ENTRIES // q = 16 rows and stay there
+    (3, 4093, 30, 1, -1),  # the rate term stops at REFILL_ENTRIES // q = 16 rows
     (3, 101, 87, 1, 2),
     # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
-    # 0.1 here, so coordinates settle at different refills by construction.
-    (8, 401, 40, 1, 20),
+    # 0.02 here, so coordinates settle at different refills by construction.
+    (8, 401, 40, 1, 4),
 )
 
 
 def test_chunks_stay_within_the_budget_and_the_table_cap():
-    # One rule sizes every refill, its growth capped at REFILL_ENTRIES // q
-    # rows. At xi' = -1 no residual meets the bound, so every coordinate
-    # spends its whole budget; at xi' >= 2 with one trial, coordinates
-    # settle at different refills.
+    # One rule sizes every refill by the rows the solve has used, its rate
+    # term capped at REFILL_ENTRIES // q rows. At xi' = -1 no residual meets
+    # the bound, so every coordinate spends its whole budget; at xi' >= 2
+    # with one trial, coordinates settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
         _check_chunks(n, q, budget, xi, xi_prime)
 
@@ -218,8 +219,9 @@ def _check_chunks(n, q, budget, xi, xi_prime):
         j = int(np.searchsorted(first, opened, side="right")) - 1
         left, shots = n - j, opened - first[j]
         assert 0 <= shots < per_coordinate[j].shots
-        assert k == min(max(4 * left, min(opened, REFILL_ENTRIES // q)), left * budget - shots)
-        assert k <= max(4 * n, REFILL_ENTRIES // q)
+        rate = min(2 * left * opened // (j + 1), REFILL_ENTRIES // q)
+        assert k == min(max(FIRST_CHUNK * left, shots, rate), left * budget - shots)
+        assert k <= max(FIRST_CHUNK * n, budget - 1, REFILL_ENTRIES // q)
         opened += k
     # Only the last refill leaves rows unused, and growth keeps refills few.
     assert first[-1] <= opened < first[-1] + sizes[-1]
@@ -229,6 +231,51 @@ def _check_chunks(n, q, budget, xi, xi_prime):
     elif n > 1:
         assert any(st.accepted_value is not None for st in per_coordinate)
         assert len({st.shots for st in per_coordinate}) > 1
+
+
+def _stub_refill(accepts, opened):
+    """A Refill of non-null rows, each using one test, whose row i of the
+    solve is accepted when accepts(i); the solve's row at which each refill
+    opens, and its size, are appended to `opened`."""
+
+    def refill(k):
+        first = sum(size for _, size in opened)
+        opened.append((first, k))
+        return [0] * k, [1] * k, [accepts(i) for i in range(first, first + k)]
+
+    return refill
+
+
+@pytest.mark.parametrize("budget, used", [(3, 1), (119, 1), (119, 37), (1000, 1), (1000, 37)])
+def test_a_coordinate_that_never_settles_costs_log_refills_at_every_position(budget, used):
+    # Coordinates before j settle on their `used`-th row, coordinate j
+    # rejects all of its budget L, and those after j settle on their first
+    # row. Each refill opened inside coordinate j at least doubles its shots,
+    # so it opens at most ceil(log2 L) + 1 of them, wherever j sits and
+    # however few rows the coordinates before it used.
+    n, q = 8, 401
+    for j in range(n):
+        start = j * used
+        opened = []
+
+        def accepts(i):
+            if i < start:
+                return i % used == used - 1
+            return i >= start + budget
+
+        per_coordinate = controlled_pass(np.zeros(n), q, _stub_refill(accepts, opened), budget)
+        assert [st.accepted_value is None for st in per_coordinate] == [i == j for i in range(n)]
+        inside = [r for r, _ in opened if start <= r < start + budget]
+        assert len(inside) <= math.ceil(math.log2(budget)) + 1
+
+
+def test_a_solve_that_settles_every_fifth_row_opens_one_refill():
+    # Eight coordinates use 40 rows, fewer than the FIRST_CHUNK rows per
+    # coordinate the first refill holds.
+    n, opened = 8, []
+    per_coordinate = controlled_pass(np.zeros(n), 401, _stub_refill(lambda i: i % 5 == 4, opened), 119)
+    assert [st.shots for st in per_coordinate] == [5] * n
+    assert opened == [(0, FIRST_CHUNK * n)]
 
 
 def _spy_on_refills(monkeypatch):
@@ -267,12 +314,15 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
         inst = _instance(n, q, 1, 105)
         refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
         per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
-        # A refill opened at the solve's row r, inside coordinate r // budget,
-        # holds FIRST_CHUNK = 4 rows per coordinate left, or the r rows drawn
-        # so far up to REFILL_ENTRIES // q, within the budget.
+        # A refill opened at the solve's row r, inside coordinate j = r // budget,
+        # holds the most of FIRST_CHUNK rows per coordinate left, j's r % budget
+        # shots, and twice the mean r / (j + 1) rows per coordinate reached for
+        # each coordinate left, up to REFILL_ENTRIES // q; within the budget.
         r = 0
         for k in [len(marks) for _, _, marks in refills]:
-            assert k == min(max(4 * (n - r // budget), min(r, REFILL_ENTRIES // q)), n * budget - r)
+            j, left = r // budget, n - r // budget
+            rate = min(2 * left * r // (j + 1), REFILL_ENTRIES // q)
+            assert k == min(max(FIRST_CHUNK * left, r % budget, rate), n * budget - r)
             r += k
         drawn = [mark for _, _, marks in refills for mark in marks]
         assert len(drawn) == n * budget
@@ -289,14 +339,18 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
 
 def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
     refills = _spy_on_refills(monkeypatch)
-    inst = _instance(4, 101, 1, 107)
-    controlled_pass(inst.s, 101, _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))), 20)
-    # FIRST_CHUNK rows per coordinate not yet run, until the rows drawn
-    # outgrow them; what a coordinate leaves opens the next one.
-    assert [len(marks) for _, _, marks in refills] == [16, 16, 32, 16]
+    inst = _instance(4, 4093, 1, 107)
+    refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0)))
+    controlled_pass(inst.s, 4093, refill, 20)
+    # At q=4093 the rate term stops at REFILL_ENTRIES // q = 16 rows, so
+    # FIRST_CHUNK rows per coordinate not yet run size the refills, and what
+    # a coordinate leaves opens the next one with fewer coordinates left.
+    sizes = [len(marks) for _, _, marks in refills]
+    assert sizes[0] == FIRST_CHUNK * 4 and sum(sizes) == 4 * 20
+    assert all(a > b for a, b in zip(sizes, sizes[1:]))
     for values, counts, _ in refills:
-        # Every batch holds all 101 inputs of the field, so its 101 pairs.
-        assert (counts.sum(axis=1) == 101).all()
+        # Every batch holds all 4093 inputs of the field, so its 4093 pairs.
+        assert (counts.sum(axis=1) == 4093).all()
         assert np.abs(values[counts.any(axis=0)]).max() <= 2  # b' = eta' for an s-free row
 
 
@@ -317,14 +371,14 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
 
 
 def test_controlled_refill_at_q4093_is_sized_by_its_coordinates(monkeypatch):
-    # Five coordinates ask for FIRST_CHUNK * 5 = 20 rows, more than
-    # REFILL_ENTRIES // 4093 = 16: the cap bounds growth only, so the
-    # refill judges all 20.
+    # Five coordinates ask for FIRST_CHUNK rows each, more than
+    # REFILL_ENTRIES // 4093 = 16 in all: the cap bounds the rate term
+    # only, so the refill judges all of them.
     refills = _spy_on_refills(monkeypatch)
     inst = _instance(5, 4093, 1, 111)
     refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0)))
     controlled_pass(inst.s, 4093, refill, 30)
-    assert len(refills[0][2]) == 20 > REFILL_ENTRIES // 4093
+    assert len(refills[0][2]) == FIRST_CHUNK * 5 > REFILL_ENTRIES // 4093
 
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
@@ -532,12 +586,12 @@ def test_rows_off_the_atom_add_a_uniform_offset(monkeypatch, refills, v_size):
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(6, 8), (2, 3), (1, 2), (1, 2), (1, 2), (29, 30), (8, 9), (1, 2)],
-            9749400,
+            [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 2), (5, 6), (6, 7)],
+            484863342,
         ),
-        # 17 rows over five coordinates, all from the first refill of 20.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(6, 7), (4, 5), (4, 5), (2, 3), (1, 2)], 939985261),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(2, 4), (15, 17), (1, 3)], 455810357),
+        # 24 rows over five coordinates, all from the first refill of 40.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(4, 5), (1, 2), (14, 15), (2, 3), (3, 4)], 584508340),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (12, 14), (6, 8)], 972497474),
     ],
 )
 def test_controlled_stream_is_pinned(
@@ -557,12 +611,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 92), (87, 90)], 305988543),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(3, 5), (4, 6), (1, 3)], 70910907),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 92), (87, 90), (87, 90)], 465791451),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (2, 4), (4, 6)], 837969611),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(3, 4), (2, 3), (3, 4)], 600679659,
+            [(9, 10), (9, 10), (6, 8)], 353853043,
         ),
     ],
 )
@@ -822,15 +876,15 @@ def test_controlled_sources_honor_v_size(monkeypatch):
     rng = derive_rng(98, 0)
     refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
     controlled_pass(inst.s, 101, refill, params.L)
-    # Eight histograms of 25 pairs each, and no inputs drawn
-    # (test_no_solve_runs_a_transform).
+    # FIRST_CHUNK histograms of 25 pairs per coordinate, and no inputs
+    # drawn (test_no_solve_runs_a_transform).
     values, counts, _ = refills[0]
-    assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 25).all()
+    assert counts.shape == (FIRST_CHUNK * 2, values.size) and (counts.sum(axis=1) == 25).all()
     refills.clear()
     refill = controlled_refills(inst, params.xi_prime, params.M, rng)
     controlled_pass(inst.s, 101, refill, params.L)
     values, counts, _ = refills[0]
-    assert counts.shape == (8, values.size) and (counts.sum(axis=1) == 101).all()
+    assert counts.shape == (FIRST_CHUNK * 2, values.size) and (counts.sum(axis=1) == 101).all()
 
 
 def test_elimination_mode_recovers_noiseless_secret():
