@@ -30,14 +30,14 @@ must agree (tests enforce it):
    `--workers` runs solves in processes, each with its own tables.
 
 No solve runs the transform. The solver's refills draw k* and the
-uniforms as the sampler does and decide each row's k_d = 0 atom with
-atom_rows: an s-free row's atom holds |dc|^2 / (q m), where the phase
-sum dc depends only on the row's error histogram. Off the atom, averaged
-over the inputs and error arrangement that no refill reads, k_d is
-exactly uniform on [1, q); the tests check both laws against
-kernel_distribution by enumeration at small q. transform_rows serves
-sample_bv_stack only: the `bounds` Monte Carlo column, the selftest and
-the one-row form.
+uniforms as the sampler does and decide each row's k_d = 0 atom by
+atom_law, the atom's mass given k* averaged over the row's i.i.d.
+errors, (1 + (m - 1) |phi(k*)|^2) / q with phi the errors' Fourier
+coefficient. Off the atom, averaged over the inputs and error
+arrangement that no refill reads, k_d is exactly uniform on [1, q); the
+tests check both laws against kernel_distribution by enumeration at
+small q. transform_rows serves sample_bv_stack only: the `bounds` Monte
+Carlo column, the selftest and the one-row form.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import InvalidLength, InvariantViolation
 from .fq import PrimeField, check_dense_size
+from .instance import ErrorDistribution
 from .reduce import ReducedBatch
 
 # Norm drift beyond this is an error; never silently renormalize.
@@ -184,22 +185,26 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def atom_rows(
-    q: int, counts: np.ndarray, values: np.ndarray, k_star: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Which rows of a stack of s-free error batches draw the k_d = 0 atom,
-    read off their error histograms.
+@lru_cache(maxsize=16)
+def atom_law(q: int, chi: ErrorDistribution, m: int) -> np.ndarray:
+    """law[k*] = P(k_d = 0 | k*) of an s-free row of m pairs whose errors
+    are i.i.d. from chi, averaged over those errors; read-only, shared.
 
-    counts[i, v] pairs of row i carry the error values[v], so its
-    m = sum_v counts[i, v] pairs have the phase sum
-    dc = sum_v counts[i, v] w^{values[v] k*_i}, whatever their inputs.
-    The atom holds |dc|^2 / (q m) of the row's mass (Parseval over the
-    D register), so the row whose uniform u has |dc|^2 > u m q draws
-    k_d = 0: the transform's cdf[0] > u * total, without the transform.
+    A row whose errors have the phase sum dc = sum_{a'} w^{eta'(a') k*}
+    holds |dc|^2 / (q m) on its k_d = 0 atom (Parseval over the D
+    register), and E|dc|^2 = m + m (m - 1) |phi(k*)|^2 with
+    phi(k*) = sum_e chi(e) w^{e k*}, so law = (1 + (m - 1) |phi|^2) / q.
+    phi is summed one window value at a time, so the table is built in
+    O(q) entries. chi = ErrorDistribution(UNIFORM, 0) gives m / q exactly.
     """
-    m = counts.sum(axis=1)
-    dc = (counts * root_table(q)[np.outer(k_star, values) % q]).sum(axis=1)
-    return dc.real**2 + dc.imag**2 > u * (m * q)
+    ks, roots = np.arange(q, dtype=np.int64), root_table(q)
+    weights = chi.weights()
+    phi = np.zeros(q, dtype=np.complex128)
+    for e, weight in zip(range(-chi.xi, chi.xi + 1), weights / weights.sum()):
+        phi += weight * roots[e * ks % q]
+    law = (1 + (m - 1) * (phi.real**2 + phi.imag**2)) / q
+    law.flags.writeable = False
+    return law
 
 
 def _phases(q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray) -> np.ndarray:

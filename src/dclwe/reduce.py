@@ -28,10 +28,9 @@ sample matrices to check that identity, elimination_batch on one drawn
 row, and make_test_sample on one input t over given samples, since a
 test pair is an elimination whose only input is t. No solve calls
 these three. synth_reduced_batch draws one controlled batch's
-errors and adds them to a' s_j. A controlled refill draws each batch as
-its error histogram instead; check_window bounds the window it counts
-once per refill source, and check_histograms checks each histogram's
-counts.
+errors and adds them to a' s_j. A controlled refill draws no batch, only
+each row's atom decision by its law over the window check_window bounds
+once per refill source.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -80,7 +79,7 @@ class ReducedBatch:
         self.validate()
 
     def validate(self) -> None:
-        """Lengths, then check_rows on the batch as a one-row stack."""
+        """Lengths, then check_rows on the batch."""
         m = self.a_values.size
         if m == 0:
             raise InvalidLength("batch needs at least one pair")
@@ -88,27 +87,21 @@ class ReducedBatch:
             raise InvalidLength(f"batch of {m} pairs exceeds field size {self.q}")
         if not (self.b_values.size == self.eta_values.size == self.coeff_l1_values.size == m):
             raise InvalidLength("batch arrays disagree on length")
-        check_rows(self.q, self.a_values[None], self.eta_values[None], self.xi_prime)
+        check_rows(self.q, self.a_values, self.eta_values, self.xi_prime)
 
     @property
     def size(self) -> int:
         return int(self.a_values.size)
 
 
-def check_rows(q: int, a_values: np.ndarray, eta_values: np.ndarray, xi_prime) -> None:
-    """The one structural check on batches, one batch per row of a stack:
-    0 <= a' < q, distinct a' within each row, and |eta'| <= xi'.
-
-    a_values is (k, m), or a single (1, m) row that all k rows of the
-    (k, m) eta_values share. xi_prime is one bound for every row or a
-    (k,) array with each row's own bound.
-    """
+def check_rows(q: int, a_values: np.ndarray, eta_values: np.ndarray, xi_prime: int) -> None:
+    """The one structural check on a batch's (m,) pairs: 0 <= a' < q,
+    distinct a', and |eta'| <= xi'."""
     if int(a_values.min()) < 0 or int(a_values.max()) >= q:
         raise InvariantViolation(f"batch inputs a' must lie in [0, {q})")
-    keys = a_values + q * np.arange(a_values.shape[0])[:, None]  # row r owns [rq, rq + q)
-    if int(np.bincount(keys.ravel()).max()) > 1:
+    if int(np.bincount(a_values).max()) > 1:
         raise DuplicateInput("batch inputs a' must be distinct")
-    if (np.abs(eta_values).max(axis=1) > xi_prime).any():
+    if int(np.abs(eta_values).max()) > xi_prime:
         raise InvariantViolation("batch error exceeds declared bound xi'")
 
 
@@ -174,14 +167,6 @@ def check_window(q: int, xi_prime: int, chi_prime) -> None:
         raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
     if chi_prime.xi > xi_prime:
         raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
-
-
-def check_histograms(counts: np.ndarray, m: int) -> None:
-    """The structural check on batches drawn as error histograms, one per
-    row of counts: every count non-negative and each row's counts summing
-    to its m pairs. The values counted are a window check_window bounds."""
-    if int(counts.min()) < 0 or (counts.sum(axis=1) != m).any():
-        raise InvariantViolation(f"error histograms must count m={m} pairs each")
 
 
 def synth_reduced_batch(

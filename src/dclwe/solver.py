@@ -40,14 +40,14 @@ anywhere else, its k_d off the atom is exactly uniform on [1, q)
 - controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
   shift theorem the coordinate-j batch (a', a' s_j + eta') has the
   s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
-  s_j + c0 for every coordinate, with the same verdict. The atom's mass
-  depends only on the row's error histogram, so the draw takes one
-  multinomial histogram per row and qsim.atom_rows decides the atom.
+  s_j + c0 for every coordinate, with the same verdict. Only the atom
+  decision reads the row's errors, so it is drawn by its law averaged
+  over them, qsim.atom_law(q, chi', m), with no errors drawn.
 - elimination_refills: each row's inverse row r and hidden errors e
   (reduce.inverse_row_draws), with r . b = s_j + r . e. Its batch
   b' = a' (r . b) is the noiseless s-free row (a', 0) moved by r . b, so
-  rho = r . e and the atom holds v_size / q. A test pair
-  (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0).
+  rho = r . e and the atom holds v_size / q, atom_law at chi' = delta_0.
+  A test pair (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0).
 - baseline_refills: the classical baseline's direct pairs
   (a', a' s_j + eta'), with no kernel: rho = eta' a'^-1 and k* = a', so
   no row is a null or off its atom. oracle.classical_baseline_solve
@@ -69,9 +69,9 @@ import numpy as np
 
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
-from .instance import ErrorDistribution, LweInstance, sample_errors
-from .qsim import atom_rows
-from .reduce import check_histograms, check_window, inverse_row_draws
+from .instance import UNIFORM, ErrorDistribution, LweInstance, sample_errors
+from .qsim import atom_law
+from .reduce import check_window, inverse_row_draws
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -223,27 +223,23 @@ def controlled_refills(
 ) -> Refill:
     """Refill source of one controlled solve: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws k error histograms, one rng.multinomial call over the
-    values of chi' = amplified_law(chi, xi'), then k* and the uniforms as
-    sample_bv_stack draws them, for atom_rows; then one (k, m) block of
-    test pairs: t uniform on [1, q) and eta' from chi'. rho is 0. The
-    window is checked once, here. Nothing here depends on s.
+    Each call draws k* and the uniforms as sample_bv_stack draws them,
+    and a row is on its atom when its uniform lies below
+    atom_law(q, chi', v_size)[k*], chi' = amplified_law(chi, xi'); then
+    one (k, m) block of test pairs: t uniform on [1, q) and eta' from
+    chi'. rho is 0. The window is checked once, here. Nothing here
+    depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     check_window(q, xi_prime, chi_prime)
-    values = np.arange(-chi_prime.xi, chi_prime.xi + 1, dtype=np.int64)
-    weights = chi_prime.weights()
-    pvals = weights / weights.sum()
-    size = q if v_size is None else v_size
+    law = atom_law(q, chi_prime, q if v_size is None else v_size)
 
     def draw(k: int):
-        counts = rng.multinomial(size, pvals, size=k)
-        check_histograms(counts, size)
         k_star = rng.integers(q, size=k)
-        atom = atom_rows(q, counts, values, k_star, rng.random(k))
+        atom = rng.random(k) < law[k_star]
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
         return k_star, np.flatnonzero(~atom & (k_star != 0)), np.zeros(k, dtype=np.int64), t, eta_t
@@ -264,22 +260,21 @@ def elimination_refills(
     and, in one inverse_row_draws call, k * (1 + m) elimination rows
     (r, e): the first k make the batches, with rho = r . e, the rest the
     test pairs, m per row in row order, with b' = t (r' . e'). Then k*
-    and the uniforms, for atom_rows on the s-free row (a', 0), whose
-    atom holds v_size / q: every full-field row is on it. Nothing here
-    depends on s.
+    and the uniforms, decided as in controlled_refills by the atom_law of
+    the noiseless s-free row (a', 0), v_size / q: every full-field row is
+    on it. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
-    size = q if v_size is None else v_size
-    error_free = np.zeros(1, dtype=np.int64)  # the one value of an s-free row's histogram
+    law = atom_law(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
 
     def draw(k: int):
         t = rng.integers(1, q, size=(k, m))
         r, e = inverse_row_draws(instance, k * (1 + m), rng)
         noise = (r * e).sum(axis=1) % q  # r . e of every elimination row
         k_star = rng.integers(q, size=k)
-        atom = atom_rows(q, np.full((k, 1), size), error_free, k_star, rng.random(k))
+        atom = rng.random(k) < law[k_star]
         off = np.flatnonzero(~atom & (k_star != 0))
         return k_star, off, noise[:k], t, t * noise[k:].reshape(k, m)
 

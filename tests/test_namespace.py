@@ -50,11 +50,11 @@ INTERNAL = {
     ),
     "oracle": ("coordinate_law", "elimination_law"),
     "qsim": (
-        "NORM_TOL", "MeasurementOutcome", "atom_rows", "extract_candidate", "extract_candidates",
+        "NORM_TOL", "MeasurementOutcome", "atom_law", "extract_candidate", "extract_candidates",
         "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
     ),
     "reduce": (
-        "ReducedPair", "check_histograms", "check_rows", "check_window", "eliminate_row",
+        "ReducedPair", "check_rows", "check_window", "eliminate_row",
         "elimination_batch", "inverse_row_draws", "kappa_observed", "make_test_sample",
     ),
     "solver": (

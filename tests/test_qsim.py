@@ -34,7 +34,7 @@ from dclwe.qsim import (
     sample_bv_outcome,
 )
 
-from _stats import chi_square_ok
+from _stats import binom_3sigma, chi_square_ok
 
 
 def brute_kernel_grid(batch):
@@ -649,9 +649,9 @@ def test_any_rows_off_the_atom_draw_what_the_whole_stack_draws(case):
     assert atoms > 0
 
 
-def test_rows_decided_off_the_atom_never_draw_it(monkeypatch):
-    # Noiseless partial rows have dc = m, so their atom threshold is
-    # u = m^2 / (m q) = m / q. At the least u that atom_rows sends off the
+def test_rows_decided_off_the_atom_never_draw_it():
+    # Noiseless partial rows hold m / q on their atom, and a row draws it
+    # when u < m / q. At u = m / q, the least u that atom_law sends off the
     # atom, cdf[0] and u * total are equal up to rounding, and the
     # transform alone draws k_d = 0 for some rows.
     q, m, k = 101, 40, 64
@@ -660,29 +660,20 @@ def test_rows_decided_off_the_atom_never_draw_it(monkeypatch):
     b_values = np.zeros((k, m), dtype=np.int64)
     k_star = np.arange(1, k + 1)
     u = np.full(k, m / q)
-    while m * m > u[0] * (m * q):
-        u[:] = np.nextafter(u[0], 1.0)
-    counts = np.full((k, 1), m)
-    assert not qsim.atom_rows(q, counts, np.zeros(1, dtype=np.int64), k_star, u).any()
+    assert not (u < qsim.atom_law(q, ErrorDistribution(UNIFORM, 0), m)[k_star]).any()
     assert (qsim.transform_rows(q, a_values, b_values, k_star, u) == 0).any()
-    # The controlled refill reads no transform: atom_rows alone decides the
-    # atom, and a non-null row it puts off the atom never reads c0 = 0.
-    decided = []
-
-    def atom_spy(q, counts, values, k_star, u):
-        decided.append((qsim.atom_rows(q, counts, values, k_star, u), k_star))
-        return decided[-1][0]
-
-    monkeypatch.setattr(solver, "atom_rows", atom_spy)
+    # The controlled refill reads no transform: atom_law alone decides the
+    # atom, and a non-null row it puts off the atom never reads c0 = 0. A
+    # batch of one pair has |dc| = 1 whatever its error, so its atom holds
+    # 1 / q, and c0 = 0 on 1 / q of the rows that use a test; an off-atom
+    # row that could read 0 would double that share.
     inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), derive_rng(82, 1))
-    refill = solver.controlled_refills(inst, 2, 1, derive_rng(82, 2))
-    off_atom = 0
-    for _ in range(20):
-        c0 = np.array(refill(200)[0])
-        atom, k_star = decided[-1]
-        assert ((c0 == 0) == (atom | (k_star == 0))).all()
-        off_atom += int((~atom & (k_star != 0)).sum())
-    assert off_atom > 2000
+    refill = solver.controlled_refills(inst, 2, 1, derive_rng(82, 2), v_size=1)
+    c0, tests = map(np.array, zip(*(refill(200)[:2] for _ in range(20))))
+    live = tests.ravel() > 0
+    on_atom = int((c0.ravel()[live] == 0).sum())
+    assert live.sum() > 3900
+    assert abs(on_atom / live.sum() - 1 / q) <= binom_3sigma(1 / q, int(live.sum()))
 
 
 def _averaged_grid(q, m, values, counts):
@@ -720,9 +711,10 @@ def _averaged_grid(q, m, values, counts):
 )
 def test_off_the_atom_k_d_is_uniform_over_inputs_and_arrangements(q, m, values, counts):
     # Given a histogram and k* != 0, the k_d = 0 atom holds |dc|^2 / (q m),
-    # the mass atom_rows thresholds, and the rest, averaged over V and the
-    # arrangement, is exactly uniform on [1, q). So a refill that draws an
-    # off-atom offset uniformly keeps the kernel's law, with no transform.
+    # whose mean over histograms is atom_law, and the rest, averaged over V
+    # and the arrangement, is exactly uniform on [1, q). So a refill that
+    # draws an off-atom offset uniformly keeps the kernel's law, with no
+    # transform.
     values = np.array(values, dtype=np.int64)
     counts = np.array([counts], dtype=np.int64)
     grid = _averaged_grid(q, m, values, counts[0])
@@ -733,9 +725,34 @@ def test_off_the_atom_k_d_is_uniform_over_inputs_and_arrangements(q, m, values, 
         assert np.abs(off - 1 / (q - 1)).max() < 1e-12
         dc = (counts[0] * root_table(q)[values * k_star % q]).sum()
         assert abs(law[0] - abs(dc) ** 2 / (q * m)) < 1e-12
-        u = np.array([law[0] * (1 - 1e-9), law[0] * (1 + 1e-9)])
-        atom = qsim.atom_rows(q, np.repeat(counts, 2, axis=0), values, np.full(2, k_star), u)
-        assert atom.tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "q, chi, inputs",
+    [
+        (7, ErrorDistribution(UNIFORM, 1), range(7)),
+        (7, ErrorDistribution(UNIFORM, 1), (0, 2, 5)),
+        (5, ErrorDistribution(GAUSSIAN, 2), range(5)),
+    ],
+    ids=["q7-uniform-full", "q7-uniform-V025", "q5-gaussian-full"],
+)
+def test_atom_law_is_the_noise_averaged_kernel_atom(q, chi, inputs):
+    # kernel_distribution[0, k*] q is a batch's atom given k*. Averaged over
+    # every noise vector of the batch, each weighted by chi, it is atom_law,
+    # (1 + (m - 1) |phi(k*)|^2) / q: the table every refill's atom reads.
+    a_values = np.array(inputs, dtype=np.int64)
+    m = a_values.size
+    values = np.arange(-chi.xi, chi.xi + 1, dtype=np.int64)
+    p = chi.weights() / chi.weights().sum()
+    zeros = np.zeros(m, dtype=np.int64)
+    averaged = np.zeros(q)
+    for index in itertools.product(range(values.size), repeat=m):
+        eta = values[list(index)]
+        batch = ReducedBatch(0, q, a_values, eta % q, eta, zeros, chi.xi, 1.0)
+        averaged += p[list(index)].prod() * kernel_distribution(batch)[0] * q
+    law = qsim.atom_law(q, chi, m)
+    assert np.abs(averaged - law).max() < 1e-12
+    assert not law.flags.writeable
 
 
 @pytest.mark.parametrize("q", [7, 101, 4093])
@@ -756,20 +773,10 @@ def test_full_field_rows_at_a_moved_secret_draw_only_their_point(q):
 
 @pytest.mark.parametrize("q", [7, 101, 4093])
 def test_a_one_bin_histogram_at_error_0_draws_the_atom_exactly_below_m_over_q(q):
-    # All m pairs at error 0 give dc = m for every k*, k* = 0 included, so
-    # the atom holds m / q of the mass and the row draws it when u q < m.
-    for m in sorted({1, 2, 5, q // 2, q - 1}):
-        u = np.full(7, m / q)
-        for i in range(3):  # the three doubles either side of m / q
-            u[2 - i] = np.nextafter(u[3 - i], 0.0)
-            u[4 + i] = np.nextafter(u[3 + i], 1.0)
-        expected = u * q < m
-        assert expected[0] and not expected[-1]
-        for k_star in (0, 1, q - 1):
-            ks = np.full(u.size, k_star)
-            counts = np.full((u.size, 1), m)
-            got = qsim.atom_rows(q, counts, np.zeros(1, dtype=np.int64), ks, u)
-            assert np.array_equal(got, expected)
+    # All m pairs at error 0 give |phi| = 1 for every k*, k* = 0 included,
+    # so the atom holds m / q to the bit, and a row draws it when u < m / q.
+    for m in sorted({1, 2, 5, q // 2, q - 1, q}):
+        assert np.array_equal(qsim.atom_law(q, ErrorDistribution(UNIFORM, 0), m), np.full(q, m / q))
 
 
 def test_root_table_is_bit_identical_to_elementwise_phases():

@@ -228,25 +228,28 @@ def test_batch_invariants_are_enforced():
 
 
 def test_row_check_is_per_row():
-    eta = np.zeros((2, 3), dtype=np.int64)
-    # The same inputs in two rows are fine; a repeat within a row is not.
-    check_rows(7, np.array([[0, 1, 2], [2, 1, 0]]), eta, 0)
-    check_rows(7, np.array([[4, 5, 6]]), eta, 0)  # one row shared by both
+    # One batch: inputs in range and distinct, errors within the bound.
+    eta = np.zeros(3, dtype=np.int64)
+    check_rows(7, np.array([0, 1, 6]), eta, 0)
+    with pytest.raises(InvariantViolation, match=r"\[0, 7\)"):
+        check_rows(7, np.array([0, 1, 7]), eta, 0)
     with pytest.raises(DuplicateInput):
-        check_rows(7, np.array([[0, 1, 2], [6, 1, 6]]), eta, 0)
-    with pytest.raises(InvariantViolation):
-        check_rows(7, np.array([[0, 1, 7]]), eta, 0)
-    with pytest.raises(InvariantViolation):
-        check_rows(7, np.array([[0, 1, 2]]), np.array([[0, 0, 0], [0, 2, 0]]), 1)
+        check_rows(7, np.array([6, 1, 6]), eta, 0)
+    with pytest.raises(InvariantViolation, match="xi'"):
+        check_rows(7, np.array([0, 1, 2]), np.array([0, 2, 0]), 1)
 
 
 def test_row_check_takes_a_bound_per_row():
-    eta = np.array([[0, 2, 0], [0, 3, -3]], dtype=np.int64)
-    a = np.array([[0, 1, 2]])
-    check_rows(7, a, eta, np.array([2, 3]))
-    # Row 0 breaks its own bound of 1 although row 1 allows 3.
-    with pytest.raises(InvariantViolation):
-        check_rows(7, a, eta, np.array([1, 3]))
+    # The bound is the batch's own: |eta'| at it passes, one above it is
+    # refused, whether or not the inputs are also out of range or repeated.
+    a, eta = np.array([0, 1, 2]), np.array([0, 3, -3], dtype=np.int64)
+    check_rows(7, a, eta, 3)
+    with pytest.raises(InvariantViolation, match="xi'"):
+        check_rows(7, a, eta, 2)
+    with pytest.raises(InvariantViolation, match=r"\[0, 7\)"):
+        check_rows(7, np.array([-1, 1, 2]), eta, 3)
+    with pytest.raises(DuplicateInput):
+        check_rows(7, np.array([2, 1, 2]), eta, 3)
 
 
 def test_elimination_stack_rows_satisfy_their_own_identity():

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from collections import Counter
@@ -26,9 +27,9 @@ from dclwe import qsim
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.qsim import atom_rows, extract_candidates
+from dclwe.qsim import extract_candidates
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedPair, check_rows, inverse_row_draws
+from dclwe.reduce import ReducedPair, inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
     REFILL_ENTRIES,
@@ -278,20 +279,18 @@ def test_a_solve_that_settles_every_fifth_row_opens_one_refill():
     assert opened == [(0, FIRST_CHUNK * n)]
 
 
-def _spy_on_refills(monkeypatch):
-    """Record every stack the controlled pool measures: (error values, each
-    row's histogram over them, a mark per row): None for a null, True on
-    the atom, where c0 = 0, and False off it."""
+def _spy_on_refills(refill):
+    """The controlled refill, and a mark per row of each of its calls, read
+    off what it hands out: None for a null, which uses no test, True on
+    the atom, where c0 = rho = 0, and False off it."""
     refills = []
 
-    def spy(q, counts, values, k_star, u):
-        atom = atom_rows(q, counts, values, k_star, u)
-        marks = [None if ks == 0 else bool(a) for a, ks in zip(atom, k_star)]
-        refills.append((values, counts, marks))
-        return atom
+    def spy(k):
+        c0, tests, accepted = refill(k)
+        refills.append([None if used == 0 else c == 0 for c, used in zip(c0, tests)])
+        return c0, tests, accepted
 
-    monkeypatch.setattr(solver_module, "atom_rows", spy)
-    return refills
+    return spy, refills
 
 
 def _rejecting(refill):
@@ -305,26 +304,24 @@ def _rejecting(refill):
     return rejecting
 
 
-def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
+def test_controlled_pool_hands_each_row_to_one_coordinate():
     # Every candidate is rejected, so every coordinate spends its whole
     # budget L on the next L rows.
-    refills = _spy_on_refills(monkeypatch)
     for n, q, budget in ((8, 401, 119), (3, 4093, 30), (4, 101, 3), (5, 31, 6)):
-        refills.clear()
         inst = _instance(n, q, 1, 105)
-        refill = controlled_refills(inst, 2, 1, derive_rng(106, q))
-        per_coordinate = controlled_pass(inst.s, q, _rejecting(refill), budget)
+        refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(106, q))))
+        per_coordinate = controlled_pass(inst.s, q, refill, budget)
         # A refill opened at the solve's row r, inside coordinate j = r // budget,
         # holds the most of FIRST_CHUNK rows per coordinate left, j's r % budget
         # shots, and twice the mean r / (j + 1) rows per coordinate reached for
         # each coordinate left, up to REFILL_ENTRIES // q; within the budget.
         r = 0
-        for k in [len(marks) for _, _, marks in refills]:
+        for k in [len(marks) for marks in refills]:
             j, left = r // budget, n - r // budget
             rate = min(2 * left * r // (j + 1), REFILL_ENTRIES // q)
             assert k == min(max(FIRST_CHUNK * left, r % budget, rate), n * budget - r)
             r += k
-        drawn = [mark for _, _, marks in refills for mark in marks]
+        drawn = [mark for marks in refills for mark in marks]
         assert len(drawn) == n * budget
         for j, stats in enumerate(per_coordinate):
             rows = drawn[j * budget : (j + 1) * budget]
@@ -337,21 +334,20 @@ def test_controlled_pool_hands_each_row_to_one_coordinate(monkeypatch):
             assert stats.true_rejections == rows.count(True)
 
 
-def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates(monkeypatch):
-    refills = _spy_on_refills(monkeypatch)
+def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates():
     inst = _instance(4, 4093, 1, 107)
-    refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0)))
+    refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))))
     controlled_pass(inst.s, 4093, refill, 20)
     # At q=4093 the rate term stops at REFILL_ENTRIES // q = 16 rows, so
     # FIRST_CHUNK rows per coordinate not yet run size the refills, and what
     # a coordinate leaves opens the next one with fewer coordinates left.
-    sizes = [len(marks) for _, _, marks in refills]
+    sizes = [len(marks) for marks in refills]
     assert sizes[0] == FIRST_CHUNK * 4 and sum(sizes) == 4 * 20
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
-    for values, counts, _ in refills:
-        # Every batch holds all 4093 inputs of the field, so its 4093 pairs.
-        assert (counts.sum(axis=1) == 4093).all()
-        assert np.abs(values[counts.any(axis=0)]).max() <= 2  # b' = eta' for an s-free row
+    # Two secrets, one stream: the same offsets, tests and verdicts.
+    other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77, 4092])) % 4093)
+    a, b = (controlled_refills(i, 2, 2, derive_rng(108, 1))(64) for i in (inst, other))
+    assert a == b
 
 
 def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
@@ -370,15 +366,14 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
     assert rng.bit_generator.state == state
 
 
-def test_controlled_refill_at_q4093_is_sized_by_its_coordinates(monkeypatch):
+def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
     # Five coordinates ask for FIRST_CHUNK rows each, more than
     # REFILL_ENTRIES // 4093 = 16 in all: the cap bounds the rate term
     # only, so the refill judges all of them.
-    refills = _spy_on_refills(monkeypatch)
     inst = _instance(5, 4093, 1, 111)
-    refill = _rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0)))
+    refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0))))
     controlled_pass(inst.s, 4093, refill, 30)
-    assert len(refills[0][2]) == FIRST_CHUNK * 5 > REFILL_ENTRIES // 4093
+    assert len(refills[0]) == FIRST_CHUNK * 5 > REFILL_ENTRIES // 4093
 
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
@@ -424,7 +419,7 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
         else:
             a_values = np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
         eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
-        check_rows(q, a_values, eta_values, xi_prime)
+        assert np.abs(eta_values).max() <= xi_prime
         k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
@@ -539,45 +534,55 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
             rows += solve(inst, params, mode, rng, v_size=v_size).quantum_samples
     classical_baseline_solve(inst, 2.0, params.M, 3, rng)
     assert rows > 200
-    assert rng.calls["permutation"] == rng.calls["choice"] == 0
+    assert rng.calls["permutation"] == rng.calls["choice"] == rng.calls["multinomial"] == 0
 
 
 def _offsets(monkeypatch, refills, inst, xi_prime, m, rng, v_size, k):
-    """One k-row refill's c0, atom decisions, k* and offsets rho: r . e of
-    its first k elimination rows, or 0 for a controlled refill."""
+    """One k-row refill's c0, the tests each row used, and its offsets rho:
+    r . e of its first k elimination rows, or 0 for a controlled refill."""
     seen = {}
-
-    def atom_spy(q, counts, values, k_star, u):
-        seen["atom"], seen["k_star"] = atom_rows(q, counts, values, k_star, u), k_star
-        return seen["atom"]
 
     def draws(instance, count, rng):
         seen["r"], seen["e"] = inverse_row_draws(instance, count, rng)
         return seen["r"], seen["e"]
 
-    monkeypatch.setattr(solver_module, "atom_rows", atom_spy)
     monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
-    c0 = np.array(refills(inst, xi_prime, m, rng, v_size)(k)[0])
+    c0, tests, _ = refills(inst, xi_prime, m, rng, v_size)(k)
     rho = (seen["r"][:k] * seen["e"][:k]).sum(axis=1) % inst.q if "r" in seen else np.zeros(k, int)
-    return c0, seen["atom"], seen["k_star"], rho
+    return np.array(c0), np.array(tests), rho
 
 
 @pytest.mark.parametrize(
     "refills, v_size",
-    [(controlled_refills, None), (controlled_refills, 25), (elimination_refills, 5)],
-    ids=["controlled-full", "controlled-25", "elimination-5"],
+    [
+        (controlled_refills, None),
+        (controlled_refills, 25),
+        (elimination_refills, 5),
+        # An atom of 1 / q: an off-atom row that could read c0 = rho doubles it.
+        (elimination_refills, 1),
+    ],
+    ids=["controlled-full", "controlled-25", "elimination-5", "elimination-1"],
 )
 def test_rows_off_the_atom_add_a_uniform_offset(monkeypatch, refills, v_size):
-    # A row on its atom, or a null, reads c0 = rho; a non-null row off the
-    # atom reads c0 = rho + U with U uniform on [1, q), never 0 (chi-square).
+    # A null, a row that uses no test, reads c0 = rho, and so does a row on
+    # its atom; a row off it reads c0 = rho + U with U uniform on [1, q),
+    # never 0 (chi-square). So the non-null rows read c0 = rho at the atom's
+    # mean mass over k* != 0, (1 + (m - 1) |phi(k*)|^2) / q, with phi the
+    # Fourier coefficient of the row's errors, summed here term by term:
+    # chi' = U[-2, 2] for a controlled row, the one error 0 for elimination.
     q, k = 101, 4000
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
-    rng = derive_rng(134, 1)
-    c0, atom, k_star, rho = _offsets(monkeypatch, refills, inst, 2, 2, rng, v_size, k)
-    off = ~atom & (k_star != 0)
-    assert np.array_equal(c0[~off], rho[~off])
-    u = (c0[off] - rho[off]) % q
-    assert off.sum() > 2000 and u.min() >= 1
+    c0, tests, rho = _offsets(monkeypatch, refills, inst, 2, 2, derive_rng(134, 1), v_size, k)
+    null, on = tests == 0, c0 == rho
+    assert on[null].all() and abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
+    m = q if v_size is None else v_size
+    errors = range(-2, 3) if refills is controlled_refills else [0]
+    phi = [sum(cmath.exp(2j * cmath.pi * e * ks / q) for e in errors) / len(errors) for ks in range(1, q)]
+    p_atom = sum(1 + (m - 1) * abs(f) ** 2 for f in phi) / (q * (q - 1))
+    live = ~null
+    assert abs(on[live].mean() - p_atom) <= binom_3sigma(p_atom, int(live.sum()))
+    u = (c0 - rho)[live & ~on] % q
+    assert u.size > 2000
     assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
 
 
@@ -586,12 +591,12 @@ def test_rows_off_the_atom_add_a_uniform_offset(monkeypatch, refills, v_size):
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 2), (5, 6), (6, 7)],
-            484863342,
+            [(5, 6), (4, 5), (5, 6), (2, 3), (8, 9), (5, 6), (5, 6), (4, 5)],
+            717882248,
         ),
-        # 24 rows over five coordinates, all from the first refill of 40.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(4, 5), (1, 2), (14, 15), (2, 3), (3, 4)], 584508340),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(1, 3), (12, 14), (6, 8)], 972497474),
+        # 34 rows over five coordinates, all from the first refill of 40.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(2, 3), (4, 5), (8, 9), (3, 4), (17, 18)], 68089863),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (2, 4)], 180979956),
     ],
 )
 def test_controlled_stream_is_pinned(
@@ -870,21 +875,25 @@ def test_wrong_accept_rate_within_union_bound():
 
 
 def test_controlled_sources_honor_v_size(monkeypatch):
-    refills = _spy_on_refills(monkeypatch)
+    # The atom table is built for batches of v_size pairs, the full field
+    # when None; no inputs are drawn (test_no_solve_runs_a_transform).
+    built = []
+
+    def spy(q, chi, m):
+        built.append((q, chi, m))
+        return qsim.atom_law(q, chi, m)
+
+    monkeypatch.setattr(solver_module, "atom_law", spy)
     inst = _instance(2, 101, 1, 97)
     params = choose_parameters(2, 101, 1, 2.0, 0.2)
+    chi_prime = amplified_law(inst.chi, params.xi_prime)
     rng = derive_rng(98, 0)
-    refill = controlled_refills(inst, params.xi_prime, params.M, rng, v_size=25)
-    controlled_pass(inst.s, 101, refill, params.L)
-    # FIRST_CHUNK histograms of 25 pairs per coordinate, and no inputs
-    # drawn (test_no_solve_runs_a_transform).
-    values, counts, _ = refills[0]
-    assert counts.shape == (FIRST_CHUNK * 2, values.size) and (counts.sum(axis=1) == 25).all()
-    refills.clear()
-    refill = controlled_refills(inst, params.xi_prime, params.M, rng)
-    controlled_pass(inst.s, 101, refill, params.L)
-    values, counts, _ = refills[0]
-    assert counts.shape == (FIRST_CHUNK * 2, values.size) and (counts.sum(axis=1) == 101).all()
+    for v_size, m in ((25, 25), (None, 101)):
+        built.clear()
+        refill, refills = _spy_on_refills(controlled_refills(inst, params.xi_prime, params.M, rng, v_size))
+        controlled_pass(inst.s, 101, refill, params.L)
+        assert built == [(101, chi_prime, m)]
+        assert len(refills[0]) == FIRST_CHUNK * 2
 
 
 def test_elimination_mode_recovers_noiseless_secret():
@@ -898,27 +907,19 @@ def test_elimination_mode_recovers_noiseless_secret():
 def _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size=None):
     """An elimination refill for inst, built with spies in place, and the
     draws of each of its calls, as a dict: the elimination rows (r, e),
-    k*, atom decisions, the test inputs t and the output (c0, tests,
-    accepted)."""
+    the test inputs t and the output (c0, tests, accepted)."""
     calls, current = [], {}
 
     def draws(instance, k, rng):
         current["r"], current["e"] = inverse_row_draws(instance, k, rng)
         return current["r"], current["e"]
 
-    def atom_spy(q, counts, values, k_star, u):
-        current["k_star"] = k_star
-        current["atom"] = atom_rows(q, counts, values, k_star, u)
-        return current["atom"]
-
     def verdicts_spy(field, c, t, b, xi_prime, null):
         current["t"] = t
         return _verdicts(field, c, t, b, xi_prime, null)
 
-    for name, spy in (
-        ("inverse_row_draws", draws), ("atom_rows", atom_spy), ("_verdicts", verdicts_spy),
-    ):
-        monkeypatch.setattr(solver_module, name, spy)
+    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
+    monkeypatch.setattr(solver_module, "_verdicts", verdicts_spy)
     refill = elimination_refills(inst, xi_prime, m, rng, v_size)
 
     def recorded(k):
@@ -947,18 +948,17 @@ def test_elimination_mode_with_noise_stays_classified(monkeypatch):
     refill, calls = _recorded_eliminations(monkeypatch, inst, 2, m, derive_rng(102, 0), 40)
     c0, tests, accepted = refill(7)
     [call] = calls
-    r, e, t, k_star = call["r"], call["e"], call["t"], call["k_star"]
+    r, e, t = call["r"], call["e"], call["t"]
     assert len(c0) == len(tests) == len(accepted) == 7 and t.shape == (7, m)
     assert r.shape == e.shape == (7 * (1 + m), n)
-    for i in np.flatnonzero(k_star):
-        # c0 = r . e on the atom, and r . e plus a nonzero offset off it.
-        assert ((c0[i] - int(r[i] @ e[i])) % q == 0) == call["atom"][i]
+    for i in np.flatnonzero(tests):  # the non-null rows
         for j in range(n):
             d = range(7 + i * m, 7 + (i + 1) * m)  # row i's test pairs
             pairs = iter([_pair_by_hand(inst, r[x], e[x], j, int(t_x)) for t_x, x in zip(t[i], d)])
             verdict = m_trial_test((int(inst.s[j]) + c0[i]) % q, m, 2, pairs.__next__)
             assert (tests[i], accepted[i]) == (verdict.trials_used, verdict.accepted)
-    assert all(tests[i] == 0 and not accepted[i] for i in np.flatnonzero(k_star == 0))
+    # A null reads c0 = r . e and is never accepted.
+    assert all((c0[i] - int(r[i] @ e[i])) % q == 0 and not accepted[i] for i in range(7) if not tests[i])
     assert ((1 <= t) & (t < q)).all() and np.unique(t).size > 1
     params = choose_parameters(n, q, 1, 2.0, 0.2)
     out = solve(inst, params, MODE_ELIMINATION, derive_rng(102, 1), v_size=40)
@@ -977,23 +977,24 @@ def test_elimination_refill_is_s_free():
 
 @pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
 def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind, v_size):
-    # Each non-null row's k_d0 = (r . e - c0) k*, the s-free row's k_d that
-    # its batch b' = a' sigma is measured at, moved by sigma = s_j + r . e,
-    # against the law of a noiseless batch of v_size inputs drawn
-    # uniformly: the atom k_d0 = 0 holds v_size / q and the rest is
-    # uniform on [1, q) (qsim's exact enumeration tests), by chi-square.
+    # Each non-null row's offset c0 - r . e is -k_d0 / k*, for k_d0 the
+    # s-free row's k_d that its batch b' = a' sigma is measured at, moved by
+    # sigma = s_j + r . e. Against the law of a noiseless batch of v_size
+    # inputs drawn uniformly: the atom k_d0 = 0 holds v_size / q and the
+    # rest is uniform on [1, q) (qsim's exact enumeration tests), by
+    # chi-square. A null is a row that uses no test.
     q, k = 101, 4000
     inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
     refill, calls = _recorded_eliminations(monkeypatch, inst, 2, 1, derive_rng(131, 1), v_size)
-    c0 = np.array(refill(k)[0])
+    c0, tests, _ = refill(k)
     [call] = calls
     rho = (call["r"][:k] * call["e"][:k]).sum(axis=1)
-    live = np.flatnonzero(call["k_star"])
-    k_d0 = (rho - c0)[live] * call["k_star"][live] % q
+    live = np.flatnonzero(tests)
+    offset = (np.array(c0) - rho)[live] % q
     law = np.full(q, (1 - v_size / q) / (q - 1))
     law[0] = v_size / q
-    assert chi_square_ok(np.bincount(k_d0, minlength=q), law, live.size)
-    assert 0 < (k_d0 == 0).sum() < live.size  # rows on the atom and rows off it
+    assert chi_square_ok(np.bincount(offset, minlength=q), law, live.size)
+    assert 0 < (offset == 0).sum() < live.size  # rows on the atom and rows off it
 
 
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
@@ -1034,9 +1035,9 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
     """solve_coordinate and m_trial_test on the recorded draws: the rows go
     to the coordinates in order, and coordinate j measures each row's batch
     at its moved secret sigma = s_j + r . e combined by hand, reads its
-    candidate -k_d / k* off k_d = k_d0 - sigma k*, and tests it on pairs it
-    forms by hand from the row's own m test draws. k_d0 is 0 on the atom,
-    and off it -U k* for the offset U = c0 - r . e the refill drew."""
+    candidate as sigma + U, for the offset U = c0 - r . e the refill drew
+    (0 on the atom), and tests it on pairs it forms by hand from the row's
+    own m test draws. A row that used no test is a null."""
     q = inst.q
     rows = iter((call, i) for call in calls for i in range(len(call["out"][0])))
     per_coordinate = []
@@ -1049,10 +1050,9 @@ def _scalar_elimination(inst, calls, budget, m, xi_prime):
             sigma = _pair_by_hand(inst, r[i], e[i], j, 1).b_prime
             tests = [k + i * m + d for d in range(m)]
             block[:] = [_pair_by_hand(inst, r[d], e[d], j, int(t_d)) for t_d, d in zip(call["t"][i], tests)][::-1]
-            k_star = int(call["k_star"][i])
-            u = call["out"][0][i] - int(r[i] @ e[i])
-            k_d = (-u * k_star - sigma * k_star) % q
-            return extract_candidates(np.array([k_d]), np.array([k_star]), q)[0]
+            if not call["out"][1][i]:
+                return None
+            return (sigma + call["out"][0][i] - int(r[i] @ e[i])) % q
 
         _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=int(inst.s[j]) % q)
         per_coordinate.append(stats)
