@@ -476,7 +476,7 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
         matrices += r.shape[0]
     check("elimination identity and amplification bound", ok, f"{matrices} sample matrices")
 
-    # The solver's stacked sampler agrees with the exact grid (chi-square, 4 sigma).
+    # The factored kernel sampler agrees with the exact grid (chi-square, 4 sigma).
     q = 31
     chi_prime = ErrorDistribution(UNIFORM, 2)
     batch = synth_reduced_batch(int(rng.integers(q)), q, np.arange(q), 2, chi_prime, rng)

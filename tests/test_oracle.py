@@ -40,7 +40,7 @@ from dclwe import oracle as oracle_module
 from dclwe.oracle import coordinate_law, elimination_law
 from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 
-from _stats import binom_3sigma
+from _laws import MODE_BASELINE, check_solves_follow_the_law, mode_law
 
 
 def brute_ridge_mass(batch):
@@ -232,31 +232,27 @@ def test_baseline_noiseless_always_succeeds():
         assert np.array_equal(out.returned_s, inst.s % 31)
 
 
+def _check_baseline_law(budget, trials, seed):
+    # n = 1, q = 101, uniform xi' = 1, M = 2, against the baseline's law.
+    q, chi = 101, ErrorDistribution(UNIFORM, 1)
+    law = mode_law(MODE_BASELINE, 1, q, chi, 1)
+
+    def run(inst, rng):
+        return classical_baseline_solve(inst, 1.0, 2, budget, rng).per_coordinate
+
+    check_solves_follow_the_law(run, law, 1, q, chi, budget, 2, trials, derive_rng(seed, 0))
+    return coordinate_law(*law, budget, 2)[0]
+
+
 def test_baseline_single_coordinate_rate():
-    # n = 1, budget 1, uniform xi' = 1: success iff the one error draw
-    # is zero, probability exactly 1/3.
-    trials = 4000
-    hits = 0
-    for seed in range(trials):
-        rng = derive_rng(9, seed)
-        inst = make_instance(1, 101, ErrorDistribution(UNIFORM, 1), rng)
-        out = classical_baseline_solve(inst, 1.0, 2, 1, derive_rng(10, seed))
-        hits += out.outcome == OUTCOME_SUCCESS
-    assert abs(hits / trials - 1 / 3) < binom_3sigma(1 / 3, trials)
+    # Budget 1: success iff the one error draw is zero, probability exactly 1/3.
+    assert _check_baseline_law(1, 4000, 9) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_baseline_budget_raises_the_rate():
-    # Three attempts: success probability 1 - (2/3)^3 = 19/27 per
-    # coordinate (wrong accepts are negligible at M = 2, q = 101).
-    trials = 3000
-    hits = 0
-    for seed in range(trials):
-        rng = derive_rng(11, seed)
-        inst = make_instance(1, 101, ErrorDistribution(UNIFORM, 1), rng)
-        out = classical_baseline_solve(inst, 1.0, 2, 3, derive_rng(12, seed))
-        hits += out.outcome == OUTCOME_SUCCESS
-    expect = 1 - (2 / 3) ** 3
-    assert abs(hits / trials - expect) < binom_3sigma(expect, trials) + 0.01
+    # Three attempts: 1 - (2/3)^3 = 19/27 per coordinate, less the wrong
+    # values accepted first, about 0.0002.
+    assert _check_baseline_law(3, 3000, 11) == pytest.approx(0.7035, abs=5e-5)
 
 
 @pytest.mark.parametrize(
@@ -413,27 +409,17 @@ def test_elimination_law_matches_every_inverse_row_and_error(q, n, chi):
     ids=["uniform-full", "gaussian-40", "gaussian-0.6-full", "gaussian-0.8-40"],
 )
 def test_elimination_solves_follow_their_law(kind, sigma, v_size, solves):
-    # n=3, q=101, kappa=2: L=87, M=3. Success per solve within binomial 3 sigma
-    # of the law's coordinate success cubed; shots and tests per solve within
-    # 3 sigma of n times the law's.
+    # n=3, q=101, kappa=2: L=87, M=3.
     n, q = 3, 101
     chi = ErrorDistribution(kind, 1, sigma=sigma)
     params = choose_parameters(n, q, 1, 2.0, 0.2)
     assert (params.L, params.M, params.xi_prime) == (87, 3, 2)
-    success, shots, tests = coordinate_law(*elimination_law(n, q, chi, 2, v_size or q), params.L, params.M)
-    rng = derive_rng(31, solves)
-    outs = [
-        solve(make_instance(n, q, chi, rng), params, MODE_ELIMINATION, rng, v_size=v_size)
-        for _ in range(solves)
-    ]
-    wins = sum(out.outcome == OUTCOME_SUCCESS for out in outs) / solves
-    assert abs(wins - success**n) <= binom_3sigma(success**n, solves)
-    for measured, law in (
-        ([out.quantum_samples for out in outs], n * shots),
-        ([out.test_samples for out in outs], n * tests),
-    ):
-        measured = np.array(measured)
-        assert abs(measured.mean() - law) <= 3 * measured.std() / math.sqrt(solves)
+
+    def run(inst, rng):
+        return solve(inst, params, MODE_ELIMINATION, rng, v_size=v_size).per_coordinate
+
+    law = mode_law(MODE_ELIMINATION, n, q, chi, 2, v_size)
+    check_solves_follow_the_law(run, law, n, q, chi, params.L, params.M, solves, derive_rng(31, solves))
 
 
 def test_qram_cost_examples():

@@ -1,4 +1,4 @@
-import cmath
+import copy
 import dataclasses
 import math
 from collections import Counter
@@ -13,7 +13,6 @@ from dclwe import (
     OUTCOME_SUCCESS,
     OUTCOME_WRONG_ACCEPT,
     BoundTooLarge,
-    CoordinateStats,
     ErrorDistribution,
     InfeasibleParameters,
     SolveParameters,
@@ -27,21 +26,20 @@ from dclwe import qsim
 from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.qsim import extract_candidates
 from dclwe.instance import sample_errors
 from dclwe.reduce import ReducedPair, inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
     REFILL_ENTRIES,
-    _verdicts,
     amplified_bound,
     amplified_law,
     controlled_pass,
     controlled_refills,
     elimination_refills,
 )
-from dclwe.verify import m_trial_test
+from dclwe.verify import m_trial_test, single_trial_pass_rate
 
+from _laws import atom_share, check_solves_follow_the_law, mode_law
 from _stats import binom_3sigma, chi_square_ok
 
 
@@ -167,19 +165,11 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
 
 
 def test_zero_budget_consumes_nothing():
-    inst = _instance(1, 31, 0, 82)
-    params = SolveParameters(gamma=0.125, L=0, M=1, xi_prime=0, C=1 / 16)
-    refill = controlled_refills(inst, params.xi_prime, params.M, derive_rng(83, 0))
-    requested = []
-
-    def spy(k):
-        requested.append(k)
-        return refill(k)
-
-    [stats] = controlled_pass(inst.s, 31, spy, params.L)
+    opened = []
+    [stats] = controlled_pass(np.zeros(1), 31, _stub_refill(_settles(bool), opened), 0)
     assert stats.accepted_value is None
     assert stats.shots == 0 and stats.tests_used == 0
-    assert requested == []
+    assert opened == []
 
 
 _CHUNK_CASES = (  # n, q, budget, xi, xi'
@@ -234,17 +224,23 @@ def _check_chunks(n, q, budget, xi, xi_prime):
         assert len({st.shots for st in per_coordinate}) > 1
 
 
-def _stub_refill(accepts, opened):
-    """A Refill of non-null rows, each using one test, whose row i of the
-    solve is accepted when accepts(i); the solve's row at which each refill
-    opens, and its size, are appended to `opened`."""
+def _stub_refill(row, opened):
+    """A Refill whose row i of the solve is row(i) = (c0, tests, accepted);
+    the solve's row at which each refill opens, and its size, are appended
+    to `opened`."""
 
     def refill(k):
         first = sum(size for _, size in opened)
         opened.append((first, k))
-        return [0] * k, [1] * k, [accepts(i) for i in range(first, first + k)]
+        c0, tests, accepted = zip(*map(row, range(first, first + k)))
+        return list(c0), list(tests), list(accepted)
 
     return refill
+
+
+def _settles(accepts):
+    """Rows of one test each, c0 = 0, row i accepted when accepts(i)."""
+    return lambda i: (0, 1, accepts(i))
 
 
 @pytest.mark.parametrize("budget, used", [(3, 1), (119, 1), (119, 37), (1000, 1), (1000, 37)])
@@ -264,7 +260,7 @@ def test_a_coordinate_that_never_settles_costs_log_refills_at_every_position(bud
                 return i % used == used - 1
             return i >= start + budget
 
-        per_coordinate = controlled_pass(np.zeros(n), q, _stub_refill(accepts, opened), budget)
+        per_coordinate = controlled_pass(np.zeros(n), q, _stub_refill(_settles(accepts), opened), budget)
         assert [st.accepted_value is None for st in per_coordinate] == [i == j for i in range(n)]
         inside = [r for r, _ in opened if start <= r < start + budget]
         assert len(inside) <= math.ceil(math.log2(budget)) + 1
@@ -274,9 +270,46 @@ def test_a_solve_that_settles_every_fifth_row_opens_one_refill():
     # Eight coordinates use 40 rows, fewer than the FIRST_CHUNK rows per
     # coordinate the first refill holds.
     n, opened = 8, []
-    per_coordinate = controlled_pass(np.zeros(n), 401, _stub_refill(lambda i: i % 5 == 4, opened), 119)
+    refill = _stub_refill(_settles(lambda i: i % 5 == 4), opened)
+    per_coordinate = controlled_pass(np.zeros(n), 401, refill, 119)
     assert [st.shots for st in per_coordinate] == [5] * n
     assert opened == [(0, FIRST_CHUNK * n)]
+
+
+@pytest.mark.parametrize(
+    "n, budget, m, accept",
+    [(1, 6, 2, 1.0), (3, 5, 3, 0.5), (8, 2, 2, 1.0), (8, 119, 2, 0.05), (5, 40, 1, 0.0)],
+)
+def test_controlled_pass_keeps_the_row_accounting(n, budget, m, accept):
+    # Scripted rows (c0, tests, accepted): a null uses no test, a rejected
+    # candidate 1 to m, an accepted one all m; c0 = 0 reads the true value.
+    # Coordinate j takes the rows left by the coordinates before it, in
+    # order and across refills, up to its first accepted one or `budget`
+    # rows, and counts every row it took.
+    q, size = 101, n * budget
+    rng = derive_rng(1200, n, budget)
+    tests = rng.integers(0, m + 1, size=size)
+    c0 = np.where(rng.random(size) < 0.3, 0, rng.integers(1, q, size=size))
+    accepted = (tests == m) & (rng.random(size) < accept)
+    rows = list(zip(c0.tolist(), tests.tolist(), accepted.tolist()))
+    s, opened = rng.integers(q, size=n), []
+    per_coordinate = controlled_pass(s, q, _stub_refill(rows.__getitem__, opened), budget)
+    first = 0  # coordinate j's first row
+    for s_j, st in zip(s, per_coordinate):
+        taken = rows[first : first + st.shots]
+        first += st.shots
+        settled = [ok for _, _, ok in taken]
+        assert 1 <= st.shots <= budget and not any(settled[:-1])
+        assert st.accepted_value == ((s_j + taken[-1][0]) % q if settled[-1] else None)
+        assert settled[-1] or st.shots == budget
+        assert st.null_count == sum(used == 0 for _, used, _ in taken)
+        assert st.candidates_tried == st.shots - st.null_count
+        assert st.tests_used == sum(used for _, used, _ in taken)
+        assert st.true_rejections == sum(c == 0 and used > 0 and not ok for c, used, ok in taken)
+    assert accept == 0 or any(st.accepted_value is not None for st in per_coordinate)
+    # Only the last refill leaves rows unused.
+    last, k = opened[-1]
+    assert last < first <= last + k
 
 
 def _spy_on_refills(refill):
@@ -311,16 +344,6 @@ def test_controlled_pool_hands_each_row_to_one_coordinate():
         inst = _instance(n, q, 1, 105)
         refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(106, q))))
         per_coordinate = controlled_pass(inst.s, q, refill, budget)
-        # A refill opened at the solve's row r, inside coordinate j = r // budget,
-        # holds the most of FIRST_CHUNK rows per coordinate left, j's r % budget
-        # shots, and twice the mean r / (j + 1) rows per coordinate reached for
-        # each coordinate left, up to REFILL_ENTRIES // q; within the budget.
-        r = 0
-        for k in [len(marks) for marks in refills]:
-            j, left = r // budget, n - r // budget
-            rate = min(2 * left * r // (j + 1), REFILL_ENTRIES // q)
-            assert k == min(max(FIRST_CHUNK * left, r % budget, rate), n * budget - r)
-            r += k
         drawn = [mark for marks in refills for mark in marks]
         assert len(drawn) == n * budget
         for j, stats in enumerate(per_coordinate):
@@ -405,22 +428,19 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
 
 
 def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
-    """Reference: the controlled refill that draws every row's inputs and
+    """Reference: the full-field controlled refill that draws every row's
     i.i.d. errors, transforms every row with sample_bv_stack and judges
     each row at its own candidate c0 = -k_d / k*, trial by trial up to the
     first residual eta' - t c0 outside the bound."""
+    assert v_size is None
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     inverse = PrimeField(q).inverse_table()
 
     def refill(k):
-        if v_size is None:
-            a_values = np.arange(q)[None]
-        else:
-            a_values = np.stack([rng.choice(q, size=v_size, replace=False) for _ in range(k)])
-        eta_values = sample_errors(chi_prime, rng, (k, a_values.shape[1]))
+        eta_values = sample_errors(chi_prime, rng, (k, q))
         assert np.abs(eta_values).max() <= xi_prime
-        k_d, k_star = sample_bv_stack(q, a_values, eta_values, rng)
+        k_d, k_star = sample_bv_stack(q, np.arange(q)[None], eta_values, rng)
         t = rng.integers(1, q, size=(k, m))
         eta_t = sample_errors(chi_prime, rng, (k, m))
         c0 = (-k_d) % q * inverse[k_star] % q
@@ -434,68 +454,32 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
     return refill
 
 
-def _coordinate_law(refills, solves, seed, kind=UNIFORM, v_size=None):
-    """Shots and tests per coordinate, and the offsets of the wrong accepted
-    values, over `solves` n=3, q=101 solves at xi = 1, xi' = 2 and M = 1."""
-    q = 101
-    inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(121, 300))
-    budget = choose_parameters(3, q, 1, 2.0, 0.2).L
-    rng = derive_rng(122, seed)
-    shots, tests, wrong = [], [], []
-    for _ in range(solves):
-        refill = refills(inst, 2, 1, rng, v_size)
-        for st, s_j in zip(controlled_pass(inst.s, q, refill, budget), inst.s):
-            assert st.true_rejections == 0
-            shots.append(st.shots)
-            tests.append(st.tests_used)
-            if st.accepted_value is not None and st.accepted_value != s_j:
-                wrong.append((st.accepted_value - s_j) % q)
-    return np.array(shots), np.array(tests), np.bincount(wrong, minlength=q)[1:]
-
-
-def _within_3_sigma(a, b):
-    return abs(a.mean() - b.mean()) <= 3 * math.sqrt(a.var() / a.size + b.var() / b.size)
-
-
-def _check_same_law(solves, wrong_share, kind=UNIFORM, v_size=None):
-    """The histogram refill against the every-row reference at xi' = 2 and
-    M = 1, where a sizable share of coordinates accept a wrong value: the
-    wrong share, shots and tests per coordinate within 3 sigma, and the
-    wrong offsets bin by bin."""
-    ref_shots, ref_tests, ref_wrong = _coordinate_law(_every_row_refills, solves, 0, kind, v_size)
-    shots, tests, wrong = _coordinate_law(controlled_refills, solves, 1, kind, v_size)
-    coordinates = 3 * solves
-    assert wrong_share[0] < ref_wrong.sum() / coordinates < wrong_share[1]
-    share = ref_wrong.sum() / coordinates
-    # Three sigma of the difference of two independent shares.
-    assert abs(wrong.sum() / coordinates - share) <= math.sqrt(2) * binom_3sigma(share, coordinates)
-    assert _within_3_sigma(shots, ref_shots) and _within_3_sigma(tests, ref_tests)
-    # The wrong offsets over [1, q) must agree bin by bin (homogeneity chi-square).
-    both = (wrong + ref_wrong) > 0
-    a, b = wrong[both], ref_wrong[both]
-    scale = math.sqrt(b.sum() / a.sum())
-    stat = float((((a * scale - b / scale) ** 2) / (a + b)).sum())
-    dof = int(both.sum()) - 1
-    assert dof > 90 and stat <= dof + 4 * math.sqrt(2 * dof)
-
-
-def test_deferred_transform_keeps_the_law_of_the_every_row_refill():
-    # About 13.8% of coordinates accept a wrong value, which the histogram
-    # refill reads off the uniform offsets of its rows off the atom.
-    _check_same_law(5000, (0.12, 0.16))
-
-
 @pytest.mark.parametrize(
-    "kind, v_size, solves, wrong_share",
+    "refills, kind, v_size, solves",
     [
-        (GAUSSIAN, 40, 2000, (0.13, 0.18)),
-        # Batches of five span all 2 xi' + 1 = 5 values: no atom decision
-        # before histograms, and most coordinates accept a wrong value.
-        (UNIFORM, 5, 800, (0.64, 0.72)),
+        (controlled_refills, UNIFORM, None, 5000),
+        (controlled_refills, GAUSSIAN, 40, 2000),
+        # Batches of five span all 2 xi' + 1 = 5 values of the window, and
+        # most coordinates accept a wrong value.
+        (controlled_refills, UNIFORM, 5, 800),
+        (_every_row_refills, UNIFORM, None, 3000),
     ],
+    ids=["full", "gaussian-40", "uniform-5", "every-row-full"],
 )
-def test_partial_batches_keep_the_law_of_the_every_row_refill(kind, v_size, solves, wrong_share):
-    _check_same_law(solves, wrong_share, kind, v_size)
+def test_controlled_solves_follow_their_law(refills, kind, v_size, solves):
+    # n=3, q=101, xi' = 2, L = 87 as choose_parameters(3, 101, 1, 2.0, 0.2)
+    # gives it, and M = 1, where a sizable share of coordinates accept a
+    # wrong value. The every-row refill transforms every row with
+    # sample_bv_stack: the one run of the kernel against a solve.
+    n, q, budget = 3, 101, 87
+    chi = ErrorDistribution(kind, 1)
+    law = mode_law(MODE_CONTROLLED, n, q, chi, 2, v_size)
+    assert law[3] == pytest.approx(single_trial_pass_rate(0, 1, amplified_law(chi, 2), 2, q), abs=1e-15)
+
+    def run(inst, rng):
+        return controlled_pass(inst.s, q, refills(inst, 2, 1, rng, v_size), budget)
+
+    check_solves_follow_the_law(run, law, n, q, chi, budget, 1, solves, derive_rng(122, solves))
 
 
 class _CountingRng:
@@ -537,18 +521,14 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
     assert rng.calls["permutation"] == rng.calls["choice"] == rng.calls["multinomial"] == 0
 
 
-def _offsets(monkeypatch, refills, inst, xi_prime, m, rng, v_size, k):
+def _offsets(refills, inst, xi_prime, m, rng, v_size, k):
     """One k-row refill's c0, the tests each row used, and its offsets rho:
     r . e of its first k elimination rows, or 0 for a controlled refill."""
-    seen = {}
-
-    def draws(instance, count, rng):
-        seen["r"], seen["e"] = inverse_row_draws(instance, count, rng)
-        return seen["r"], seen["e"]
-
-    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
+    rho = np.zeros(k, dtype=np.int64)
+    if refills is elimination_refills:
+        _, r, e = _elimination_draws(inst, m, rng, k)
+        rho = (r[:k] * e[:k]).sum(axis=1) % inst.q
     c0, tests, _ = refills(inst, xi_prime, m, rng, v_size)(k)
-    rho = (seen["r"][:k] * seen["e"][:k]).sum(axis=1) % inst.q if "r" in seen else np.zeros(k, int)
     return np.array(c0), np.array(tests), rho
 
 
@@ -563,22 +543,19 @@ def _offsets(monkeypatch, refills, inst, xi_prime, m, rng, v_size, k):
     ],
     ids=["controlled-full", "controlled-25", "elimination-5", "elimination-1"],
 )
-def test_rows_off_the_atom_add_a_uniform_offset(monkeypatch, refills, v_size):
+def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     # A null, a row that uses no test, reads c0 = rho, and so does a row on
     # its atom; a row off it reads c0 = rho + U with U uniform on [1, q),
     # never 0 (chi-square). So the non-null rows read c0 = rho at the atom's
-    # mean mass over k* != 0, (1 + (m - 1) |phi(k*)|^2) / q, with phi the
-    # Fourier coefficient of the row's errors, summed here term by term:
-    # chi' = U[-2, 2] for a controlled row, the one error 0 for elimination.
+    # mean mass over k* != 0, with the row's errors from chi' = U[-2, 2] for
+    # a controlled row and the one error 0 for elimination.
     q, k = 101, 4000
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
-    c0, tests, rho = _offsets(monkeypatch, refills, inst, 2, 2, derive_rng(134, 1), v_size, k)
+    c0, tests, rho = _offsets(refills, inst, 2, 2, derive_rng(134, 1), v_size, k)
     null, on = tests == 0, c0 == rho
     assert on[null].all() and abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
-    m = q if v_size is None else v_size
-    errors = range(-2, 3) if refills is controlled_refills else [0]
-    phi = [sum(cmath.exp(2j * cmath.pi * e * ks / q) for e in errors) / len(errors) for ks in range(1, q)]
-    p_atom = sum(1 + (m - 1) * abs(f) ** 2 for f in phi) / (q * (q - 1))
+    xi_prime = 2 if refills is controlled_refills else 0
+    p_atom = atom_share(q, ErrorDistribution(UNIFORM, xi_prime), q if v_size is None else v_size)
     live = ~null
     assert abs(on[live].mean() - p_atom) <= binom_3sigma(p_atom, int(live.sum()))
     u = (c0 - rho)[live & ~on] % q
@@ -636,143 +613,6 @@ def test_elimination_stream_is_pinned(
     assert out.outcome == outcome
     assert [(st.shots, st.tests_used) for st in out.per_coordinate] == per_coordinate
     assert int(rng.integers(1 << 30)) == next_draw
-
-
-def _recorded_synthetic(q, m, xi_prime, rng):
-    """A refill of synthetic rows, judged by _verdicts, and the rows it
-    hands out, in order, as (c0 or None for a null, test inputs, errors):
-    rows rich in nulls, true candidates (c0 = 0) and c0 = 1, with errors
-    one wider than xi' so that true candidates can fail too."""
-    rows = []
-
-    def refill(k):
-        k_star = rng.integers(q, size=k)
-        k_star[rng.random(k) < 0.2] = 0
-        k_d = rng.integers(q, size=k)
-        pick = rng.random(k)
-        k_d[pick < 0.3] = 0
-        k_d[pick > 0.8] = (-k_star[pick > 0.8]) % q  # c0 = 1
-        t = rng.integers(1, q, size=(k, m))
-        eta = rng.integers(-xi_prime - 1, xi_prime + 2, size=(k, m))
-        rows.extend(zip(extract_candidates(k_d, k_star, q), t.tolist(), eta.tolist()))
-        c0 = (-k_d) % q * PrimeField(q).inverse_table()[k_star] % q
-        tests, accepted = _verdicts(PrimeField(q), c0, t, eta, xi_prime, k_star == 0)
-        return c0.tolist(), tests.tolist(), accepted.tolist()
-
-    return refill, rows
-
-
-def _recorded_controlled(monkeypatch, refill):
-    """The controlled refill and the rows it hands out, in order, as
-    (c0 or None for a null, test inputs, errors), as _verdicts gets them:
-    each row's c0 and its test pairs (t, eta')."""
-    rows, judged = [], []
-
-    def verdicts_spy(field, c, t, b, xi_prime, null):
-        judged.append((c, t, b, null))
-        return _verdicts(field, c, t, b, xi_prime, null)
-
-    monkeypatch.setattr(solver_module, "_verdicts", verdicts_spy)
-
-    def recorded(k):
-        out = refill(k)
-        for c0, t_row, eta_row, null in zip(*judged[-1]):
-            rows.append((None if null else int(c0), t_row.tolist(), eta_row.tolist()))
-        return out
-
-    return recorded, rows
-
-
-def solve_coordinate(j, shot, test_source, budget, m, xi_prime, *, s_true=None):
-    """The scalar per-coordinate loop both passes must match: up to
-    `budget` shots for coordinate j, returning the accepted value or None.
-
-    A shot returning None is a null and only consumes the shot; any
-    other candidate faces an m-trial residual test at bound xi'.
-    """
-    stats = CoordinateStats(j=j)
-    for _ in range(budget):
-        stats.shots += 1
-        cand = shot()
-        if cand is None:
-            stats.null_count += 1
-            continue
-        stats.candidates_tried += 1
-        verdict = m_trial_test(cand, m, xi_prime, test_source)
-        stats.tests_used += verdict.trials_used
-        if verdict.accepted:
-            stats.accepted_value = cand
-            return cand, stats
-        if cand == s_true:
-            stats.true_rejections += 1
-    return None, stats
-
-
-def _scalar_reference(s, q, rows, budget, m, xi_prime):
-    """solve_coordinate and m_trial_test over `rows` in order: coordinate j
-    reads a row's candidate as s_j + c0 and tests it on that row's own
-    block of pairs (a, a s_j + e)."""
-    rows = iter(rows)
-    per_coordinate = []
-    for j in range(len(s)):
-        s_j = int(s[j]) % q
-        block = []  # the current candidate's test pairs, next one last
-
-        def shot():
-            c0, inputs, errors = next(rows)
-            block[:] = [ReducedPair(a, (a * s_j + e) % q, e, 0, q) for a, e in zip(inputs, errors)]
-            block.reverse()
-            return None if c0 is None else (s_j + c0) % q
-
-        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=s_j)
-        per_coordinate.append(stats)
-    return per_coordinate
-
-
-@pytest.mark.parametrize(
-    "n, q, budget, m, xi_prime, v_size",
-    [
-        (1, 13, 6, 2, 0, None),  # xi' = 0
-        (3, 13, 5, 3, -1, None),  # a bound no residual meets
-        (8, 31, 2, 2, 1, None),  # L smaller than a refill
-        (3, 101, 12, 2, 2, 40),  # measured rows, partial v_size
-        (8, 401, 119, 2, 2, None),  # measured rows, the acceptance point
-        (3, 11, 4, 1, 1, None),
-    ],
-)
-def test_controlled_pass_matches_the_scalar_loop(monkeypatch, n, q, budget, m, xi_prime, v_size):
-    totals = dict.fromkeys(("accepted", "nulls", "rejected", "true_rejections"), 0)
-    for seed in range(25):
-        inst = _instance(n, q, 1, 1200 + seed)
-        rng = derive_rng(1201, n, q, seed)
-        if v_size is None and q < 400:
-            refill, rows = _recorded_synthetic(q, m, xi_prime, rng)
-        else:
-            refill = controlled_refills(inst, xi_prime, m, rng, v_size)
-            refill, rows = _recorded_controlled(monkeypatch, refill)
-        per_coordinate = controlled_pass(inst.s, q, refill, budget)
-        assert per_coordinate == _scalar_reference(inst.s, q, rows, budget, m, xi_prime)
-        for st in per_coordinate:
-            totals["accepted"] += st.accepted_value is not None
-            totals["nulls"] += st.null_count
-            totals["rejected"] += st.candidates_tried - (st.accepted_value is not None)
-            totals["true_rejections"] += st.true_rejections
-    # Every case sees nulls and rejections; only the bound no residual
-    # meets accepts nothing, and only synthetic rows fail a true value.
-    assert totals["nulls"] > 0 and totals["rejected"] > 0
-    assert (totals["accepted"] > 0) == (xi_prime >= 0)
-    synthetic = v_size is None and q < 400
-    assert (totals["true_rejections"] > 0) == synthetic
-
-
-def test_true_candidate_never_rejected_in_controlled_mode():
-    # The controlled test source draws |eta| <= xi', so the true value
-    # always passes; any true rejection is a harness bug.
-    inst = _instance(3, 101, 1, 84)
-    params = choose_parameters(3, 101, 1, 2.0, 0.2)
-    for seed in range(60):
-        out = solve(inst, params, MODE_CONTROLLED, derive_rng(85, seed))
-        assert all(st.true_rejections == 0 for st in out.per_coordinate)
 
 
 def test_solve_respects_quantum_budget_and_classifies():
@@ -874,28 +714,6 @@ def test_wrong_accept_rate_within_union_bound():
     assert wrong / trials <= bound + binom_3sigma(min(bound, 1.0), trials)
 
 
-def test_controlled_sources_honor_v_size(monkeypatch):
-    # The atom table is built for batches of v_size pairs, the full field
-    # when None; no inputs are drawn (test_no_solve_runs_a_transform).
-    built = []
-
-    def spy(q, chi, m):
-        built.append((q, chi, m))
-        return qsim.atom_law(q, chi, m)
-
-    monkeypatch.setattr(solver_module, "atom_law", spy)
-    inst = _instance(2, 101, 1, 97)
-    params = choose_parameters(2, 101, 1, 2.0, 0.2)
-    chi_prime = amplified_law(inst.chi, params.xi_prime)
-    rng = derive_rng(98, 0)
-    for v_size, m in ((25, 25), (None, 101)):
-        built.clear()
-        refill, refills = _spy_on_refills(controlled_refills(inst, params.xi_prime, params.M, rng, v_size))
-        controlled_pass(inst.s, 101, refill, params.L)
-        assert built == [(101, chi_prime, m)]
-        assert len(refills[0]) == FIRST_CHUNK * 2
-
-
 def test_elimination_mode_recovers_noiseless_secret():
     inst = _instance(3, 31, 0, 99)
     params = SolveParameters(gamma=0.125, L=10, M=2, xi_prime=0, C=1 / 16)
@@ -904,31 +722,12 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size=None):
-    """An elimination refill for inst, built with spies in place, and the
-    draws of each of its calls, as a dict: the elimination rows (r, e),
-    the test inputs t and the output (c0, tests, accepted)."""
-    calls, current = [], {}
-
-    def draws(instance, k, rng):
-        current["r"], current["e"] = inverse_row_draws(instance, k, rng)
-        return current["r"], current["e"]
-
-    def verdicts_spy(field, c, t, b, xi_prime, null):
-        current["t"] = t
-        return _verdicts(field, c, t, b, xi_prime, null)
-
-    monkeypatch.setattr(solver_module, "inverse_row_draws", draws)
-    monkeypatch.setattr(solver_module, "_verdicts", verdicts_spy)
-    refill = elimination_refills(inst, xi_prime, m, rng, v_size)
-
-    def recorded(k):
-        current.clear()
-        out = refill(k)
-        calls.append(dict(current, out=out))
-        return out
-
-    return recorded, calls
+def _elimination_draws(inst, m, rng, k):
+    """The test inputs t and the elimination rows (r, e) that an elimination
+    refill of k rows draws first from rng, replayed on a copy of it."""
+    twin = copy.deepcopy(rng)
+    t = twin.integers(1, inst.q, size=(k, m))
+    return (t, *inverse_row_draws(inst, k * (1 + m), twin))
 
 
 def _pair_by_hand(inst, r, e, j, a):
@@ -938,17 +737,16 @@ def _pair_by_hand(inst, r, e, j, a):
     return ReducedPair(a, a * (int(inst.s[j]) + noise) % q, (a * noise + h) % q - h, 0, q)
 
 
-def test_elimination_mode_with_noise_stays_classified(monkeypatch):
+def test_elimination_mode_with_noise_stays_classified():
     # Every row's verdict, judged s-free in the refill, is the verdict its
     # candidate s_j + c0 gets on its own pairs (t, t (r' . b')) formed by
     # hand for each coordinate j; and a whole solve completes with a legal
     # classification.
     q, n, m = 101, 3, 2
     inst = _instance(n, q, 1, 101)
-    refill, calls = _recorded_eliminations(monkeypatch, inst, 2, m, derive_rng(102, 0), 40)
-    c0, tests, accepted = refill(7)
-    [call] = calls
-    r, e, t = call["r"], call["e"], call["t"]
+    rng = derive_rng(102, 0)
+    t, r, e = _elimination_draws(inst, m, rng, 7)
+    c0, tests, accepted = elimination_refills(inst, 2, m, rng, 40)(7)
     assert len(c0) == len(tests) == len(accepted) == 7 and t.shape == (7, m)
     assert r.shape == e.shape == (7 * (1 + m), n)
     for i in np.flatnonzero(tests):  # the non-null rows
@@ -976,7 +774,7 @@ def test_elimination_refill_is_s_free():
 
 
 @pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
-def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind, v_size):
+def test_partial_elimination_rows_draw_the_law_of_their_batch(kind, v_size):
     # Each non-null row's offset c0 - r . e is -k_d0 / k*, for k_d0 the
     # s-free row's k_d that its batch b' = a' sigma is measured at, moved by
     # sigma = s_j + r . e. Against the law of a noiseless batch of v_size
@@ -985,16 +783,12 @@ def test_partial_elimination_rows_draw_the_law_of_their_batch(monkeypatch, kind,
     # chi-square. A null is a row that uses no test.
     q, k = 101, 4000
     inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
-    refill, calls = _recorded_eliminations(monkeypatch, inst, 2, 1, derive_rng(131, 1), v_size)
-    c0, tests, _ = refill(k)
-    [call] = calls
-    rho = (call["r"][:k] * call["e"][:k]).sum(axis=1)
-    live = np.flatnonzero(tests)
-    offset = (np.array(c0) - rho)[live] % q
+    c0, tests, rho = _offsets(elimination_refills, inst, 2, 1, derive_rng(131, 1), v_size, k)
+    offset = (c0 - rho)[tests > 0] % q
     law = np.full(q, (1 - v_size / q) / (q - 1))
     law[0] = v_size / q
-    assert chi_square_ok(np.bincount(offset, minlength=q), law, live.size)
-    assert 0 < (offset == 0).sum() < live.size  # rows on the atom and rows off it
+    assert chi_square_ok(np.bincount(offset, minlength=q), law, offset.size)
+    assert 0 < (offset == 0).sum() < offset.size  # rows on the atom and rows off it
 
 
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
@@ -1029,62 +823,3 @@ def test_solve_refuses_a_bound_that_does_not_fit_below_half_q_before_drawing(mod
         assert rng.bit_generator.state == state
     out = solve(inst, SolveParameters(0.125, 5, 1, 50, 0.1), mode, derive_rng(1, 3), v_size=v_size)
     assert out.quantum_samples > 0  # 2 * 50 < 101 still runs
-
-
-def _scalar_elimination(inst, calls, budget, m, xi_prime):
-    """solve_coordinate and m_trial_test on the recorded draws: the rows go
-    to the coordinates in order, and coordinate j measures each row's batch
-    at its moved secret sigma = s_j + r . e combined by hand, reads its
-    candidate as sigma + U, for the offset U = c0 - r . e the refill drew
-    (0 on the atom), and tests it on pairs it forms by hand from the row's
-    own m test draws. A row that used no test is a null."""
-    q = inst.q
-    rows = iter((call, i) for call in calls for i in range(len(call["out"][0])))
-    per_coordinate = []
-    for j in range(inst.n):
-        block = []  # the current candidate's test pairs, next one last
-
-        def shot():
-            call, i = next(rows)
-            k, r, e = len(call["out"][0]), call["r"], call["e"]
-            sigma = _pair_by_hand(inst, r[i], e[i], j, 1).b_prime
-            tests = [k + i * m + d for d in range(m)]
-            block[:] = [_pair_by_hand(inst, r[d], e[d], j, int(t_d)) for t_d, d in zip(call["t"][i], tests)][::-1]
-            if not call["out"][1][i]:
-                return None
-            return (sigma + call["out"][0][i] - int(r[i] @ e[i])) % q
-
-        _, stats = solve_coordinate(j, shot, block.pop, budget, m, xi_prime, s_true=int(inst.s[j]) % q)
-        per_coordinate.append(stats)
-    return per_coordinate
-
-
-@pytest.mark.parametrize(
-    "n, q, xi, budget, m, xi_prime, v_size, seeds",
-    [
-        (1, 31, 0, 10, 2, 0, None, 10),  # noiseless
-        (3, 31, 0, 10, 2, 0, None, 10),  # noiseless, coordinates settle apart
-        (3, 101, 1, 87, 3, 2, None, 3),  # noisy, the elimination-q101 point
-        (3, 101, 1, 30, 2, 2, 40, 3),  # per-row input subsets
-        (3, 31, 1, 2, 1, 2, None, 10),  # L below the first chunk
-        (2, 31, 0, 9, 2, -1, None, 5),  # a bound no residual meets
-    ],
-)
-def test_elimination_pass_matches_the_scalar_loop(
-    monkeypatch, n, q, xi, budget, m, xi_prime, v_size, seeds
-):
-    totals = dict.fromkeys(("accepted", "rejected", "true_rejections"), 0)
-    for seed in range(seeds):
-        inst = _instance(n, q, xi, 1300 + seed)
-        rng = derive_rng(1301, n, q, seed)
-        refill, calls = _recorded_eliminations(monkeypatch, inst, xi_prime, m, rng, v_size)
-        per_coordinate = controlled_pass(inst.s, q, refill, budget)
-        assert per_coordinate == _scalar_elimination(inst, calls, budget, m, xi_prime)
-        for st in per_coordinate:
-            totals["accepted"] += st.accepted_value is not None
-            totals["rejected"] += st.candidates_tried - (st.accepted_value is not None)
-            totals["true_rejections"] += st.true_rejections
-    # Noiseless rows accept only true values; noisy ones reject candidates.
-    assert totals["accepted"] > 0 if xi == 0 <= xi_prime else totals["rejected"] > 0
-    # A noiseless true candidate always passes; a bound no residual meets rejects it.
-    assert (totals["true_rejections"] > 0) == (xi > 0 or xi_prime < 0)
