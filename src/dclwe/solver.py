@@ -22,8 +22,8 @@ and its own block of M test pairs (t, b'), whose residuals b' - t c0
 one rule (_verdicts) counts the trials of and gives its verdict.
 Coordinate j reads a row's candidate as s_j + c0 with that verdict,
 which does not depend on s, so the pass hands rows out in order and the
-rows a settled coordinate leaves go to the next one. _take_row turns a
-judged row into a coordinate's CoordinateStats. One rule sizes every
+rows a settled coordinate leaves go to the next one, which counts them
+into its CoordinateStats, built once. One rule sizes every
 refill by the rows the solve has used (controlled_pass), since a
 refill's fixed cost far outweighs its rows': a solve opens few refills,
 and a coordinate that never settles costs O(log L) of them.
@@ -319,24 +319,6 @@ def _verdicts(
     return tests, ~rejected & ~null
 
 
-def _take_row(stats: CoordinateStats, value: int, tests: int, accepted: bool, s_j: int) -> bool:
-    """One judged row's shot for a coordinate; True when it settles it. A
-    null (no tests) only consumes the shot; a candidate `value` adds its
-    tests and is accepted, or, rejected while equal to s_j, counts as a
-    true rejection."""
-    stats.shots += 1
-    if not tests:
-        stats.null_count += 1
-        return False
-    stats.candidates_tried += 1
-    stats.tests_used += tests
-    if accepted:
-        stats.accepted_value = value
-        return True
-    stats.true_rejections += value == s_j
-    return False
-
-
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
     """Every coordinate of one solve, in any mode, from one stream of refills.
 
@@ -363,25 +345,35 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     c0s: list[int] = []
     tests: list[int] = []
     accepted: list[bool] = []
-    row = 0  # next unused row of the current refill
+    row = end = 0  # next unused row of the current refill, and its length
     drawn = 0  # rows drawn so far in this solve
     per_coordinate = []
     for j in range(n):
         left = n - j  # coordinates not yet run, this one included
-        stats = CoordinateStats(j=j)
         s_j = int(s[j]) % q
-        while stats.shots < budget:
-            if row == len(c0s):
+        shots = nulls = used = true_rejections = 0
+        value = None
+        while shots < budget:
+            if row == end:
                 rate = min(2 * left * drawn // (j + 1), REFILL_ENTRIES // q)
-                k = min(max(FIRST_CHUNK * left, stats.shots, rate), left * budget - stats.shots)
+                k = min(max(FIRST_CHUNK * left, shots, rate), left * budget - shots)
                 c0s, tests, accepted = refill(k)
                 drawn += k
-                row = 0
+                row, end = 0, len(c0s)
             i = row
             row += 1
-            if _take_row(stats, (s_j + c0s[i]) % q, tests[i], accepted[i], s_j):
+            shots += 1
+            if not tests[i]:  # a null only consumes its shot
+                nulls += 1
+                continue
+            used += tests[i]
+            if accepted[i]:
+                value = (s_j + c0s[i]) % q
                 break
-        per_coordinate.append(stats)
+            true_rejections += c0s[i] % q == 0  # rejected while reading s_j
+        per_coordinate.append(
+            CoordinateStats(j, shots, nulls, shots - nulls, used, value, true_rejections)
+        )
     return per_coordinate
 
 
