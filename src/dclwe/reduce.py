@@ -222,10 +222,10 @@ def inverse_row_draws(
     real samples.
     """
     r = rng.integers(0, instance.q, size=(k, instance.n), dtype=np.int64)
-    zero = np.flatnonzero(~r.any(axis=1))
+    zero = np.flatnonzero(np.einsum("ij->i", r) == 0)  # entries lie in [0, q)
     while zero.size:
         r[zero] = rng.integers(0, instance.q, size=(zero.size, instance.n), dtype=np.int64)
-        zero = zero[~r[zero].any(axis=1)]
+        zero = zero[np.einsum("ij->i", r[zero]) == 0]
     return r, sample_errors(instance.chi, rng, (k, instance.n))
 
 

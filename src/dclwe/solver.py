@@ -29,13 +29,13 @@ refill's fixed cost far outweighs its rows': a solve opens few refills,
 and a coordinate that never settles costs O(log L) of them.
 
 Every refill is one body, _refills, fed by its mode's draw of k rows:
-their k*, the non-null rows off the k_d = 0 atom, each row's offset rho
-and its test block (t, b'). A row reads c0 = rho on the atom and
-c0 = rho + U off it, with U uniform on [1, q), so no solve runs a
-transform: given a row's error histogram, and averaged over its inputs
-V and the arrangement of its errors over them, which no refill reads
-anywhere else, its k_d off the atom is exactly uniform on [1, q)
-(exchangeability), and so is -k_d / k*.
+their nulls (k* = 0), each row's c0 and its test pairs (t, b'). A row
+reads c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U
+uniform on [1, q), drawn for every row in one block with its t and read
+only off the atom, so no solve runs a transform: given a row's error
+histogram, and averaged over its inputs V and the arrangement of its
+errors over them, which no refill reads anywhere else, its k_d off the
+atom is exactly uniform on [1, q) (exchangeability), and so is -k_d / k*.
 
 - controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
   shift theorem the coordinate-j batch (a', a' s_j + eta') has the
@@ -95,8 +95,8 @@ REFILL_ENTRIES = 1 << 16
 Verdicts = tuple[list[int], list[int], list[bool]]
 # k -> the verdicts of k s-free rows
 Refill = Callable[[int], Verdicts]
-# k -> k rows' k*, the indices of the non-null rows off the atom, each
-# row's offset rho, and the (k, M) test block (t, b')
+# k -> k rows' null mask (False when none is a null), their c0 and the
+# (k, M) test pairs (t, b')
 Draw = Callable[[int], tuple[np.ndarray, ...]]
 
 
@@ -199,16 +199,12 @@ def choose_parameters(
     return SolveParameters(gamma=gamma, L=l_budget, M=m, xi_prime=xi_prime, C=c)
 
 
-def _refills(q: int, xi_prime: int, draw: Draw, rng: np.random.Generator) -> Refill:
-    """k -> (c0, tests, accepted) for k rows of `draw`: c0 = rho, plus U
-    uniform on [1, q) drawn after them for the rows off the atom."""
-    field = PrimeField(q)
+def _refills(q: int, xi_prime: int, draw: Draw) -> Refill:
+    """k -> (c0, tests, accepted) for the k rows of `draw`."""
 
     def refill(k: int) -> Verdicts:
-        k_star, off, c0, t, b = draw(k)
-        if off.size:
-            c0[off] = (c0[off] + rng.integers(1, q, size=off.size)) % q
-        tests, accepted = _verdicts(field, c0, t, b, xi_prime, k_star == 0)
+        null, c0, t, b = draw(k)
+        tests, accepted = _verdicts(q, c0, t, b, xi_prime, null)
         return c0.tolist(), tests.tolist(), accepted.tolist()
 
     return refill
@@ -226,9 +222,9 @@ def controlled_refills(
     Each call draws k* and the uniforms as sample_bv_stack draws them,
     and a row is on its atom when its uniform lies below
     atom_law(q, chi', v_size)[k*], chi' = amplified_law(chi, xi'); then
-    one (k, m) block of test pairs: t uniform on [1, q) and eta' from
-    chi'. rho is 0. The window is checked once, here. Nothing here
-    depends on s.
+    one (k, m + 1) block uniform on [1, q), each row's m test inputs t
+    and its U, and a (k, m) block of eta' from chi'. rho is 0. The window
+    is checked once, here. Nothing here depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
@@ -239,12 +235,12 @@ def controlled_refills(
 
     def draw(k: int):
         k_star = rng.integers(q, size=k)
-        atom = rng.random(k) < law[k_star]
-        t = rng.integers(1, q, size=(k, m))
+        off = (rng.random(k) >= law[k_star]) & (k_star != 0)
+        tu = rng.integers(1, q, size=(k, m + 1))
         eta_t = sample_errors(chi_prime, rng, (k, m))
-        return k_star, np.flatnonzero(~atom & (k_star != 0)), np.zeros(k, dtype=np.int64), t, eta_t
+        return k_star == 0, np.where(off, tu[:, -1], 0), tu[:, :-1], eta_t
 
-    return _refills(q, xi_prime, draw, rng)
+    return _refills(q, xi_prime, draw)
 
 
 def elimination_refills(
@@ -256,13 +252,14 @@ def elimination_refills(
 ) -> Refill:
     """Refill source of one elimination solve: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws a (k, m) block of test inputs t uniform on [1, q)
-    and, in one inverse_row_draws call, k * (1 + m) elimination rows
-    (r, e): the first k make the batches, with rho = r . e, the rest the
-    test pairs, m per row in row order, with b' = t (r' . e'). Then k*
-    and the uniforms, decided as in controlled_refills by the atom_law of
-    the noiseless s-free row (a', 0), v_size / q: every full-field row is
-    on it. Nothing here depends on s.
+    Each call draws a (k, m + 1) block uniform on [1, q), each row's m
+    test inputs t and its U, and, in one inverse_row_draws call,
+    k * (1 + m) elimination rows (r, e): the first k make the batches,
+    with rho = r . e, the rest the test pairs, m per row in row order,
+    with b' = t (r' . e'). Then k* and the uniforms, decided as in
+    controlled_refills by the atom_law of the noiseless s-free row
+    (a', 0), v_size / q: every full-field row is on it. Nothing here
+    depends on s.
     """
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
@@ -270,15 +267,15 @@ def elimination_refills(
     law = atom_law(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
 
     def draw(k: int):
-        t = rng.integers(1, q, size=(k, m))
+        tu = rng.integers(1, q, size=(k, m + 1))
         r, e = inverse_row_draws(instance, k * (1 + m), rng)
-        noise = (r * e).sum(axis=1) % q  # r . e of every elimination row
+        noise = np.einsum("ij,ij->i", r, e) % q  # r . e of every elimination row
         k_star = rng.integers(q, size=k)
-        atom = rng.random(k) < law[k_star]
-        off = np.flatnonzero(~atom & (k_star != 0))
-        return k_star, off, noise[:k], t, t * noise[k:].reshape(k, m)
+        off = (rng.random(k) >= law[k_star]) & (k_star != 0)
+        rho, t = noise[:k], tu[:, :-1]
+        return k_star == 0, np.where(off, (rho + tu[:, -1]) % q, rho), t, t * noise[k:].reshape(k, m)
 
-    return _refills(q, xi_prime, draw, rng)
+    return _refills(q, xi_prime, draw)
 
 
 def baseline_refills(
@@ -286,37 +283,36 @@ def baseline_refills(
 ) -> Refill:
     """Refill source of the classical baseline: k -> (c0, tests, accepted) for k rows.
 
-    Each call draws k direct pairs, a' uniform on [1, q) and eta' from
-    chi' = amplified_law(chi, xi'), then a (k, m) block of test pairs
-    (t, eta'). Each row is on its atom (k* = a'), with rho = eta' a'^-1.
+    Each call draws one (k, m + 1) block uniform on [1, q), each row's m
+    test inputs t and its a', then one (k, m + 1) block from
+    chi' = amplified_law(chi, xi'), the test errors eta' and the row's
+    own. Each row is on its atom (k* = a'), with rho = eta' a'^-1.
     """
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     inverse = PrimeField(q).inverse_table()
-    none_off = np.zeros(0, dtype=np.int64)
 
     def draw(k: int):
-        a_prime = rng.integers(1, q, size=k)
-        eta = sample_errors(chi_prime, rng, k)
-        t = rng.integers(1, q, size=(k, m))
-        eta_t = sample_errors(chi_prime, rng, (k, m))
-        return a_prime, none_off, eta % q * inverse[a_prime] % q, t, eta_t
+        ta = rng.integers(1, q, size=(k, m + 1))
+        eta = sample_errors(chi_prime, rng, (k, m + 1))
+        return False, eta[:, -1] % q * inverse[ta[:, -1]] % q, ta[:, :-1], eta[:, :-1]
 
-    return _refills(q, xi_prime, draw, rng)
+    return _refills(q, xi_prime, draw)
 
 
 def _verdicts(
-    field: PrimeField, c: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int, null: np.ndarray
+    q: int, c: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int, null: np.ndarray | bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tests each row uses and its verdict: candidate c against the
     row's own (t, b') pairs, whose residuals b' - t c pass when centered
-    within xi'. Trials run up to the first failing one, or all M; a null
-    uses none and is never accepted."""
-    fail = np.abs(field.centered_array(b - t * c[:, None])) > xi_prime
+    within xi', that is when (b' - t c + xi') mod q <= 2 xi' (2 xi' < q).
+    Trials run up to the first failing one, or all M; a null uses none
+    and is never accepted."""
+    fail = (b - t * c[:, None] + xi_prime) % q > 2 * xi_prime
     rejected = fail.any(axis=1)
     tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
     tests[null] = 0
-    return tests, ~rejected & ~null
+    return tests, ~(rejected | null)
 
 
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
@@ -329,10 +325,11 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     solve and shots those of coordinate j. A refill opens only when every
     row drawn has been used, so drawn / (j + 1) is the mean rows used by
     each coordinate reached, and the refill holds twice that for each
-    coordinate left, up to REFILL_ENTRIES // q rows. A refill's numpy
-    calls cost 50-100 us whatever its size, a row under 1 us (2-core
-    Xeon, numpy 2.4), so sizing by the rows used halves the refills of a
-    solve, for a few rows drawn and left unused. The shots term at least
+    coordinate left, up to REFILL_ENTRIES // q rows. A refill costs
+    30-55 us whatever its size and 0.2-0.4 us a row, and the pass about
+    0.15 us a row it takes (2-core Xeon, numpy 2.4), so sizing by the rows
+    used halves the refills of a solve, for a few rows drawn and left
+    unused. The shots term at least
     doubles the rows of a coordinate that never settles, so it costs
     O(log L) refills wherever it sits, and no refill holds more rows than
     the solve may still take. Coordinate j takes rows in order up to its
@@ -383,11 +380,11 @@ def classify(
     """Classify a run by its accepted values against the ground-truth secret."""
     test_samples = sum(st.tests_used for st in per_coordinate)
     values = [st.accepted_value for st in per_coordinate]
-    if any(v is None for v in values):
+    if None in values:
         return SolveOutcome(OUTCOME_FAILURE, None, per_coordinate, quantum_samples, test_samples)
-    returned = np.array(values, dtype=np.int64)
-    correct = np.array_equal(returned, instance.s % instance.q)
+    correct = values == (instance.s % instance.q).tolist()
     outcome = OUTCOME_SUCCESS if correct else OUTCOME_WRONG_ACCEPT
+    returned = np.array(values, dtype=np.int64)
     return SolveOutcome(outcome, returned, per_coordinate, quantum_samples, test_samples)
 
 

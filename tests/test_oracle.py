@@ -258,16 +258,16 @@ def test_baseline_budget_raises_the_rate():
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 1), (1, 1), (1, 2)], 244970129),
+        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 2), (1, 1), (1, 1)], 244970129),
         (
             5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE,
-            [(2, 3), (1, 2), (3, 3), (2, 4), (3, 3)],
+            [(3, 3), (3, 3), (2, 3), (2, 3), (1, 2)],
             869224539,
         ),
-        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(4, 4), (1, 1), (2, 2), (4, 4)], 597026080),
+        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(4, 4), (3, 3), (2, 2), (1, 1)], 597026080),
         (
             8, 401, GAUSSIAN, 2, 1.0, 2, 5, 3, OUTCOME_SUCCESS,
-            [(1, 2), (1, 2), (2, 3), (1, 2), (1, 2), (1, 2), (1, 2), (1, 2)],
+            [(1, 2), (2, 3), (1, 2), (2, 3), (3, 4), (3, 4), (1, 2), (1, 2)],
             128224345,
         ),
     ],
@@ -276,10 +276,10 @@ def test_baseline_stream_is_pinned(
     n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw
 ):
     # Frozen outcomes, per-coordinate (shots, tests) and the next draw of
-    # the stream: each refill draws its direct pairs, then one test pair
-    # block, for every row the solve may still take, since no trial budget
-    # here exceeds FIRST_CHUNK (solver.controlled_pass); rows a settled
-    # coordinate leaves go to the next one.
+    # the stream: each refill draws one block of test inputs and a', then
+    # one of errors, for every row the solve may still take, since no trial
+    # budget here exceeds FIRST_CHUNK (solver.controlled_pass); rows a
+    # settled coordinate leaves go to the next one.
     rng = derive_rng(700, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = classical_baseline_solve(inst, kappa, m, budget, rng)
@@ -318,8 +318,10 @@ def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
     def pass_spy(s, q, refill, budget):
         twin = copy.deepcopy(rng)
         seen["verdicts"] = refill(200)
-        seen["a"] = twin.integers(1, q, size=200)
-        seen["eta"] = sample_errors(ErrorDistribution(UNIFORM, xi_prime), twin, 200)
+        # Each row's a' and eta' are the last column of its (t, a') and
+        # (eta'_t, eta') blocks.
+        seen["a"] = twin.integers(1, q, size=(200, m + 1))[:, m]
+        seen["eta"] = sample_errors(ErrorDistribution(UNIFORM, xi_prime), twin, (200, m + 1))[:, m]
         return [CoordinateStats(j=j) for j in range(len(s))]
 
     monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)

@@ -33,6 +33,7 @@ from dclwe.solver import (
     REFILL_ENTRIES,
     amplified_bound,
     amplified_law,
+    baseline_refills,
     controlled_pass,
     controlled_refills,
     elimination_refills,
@@ -337,26 +338,6 @@ def _rejecting(refill):
     return rejecting
 
 
-def test_controlled_pool_hands_each_row_to_one_coordinate():
-    # Every candidate is rejected, so every coordinate spends its whole
-    # budget L on the next L rows.
-    for n, q, budget in ((8, 401, 119), (3, 4093, 30), (4, 101, 3), (5, 31, 6)):
-        inst = _instance(n, q, 1, 105)
-        refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(106, q))))
-        per_coordinate = controlled_pass(inst.s, q, refill, budget)
-        drawn = [mark for marks in refills for mark in marks]
-        assert len(drawn) == n * budget
-        for j, stats in enumerate(per_coordinate):
-            rows = drawn[j * budget : (j + 1) * budget]
-            nulls = rows.count(None)
-            assert stats.accepted_value is None and stats.shots == budget
-            assert stats.null_count == nulls
-            assert stats.candidates_tried == stats.tests_used == budget - nulls
-            # An atom row's c0 = 0 is coordinate j's true value s_j + 0,
-            # rejected here; a row off it has c0 != 0.
-            assert stats.true_rejections == rows.count(True)
-
-
 def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates():
     inst = _instance(4, 4093, 1, 107)
     refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))))
@@ -521,6 +502,33 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
     assert rng.calls["permutation"] == rng.calls["choice"] == rng.calls["multinomial"] == 0
 
 
+@pytest.mark.parametrize(
+    "refills, kind, calls",
+    [
+        (controlled_refills, UNIFORM, {"integers": 3, "random": 1}),
+        (controlled_refills, GAUSSIAN, {"integers": 2, "random": 2}),
+        (elimination_refills, UNIFORM, {"integers": 4, "random": 1}),
+        (elimination_refills, GAUSSIAN, {"integers": 3, "random": 2}),
+        (baseline_refills, UNIFORM, {"integers": 2}),
+        (baseline_refills, GAUSSIAN, {"integers": 1, "random": 1}),
+    ],
+    ids=["controlled-uniform", "controlled-gaussian", "elimination-uniform",
+         "elimination-gaussian", "baseline-uniform", "baseline-gaussian"],
+)
+def test_a_refill_draws_each_value_range_once(refills, kind, calls):
+    # Whatever k, a refill makes one draw call per value range: k*, the
+    # (k, M + 1) block of test inputs with each row's U (or a'), the
+    # elimination rows' r, the errors (integers when uniform, doubles when
+    # gaussian), and one uniform per row for the atom decision.
+    inst = make_instance(3, 101, ErrorDistribution(kind, 1), derive_rng(135, 0))
+    rng = _CountingRng(derive_rng(135, 1))
+    refill = refills(inst, 2, 2, rng)
+    for k in (1, 40, 300):
+        rng.calls.clear()
+        refill(k)
+        assert rng.calls == calls
+
+
 def _offsets(refills, inst, xi_prime, m, rng, v_size, k):
     """One k-row refill's c0, the tests each row used, and its offsets rho:
     r . e of its first k elimination rows, or 0 for a controlled refill."""
@@ -569,11 +577,11 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
             [(5, 6), (4, 5), (5, 6), (2, 3), (8, 9), (5, 6), (5, 6), (4, 5)],
-            717882248,
+            932938058,
         ),
         # 34 rows over five coordinates, all from the first refill of 40.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(2, 3), (4, 5), (8, 9), (3, 4), (17, 18)], 68089863),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (2, 4)], 180979956),
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(2, 3), (4, 5), (8, 9), (3, 4), (17, 18)], 572262404),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (2, 4)], 182710519),
     ],
 )
 def test_controlled_stream_is_pinned(
@@ -593,12 +601,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 92), (87, 90), (87, 90)], 465791451),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (2, 4), (4, 6)], 837969611),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 93), (87, 91)], 332935637),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (1, 3)], 411067553),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(9, 10), (9, 10), (6, 8)], 353853043,
+            [(6, 7), (10, 12), (11, 12)], 341510307,
         ),
     ],
 )
@@ -724,9 +732,10 @@ def test_elimination_mode_recovers_noiseless_secret():
 
 def _elimination_draws(inst, m, rng, k):
     """The test inputs t and the elimination rows (r, e) that an elimination
-    refill of k rows draws first from rng, replayed on a copy of it."""
+    refill of k rows draws first from rng, replayed on a copy of it: t is
+    the first m columns of the (k, m + 1) block whose last column is U."""
     twin = copy.deepcopy(rng)
-    t = twin.integers(1, inst.q, size=(k, m))
+    t = twin.integers(1, inst.q, size=(k, m + 1))[:, :m]
     return (t, *inverse_row_draws(inst, k * (1 + m), twin))
 
 
@@ -771,24 +780,6 @@ def test_elimination_refill_is_s_free():
         other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77])) % 101)
         a, b = (elimination_refills(i, 2, 2, derive_rng(133, 1), v_size)(64) for i in (inst, other))
         assert a == b
-
-
-@pytest.mark.parametrize("kind, v_size", [(GAUSSIAN, 40), (UNIFORM, 5)])
-def test_partial_elimination_rows_draw_the_law_of_their_batch(kind, v_size):
-    # Each non-null row's offset c0 - r . e is -k_d0 / k*, for k_d0 the
-    # s-free row's k_d that its batch b' = a' sigma is measured at, moved by
-    # sigma = s_j + r . e. Against the law of a noiseless batch of v_size
-    # inputs drawn uniformly: the atom k_d0 = 0 holds v_size / q and the
-    # rest is uniform on [1, q) (qsim's exact enumeration tests), by
-    # chi-square. A null is a row that uses no test.
-    q, k = 101, 4000
-    inst = make_instance(3, q, ErrorDistribution(kind, 1), derive_rng(131, 0))
-    c0, tests, rho = _offsets(elimination_refills, inst, 2, 1, derive_rng(131, 1), v_size, k)
-    offset = (c0 - rho)[tests > 0] % q
-    law = np.full(q, (1 - v_size / q) / (q - 1))
-    law[0] = v_size / q
-    assert chi_square_ok(np.bincount(offset, minlength=q), law, offset.size)
-    assert 0 < (offset == 0).sum() < offset.size  # rows on the atom and rows off it
 
 
 @pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
