@@ -470,8 +470,13 @@ class _CountingRng:
         self.rng, self.calls = rng, Counter()
 
     def __getattr__(self, name):
-        self.calls[name] += 1
-        return getattr(self.rng, name)
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 @pytest.mark.parametrize("v_size", [None, 25])
