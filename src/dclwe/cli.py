@@ -378,10 +378,11 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     """Exact ridge mass next to its analytic floor across the sweep grid.
 
     One synthesized controlled batch per (q, xi', gamma, batch size)
-    point, plus a Monte Carlo rate over `trials` shots of the solver's
-    sampler with its 3-sigma half-width, and the wrong-accept bound in
-    its continuous (2 kappa alpha)^M and integer-count ((2 xi' + 1)/q)^M
-    forms when the point admits a budget. A mode other than controlled,
+    point, plus a Monte Carlo rate over `trials` shots of the kernel
+    sampler, which no solve runs, with its 3-sigma half-width, and the
+    wrong-accept bound in its continuous (2 kappa alpha)^M and
+    integer-count ((2 xi' + 1)/q)^M forms when the point admits a
+    budget. A mode other than controlled,
     or a point whose xi' lies outside [1, q/2), is refused before any draw.
     """
     rows = []

@@ -22,12 +22,8 @@ must agree (tests enforce it):
    uniform, then transform_rows draws every row's k_d, one batched
    length-q transform per block of max(1, CHUNK_ENTRIES // q) rows.
    sample_bv_outcome is its one-row view and sample_bv_outcomes its view
-   of one batch repeated. A block's phases and int64 indices go into two
-   flat tables kept for the whole process, at most
-   max(CHUNK_ENTRIES, q) x 24 B for any caller, about 1.5 MiB up to
-   q = 65536. On the full field the transform, the squares and the cdf
-   overwrite the kept phase table. So the sampler is not re-entrant, and
-   `--workers` runs solves in processes, each with its own tables.
+   of one batch repeated. Each block builds its own tables and shares
+   no state with another call, so the sampler is re-entrant.
 
 No solve runs the transform. The solver's refills draw k* and the
 uniforms as the sampler does and decide each row's k_d = 0 atom by
@@ -65,9 +61,9 @@ from .reduce import ReducedBatch
 # Norm drift beyond this is an error; never silently renormalize.
 NORM_TOL = 1e-8
 
-# Rows per transform_rows block: at most max(1, CHUNK_ENTRIES // q), so the
-# kept phase and index tables never outgrow max(CHUNK_ENTRIES, q) entries;
-# 16 rows at q=4093 fill them (1 MiB + 512 KiB). numpy plans a prime-length
+# Rows per transform_rows block: at most max(1, CHUNK_ENTRIES // q), so a
+# block's tables hold at most max(CHUNK_ENTRIES, q) entries each; 16 rows
+# at q=4093 make one complex table of 1 MiB. numpy plans a prime-length
 # FFT (Bluestein) afresh on every call, so the rows of a block share that
 # setup. 2^17 entries measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
@@ -110,19 +106,6 @@ def root_table(q: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(q, dtype=np.int64) / q)
     table.flags.writeable = False
     return table
-
-
-_kept: dict[type, np.ndarray] = {}
-
-
-def _kept_table(dtype: type, k: int, m: int) -> np.ndarray:
-    """A (k, m) view of the process's one table of `dtype`, grown to at least
-    CHUNK_ENTRIES and never given back: fresh pages on every call cost
-    about as much as the transform at q=4093."""
-    table = _kept.get(dtype)
-    if table is None or table.size < k * m:
-        table = _kept[dtype] = np.empty(max(k * m, CHUNK_ENTRIES), dtype=dtype)
-    return table[: k * m].reshape(k, m)
 
 
 @lru_cache(maxsize=1)  # up to 256 MiB at q = 4093, so one modulus at a time
@@ -207,28 +190,6 @@ def atom_law(q: int, chi: ErrorDistribution, m: int) -> np.ndarray:
     return law
 
 
-def _phases(q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray) -> np.ndarray:
-    """Row i's phases w^{b' k*_i} at its inputs, as the transform reads them.
-
-    Each phase is a lookup in root_table(q) at b' k* mod q, written
-    into the kept (k, m) tables. When every row's inputs are 0..q-1 in
-    order, the phases are the transform's input as they are; otherwise
-    they scatter into a fresh zero (k, q) table.
-    """
-    k, m = b_values.shape
-    index, x = _kept_table(np.int64, k, m), _kept_table(np.complex128, k, m)
-    np.multiply(b_values, k_star[:, None], out=index)
-    np.remainder(index, q, out=index)
-    # Every index is in range by construction, and "clip" writes straight
-    # into x where the default mode would fill a buffer first.
-    root_table(q).take(index, out=x, mode="clip")
-    if m != q or not (a_values == np.arange(q)).all():
-        # Rows that are not the full field in order scatter into a zero table.
-        phases, x = x, np.zeros((k, q), dtype=np.complex128)
-        x[np.arange(k)[:, None], a_values] = phases
-    return x
-
-
 def transform_rows(
     q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -240,10 +201,9 @@ def transform_rows(
     representative of each b' mod q (an s-free row passes its errors
     eta' as they are). The rows go through one batched length-q
     transform per block of max(1, CHUNK_ENTRIES // q) rows, and a row
-    draws the same k_d in any block. The transform, the squares and the
-    cdf overwrite the block's phases (_phases): no second table. A row
-    whose conditional mass sum |x|^2 / m drifts from 1 (Parseval; a
-    repeated input loses a phase) raises InvariantViolation.
+    draws the same k_d in any block. A row whose conditional mass
+    sum |x|^2 / m drifts from 1 (Parseval; a repeated input loses a
+    phase) raises InvariantViolation.
     """
     m = b_values.shape[1]
     rows = max(1, CHUNK_ENTRIES // q)
@@ -251,13 +211,12 @@ def transform_rows(
     for start in range(0, len(k_d), rows):
         block = slice(start, start + rows)
         a_block = a_values if len(a_values) == 1 else a_values[block]
-        x = _phases(q, a_block, b_values[block], k_star[block])
-        np.fft.ifft(x, axis=1, out=x)  # x[i, k] = (1/q) sum_a phases[i, a] w^{a k}
-        pairs = x.view(np.float64)
-        np.square(pairs, out=pairs)
-        cdf = pairs[:, 0::2]
-        np.add(cdf, pairs[:, 1::2], out=cdf)
-        np.cumsum(cdf, axis=1, out=cdf)
+        b_block = b_values[block]
+        # Row i's phases w^{b' k*_i}, scattered to its inputs in a zero row.
+        x = np.zeros((len(b_block), q), dtype=np.complex128)
+        x[np.arange(len(b_block))[:, None], a_block] = root_table(q)[b_block * k_star[block, None] % q]
+        x = np.fft.ifft(x, axis=1)  # x[i, k] = (1/q) sum_a phases[i, a] w^{a k}
+        cdf = np.cumsum(x.real**2 + x.imag**2, axis=1)
         # Thresholds at u * total need no scaled cdf; row i's mass is total[i] * q / m.
         total = cdf[:, -1]
         drift = float(np.abs(total * (q / m) - 1.0).max())
@@ -277,8 +236,7 @@ def sample_bv_stack(
     The A-register marginal is exactly uniform for any batch of
     unit-weight pairs with distinct a', so each k* is drawn flat; then
     transform_rows draws every row's k_d. The stream per call: k bounded
-    integers for k*, then k uniform doubles. The draws returned never
-    share memory with the kept tables, and the inputs are only read, so
+    integers for k*, then k uniform doubles. The inputs are only read, so
     read-only or broadcast rows are fine.
     """
     k = len(b_values)

@@ -271,6 +271,7 @@ def test_baseline_budget_raises_the_rate():
             128224345,
         ),
     ],
+    ids=["3-101-uniform", "5-101-uniform", "4-31-uniform", "8-401-gaussian"],
 )
 def test_baseline_stream_is_pinned(
     n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw

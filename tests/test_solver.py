@@ -588,6 +588,7 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
         (5, 4093, UNIFORM, 1, 2.0, None, 1, [(2, 3), (4, 5), (8, 9), (3, 4), (17, 18)], 572262404),
         (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (2, 4)], 182710519),
     ],
+    ids=["8-401-uniform", "5-4093-uniform", "3-101-gaussian-v40"],
 )
 def test_controlled_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, per_coordinate, next_draw
@@ -614,6 +615,7 @@ def test_controlled_stream_is_pinned(
             [(6, 7), (10, 12), (11, 12)], 341510307,
         ),
     ],
+    ids=["3-101-uniform", "3-101-gaussian-v40", "3-4093-gaussian-v1000"],
 )
 def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
