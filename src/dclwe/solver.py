@@ -23,10 +23,10 @@ one rule (_verdicts) counts the trials of and gives its verdict.
 Coordinate j reads a row's candidate as s_j + c0 with that verdict,
 which does not depend on s, so the pass hands rows out in order and the
 rows a settled coordinate leaves go to the next one, which counts them
-into its CoordinateStats, built once. One rule sizes every
-refill by the rows the solve has used (controlled_pass), since a
-refill's fixed cost far outweighs its rows': a solve opens few refills,
-and a coordinate that never settles costs O(log L) of them.
+into its CoordinateStats, built once. One rule sizes every refill in
+rows, by the rows the solve has used, up to REFILL_ROWS at any q
+(controlled_pass): a refill's fixed cost far outweighs its rows', so a
+solve opens few, and a coordinate that never settles costs O(log L).
 
 Every refill is one body, _refills, fed by its mode's draw of k rows:
 their nulls (k* = 0), each row's c0 and its test pairs (t, b'). A row
@@ -86,10 +86,10 @@ _MAX_M = 64
 # budget (controlled_pass).
 FIRST_CHUNK = 8
 
-# The rate term of a refill stops at REFILL_ENTRIES // q rows (controlled_pass),
-# 16 at q=4093: it caps how far that term may run ahead of its evidence, the
-# rows the coordinates run so far have used. A refill holds no q-wide table.
-REFILL_ENTRIES = 1 << 16
+# The rate term of a refill stops at REFILL_ROWS rows at any q (controlled_pass):
+# rows cost the same at every q, and 256 cost about one refill's fixed cost, so
+# the cap bounds what the term wastes when it runs ahead of the rows used.
+REFILL_ROWS = 256
 
 # Per row of a refill: its candidate offset c0, the tests it uses and its verdict
 Verdicts = tuple[list[int], list[int], list[bool]]
@@ -319,17 +319,17 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     """Every coordinate of one solve, in any mode, from one stream of refills.
 
     A refill opened by coordinate j judges k = min(max(FIRST_CHUNK * left,
-    shots, min(2 * left * drawn // (j + 1), REFILL_ENTRIES // q)),
+    shots, min(4 * left * drawn // (j + 1), REFILL_ROWS)),
     left * budget - shots) rows at once, where left counts the coordinates
     not yet run, this one included, drawn the rows drawn so far in this
     solve and shots those of coordinate j. A refill opens only when every
     row drawn has been used, so drawn / (j + 1) is the mean rows used by
-    each coordinate reached, and the refill holds twice that for each
-    coordinate left, up to REFILL_ENTRIES // q rows. A refill costs
+    each coordinate reached, and the refill holds four times that for each
+    coordinate left, up to REFILL_ROWS rows at any q. A refill costs
     30-55 us whatever its size and 0.2-0.4 us a row, and the pass about
-    0.15 us a row it takes (2-core Xeon, numpy 2.4), so sizing by the rows
-    used halves the refills of a solve, for a few rows drawn and left
-    unused. The shots term at least
+    0.15 us a row it takes (2-core Xeon, numpy 2.4), so 256 rows cost about
+    one refill's fixed cost, and sizing by the rows used opens few refills
+    per solve, for some rows drawn and left unused. The shots term at least
     doubles the rows of a coordinate that never settles, so it costs
     O(log L) refills wherever it sits, and no refill holds more rows than
     the solve may still take. Coordinate j takes rows in order up to its
@@ -352,7 +352,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
         value = None
         while shots < budget:
             if row == end:
-                rate = min(2 * left * drawn // (j + 1), REFILL_ENTRIES // q)
+                rate = min(4 * left * drawn // (j + 1), REFILL_ROWS)
                 k = min(max(FIRST_CHUNK * left, shots, rate), left * budget - shots)
                 c0s, tests, accepted = refill(k)
                 drawn += k

@@ -318,7 +318,11 @@ def test_full_field_gather_matches_the_scatter_of_a_permuted_row():
 
 
 def _phase_cases():
-    """(q, a_values, eta' rows) per sampler route; the rows differ in spread."""
+    """(q, a_values, eta' rows) of stacks whose rows differ in spread.
+    transform_rows reads every row by one lookup, so the labels, once the
+    routes an earlier sampler took, stand for the spread: in a "span
+    tables" stack every row spans fewer than m values, and a "direct
+    lookup" stack holds a row spanning at least m."""
     rng = derive_rng(67, 0)
 
     def inputs(q, m, k):
@@ -329,8 +333,6 @@ def _phase_cases():
         rows[:, 0], rows[:, 1] = -np.array(bounds), bounds  # row i spans 2 xi_i + 1 values
         return rows
 
-    # The last two stacks each hold a row spanning at least m values, which
-    # sends the whole stack to the direct lookup.
     return {
         "full field, span tables": (101, np.arange(101)[None], errors(101, (1, 2, 5, 3))),
         "partial rows, span tables": (101, inputs(101, 30, 4), errors(30, (1, 4, 2, 3))),
@@ -342,7 +344,8 @@ def _phase_cases():
 @pytest.mark.parametrize("case", sorted(_phase_cases()))
 def test_sampler_reads_any_representative_of_b_mod_q(case):
     # eta' itself, eta' mod q and eta' + q are the same b' mod q, so one
-    # stream must give bit-identical draws whichever route reads the phases.
+    # stream must give bit-identical draws whatever the rows' spread, which
+    # the case's label names.
     q, a_values, eta = _phase_cases()[case]
     assert (np.ptp(eta) + 1 < eta.shape[1]) == case.endswith("span tables")
     k_stars = set()
@@ -537,8 +540,9 @@ def _traced_peaks(q, a_values, eta):
 def _interleaved_calls():
     """(q, a_values, b' rows) of calls that each change the modulus, the
     block or the rows' spread from the call before: 16 rows at q=4093,
-    5 rows at q=101 on the span tables (full field, then scattered), 5 on
-    the direct lookup, then 3 at q=4093."""
+    5 rows at q=101 that span fewer than m values (full field, then
+    scattered), 5 copies of a batch spanning 100 of its 101 values, then
+    3 at q=4093."""
     eta = sample_errors(ErrorDistribution(GAUSSIAN, 2), derive_rng(79, 0), (16, 4093))
     calls = [(4093, np.arange(4093)[None], eta)]
     for name in ("full field, span tables", "partial rows, span tables"):

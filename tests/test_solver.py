@@ -30,7 +30,7 @@ from dclwe.instance import sample_errors
 from dclwe.reduce import ReducedPair, inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
-    REFILL_ENTRIES,
+    REFILL_ROWS,
     amplified_bound,
     amplified_law,
     baseline_refills,
@@ -177,7 +177,8 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
     (1, 401, 119, 1, -1),
     (1, 4093, 30, 1, -1),
     (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # the rate term stops at REFILL_ENTRIES // q = 16 rows
+    (3, 4093, 30, 1, -1),  # the rest of the budget stops the second refill at 66 rows
+    (8, 401, 119, 1, -1),  # the second refill stops at REFILL_ROWS = 256 rows
     (3, 101, 87, 1, 2),
     # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
     # 0.02 here, so coordinates settle at different refills by construction.
@@ -185,9 +186,9 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
 )
 
 
-def test_chunks_stay_within_the_budget_and_the_table_cap():
+def test_chunks_stay_within_the_budget_and_the_row_cap():
     # One rule sizes every refill by the rows the solve has used, its rate
-    # term capped at REFILL_ENTRIES // q rows. At xi' = -1 no residual meets
+    # term capped at REFILL_ROWS rows. At xi' = -1 no residual meets
     # the bound, so every coordinate spends its whole budget; at xi' >= 2
     # with one trial, coordinates settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
@@ -211,9 +212,9 @@ def _check_chunks(n, q, budget, xi, xi_prime):
         j = int(np.searchsorted(first, opened, side="right")) - 1
         left, shots = n - j, opened - first[j]
         assert 0 <= shots < per_coordinate[j].shots
-        rate = min(2 * left * opened // (j + 1), REFILL_ENTRIES // q)
+        rate = min(4 * left * opened // (j + 1), REFILL_ROWS)
         assert k == min(max(FIRST_CHUNK * left, shots, rate), left * budget - shots)
-        assert k <= max(FIRST_CHUNK * n, budget - 1, REFILL_ENTRIES // q)
+        assert k <= max(FIRST_CHUNK * n, budget - 1, REFILL_ROWS)
         opened += k
     # Only the last refill leaves rows unused, and growth keeps refills few.
     assert first[-1] <= opened < first[-1] + sizes[-1]
@@ -265,6 +266,27 @@ def test_a_coordinate_that_never_settles_costs_log_refills_at_every_position(bud
         assert [st.accepted_value is None for st in per_coordinate] == [i == j for i in range(n)]
         inside = [r for r, _ in opened if start <= r < start + budget]
         assert len(inside) <= math.ceil(math.log2(budget)) + 1
+
+
+def test_a_solve_of_three_stuck_coordinates_opens_two_refills():
+    # Elimination-q101's point, n=3 and L=87, with no row ever accepted: the
+    # first refill holds FIRST_CHUNK rows per coordinate, and the rate term,
+    # 4 * 3 * 24 rows capped at REFILL_ROWS, sizes the second one past the
+    # rest of the budget, so that rest is the second and last refill.
+    opened = []
+    controlled_pass(np.zeros(3), 101, _stub_refill(_settles(lambda i: False), opened), 87)
+    assert opened == [(0, 24), (24, 3 * 87 - 24)]
+
+
+def test_refill_sizes_do_not_depend_on_q():
+    # Rows cost the same at every q, so one row cap serves them all.
+    sizes = []
+    for q in (101, 401, 4093):
+        opened = []
+        controlled_pass(np.zeros(8), q, _stub_refill(_settles(lambda i: False), opened), 119)
+        sizes.append(opened)
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert max(k for _, k in sizes[0]) == REFILL_ROWS
 
 
 def test_a_solve_that_settles_every_fifth_row_opens_one_refill():
@@ -338,16 +360,15 @@ def _rejecting(refill):
     return rejecting
 
 
-def test_controlled_pool_refills_are_s_free_and_shrink_with_the_coordinates():
+def test_controlled_pool_refills_are_s_free_and_stop_at_the_budget():
     inst = _instance(4, 4093, 1, 107)
     refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))))
     controlled_pass(inst.s, 4093, refill, 20)
-    # At q=4093 the rate term stops at REFILL_ENTRIES // q = 16 rows, so
-    # FIRST_CHUNK rows per coordinate not yet run size the refills, and what
-    # a coordinate leaves opens the next one with fewer coordinates left.
+    # FIRST_CHUNK rows per coordinate open the solve; coordinate 1 runs out
+    # of them after 12 shots, and the rate term, 4 * 3 * 32 // 2 rows, asks
+    # for more than the 3 * 20 - 12 rows the solve may still take.
     sizes = [len(marks) for marks in refills]
-    assert sizes[0] == FIRST_CHUNK * 4 and sum(sizes) == 4 * 20
-    assert all(a > b for a, b in zip(sizes, sizes[1:]))
+    assert sizes == [FIRST_CHUNK * 4, 3 * 20 - 12]
     # Two secrets, one stream: the same offsets, tests and verdicts.
     other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77, 4092])) % 4093)
     a, b = (controlled_refills(i, 2, 2, derive_rng(108, 1))(64) for i in (inst, other))
@@ -371,13 +392,13 @@ def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
 
 
 def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
-    # Five coordinates ask for FIRST_CHUNK rows each, more than
-    # REFILL_ENTRIES // 4093 = 16 in all: the cap bounds the rate term
-    # only, so the refill judges all of them.
-    inst = _instance(5, 4093, 1, 111)
+    # Forty coordinates ask for FIRST_CHUNK rows each, more than
+    # REFILL_ROWS in all: the cap bounds the rate term only, so the
+    # refill judges all of them.
+    inst = _instance(40, 4093, 1, 111)
     refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0))))
     controlled_pass(inst.s, 4093, refill, 30)
-    assert len(refills[0]) == FIRST_CHUNK * 5 > REFILL_ENTRIES // 4093
+    assert len(refills[0]) == FIRST_CHUNK * 40 > REFILL_ROWS
 
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
@@ -607,12 +628,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 90), (87, 93), (87, 91)], 332935637),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 93), (87, 88), (87, 93)], 332935637),
         (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (1, 3)], 411067553),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(6, 7), (10, 12), (11, 12)], 341510307,
+            [(6, 7), (10, 12), (9, 10)], 283596575,
         ),
     ],
     ids=["3-101-uniform", "3-101-gaussian-v40", "3-4093-gaussian-v1000"],
