@@ -42,7 +42,7 @@ from .errors import (
     InvariantViolation,
 )
 from .fq import PrimeField, check_dense_size, is_prime, mat_inverse_stack
-from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance
+from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance, sample_errors
 from .oracle import (
     FORM_DIVIDED,
     FORM_FULL,
@@ -55,12 +55,13 @@ from .oracle import (
     qram_cost,
 )
 from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_state, sample_bv_outcomes
-from .reduce import eliminate_row, synth_reduced_batch
+from .reduce import ReducedPair, eliminate_row, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
     MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
     choose_parameters, solve,
 )
+from .verify import m_trial_test
 
 _SWEEPABLE = ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size")
 
@@ -489,14 +490,17 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     limit = dof + 4 * np.sqrt(2 * dof)
     check("measurement sampler chi-square (4 sigma)", stat <= limit, f"{stat:.1f} <= {limit:.1f}")
 
-    # A true candidate is never rejected in controlled mode.
+    # A true candidate s_j passes all M trials on real controlled test pairs
+    # (t, t s_j + eta'), eta' from chi': the law solves draw verdicts by.
+    params = choose_parameters(3, 101, 1, 2, 0.2)
+    xi_p, m = params.xi_prime, params.M
+    t = rng.integers(1, 101, size=(300, m)).tolist()
+    eta = sample_errors(ErrorDistribution(UNIFORM, xi_p), rng, (300, m)).tolist()
     rejections = 0
-    for trial in range(100):
-        inst = make_instance(3, 101, ErrorDistribution(UNIFORM, 1), rng)
-        params = choose_parameters(3, 101, 1, 2, 0.2)
-        result = solve(inst, params, MODE_CONTROLLED, rng)
-        rejections += sum(st.true_rejections for st in result.per_coordinate)
-    check("true candidate never rejected (controlled)", rejections == 0, "100 solves")
+    for s_j, t_row, eta_row in zip(rng.integers(101, size=300).tolist(), t, eta):
+        pairs = iter([ReducedPair(x, (x * s_j + e) % 101, e, 1, 101) for x, e in zip(t_row, eta_row)])
+        rejections += not m_trial_test(s_j, m, xi_p, pairs.__next__).accepted
+    check("true candidate never rejected (controlled)", rejections == 0, "300 candidates")
 
     # The dense kernel path and the closed-form grid agree.
     worst = 0.0

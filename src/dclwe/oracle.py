@@ -11,7 +11,7 @@ compare them with it. The closed forms share one thing with the
 simulator, qsim.root_table, the cached phases w^r: the same values
 np.exp gives element by element, and within 1e-15 of np.cos for the
 real parts restricted_ridge_sum reads. The baseline alone runs the solver's loop: solver.baseline_refills
-through solver.controlled_pass, on pairs drawn from the solve's one stream.
+through solver.controlled_pass, on rows drawn from the solve's one stream.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .errors import BoundTooLarge, InvalidLength
 from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance
 from .qsim import root_table
-from .reduce import ReducedBatch
+from .reduce import ReducedBatch, offset_law
 from .solver import SolveOutcome, amplified_bound, baseline_refills, classify, controlled_pass
-from .verify import FalseAcceptBound, false_accept_probability
+from .verify import FalseAcceptBound, false_accept_probability, trial_pass_rates
 
 SCHEME_PRIMITIVE = "primitive"
 SCHEME_BUCKET = "bucket_brigade"
@@ -147,20 +147,14 @@ def elimination_law(
 ) -> tuple[float, float, float, float]:
     """(nu, p_c, pi_c, pi_w) of an elimination row over m inputs, for coordinate_law.
 
-    rho = r . e, r uniform on F_q^n minus 0 and e from chi^n, is 0 when
-    e = 0 (P0 = chi(0)^n); any other e meets 0 at q^(n-1) - 1 of the
-    q^n - 1 rows r and each x != 0 at q^(n-1). A shot is a null with
-    nu = 1/q; else c0 = rho on its atom (m/q) and rho + U off it, U
+    rho = r . e has the law reduce.offset_law gives. A shot is a null
+    with nu = 1/q; else c0 = rho on its atom (m/q) and rho + U off it, U
     uniform on [1, q). A trial against c0 passes when its test row has
     rho' = c0, or else with 2 xi' / (q - 1), t uniform on [1, q).
     """
-    p0 = baseline_coordinate_rate(chi) ** n
-    rows = q**n - 1
-    on = p0 + (1 - p0) * ((q ** (n - 1) - 1) / rows)  # P(rho = 0)
-    off = (1 - p0) * (q ** (n - 1) / rows)  # P(rho = x) for each x != 0
+    on, off = offset_law(n, q, chi)  # P(rho = 0), and P(rho = x) for each x != 0
     p_c = m / q * on + (1 - m / q) * (1 - on) / (q - 1)
-    slip = 2 * xi_prime / (q - 1)
-    return 1 / q, p_c, on + (1 - on) * slip, off + (1 - off) * slip
+    return (1 / q, p_c, *trial_pass_rates(on, off, xi_prime, q))
 
 
 def coordinate_law(

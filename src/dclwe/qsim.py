@@ -25,8 +25,8 @@ must agree (tests enforce it):
    of one batch repeated. Each block builds its own tables and shares
    no state with another call, so the sampler is re-entrant.
 
-No solve runs the transform. The solver's refills draw k* and the
-uniforms as the sampler does and decide each row's k_d = 0 atom by
+No solve runs the transform. The solver's refills draw k* uniform on
+[0, q), as the sampler does, and decide each row's k_d = 0 atom by
 atom_law, the atom's mass given k* averaged over the row's i.i.d.
 errors, (1 + (m - 1) |phi(k*)|^2) / q with phi the errors' Fourier
 coefficient. Off the atom, averaged over the inputs and error

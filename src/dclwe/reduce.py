@@ -20,9 +20,9 @@ An elimination row uses only r, row j of its sample matrix's inverse,
 and r . b = s_j + r . e, e the matrix's n hidden errors.
 inverse_row_draws draws (r, e) directly, with the law of an invertible
 sample matrix, so no sample matrix is drawn or inverted. The solver's
-elimination refill reads only r . e from them: its offsets and test
-residuals are s-free, and r . b = s_j + r . e is the identity they rest
-on. eliminate_row pushes a batch's inputs through one such row and
+elimination refill reads only rho = r . e (its law is offset_law): its
+offsets and verdicts are s-free, and r . b = s_j + r . e is the identity
+they rest on. eliminate_row pushes a batch's inputs through one such row and
 measures each input's amplification; the selftest runs it on real
 sample matrices to check that identity, elimination_batch on one drawn
 row, and make_test_sample on one input t over given samples, since a
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +53,7 @@ from .errors import (
     InvariantViolation,
 )
 from .fq import PrimeField, mat_inverse
-from .instance import LweInstance, Sample, sample_errors, samples_to_arrays
+from .instance import ErrorDistribution, LweInstance, Sample, sample_errors, samples_to_arrays
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,17 @@ def inverse_row_draws(
         r[zero] = rng.integers(0, instance.q, size=(zero.size, instance.n), dtype=np.int64)
         zero = zero[np.einsum("ij->i", r[zero]) == 0]
     return r, sample_errors(instance.chi, rng, (k, instance.n))
+
+
+@lru_cache(maxsize=16)
+def offset_law(n: int, q: int, chi: ErrorDistribution) -> tuple[float, float]:
+    """(P(rho = 0), P(rho = x) for each x != 0) of rho = r . e, r uniform
+    on F_q^n minus 0 (inverse_row_draws) and e from chi^n. rho is 0 when
+    e = 0 (P0 = chi(0)^n); any other e meets 0 at q^(n-1) - 1 of the
+    q^n - 1 rows r and each x != 0 at q^(n-1). At n = 1, P(rho = 0) = chi(0)."""
+    p0 = float(chi.weights()[chi.xi] / chi.weights().sum()) ** n
+    rows = q**n - 1
+    return p0 + (1 - p0) * ((q ** (n - 1) - 1) / rows), (1 - p0) * (q ** (n - 1) / rows)
 
 
 def elimination_batch(

@@ -18,38 +18,40 @@ under delta/n.
 Every solve, controlled, elimination or the classical baseline, is one
 controlled_pass over refills drawn from the solve's one stream. A refill
 judges k s-free rows at once: each row carries its candidate offset c0
-and its own block of M test pairs (t, b'), whose residuals b' - t c0
-one rule (_verdicts) counts the trials of and gives its verdict.
-Coordinate j reads a row's candidate as s_j + c0 with that verdict,
-which does not depend on s, so the pass hands rows out in order and the
-rows a settled coordinate leaves go to the next one, which counts them
-into its CoordinateStats, built once. One rule sizes every refill in
-rows, by the rows the solve has used, up to REFILL_ROWS at any q
-(controlled_pass): a refill's fixed cost far outweighs its rows', so a
-solve opens few, and a coordinate that never settles costs O(log L).
+and its verdict, the tests it uses and whether it is accepted. Coordinate
+j reads a row's candidate as s_j + c0 with that verdict, which does not
+depend on s, so the pass hands rows out in order and the rows a settled
+coordinate leaves go to the next one, which counts them into its
+CoordinateStats, built once. One rule sizes every refill in rows, by the
+rows the solve has used, up to REFILL_ROWS at any q (controlled_pass): a
+refill's fixed cost far outweighs its rows', so a solve opens few, and a
+coordinate that never settles costs O(log L).
 
 Every refill is one body, _refills, fed by its mode's draw of k rows:
-their nulls (k* = 0), each row's c0 and its test pairs (t, b'). A row
-reads c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U
-uniform on [1, q), drawn for every row in one block with its t and read
-only off the atom, so no solve runs a transform: given a row's error
+their nulls (k* = 0), each row's c0 and one uniform u. A row reads
+c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U uniform on
+[1, q) (_shots), so no solve runs a transform: given a row's error
 histogram, and averaged over its inputs V and the arrangement of its
 errors over them, which no refill reads anywhere else, its k_d off the
 atom is exactly uniform on [1, q) (exchangeability), and so is -k_d / k*.
+No solve draws a test pair either: given c0, a row's M trials are i.i.d.,
+passing with pi_c at c0 = 0 and pi_w elsewhere (verify.trial_pass_rates),
+so u draws its verdict by that law.
 
 - controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
   shift theorem the coordinate-j batch (a', a' s_j + eta') has the
   s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
   s_j + c0 for every coordinate, with the same verdict. Only the atom
   decision reads the row's errors, so it is drawn by its law averaged
-  over them, qsim.atom_law(q, chi', m), with no errors drawn.
+  over them, qsim.atom_law(q, chi', m). A test pair (t, t s_j + eta')
+  leaves the residual eta' - t c0, within xi' whenever c0 = 0.
 - elimination_refills: each row's inverse row r and hidden errors e
   (reduce.inverse_row_draws), with r . b = s_j + r . e. Its batch
   b' = a' (r . b) is the noiseless s-free row (a', 0) moved by r . b, so
   rho = r . e and the atom holds v_size / q, atom_law at chi' = delta_0.
-  A test pair (t, t (s_j + r' . e')) leaves the residual t (r' . e' - c0).
+  A test pair (t, t (s_j + rho')) leaves the residual t (rho' - c0).
 - baseline_refills: the classical baseline's direct pairs
-  (a', a' s_j + eta'), with no kernel: rho = eta' a'^-1 and k* = a', so
+  (a', a' s_j + eta'), with no kernel: c0 = eta' a'^-1 and k* = a', so
   no row is a null or off its atom. oracle.classical_baseline_solve
   runs them.
 
@@ -63,15 +65,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
-from .instance import UNIFORM, ErrorDistribution, LweInstance, sample_errors
+from .instance import UNIFORM, ErrorDistribution, LweInstance
 from .qsim import atom_law
-from .reduce import check_window, inverse_row_draws
+from .reduce import check_window, inverse_row_draws, offset_law
+from .verify import trial_pass_rates
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
@@ -95,9 +99,9 @@ REFILL_ROWS = 256
 Verdicts = tuple[list[int], list[int], list[bool]]
 # k -> the verdicts of k s-free rows
 Refill = Callable[[int], Verdicts]
-# k -> k rows' null mask (False when none is a null), their c0 and the
-# (k, M) test pairs (t, b')
-Draw = Callable[[int], tuple[np.ndarray, ...]]
+# k -> k rows' null mask (False when none is a null), their c0 and one
+# uniform on [0, 1) each, which draws the row's verdict
+Draw = Callable[[int], tuple[np.ndarray | bool, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -199,120 +203,94 @@ def choose_parameters(
     return SolveParameters(gamma=gamma, L=l_budget, M=m, xi_prime=xi_prime, C=c)
 
 
-def _refills(q: int, xi_prime: int, draw: Draw) -> Refill:
-    """k -> (c0, tests, accepted) for the k rows of `draw`."""
+@lru_cache(maxsize=16)
+def _powers(pi_c: float, pi_w: float, m: int) -> np.ndarray:
+    """The read-only (2, M + 1) table pi^1 .. pi^M, 0: row 0 pi_w, row 1 pi_c."""
+    table = np.zeros((2, m + 1))
+    table[:, :m] = np.array([[pi_w], [pi_c]]) ** np.arange(1, m + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _refills(m: int, draw: Draw, pi_c: float, pi_w: float) -> Refill:
+    """k -> (c0, tests, accepted) for the k rows of `draw`. A row's M trials
+    pass i.i.d. with pi = pi_c where c0 = 0 and pi_w elsewhere, so its u
+    passes passed = #{i <= M : u < pi^i} of them, P(passed >= i) = pi^i:
+    the first column of its _powers row that u does not lie below (argmin).
+    It uses min(passed + 1, M) tests; a null uses none and is never accepted."""
+    if m < 1:
+        raise ValueError(f"M must be at least 1, got {m}")
+    powers = _powers(pi_c, pi_w, m)
 
     def refill(k: int) -> Verdicts:
-        null, c0, t, b = draw(k)
-        tests, accepted = _verdicts(q, c0, t, b, xi_prime, null)
-        return c0.tolist(), tests.tolist(), accepted.tolist()
+        null, c0, u = draw(k)
+        passed = (u[:, None] < powers.take((c0 == 0).view(np.int8), axis=0)).argmin(axis=1)
+        passed[null] = -1
+        return c0.tolist(), np.minimum(passed + 1, m).tolist(), (passed == m).tolist()
 
     return refill
 
 
-def controlled_refills(
-    instance: LweInstance,
-    xi_prime: int,
-    m: int,
-    rng: np.random.Generator,
-    v_size: int | None = None,
-) -> Refill:
-    """Refill source of one controlled solve: k -> (c0, tests, accepted) for k rows.
+def _shots(rng: np.random.Generator, q: int, law: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """k s-free shots: their null mask, their offsets from rho (0 on the
+    atom, decided by atom_law's `law`, and U off it) and their verdict
+    uniforms. k* = x mod q and U = x div q from one x uniform on [q, q^2)
+    (q^2 <= 2^50 at MODULUS_CEILING) are independent, on [0, q) and [1, q)."""
+    big_u, k_star = np.divmod(rng.integers(q, q * q, size=k), q)
+    atom, u = rng.random((2, k))
+    return k_star == 0, ((atom >= law[k_star]) & (k_star != 0)) * big_u, u
 
-    Each call draws k* and the uniforms as sample_bv_stack draws them,
-    and a row is on its atom when its uniform lies below
-    atom_law(q, chi', v_size)[k*], chi' = amplified_law(chi, xi'); then
-    one (k, m + 1) block uniform on [1, q), each row's m test inputs t
-    and its U, and a (k, m) block of eta' from chi'. rho is 0. The window
-    is checked once, here. Nothing here depends on s.
-    """
-    if m < 1:
-        raise ValueError(f"M must be at least 1, got {m}")
+
+def controlled_refills(
+    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
+) -> Refill:
+    """Refill source of one controlled solve: k -> (c0, tests, accepted)
+    for k rows of _shots, with rho = 0, the atom_law of chi' =
+    amplified_law(chi, xi') over v_size inputs and the pass rates (1, r).
+    The window is checked once, here; nothing here depends on s, and no
+    error is drawn."""
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     check_window(q, xi_prime, chi_prime)
     law = atom_law(q, chi_prime, q if v_size is None else v_size)
-
-    def draw(k: int):
-        k_star = rng.integers(q, size=k)
-        off = (rng.random(k) >= law[k_star]) & (k_star != 0)
-        tu = rng.integers(1, q, size=(k, m + 1))
-        eta_t = sample_errors(chi_prime, rng, (k, m))
-        return k_star == 0, np.where(off, tu[:, -1], 0), tu[:, :-1], eta_t
-
-    return _refills(q, xi_prime, draw)
+    return _refills(m, partial(_shots, rng, q, law), *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def elimination_refills(
-    instance: LweInstance,
-    xi_prime: int,
-    m: int,
-    rng: np.random.Generator,
-    v_size: int | None = None,
+    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
 ) -> Refill:
-    """Refill source of one elimination solve: k -> (c0, tests, accepted) for k rows.
-
-    Each call draws a (k, m + 1) block uniform on [1, q), each row's m
-    test inputs t and its U, and, in one inverse_row_draws call,
-    k * (1 + m) elimination rows (r, e): the first k make the batches,
-    with rho = r . e, the rest the test pairs, m per row in row order,
-    with b' = t (r' . e'). Then k* and the uniforms, decided as in
-    controlled_refills by the atom_law of the noiseless s-free row
-    (a', 0), v_size / q: every full-field row is on it. Nothing here
-    depends on s.
-    """
-    if m < 1:
-        raise ValueError(f"M must be at least 1, got {m}")
+    """Refill source of one elimination solve: k -> (c0, tests, accepted)
+    for k rows: k inverse_row_draws rows (r, e), rho = r . e, then k
+    _shots by the atom_law of the noiseless s-free row, v_size / q, and the
+    pass rates of reduce.offset_law's rho'. Nothing here depends on s."""
     q = instance.q
     law = atom_law(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
 
     def draw(k: int):
-        tu = rng.integers(1, q, size=(k, m + 1))
-        r, e = inverse_row_draws(instance, k * (1 + m), rng)
-        noise = np.einsum("ij,ij->i", r, e) % q  # r . e of every elimination row
-        k_star = rng.integers(q, size=k)
-        off = (rng.random(k) >= law[k_star]) & (k_star != 0)
-        rho, t = noise[:k], tu[:, :-1]
-        return k_star == 0, np.where(off, (rho + tu[:, -1]) % q, rho), t, t * noise[k:].reshape(k, m)
+        r, e = inverse_row_draws(instance, k, rng)
+        null, offset, u = _shots(rng, q, law, k)
+        return null, (np.einsum("ij,ij->i", r, e) + offset) % q, u
 
-    return _refills(q, xi_prime, draw)
+    rates = trial_pass_rates(*offset_law(instance.n, q, instance.chi), xi_prime, q)
+    return _refills(m, draw, *rates)
 
 
 def baseline_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator
 ) -> Refill:
-    """Refill source of the classical baseline: k -> (c0, tests, accepted) for k rows.
-
-    Each call draws one (k, m + 1) block uniform on [1, q), each row's m
-    test inputs t and its a', then one (k, m + 1) block from
-    chi' = amplified_law(chi, xi'), the test errors eta' and the row's
-    own. Each row is on its atom (k* = a'), with rho = eta' a'^-1.
-    """
+    """Refill source of the classical baseline: k -> (c0, tests, accepted)
+    for k rows. Each draws U uniform on [1, q) and two uniforms, the first
+    setting c0 = 0 with chi'(0) = offset_law(1, q, chi')[0], chi' =
+    amplified_law(chi, xi'), and c0 = U otherwise; pass rates (1, r)."""
     q = instance.q
-    chi_prime = amplified_law(instance.chi, xi_prime)
-    inverse = PrimeField(q).inverse_table()
+    chi_zero = offset_law(1, q, amplified_law(instance.chi, xi_prime))[0]
 
     def draw(k: int):
-        ta = rng.integers(1, q, size=(k, m + 1))
-        eta = sample_errors(chi_prime, rng, (k, m + 1))
-        return False, eta[:, -1] % q * inverse[ta[:, -1]] % q, ta[:, :-1], eta[:, :-1]
+        big_u = rng.integers(1, q, size=k)
+        atom, u = rng.random((2, k))
+        return False, np.where(atom < chi_zero, 0, big_u), u
 
-    return _refills(q, xi_prime, draw)
-
-
-def _verdicts(
-    q: int, c: np.ndarray, t: np.ndarray, b: np.ndarray, xi_prime: int, null: np.ndarray | bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tests each row uses and its verdict: candidate c against the
-    row's own (t, b') pairs, whose residuals b' - t c pass when centered
-    within xi', that is when (b' - t c + xi') mod q <= 2 xi' (2 xi' < q).
-    Trials run up to the first failing one, or all M; a null uses none
-    and is never accepted."""
-    fail = (b - t * c[:, None] + xi_prime) % q > 2 * xi_prime
-    rejected = fail.any(axis=1)
-    tests = np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1])
-    tests[null] = 0
-    return tests, ~(rejected | null)
+    return _refills(m, draw, *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
@@ -326,7 +304,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     row drawn has been used, so drawn / (j + 1) is the mean rows used by
     each coordinate reached, and the refill holds four times that for each
     coordinate left, up to REFILL_ROWS rows at any q. A refill costs
-    30-55 us whatever its size and 0.2-0.4 us a row, and the pass about
+    20-40 us whatever its size and about 0.1 us a row, and the pass about
     0.15 us a row it takes (2-core Xeon, numpy 2.4), so 256 rows cost about
     one refill's fixed cost, and sizing by the rows used opens few refills
     per solve, for some rows drawn and left unused. The shots term at least

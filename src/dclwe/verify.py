@@ -50,8 +50,8 @@ def m_trial_test(
     test_source: Callable[[], ReducedPair],
 ) -> TestVerdict:
     """Accept s~ iff M consecutive fresh test pairs keep the residual
-    within xi'. Stops at the first violation.
-    It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
+    within xi'. Stops at the first violation. No solve calls it; the
+    selftest runs it on real test pairs, as do bench/layers.py and the tests."""
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     deltas: list[int] = []
@@ -103,3 +103,13 @@ def single_trial_pass_rate(
     resid = field.centered_array((ts[:, None] * gap + etas[None, :]) % q)
     passing = (np.abs(resid) <= xi_prime) @ weights
     return float(passing.sum() / ((q - 1) * weights.sum()))
+
+
+def trial_pass_rates(p0: float, px: float, xi_prime: int, q: int) -> tuple[float, float]:
+    """(pi_c, pi_w): a trial's pass rate against c0 = 0 and against each
+    c0 != 0, when its test row's own offset rho' is 0 with p0 and each
+    x != 0 with px. The residual t (rho' - c0), t uniform on [1, q), is 0
+    when rho' = c0 and otherwise uniform on [1, q), within xi' with
+    2 xi' / (q - 1)."""
+    slip = 2 * xi_prime / (q - 1)
+    return p0 + (1 - p0) * slip, px + (1 - px) * slip

@@ -56,12 +56,13 @@ INTERNAL = {
     "reduce": (
         "ReducedPair", "check_rows", "check_window", "eliminate_row",
         "elimination_batch", "inverse_row_draws", "kappa_observed", "make_test_sample",
+        "offset_law",
     ),
     "solver": (
         "amplified_law", "baseline_refills", "classify", "controlled_pass",
         "controlled_refills", "elimination_refills",
     ),
-    "verify": ("TestVerdict", "delta", "m_trial_test"),
+    "verify": ("TestVerdict", "delta", "m_trial_test", "trial_pass_rates"),
 }
 
 

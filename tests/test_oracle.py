@@ -1,5 +1,4 @@
 import cmath
-import copy
 import itertools
 import math
 import tracemalloc
@@ -38,9 +37,11 @@ from dclwe import (
 )
 from dclwe import oracle as oracle_module
 from dclwe.oracle import coordinate_law, elimination_law
-from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
+from dclwe.instance import GAUSSIAN, UNIFORM
+from dclwe.solver import amplified_law
 
 from _laws import MODE_BASELINE, check_solves_follow_the_law, mode_law
+from _stats import chi_square_ok
 
 
 def brute_ridge_mass(batch):
@@ -258,17 +259,17 @@ def test_baseline_budget_raises_the_rate():
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 2), (1, 1), (1, 1)], 244970129),
+        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 1), (1, 2), (1, 1)], 248102112),
         (
             5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE,
-            [(3, 3), (3, 3), (2, 3), (2, 3), (1, 2)],
-            869224539,
+            [(3, 3), (3, 4), (1, 2), (1, 2), (3, 4)],
+            1063774467,
         ),
-        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_FAILURE, [(4, 4), (3, 3), (2, 2), (1, 1)], 597026080),
+        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_SUCCESS, [(1, 1), (3, 3), (1, 1), (4, 4)], 190160251),
         (
             8, 401, GAUSSIAN, 2, 1.0, 2, 5, 3, OUTCOME_SUCCESS,
-            [(1, 2), (2, 3), (1, 2), (2, 3), (3, 4), (3, 4), (1, 2), (1, 2)],
-            128224345,
+            [(2, 3), (1, 2), (1, 2), (2, 3), (3, 4), (2, 3), (1, 2), (1, 2)],
+            123226002,
         ),
     ],
     ids=["3-101-uniform", "5-101-uniform", "4-31-uniform", "8-401-gaussian"],
@@ -277,8 +278,8 @@ def test_baseline_stream_is_pinned(
     n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw
 ):
     # Frozen outcomes, per-coordinate (shots, tests) and the next draw of
-    # the stream: each refill draws one block of test inputs and a', then
-    # one of errors, for every row the solve may still take, since no trial
+    # the stream: each refill draws one U per row, then one (2, k) block of
+    # uniforms, for every row the solve may still take, since no trial
     # budget here exceeds FIRST_CHUNK (solver.controlled_pass); rows a
     # settled coordinate leaves go to the next one.
     rng = derive_rng(700, seed)
@@ -309,30 +310,25 @@ def test_baseline_validation():
 
 
 def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
-    # The refill's verdicts, against the pairs (a', eta') its stream draws:
-    # no row is a null, and the read candidate s_j + c is b' a'^-1 for every s_j.
-    q, xi_prime, m = 101, 2, 3
+    # The direct candidate b' a'^-1 = s_j + eta' a'^-1 reads c0 = eta' a'^-1:
+    # 0 when eta' = 0, with chi'(0), and otherwise uniform on [1, q), as a'
+    # is (chi-square). No row is a null: each uses 1 to M tests.
+    q, xi_prime, m, k = 101, 2, 3, 20000
     rng = derive_rng(14, 0)
-    inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), rng)
+    inst = make_instance(3, q, ErrorDistribution(GAUSSIAN, 1), rng)
     seen = {}
 
     def pass_spy(s, q, refill, budget):
-        twin = copy.deepcopy(rng)
-        seen["verdicts"] = refill(200)
-        # Each row's a' and eta' are the last column of its (t, a') and
-        # (eta'_t, eta') blocks.
-        seen["a"] = twin.integers(1, q, size=(200, m + 1))[:, m]
-        seen["eta"] = sample_errors(ErrorDistribution(UNIFORM, xi_prime), twin, (200, m + 1))[:, m]
+        seen["verdicts"] = refill(k)
         return [CoordinateStats(j=j) for j in range(len(s))]
 
     monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)
     classical_baseline_solve(inst, 2.0, m, 1, rng)
     c, tests, _ = seen["verdicts"]
-    a, eta = seen["a"], seen["eta"]
-    assert len(c) == 200 and all(1 <= used <= m for used in tests)
-    for s_j in inst.s:
-        direct = (a * s_j + eta) % q * np.array([pow(int(x), -1, q) for x in a]) % q
-        assert np.array_equal((s_j + np.array(c)) % q, direct)
+    assert len(c) == k and all(1 <= used <= m for used in tests)
+    zero = baseline_coordinate_rate(amplified_law(inst.chi, xi_prime))
+    law = np.array([zero] + [(1 - zero) / (q - 1)] * (q - 1))
+    assert chi_square_ok(np.bincount(c, minlength=q), law, k)
 
 
 def _every_shot_sequence(nu, p_c, pi_c, pi_w, budget, m):

@@ -27,7 +27,7 @@ from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.instance import sample_errors
-from dclwe.reduce import ReducedPair, inverse_row_draws
+from dclwe.reduce import inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
     REFILL_ROWS,
@@ -38,7 +38,7 @@ from dclwe.solver import (
     controlled_refills,
     elimination_refills,
 )
-from dclwe.verify import m_trial_test, single_trial_pass_rate
+from dclwe.verify import single_trial_pass_rate
 
 from _laws import atom_share, check_solves_follow_the_law, mode_law
 from _stats import binom_3sigma, chi_square_ok
@@ -173,12 +173,12 @@ def test_zero_budget_consumes_nothing():
     assert opened == []
 
 
-_CHUNK_CASES = (  # n, q, budget, xi, xi'
-    (1, 401, 119, 1, -1),
-    (1, 4093, 30, 1, -1),
-    (1, 101, 3, 1, -1),
-    (3, 4093, 30, 1, -1),  # the rest of the budget stops the second refill at 66 rows
-    (8, 401, 119, 1, -1),  # the second refill stops at REFILL_ROWS = 256 rows
+_CHUNK_CASES = (  # n, q, budget, xi, xi' (None: every candidate rejected)
+    (1, 401, 119, 1, None),
+    (1, 4093, 30, 1, None),
+    (1, 101, 3, 1, None),
+    (3, 4093, 30, 1, None),  # the rest of the budget stops the second refill at 66 rows
+    (8, 401, 119, 1, None),  # the second refill stops at REFILL_ROWS = 256 rows
     (3, 101, 87, 1, 2),
     # A wrong candidate passes one trial with probability (2 xi' + 1)/q, about
     # 0.02 here, so coordinates settle at different refills by construction.
@@ -188,8 +188,8 @@ _CHUNK_CASES = (  # n, q, budget, xi, xi'
 
 def test_chunks_stay_within_the_budget_and_the_row_cap():
     # One rule sizes every refill by the rows the solve has used, its rate
-    # term capped at REFILL_ROWS rows. At xi' = -1 no residual meets
-    # the bound, so every coordinate spends its whole budget; at xi' >= 2
+    # term capped at REFILL_ROWS rows. With every candidate rejected
+    # (_rejecting), every coordinate spends its whole budget; at xi' >= 2
     # with one trial, coordinates settle at different refills.
     for n, q, budget, xi, xi_prime in _CHUNK_CASES:
         _check_chunks(n, q, budget, xi, xi_prime)
@@ -197,7 +197,9 @@ def test_chunks_stay_within_the_budget_and_the_row_cap():
 
 def _check_chunks(n, q, budget, xi, xi_prime):
     inst = _instance(n, q, xi, 103)
-    refill = elimination_refills(inst, xi_prime, 1, derive_rng(104, n, q))
+    refill = elimination_refills(inst, xi_prime or 0, 1, derive_rng(104, n, q))
+    if xi_prime is None:
+        refill = _rejecting(refill)
     sizes = []
 
     def recorded(k):
@@ -219,7 +221,7 @@ def _check_chunks(n, q, budget, xi, xi_prime):
     # Only the last refill leaves rows unused, and growth keeps refills few.
     assert first[-1] <= opened < first[-1] + sizes[-1]
     assert len(sizes) <= n + math.log2(n * budget)
-    if xi_prime < 0:
+    if xi_prime is None:
         assert all(st.shots == budget and st.accepted_value is None for st in per_coordinate)
     elif n > 1:
         assert any(st.accepted_value is not None for st in per_coordinate)
@@ -403,17 +405,20 @@ def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
     # chi' keeps the instance's sigma, scaled by kappa, in the controlled
-    # refill and in the classical baseline alike.
+    # refill's atom law and in the classical baseline's chi'(0) alike.
     from dclwe import classical_baseline_solve
 
     seen = []
-    real = solver_module.sample_errors
 
-    def spy(chi, rng, shape):
-        seen.append(chi)
-        return real(chi, rng, shape)
+    def spy(real, at):  # `at`: the position of the law's chi among its arguments
+        def law(*args):
+            seen.append(args[at])
+            return real(*args)
 
-    monkeypatch.setattr(solver_module, "sample_errors", spy)
+        return law
+
+    monkeypatch.setattr(solver_module, "atom_law", spy(solver_module.atom_law, 1))
+    monkeypatch.setattr(solver_module, "offset_law", spy(solver_module.offset_law, 2))
     q, xi, kappa = 401, 3, 2.0
     params = choose_parameters(3, q, xi, kappa, 0.2)
     for sigma in (0.3, 5.0):
@@ -422,6 +427,7 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
         seen.clear()
         solve(inst, params, MODE_CONTROLLED, rng)
         classical_baseline_solve(inst, kappa, 2, 1, rng)
+        assert len(seen) == 2
         assert {(chi.kind, chi.xi) for chi in seen} == {(GAUSSIAN, 6)}
         assert [chi.sigma for chi in seen] == pytest.approx([kappa * sigma] * len(seen))
     # The default sigma xi/3 maps to xi'/3 exactly, so default streams stay put.
@@ -457,21 +463,24 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
 
 
 @pytest.mark.parametrize(
-    "refills, kind, v_size, solves",
+    "refills, kind, v_size, m, solves",
     [
-        (controlled_refills, UNIFORM, None, 5000),
-        (controlled_refills, GAUSSIAN, 40, 2000),
+        (controlled_refills, UNIFORM, None, 1, 5000),
+        (controlled_refills, GAUSSIAN, 40, 1, 2000),
         # Batches of five span all 2 xi' + 1 = 5 values of the window, and
         # most coordinates accept a wrong value.
-        (controlled_refills, UNIFORM, 5, 800),
-        (_every_row_refills, UNIFORM, None, 3000),
+        (controlled_refills, UNIFORM, 5, 1, 800),
+        (_every_row_refills, UNIFORM, None, 1, 3000),
+        # Two trials read pi^2 as well: a wrong candidate passes its first
+        # trial with 2 xi' / (q - 1) and then both with its square.
+        (controlled_refills, UNIFORM, 5, 2, 800),
     ],
-    ids=["full", "gaussian-40", "uniform-5", "every-row-full"],
+    ids=["full", "gaussian-40", "uniform-5", "every-row-full", "uniform-5-m2"],
 )
-def test_controlled_solves_follow_their_law(refills, kind, v_size, solves):
+def test_controlled_solves_follow_their_law(refills, kind, v_size, m, solves):
     # n=3, q=101, xi' = 2, L = 87 as choose_parameters(3, 101, 1, 2.0, 0.2)
     # gives it, and M = 1, where a sizable share of coordinates accept a
-    # wrong value. The every-row refill transforms every row with
+    # wrong value, or M = 2. The every-row refill transforms every row with
     # sample_bv_stack: the one run of the kernel against a solve.
     n, q, budget = 3, 101, 87
     chi = ErrorDistribution(kind, 1)
@@ -479,9 +488,120 @@ def test_controlled_solves_follow_their_law(refills, kind, v_size, solves):
     assert law[3] == pytest.approx(single_trial_pass_rate(0, 1, amplified_law(chi, 2), 2, q), abs=1e-15)
 
     def run(inst, rng):
-        return controlled_pass(inst.s, q, refills(inst, 2, 1, rng, v_size), budget)
+        return controlled_pass(inst.s, q, refills(inst, 2, m, rng, v_size), budget)
 
-    check_solves_follow_the_law(run, law, n, q, chi, budget, 1, solves, derive_rng(122, solves))
+    check_solves_follow_the_law(run, law, n, q, chi, budget, m, solves, derive_rng(122, solves))
+
+
+def _refill_rates(monkeypatch):
+    """The (M, pi_c, pi_w) of every refill source built while it runs, in order."""
+    seen, real = [], solver_module._refills
+
+    def recorded(m, draw, pi_c, pi_w):
+        seen.append((m, pi_c, pi_w))
+        return real(m, draw, pi_c, pi_w)
+
+    monkeypatch.setattr(solver_module, "_refills", recorded)
+    return seen
+
+
+def _centered(x, q):
+    return (x + q // 2) % q - q // 2
+
+
+@pytest.mark.parametrize("kind", [UNIFORM, GAUSSIAN])
+def test_pass_rates_match_every_test_input_and_error_at_q7(monkeypatch, kind):
+    # A trial against s_j + c0 judges the residual of a controlled or
+    # baseline pair (t, t s_j + eta'), eta' - t c0, or of an elimination
+    # pair (t, t (s_j + rho')), t (rho' - c0). Over every t in [1, q), the
+    # share that passes is 1 at c0 = 0 and 2 xi' / (q - 1) at every c0 != 0
+    # for each eta' in the window, and for elimination, weighted over every
+    # rho' by offset_law, pi_c at c0 = 0 and pi_w elsewhere: the numbers each
+    # refill draws its verdicts by.
+    q, n, m = 7, 2, 3
+    chi = ErrorDistribution(kind, 1)
+    inst = make_instance(n, q, chi, derive_rng(136, 0))
+    t, c = np.arange(1, q)[:, None], np.arange(q)
+    p0, px = solver_module.offset_law(n, q, chi)
+    rho = np.array([p0] + [px] * (q - 1))
+    assert abs(rho.sum() - 1) < 1e-12
+    seen = _refill_rates(monkeypatch)
+    for xi_prime in range(q // 2 + 1):
+        rng = derive_rng(136, xi_prime)
+        controlled_refills(inst, xi_prime, m, rng)
+        baseline_refills(inst, xi_prime, m, rng)
+        elimination_refills(inst, xi_prime, m, rng)
+        direct, _, eliminated = seen[-3:]
+        assert direct == seen[-2]
+        for eta in range(-xi_prime, xi_prime + 1):
+            passing = (np.abs(_centered(eta - t * c, q)) <= xi_prime).mean(axis=0)
+            assert abs(passing[0] - direct[1]) < 1e-12
+            assert np.abs(passing[1:] - direct[2]).max() < 1e-12
+        # passing[x, c]: the share of t whose residual t (x - c) passes.
+        passing = (np.abs(_centered(t[:, :, None] * (c[:, None] - c), q)) <= xi_prime).mean(axis=0)
+        rates = rho @ passing
+        assert abs(rates[0] - eliminated[1]) < 1e-12
+        assert np.abs(rates[1:] - eliminated[2]).max() < 1e-12
+        assert direct[0] == eliminated[0] == m
+
+
+def _residual_verdicts(q, xi_prime, candidate, t, b):
+    """Reference: each row's tests and verdict from its own pairs (t, b'),
+    trial by trial up to the first residual b' - t s~ outside the window."""
+    fail = np.abs(_centered(b - t * candidate[:, None], q)) > xi_prime
+    rejected = fail.any(axis=1)
+    return np.where(rejected, fail.argmax(axis=1) + 1, t.shape[1]), ~rejected
+
+
+def _verdict_counts(c0, tests, accepted, m):
+    """Rows counted by (c0 = 0, tests, accepted): 2 (M + 1) cells."""
+    cell = (np.asarray(c0) == 0) * (m + 1) + np.asarray(tests) - 1 + np.asarray(accepted)
+    return np.bincount(cell, minlength=2 * (m + 1))
+
+
+@pytest.mark.parametrize(
+    "mode, kind, q, xi_prime, m",
+    [
+        (MODE_CONTROLLED, UNIFORM, 7, 0, 2),
+        (MODE_CONTROLLED, UNIFORM, 11, 1, 3),
+        (MODE_CONTROLLED, GAUSSIAN, 101, 2, 4),
+        (MODE_CONTROLLED, UNIFORM, 31, 3, 1),
+        (MODE_ELIMINATION, UNIFORM, 7, 0, 2),
+        (MODE_ELIMINATION, GAUSSIAN, 7, 1, 3),
+        (MODE_ELIMINATION, UNIFORM, 11, 2, 3),
+    ],
+)
+def test_law_drawn_verdicts_match_real_test_pairs(monkeypatch, mode, kind, q, xi_prime, m):
+    # Scripted offsets c0, a third of them 0, judged twice: by the refill's
+    # rule, one uniform per row against the pass rates its mode draws with,
+    # and on M real test pairs per row, (t, t s_j + eta') with eta' from chi'
+    # or (t, t (s_j + rho')) with rho' = r . e of real elimination rows, by
+    # the residual reference. The rows' counts by (c0 = 0, tests, accepted)
+    # agree (two-sample chi-square, 4 sigma).
+    k, n = 20000, 2
+    chi = ErrorDistribution(kind, 1)
+    inst = make_instance(n, q, chi, derive_rng(137, q))
+    rng = derive_rng(137, q, xi_prime, m)
+    seen = _refill_rates(monkeypatch)
+    refills = controlled_refills if mode == MODE_CONTROLLED else elimination_refills
+    refills(inst, xi_prime, m, rng)
+    _, pi_c, pi_w = seen[-1]
+    c0 = np.where(rng.random(k) < 1 / 3, 0, rng.integers(1, q, size=k))
+    drawn = solver_module._refills(m, lambda k: (False, c0, rng.random(k)), pi_c, pi_w)(k)
+    s_j = rng.integers(q, size=(k, 1))
+    t = rng.integers(1, q, size=(k, m))
+    if mode == MODE_CONTROLLED:
+        b = t * s_j + sample_errors(amplified_law(chi, xi_prime), rng, (k, m))
+    else:
+        r, e = inverse_row_draws(inst, k * m, rng)
+        b = t * (s_j + (r * e).sum(axis=1).reshape(k, m))
+    real = _residual_verdicts(q, xi_prime, s_j[:, 0] + c0, t, b)
+    a, b = _verdict_counts(*drawn, m), _verdict_counts(c0, *real, m)
+    assert a.sum() == b.sum() == k
+    cells = (a + b) > 0
+    stat = float(((a - b)[cells] ** 2 / (a + b)[cells]).sum())
+    dof = int(cells.sum()) - 2  # the c0 = 0 and c0 != 0 margins are shared
+    assert stat <= dof + 4 * math.sqrt(2 * max(dof, 0))
 
 
 class _CountingRng:
@@ -531,21 +651,22 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
 @pytest.mark.parametrize(
     "refills, kind, calls",
     [
-        (controlled_refills, UNIFORM, {"integers": 3, "random": 1}),
-        (controlled_refills, GAUSSIAN, {"integers": 2, "random": 2}),
-        (elimination_refills, UNIFORM, {"integers": 4, "random": 1}),
-        (elimination_refills, GAUSSIAN, {"integers": 3, "random": 2}),
-        (baseline_refills, UNIFORM, {"integers": 2}),
+        (controlled_refills, UNIFORM, {"integers": 1, "random": 1}),
+        (controlled_refills, GAUSSIAN, {"integers": 1, "random": 1}),
+        (elimination_refills, UNIFORM, {"integers": 3, "random": 1}),
+        (elimination_refills, GAUSSIAN, {"integers": 2, "random": 2}),
+        (baseline_refills, UNIFORM, {"integers": 1, "random": 1}),
         (baseline_refills, GAUSSIAN, {"integers": 1, "random": 1}),
     ],
     ids=["controlled-uniform", "controlled-gaussian", "elimination-uniform",
          "elimination-gaussian", "baseline-uniform", "baseline-gaussian"],
 )
 def test_a_refill_draws_each_value_range_once(refills, kind, calls):
-    # Whatever k, a refill makes one draw call per value range: k*, the
-    # (k, M + 1) block of test inputs with each row's U (or a'), the
-    # elimination rows' r, the errors (integers when uniform, doubles when
-    # gaussian), and one uniform per row for the atom decision.
+    # Whatever k, a refill makes one draw call per value range: k* and U
+    # together (the baseline's U alone), the elimination rows' r and their
+    # errors (integers when uniform, doubles when gaussian), and one (2, k)
+    # block of uniforms, each row's atom decision and its verdict. A
+    # controlled or baseline refill draws no error.
     inst = make_instance(3, 101, ErrorDistribution(kind, 1), derive_rng(135, 0))
     rng = _CountingRng(derive_rng(135, 1))
     refill = refills(inst, 2, 2, rng)
@@ -557,11 +678,11 @@ def test_a_refill_draws_each_value_range_once(refills, kind, calls):
 
 def _offsets(refills, inst, xi_prime, m, rng, v_size, k):
     """One k-row refill's c0, the tests each row used, and its offsets rho:
-    r . e of its first k elimination rows, or 0 for a controlled refill."""
+    r . e of its k elimination rows, or 0 for a controlled refill."""
     rho = np.zeros(k, dtype=np.int64)
     if refills is elimination_refills:
-        _, r, e = _elimination_draws(inst, m, rng, k)
-        rho = (r[:k] * e[:k]).sum(axis=1) % inst.q
+        r, e = _elimination_draws(inst, rng, k)
+        rho = (r * e).sum(axis=1) % inst.q
     c0, tests, _ = refills(inst, xi_prime, m, rng, v_size)(k)
     return np.array(c0), np.array(tests), rho
 
@@ -602,12 +723,12 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(5, 6), (4, 5), (5, 6), (2, 3), (8, 9), (5, 6), (5, 6), (4, 5)],
-            932938058,
+            [(2, 3), (7, 8), (2, 3), (8, 9), (2, 3), (9, 10), (1, 2), (3, 4)],
+            929578578,
         ),
-        # 34 rows over five coordinates, all from the first refill of 40.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(2, 3), (4, 5), (8, 9), (3, 4), (17, 18)], 572262404),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (2, 4)], 182710519),
+        # 27 rows over five coordinates, all from the first refill of 40.
+        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(3, 4), (5, 6), (6, 7), (3, 4), (10, 11)], 876035674),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(17, 19), (1, 3), (6, 8)], 960582536),
     ],
     ids=["8-401-uniform", "5-4093-uniform", "3-101-gaussian-v40"],
 )
@@ -628,12 +749,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 93), (87, 88), (87, 93)], 332935637),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (1, 3)], 411067553),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 91), (87, 89), (87, 87)], 284411486),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (6, 8)], 780688469),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(6, 7), (10, 12), (9, 10)], 283596575,
+            [(1, 2), (5, 6), (7, 8)], 470365216,
         ),
     ],
     ids=["3-101-uniform", "3-101-gaussian-v40", "3-4093-gaussian-v1000"],
@@ -642,7 +763,7 @@ def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
 ):
     # As for the controlled stream: one changed draw of an elimination row,
-    # a test input, a kernel shot or an offset moves a count or the next draw.
+    # a kernel shot, an offset or a verdict moves a count or the next draw.
     rng = derive_rng(702, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_ELIMINATION, rng, v_size=v_size)
@@ -758,43 +879,28 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def _elimination_draws(inst, m, rng, k):
-    """The test inputs t and the elimination rows (r, e) that an elimination
-    refill of k rows draws first from rng, replayed on a copy of it: t is
-    the first m columns of the (k, m + 1) block whose last column is U."""
-    twin = copy.deepcopy(rng)
-    t = twin.integers(1, inst.q, size=(k, m + 1))[:, :m]
-    return (t, *inverse_row_draws(inst, k * (1 + m), twin))
-
-
-def _pair_by_hand(inst, r, e, j, a):
-    """The pair (a, a (r . b)) for coordinate j in Python ints, r . b = s_j + r . e."""
-    q, h = inst.q, inst.q // 2
-    noise = sum(int(x) * int(y) for x, y in zip(r, e))
-    return ReducedPair(a, a * (int(inst.s[j]) + noise) % q, (a * noise + h) % q - h, 0, q)
+def _elimination_draws(inst, rng, k):
+    """The elimination rows (r, e) that an elimination refill of k rows
+    draws first from rng, replayed on a copy of it."""
+    return inverse_row_draws(inst, k, copy.deepcopy(rng))
 
 
 def test_elimination_mode_with_noise_stays_classified():
-    # Every row's verdict, judged s-free in the refill, is the verdict its
-    # candidate s_j + c0 gets on its own pairs (t, t (r' . b')) formed by
-    # hand for each coordinate j; and a whole solve completes with a legal
-    # classification.
-    q, n, m = 101, 3, 2
+    # Every row reads its offset off its own elimination row: a null reads
+    # c0 = r . e and is never accepted, a rejected row uses 1 to M tests and
+    # an accepted one all M; and a whole solve completes with a legal
+    # classification. test_law_drawn_verdicts_match_real_test_pairs checks
+    # the verdicts against real test pairs.
+    q, n, m, k = 101, 3, 2, 400
     inst = _instance(n, q, 1, 101)
     rng = derive_rng(102, 0)
-    t, r, e = _elimination_draws(inst, m, rng, 7)
-    c0, tests, accepted = elimination_refills(inst, 2, m, rng, 40)(7)
-    assert len(c0) == len(tests) == len(accepted) == 7 and t.shape == (7, m)
-    assert r.shape == e.shape == (7 * (1 + m), n)
-    for i in np.flatnonzero(tests):  # the non-null rows
-        for j in range(n):
-            d = range(7 + i * m, 7 + (i + 1) * m)  # row i's test pairs
-            pairs = iter([_pair_by_hand(inst, r[x], e[x], j, int(t_x)) for t_x, x in zip(t[i], d)])
-            verdict = m_trial_test((int(inst.s[j]) + c0[i]) % q, m, 2, pairs.__next__)
-            assert (tests[i], accepted[i]) == (verdict.trials_used, verdict.accepted)
-    # A null reads c0 = r . e and is never accepted.
-    assert all((c0[i] - int(r[i] @ e[i])) % q == 0 and not accepted[i] for i in range(7) if not tests[i])
-    assert ((1 <= t) & (t < q)).all() and np.unique(t).size > 1
+    r, e = _elimination_draws(inst, rng, k)
+    c0, tests, accepted = map(np.array, elimination_refills(inst, 2, m, rng, 40)(k))
+    assert c0.shape == tests.shape == accepted.shape == (k,) and r.shape == e.shape == (k, n)
+    null = tests == 0
+    assert null.any() and (c0[null] == (r[null] * e[null]).sum(axis=1) % q).all()
+    assert not accepted[null].any() and (tests <= m).all()
+    assert accepted.any() and (tests[accepted] == m).all() and (~accepted & ~null).any()
     params = choose_parameters(n, q, 1, 2.0, 0.2)
     out = solve(inst, params, MODE_ELIMINATION, derive_rng(102, 1), v_size=40)
     assert out.outcome in (OUTCOME_SUCCESS, OUTCOME_FAILURE, OUTCOME_WRONG_ACCEPT)
