@@ -26,14 +26,21 @@ must agree (tests enforce it):
    no state with another call, so the sampler is re-entrant.
 
 No solve runs the transform. The solver's refills draw k* uniform on
-[0, q), as the sampler does, and decide each row's k_d = 0 atom by
-atom_law, the atom's mass given k* averaged over the row's i.i.d.
-errors, (1 + (m - 1) |phi(k*)|^2) / q with phi the errors' Fourier
-coefficient. Off the atom, averaged over the inputs and error
-arrangement that no refill reads, k_d is exactly uniform on [1, q); the
-tests check both laws against kernel_distribution by enumeration at
-small q. transform_rows serves sample_bv_stack only: the `bounds` Monte
-Carlo column, the selftest and the one-row form.
+[0, q), as the sampler does, and decide each row's k_d = 0 atom by one
+number, atom_mass. Given k*, a row whose errors have the phase sum
+dc = sum_{a'} w^{eta'(a') k*} holds |dc|^2 / (q m) on its atom (Parseval
+over the D register), and E|dc|^2 = m + m (m - 1) |phi(k*)|^2 over m
+i.i.d. errors from chi, with phi(k*) = sum_e chi(e) w^{e k*}. k* enters a
+row only through its null decision (k* = 0), so a non-null row keeps its
+law when its atom is drawn with that mass averaged over k* uniform on
+[1, q). By Parseval sum_k |phi(k)|^2 = q sum_e chi(e)^2 (the window lies
+below q/2), and phi(0) = 1, so the mean of |phi|^2 over k* != 0 is
+(q sum_e chi(e)^2 - 1) / (q - 1): O(xi) time and no q-sized array. Off
+the atom, averaged over the inputs and error arrangement that no refill
+reads, k_d is exactly uniform on [1, q); the tests check both laws
+against kernel_distribution by enumeration at small q. transform_rows
+serves sample_bv_stack only: the `bounds` Monte Carlo column, the
+selftest and the one-row form.
 
 Every phase w^r is read from one cached table, root_table(q), which the
 closed forms here and in the oracle share.
@@ -169,25 +176,15 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def atom_law(q: int, chi: ErrorDistribution, m: int) -> np.ndarray:
-    """law[k*] = P(k_d = 0 | k*) of an s-free row of m pairs whose errors
-    are i.i.d. from chi, averaged over those errors; read-only, shared.
-
-    A row whose errors have the phase sum dc = sum_{a'} w^{eta'(a') k*}
-    holds |dc|^2 / (q m) on its k_d = 0 atom (Parseval over the D
-    register), and E|dc|^2 = m + m (m - 1) |phi(k*)|^2 with
-    phi(k*) = sum_e chi(e) w^{e k*}, so law = (1 + (m - 1) |phi|^2) / q.
-    phi is summed one window value at a time, so the table is built in
-    O(q) entries. chi = ErrorDistribution(UNIFORM, 0) gives m / q exactly.
+def atom_mass(q: int, chi: ErrorDistribution, m: int) -> float:
+    """P(k_d = 0 | k* != 0) of an s-free row of m pairs whose errors are
+    i.i.d. from chi, averaged over those errors and over k* uniform on
+    [1, q): (1 + (m - 1) (q sum_e chi(e)^2 - 1) / (q - 1)) / q, the module
+    docstring's Parseval form. chi = ErrorDistribution(UNIFORM, 0) gives
+    m / q exactly.
     """
-    ks, roots = np.arange(q, dtype=np.int64), root_table(q)
-    weights = chi.weights()
-    phi = np.zeros(q, dtype=np.complex128)
-    for e, weight in zip(range(-chi.xi, chi.xi + 1), weights / weights.sum()):
-        phi += weight * roots[e * ks % q]
-    law = (1 + (m - 1) * (phi.real**2 + phi.imag**2)) / q
-    law.flags.writeable = False
-    return law
+    p = chi.weights() / chi.weights().sum()
+    return (1 + (m - 1) * (q * float(p @ p) - 1) / (q - 1)) / q
 
 
 def transform_rows(

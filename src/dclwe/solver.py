@@ -36,19 +36,20 @@ errors over them, which no refill reads anywhere else, its k_d off the
 atom is exactly uniform on [1, q) (exchangeability), and so is -k_d / k*.
 No solve draws a test pair either: given c0, a row's M trials are i.i.d.,
 passing with pi_c at c0 = 0 and pi_w elsewhere (verify.trial_pass_rates),
-so u draws its verdict by that law.
+so u draws its verdict by that law. A solve holds one refill's arrays and
+the (2, M + 1) _powers table at a time, and no q-sized array.
 
 - controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
   shift theorem the coordinate-j batch (a', a' s_j + eta') has the
   s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
   s_j + c0 for every coordinate, with the same verdict. Only the atom
-  decision reads the row's errors, so it is drawn by its law averaged
-  over them, qsim.atom_law(q, chi', m). A test pair (t, t s_j + eta')
+  decision reads the row's errors and, past the null, its k*: it uses
+  their mean, qsim.atom_mass(q, chi', m). A test pair (t, t s_j + eta')
   leaves the residual eta' - t c0, within xi' whenever c0 = 0.
 - elimination_refills: each row's inverse row r and hidden errors e
   (reduce.inverse_row_draws), with r . b = s_j + r . e. Its batch
   b' = a' (r . b) is the noiseless s-free row (a', 0) moved by r . b, so
-  rho = r . e and the atom holds v_size / q, atom_law at chi' = delta_0.
+  rho = r . e and the atom holds v_size / q, atom_mass at chi' = delta_0.
   A test pair (t, t (s_j + rho')) leaves the residual t (rho' - c0).
 - baseline_refills: the classical baseline's direct pairs
   (a', a' s_j + eta'), with no kernel: c0 = eta' a'^-1 and k* = a', so
@@ -73,7 +74,7 @@ import numpy as np
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import UNIFORM, ErrorDistribution, LweInstance
-from .qsim import atom_law
+from .qsim import atom_mass
 from .reduce import check_window, inverse_row_draws, offset_law
 from .verify import trial_pass_rates
 
@@ -231,29 +232,30 @@ def _refills(m: int, draw: Draw, pi_c: float, pi_w: float) -> Refill:
     return refill
 
 
-def _shots(rng: np.random.Generator, q: int, law: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def _shots(rng: np.random.Generator, q: int, share: float, k: int) -> tuple[np.ndarray, ...]:
     """k s-free shots: their null mask, their offsets from rho (0 on the
-    atom, decided by atom_law's `law`, and U off it) and their verdict
-    uniforms. k* = x mod q and U = x div q from one x uniform on [q, q^2)
-    (q^2 <= 2^50 at MODULUS_CEILING) are independent, on [0, q) and [1, q)."""
+    atom, which a non-null row holds with atom_mass's `share`, and U off
+    it) and their verdict uniforms. k* = x mod q and U = x div q from one
+    x uniform on [q, q^2) (q^2 <= 2^50 at MODULUS_CEILING) are
+    independent, on [0, q) and [1, q)."""
     big_u, k_star = np.divmod(rng.integers(q, q * q, size=k), q)
     atom, u = rng.random((2, k))
-    return k_star == 0, ((atom >= law[k_star]) & (k_star != 0)) * big_u, u
+    return k_star == 0, ((atom >= share) & (k_star != 0)) * big_u, u
 
 
 def controlled_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
 ) -> Refill:
     """Refill source of one controlled solve: k -> (c0, tests, accepted)
-    for k rows of _shots, with rho = 0, the atom_law of chi' =
+    for k rows of _shots, with rho = 0, the atom_mass of chi' =
     amplified_law(chi, xi') over v_size inputs and the pass rates (1, r).
     The window is checked once, here; nothing here depends on s, and no
     error is drawn."""
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     check_window(q, xi_prime, chi_prime)
-    law = atom_law(q, chi_prime, q if v_size is None else v_size)
-    return _refills(m, partial(_shots, rng, q, law), *trial_pass_rates(1.0, 0.0, xi_prime, q))
+    share = atom_mass(q, chi_prime, q if v_size is None else v_size)
+    return _refills(m, partial(_shots, rng, q, share), *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def elimination_refills(
@@ -261,14 +263,14 @@ def elimination_refills(
 ) -> Refill:
     """Refill source of one elimination solve: k -> (c0, tests, accepted)
     for k rows: k inverse_row_draws rows (r, e), rho = r . e, then k
-    _shots by the atom_law of the noiseless s-free row, v_size / q, and the
+    _shots by the atom_mass of the noiseless s-free row, v_size / q, and the
     pass rates of reduce.offset_law's rho'. Nothing here depends on s."""
     q = instance.q
-    law = atom_law(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
+    share = atom_mass(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
 
     def draw(k: int):
         r, e = inverse_row_draws(instance, k, rng)
-        null, offset, u = _shots(rng, q, law, k)
+        null, offset, u = _shots(rng, q, share, k)
         return null, (np.einsum("ij,ij->i", r, e) + offset) % q, u
 
     rates = trial_pass_rates(*offset_law(instance.n, q, instance.chi), xi_prime, q)

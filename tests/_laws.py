@@ -20,7 +20,9 @@ MODE_BASELINE = "baseline"
 def atom_share(q, chi_prime, m):
     """The k_d = 0 atom's mass over k* uniform on [1, q), for a batch of m
     inputs with i.i.d. errors from chi': the mean of (1 + (m - 1) |phi(k*)|^2) / q,
-    phi(k*) = sum_e chi'(e) w^(e k*), summed here from chi'.weights()."""
+    phi(k*) = sum_e chi'(e) w^(e k*), summed here from chi'.weights(). This
+    phi-summed route is kept apart from qsim.atom_mass's Parseval form on
+    purpose: the law tests check the simulator only while the two differ."""
     weights = chi_prime.weights() / chi_prime.weights().sum()
     errors = np.arange(-chi_prime.xi, chi_prime.xi + 1)
     phi = weights @ np.exp(2j * np.pi * np.outer(errors, np.arange(1, q)) / q)

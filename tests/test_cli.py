@@ -685,6 +685,25 @@ def test_bounds_refuses_dense_tables_before_allocating():
     assert "dense limit" in proc.stderr
 
 
+def test_solve_at_the_largest_modulus_runs_under_a_2_gib_cap():
+    # The largest prime below MODULUS_CEILING: a controlled solve there holds
+    # no q-sized array, so under a 2 GiB address-space cap it runs to exit 0.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from dclwe.cli import main\n"
+        "sys.exit(main(['solve', '--n', '2', '--q', '33554393', '--xi', '1', '--kappa', '2',"
+        " '--trials', '2']))\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "q=33554393" in proc.stdout
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # `dclwe sweep ... | head -n 1`: the reader is gone before the first write.
     script = (

@@ -50,7 +50,7 @@ INTERNAL = {
     ),
     "oracle": ("coordinate_law", "elimination_law"),
     "qsim": (
-        "NORM_TOL", "MeasurementOutcome", "atom_law", "extract_candidate", "extract_candidates",
+        "NORM_TOL", "MeasurementOutcome", "atom_mass", "extract_candidate", "extract_candidates",
         "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
     ),
     "reduce": (

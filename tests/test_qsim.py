@@ -661,7 +661,7 @@ def test_any_rows_off_the_atom_draw_what_the_whole_stack_draws(case):
 
 def test_rows_decided_off_the_atom_never_draw_it():
     # Noiseless partial rows hold m / q on their atom, and a row draws it
-    # when u < m / q. At u = m / q, the least u that atom_law sends off the
+    # when u < m / q. At u = m / q, the least u that atom_mass sends off the
     # atom, cdf[0] and u * total are equal up to rounding, and the
     # transform alone draws k_d = 0 for some rows.
     q, m, k = 101, 40, 64
@@ -670,9 +670,9 @@ def test_rows_decided_off_the_atom_never_draw_it():
     b_values = np.zeros((k, m), dtype=np.int64)
     k_star = np.arange(1, k + 1)
     u = np.full(k, m / q)
-    assert not (u < qsim.atom_law(q, ErrorDistribution(UNIFORM, 0), m)[k_star]).any()
+    assert not (u < qsim.atom_mass(q, ErrorDistribution(UNIFORM, 0), m)).any()
     assert (qsim.transform_rows(q, a_values, b_values, k_star, u) == 0).any()
-    # The controlled refill reads no transform: atom_law alone decides the
+    # The controlled refill reads no transform: atom_mass alone decides the
     # atom, and a non-null row it puts off the atom never reads c0 = 0. A
     # batch of one pair has |dc| = 1 whatever its error, so its atom holds
     # 1 / q, and c0 = 0 on 1 / q of the rows that use a test; an off-atom
@@ -721,7 +721,7 @@ def _averaged_grid(q, m, values, counts):
 )
 def test_off_the_atom_k_d_is_uniform_over_inputs_and_arrangements(q, m, values, counts):
     # Given a histogram and k* != 0, the k_d = 0 atom holds |dc|^2 / (q m),
-    # whose mean over histograms is atom_law, and the rest, averaged over V
+    # whose mean over histograms and k* is atom_mass, and the rest, averaged over V
     # and the arrangement, is exactly uniform on [1, q). So a refill that
     # draws an off-atom offset uniformly keeps the kernel's law, with no
     # transform.
@@ -746,10 +746,11 @@ def test_off_the_atom_k_d_is_uniform_over_inputs_and_arrangements(q, m, values, 
     ],
     ids=["q7-uniform-full", "q7-uniform-V025", "q5-gaussian-full"],
 )
-def test_atom_law_is_the_noise_averaged_kernel_atom(q, chi, inputs):
+def test_atom_mass_is_the_mean_noise_averaged_kernel_atom(q, chi, inputs):
     # kernel_distribution[0, k*] q is a batch's atom given k*. Averaged over
-    # every noise vector of the batch, each weighted by chi, it is atom_law,
-    # (1 + (m - 1) |phi(k*)|^2) / q: the table every refill's atom reads.
+    # every noise vector of the batch, each weighted by chi, it is
+    # (1 + (m - 1) |phi(k*)|^2) / q, and its mean over k* != 0 is atom_mass,
+    # the one number every refill's atom reads.
     a_values = np.array(inputs, dtype=np.int64)
     m = a_values.size
     values = np.arange(-chi.xi, chi.xi + 1, dtype=np.int64)
@@ -760,9 +761,9 @@ def test_atom_law_is_the_noise_averaged_kernel_atom(q, chi, inputs):
         eta = values[list(index)]
         batch = ReducedBatch(0, q, a_values, eta % q, eta, zeros, chi.xi, 1.0)
         averaged += p[list(index)].prod() * kernel_distribution(batch)[0] * q
-    law = qsim.atom_law(q, chi, m)
-    assert np.abs(averaged - law).max() < 1e-12
-    assert not law.flags.writeable
+    phi = p @ root_table(q)[np.outer(values, np.arange(q)) % q]
+    assert np.abs(averaged - (1 + (m - 1) * np.abs(phi) ** 2) / q).max() < 1e-12
+    assert abs(averaged[1:].mean() - qsim.atom_mass(q, chi, m)) < 1e-12
 
 
 @pytest.mark.parametrize("q", [7, 101, 4093])
@@ -786,7 +787,7 @@ def test_a_one_bin_histogram_at_error_0_draws_the_atom_exactly_below_m_over_q(q)
     # All m pairs at error 0 give |phi| = 1 for every k*, k* = 0 included,
     # so the atom holds m / q to the bit, and a row draws it when u < m / q.
     for m in sorted({1, 2, 5, q // 2, q - 1, q}):
-        assert np.array_equal(qsim.atom_law(q, ErrorDistribution(UNIFORM, 0), m), np.full(q, m / q))
+        assert qsim.atom_mass(q, ErrorDistribution(UNIFORM, 0), m) == m / q
 
 
 def test_root_table_is_bit_identical_to_elementwise_phases():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -405,7 +406,7 @@ def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
 
 def test_two_sigmas_give_two_amplified_laws(monkeypatch):
     # chi' keeps the instance's sigma, scaled by kappa, in the controlled
-    # refill's atom law and in the classical baseline's chi'(0) alike.
+    # refill's atom mass and in the classical baseline's chi'(0) alike.
     from dclwe import classical_baseline_solve
 
     seen = []
@@ -417,7 +418,7 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
 
         return law
 
-    monkeypatch.setattr(solver_module, "atom_law", spy(solver_module.atom_law, 1))
+    monkeypatch.setattr(solver_module, "atom_mass", spy(solver_module.atom_mass, 1))
     monkeypatch.setattr(solver_module, "offset_law", spy(solver_module.offset_law, 2))
     q, xi, kappa = 401, 3, 2.0
     params = choose_parameters(3, q, xi, kappa, 0.2)
@@ -433,6 +434,25 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
     # The default sigma xi/3 maps to xi'/3 exactly, so default streams stay put.
     assert amplified_law(ErrorDistribution(GAUSSIAN, xi), 6) == ErrorDistribution(GAUSSIAN, 6)
     assert amplified_law(ErrorDistribution(UNIFORM, xi), 6) == ErrorDistribution(UNIFORM, 6)
+
+
+def test_a_controlled_solve_holds_no_q_sized_array():
+    # The atom is one number, so a solve at q = 1,048,573 holds one refill's
+    # arrays and its (2, M + 1) power table; the 8 MiB of one float64 per
+    # k* would break the bound many times over.
+    q = 1_048_573
+    params = choose_parameters(8, q, 1, 2.0, 0.2)
+    rng = derive_rng(136, 0)
+    inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), rng)
+    qsim.atom_mass.cache_clear()
+    tracemalloc.start()
+    try:
+        out = solve(inst, params, MODE_CONTROLLED, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.outcome == OUTCOME_SUCCESS
+    assert peak < 64 << 10
 
 
 def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
@@ -723,12 +743,16 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(2, 3), (7, 8), (2, 3), (8, 9), (2, 3), (9, 10), (1, 2), (3, 4)],
+            [(4, 5), (5, 6), (2, 3), (13, 14), (6, 7), (6, 7), (1, 2), (1, 2)],
             929578578,
         ),
-        # 27 rows over five coordinates, all from the first refill of 40.
-        (5, 4093, UNIFORM, 1, 2.0, None, 1, [(3, 4), (5, 6), (6, 7), (3, 4), (10, 11)], 876035674),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(17, 19), (1, 3), (6, 8)], 960582536),
+        # 46 rows over five coordinates: the first refill holds 40, and the
+        # last coordinate opens a second of 32.
+        (
+            5, 4093, UNIFORM, 1, 2.0, None, 1,
+            [(2, 3), (9, 10), (10, 11), (15, 16), (10, 11)], 394166598,
+        ),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (3, 5)], 960582536),
     ],
     ids=["8-401-uniform", "5-4093-uniform", "3-101-gaussian-v40"],
 )
