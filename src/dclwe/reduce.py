@@ -20,17 +20,17 @@ An elimination row uses only r, row j of its sample matrix's inverse,
 and r . b = s_j + r . e, e the matrix's n hidden errors.
 inverse_row_draws draws (r, e) directly, with the law of an invertible
 sample matrix, so no sample matrix is drawn or inverted. The solver's
-elimination refill reads only rho = r . e (its law is offset_law): its
-offsets and verdicts are s-free, and r . b = s_j + r . e is the identity
-they rest on. eliminate_row pushes a batch's inputs through one such row and
-measures each input's amplification; the selftest runs it on real
+elimination refill draws no row, only its s-free c0 and verdict from
+offset_law, the law of rho = r . e: r . b = s_j + r . e is the identity
+they rest on. eliminate_row pushes a batch's inputs through one such row
+and measures each input's amplification; the selftest runs it on real
 sample matrices to check that identity, elimination_batch on one drawn
 row, and make_test_sample on one input t over given samples, since a
-test pair is an elimination whose only input is t. No solve calls
-these three. synth_reduced_batch draws one controlled batch's
-errors and adds them to a' s_j. A controlled refill draws no batch, only
-each row's atom decision by its law over the window check_window bounds
-once per refill source.
+test pair is an elimination whose only input is t. No solve calls these
+three or inverse_row_draws. synth_reduced_batch draws one controlled
+batch's errors and adds them to a' s_j. A controlled refill draws no
+batch, only each row's atom decision by its law over the window
+check_window bounds once per refill source.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -217,10 +217,9 @@ def inverse_row_draws(
     uniform on [0, q)^n, redrawing only the all-zero rows until none is
     left, then e from chi: the law of the rows an invertible draw of
     sample matrices gives, with no sample matrix drawn or inverted.
-    The solver's elimination refill reads r . e, and elimination_batch
-    forms r . b from the ground-truth s_j and e, so neither materialises
-    samples; make_test_sample and the selftest check the identity on
-    real samples.
+    elimination_batch forms r . b from the ground-truth s_j and e, so it
+    materialises no samples, and no solve calls this; make_test_sample
+    and the selftest check the identity on real samples.
     """
     r = rng.integers(0, instance.q, size=(k, instance.n), dtype=np.int64)
     zero = np.flatnonzero(np.einsum("ij->i", r) == 0)  # entries lie in [0, q)

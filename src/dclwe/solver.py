@@ -30,10 +30,12 @@ coordinate that never settles costs O(log L).
 Every refill is one body, _refills, fed by its mode's draw of k rows:
 their nulls (k* = 0), each row's c0 and one uniform u. A row reads
 c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U uniform on
-[1, q) (_shots), so no solve runs a transform: given a row's error
-histogram, and averaged over its inputs V and the arrangement of its
-errors over them, which no refill reads anywhere else, its k_d off the
-atom is exactly uniform on [1, q) (exchangeability), and so is -k_d / k*.
+[1, q), so no solve runs a transform: given a row's error histogram, and
+averaged over its inputs V and the arrangement of its errors over them,
+which no refill reads anywhere else, its k_d off the atom is exactly
+uniform on [1, q) (exchangeability), and so is -k_d / k*. A verdict
+reads only whether c0 = 0 and an accepted value c0, so _shots draws a
+row from 1 / q (a null; its c0 is never read) and p_c = P(c0 = 0).
 No solve draws a test pair either: given c0, a row's M trials are i.i.d.,
 passing with pi_c at c0 = 0 and pi_w elsewhere (verify.trial_pass_rates),
 so u draws its verdict by that law. A solve holds one refill's arrays and
@@ -46,11 +48,15 @@ the (2, M + 1) _powers table at a time, and no q-sized array.
   decision reads the row's errors and, past the null, its k*: it uses
   their mean, qsim.atom_mass(q, chi', m). A test pair (t, t s_j + eta')
   leaves the residual eta' - t c0, within xi' whenever c0 = 0.
-- elimination_refills: each row's inverse row r and hidden errors e
-  (reduce.inverse_row_draws), with r . b = s_j + r . e. Its batch
-  b' = a' (r . b) is the noiseless s-free row (a', 0) moved by r . b, so
-  rho = r . e and the atom holds v_size / q, atom_mass at chi' = delta_0.
-  A test pair (t, t (s_j + rho')) leaves the residual t (rho' - c0).
+- elimination_refills: a row's inverse row r and hidden errors e give
+  r . b = s_j + r . e, so its batch b' = a' (r . b) is the noiseless
+  s-free row (a', 0) moved by rho = r . e, on its atom with share =
+  v_size / q (atom_mass at chi' = delta_0). rho, with (on, off) =
+  reduce.offset_law, is independent of the atom and U, and rho + U is 0
+  with (1 - on) / (q - 1) = off, so c0 = 0 with p_c = share on +
+  (1 - share) off and is uniform on [1, q) otherwise: no inverse row or
+  error is drawn. A test pair (t, t (s_j + rho')) leaves the residual
+  t (rho' - c0).
 - baseline_refills: the classical baseline's direct pairs
   (a', a' s_j + eta'), with no kernel: c0 = eta' a'^-1 and k* = a', so
   no row is a null or off its atom. oracle.classical_baseline_solve
@@ -75,7 +81,7 @@ from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
 from .instance import UNIFORM, ErrorDistribution, LweInstance
 from .qsim import atom_mass
-from .reduce import check_window, inverse_row_draws, offset_law
+from .reduce import check_window, offset_law
 from .verify import trial_pass_rates
 
 MODE_CONTROLLED = "controlled"
@@ -233,14 +239,13 @@ def _refills(m: int, draw: Draw, pi_c: float, pi_w: float) -> Refill:
 
 
 def _shots(rng: np.random.Generator, q: int, share: float, k: int) -> tuple[np.ndarray, ...]:
-    """k s-free shots: their null mask, their offsets from rho (0 on the
-    atom, which a non-null row holds with atom_mass's `share`, and U off
-    it) and their verdict uniforms. k* = x mod q and U = x div q from one
-    x uniform on [q, q^2) (q^2 <= 2^50 at MODULUS_CEILING) are
-    independent, on [0, q) and [1, q)."""
+    """k s-free shots: their null mask, their c0 (0 with `share` and U
+    otherwise; a null's c0 is never read) and their verdict uniforms.
+    k* = x mod q and U = x div q from one x uniform on [q, q^2)
+    (q^2 <= 2^50 at MODULUS_CEILING) are independent, on [0, q) and [1, q)."""
     big_u, k_star = np.divmod(rng.integers(q, q * q, size=k), q)
     atom, u = rng.random((2, k))
-    return k_star == 0, ((atom >= share) & (k_star != 0)) * big_u, u
+    return k_star == 0, (atom >= share) * big_u, u
 
 
 def controlled_refills(
@@ -262,19 +267,14 @@ def elimination_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
 ) -> Refill:
     """Refill source of one elimination solve: k -> (c0, tests, accepted)
-    for k rows: k inverse_row_draws rows (r, e), rho = r . e, then k
-    _shots by the atom_mass of the noiseless s-free row, v_size / q, and the
-    pass rates of reduce.offset_law's rho'. Nothing here depends on s."""
+    for k rows of _shots at p_c = share on + (1 - share) off, with (on,
+    off) = reduce.offset_law and share = v_size / q, and the pass rates of
+    that rho'. Nothing here depends on s."""
     q = instance.q
+    on, off = offset_law(instance.n, q, instance.chi)
     share = atom_mass(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
-
-    def draw(k: int):
-        r, e = inverse_row_draws(instance, k, rng)
-        null, offset, u = _shots(rng, q, share, k)
-        return null, (np.einsum("ij,ij->i", r, e) + offset) % q, u
-
-    rates = trial_pass_rates(*offset_law(instance.n, q, instance.chi), xi_prime, q)
-    return _refills(m, draw, *rates)
+    p_c = share * on + (1 - share) * off
+    return _refills(m, partial(_shots, rng, q, p_c), *trial_pass_rates(on, off, xi_prime, q))
 
 
 def baseline_refills(
@@ -306,7 +306,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     row drawn has been used, so drawn / (j + 1) is the mean rows used by
     each coordinate reached, and the refill holds four times that for each
     coordinate left, up to REFILL_ROWS rows at any q. A refill costs
-    20-40 us whatever its size and about 0.1 us a row, and the pass about
+    about 18 us in any mode and about 0.06 us a row, and the pass about
     0.15 us a row it takes (2-core Xeon, numpy 2.4), so 256 rows cost about
     one refill's fixed cost, and sizing by the rows used opens few refills
     per solve, for some rows drawn and left unused. The shots term at least

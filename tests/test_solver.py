@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -28,6 +27,7 @@ from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.instance import sample_errors
+from dclwe.oracle import elimination_law
 from dclwe.reduce import inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
@@ -673,8 +673,8 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
     [
         (controlled_refills, UNIFORM, {"integers": 1, "random": 1}),
         (controlled_refills, GAUSSIAN, {"integers": 1, "random": 1}),
-        (elimination_refills, UNIFORM, {"integers": 3, "random": 1}),
-        (elimination_refills, GAUSSIAN, {"integers": 2, "random": 2}),
+        (elimination_refills, UNIFORM, {"integers": 1, "random": 1}),
+        (elimination_refills, GAUSSIAN, {"integers": 1, "random": 1}),
         (baseline_refills, UNIFORM, {"integers": 1, "random": 1}),
         (baseline_refills, GAUSSIAN, {"integers": 1, "random": 1}),
     ],
@@ -683,10 +683,9 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
 )
 def test_a_refill_draws_each_value_range_once(refills, kind, calls):
     # Whatever k, a refill makes one draw call per value range: k* and U
-    # together (the baseline's U alone), the elimination rows' r and their
-    # errors (integers when uniform, doubles when gaussian), and one (2, k)
-    # block of uniforms, each row's atom decision and its verdict. A
-    # controlled or baseline refill draws no error.
+    # together (the baseline's U alone) and one (2, k) block of uniforms,
+    # each row's atom decision and its verdict. No refill draws an error or
+    # an elimination row, whatever chi.
     inst = make_instance(3, 101, ErrorDistribution(kind, 1), derive_rng(135, 0))
     rng = _CountingRng(derive_rng(135, 1))
     refill = refills(inst, 2, 2, rng)
@@ -696,46 +695,110 @@ def test_a_refill_draws_each_value_range_once(refills, kind, calls):
         assert rng.calls == calls
 
 
-def _offsets(refills, inst, xi_prime, m, rng, v_size, k):
-    """One k-row refill's c0, the tests each row used, and its offsets rho:
-    r . e of its k elimination rows, or 0 for a controlled refill."""
-    rho = np.zeros(k, dtype=np.int64)
-    if refills is elimination_refills:
-        r, e = _elimination_draws(inst, rng, k)
-        rho = (r * e).sum(axis=1) % inst.q
-    c0, tests, _ = refills(inst, xi_prime, m, rng, v_size)(k)
-    return np.array(c0), np.array(tests), rho
-
-
 @pytest.mark.parametrize(
     "refills, v_size",
     [
         (controlled_refills, None),
         (controlled_refills, 25),
         (elimination_refills, 5),
-        # An atom of 1 / q: an off-atom row that could read c0 = rho doubles it.
+        # An atom of 1 / q: almost every elimination row is off it.
         (elimination_refills, 1),
     ],
     ids=["controlled-full", "controlled-25", "elimination-5", "elimination-1"],
 )
 def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
-    # A null, a row that uses no test, reads c0 = rho, and so does a row on
-    # its atom; a row off it reads c0 = rho + U with U uniform on [1, q),
-    # never 0 (chi-square). So the non-null rows read c0 = rho at the atom's
-    # mean mass over k* != 0, with the row's errors from chi' = U[-2, 2] for
-    # a controlled row and the one error 0 for elimination.
+    # A 1 / q share of the rows are nulls. A non-null row reads c0 = 0 with
+    # its mode's p_c and c0 = U uniform on [1, q) otherwise (chi-square):
+    # p_c is the atom's mean mass over k* != 0 for a controlled row, whose
+    # errors follow chi' = U[-2, 2], and elimination_law's p_c for an
+    # elimination row, whose offset rho = r . e sits on the noiseless
+    # row's atom. A null's c0 is never read (test_no_pass_reads_a_null_c0).
     q, k = 101, 4000
+    m = q if v_size is None else v_size
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
-    c0, tests, rho = _offsets(refills, inst, 2, 2, derive_rng(134, 1), v_size, k)
-    null, on = tests == 0, c0 == rho
-    assert on[null].all() and abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
-    xi_prime = 2 if refills is controlled_refills else 0
-    p_atom = atom_share(q, ErrorDistribution(UNIFORM, xi_prime), q if v_size is None else v_size)
-    live = ~null
-    assert abs(on[live].mean() - p_atom) <= binom_3sigma(p_atom, int(live.sum()))
-    u = (c0 - rho)[live & ~on] % q
+    c0, tests, _ = map(np.array, refills(inst, 2, 2, derive_rng(134, 1), v_size)(k))
+    null = tests == 0
+    assert abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
+    if refills is controlled_refills:
+        p_c = atom_share(q, ErrorDistribution(UNIFORM, 2), m)
+    else:
+        p_c = elimination_law(3, q, inst.chi, 2, m)[1]
+    live = c0[~null]
+    assert abs((live == 0).mean() - p_c) <= binom_3sigma(p_c, live.size)
+    u = live[live != 0]
     assert u.size > 2000
     assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
+
+
+@pytest.mark.parametrize("refills", [controlled_refills, elimination_refills])
+def test_no_pass_reads_a_null_c0(refills):
+    # A null uses no test, so a pass never reads its c0: the same refills
+    # with every null's c0 replaced, 0 by an arbitrary value on [1, q) and
+    # any other value by 0, give every coordinate the same CoordinateStats.
+    q, n, budget = 11, 6, 30
+    scramble = derive_rng(138, 1)
+    replaced = 0
+
+    def scrambled(refill):
+        def draw(k):
+            nonlocal replaced
+            c0, tests, accepted = refill(k)
+            arbitrary = scramble.integers(1, q, size=k).tolist()
+            c0 = [x if t else (0 if x % q else y) for x, t, y in zip(c0, tests, arbitrary)]
+            replaced += tests.count(0)
+            return c0, tests, accepted
+
+        return draw
+
+    for seed in range(10):
+        inst = _instance(n, q, 1, 138 + seed)
+        runs = [
+            controlled_pass(inst.s, q, wrap(refills(inst, 2, 2, derive_rng(138, 0, seed))), budget)
+            for wrap in (lambda refill: refill, scrambled)
+        ]
+        assert runs[0] == runs[1]
+    assert replaced > 10
+
+
+@pytest.mark.parametrize("kind", [UNIFORM, GAUSSIAN])
+@pytest.mark.parametrize("v_size", [1, 5, 40, 101])
+def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, v_size):
+    # Reference: real elimination rows, rho = r . e of inverse_row_draws,
+    # composed with a null (k* = 0, 1 / q), the atom (v_size / q) and U
+    # uniform on [1, q): c0 = rho on the atom and rho + U off it. An
+    # elimination refill draws its rows from (1 / q, p_c) alone; the two
+    # agree on the share of nulls and of non-null rows with c0 = 0 (3 sigma)
+    # and on the histogram of c0 != 0 (two-sample chi-square, 4 sigma). The
+    # share the refill hands _shots is elimination_law's p_c.
+    q, n, k = 101, 3, 20000
+    chi = ErrorDistribution(kind, 1)
+    inst = make_instance(n, q, chi, derive_rng(139, 0))
+    shares, real_shots = [], solver_module._shots
+
+    def recorded(rng, q, share, k):
+        shares.append(share)
+        return real_shots(rng, q, share, k)
+
+    monkeypatch.setattr(solver_module, "_shots", recorded)
+    c0, tests, _ = map(np.array, elimination_refills(inst, 0, 1, derive_rng(139, 1), v_size)(k))
+    assert abs(shares[0] - elimination_law(n, q, chi, 0, v_size)[1]) <= 1e-15
+    rng = derive_rng(139, 2)
+    r, e = inverse_row_draws(inst, k, rng)
+    rho = (r * e).sum(axis=1) % q
+    ref_null = rng.integers(q, size=k) == 0
+    ref_c0 = np.where(rng.random(k) < v_size / q, rho, (rho + rng.integers(1, q, size=k)) % q)
+    null = tests == 0
+    assert abs(null.mean() - ref_null.mean()) <= 3 * math.sqrt(2 / q * (1 - 1 / q) / k)
+    drawn, ref = c0[~null], ref_c0[~ref_null]
+    pooled = np.concatenate([drawn, ref])
+    p = (pooled == 0).mean()
+    spread = math.sqrt(p * (1 - p) * (1 / drawn.size + 1 / ref.size))
+    assert abs((drawn == 0).mean() - (ref == 0).mean()) <= 3 * spread
+    a, b = (np.bincount(x[x != 0], minlength=q)[1:] for x in (drawn, ref))
+    ratio = math.sqrt(b.sum() / a.sum())
+    stat = float(((a * ratio - b / ratio) ** 2 / (a + b)).sum())
+    dof = q - 2
+    assert stat <= dof + 4 * math.sqrt(2 * dof)
 
 
 @pytest.mark.parametrize(
@@ -773,12 +836,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 91), (87, 89), (87, 87)], 284411486),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (6, 8)], 780688469),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 91), (87, 93), (87, 90)], 689783213),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (2, 4), (3, 5)], 788016339),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(1, 2), (5, 6), (7, 8)], 470365216,
+            [(2, 3), (1, 2), (9, 10)], 980600046,
         ),
     ],
     ids=["3-101-uniform", "3-101-gaussian-v40", "3-4093-gaussian-v1000"],
@@ -786,8 +849,8 @@ def test_controlled_stream_is_pinned(
 def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
 ):
-    # As for the controlled stream: one changed draw of an elimination row,
-    # a kernel shot, an offset or a verdict moves a count or the next draw.
+    # As for the controlled stream: one changed draw of a kernel shot, an
+    # offset or a verdict moves a count or the next draw.
     rng = derive_rng(702, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = solve(inst, choose_parameters(n, q, xi, kappa, 0.2), MODE_ELIMINATION, rng, v_size=v_size)
@@ -903,27 +966,19 @@ def test_elimination_mode_recovers_noiseless_secret():
     assert np.array_equal(out.returned_s, inst.s % 31)
 
 
-def _elimination_draws(inst, rng, k):
-    """The elimination rows (r, e) that an elimination refill of k rows
-    draws first from rng, replayed on a copy of it."""
-    return inverse_row_draws(inst, k, copy.deepcopy(rng))
-
-
 def test_elimination_mode_with_noise_stays_classified():
-    # Every row reads its offset off its own elimination row: a null reads
-    # c0 = r . e and is never accepted, a rejected row uses 1 to M tests and
-    # an accepted one all M; and a whole solve completes with a legal
+    # A null is never accepted, a rejected row uses 1 to M tests and an
+    # accepted one all M; and a whole solve completes with a legal
     # classification. test_law_drawn_verdicts_match_real_test_pairs checks
-    # the verdicts against real test pairs.
-    q, n, m, k = 101, 3, 2, 400
+    # the verdicts against real test pairs. A row is accepted with about
+    # 0.0025 here (elimination_law), so 4000 rows hold about 10.
+    q, n, m, k = 101, 3, 2, 4000
     inst = _instance(n, q, 1, 101)
     rng = derive_rng(102, 0)
-    r, e = _elimination_draws(inst, rng, k)
     c0, tests, accepted = map(np.array, elimination_refills(inst, 2, m, rng, 40)(k))
-    assert c0.shape == tests.shape == accepted.shape == (k,) and r.shape == e.shape == (k, n)
+    assert c0.shape == tests.shape == accepted.shape == (k,)
     null = tests == 0
-    assert null.any() and (c0[null] == (r[null] * e[null]).sum(axis=1) % q).all()
-    assert not accepted[null].any() and (tests <= m).all()
+    assert null.any() and not accepted[null].any() and (tests <= m).all()
     assert accepted.any() and (tests[accepted] == m).all() and (~accepted & ~null).any()
     params = choose_parameters(n, q, 1, 2.0, 0.2)
     out = solve(inst, params, MODE_ELIMINATION, derive_rng(102, 1), v_size=40)
