@@ -197,8 +197,6 @@ def classical_baseline_solve(
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
-    if m < 1:
-        raise ValueError(f"M must be at least 1, got {m}")
     q = instance.q
     xi_prime = amplified_bound(kappa, instance.xi)
     if 2 * xi_prime >= q:

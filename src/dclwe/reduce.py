@@ -30,7 +30,7 @@ test pair is an elimination whose only input is t. No solve calls these
 three or inverse_row_draws. synth_reduced_batch draws one controlled
 batch's errors and adds them to a' s_j. A controlled refill draws no
 batch, only each row's atom decision by its law over the window
-check_window bounds once per refill source.
+solver.solve bounds once per solve.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -161,15 +161,6 @@ def make_test_sample(
     return ReducedPair(target, *(int(x[0]) for x in pair), q)
 
 
-def check_window(q: int, xi_prime: int, chi_prime) -> None:
-    """Raise BoundTooLarge unless the declared bound xi' fits below q/2 and
-    the controlled error law chi_prime draws within it."""
-    if xi_prime < 0 or 2 * xi_prime >= q:
-        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
-    if chi_prime.xi > xi_prime:
-        raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
-
-
 def synth_reduced_batch(
     s_j: int,
     q: int,
@@ -184,11 +175,14 @@ def synth_reduced_batch(
     from chi_prime and checked by check_rows as the batch is built.
 
     Raises BoundTooLarge, before the draw, when xi' does not fit below
-    q/2 or chi_prime's bound exceeds xi' (check_window). The recorded
-    amplification is the ratio of xi_prime to the reference bound xi.
+    q/2 or chi_prime's bound exceeds xi'. The recorded amplification is
+    the ratio of xi_prime to the reference bound xi.
     """
     a_values = _input_array(v, q)
-    check_window(q, xi_prime, chi_prime)
+    if xi_prime < 0 or 2 * xi_prime >= q:
+        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
+    if chi_prime.xi > xi_prime:
+        raise BoundTooLarge(f"chi bound {chi_prime.xi} exceeds declared xi'={xi_prime}")
     eta_values = sample_errors(chi_prime, rng, a_values.size)
     kappa = xi_prime / xi if xi > 0 else 1.0
     coeff = math.ceil(kappa) if xi > 0 else 0

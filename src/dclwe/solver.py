@@ -51,7 +51,7 @@ the (2, M + 1) _powers table at a time, and no q-sized array.
 - elimination_refills: a row's inverse row r and hidden errors e give
   r . b = s_j + r . e, so its batch b' = a' (r . b) is the noiseless
   s-free row (a', 0) moved by rho = r . e, on its atom with share =
-  v_size / q (atom_mass at chi' = delta_0). rho, with (on, off) =
+  v_size / q = m / q. rho, with (on, off) =
   reduce.offset_law, is independent of the atom and U, and rho + U is 0
   with (1 - on) / (q - 1) = off, so c0 = 0 with p_c = share on +
   (1 - share) off and is uniform on [1, q) otherwise: no inverse row or
@@ -79,9 +79,9 @@ import numpy as np
 
 from .errors import BoundTooLarge, InfeasibleParameters, InvariantViolation
 from .fq import PrimeField
-from .instance import UNIFORM, ErrorDistribution, LweInstance
+from .instance import ErrorDistribution, LweInstance
 from .qsim import atom_mass
-from .reduce import check_window, offset_law
+from .reduce import offset_law
 from .verify import trial_pass_rates
 
 MODE_CONTROLLED = "controlled"
@@ -254,12 +254,10 @@ def controlled_refills(
     """Refill source of one controlled solve: k -> (c0, tests, accepted)
     for k rows of _shots, with rho = 0, the atom_mass of chi' =
     amplified_law(chi, xi') over v_size inputs and the pass rates (1, r).
-    The window is checked once, here; nothing here depends on s, and no
-    error is drawn."""
+    solve checks the window; nothing here depends on s, and no error is
+    drawn."""
     q = instance.q
-    chi_prime = amplified_law(instance.chi, xi_prime)
-    check_window(q, xi_prime, chi_prime)
-    share = atom_mass(q, chi_prime, q if v_size is None else v_size)
+    share = atom_mass(q, amplified_law(instance.chi, xi_prime), q if v_size is None else v_size)
     return _refills(m, partial(_shots, rng, q, share), *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
@@ -272,7 +270,7 @@ def elimination_refills(
     that rho'. Nothing here depends on s."""
     q = instance.q
     on, off = offset_law(instance.n, q, instance.chi)
-    share = atom_mass(q, ErrorDistribution(UNIFORM, 0), q if v_size is None else v_size)
+    share = (q if v_size is None else v_size) / q
     p_c = share * on + (1 - share) * off
     return _refills(m, partial(_shots, rng, q, p_c), *trial_pass_rates(on, off, xi_prime, q))
 
@@ -381,8 +379,9 @@ def solve(
     Either mode is one controlled_pass over its refills, controlled_refills
     or elimination_refills, drawn from `rng`. Before the first draw, v_size
     (inputs per batch, the full field when None) must lie in [1, q], xi' and
-    L must be non-negative, and 2 xi' must lie below q (BoundTooLarge).
-    Quantum samples are checked against the n * L budget.
+    L must be non-negative, and 2 xi' must lie below q (BoundTooLarge):
+    this is the one gate, and no refill source checks again. Quantum
+    samples are checked against the n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")

@@ -365,13 +365,19 @@ def test_elimination_runs_that_cannot_succeed_are_refused(capsys):
 
 def test_a_refused_elimination_solve_draws_nothing(monkeypatch, capsys):
     import dclwe.cli as cli_module
-    import dclwe.reduce as reduce_module
+    import dclwe.solver as solver_module
 
     def no_draw(*args, **kwargs):
         raise AssertionError("an instance or an elimination row was drawn")
 
+    # Both kernel refills bind _shots when their factory runs, so this patch
+    # reaches every elimination row; a point the CLI accepts must trip it.
+    monkeypatch.setattr(solver_module, "_shots", no_draw)
+    live = ["--kappa", "2", "--v-size", "40", "--chi-kind", "gaussian"]
+    with pytest.raises(AssertionError, match="an elimination row was drawn"):
+        main(["solve", "--mode", "elimination", "--n", "3", "--q", "101", *live])
+    capsys.readouterr()
     monkeypatch.setattr(cli_module, "make_instance", no_draw)
-    monkeypatch.setattr(reduce_module, "inverse_row_draws", no_draw)
     for extra in (
         ["--kappa", "2"],  # noisy full field: every true candidate fails its trials
         ["--xi", "0", "--v-size", "1", "--trials", "5", "--seed", "1"],  # one input: 1/q on the atom

@@ -54,7 +54,7 @@ INTERNAL = {
         "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
     ),
     "reduce": (
-        "ReducedPair", "check_rows", "check_window", "eliminate_row",
+        "ReducedPair", "check_rows", "eliminate_row",
         "elimination_batch", "inverse_row_draws", "kappa_observed", "make_test_sample",
         "offset_law",
     ),

@@ -378,22 +378,6 @@ def test_controlled_pool_refills_are_s_free_and_stop_at_the_budget():
     assert a == b
 
 
-def test_controlled_pool_keeps_the_bound_refusals(monkeypatch):
-    # Both are refused when the refill source is built, before any draw.
-    inst = _instance(2, 101, 1, 109)
-    rng = derive_rng(110, 0)
-    state = rng.bit_generator.state
-    with pytest.raises(BoundTooLarge):
-        controlled_refills(inst, 51, 1, rng)  # 2 * 51 >= 101
-    # An error law wider than the declared xi' is refused, not measured.
-    monkeypatch.setattr(
-        solver_module, "ErrorDistribution", lambda kind, xi: ErrorDistribution(kind, xi + 1)
-    )
-    with pytest.raises(BoundTooLarge):
-        controlled_refills(inst, 2, 1, rng)
-    assert rng.bit_generator.state == state
-
-
 def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
     # Forty coordinates ask for FIRST_CHUNK rows each, more than
     # REFILL_ROWS in all: the cap bounds the rate term only, so the
