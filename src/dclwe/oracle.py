@@ -10,8 +10,8 @@ these routes separate from the statevector path is the point; tests
 compare them with it. The closed forms share one thing with the
 simulator, qsim.root_table, the cached phases w^r: the same values
 np.exp gives element by element, and within 1e-15 of np.cos for the
-real parts restricted_ridge_sum reads. The baseline alone runs the solver's loop: solver.baseline_refills
-through solver.controlled_pass, on rows drawn from the solve's one stream.
+real parts restricted_ridge_sum reads. The baseline alone runs the
+solver's loop: controlled_pass over baseline_refills, _shots at nu = 0.
 """
 
 from __future__ import annotations

@@ -27,40 +27,41 @@ rows the solve has used, up to REFILL_ROWS at any q (controlled_pass): a
 refill's fixed cost far outweighs its rows', so a solve opens few, and a
 coordinate that never settles costs O(log L).
 
-Every refill is one body, _refills, fed by its mode's draw of k rows:
-their nulls (k* = 0), each row's c0 and one uniform u. A row reads
-c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U uniform on
-[1, q), so no solve runs a transform: given a row's error histogram, and
-averaged over its inputs V and the arrangement of its errors over them,
-which no refill reads anywhere else, its k_d off the atom is exactly
-uniform on [1, q) (exchangeability), and so is -k_d / k*. A verdict
-reads only whether c0 = 0 and an accepted value c0, so _shots draws a
-row from 1 / q (a null; its c0 is never read) and p_c = P(c0 = 0).
-No solve draws a test pair either: given c0, a row's M trials are i.i.d.,
-passing with pi_c at c0 = 0 and pi_w elsewhere (verify.trial_pass_rates),
-so u draws its verdict by that law. A solve holds one refill's arrays and
-the (2, M + 1) _powers table at a time, and no q-sized array.
+Every refill is one body, _refills, over one sampler, _shots, at its
+mode's (nu, p_c). A row reads c0 = rho on the k_d = 0 atom and
+c0 = rho + U off it, with U uniform on [1, q), so no solve runs a
+transform: given a row's error histogram, and averaged over its inputs V
+and the arrangement of its errors over them, which no refill reads
+anywhere else, its k_d off the atom is exactly uniform on [1, q)
+(exchangeability), and so is -k_d / k*. A verdict reads only whether
+c0 = 0 and an accepted value c0, so one uniform places a row, a null
+(k* = 0, its c0 never read) with nu and else c0 = 0 with p_c, and U is
+drawn for the accepted rows off the atom alone. No solve draws a test
+pair either: given c0, a row's M trials are i.i.d., passing with pi_c at
+c0 = 0 and pi_w elsewhere (verify.trial_pass_rates), so a second uniform
+draws its verdict by that law. A solve holds one refill's arrays and the
+(2, M + 1) _powers table at a time, and no q-sized array.
 
-- controlled_refills: s-free batches (a', eta'), rho = 0. By the Fourier
-  shift theorem the coordinate-j batch (a', a' s_j + eta') has the
-  s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
-  s_j + c0 for every coordinate, with the same verdict. Only the atom
+- controlled_refills, nu = 1/q: s-free batches (a', eta'), rho = 0. By
+  the Fourier shift theorem the coordinate-j batch (a', a' s_j + eta')
+  has the s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads
+  as s_j + c0 for every coordinate, with the same verdict. Only the atom
   decision reads the row's errors and, past the null, its k*: it uses
-  their mean, qsim.atom_mass(q, chi', m). A test pair (t, t s_j + eta')
-  leaves the residual eta' - t c0, within xi' whenever c0 = 0.
-- elimination_refills: a row's inverse row r and hidden errors e give
-  r . b = s_j + r . e, so its batch b' = a' (r . b) is the noiseless
-  s-free row (a', 0) moved by rho = r . e, on its atom with share =
-  v_size / q = m / q. rho, with (on, off) =
-  reduce.offset_law, is independent of the atom and U, and rho + U is 0
-  with (1 - on) / (q - 1) = off, so c0 = 0 with p_c = share on +
+  their mean, p_c = qsim.atom_mass(q, chi', m). A test pair
+  (t, t s_j + eta') leaves the residual eta' - t c0, within xi' at c0 = 0.
+- elimination_refills, nu = 1/q: a row's inverse row r and hidden errors
+  e give r . b = s_j + r . e, so its batch b' = a' (r . b) is the
+  noiseless s-free row (a', 0) moved by rho = r . e, on its atom with
+  share = v_size / q = m / q. rho, with (on, off) = reduce.offset_law,
+  is independent of the atom and U, and rho + U is 0 with
+  (1 - on) / (q - 1) = off, so c0 = 0 with p_c = share on +
   (1 - share) off and is uniform on [1, q) otherwise: no inverse row or
   error is drawn. A test pair (t, t (s_j + rho')) leaves the residual
   t (rho' - c0).
-- baseline_refills: the classical baseline's direct pairs
-  (a', a' s_j + eta'), with no kernel: c0 = eta' a'^-1 and k* = a', so
-  no row is a null or off its atom. oracle.classical_baseline_solve
-  runs them.
+- baseline_refills, nu = 0: the classical baseline's direct pairs
+  (a', a' s_j + eta'), with no kernel and so no null: c0 = eta' a'^-1 is
+  0 with p_c = chi'(0) and uniform on [1, q) otherwise, as a' is.
+  oracle.classical_baseline_solve runs them.
 
 classify turns the per-coordinate records of any run into a
 SolveOutcome. In every mode the first accepted candidate is the one a
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -106,9 +107,6 @@ REFILL_ROWS = 256
 Verdicts = tuple[list[int], list[int], list[bool]]
 # k -> the verdicts of k s-free rows
 Refill = Callable[[int], Verdicts]
-# k -> k rows' null mask (False when none is a null), their c0 and one
-# uniform on [0, 1) each, which draws the row's verdict
-Draw = Callable[[int], tuple[np.ndarray | bool, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -212,85 +210,86 @@ def choose_parameters(
 
 @lru_cache(maxsize=16)
 def _powers(pi_c: float, pi_w: float, m: int) -> np.ndarray:
-    """The read-only (2, M + 1) table pi^1 .. pi^M, 0: row 0 pi_w, row 1 pi_c."""
+    """The read-only (2, M + 1) table pi^1 .. pi^M, 0: row 0 pi_c, row 1 pi_w."""
     table = np.zeros((2, m + 1))
-    table[:, :m] = np.array([[pi_w], [pi_c]]) ** np.arange(1, m + 1)
+    table[:, :m] = np.array([[pi_c], [pi_w]]) ** np.arange(1, m + 1)
     table.flags.writeable = False
     return table
 
 
-def _refills(m: int, draw: Draw, pi_c: float, pi_w: float) -> Refill:
-    """k -> (c0, tests, accepted) for the k rows of `draw`. A row's M trials
-    pass i.i.d. with pi = pi_c where c0 = 0 and pi_w elsewhere, so its u
-    passes passed = #{i <= M : u < pi^i} of them, P(passed >= i) = pi^i:
-    the first column of its _powers row that u does not lie below (argmin).
-    It uses min(passed + 1, M) tests; a null uses none and is never accepted."""
+def _refills(
+    m: int, q: int, rng: np.random.Generator, nu: float, p_c: float, pi_c: float, pi_w: float
+) -> Refill:
+    """k -> (c0, tests, accepted) for k rows of _shots(rng, nu, p_c, k).
+    A row's M trials pass i.i.d. with pi = pi_c on the atom and pi_w off
+    it, so its u passes passed = #{i <= M : u < pi^i} of them,
+    P(passed >= i) = pi^i: the first column of its _powers row, picked by
+    its off mask, that u does not lie below (argmin). It uses
+    min(passed + 1, M) tests; a null uses none and is never accepted. An
+    accepted row off the atom reads c0 = U, drawn only then, in one call for
+    the refill; a rejected one c0 = 1, which the pass reads only as nonzero."""
     if m < 1:
         raise ValueError(f"M must be at least 1, got {m}")
     powers = _powers(pi_c, pi_w, m)
 
     def refill(k: int) -> Verdicts:
-        null, c0, u = draw(k)
-        passed = (u[:, None] < powers.take((c0 == 0).view(np.int8), axis=0)).argmin(axis=1)
+        null, off, u = _shots(rng, nu, p_c, k)
+        passed = (u[:, None] < powers.take(off.view(np.int8), axis=0)).argmin(axis=1)
         passed[null] = -1
-        return c0.tolist(), np.minimum(passed + 1, m).tolist(), (passed == m).tolist()
+        accepted = passed == m
+        c0 = off.astype(np.int64)
+        hits = np.flatnonzero(off & accepted)
+        if hits.size:
+            c0[hits] = rng.integers(1, q, size=hits.size)
+        return c0.tolist(), np.minimum(passed + 1, m).tolist(), accepted.tolist()
 
     return refill
 
 
-def _shots(rng: np.random.Generator, q: int, share: float, k: int) -> tuple[np.ndarray, ...]:
-    """k s-free shots: their null mask, their c0 (0 with `share` and U
-    otherwise; a null's c0 is never read) and their verdict uniforms.
-    k* = x mod q and U = x div q from one x uniform on [q, q^2)
-    (q^2 <= 2^50 at MODULUS_CEILING) are independent, on [0, q) and [1, q)."""
-    big_u, k_star = np.divmod(rng.integers(q, q * q, size=k), q)
-    atom, u = rng.random((2, k))
-    return k_star == 0, (atom >= share) * big_u, u
+def _shots(rng: np.random.Generator, nu: float, share: float, k: int) -> tuple[np.ndarray, ...]:
+    """k s-free rows from one (2, k) block of uniforms (y, u): y places a
+    row, a null below nu, on the atom below nu + (1 - nu) share and off it
+    above, and u draws its verdict. Returns the null mask, the off mask and u."""
+    y, u = rng.random((2, k))
+    return y < nu, y >= nu + (1 - nu) * share, u
 
 
 def controlled_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
 ) -> Refill:
     """Refill source of one controlled solve: k -> (c0, tests, accepted)
-    for k rows of _shots, with rho = 0, the atom_mass of chi' =
+    for k rows at nu = 1/q, with rho = 0, the atom_mass of chi' =
     amplified_law(chi, xi') over v_size inputs and the pass rates (1, r).
     solve checks the window; nothing here depends on s, and no error is
     drawn."""
     q = instance.q
     share = atom_mass(q, amplified_law(instance.chi, xi_prime), q if v_size is None else v_size)
-    return _refills(m, partial(_shots, rng, q, share), *trial_pass_rates(1.0, 0.0, xi_prime, q))
+    return _refills(m, q, rng, 1 / q, share, *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def elimination_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
 ) -> Refill:
     """Refill source of one elimination solve: k -> (c0, tests, accepted)
-    for k rows of _shots at p_c = share on + (1 - share) off, with (on,
+    for k rows at nu = 1/q and p_c = share on + (1 - share) off, with (on,
     off) = reduce.offset_law and share = v_size / q, and the pass rates of
     that rho'. Nothing here depends on s."""
     q = instance.q
     on, off = offset_law(instance.n, q, instance.chi)
     share = (q if v_size is None else v_size) / q
     p_c = share * on + (1 - share) * off
-    return _refills(m, partial(_shots, rng, q, p_c), *trial_pass_rates(on, off, xi_prime, q))
+    return _refills(m, q, rng, 1 / q, p_c, *trial_pass_rates(on, off, xi_prime, q))
 
 
 def baseline_refills(
     instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator
 ) -> Refill:
     """Refill source of the classical baseline: k -> (c0, tests, accepted)
-    for k rows. Each draws U uniform on [1, q) and two uniforms, the first
-    setting c0 = 0 with chi'(0) = offset_law(1, q, chi')[0], chi' =
-    amplified_law(chi, xi'), and c0 = U otherwise; pass rates (1, r)."""
+    for k rows at nu = 0 and p_c = chi'(0) = offset_law(1, q, chi')[0],
+    chi' = amplified_law(chi, xi'); pass rates (1, r)."""
     q = instance.q
     chi_zero = offset_law(1, q, amplified_law(instance.chi, xi_prime))[0]
-
-    def draw(k: int):
-        big_u = rng.integers(1, q, size=k)
-        atom, u = rng.random((2, k))
-        return False, np.where(atom < chi_zero, 0, big_u), u
-
-    return _refills(m, draw, *trial_pass_rates(1.0, 0.0, xi_prime, q))
+    return _refills(m, q, rng, 0.0, chi_zero, *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
@@ -304,7 +303,7 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     row drawn has been used, so drawn / (j + 1) is the mean rows used by
     each coordinate reached, and the refill holds four times that for each
     coordinate left, up to REFILL_ROWS rows at any q. A refill costs
-    about 18 us in any mode and about 0.06 us a row, and the pass about
+    about 11 us in any mode and about 0.04 us a row, and the pass about
     0.15 us a row it takes (2-core Xeon, numpy 2.4), so 256 rows cost about
     one refill's fixed cost, and sizing by the rows used opens few refills
     per solve, for some rows drawn and left unused. The shots term at least

@@ -370,8 +370,9 @@ def test_a_refused_elimination_solve_draws_nothing(monkeypatch, capsys):
     def no_draw(*args, **kwargs):
         raise AssertionError("an instance or an elimination row was drawn")
 
-    # Both kernel refills bind _shots when their factory runs, so this patch
-    # reaches every elimination row; a point the CLI accepts must trip it.
+    # All three modes draw their rows through _shots, so this patch reaches
+    # every row of any solve, each elimination row included; a point the
+    # CLI accepts must trip it.
     monkeypatch.setattr(solver_module, "_shots", no_draw)
     live = ["--kappa", "2", "--v-size", "40", "--chi-kind", "gaussian"]
     with pytest.raises(AssertionError, match="an elimination row was drawn"):

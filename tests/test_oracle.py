@@ -11,6 +11,7 @@ from dclwe import (
     FORM_FULL,
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
+    OUTCOME_WRONG_ACCEPT,
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
     BoundTooLarge,
@@ -41,7 +42,7 @@ from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.solver import amplified_law
 
 from _laws import MODE_BASELINE, check_solves_follow_the_law, mode_law
-from _stats import chi_square_ok
+from _stats import binom_3sigma, chi_square_ok
 
 
 def brute_ridge_mass(batch):
@@ -259,17 +260,18 @@ def test_baseline_budget_raises_the_rate():
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 1), (1, 2), (1, 1)], 248102112),
+        (3, 101, UNIFORM, 1, 1.0, 2, 1, 0, OUTCOME_FAILURE, [(1, 2), (1, 1), (1, 2)], 423713891),
         (
             5, 101, UNIFORM, 1, 1.0, 2, 3, 1, OUTCOME_FAILURE,
-            [(3, 3), (3, 4), (1, 2), (1, 2), (3, 4)],
-            1063774467,
+            [(1, 2), (3, 3), (2, 3), (3, 3), (3, 3)],
+            260192890,
         ),
-        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_SUCCESS, [(1, 1), (3, 3), (1, 1), (4, 4)], 190160251),
+        # One trial at q = 31: a wrong candidate passes it with 2 xi' / (q - 1).
+        (4, 31, UNIFORM, 1, 2.0, 1, 4, 2, OUTCOME_WRONG_ACCEPT, [(1, 1), (1, 1), (1, 1), (2, 2)], 200994740),
         (
             8, 401, GAUSSIAN, 2, 1.0, 2, 5, 3, OUTCOME_SUCCESS,
-            [(2, 3), (1, 2), (1, 2), (2, 3), (3, 4), (2, 3), (1, 2), (1, 2)],
-            123226002,
+            [(1, 2), (1, 2), (3, 4), (1, 2), (1, 2), (2, 3), (4, 5), (4, 5)],
+            832985915,
         ),
     ],
     ids=["3-101-uniform", "5-101-uniform", "4-31-uniform", "8-401-gaussian"],
@@ -278,10 +280,10 @@ def test_baseline_stream_is_pinned(
     n, q, kind, xi, kappa, m, budget, seed, outcome, per_coordinate, next_draw
 ):
     # Frozen outcomes, per-coordinate (shots, tests) and the next draw of
-    # the stream: each refill draws one U per row, then one (2, k) block of
-    # uniforms, for every row the solve may still take, since no trial
-    # budget here exceeds FIRST_CHUNK (solver.controlled_pass); rows a
-    # settled coordinate leaves go to the next one.
+    # the stream: each refill draws one (2, k) block of uniforms for every
+    # row the solve may still take, since no trial budget here exceeds
+    # FIRST_CHUNK (solver.controlled_pass), then one U per accepted row off
+    # the atom; rows a settled coordinate leaves go to the next one.
     rng = derive_rng(700, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
     out = classical_baseline_solve(inst, kappa, m, budget, rng)
@@ -312,8 +314,10 @@ def test_baseline_validation():
 def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
     # The direct candidate b' a'^-1 = s_j + eta' a'^-1 reads c0 = eta' a'^-1:
     # 0 when eta' = 0, with chi'(0), and otherwise uniform on [1, q), as a'
-    # is (chi-square). No row is a null: each uses 1 to M tests.
-    q, xi_prime, m, k = 101, 2, 3, 20000
+    # is (chi-square on the accepted rows off the atom, which are most of
+    # them: at xi' = 45 a wrong candidate passes a trial with 0.9). No row
+    # is a null: each uses 1 to M tests.
+    q, xi_prime, m, k = 101, 45, 2, 20000
     rng = derive_rng(14, 0)
     inst = make_instance(3, q, ErrorDistribution(GAUSSIAN, 1), rng)
     seen = {}
@@ -323,12 +327,14 @@ def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
         return [CoordinateStats(j=j) for j in range(len(s))]
 
     monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)
-    classical_baseline_solve(inst, 2.0, m, 1, rng)
-    c, tests, _ = seen["verdicts"]
-    assert len(c) == k and all(1 <= used <= m for used in tests)
+    classical_baseline_solve(inst, float(xi_prime), m, 1, rng)
+    c, tests, accepted = map(np.array, seen["verdicts"])
+    assert len(c) == k and ((1 <= tests) & (tests <= m)).all()
     zero = baseline_coordinate_rate(amplified_law(inst.chi, xi_prime))
-    law = np.array([zero] + [(1 - zero) / (q - 1)] * (q - 1))
-    assert chi_square_ok(np.bincount(c, minlength=q), law, k)
+    assert abs((c == 0).mean() - zero) <= binom_3sigma(zero, k)
+    u = c[accepted & (c != 0)]
+    assert u.size > k / 2
+    assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
 
 
 def _every_shot_sequence(nu, p_c, pi_c, pi_w, budget, m):

@@ -501,9 +501,9 @@ def _refill_rates(monkeypatch):
     """The (M, pi_c, pi_w) of every refill source built while it runs, in order."""
     seen, real = [], solver_module._refills
 
-    def recorded(m, draw, pi_c, pi_w):
+    def recorded(m, q, rng, nu, p_c, pi_c, pi_w):
         seen.append((m, pi_c, pi_w))
-        return real(m, draw, pi_c, pi_w)
+        return real(m, q, rng, nu, p_c, pi_c, pi_w)
 
     monkeypatch.setattr(solver_module, "_refills", recorded)
     return seen
@@ -576,8 +576,9 @@ def _verdict_counts(c0, tests, accepted, m):
     ],
 )
 def test_law_drawn_verdicts_match_real_test_pairs(monkeypatch, mode, kind, q, xi_prime, m):
-    # Scripted offsets c0, a third of them 0, judged twice: by the refill's
-    # rule, one uniform per row against the pass rates its mode draws with,
+    # Scripted rows, a third of them on the atom (c0 = 0) and the rest off it
+    # with c0 uniform on [1, q), judged twice: by the refill's rule, one
+    # uniform per row against the pass rates its mode draws with,
     # and on M real test pairs per row, (t, t s_j + eta') with eta' from chi'
     # or (t, t (s_j + rho')) with rho' = r . e of real elimination rows, by
     # the residual reference. The rows' counts by (c0 = 0, tests, accepted)
@@ -590,8 +591,11 @@ def test_law_drawn_verdicts_match_real_test_pairs(monkeypatch, mode, kind, q, xi
     refills = controlled_refills if mode == MODE_CONTROLLED else elimination_refills
     refills(inst, xi_prime, m, rng)
     _, pi_c, pi_w = seen[-1]
-    c0 = np.where(rng.random(k) < 1 / 3, 0, rng.integers(1, q, size=k))
-    drawn = solver_module._refills(m, lambda k: (False, c0, rng.random(k)), pi_c, pi_w)(k)
+    off = rng.random(k) >= 1 / 3
+    c0 = np.where(off, rng.integers(1, q, size=k), 0)
+    scripted = lambda rng, nu, p_c, k: (np.zeros(k, bool), off, rng.random(k))  # noqa: E731
+    monkeypatch.setattr(solver_module, "_shots", scripted)
+    drawn = solver_module._refills(m, q, rng, 0.0, 0.0, pi_c, pi_w)(k)
     s_j = rng.integers(q, size=(k, 1))
     t = rng.integers(1, q, size=(k, m))
     if mode == MODE_CONTROLLED:
@@ -653,30 +657,66 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
 
 
 @pytest.mark.parametrize(
-    "refills, kind, calls",
+    "refills, kind",
     [
-        (controlled_refills, UNIFORM, {"integers": 1, "random": 1}),
-        (controlled_refills, GAUSSIAN, {"integers": 1, "random": 1}),
-        (elimination_refills, UNIFORM, {"integers": 1, "random": 1}),
-        (elimination_refills, GAUSSIAN, {"integers": 1, "random": 1}),
-        (baseline_refills, UNIFORM, {"integers": 1, "random": 1}),
-        (baseline_refills, GAUSSIAN, {"integers": 1, "random": 1}),
+        (controlled_refills, UNIFORM),
+        (controlled_refills, GAUSSIAN),
+        (elimination_refills, UNIFORM),
+        (elimination_refills, GAUSSIAN),
+        (baseline_refills, UNIFORM),
+        (baseline_refills, GAUSSIAN),
     ],
     ids=["controlled-uniform", "controlled-gaussian", "elimination-uniform",
          "elimination-gaussian", "baseline-uniform", "baseline-gaussian"],
 )
-def test_a_refill_draws_each_value_range_once(refills, kind, calls):
-    # Whatever k, a refill makes one draw call per value range: k* and U
-    # together (the baseline's U alone) and one (2, k) block of uniforms,
-    # each row's atom decision and its verdict. No refill draws an error or
-    # an elimination row, whatever chi.
+def test_a_refill_draws_each_value_range_once(refills, kind):
+    # Whatever k, a refill makes one random call, a (2, k) block of
+    # uniforms: each row's place (null, atom or off it) and its verdict.
+    # It calls integers once, for the U of its accepted off-atom rows, and
+    # only when it accepts such a row. No refill draws an error or an
+    # elimination row, whatever chi.
     inst = make_instance(3, 101, ErrorDistribution(kind, 1), derive_rng(135, 0))
     rng = _CountingRng(derive_rng(135, 1))
     refill = refills(inst, 2, 2, rng)
     for k in (1, 40, 300):
         rng.calls.clear()
-        refill(k)
-        assert rng.calls == calls
+        c0, _, accepted = refill(k)
+        hits = any(ok and c != 0 for c, ok in zip(c0, accepted))
+        assert rng.calls == ({"integers": 1, "random": 1} if hits else {"random": 1})
+
+
+def test_shots_place_nulls_by_nu():
+    # nu = 0 (the baseline) draws no null; nu = 1/q draws nulls at 1/q, and
+    # a row that is not a null sits off the atom with 1 - share.
+    q, share, k = 31, 0.3, 40000
+    rng = derive_rng(141, 0)
+    null, off, _ = solver_module._shots(rng, 0.0, share, k)
+    assert not null.any()
+    assert abs(off.mean() - (1 - share)) <= binom_3sigma(1 - share, k)
+    null, off, _ = solver_module._shots(rng, 1 / q, share, k)
+    assert abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
+    assert not (null & off).any()
+    live = off[~null]
+    assert abs(live.mean() - (1 - share)) <= binom_3sigma(1 - share, live.size)
+
+
+def test_accepted_rows_off_the_atom_read_a_uniform_offset_drawn_once():
+    # With p_c = 0 and pi_w = 1 every row that is not a null is off the atom
+    # and accepted: its c0 is uniform on [1, q) (chi-square), from one
+    # integers call. With pi_w = 0 no off-atom row is accepted, and the
+    # refill calls random alone.
+    q, m, k = 31, 2, 20000
+    rng = _CountingRng(derive_rng(142, 0))
+    c0, tests, accepted = map(np.array, solver_module._refills(m, q, rng, 1 / q, 0.0, 1.0, 1.0)(k))
+    assert rng.calls == {"integers": 1, "random": 1}
+    assert (accepted == (tests > 0)).all() and (c0[tests == 0] == 0).all()
+    u = c0[accepted]
+    assert u.min() >= 1 and u.max() < q
+    assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
+    rng.calls.clear()
+    c0, tests, accepted = solver_module._refills(m, q, rng, 1 / q, 0.0, 1.0, 0.0)(k)
+    assert rng.calls == {"random": 1}
+    assert not any(accepted) and all(c == 1 for c, used in zip(c0, tests) if used)
 
 
 @pytest.mark.parametrize(
@@ -692,24 +732,27 @@ def test_a_refill_draws_each_value_range_once(refills, kind, calls):
 )
 def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     # A 1 / q share of the rows are nulls. A non-null row reads c0 = 0 with
-    # its mode's p_c and c0 = U uniform on [1, q) otherwise (chi-square):
-    # p_c is the atom's mean mass over k* != 0 for a controlled row, whose
-    # errors follow chi' = U[-2, 2], and elimination_law's p_c for an
-    # elimination row, whose offset rho = r . e sits on the noiseless
-    # row's atom. A null's c0 is never read (test_no_pass_reads_a_null_c0).
-    q, k = 101, 4000
+    # its mode's p_c and sits off the atom otherwise, where an accepted row
+    # reads c0 = U uniform on [1, q) (chi-square): p_c is the atom's mean
+    # mass over k* != 0 for a controlled row, whose errors follow
+    # chi' = U[-45, 45], and elimination_law's p_c for an elimination row,
+    # whose offset rho = r . e sits on the noiseless row's atom. At
+    # xi' = 45 a wrong candidate passes a trial with 0.9, so most rows off
+    # the atom are accepted. A null's c0 is never read
+    # (test_no_pass_reads_a_null_c0).
+    q, k, xi_prime = 101, 4000, 45
     m = q if v_size is None else v_size
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
-    c0, tests, _ = map(np.array, refills(inst, 2, 2, derive_rng(134, 1), v_size)(k))
+    c0, tests, accepted = map(np.array, refills(inst, xi_prime, 2, derive_rng(134, 1), v_size)(k))
     null = tests == 0
     assert abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
     if refills is controlled_refills:
-        p_c = atom_share(q, ErrorDistribution(UNIFORM, 2), m)
+        p_c = atom_share(q, ErrorDistribution(UNIFORM, xi_prime), m)
     else:
-        p_c = elimination_law(3, q, inst.chi, 2, m)[1]
+        p_c = elimination_law(3, q, inst.chi, xi_prime, m)[1]
     live = c0[~null]
     assert abs((live == 0).mean() - p_c) <= binom_3sigma(p_c, live.size)
-    u = live[live != 0]
+    u = c0[accepted & (c0 != 0)]
     assert u.size > 2000
     assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
 
@@ -752,20 +795,23 @@ def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, 
     # uniform on [1, q): c0 = rho on the atom and rho + U off it. An
     # elimination refill draws its rows from (1 / q, p_c) alone; the two
     # agree on the share of nulls and of non-null rows with c0 = 0 (3 sigma)
-    # and on the histogram of c0 != 0 (two-sample chi-square, 4 sigma). The
-    # share the refill hands _shots is elimination_law's p_c.
+    # and on the histogram of c0 != 0, the refill's read on its accepted
+    # rows (two-sample chi-square, 4 sigma): at xi' = 45 a wrong candidate
+    # passes its trial with 0.9. The nu and share the refill hands _shots
+    # are elimination_law's.
     q, n, k = 101, 3, 20000
     chi = ErrorDistribution(kind, 1)
     inst = make_instance(n, q, chi, derive_rng(139, 0))
-    shares, real_shots = [], solver_module._shots
+    laws, real_shots = [], solver_module._shots
 
-    def recorded(rng, q, share, k):
-        shares.append(share)
-        return real_shots(rng, q, share, k)
+    def recorded(rng, nu, share, k):
+        laws.append((nu, share))
+        return real_shots(rng, nu, share, k)
 
     monkeypatch.setattr(solver_module, "_shots", recorded)
-    c0, tests, _ = map(np.array, elimination_refills(inst, 0, 1, derive_rng(139, 1), v_size)(k))
-    assert abs(shares[0] - elimination_law(n, q, chi, 0, v_size)[1]) <= 1e-15
+    rows = elimination_refills(inst, 45, 1, derive_rng(139, 1), v_size)(k)
+    c0, tests, accepted = map(np.array, rows)
+    assert np.abs(np.subtract(laws[0], elimination_law(n, q, chi, 45, v_size)[:2])).max() <= 1e-15
     rng = derive_rng(139, 2)
     r, e = inverse_row_draws(inst, k, rng)
     rho = (r * e).sum(axis=1) % q
@@ -778,7 +824,7 @@ def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, 
     p = (pooled == 0).mean()
     spread = math.sqrt(p * (1 - p) * (1 / drawn.size + 1 / ref.size))
     assert abs((drawn == 0).mean() - (ref == 0).mean()) <= 3 * spread
-    a, b = (np.bincount(x[x != 0], minlength=q)[1:] for x in (drawn, ref))
+    a, b = (np.bincount(x[x != 0], minlength=q)[1:] for x in (c0[accepted], ref))
     ratio = math.sqrt(b.sum() / a.sum())
     stat = float(((a * ratio - b / ratio) ** 2 / (a + b)).sum())
     dof = q - 2
@@ -790,16 +836,16 @@ def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, 
     [
         (
             8, 401, UNIFORM, 1, 2.0, None, 0,
-            [(4, 5), (5, 6), (2, 3), (13, 14), (6, 7), (6, 7), (1, 2), (1, 2)],
-            929578578,
+            [(7, 8), (1, 2), (1, 2), (1, 2), (3, 4), (4, 5), (4, 5), (1, 2)],
+            656567005,
         ),
-        # 46 rows over five coordinates: the first refill holds 40, and the
+        # 45 rows over five coordinates: the first refill holds 40, and the
         # last coordinate opens a second of 32.
         (
             5, 4093, UNIFORM, 1, 2.0, None, 1,
-            [(2, 3), (9, 10), (10, 11), (15, 16), (10, 11)], 394166598,
+            [(2, 3), (14, 15), (6, 7), (9, 10), (14, 15)], 284287694,
         ),
-        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(10, 12), (3, 5), (3, 5)], 960582536),
+        (3, 101, GAUSSIAN, 2, 1.0, 40, 2, [(3, 5), (3, 5), (1, 3)], 1000521134),
     ],
     ids=["8-401-uniform", "5-4093-uniform", "3-101-gaussian-v40"],
 )
@@ -820,12 +866,12 @@ def test_controlled_stream_is_pinned(
 @pytest.mark.parametrize(
     "n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw",
     [
-        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 91), (87, 93), (87, 90)], 689783213),
-        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (2, 4), (3, 5)], 788016339),
+        (3, 101, UNIFORM, 1, 2.0, None, 0, OUTCOME_FAILURE, [(87, 91), (87, 94), (87, 94)], 720622753),
+        (3, 101, GAUSSIAN, 1, 2.0, 40, 1, OUTCOME_SUCCESS, [(1, 3), (1, 3), (7, 11)], 424688707),
         # Partial rows at q=4093, most of them off the atom.
         (
             3, 4093, GAUSSIAN, 1, 2.0, 1000, 140, OUTCOME_SUCCESS,
-            [(2, 3), (1, 2), (9, 10)], 980600046,
+            [(11, 12), (3, 4), (1, 2)], 832271420,
         ),
     ],
     ids=["3-101-uniform", "3-101-gaussian-v40", "3-4093-gaussian-v1000"],
@@ -833,7 +879,7 @@ def test_controlled_stream_is_pinned(
 def test_elimination_stream_is_pinned(
     n, q, kind, xi, kappa, v_size, seed, outcome, per_coordinate, next_draw
 ):
-    # As for the controlled stream: one changed draw of a kernel shot, an
+    # As for the controlled stream: one changed draw of a row's place, an
     # offset or a verdict moves a count or the next draw.
     rng = derive_rng(702, seed)
     inst = make_instance(n, q, ErrorDistribution(kind, xi), rng)
