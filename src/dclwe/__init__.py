@@ -42,15 +42,12 @@ from .oracle import (
     SCHEME_BUCKET,
     SCHEME_PRIMITIVE,
     BoundReport,
-    baseline_coordinate_rate,
     bound_report,
     classical_baseline_solve,
     exact_success_probability,
     lower_bound_p,
-    prob_i_bound,
     prob_iii_bound,
     qram_cost,
-    restricted_ridge_sum,
 )
 from .qsim import (
     TwoQuditState,

@@ -41,7 +41,7 @@ from .errors import (
     InvalidLength,
     InvariantViolation,
 )
-from .fq import PrimeField, check_dense_size, is_prime, mat_inverse_stack
+from .fq import PrimeField, is_prime, mat_inverse_stack
 from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance, sample_errors
 from .oracle import (
     FORM_DIVIDED,
@@ -54,7 +54,10 @@ from .oracle import (
     prob_iii_bound,
     qram_cost,
 )
-from .qsim import TwoQuditState, bv_kernel, kernel_distribution, prepare_sample_state, sample_bv_outcomes
+from .qsim import (
+    TwoQuditState, bv_kernel, check_block_size, kernel_distribution, prepare_sample_state,
+    sample_bv_outcomes,
+)
 from .reduce import ReducedPair, eliminate_row, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
@@ -289,7 +292,7 @@ def run_point_trial(
     return ExperimentRecord(
         point_index=point_index,
         trial_index=trial_index,
-        **asdict(point),
+        **vars(point),
         seed=seed,
         xi_prime=params.xi_prime,
         L=params.L,
@@ -354,7 +357,7 @@ def emit(rows: Sequence[dict], fmt: str, fh: TextIO) -> None:
 
 def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters | None]]:
     """Each bounds row's xi' and budget (None if no L or M fits); refuses xi' = 0, other
-    modes and a point whose exact column may need a table over the dense limit."""
+    modes and a point whose sampler would peak over the dense limit."""
     if config.mode != MODE_CONTROLLED:
         raise ConfigError(f"mode: bounds draws controlled batches only, got {config.mode!r}")
     budgets = []
@@ -366,10 +369,8 @@ def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters |
             budgets.append((xi_prime, point_budget(pi, point)[1]))
         except InfeasibleParameters:
             budgets.append((xi_prime, None))  # the row stays, with empty bound columns
-        # The exact column's table: one row per error value the batch may hold, one per k*.
-        distinct = min(point.v_size or point.q, 2 * xi_prime + 1)
         try:
-            check_dense_size(distinct, point.q, "exact_success_probability")
+            check_block_size(point.q)
         except InvalidLength as exc:
             raise ConfigError(f"{exc} at {_name(pi, point)}") from None
     return budgets
@@ -383,8 +384,9 @@ def report_bounds(config: ExperimentConfig) -> list[dict]:
     sampler, which no solve runs, with its 3-sigma half-width, and the
     wrong-accept bound in its continuous (2 kappa alpha)^M and
     integer-count ((2 xi' + 1)/q)^M forms when the point admits a
-    budget. A mode other than controlled,
-    or a point whose xi' lies outside [1, q/2), is refused before any draw.
+    budget. A mode other than controlled, a point whose xi' lies outside
+    [1, q/2) and a q whose sampler would peak over the dense limit are
+    refused before any draw.
     """
     rows = []
     for pi, (point, (xi_prime, params)) in enumerate(zip(config.points(), _bound_points(config))):

@@ -2,16 +2,14 @@
 
 Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
-batch, its analytic lower bound, the wrong-accept and overall-success
-bounds, the classical direct-candidate baseline, the law of an
-elimination row and a coordinate's success, shots and tests under such
-a law, and the query-cost table for the four memory layouts. Keeping
-these routes separate from the statevector path is the point; tests
-compare them with it. The closed forms share one thing with the
-simulator, qsim.root_table, the cached phases w^r: the same values
-np.exp gives element by element, and within 1e-15 of np.cos for the
-real parts restricted_ridge_sum reads. The baseline alone runs the
-solver's loop: controlled_pass over baseline_refills, _shots at nu = 0.
+batch, its analytic lower bound, the wrong-accept bound, the classical
+direct-candidate baseline, the law of an elimination row and a
+coordinate's success, shots and tests under such a law, and the
+query-cost table for the four memory layouts. Keeping these routes
+separate from the statevector path is the point; tests compare them
+with it, and the closed forms import nothing from the simulator. The
+baseline alone runs the solver's loop: controlled_pass over
+baseline_refills, _shots at nu = 0.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundTooLarge, InvalidLength
-from .fq import check_dense_size
 from .instance import ErrorDistribution, LweInstance
-from .qsim import root_table
 from .reduce import ReducedBatch, offset_law
 from .solver import SolveOutcome, amplified_bound, baseline_refills, classify, controlled_pass
 from .verify import FalseAcceptBound, false_accept_probability, trial_pass_rates
@@ -49,42 +45,15 @@ class BoundReport:
 def exact_success_probability(batch: ReducedBatch) -> float:
     """Probability that one shot lands on the correlated ridge k_d = -s_j k*.
 
-    Computed from the batch's ground-truth errors by direct summation:
-    (1/(q^2 m)) * sum_{k*} |sum_{a'} w^{eta'(a') k*}|^2. The k* = 0 term
-    is included, so a noiseless full-field batch scores exactly 1. The
-    ridge mass depends only on the stored errors, never on s_j.
+    The ridge mass is (1/(q^2 m)) sum_{k*} |sum_{a'} w^{eta'(a') k*}|^2
+    over the batch's ground-truth errors, k* = 0 included, so a noiseless
+    full-field batch scores exactly 1. By Parseval over k* it equals
+    sum_r c_r^2 / (q m), where c_r counts the pairs with eta' = r mod q:
+    O(m) time and memory, no phase table. The ridge mass depends only on
+    the stored errors, never on s_j.
     """
-    q, m = batch.q, batch.size
-    inner = _error_phase_sums(batch, q, "exact_success_probability")
-    return float((np.abs(inner) ** 2).sum() / (q * q * m))
-
-
-def restricted_ridge_sum(batch: ReducedBatch, gamma: float) -> float:
-    """Partial ridge mass over k* = 0 .. floor(gamma q / xi').
-
-    Keeps only the squared real part of each term, which is the middle
-    step of the lower-bound chain; useful for term-by-term comparison
-    when a bound looks tight.
-    """
-    q, m = batch.q, batch.size
-    if batch.xi_prime < 1:
-        raise InvalidLength("restricted sum needs xi' >= 1")
-    k_max = math.floor(gamma * q / batch.xi_prime)
-    re = _error_phase_sums(batch, min(k_max, q - 1) + 1, "restricted_ridge_sum").real
-    return float((re**2).sum() / (q * q * m))
-
-
-def _error_phase_sums(batch: ReducedBatch, width: int, what: str) -> np.ndarray:
-    """sum_{a'} w^{eta'(a') k*} for k* in [0, width).
-
-    The sum depends only on how many pairs carry each error value, so it
-    runs over a table of one row per distinct value: at most
-    min(m, 2 xi' + 1) rows, refused before allocating when over the limit.
-    """
-    values, counts = np.unique(batch.eta_values, return_counts=True)
-    check_dense_size(values.size, width, what)
-    ks = np.arange(width, dtype=np.int64)
-    return counts @ root_table(batch.q)[np.outer(values, ks) % batch.q]
+    counts = np.unique(batch.eta_values % batch.q, return_counts=True)[1]
+    return float(counts @ counts / (batch.q * batch.size))
 
 
 def lower_bound_p(gamma: float, batch_size: int, xi_prime: int, q: int) -> float:
@@ -125,21 +94,6 @@ def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) ->
         raise ValueError(f"L must be at least 1, got {l_budget}")
     per_candidate = false_accept_probability(kappa, alpha, q, m)
     return FalseAcceptBound(exact=l_budget * per_candidate.exact, approx=l_budget * per_candidate.approx)
-
-
-def prob_i_bound(delta: float, n: int) -> float:
-    """Floor (1 - delta/n)^n on the all-coordinates success probability."""
-    if n < 1:
-        raise InvalidLength(f"n must be at least 1, got {n}")
-    if not 0 < delta < n:
-        raise ValueError(f"delta must lie in (0, n), got {delta}")
-    return (1 - delta / n) ** n
-
-
-def baseline_coordinate_rate(chi_prime: ErrorDistribution) -> float:
-    """Exact single-draw success rate of the direct candidate: P(eta' = 0)."""
-    weights = chi_prime.weights()
-    return float(weights[chi_prime.xi] / weights.sum())
 
 
 def elimination_law(

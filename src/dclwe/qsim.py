@@ -42,8 +42,8 @@ against kernel_distribution by enumeration at small q. transform_rows
 serves sample_bv_stack only: the `bounds` Monte Carlo column, the
 selftest and the one-row form.
 
-Every phase w^r is read from one cached table, root_table(q), which the
-closed forms here and in the oracle share.
+Every phase w^r is read from one cached table, root_table(q), which
+kernel_distribution and transform_rows share.
 
 Shift identity: a batch b'(a') = a' s + eta'(a') has amplitude
 amp_s[k_d, k*] = amp_0[k_d + s k* mod q, k*], where amp_0 belongs to the
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidLength, InvariantViolation
-from .fq import PrimeField, check_dense_size
+from .fq import DENSE_BYTES_LIMIT, PrimeField, check_dense_size
 from .instance import ErrorDistribution
 from .reduce import ReducedBatch
 
@@ -74,6 +74,12 @@ NORM_TOL = 1e-8
 # FFT (Bluestein) afresh on every call, so the rows of a block share that
 # setup. 2^17 entries measured no faster, at 3% more memory.
 CHUNK_ENTRIES = 1 << 16
+
+# A transform_rows block's peak resident memory, in complex tables of its
+# own size: the roots, the scattered phases, the transform and numpy's
+# prime-length FFT workspace, the squared parts and the cdf. One full-field
+# row at q = 4,194,301 raised the peak RSS by 722 MB, 10.8 such tables.
+BLOCK_TABLES = 11
 
 
 class MeasurementOutcome(NamedTuple):
@@ -187,6 +193,20 @@ def atom_mass(q: int, chi: ErrorDistribution, m: int) -> float:
     return (1 + (m - 1) * (q * float(p @ p) - 1) / (q - 1)) / q
 
 
+def check_block_size(q: int) -> None:
+    """Refuse, before anything is allocated, a q for which one
+    transform_rows block, BLOCK_TABLES tables of at most
+    max(CHUNK_ENTRIES, q) complex entries, would pass four
+    DENSE_BYTES_LIMIT tables: the ~1 GiB peak the dense paths keep to.
+    Only q above 6,100,805 is refused."""
+    nbytes = BLOCK_TABLES * 16 * max(CHUNK_ENTRIES, q)
+    if nbytes > 4 * DENSE_BYTES_LIMIT:
+        raise InvalidLength(
+            f"the kernel sampler's transform at q={q} peaks near {nbytes / 2**30:.1f} GiB,"
+            f" over the {4 * DENSE_BYTES_LIMIT / 2**30:.2f} GiB dense limit"
+        )
+
+
 def transform_rows(
     q: int, a_values: np.ndarray, b_values: np.ndarray, k_star: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -200,8 +220,10 @@ def transform_rows(
     transform per block of max(1, CHUNK_ENTRIES // q) rows, and a row
     draws the same k_d in any block. A row whose conditional mass
     sum |x|^2 / m drifts from 1 (Parseval; a repeated input loses a
-    phase) raises InvariantViolation.
+    phase) raises InvariantViolation. A q over check_block_size's limit
+    raises InvalidLength before anything is allocated.
     """
+    check_block_size(q)
     m = b_values.shape[1]
     rows = max(1, CHUNK_ENTRIES // q)
     k_d = np.empty(len(b_values), dtype=np.int64)

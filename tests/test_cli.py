@@ -486,7 +486,7 @@ def test_a_refused_run_creates_no_out_file(tmp_path, capsys):
 
 
 def test_bounds_refuses_a_point_over_the_dense_limit_before_any_draw(tmp_path, monkeypatch, capsys):
-    # The exact column at q = 65537 and xi' = 200 needs a 401 x 65537 table;
+    # The sampler's one-row block at q = 33554393 would peak near 5.5 GiB;
     # the point is refused with its name before --out is opened or the first
     # point's batch is drawn.
     import dclwe.cli as cli_module
@@ -496,11 +496,11 @@ def test_bounds_refuses_a_point_over_the_dense_limit_before_any_draw(tmp_path, m
 
     monkeypatch.setattr(cli_module, "synth_reduced_batch", no_draw)
     out = tmp_path / "F"
-    argv = ["bounds", "--q", "4093,65537", "--kappa", "200", "--trials", "1", "--out", str(out)]
+    argv = ["bounds", "--q", "4093,33554393", "--kappa", "200", "--trials", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "dense limit" in err
-    assert "point 1 (n=4, q=65537, xi=1, kappa=200)" in err
+    assert "point 1 (n=4, q=33554393, xi=1, kappa=200)" in err
     assert not out.exists()
 
 
@@ -662,9 +662,9 @@ def test_bounds_trials_is_the_shot_count(monkeypatch):
 
 
 def test_bounds_runs_above_the_dense_limit_when_its_exact_column_fits(capsys):
-    # A 4099 x 4099 grid is over the dense limit; the exact column's table,
-    # one row per error value (2 xi' + 1 = 5) whether the batch holds 100
-    # pairs or the full field, and the sampler's few-row tables are not.
+    # A 4099 x 4099 grid is over the dense limit; the exact column, which
+    # counts the pairs per error value, and the sampler's few-row tables
+    # are not, whether the batch holds 100 pairs or the full field.
     argv = ["bounds", "--n", "3", "--q", "4099", "--kappa", "2", "--trials", "50"]
     for v_size in (100, 4099):
         assert main([*argv, "--v-size", str(v_size), "--format", "json"]) == 0
@@ -673,40 +673,42 @@ def test_bounds_runs_above_the_dense_limit_when_its_exact_column_fits(capsys):
         assert abs(row["empirical_p"] - row["exact_p"]) <= row["empirical_3sigma"] + 0.05
 
 
-def test_bounds_refuses_dense_tables_before_allocating():
-    # The exact column needs one row of q phases per distinct error value:
-    # at q = 65537 and xi' = 200, a 401 x 65537 table over the dense limit.
-    # Under a 2 GiB address-space cap the size guard must answer exit 2 first.
+def _run_under_a_2_gib_cap(argv):
+    """main(argv) in a fresh interpreter whose address space is capped at 2 GiB."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from dclwe.cli import main\n"
-        "sys.exit(main(['bounds', '--q', '65537', '--kappa', '200', '--trials', '1']))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_bounds_refuses_dense_tables_before_allocating():
+    # The sampler's one-row block at q = 33554393 would peak near 5.5 GiB.
+    # Under a 2 GiB address-space cap the size guard must answer exit 2 first.
+    proc = _run_under_a_2_gib_cap(["bounds", "--q", "33554393", "--kappa", "200", "--trials", "1"])
     assert proc.returncode == 2, proc.stderr
     assert "dense limit" in proc.stderr
+
+
+def test_bounds_with_many_error_values_at_q65537_runs_under_a_2_gib_cap():
+    # 401 error values at q = 65537: the exact column counts pairs, with no
+    # table of phases, and the sampler's blocks are one row of q.
+    proc = _run_under_a_2_gib_cap(["bounds", "--q", "65537", "--kappa", "200", "--trials", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert "65537" in proc.stdout
 
 
 def test_solve_at_the_largest_modulus_runs_under_a_2_gib_cap():
     # The largest prime below MODULUS_CEILING: a controlled solve there holds
     # no q-sized array, so under a 2 GiB address-space cap it runs to exit 0.
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "from dclwe.cli import main\n"
-        "sys.exit(main(['solve', '--n', '2', '--q', '33554393', '--xi', '1', '--kappa', '2',"
-        " '--trials', '2']))\n"
-    )
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    argv = ["solve", "--n", "2", "--q", "33554393", "--xi", "1", "--kappa", "2", "--trials", "2"]
+    proc = _run_under_a_2_gib_cap(argv)
     assert proc.returncode == 0, proc.stderr
     assert "q=33554393" in proc.stdout
 

@@ -26,9 +26,8 @@ PUBLIC = {
     "derive_rng",
     # oracle
     "FORM_DIVIDED", "FORM_FULL", "SCHEME_BUCKET", "SCHEME_PRIMITIVE", "BoundReport",
-    "baseline_coordinate_rate", "bound_report", "classical_baseline_solve",
-    "exact_success_probability", "lower_bound_p", "prob_i_bound", "prob_iii_bound",
-    "qram_cost", "restricted_ridge_sum",
+    "bound_report", "classical_baseline_solve", "exact_success_probability",
+    "lower_bound_p", "prob_iii_bound", "qram_cost",
     # qsim: dense statevector, closed-form grid, factored sampler
     "TwoQuditState", "bv_kernel", "prepare_sample_state", "kernel_distribution",
     "sample_bv_outcomes", "sample_bv_stack",
@@ -50,8 +49,9 @@ INTERNAL = {
     ),
     "oracle": ("coordinate_law", "elimination_law"),
     "qsim": (
-        "NORM_TOL", "MeasurementOutcome", "atom_mass", "extract_candidate", "extract_candidates",
-        "qft_matrix", "root_table", "sample_bv_outcome", "transform_rows",
+        "BLOCK_TABLES", "NORM_TOL", "MeasurementOutcome", "atom_mass", "check_block_size",
+        "extract_candidate", "extract_candidates", "qft_matrix", "root_table", "sample_bv_outcome",
+        "transform_rows",
     ),
     "reduce": (
         "ReducedPair", "check_rows", "eliminate_row",

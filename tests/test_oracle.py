@@ -20,7 +20,6 @@ from dclwe import (
     ErrorDistribution,
     InvalidLength,
     ReducedBatch,
-    baseline_coordinate_rate,
     bound_report,
     choose_parameters,
     classical_baseline_solve,
@@ -29,10 +28,8 @@ from dclwe import (
     kernel_distribution,
     lower_bound_p,
     make_instance,
-    prob_i_bound,
     prob_iii_bound,
     qram_cost,
-    restricted_ridge_sum,
     solve,
     synth_reduced_batch,
 )
@@ -41,7 +38,7 @@ from dclwe.oracle import coordinate_law, elimination_law
 from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.solver import amplified_law
 
-from _laws import MODE_BASELINE, check_solves_follow_the_law, mode_law
+from _laws import MODE_BASELINE, baseline_coordinate_rate, check_solves_follow_the_law, mode_law
 from _stats import binom_3sigma, chi_square_ok
 
 
@@ -104,6 +101,22 @@ def test_exact_probability_partial_noiseless_batch():
     assert exact_success_probability(batch) == pytest.approx(6 / 13, abs=1e-14)
 
 
+def test_exact_probability_builds_no_table_at_a_huge_modulus():
+    # Three pairs at q = 2^31 - 1: the ridge mass counts the pairs per error
+    # value, so it allocates nothing q-wide however large q is.
+    q = 2**31 - 1
+    batch = synth_reduced_batch(3, q, range(3), 1, ErrorDistribution(UNIFORM, 1), derive_rng(61, 0))
+    tracemalloc.start()
+    try:
+        p = exact_success_probability(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    counts = np.bincount(batch.eta_values + 1)
+    assert p == pytest.approx(counts @ counts / (3 * q), rel=1e-15)
+
+
 def test_exact_probability_matches_the_grid_ridge():
     for q, s_j, xi_p, seed in [(11, 3, 1, 1), (13, 7, 2, 2), (31, 20, 4, 3)]:
         batch = _batch(s_j, q, range(q), xi_p, seed)
@@ -138,6 +151,16 @@ def test_lower_bound_value_and_validation():
         lower_bound_p(0.125, 102, 1, 101)
 
 
+def restricted_ridge_sum(batch, gamma):
+    """The middle step of the lower-bound chain: the ridge mass over
+    k* = 0 .. floor(gamma q / xi') only, keeping the squared real part of
+    each term."""
+    q = batch.q
+    ks = np.arange(math.floor(gamma * q / batch.xi_prime) + 1)
+    re = np.cos(2 * np.pi * np.outer(batch.eta_values, ks) / q).sum(axis=0)
+    return float((re**2).sum() / (q * q * batch.size))
+
+
 def test_bound_chain_exact_restricted_lower():
     # exact >= restricted >= analytic bound, term by term of the
     # derivation, on random noisy batches.
@@ -163,28 +186,6 @@ def test_bound_chain_exact_restricted_lower():
                     assert report.lower_bound == pytest.approx(bound)
 
 
-def test_restricted_sum_requires_noise_scale():
-    batch = _literal(11, 4, [0] * 11, 0)
-    with pytest.raises(InvalidLength):
-        restricted_ridge_sum(batch, 0.125)
-
-
-def test_restricted_sum_refuses_dense_tables_before_allocating():
-    # The table has one row per distinct error value, at most 2 xi' + 1, and
-    # one column per k* in the window: q = 2^31 - 1, xi' = 1, gamma = 1/8
-    # give 2^28 columns, several GiB, even for a batch of three pairs.
-    q = 2**31 - 1
-    batch = synth_reduced_batch(3, q, range(3), 1, ErrorDistribution(UNIFORM, 1), derive_rng(61, 0))
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidLength):
-            restricted_ridge_sum(batch, 0.125)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 def test_wrong_accept_bound_values():
     # L = 100, kappa alpha = 0.05, M = 3, q = 101 with xi' = 5: the
     # approximation is 100 * 0.1^3 = 0.1.
@@ -202,18 +203,6 @@ def test_wrong_accept_bound_monotonicity():
     base = prob_iii_bound(50, 2.0, 1 / 101, 2, 101)
     assert prob_iii_bound(50, 2.0, 1 / 101, 3, 101).exact < base.exact
     assert prob_iii_bound(100, 2.0, 1 / 101, 2, 101).exact > base.exact
-
-
-def test_overall_success_floor():
-    assert prob_i_bound(0.1, 10) == pytest.approx(0.99**10)
-    assert prob_i_bound(0.2, 8) == pytest.approx(0.975**8)
-    # The floor always clears 1 - delta (union bound slack).
-    for n in (1, 2, 8, 64):
-        assert prob_i_bound(0.2, n) >= 1 - 0.2
-    with pytest.raises(ValueError):
-        prob_i_bound(0.0, 4)
-    with pytest.raises(InvalidLength):
-        prob_i_bound(0.1, 0)
 
 
 def test_baseline_rate_uniform_and_gaussian():

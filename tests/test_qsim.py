@@ -28,6 +28,7 @@ from dclwe.instance import GAUSSIAN, UNIFORM, sample_errors
 from dclwe.qsim import (
     NORM_TOL,
     MeasurementOutcome,
+    check_block_size,
     extract_candidate,
     extract_candidates,
     qft_matrix,
@@ -805,6 +806,28 @@ def test_qft_matrix_refuses_dense_tables_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_sampler_refuses_an_over_limit_block_before_allocating():
+    # One row at q = 33,554,393 would peak near 5.5 GiB. Both public forms
+    # refuse it before their first q-wide table; 6,100,805 is the largest q
+    # whose one-row block stays under the 1 GiB peak.
+    q = 33554393
+    batch = synth_reduced_batch(3, q, range(3), 1, ErrorDistribution(UNIFORM, 1), derive_rng(62, 0))
+    rng = derive_rng(62, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidLength, match="dense limit"):
+            sample_bv_stack(q, batch.a_values[None], np.stack([batch.eta_values] * 2), rng)
+        with pytest.raises(InvalidLength, match="dense limit"):
+            sample_bv_outcomes(batch, rng, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    check_block_size(6100805)
+    with pytest.raises(InvalidLength):
+        check_block_size(6100806)
 
 
 def test_qft_matrix_keeps_one_table_alive():
