@@ -8,8 +8,8 @@ coordinate's success, shots and tests under such a law, and the
 query-cost table for the four memory layouts. Keeping these routes
 separate from the statevector path is the point; tests compare them
 with it, and the closed forms import nothing from the simulator. The
-baseline alone runs the solver's loop: controlled_pass over
-baseline_refills, _shots at nu = 0.
+baseline alone runs the solver's loop: solver.gated_pass at the
+baseline's row_law, nu = 0.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundTooLarge, InvalidLength
+from .errors import InvalidLength
 from .instance import ErrorDistribution, LweInstance
 from .reduce import ReducedBatch, offset_law
-from .solver import SolveOutcome, amplified_bound, baseline_refills, classify, controlled_pass
+from .solver import MODE_BASELINE, SolveOutcome, amplified_bound, classify, gated_pass
 from .verify import FalseAcceptBound, false_accept_probability, trial_pass_rates
 
 SCHEME_PRIMITIVE = "primitive"
@@ -142,8 +142,8 @@ def classical_baseline_solve(
 
     Coordinate j's pair (a', a' s_j + eta'), with eta' at the amplified
     bound xi' = kappa * xi, gives s~ = b' * a'^-1 = s_j + c0 with the
-    s-free offset c0 = eta' * a'^-1, run as controlled_pass over
-    solver.baseline_refills. The candidate is correct only when eta'
+    s-free offset c0 = eta' * a'^-1, run as solver.gated_pass at the
+    baseline's solver.row_law. The candidate is correct only when eta'
     vanished, so with uniform errors the per-coordinate rate is
     1/(2 xi' + 1) and the full-solve rate decays geometrically in n.
     Refuses trial_budget or m below 1, kappa <= 0, a non-integer
@@ -151,12 +151,8 @@ def classical_baseline_solve(
     """
     if trial_budget < 1:
         raise ValueError(f"trial_budget must be at least 1, got {trial_budget}")
-    q = instance.q
     xi_prime = amplified_bound(kappa, instance.xi)
-    if 2 * xi_prime >= q:
-        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
-    refill = baseline_refills(instance, xi_prime, m, rng)
-    per_coordinate = controlled_pass(instance.s, q, refill, trial_budget)
+    per_coordinate = gated_pass(instance, MODE_BASELINE, xi_prime, m, trial_budget, rng)
     return classify(instance, per_coordinate, quantum_samples=0)  # no kernel shots
 
 

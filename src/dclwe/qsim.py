@@ -109,7 +109,7 @@ class TwoQuditState:
         return np.abs(self.amps) ** 2
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # 16 q bytes, about 64 MiB at q = 2^22, so one modulus at a time
 def root_table(q: int) -> np.ndarray:
     """table[r] = w^r = exp(2 pi i r / q) for r in [0, q); read-only, shared.
 
@@ -181,7 +181,6 @@ def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-@lru_cache(maxsize=16)
 def atom_mass(q: int, chi: ErrorDistribution, m: int) -> float:
     """P(k_d = 0 | k* != 0) of an s-free row of m pairs whose errors are
     i.i.d. from chi, averaged over those errors and over k* uniform on

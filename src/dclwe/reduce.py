@@ -30,7 +30,7 @@ test pair is an elimination whose only input is t. No solve calls these
 three or inverse_row_draws. synth_reduced_batch draws one controlled
 batch's errors and adds them to a' s_j. A controlled refill draws no
 batch, only each row's atom decision by its law over the window
-solver.solve bounds once per solve.
+solver.gated_pass bounds once per solve.
 
 Batches store their pairs as parallel arrays, which the simulator and
 the analysis oracles consume whole.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -223,7 +222,6 @@ def inverse_row_draws(
     return r, sample_errors(instance.chi, rng, (k, instance.n))
 
 
-@lru_cache(maxsize=16)
 def offset_law(n: int, q: int, chi: ErrorDistribution) -> tuple[float, float]:
     """(P(rho = 0), P(rho = x) for each x != 0) of rho = r . e, r uniform
     on F_q^n minus 0 (inverse_row_draws) and e from chi^n. rho is 0 when

@@ -16,6 +16,7 @@ the least with q^-L <= delta/n. M is the least trial count pushing the false-acc
 under delta/n.
 
 Every solve, controlled, elimination or the classical baseline, is one
+gated_pass: the one check of its window 2 xi' < q, then one
 controlled_pass over refills drawn from the solve's one stream. A refill
 judges k s-free rows at once: each row carries its candidate offset c0
 and its verdict, the tests it uses and whether it is accepted. Coordinate
@@ -27,41 +28,21 @@ rows the solve has used, up to REFILL_ROWS at any q (controlled_pass): a
 refill's fixed cost far outweighs its rows', so a solve opens few, and a
 coordinate that never settles costs O(log L).
 
-Every refill is one body, _refills, over one sampler, _shots, at its
-mode's (nu, p_c). A row reads c0 = rho on the k_d = 0 atom and
-c0 = rho + U off it, with U uniform on [1, q), so no solve runs a
-transform: given a row's error histogram, and averaged over its inputs V
-and the arrangement of its errors over them, which no refill reads
-anywhere else, its k_d off the atom is exactly uniform on [1, q)
-(exchangeability), and so is -k_d / k*. A verdict reads only whether
-c0 = 0 and an accepted value c0, so one uniform places a row, a null
-(k* = 0, its c0 never read) with nu and else c0 = 0 with p_c, and U is
-drawn for the accepted rows off the atom alone. No solve draws a test
-pair either: given c0, a row's M trials are i.i.d., passing with pi_c at
-c0 = 0 and pi_w elsewhere (verify.trial_pass_rates), so a second uniform
-draws its verdict by that law. A solve holds one refill's arrays and the
-(2, M + 1) _powers table at a time, and no q-sized array.
-
-- controlled_refills, nu = 1/q: s-free batches (a', eta'), rho = 0. By
-  the Fourier shift theorem the coordinate-j batch (a', a' s_j + eta')
-  has the s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads
-  as s_j + c0 for every coordinate, with the same verdict. Only the atom
-  decision reads the row's errors and, past the null, its k*: it uses
-  their mean, p_c = qsim.atom_mass(q, chi', m). A test pair
-  (t, t s_j + eta') leaves the residual eta' - t c0, within xi' at c0 = 0.
-- elimination_refills, nu = 1/q: a row's inverse row r and hidden errors
-  e give r . b = s_j + r . e, so its batch b' = a' (r . b) is the
-  noiseless s-free row (a', 0) moved by rho = r . e, on its atom with
-  share = v_size / q = m / q. rho, with (on, off) = reduce.offset_law,
-  is independent of the atom and U, and rho + U is 0 with
-  (1 - on) / (q - 1) = off, so c0 = 0 with p_c = share on +
-  (1 - share) off and is uniform on [1, q) otherwise: no inverse row or
-  error is drawn. A test pair (t, t (s_j + rho')) leaves the residual
-  t (rho' - c0).
-- baseline_refills, nu = 0: the classical baseline's direct pairs
-  (a', a' s_j + eta'), with no kernel and so no null: c0 = eta' a'^-1 is
-  0 with p_c = chi'(0) and uniform on [1, q) otherwise, as a' is.
-  oracle.classical_baseline_solve runs them.
+Every refill is one body, _refills, over one sampler, _shots, at the
+four numbers row_law gives its mode, (nu, p_c, pi_c, pi_w). A row reads
+c0 = rho on the k_d = 0 atom and c0 = rho + U off it, with U uniform on
+[1, q), so no solve runs a transform: given a row's error histogram, and
+averaged over its inputs V and the arrangement of its errors over them,
+which no refill reads anywhere else, its k_d off the atom is exactly
+uniform on [1, q) (exchangeability), and so is -k_d / k*. A verdict
+reads only whether c0 = 0 and an accepted value c0, so one uniform
+places a row, a null (k* = 0, its c0 never read) with nu and else c0 = 0
+with p_c, and U is drawn for the accepted rows off the atom alone. No
+solve draws a test pair either: given c0, a row's M trials are i.i.d.,
+passing with pi_c at c0 = 0 and pi_w elsewhere
+(verify.trial_pass_rates), so a second uniform draws its verdict by that
+law. A solve holds one refill's arrays and the (2, M + 1) _powers table
+at a time, and no q-sized array.
 
 classify turns the per-coordinate records of any run into a
 SolveOutcome. In every mode the first accepted candidate is the one a
@@ -87,6 +68,7 @@ from .verify import trial_pass_rates
 
 MODE_CONTROLLED = "controlled"
 MODE_ELIMINATION = "elimination"
+MODE_BASELINE = "baseline"  # the rows of oracle.classical_baseline_solve; not a solve mode
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
@@ -209,6 +191,50 @@ def choose_parameters(
 
 
 @lru_cache(maxsize=16)
+def row_law(
+    mode: str, n: int, q: int, chi: ErrorDistribution, xi_prime: int, m: int
+) -> tuple[float, float, float, float]:
+    """(nu, p_c, pi_c, pi_w) of one s-free row of `mode`, on instances of
+    dimension n whose errors follow chi, over batches of m inputs: its
+    null rate, the chance that its offset c0 is 0, and a trial's pass
+    rate at c0 = 0 and at c0 != 0. Raises ValueError for an unknown mode.
+
+    - controlled, nu = 1/q: s-free batches (a', eta'), rho = 0. By the
+      Fourier shift theorem the coordinate-j batch (a', a' s_j + eta') has
+      the s-free law moved by s_j k* along k_d, so c0 = -k_d / k* reads as
+      s_j + c0 for every coordinate, with the same verdict. Only the atom
+      decision reads the row's errors and, past the null, its k*: it uses
+      their mean, p_c = qsim.atom_mass(q, chi', m), chi' =
+      amplified_law(chi, xi'). A test pair (t, t s_j + eta') leaves the
+      residual eta' - t c0, within xi' at c0 = 0, so pi_c = 1.
+    - elimination, nu = 1/q: a row's inverse row r and hidden errors e give
+      r . b = s_j + r . e, so its batch b' = a' (r . b) is the noiseless
+      s-free row (a', 0) moved by rho = r . e, on its atom with share =
+      m / q. rho, with (on, off) = reduce.offset_law, is independent of
+      the atom and U, and rho + U is 0 with (1 - on) / (q - 1) = off, so
+      c0 = 0 with p_c = share on + (1 - share) off and is uniform on
+      [1, q) otherwise: no inverse row or error is drawn. A test pair
+      (t, t (s_j + rho')) leaves the residual t (rho' - c0).
+    - baseline, nu = 0: the classical baseline's direct pairs
+      (a', a' s_j + eta'), with no kernel and so no null: c0 = eta' a'^-1
+      is 0 with p_c = chi'(0) = offset_law(1, q, chi')[0] and uniform on
+      [1, q) otherwise, as a' is. Its trials pass as a controlled row's.
+    """
+    if mode == MODE_CONTROLLED:
+        p_c = atom_mass(q, amplified_law(chi, xi_prime), m)
+        return (1 / q, p_c, *trial_pass_rates(1.0, 0.0, xi_prime, q))
+    if mode == MODE_ELIMINATION:
+        on, off = offset_law(n, q, chi)
+        share = m / q
+        return (1 / q, share * on + (1 - share) * off, *trial_pass_rates(on, off, xi_prime, q))
+    if mode == MODE_BASELINE:
+        chi_zero = offset_law(1, q, amplified_law(chi, xi_prime))[0]
+        return (0.0, chi_zero, *trial_pass_rates(1.0, 0.0, xi_prime, q))
+    modes = (MODE_CONTROLLED, MODE_ELIMINATION, MODE_BASELINE)
+    raise ValueError(f"mode must be one of {modes}, got {mode!r}")
+
+
+@lru_cache(maxsize=16)
 def _powers(pi_c: float, pi_w: float, m: int) -> np.ndarray:
     """The read-only (2, M + 1) table pi^1 .. pi^M, 0: row 0 pi_c, row 1 pi_w."""
     table = np.zeros((2, m + 1))
@@ -252,44 +278,6 @@ def _shots(rng: np.random.Generator, nu: float, share: float, k: int) -> tuple[n
     above, and u draws its verdict. Returns the null mask, the off mask and u."""
     y, u = rng.random((2, k))
     return y < nu, y >= nu + (1 - nu) * share, u
-
-
-def controlled_refills(
-    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
-) -> Refill:
-    """Refill source of one controlled solve: k -> (c0, tests, accepted)
-    for k rows at nu = 1/q, with rho = 0, the atom_mass of chi' =
-    amplified_law(chi, xi') over v_size inputs and the pass rates (1, r).
-    solve checks the window; nothing here depends on s, and no error is
-    drawn."""
-    q = instance.q
-    share = atom_mass(q, amplified_law(instance.chi, xi_prime), q if v_size is None else v_size)
-    return _refills(m, q, rng, 1 / q, share, *trial_pass_rates(1.0, 0.0, xi_prime, q))
-
-
-def elimination_refills(
-    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator, v_size: int | None = None
-) -> Refill:
-    """Refill source of one elimination solve: k -> (c0, tests, accepted)
-    for k rows at nu = 1/q and p_c = share on + (1 - share) off, with (on,
-    off) = reduce.offset_law and share = v_size / q, and the pass rates of
-    that rho'. Nothing here depends on s."""
-    q = instance.q
-    on, off = offset_law(instance.n, q, instance.chi)
-    share = (q if v_size is None else v_size) / q
-    p_c = share * on + (1 - share) * off
-    return _refills(m, q, rng, 1 / q, p_c, *trial_pass_rates(on, off, xi_prime, q))
-
-
-def baseline_refills(
-    instance: LweInstance, xi_prime: int, m: int, rng: np.random.Generator
-) -> Refill:
-    """Refill source of the classical baseline: k -> (c0, tests, accepted)
-    for k rows at nu = 0 and p_c = chi'(0) = offset_law(1, q, chi')[0],
-    chi' = amplified_law(chi, xi'); pass rates (1, r)."""
-    q = instance.q
-    chi_zero = offset_law(1, q, amplified_law(instance.chi, xi_prime))[0]
-    return _refills(m, q, rng, 0.0, chi_zero, *trial_pass_rates(1.0, 0.0, xi_prime, q))
 
 
 def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[CoordinateStats]:
@@ -351,6 +339,25 @@ def controlled_pass(s: np.ndarray, q: int, refill: Refill, budget: int) -> list[
     return per_coordinate
 
 
+def gated_pass(
+    instance: LweInstance,
+    mode: str,
+    xi_prime: int,
+    m: int,
+    budget: int,
+    rng: np.random.Generator,
+    v_size: int | None = None,
+) -> list[CoordinateStats]:
+    """controlled_pass over `mode`'s refills from `rng`, at the row_law of
+    batches of v_size inputs (the full field when None), with M = m trials
+    a candidate. Refuses 2 xi' >= q (BoundTooLarge) before the first draw."""
+    q = instance.q
+    if 2 * xi_prime >= q:
+        raise BoundTooLarge(f"xi'={xi_prime} does not fit below q/2 for q={q}")
+    law = row_law(mode, instance.n, q, instance.chi, xi_prime, q if v_size is None else v_size)
+    return controlled_pass(instance.s, q, _refills(m, q, rng, *law), budget)
+
+
 def classify(
     instance: LweInstance, per_coordinate: list[CoordinateStats], quantum_samples: int
 ) -> SolveOutcome:
@@ -375,12 +382,11 @@ def solve(
 ) -> SolveOutcome:
     """Recover the full secret coordinate by coordinate and classify the run.
 
-    Either mode is one controlled_pass over its refills, controlled_refills
-    or elimination_refills, drawn from `rng`. Before the first draw, v_size
-    (inputs per batch, the full field when None) must lie in [1, q], xi' and
-    L must be non-negative, and 2 xi' must lie below q (BoundTooLarge):
-    this is the one gate, and no refill source checks again. Quantum
-    samples are checked against the n * L budget.
+    Either mode is one gated_pass drawn from `rng`. Before the first draw,
+    v_size (inputs per batch, the full field when None) must lie in
+    [1, q] and xi' and L must be non-negative; gated_pass refuses
+    2 xi' >= q (BoundTooLarge). Quantum samples are checked against the
+    n * L budget.
     """
     if mode not in (MODE_CONTROLLED, MODE_ELIMINATION):
         raise ValueError(f"mode must be {MODE_CONTROLLED!r} or {MODE_ELIMINATION!r}, got {mode!r}")
@@ -388,13 +394,9 @@ def solve(
         if getattr(params, field) < 0:
             raise ValueError(f"{field} must be non-negative, got {field}={getattr(params, field)}")
     n, q = instance.n, instance.q
-    if 2 * params.xi_prime >= q:
-        raise BoundTooLarge(f"xi'={params.xi_prime} does not fit below q/2 for q={q}")
     if v_size is not None and not 1 <= v_size <= q:
         raise ValueError(f"v_size must lie in [1, q={q}], got v_size={v_size}")
-    refills = controlled_refills if mode == MODE_CONTROLLED else elimination_refills
-    refill = refills(instance, params.xi_prime, params.M, rng, v_size)
-    per_coordinate = controlled_pass(instance.s, q, refill, params.L)
+    per_coordinate = gated_pass(instance, mode, params.xi_prime, params.M, params.L, rng, v_size)
     quantum_samples = sum(st.shots for st in per_coordinate)
     if quantum_samples > n * params.L:
         raise InvariantViolation(

@@ -10,17 +10,15 @@ import numpy as np
 
 from dclwe import MODE_CONTROLLED, MODE_ELIMINATION, make_instance
 from dclwe.oracle import coordinate_law, elimination_law
-from dclwe.solver import amplified_law
+from dclwe.solver import MODE_BASELINE, amplified_law
 
 from _stats import binom_3sigma, chi_square_ok
-
-MODE_BASELINE = "baseline"
 
 
 def baseline_coordinate_rate(chi_prime):
     """chi'(0), a baseline row's chance to read its coordinate directly,
     taken from chi'.weights(); kept apart from the reduce.offset_law that
-    the solver reads."""
+    solver.row_law reads."""
     weights = chi_prime.weights()
     return float(weights[chi_prime.xi] / weights.sum())
 

@@ -59,8 +59,8 @@ INTERNAL = {
         "offset_law",
     ),
     "solver": (
-        "amplified_law", "baseline_refills", "classify", "controlled_pass",
-        "controlled_refills", "elimination_refills",
+        "MODE_BASELINE", "amplified_law", "classify", "controlled_pass", "gated_pass",
+        "row_law",
     ),
     "verify": ("TestVerdict", "delta", "m_trial_test", "trial_pass_rates"),
 }

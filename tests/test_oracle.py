@@ -33,7 +33,7 @@ from dclwe import (
     solve,
     synth_reduced_batch,
 )
-from dclwe import oracle as oracle_module
+from dclwe import solver as solver_module
 from dclwe.oracle import coordinate_law, elimination_law
 from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.solver import amplified_law
@@ -315,7 +315,7 @@ def test_baseline_rows_encode_the_direct_candidate(monkeypatch):
         seen["verdicts"] = refill(k)
         return [CoordinateStats(j=j) for j in range(len(s))]
 
-    monkeypatch.setattr(oracle_module, "controlled_pass", pass_spy)
+    monkeypatch.setattr(solver_module, "controlled_pass", pass_spy)
     classical_baseline_solve(inst, float(xi_prime), m, 1, rng)
     c, tests, accepted = map(np.array, seen["verdicts"])
     assert len(c) == k and ((1 <= tests) & (tests <= m)).all()

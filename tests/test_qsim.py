@@ -679,7 +679,8 @@ def test_rows_decided_off_the_atom_never_draw_it():
     # 1 / q, and c0 = 0 on 1 / q of the rows that use a test; an off-atom
     # row that could read 0 would double that share.
     inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), derive_rng(82, 1))
-    refill = solver.controlled_refills(inst, 2, 1, derive_rng(82, 2), v_size=1)
+    law = solver.row_law(solver.MODE_CONTROLLED, inst.n, q, inst.chi, 2, 1)
+    refill = solver._refills(1, q, derive_rng(82, 2), *law)
     c0, tests = map(np.array, zip(*(refill(200)[:2] for _ in range(20))))
     live = tests.ravel() > 0
     on_atom = int((c0.ravel()[live] == 0).sum())
@@ -795,6 +796,20 @@ def test_root_table_is_bit_identical_to_elementwise_phases():
     for q in (7, 401, 4093):
         residues = np.outer(np.arange(q), np.arange(0, q, 97)) % q
         assert np.array_equal(root_table(q)[residues], np.exp(2j * np.pi * residues / q))
+
+
+def test_root_table_keeps_the_table_of_one_modulus_only():
+    # A bounds grid over moduli near 2^22 builds one 64 MiB table a
+    # modulus, so the cache keeps only the last one.
+    root_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in (65521, 65537):
+            root_table(q)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 65537 + (64 << 10)
 
 
 def test_qft_matrix_refuses_dense_tables_before_allocating():

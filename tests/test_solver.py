@@ -31,13 +31,12 @@ from dclwe.oracle import elimination_law
 from dclwe.reduce import inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
+    MODE_BASELINE,
     REFILL_ROWS,
     amplified_bound,
     amplified_law,
-    baseline_refills,
     controlled_pass,
-    controlled_refills,
-    elimination_refills,
+    row_law,
 )
 from dclwe.verify import single_trial_pass_rate
 
@@ -48,6 +47,14 @@ from _stats import binom_3sigma, chi_square_ok
 def _instance(n, q, xi, seed):
     rng = derive_rng(seed, 300)
     return make_instance(n, q, ErrorDistribution(UNIFORM, xi), rng)
+
+
+def _mode_refills(mode, instance, xi_prime, m, rng, v_size=None):
+    """The refills a `mode` solve of `instance` draws: _refills at the
+    row_law of its batches of v_size inputs (the full field when None)."""
+    q = instance.q
+    law = row_law(mode, instance.n, q, instance.chi, xi_prime, q if v_size is None else v_size)
+    return solver_module._refills(m, q, rng, *law)
 
 
 def test_retry_constant_at_gamma_eighth():
@@ -156,7 +163,7 @@ def test_noiseless_coordinate_settles_on_first_informative_shot():
     shots = []
     rng = derive_rng(81, 0)
     for _ in range(2000):
-        refill = controlled_refills(inst, params.xi_prime, params.M, rng)
+        refill = _mode_refills(MODE_CONTROLLED, inst, params.xi_prime, params.M, rng)
         [stats] = controlled_pass(inst.s, q, refill, params.L)
         assert stats.accepted_value == int(inst.s[0]) % q
         assert stats.null_count == stats.shots - 1
@@ -198,7 +205,7 @@ def test_chunks_stay_within_the_budget_and_the_row_cap():
 
 def _check_chunks(n, q, budget, xi, xi_prime):
     inst = _instance(n, q, xi, 103)
-    refill = elimination_refills(inst, xi_prime or 0, 1, derive_rng(104, n, q))
+    refill = _mode_refills(MODE_ELIMINATION, inst, xi_prime or 0, 1, derive_rng(104, n, q))
     if xi_prime is None:
         refill = _rejecting(refill)
     sizes = []
@@ -365,7 +372,9 @@ def _rejecting(refill):
 
 def test_controlled_pool_refills_are_s_free_and_stop_at_the_budget():
     inst = _instance(4, 4093, 1, 107)
-    refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(108, 0))))
+    refill, refills = _spy_on_refills(
+        _rejecting(_mode_refills(MODE_CONTROLLED, inst, 2, 1, derive_rng(108, 0)))
+    )
     controlled_pass(inst.s, 4093, refill, 20)
     # FIRST_CHUNK rows per coordinate open the solve; coordinate 1 runs out
     # of them after 12 shots, and the rate term, 4 * 3 * 32 // 2 rows, asks
@@ -374,7 +383,7 @@ def test_controlled_pool_refills_are_s_free_and_stop_at_the_budget():
     assert sizes == [FIRST_CHUNK * 4, 3 * 20 - 12]
     # Two secrets, one stream: the same offsets, tests and verdicts.
     other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77, 4092])) % 4093)
-    a, b = (controlled_refills(i, 2, 2, derive_rng(108, 1))(64) for i in (inst, other))
+    a, b = (_mode_refills(MODE_CONTROLLED, i, 2, 2, derive_rng(108, 1))(64) for i in (inst, other))
     assert a == b
 
 
@@ -383,7 +392,9 @@ def test_controlled_refill_at_q4093_is_sized_by_its_coordinates():
     # REFILL_ROWS in all: the cap bounds the rate term only, so the
     # refill judges all of them.
     inst = _instance(40, 4093, 1, 111)
-    refill, refills = _spy_on_refills(_rejecting(controlled_refills(inst, 2, 1, derive_rng(112, 0))))
+    refill, refills = _spy_on_refills(
+        _rejecting(_mode_refills(MODE_CONTROLLED, inst, 2, 1, derive_rng(112, 0)))
+    )
     controlled_pass(inst.s, 4093, refill, 30)
     assert len(refills[0]) == FIRST_CHUNK * 40 > REFILL_ROWS
 
@@ -402,6 +413,7 @@ def test_two_sigmas_give_two_amplified_laws(monkeypatch):
 
         return law
 
+    row_law.cache_clear()  # a cached law would read neither
     monkeypatch.setattr(solver_module, "atom_mass", spy(solver_module.atom_mass, 1))
     monkeypatch.setattr(solver_module, "offset_law", spy(solver_module.offset_law, 2))
     q, xi, kappa = 401, 3, 2.0
@@ -428,7 +440,7 @@ def test_a_controlled_solve_holds_no_q_sized_array():
     params = choose_parameters(8, q, 1, 2.0, 0.2)
     rng = derive_rng(136, 0)
     inst = make_instance(8, q, ErrorDistribution(UNIFORM, 1), rng)
-    qsim.atom_mass.cache_clear()
+    row_law.cache_clear()
     tracemalloc.start()
     try:
         out = solve(inst, params, MODE_CONTROLLED, rng)
@@ -439,12 +451,12 @@ def test_a_controlled_solve_holds_no_q_sized_array():
     assert peak < 64 << 10
 
 
-def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
+def _every_row_refills(mode, instance, xi_prime, m, rng, v_size=None):
     """Reference: the full-field controlled refill that draws every row's
     i.i.d. errors, transforms every row with sample_bv_stack and judges
     each row at its own candidate c0 = -k_d / k*, trial by trial up to the
     first residual eta' - t c0 outside the bound."""
-    assert v_size is None
+    assert mode == MODE_CONTROLLED and v_size is None
     q = instance.q
     chi_prime = amplified_law(instance.chi, xi_prime)
     inverse = PrimeField(q).inverse_table()
@@ -469,15 +481,15 @@ def _every_row_refills(instance, xi_prime, m, rng, v_size=None):
 @pytest.mark.parametrize(
     "refills, kind, v_size, m, solves",
     [
-        (controlled_refills, UNIFORM, None, 1, 5000),
-        (controlled_refills, GAUSSIAN, 40, 1, 2000),
+        (_mode_refills, UNIFORM, None, 1, 5000),
+        (_mode_refills, GAUSSIAN, 40, 1, 2000),
         # Batches of five span all 2 xi' + 1 = 5 values of the window, and
         # most coordinates accept a wrong value.
-        (controlled_refills, UNIFORM, 5, 1, 800),
+        (_mode_refills, UNIFORM, 5, 1, 800),
         (_every_row_refills, UNIFORM, None, 1, 3000),
         # Two trials read pi^2 as well: a wrong candidate passes its first
         # trial with 2 xi' / (q - 1) and then both with its square.
-        (controlled_refills, UNIFORM, 5, 2, 800),
+        (_mode_refills, UNIFORM, 5, 2, 800),
     ],
     ids=["full", "gaussian-40", "uniform-5", "every-row-full", "uniform-5-m2"],
 )
@@ -492,21 +504,9 @@ def test_controlled_solves_follow_their_law(refills, kind, v_size, m, solves):
     assert law[3] == pytest.approx(single_trial_pass_rate(0, 1, amplified_law(chi, 2), 2, q), abs=1e-15)
 
     def run(inst, rng):
-        return controlled_pass(inst.s, q, refills(inst, 2, m, rng, v_size), budget)
+        return controlled_pass(inst.s, q, refills(MODE_CONTROLLED, inst, 2, m, rng, v_size), budget)
 
     check_solves_follow_the_law(run, law, n, q, chi, budget, m, solves, derive_rng(122, solves))
-
-
-def _refill_rates(monkeypatch):
-    """The (M, pi_c, pi_w) of every refill source built while it runs, in order."""
-    seen, real = [], solver_module._refills
-
-    def recorded(m, q, rng, nu, p_c, pi_c, pi_w):
-        seen.append((m, pi_c, pi_w))
-        return real(m, q, rng, nu, p_c, pi_c, pi_w)
-
-    monkeypatch.setattr(solver_module, "_refills", recorded)
-    return seen
 
 
 def _centered(x, q):
@@ -514,39 +514,52 @@ def _centered(x, q):
 
 
 @pytest.mark.parametrize("kind", [UNIFORM, GAUSSIAN])
-def test_pass_rates_match_every_test_input_and_error_at_q7(monkeypatch, kind):
+def test_pass_rates_match_every_test_input_and_error_at_q7(kind):
     # A trial against s_j + c0 judges the residual of a controlled or
     # baseline pair (t, t s_j + eta'), eta' - t c0, or of an elimination
     # pair (t, t (s_j + rho')), t (rho' - c0). Over every t in [1, q), the
     # share that passes is 1 at c0 = 0 and 2 xi' / (q - 1) at every c0 != 0
     # for each eta' in the window, and for elimination, weighted over every
-    # rho' by offset_law, pi_c at c0 = 0 and pi_w elsewhere: the numbers each
-    # refill draws its verdicts by.
-    q, n, m = 7, 2, 3
+    # rho' by offset_law, pi_c at c0 = 0 and pi_w elsewhere: the pass rates
+    # row_law gives each mode.
+    q, n = 7, 2
     chi = ErrorDistribution(kind, 1)
-    inst = make_instance(n, q, chi, derive_rng(136, 0))
     t, c = np.arange(1, q)[:, None], np.arange(q)
     p0, px = solver_module.offset_law(n, q, chi)
     rho = np.array([p0] + [px] * (q - 1))
     assert abs(rho.sum() - 1) < 1e-12
-    seen = _refill_rates(monkeypatch)
     for xi_prime in range(q // 2 + 1):
-        rng = derive_rng(136, xi_prime)
-        controlled_refills(inst, xi_prime, m, rng)
-        baseline_refills(inst, xi_prime, m, rng)
-        elimination_refills(inst, xi_prime, m, rng)
-        direct, _, eliminated = seen[-3:]
-        assert direct == seen[-2]
+        direct, baseline, eliminated = (
+            row_law(mode, n, q, chi, xi_prime, q)[2:]
+            for mode in (MODE_CONTROLLED, MODE_BASELINE, MODE_ELIMINATION)
+        )
+        assert direct == baseline
         for eta in range(-xi_prime, xi_prime + 1):
             passing = (np.abs(_centered(eta - t * c, q)) <= xi_prime).mean(axis=0)
-            assert abs(passing[0] - direct[1]) < 1e-12
-            assert np.abs(passing[1:] - direct[2]).max() < 1e-12
+            assert abs(passing[0] - direct[0]) < 1e-12
+            assert np.abs(passing[1:] - direct[1]).max() < 1e-12
         # passing[x, c]: the share of t whose residual t (x - c) passes.
         passing = (np.abs(_centered(t[:, :, None] * (c[:, None] - c), q)) <= xi_prime).mean(axis=0)
         rates = rho @ passing
-        assert abs(rates[0] - eliminated[1]) < 1e-12
-        assert np.abs(rates[1:] - eliminated[2]).max() < 1e-12
-        assert direct[0] == eliminated[0] == m
+        assert abs(rates[0] - eliminated[0]) < 1e-12
+        assert np.abs(rates[1:] - eliminated[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("v_size", [None, 40], ids=["full", "40"])
+@pytest.mark.parametrize("kind", [UNIFORM, GAUSSIAN])
+@pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION, MODE_BASELINE])
+def test_row_law_is_each_modes_law(mode, kind, v_size):
+    # The four numbers a mode's refills draw by, against mode_law's
+    # independent route: the phi-summed atom, chi'(0) read off
+    # chi'.weights() and elimination_law.
+    q, n, chi = 101, 3, ErrorDistribution(kind, 1)
+    law = row_law(mode, n, q, chi, 2, q if v_size is None else v_size)
+    assert np.abs(np.subtract(law, mode_law(mode, n, q, chi, 2, v_size))).max() <= 1e-12
+
+
+def test_row_law_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="got 'hybrid'$"):
+        row_law("hybrid", 3, 101, ErrorDistribution(UNIFORM, 1), 2, 101)
 
 
 def _residual_verdicts(q, xi_prime, candidate, t, b):
@@ -578,7 +591,7 @@ def _verdict_counts(c0, tests, accepted, m):
 def test_law_drawn_verdicts_match_real_test_pairs(monkeypatch, mode, kind, q, xi_prime, m):
     # Scripted rows, a third of them on the atom (c0 = 0) and the rest off it
     # with c0 uniform on [1, q), judged twice: by the refill's rule, one
-    # uniform per row against the pass rates its mode draws with,
+    # uniform per row against the pass rates row_law gives its mode,
     # and on M real test pairs per row, (t, t s_j + eta') with eta' from chi'
     # or (t, t (s_j + rho')) with rho' = r . e of real elimination rows, by
     # the residual reference. The rows' counts by (c0 = 0, tests, accepted)
@@ -587,10 +600,7 @@ def test_law_drawn_verdicts_match_real_test_pairs(monkeypatch, mode, kind, q, xi
     chi = ErrorDistribution(kind, 1)
     inst = make_instance(n, q, chi, derive_rng(137, q))
     rng = derive_rng(137, q, xi_prime, m)
-    seen = _refill_rates(monkeypatch)
-    refills = controlled_refills if mode == MODE_CONTROLLED else elimination_refills
-    refills(inst, xi_prime, m, rng)
-    _, pi_c, pi_w = seen[-1]
+    _, _, pi_c, pi_w = row_law(mode, n, q, chi, xi_prime, q)
     off = rng.random(k) >= 1 / 3
     c0 = np.where(off, rng.integers(1, q, size=k), 0)
     scripted = lambda rng, nu, p_c, k: (np.zeros(k, bool), off, rng.random(k))  # noqa: E731
@@ -657,19 +667,19 @@ def test_no_solve_runs_a_transform(monkeypatch, v_size):
 
 
 @pytest.mark.parametrize(
-    "refills, kind",
+    "mode, kind",
     [
-        (controlled_refills, UNIFORM),
-        (controlled_refills, GAUSSIAN),
-        (elimination_refills, UNIFORM),
-        (elimination_refills, GAUSSIAN),
-        (baseline_refills, UNIFORM),
-        (baseline_refills, GAUSSIAN),
+        (MODE_CONTROLLED, UNIFORM),
+        (MODE_CONTROLLED, GAUSSIAN),
+        (MODE_ELIMINATION, UNIFORM),
+        (MODE_ELIMINATION, GAUSSIAN),
+        (MODE_BASELINE, UNIFORM),
+        (MODE_BASELINE, GAUSSIAN),
     ],
     ids=["controlled-uniform", "controlled-gaussian", "elimination-uniform",
          "elimination-gaussian", "baseline-uniform", "baseline-gaussian"],
 )
-def test_a_refill_draws_each_value_range_once(refills, kind):
+def test_a_refill_draws_each_value_range_once(mode, kind):
     # Whatever k, a refill makes one random call, a (2, k) block of
     # uniforms: each row's place (null, atom or off it) and its verdict.
     # It calls integers once, for the U of its accepted off-atom rows, and
@@ -677,7 +687,7 @@ def test_a_refill_draws_each_value_range_once(refills, kind):
     # elimination row, whatever chi.
     inst = make_instance(3, 101, ErrorDistribution(kind, 1), derive_rng(135, 0))
     rng = _CountingRng(derive_rng(135, 1))
-    refill = refills(inst, 2, 2, rng)
+    refill = _mode_refills(mode, inst, 2, 2, rng)
     for k in (1, 40, 300):
         rng.calls.clear()
         c0, _, accepted = refill(k)
@@ -720,17 +730,17 @@ def test_accepted_rows_off_the_atom_read_a_uniform_offset_drawn_once():
 
 
 @pytest.mark.parametrize(
-    "refills, v_size",
+    "mode, v_size",
     [
-        (controlled_refills, None),
-        (controlled_refills, 25),
-        (elimination_refills, 5),
+        (MODE_CONTROLLED, None),
+        (MODE_CONTROLLED, 25),
+        (MODE_ELIMINATION, 5),
         # An atom of 1 / q: almost every elimination row is off it.
-        (elimination_refills, 1),
+        (MODE_ELIMINATION, 1),
     ],
     ids=["controlled-full", "controlled-25", "elimination-5", "elimination-1"],
 )
-def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
+def test_rows_off_the_atom_add_a_uniform_offset(mode, v_size):
     # A 1 / q share of the rows are nulls. A non-null row reads c0 = 0 with
     # its mode's p_c and sits off the atom otherwise, where an accepted row
     # reads c0 = U uniform on [1, q) (chi-square): p_c is the atom's mean
@@ -743,10 +753,11 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     q, k, xi_prime = 101, 4000, 45
     m = q if v_size is None else v_size
     inst = make_instance(3, q, ErrorDistribution(UNIFORM, 1), derive_rng(134, 0))
-    c0, tests, accepted = map(np.array, refills(inst, xi_prime, 2, derive_rng(134, 1), v_size)(k))
+    rows = _mode_refills(mode, inst, xi_prime, 2, derive_rng(134, 1), v_size)(k)
+    c0, tests, accepted = map(np.array, rows)
     null = tests == 0
     assert abs(null.mean() - 1 / q) <= binom_3sigma(1 / q, k)
-    if refills is controlled_refills:
+    if mode == MODE_CONTROLLED:
         p_c = atom_share(q, ErrorDistribution(UNIFORM, xi_prime), m)
     else:
         p_c = elimination_law(3, q, inst.chi, xi_prime, m)[1]
@@ -757,8 +768,8 @@ def test_rows_off_the_atom_add_a_uniform_offset(refills, v_size):
     assert chi_square_ok(np.bincount(u - 1, minlength=q - 1), np.full(q - 1, 1 / (q - 1)), u.size)
 
 
-@pytest.mark.parametrize("refills", [controlled_refills, elimination_refills])
-def test_no_pass_reads_a_null_c0(refills):
+@pytest.mark.parametrize("mode", [MODE_CONTROLLED, MODE_ELIMINATION])
+def test_no_pass_reads_a_null_c0(mode):
     # A null uses no test, so a pass never reads its c0: the same refills
     # with every null's c0 replaced, 0 by an arbitrary value on [1, q) and
     # any other value by 0, give every coordinate the same CoordinateStats.
@@ -780,7 +791,9 @@ def test_no_pass_reads_a_null_c0(refills):
     for seed in range(10):
         inst = _instance(n, q, 1, 138 + seed)
         runs = [
-            controlled_pass(inst.s, q, wrap(refills(inst, 2, 2, derive_rng(138, 0, seed))), budget)
+            controlled_pass(
+                inst.s, q, wrap(_mode_refills(mode, inst, 2, 2, derive_rng(138, 0, seed))), budget
+            )
             for wrap in (lambda refill: refill, scrambled)
         ]
         assert runs[0] == runs[1]
@@ -789,7 +802,7 @@ def test_no_pass_reads_a_null_c0(refills):
 
 @pytest.mark.parametrize("kind", [UNIFORM, GAUSSIAN])
 @pytest.mark.parametrize("v_size", [1, 5, 40, 101])
-def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, v_size):
+def test_elimination_rows_match_real_inverse_rows_and_errors(kind, v_size):
     # Reference: real elimination rows, rho = r . e of inverse_row_draws,
     # composed with a null (k* = 0, 1 / q), the atom (v_size / q) and U
     # uniform on [1, q): c0 = rho on the atom and rho + U off it. An
@@ -797,21 +810,15 @@ def test_elimination_rows_match_real_inverse_rows_and_errors(monkeypatch, kind, 
     # agree on the share of nulls and of non-null rows with c0 = 0 (3 sigma)
     # and on the histogram of c0 != 0, the refill's read on its accepted
     # rows (two-sample chi-square, 4 sigma): at xi' = 45 a wrong candidate
-    # passes its trial with 0.9. The nu and share the refill hands _shots
+    # passes its trial with 0.9. The nu and p_c row_law gives the refill
     # are elimination_law's.
     q, n, k = 101, 3, 20000
     chi = ErrorDistribution(kind, 1)
     inst = make_instance(n, q, chi, derive_rng(139, 0))
-    laws, real_shots = [], solver_module._shots
-
-    def recorded(rng, nu, share, k):
-        laws.append((nu, share))
-        return real_shots(rng, nu, share, k)
-
-    monkeypatch.setattr(solver_module, "_shots", recorded)
-    rows = elimination_refills(inst, 45, 1, derive_rng(139, 1), v_size)(k)
+    law = row_law(MODE_ELIMINATION, n, q, chi, 45, v_size)
+    rows = solver_module._refills(1, q, derive_rng(139, 1), *law)(k)
     c0, tests, accepted = map(np.array, rows)
-    assert np.abs(np.subtract(laws[0], elimination_law(n, q, chi, 45, v_size)[:2])).max() <= 1e-15
+    assert np.abs(np.subtract(law[:2], elimination_law(n, q, chi, 45, v_size)[:2])).max() <= 1e-15
     rng = derive_rng(139, 2)
     r, e = inverse_row_draws(inst, k, rng)
     rho = (r * e).sum(axis=1) % q
@@ -1005,7 +1012,7 @@ def test_elimination_mode_with_noise_stays_classified():
     q, n, m, k = 101, 3, 2, 4000
     inst = _instance(n, q, 1, 101)
     rng = derive_rng(102, 0)
-    c0, tests, accepted = map(np.array, elimination_refills(inst, 2, m, rng, 40)(k))
+    c0, tests, accepted = map(np.array, _mode_refills(MODE_ELIMINATION, inst, 2, m, rng, 40)(k))
     assert c0.shape == tests.shape == accepted.shape == (k,)
     null = tests == 0
     assert null.any() and not accepted[null].any() and (tests <= m).all()
@@ -1021,7 +1028,10 @@ def test_elimination_refill_is_s_free():
     for v_size in (None, 40):
         inst = make_instance(3, 101, ErrorDistribution(GAUSSIAN, 1), derive_rng(133, 0))
         other = dataclasses.replace(inst, s=(inst.s + np.array([1, 50, 77])) % 101)
-        a, b = (elimination_refills(i, 2, 2, derive_rng(133, 1), v_size)(64) for i in (inst, other))
+        a, b = (
+            _mode_refills(MODE_ELIMINATION, i, 2, 2, derive_rng(133, 1), v_size)(64)
+            for i in (inst, other)
+        )
         assert a == b
 
 
