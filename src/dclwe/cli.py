@@ -10,9 +10,12 @@ any worker count and any scheduling order.
 Exit codes: 0 on success, 2 on configuration errors, 3 on invariant
 violations, 141 when the reader of stdout closes the pipe. The library
 states every field rule: build_config refuses each point's ValueError,
-InvalidModulus or BoundTooLarge. InfeasibleParameters means only that no
+InvalidModulus or BoundTooLarge. InfeasibleParameters means that no
 L or M fits a point: solve and sweep refuse it, bounds keeps its row.
-A refused run writes no file.
+The other refusal comes from the law: a point of either mode whose
+predicted success, by solver.row_law and oracle.coordinate_law, falls
+below 1 - delta makes solve exit 2 before any draw, and sweep warns on
+stderr and runs it anyway. A refused run writes no file.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .oracle import (
     SCHEME_PRIMITIVE,
     bound_report,
     coordinate_law,
-    elimination_law,
     prob_iii_bound,
     qram_cost,
 )
@@ -62,7 +64,7 @@ from .reduce import ReducedPair, eliminate_row, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
     MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
-    choose_parameters, solve,
+    choose_parameters, row_law, solve,
 )
 from .verify import m_trial_test
 
@@ -255,23 +257,21 @@ def _budgets(config: ExperimentConfig, workers: int) -> list[Budget]:
 
 
 def unreachable_points(config: ExperimentConfig, budgets: list[Budget]) -> list[str]:
-    """Elimination-mode points whose predicted success falls below 1 - delta.
+    """Points whose predicted success falls below 1 - delta, in any mode.
 
-    oracle.elimination_law gives the law of a point's rows from every
-    point's budget (_budgets), and oracle.coordinate_law a coordinate's
-    success and shots under it; a solve is n independent coordinates.
-    Nothing is drawn.
+    solver.row_law gives the law of a point's rows from every point's
+    budget (_budgets), and oracle.coordinate_law a coordinate's success
+    and shots under it; a solve is n independent coordinates. Nothing
+    is drawn.
     """
-    if config.mode != MODE_ELIMINATION:
-        return []
     problems = []
     for pi, (point, (chi, params)) in enumerate(zip(config.points(), budgets)):
-        rows = elimination_law(point.n, point.q, chi, params.xi_prime, point.v_size or point.q)
+        rows = row_law(point.mode, point.n, point.q, chi, params.xi_prime, point.v_size or point.q)
         success, shots, _ = coordinate_law(*rows, params.L, params.M)
         success **= point.n
         if success < 1 - point.delta:
             problems.append(
-                f"{_name(pi, point)}: elimination's predicted success {success:.4g}"
+                f"{_name(pi, point)}: {point.mode}'s predicted success {success:.4g}"
                 f" lies below 1 - delta = {1 - point.delta:g}"
                 f" ({point.n * shots:.1f} shots per solve)"
             )

@@ -3,13 +3,13 @@
 Everything here is an independent route to a number the simulator can
 also produce empirically: the exact per-shot success probability of a
 batch, its analytic lower bound, the wrong-accept bound, the classical
-direct-candidate baseline, the law of an elimination row and a
-coordinate's success, shots and tests under such a law, and the
-query-cost table for the four memory layouts. Keeping these routes
-separate from the statevector path is the point; tests compare them
-with it, and the closed forms import nothing from the simulator. The
-baseline alone runs the solver's loop: solver.gated_pass at the
-baseline's row_law, nu = 0.
+direct-candidate baseline, a coordinate's success, shots and tests
+under a row law (solver.row_law), and the query-cost table for the
+four memory layouts. Keeping these routes separate from the
+statevector path is the point; tests compare them with it, and the
+closed forms import nothing from the simulator. The baseline alone
+runs the solver's loop: solver.gated_pass at the baseline's row_law,
+nu = 0.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLength
-from .instance import ErrorDistribution, LweInstance
-from .reduce import ReducedBatch, offset_law
+from .instance import LweInstance
+from .reduce import ReducedBatch
 from .solver import MODE_BASELINE, SolveOutcome, amplified_bound, classify, gated_pass
-from .verify import FalseAcceptBound, false_accept_probability, trial_pass_rates
+from .verify import FalseAcceptBound, false_accept_probability
 
 SCHEME_PRIMITIVE = "primitive"
 SCHEME_BUCKET = "bucket_brigade"
@@ -94,21 +94,6 @@ def prob_iii_bound(l_budget: int, kappa: float, alpha: float, m: int, q: int) ->
         raise ValueError(f"L must be at least 1, got {l_budget}")
     per_candidate = false_accept_probability(kappa, alpha, q, m)
     return FalseAcceptBound(exact=l_budget * per_candidate.exact, approx=l_budget * per_candidate.approx)
-
-
-def elimination_law(
-    n: int, q: int, chi: ErrorDistribution, xi_prime: int, m: int
-) -> tuple[float, float, float, float]:
-    """(nu, p_c, pi_c, pi_w) of an elimination row over m inputs, for coordinate_law.
-
-    rho = r . e has the law reduce.offset_law gives. A shot is a null
-    with nu = 1/q; else c0 = rho on its atom (m/q) and rho + U off it, U
-    uniform on [1, q). A trial against c0 passes when its test row has
-    rho' = c0, or else with 2 xi' / (q - 1), t uniform on [1, q).
-    """
-    on, off = offset_law(n, q, chi)  # P(rho = 0), and P(rho = x) for each x != 0
-    p_c = m / q * on + (1 - m / q) * (1 - on) / (q - 1)
-    return (1 / q, p_c, *trial_pass_rates(on, off, xi_prime, q))
 
 
 def coordinate_law(

@@ -9,8 +9,10 @@ import math
 import numpy as np
 
 from dclwe import MODE_CONTROLLED, MODE_ELIMINATION, make_instance
-from dclwe.oracle import coordinate_law, elimination_law
+from dclwe.oracle import coordinate_law
+from dclwe.reduce import offset_law
 from dclwe.solver import MODE_BASELINE, amplified_law
+from dclwe.verify import trial_pass_rates
 
 from _stats import binom_3sigma, chi_square_ok
 
@@ -21,6 +23,20 @@ def baseline_coordinate_rate(chi_prime):
     solver.row_law reads."""
     weights = chi_prime.weights()
     return float(weights[chi_prime.xi] / weights.sum())
+
+
+def elimination_law(n, q, chi, xi_prime, m):
+    """(nu, p_c, pi_c, pi_w) of an elimination row over m inputs, for coordinate_law.
+
+    rho = r . e has the law reduce.offset_law gives. A shot is a null
+    with nu = 1/q; else c0 = rho on its atom (m/q) and rho + U off it, U
+    uniform on [1, q). A trial against c0 passes when its test row has
+    rho' = c0, or else with 2 xi' / (q - 1), t uniform on [1, q). Kept
+    apart from solver.row_law, which writes p_c by off, not (1 - on) / (q - 1).
+    """
+    on, off = offset_law(n, q, chi)  # P(rho = 0), and P(rho = x) for each x != 0
+    p_c = m / q * on + (1 - m / q) * (1 - on) / (q - 1)
+    return (1 / q, p_c, *trial_pass_rates(on, off, xi_prime, q))
 
 
 def atom_share(q, chi_prime, m):

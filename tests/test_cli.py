@@ -23,7 +23,9 @@ from dclwe.cli import (
     run_experiment,
     run_point_trial,
 )
-from dclwe.oracle import coordinate_law, elimination_law
+from dclwe.oracle import coordinate_law
+
+from _laws import elimination_law, mode_law
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -387,6 +389,40 @@ def test_a_refused_elimination_solve_draws_nothing(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert "elimination's predicted success" in captured.err and "below 1 - delta = 0.8" in captured.err
         assert captured.out == ""
+
+
+def test_a_controlled_point_its_law_predicts_to_miss_delta_is_refused(monkeypatch, capsys):
+    # With batches of 40 of q = 401 inputs a shot is correct with about
+    # 0.022, so L = 119 shots leave about 7% of coordinates unsettled, and
+    # the law predicts 0.5277 for a solve of n = 8 coordinates, not 0.8.
+    import dclwe.cli as cli_module
+
+    point = ["--n", "8", "--q", "401", "--kappa", "2", "--v-size", "40"]
+    params = choose_parameters(8, 401, 1, 2.0, 0.2)
+    law = mode_law("controlled", 8, 401, ErrorDistribution("uniform", 1), params.xi_prime, 40)
+    assert abs(coordinate_law(*law, params.L, params.M)[0] ** 8 - 0.5277) < 5e-5
+    message = (
+        "point 0 (n=8, q=401, xi=1, kappa=2): controlled's predicted success 0.5277"
+        " lies below 1 - delta = 0.8 (340.4 shots per solve)"
+    )
+    drawn = []
+    real_make_instance = cli_module.make_instance
+
+    def spy(*args, **kwargs):
+        drawn.append(args)
+        return real_make_instance(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "make_instance", spy)
+    assert main(["solve", *point, "--trials", "200", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n" and captured.out == ""
+    assert drawn == []
+    # A sweep warns and still runs the point.
+    assert main(["sweep", *point, "--trials", "2", "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {message}\n"
+    assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 2
+    assert len(drawn) == 2
 
 
 def test_an_elimination_point_that_can_succeed_runs_without_a_warning(capsys):

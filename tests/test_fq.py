@@ -38,7 +38,7 @@ def test_is_prime_small_table():
 
 
 def test_is_prime_carmichael_and_large():
-    # Carmichael numbers fool Fermat tests; Miller-Rabin must not be fooled.
+    # Carmichael numbers fool Fermat tests; trial division reads their factors.
     for c in (561, 1105, 1729, 2465, 294409):
         assert not is_prime(c), c
     assert is_prime(33554467)
@@ -71,6 +71,12 @@ def test_field_rejects_prime_above_ceiling():
     assert 33554467 > MODULUS_CEILING
     with pytest.raises(InvalidModulus):
         PrimeField(33554467)
+
+
+def test_a_huge_prime_is_refused_by_the_ceiling_before_any_primality_test():
+    # Trial division of the Mersenne prime 2**89 - 1 would never finish.
+    with pytest.raises(InvalidModulus, match=f"must be at most {MODULUS_CEILING}, got {2**89 - 1}"):
+        PrimeField(2**89 - 1)
 
 
 def test_inverse_examples():

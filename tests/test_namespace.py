@@ -47,7 +47,7 @@ INTERNAL = {
         "Sample", "draw_samples", "gen_samples", "gen_secret", "sample_error",
         "sample_errors", "samples_to_arrays",
     ),
-    "oracle": ("coordinate_law", "elimination_law"),
+    "oracle": ("coordinate_law",),
     "qsim": (
         "BLOCK_TABLES", "NORM_TOL", "MeasurementOutcome", "atom_mass", "check_block_size",
         "extract_candidate", "extract_candidates", "qft_matrix", "root_table", "sample_bv_outcome",

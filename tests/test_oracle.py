@@ -34,9 +34,9 @@ from dclwe import (
     synth_reduced_batch,
 )
 from dclwe import solver as solver_module
-from dclwe.oracle import coordinate_law, elimination_law
+from dclwe.oracle import coordinate_law
 from dclwe.instance import GAUSSIAN, UNIFORM
-from dclwe.solver import amplified_law
+from dclwe.solver import amplified_law, row_law
 
 from _laws import MODE_BASELINE, baseline_coordinate_rate, check_solves_follow_the_law, mode_law
 from _stats import binom_3sigma, chi_square_ok
@@ -371,7 +371,9 @@ def test_coordinate_law_matches_every_shot_sequence():
     ids=["q5-n2-uniform", "q5-n2-gaussian", "q3-n3-uniform"],
 )
 def test_elimination_law_matches_every_inverse_row_and_error(q, n, chi):
-    # rho = r . e over every r != 0 and every e in the window, with its chi weight.
+    # solver.row_law's elimination row, the law the CLI refuses points by,
+    # against rho = r . e over every r != 0 and every e in the window, with
+    # its chi weight.
     weights = chi.weights() / chi.weights().sum()
     window = range(-chi.xi, chi.xi + 1)
     rows = [r for r in itertools.product(range(q), repeat=n) if any(r)]
@@ -382,7 +384,7 @@ def test_elimination_law_matches_every_inverse_row_and_error(q, n, chi):
             rho[sum(a * b for a, b in zip(r, e)) % q] += weight
     # At xi' = 0 a trial passes only on rho' = c0, so pi_c = P(rho = 0) and
     # pi_w = P(rho = x); over the full field every row is on its atom.
-    nu, p_c, pi_c, pi_w = elimination_law(n, q, chi, 0, q)
+    nu, p_c, pi_c, pi_w = row_law(MODE_ELIMINATION, n, q, chi, 0, q)
     assert nu == 1 / q and abs(p_c - rho[0]) < 1e-12 and abs(pi_c - rho[0]) < 1e-12
     assert np.abs(rho[1:] - pi_w).max() < 1e-12
     # Off the atom c0 = rho + U, U uniform on [1, q); a trial against c0 has
@@ -391,7 +393,7 @@ def test_elimination_law_matches_every_inverse_row_and_error(q, n, chi):
     for c, x, t in itertools.product(range(q), range(q), range(1, q)):
         passing[c] += rho[x] * (abs((t * (x - c) + q // 2) % q - q // 2) <= 1) / (q - 1)
     for m in range(1, q + 1):
-        _, p_c, pi_c, pi_w = elimination_law(n, q, chi, 1, m)
+        _, p_c, pi_c, pi_w = row_law(MODE_ELIMINATION, n, q, chi, 1, m)
         assert abs(p_c - (m / q * rho[0] + (1 - m / q) * rho[1:].sum() / (q - 1))) < 1e-12
         assert abs(pi_c - passing[0]) < 1e-12 and np.abs(passing[1:] - pi_w).max() < 1e-12
 

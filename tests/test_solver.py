@@ -27,7 +27,6 @@ from dclwe import solver as solver_module
 from dclwe.fq import PrimeField
 from dclwe.instance import GAUSSIAN, UNIFORM
 from dclwe.instance import sample_errors
-from dclwe.oracle import elimination_law
 from dclwe.reduce import inverse_row_draws
 from dclwe.solver import (
     FIRST_CHUNK,
@@ -40,7 +39,7 @@ from dclwe.solver import (
 )
 from dclwe.verify import single_trial_pass_rate
 
-from _laws import atom_share, check_solves_follow_the_law, mode_law
+from _laws import atom_share, check_solves_follow_the_law, elimination_law, mode_law
 from _stats import binom_3sigma, chi_square_ok
 
 
