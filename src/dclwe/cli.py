@@ -45,7 +45,7 @@ from .errors import (
     InvariantViolation,
 )
 from .fq import PrimeField, is_prime, mat_inverse_stack
-from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance, sample_errors
+from .instance import GAUSSIAN, UNIFORM, ErrorDistribution, draw_samples, make_instance
 from .oracle import (
     FORM_DIVIDED,
     FORM_FULL,
@@ -60,13 +60,13 @@ from .qsim import (
     TwoQuditState, bv_kernel, check_block_size, kernel_distribution, prepare_sample_state,
     sample_bv_outcomes,
 )
-from .reduce import ReducedPair, eliminate_row, synth_reduced_batch
+from .reduce import eliminate_row, synth_reduced_batch
 from .rng import derive_rng
 from .solver import (
     MODE_CONTROLLED, MODE_ELIMINATION, SolveParameters, amplified_bound, amplified_law,
     choose_parameters, row_law, solve,
 )
-from .verify import m_trial_test
+from .verify import single_trial_pass_rate
 
 _SWEEPABLE = ("n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size")
 
@@ -125,35 +125,6 @@ class ExperimentConfig:
             PointConfig(*combo, chi_kind=self.chi_kind, mode=self.mode)
             for combo in itertools.product(*axes)
         ]
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    point_index: int
-    trial_index: int
-    n: int
-    q: int
-    xi: int
-    kappa: float
-    sigma: float | None
-    gamma: float
-    delta: float
-    v_size: int | None
-    chi_kind: str
-    mode: str
-    seed: int
-    xi_prime: int
-    L: int
-    M: int
-    outcome: str
-    coordinate_candidates: str  # ';'-joined per-coordinate counts
-    coordinate_nulls: str
-    quantum_samples: int
-    test_samples: int
-    wall_time_ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _parse_scalar(field: str, raw: str):
@@ -280,16 +251,17 @@ def unreachable_points(config: ExperimentConfig, budgets: list[Budget]) -> list[
 
 def run_point_trial(
     point: PointConfig, budget: Budget, seed: int, point_index: int, trial_index: int
-) -> ExperimentRecord:
+) -> dict:
     """One solve at the point's noise law and budget (point_budget), with a
-    stream derived from (seed, point, trial)."""
+    stream derived from (seed, point, trial): the record emit writes, its
+    keys in column order."""
     chi, params = budget
     rng = derive_rng(seed, point_index, trial_index)
     instance = make_instance(point.n, point.q, chi, rng)
     start = time.perf_counter()
     result = solve(instance, params, point.mode, rng, v_size=point.v_size)
     wall_ms = (time.perf_counter() - start) * 1e3
-    return ExperimentRecord(
+    return dict(
         point_index=point_index,
         trial_index=trial_index,
         **vars(point),
@@ -306,7 +278,7 @@ def run_point_trial(
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
     """All (point, trial) tasks in deterministic order, on at most
     `workers` processes and never more processes than tasks. Every
     point's budget is derived before the first task runs."""
@@ -370,7 +342,7 @@ def _bound_points(config: ExperimentConfig) -> list[tuple[int, SolveParameters |
         except InfeasibleParameters:
             budgets.append((xi_prime, None))  # the row stays, with empty bound columns
         try:
-            check_block_size(point.q)
+            check_block_size(point.q, point.v_size or point.q)
         except InvalidLength as exc:
             raise ConfigError(f"{exc} at {_name(pi, point)}") from None
     return budgets
@@ -492,17 +464,14 @@ def run_selftest(fh: TextIO = sys.stdout) -> int:
     limit = dof + 4 * np.sqrt(2 * dof)
     check("measurement sampler chi-square (4 sigma)", stat <= limit, f"{stat:.1f} <= {limit:.1f}")
 
-    # A true candidate s_j passes all M trials on real controlled test pairs
-    # (t, t s_j + eta'), eta' from chi': the law solves draw verdicts by.
-    params = choose_parameters(3, 101, 1, 2, 0.2)
-    xi_p, m = params.xi_prime, params.M
-    t = rng.integers(1, 101, size=(300, m)).tolist()
-    eta = sample_errors(ErrorDistribution(UNIFORM, xi_p), rng, (300, m)).tolist()
-    rejections = 0
-    for s_j, t_row, eta_row in zip(rng.integers(101, size=300).tolist(), t, eta):
-        pairs = iter([ReducedPair(x, (x * s_j + e) % 101, e, 1, 101) for x, e in zip(t_row, eta_row)])
-        rejections += not m_trial_test(s_j, m, xi_p, pairs.__next__).accepted
-    check("true candidate never rejected (controlled)", rejections == 0, "300 candidates")
+    # A true candidate s_j passes every trial on controlled test pairs
+    # (t, t s_j + eta'): the exact pass rate over every t and eta' for
+    # uniform and gaussian chi', and row_law's pi_c, by which solves draw
+    # their verdicts.
+    rates = [single_trial_pass_rate(0, 0, ErrorDistribution(kind, 2), 2, 101) for kind in (UNIFORM, GAUSSIAN)]
+    rates.append(row_law(MODE_CONTROLLED, 3, 101, ErrorDistribution(UNIFORM, 1), 2, 101)[2])
+    worst = max(abs(rate - 1) for rate in rates)
+    check("true candidate never rejected (controlled)", worst < 1e-12, f"max gap {worst:.2e}")
 
     # The dense kernel path and the closed-form grid agree.
     worst = 0.0
@@ -589,17 +558,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise InfeasibleParameters("; ".join(unreachable))
     with _output(args) as fh:
         records = run_experiment(config, workers=args.workers)
-        for pi, group in itertools.groupby(records, key=lambda r: r.point_index):
+        for pi, group in itertools.groupby(records, key=lambda r: r["point_index"]):
             recs = list(group)
-            tally = Counter(r.outcome for r in recs)
+            tally = Counter(r["outcome"] for r in recs)
             head = recs[0]
             fractions = ", ".join(f"{k}={v / len(recs):.3f}" for k, v in sorted(tally.items()))
             print(
-                f"point {pi}: n={head.n} q={head.q} xi'={head.xi_prime} L={head.L} M={head.M}"
-                f" trials={len(recs)}: {fractions}"
+                f"point {pi}: n={head['n']} q={head['q']} xi'={head['xi_prime']}"
+                f" L={head['L']} M={head['M']} trials={len(recs)}: {fractions}"
             )
         if args.out:
-            _write([r.to_dict() for r in records], args, fh)
+            _write(records, args, fh)
             print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -609,7 +578,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for warning in unreachable_points(config, _budgets(config, args.workers)):
         print(f"warning: {warning}", file=sys.stderr)
     with _output(args) as fh:
-        _write([r.to_dict() for r in run_experiment(config, workers=args.workers)], args, fh)
+        _write(run_experiment(config, workers=args.workers), args, fh)
     return 0
 
 

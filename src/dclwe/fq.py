@@ -26,8 +26,9 @@ MODULUS_CEILING = 1 << 25
 # Largest complex128 table the exact dense paths may build: 4096 x 4096,
 # so every q up to 4093 fits. Those paths hold up to four such tables at
 # once, so their peak stays near 1 GiB. The kernel sampler holds tables of
-# one row of q at q > 65536, about eleven at its peak (176 q bytes), and
-# qsim.check_block_size keeps that peak under the same 1 GiB.
+# one row of q at q > 65536, about eleven at its peak (176 q bytes, plus
+# 56 bytes per pair), and qsim.check_block_size keeps that peak under the
+# same 1 GiB.
 DENSE_BYTES_LIMIT = 1 << 28
 
 

@@ -81,6 +81,13 @@ CHUNK_ENTRIES = 1 << 16
 # row at q = 4,194,301 raised the peak RSS by 722 MB, 10.8 such tables.
 BLOCK_TABLES = 11
 
+# A row's peak resident memory per pair beside its block's tables: the
+# batch's arrays and the row's gathered phases. `bounds
+# --kappa 1 --trials 1` at full field peaked at 1,296 MiB (ru_maxrss) at
+# q = 6,100,799 against 974 MiB with --v-size 2, and at 903 against 683
+# MiB at q = 4,194,301: about 55 bytes for each pair.
+PAIR_BYTES = 56
+
 
 class MeasurementOutcome(NamedTuple):
     k_d: int
@@ -148,21 +155,13 @@ def bv_kernel(state: TwoQuditState) -> TwoQuditState:
     return TwoQuditState(state.q, f @ state.amps @ f)
 
 
-def extract_candidates(k_d: np.ndarray, k_star: np.ndarray, q: int) -> list[int | None]:
-    """Candidate secret coordinate per outcome: (-k_d) * k*^-1 mod q.
-
-    A zero k* pins nothing down; that shot is a null and yields None.
-    """
-    k_star = np.asarray(k_star, dtype=np.int64) % q
-    inv = PrimeField(q).inverse_table()
-    cand = (-np.asarray(k_d, dtype=np.int64)) % q * inv[k_star] % q
-    return [None if ks == 0 else c for c, ks in zip(cand.tolist(), k_star.tolist())]
-
-
 def extract_candidate(outcome: MeasurementOutcome, q: int) -> int | None:
-    """extract_candidates for one outcome.
+    """Candidate secret coordinate of one outcome: (-k_d) * k*^-1 mod q.
+    A zero k* pins nothing down; that shot is a null and yields None.
     It stays only for bench/layers.py and the tests, until ROADMAP item 3."""
-    return extract_candidates(np.array([outcome.k_d]), np.array([outcome.k_star]), q)[0]
+    if outcome.k_star % q == 0:
+        return None
+    return -int(outcome.k_d) * PrimeField(q).inv(outcome.k_star) % q
 
 
 def kernel_distribution(batch: ReducedBatch) -> np.ndarray:
@@ -192,17 +191,19 @@ def atom_mass(q: int, chi: ErrorDistribution, m: int) -> float:
     return (1 + (m - 1) * (q * float(p @ p) - 1) / (q - 1)) / q
 
 
-def check_block_size(q: int) -> None:
-    """Refuse, before anything is allocated, a q for which one
-    transform_rows block, BLOCK_TABLES tables of at most
-    max(CHUNK_ENTRIES, q) complex entries, would pass four
-    DENSE_BYTES_LIMIT tables: the ~1 GiB peak the dense paths keep to.
-    Only q above 6,100,805 is refused."""
-    nbytes = BLOCK_TABLES * 16 * max(CHUNK_ENTRIES, q)
+def check_block_size(q: int, m: int) -> None:
+    """Refuse, before anything is allocated, a q and batch size m for
+    which one transform_rows block, BLOCK_TABLES tables of at most
+    max(CHUNK_ENTRIES, q) complex entries, plus PAIR_BYTES for each of
+    its m pairs, would pass four DENSE_BYTES_LIMIT tables: the ~1 GiB
+    peak the dense paths keep to. So 176 q + 56 m bytes may not pass
+    2^30: a batch of two is refused only above q = 6,100,805, and a
+    full-field batch above q = 4,628,197."""
+    nbytes = BLOCK_TABLES * 16 * max(CHUNK_ENTRIES, q) + PAIR_BYTES * m
     if nbytes > 4 * DENSE_BYTES_LIMIT:
         raise InvalidLength(
-            f"the kernel sampler's transform at q={q} peaks near {nbytes / 2**30:.1f} GiB,"
-            f" over the {4 * DENSE_BYTES_LIMIT / 2**30:.2f} GiB dense limit"
+            f"the kernel sampler's transform at q={q} with {m} pairs peaks near"
+            f" {nbytes / 2**30:.1f} GiB, over the {4 * DENSE_BYTES_LIMIT / 2**30:.2f} GiB dense limit"
         )
 
 
@@ -222,8 +223,8 @@ def transform_rows(
     phase) raises InvariantViolation. A q over check_block_size's limit
     raises InvalidLength before anything is allocated.
     """
-    check_block_size(q)
     m = b_values.shape[1]
+    check_block_size(q, m)
     rows = max(1, CHUNK_ENTRIES // q)
     k_d = np.empty(len(b_values), dtype=np.int64)
     for start in range(0, len(k_d), rows):

@@ -37,8 +37,8 @@ def _config(**overrides) -> ExperimentConfig:
     return build_config(None, base)
 
 
-def _strip_wall(record) -> dict:
-    row = record.to_dict()
+def _strip_wall(record: dict) -> dict:
+    row = dict(record)
     row.pop("wall_time_ms")
     return row
 
@@ -157,10 +157,10 @@ def test_run_experiment_shape_and_reproducibility():
     again = run_experiment(config)
     assert [_strip_wall(r) for r in records] == [_strip_wall(r) for r in again]
     for r in records:
-        assert r.outcome in ("success", "failure", "wrong_accept")
-        assert r.quantum_samples <= r.n * r.L
-        assert len(r.coordinate_candidates.split(";")) == r.n
-        assert len(r.coordinate_nulls.split(";")) == r.n
+        assert r["outcome"] in ("success", "failure", "wrong_accept")
+        assert r["quantum_samples"] <= r["n"] * r["L"]
+        assert len(r["coordinate_candidates"].split(";")) == r["n"]
+        assert len(r["coordinate_nulls"].split(";")) == r["n"]
 
 
 def test_run_experiment_worker_count_does_not_change_results():
@@ -214,7 +214,7 @@ def test_worker_pool_is_capped_at_the_task_count(monkeypatch):
 
 def test_emit_csv_round_trips():
     config = _config(trials=2)
-    rows = [r.to_dict() for r in run_experiment(config)]
+    rows = run_experiment(config)
     buf = io.StringIO()
     emit(rows, "csv", buf)
     parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
@@ -288,6 +288,22 @@ def test_main_sweep_emits_to_stdout(capsys):
     records = json.loads(capsys.readouterr().out)
     assert len(records) == 2
     assert records[0]["n"] == 2
+
+
+_SWEEP_COLUMNS = [
+    "point_index", "trial_index", "n", "q", "xi", "kappa", "sigma", "gamma", "delta", "v_size",
+    "chi_kind", "mode", "seed", "xi_prime", "L", "M", "outcome", "coordinate_candidates",
+    "coordinate_nulls", "quantum_samples", "test_samples", "wall_time_ms",
+]
+
+
+def test_sweep_records_keep_their_columns_in_order(capsys):
+    argv = ["sweep", "--n", "2", "--q", "101", "--trials", "2", "--seed", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(_SWEEP_COLUMNS)
+    assert main(argv + ["--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [list(r) for r in records] == [_SWEEP_COLUMNS] * 2
 
 
 def test_main_qram_cost_prints_value(capsys):
@@ -522,9 +538,10 @@ def test_a_refused_run_creates_no_out_file(tmp_path, capsys):
 
 
 def test_bounds_refuses_a_point_over_the_dense_limit_before_any_draw(tmp_path, monkeypatch, capsys):
-    # The sampler's one-row block at q = 33554393 would peak near 5.5 GiB;
-    # the point is refused with its name before --out is opened or the first
-    # point's batch is drawn.
+    # The sampler's one-row block at q = 33554393 would peak near 5.5 GiB.
+    # At q = 6,100,799 the block alone fits, but a full-field row's 56 bytes
+    # per pair take it past 2^30: 176 q + 56 m bytes. Each point is refused
+    # with its name before --out is opened or the first point's batch is drawn.
     import dclwe.cli as cli_module
 
     def no_draw(*args, **kwargs):
@@ -532,12 +549,16 @@ def test_bounds_refuses_a_point_over_the_dense_limit_before_any_draw(tmp_path, m
 
     monkeypatch.setattr(cli_module, "synth_reduced_batch", no_draw)
     out = tmp_path / "F"
-    argv = ["bounds", "--q", "4093,33554393", "--kappa", "200", "--trials", "1", "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "dense limit" in err
-    assert "point 1 (n=4, q=33554393, xi=1, kappa=200)" in err
-    assert not out.exists()
+    for q, kappa, name in (
+        ("4093,33554393", "200", "point 1 (n=4, q=33554393, xi=1, kappa=200)"),
+        ("6100799", "1", "point 0 (n=4, q=6100799, xi=1, kappa=1)"),
+    ):
+        argv = ["bounds", "--q", q, "--kappa", kappa, "--trials", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "dense limit" in err
+        assert name in err
+        assert not out.exists()
 
 
 def test_a_positive_kappa_xi_that_rounds_to_zero_is_refused(capsys):

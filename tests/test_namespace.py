@@ -49,8 +49,8 @@ INTERNAL = {
     ),
     "oracle": ("coordinate_law",),
     "qsim": (
-        "BLOCK_TABLES", "NORM_TOL", "MeasurementOutcome", "atom_mass", "check_block_size",
-        "extract_candidate", "extract_candidates", "qft_matrix", "root_table", "sample_bv_outcome",
+        "BLOCK_TABLES", "NORM_TOL", "PAIR_BYTES", "MeasurementOutcome", "atom_mass",
+        "check_block_size", "extract_candidate", "qft_matrix", "root_table", "sample_bv_outcome",
         "transform_rows",
     ),
     "reduce": (

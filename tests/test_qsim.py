@@ -30,7 +30,6 @@ from dclwe.qsim import (
     MeasurementOutcome,
     check_block_size,
     extract_candidate,
-    extract_candidates,
     qft_matrix,
     root_table,
     sample_bv_outcome,
@@ -298,8 +297,9 @@ def test_translated_s_free_draws_follow_the_secret_batch_law(q, inputs):
     wrong = np.bincount((k_d + s * k_star) % q * q + k_star, minlength=q * q)
     assert not chi_square_ok(wrong, probs, shots)
     # The candidate of a translated outcome is s + c0, and a null stays a null.
-    c0 = extract_candidates(k_d[:200], k_star[:200], q)
-    translated = extract_candidates((k_d[:200] - s * k_star[:200]) % q, k_star[:200], q)
+    outcomes = list(zip(k_d[:200].tolist(), k_star[:200].tolist()))
+    c0 = [extract_candidate(MeasurementOutcome(k, ks), q) for k, ks in outcomes]
+    translated = [extract_candidate(MeasurementOutcome((k - s * ks) % q, ks), q) for k, ks in outcomes]
     assert translated == [None if c is None else (c + s) % q for c in c0]
 
 
@@ -826,7 +826,7 @@ def test_qft_matrix_refuses_dense_tables_before_allocating():
 def test_sampler_refuses_an_over_limit_block_before_allocating():
     # One row at q = 33,554,393 would peak near 5.5 GiB. Both public forms
     # refuse it before their first q-wide table; 6,100,805 is the largest q
-    # whose one-row block stays under the 1 GiB peak.
+    # whose one-row block of two pairs stays under the 1 GiB peak.
     q = 33554393
     batch = synth_reduced_batch(3, q, range(3), 1, ErrorDistribution(UNIFORM, 1), derive_rng(62, 0))
     rng = derive_rng(62, 1)
@@ -840,9 +840,9 @@ def test_sampler_refuses_an_over_limit_block_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    check_block_size(6100805)
+    check_block_size(6100805, 2)
     with pytest.raises(InvalidLength):
-        check_block_size(6100806)
+        check_block_size(6100806, 2)
 
 
 def test_qft_matrix_keeps_one_table_alive():
